@@ -358,11 +358,9 @@ class NanoGpuDriver:
         _valid, _pa, perms = self._fmt.decode_pte(raw_pte_flags)
         pas = self.machine.gpu_allocator.alloc_pages(num_pages,
                                                      "replayer-mem")
-        pt = self._require_pt()
-        for i, pa in enumerate(pas):
-            # Fresh pages are zero-filled by the allocator: no stale
-            # data leaks to the GPU (§5.1, "no sensitive data").
-            pt.map_page(va + i * PAGE_SIZE, pa, perms)
+        # Fresh pages are zero-filled by the allocator: no stale
+        # data leaks to the GPU (§5.1, "no sensitive data").
+        self._require_pt().map_range(va, pas, perms)
         self.clock.advance(PTE_PATCH_NS * num_pages)
         self._regions[va] = (pas, num_pages)
         self._drop_resident(va, num_pages * PAGE_SIZE)
@@ -374,9 +372,7 @@ class NanoGpuDriver:
             raise ReplayError(f"replay unmaps unmapped VA {va:#x}")
         pas, mapped_pages = entry
         del num_pages
-        pt = self._require_pt()
-        for i in range(mapped_pages):
-            pt.unmap_page(va + i * PAGE_SIZE)
+        self._require_pt().unmap_range(va, mapped_pages)
         self.machine.gpu_allocator.free_pages(pas)
         self._drop_resident(va, mapped_pages * PAGE_SIZE)
         self.flight.record(self.clock.now(), "MemUnmap",
@@ -544,8 +540,7 @@ class NanoGpuDriver:
         for va in list(self._regions):
             pas, pages = self._regions.pop(va)
             if self._pt is not None:
-                for i in range(pages):
-                    self._pt.unmap_page(va + i * PAGE_SIZE)
+                self._pt.unmap_range(va, pages)
             self.machine.gpu_allocator.free_pages(pas)
         if self._pt is not None:
             self._pt.destroy()

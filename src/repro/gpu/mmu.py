@@ -15,8 +15,8 @@ permission bits at all (forcing the recorder's conservative dumps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+import struct
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import GpuPageFault, SocError
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
@@ -371,33 +371,69 @@ class PageTableBuilder:
         self._l1_tables: Dict[int, int] = {}  # l0 index -> l1 table pa
         self._mappings: Dict[int, Tuple[int, int]] = {}  # va page -> (pa, perms)
 
-    def _entry_io(self, pa: int) -> Tuple:
-        if self.fmt.pte_size == 8:
-            return self.memory.read_u64, self.memory.write_u64
-        return self.memory.read_u32, self.memory.write_u32
+    def _leaf_runs(self, va: int, num_pages: int
+                   ) -> List[Tuple[int, int, int, int]]:
+        """Split a page-aligned VA range at L1-table boundaries into
+        (l0, first l1 slot, first page number, page count) runs."""
+        if va % PAGE_SIZE:
+            raise SocError("mappings must be page-aligned")
+        if num_pages > 0:
+            # Both ends inside the VA space, or GpuPageFault.
+            split_va(va)
+            split_va(va + (num_pages - 1) * PAGE_SIZE)
+        runs = []
+        done = 0
+        while done < num_pages:
+            l0, l1 = divmod((va >> _OFFSET_BITS) + done, 1 << _L1_BITS)
+            count = min(num_pages - done, (1 << _L1_BITS) - l1)
+            runs.append((l0, l1, done, count))
+            done += count
+        return runs
+
+    def map_range(self, va: int, pas: Sequence[int], perms: int) -> None:
+        """Map ``pas`` at consecutive pages from ``va``: one packed
+        write of PTEs per leaf table the range crosses."""
+        for pa in pas:
+            if pa % PAGE_SIZE:
+                raise SocError("mappings must be page-aligned")
+        fmt = self.fmt
+        entry = "Q" if fmt.pte_size == 8 else "I"
+        for l0, l1, first, count in self._leaf_runs(va, len(pas)):
+            l1_pa = self._l1_tables.get(l0)
+            if l1_pa is None:
+                l1_pa = self.allocator.alloc_page(self.tag)
+                self._l1_tables[l0] = l1_pa
+                self.memory.write(
+                    self.root_pa + l0 * fmt.pte_size,
+                    struct.pack(f"<{entry}", fmt.encode_table_ptr(l1_pa)))
+            run = pas[first:first + count]
+            self.memory.write(
+                l1_pa + l1 * fmt.pte_size,
+                struct.pack(f"<{count}{entry}",
+                            *[fmt.encode_pte(pa, perms) for pa in run]))
+            page_va = va + first * PAGE_SIZE
+            for pa in run:
+                self._mappings[page_va] = (pa, perms)
+                page_va += PAGE_SIZE
+
+    def unmap_range(self, va: int, num_pages: int) -> None:
+        """Clear the PTEs of ``num_pages`` mapped pages from ``va``."""
+        page_vas = range(va, va + num_pages * PAGE_SIZE, PAGE_SIZE)
+        for page_va in page_vas:
+            if page_va not in self._mappings:
+                raise SocError(f"VA {page_va:#x} is not mapped")
+        pte_size = self.fmt.pte_size
+        for l0, l1, _first, count in self._leaf_runs(va, num_pages):
+            self.memory.write(self._l1_tables[l0] + l1 * pte_size,
+                              bytes(count * pte_size))
+        for page_va in page_vas:
+            del self._mappings[page_va]
 
     def map_page(self, va: int, pa: int, perms: int) -> None:
-        if va % PAGE_SIZE or pa % PAGE_SIZE:
-            raise SocError("mappings must be page-aligned")
-        l0, l1, _ = split_va(va)
-        _, write_entry = self._entry_io(0)
-        l1_pa = self._l1_tables.get(l0)
-        if l1_pa is None:
-            l1_pa = self.allocator.alloc_page(self.tag)
-            self._l1_tables[l0] = l1_pa
-            write_entry(self.root_pa + l0 * self.fmt.pte_size,
-                        self.fmt.encode_table_ptr(l1_pa))
-        write_entry(l1_pa + l1 * self.fmt.pte_size,
-                    self.fmt.encode_pte(pa, perms))
-        self._mappings[va] = (pa, perms)
+        self.map_range(va, (pa,), perms)
 
     def unmap_page(self, va: int) -> None:
-        if va not in self._mappings:
-            raise SocError(f"VA {va:#x} is not mapped")
-        l0, l1, _ = split_va(va)
-        _, write_entry = self._entry_io(0)
-        write_entry(self._l1_tables[l0] + l1 * self.fmt.pte_size, 0)
-        del self._mappings[va]
+        self.unmap_range(va, 1)
 
     def lookup(self, va: int) -> Optional[Tuple[int, int]]:
         """(pa, perms) of a mapped page VA, or None."""

@@ -10,6 +10,11 @@ a seed-dependent order. This is deliberate: record-time and replay-time
 machines get different physical layouts, which forces the replayer's
 page-table relocation path (Section 5.2) to actually work rather than
 accidentally relying on identical addresses.
+
+The order is a seeded permutation of the region, drawn *lazily*: a
+machine pays for the pages a session allocates, not for the gigabytes
+the board advertises. Construction is O(1) and the allocator's state
+grows only with pages handed out (see :class:`PageAllocator`).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.errors import AllocationError, PhysicalMemoryError
 
 PAGE_SIZE = 4096
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class PhysicalMemory:
@@ -82,8 +88,30 @@ class PhysicalMemory:
             offset += chunk
 
     def fill(self, pa: int, length: int, value: int = 0) -> None:
-        """Fill a range with a byte value (used for page scrubbing)."""
+        """Fill a range with a byte value."""
         self.write(pa, bytes([value]) * length)
+
+    def scrub_pages(self, pas: Iterable[int]) -> None:
+        """Zero whole pages: what ``write(pa, bytes(PAGE_SIZE))`` does
+        to each, without building the 4-KiB operand. The ``write_hook``
+        still sees every page."""
+        pages = self._pages
+        hook = self.write_hook
+        size = self.size
+        for pa in pas:
+            page_index, page_offset = divmod(pa, PAGE_SIZE)
+            if page_offset:
+                raise PhysicalMemoryError(
+                    f"scrub of unaligned page {pa:#x}")
+            if pa < 0 or pa >= size:
+                self._check_range(pa, PAGE_SIZE)
+            if hook is not None:
+                hook(pa, PAGE_SIZE)
+            page = pages.get(page_index)
+            if page is None:
+                pages[page_index] = bytearray(PAGE_SIZE)
+            else:
+                page[:] = _ZERO_PAGE
 
     # -- word access -------------------------------------------------------
 
@@ -120,9 +148,25 @@ class PhysicalMemory:
 class PageAllocator:
     """Allocates physical pages from a region of :class:`PhysicalMemory`.
 
-    The free list is shuffled once at construction using ``seed`` so
-    that two machines (record vs replay) produce different physical
-    layouts for the same allocation sequence.
+    Pages come out in a permutation of the region fixed by ``seed``, so
+    two machines (record vs replay) produce different physical layouts
+    for the same allocation sequence. The contract: page ``k`` handed
+    out is what ``random.Random(seed).shuffle`` of the full page list,
+    popped from the end, would hand out -- without ever building that
+    list. ``shuffle`` is a Fisher-Yates pass that settles slot ``n-1``
+    first, then ``n-2``, ...; each step swaps slot ``i`` with a slot
+    ``j <= i`` and never looks above ``i`` again. Popping from the end
+    consumes slots in exactly that order, so drawing
+    ``randrange(i + 1)`` at the moment slot ``i`` is needed yields the
+    page the shuffled list would hold there. Only slots a swap moved
+    off their identity value are stored (``_displaced``); a fresh
+    allocator holds no per-page state at all.
+
+    Freed pages go on a LIFO stack that is consulted before any fresh
+    draw (a list popped and appended at the same end behaves so), which
+    makes recycling order part of the layout contract too.
+    ``tests/soc/test_memory.py`` keeps the shuffled-list allocator as a
+    reference model and checks every step against it.
     """
 
     def __init__(self, memory: PhysicalMemory, base_pa: int,
@@ -134,37 +178,56 @@ class PageAllocator:
         self.memory = memory
         self.base_pa = base_pa
         self.page_count = page_count
-        free = [base_pa + i * PAGE_SIZE for i in range(page_count)]
-        random.Random(seed).shuffle(free)
-        self._free: List[int] = free
+        self._rng = random.Random(seed)
+        #: Slots ``[0, _fresh)`` of the permutation are still undrawn.
+        self._fresh = page_count
+        #: Undrawn slot -> page index, where a swap moved it off identity.
+        self._displaced: Dict[int, int] = {}
+        self._recycled: List[int] = []
         self._used: Dict[int, str] = {}
 
     # -- allocation --------------------------------------------------------
 
     def alloc_page(self, tag: str = "") -> int:
         """Allocate one page; returns its physical address."""
-        if not self._free:
-            raise AllocationError("out of physical pages")
-        pa = self._free.pop()
-        self._used[pa] = tag
-        self.memory.fill(pa, PAGE_SIZE, 0)
-        return pa
+        return self.alloc_pages(1, tag)[0]
 
     def alloc_pages(self, count: int, tag: str = "") -> List[int]:
-        """Allocate ``count`` pages (not necessarily contiguous)."""
+        """Allocate ``count`` zeroed pages (not necessarily contiguous)."""
         if count < 0:
             raise AllocationError(f"cannot allocate {count} pages")
-        if count > len(self._free):
+        if count > self.pages_free:
             raise AllocationError(
                 f"out of physical pages ({count} requested, "
-                f"{len(self._free)} free)")
-        return [self.alloc_page(tag) for _ in range(count)]
+                f"{self.pages_free} free)")
+        recycled = self._recycled
+        displaced = self._displaced
+        randrange = self._rng.randrange
+        base_pa = self.base_pa
+        pas: List[int] = []
+        for _ in range(count):
+            if recycled:
+                pas.append(recycled.pop())
+                continue
+            i = self._fresh = self._fresh - 1
+            # One Fisher-Yates step: slot i takes slot j's page, slot j
+            # keeps slot i's. Slot 0 is what is left; shuffle draws
+            # nothing for it.
+            j = randrange(i + 1) if i else 0
+            index = displaced.get(j, j)
+            mine = displaced.pop(i, i)
+            if j != i:
+                displaced[j] = mine
+            pas.append(base_pa + index * PAGE_SIZE)
+        self._used.update(dict.fromkeys(pas, tag))
+        self.memory.scrub_pages(pas)
+        return pas
 
     def free_page(self, pa: int) -> None:
         if pa not in self._used:
             raise AllocationError(f"double free of page {pa:#x}")
         del self._used[pa]
-        self._free.append(pa)
+        self._recycled.append(pa)
 
     def free_pages(self, pas: Iterable[int]) -> None:
         for pa in list(pas):
@@ -178,7 +241,7 @@ class PageAllocator:
 
     @property
     def pages_free(self) -> int:
-        return len(self._free)
+        return self._fresh + len(self._recycled)
 
     def usage_by_tag(self) -> Dict[str, int]:
         """Pages in use, grouped by allocation tag."""

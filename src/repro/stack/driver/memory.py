@@ -119,9 +119,7 @@ class ContextMemory:
             raise DriverError("GPU virtual address space exhausted")
         self._next_va = end + self.GUARD_PAGES * PAGE_SIZE
         pas = self.allocator.alloc_pages(num_pages, tag or "gpu-mem")
-        perms = flags.to_perms()
-        for i, pa in enumerate(pas):
-            self.page_table.map_page(va + i * PAGE_SIZE, pa, perms)
+        self.page_table.map_range(va, pas, flags.to_perms())
         region = MemRegion(va, num_pages, flags, pas, tag)
         self.regions[va] = region
         return region
@@ -130,8 +128,7 @@ class ContextMemory:
         region = self.regions.pop(va, None)
         if region is None:
             raise DriverError(f"free of unknown region VA {va:#x}")
-        for i in range(region.num_pages):
-            self.page_table.unmap_page(region.va + i * PAGE_SIZE)
+        self.page_table.unmap_range(region.va, region.num_pages)
         self.allocator.free_pages(region.pas)
         region.freed = True
         return region

@@ -341,7 +341,8 @@ class Vault:
     def fetch(self, digest: str, verify: bool = True) -> Recording:
         """Reassemble one recording, verifying the integrity chain.
 
-        Every chunk is re-hashed on the way in and the reassembled
+        Every distinct chunk is re-hashed on the way in (once per
+        fetch, however many dumps reference it) and the reassembled
         recording must hash back to the manifest digest; with
         ``verify=False`` only structural checks run (sizes must still
         line up for decoding to succeed).
@@ -408,20 +409,32 @@ class Vault:
             manifest.skeleton_digest, manifest.skeleton_size,
             context={"recording_digest": manifest.digest})
         payloads: List[memoryview] = []
+        # (chunk digest, manifest size) -> bytes already read this
+        # fetch. Tensor dumps repeat chunks; each distinct ref is read,
+        # inflated, hashed and size-checked once, by its first use. A
+        # ref that names a known digest with another size is a distinct
+        # key and goes through the checks on its own.
+        fetched: Dict[Tuple[str, int], bytes] = {}
         for dump_index, (va, size, chunk_list) in \
                 enumerate(manifest.dumps):
             parts: List[bytes] = []
             offset = 0
             for chunk_digest, chunk_size in chunk_list:
-                context = {"recording_digest": manifest.digest,
-                           "dump_index": dump_index, "dump_va": va,
-                           "dump_offset": offset}
-                if verify:
-                    parts.append(self._get_object(
-                        chunk_digest, chunk_size, context=context))
-                else:
-                    parts.append(self._read_object_best_effort(
-                        chunk_digest, chunk_size))
+                ref = (chunk_digest, chunk_size)
+                part = fetched.get(ref)
+                if part is None:
+                    if verify:
+                        part = self._get_object(
+                            chunk_digest, chunk_size,
+                            context={"recording_digest": manifest.digest,
+                                     "dump_index": dump_index,
+                                     "dump_va": va,
+                                     "dump_offset": offset})
+                    else:
+                        part = self._read_object_best_effort(
+                            chunk_digest, chunk_size)
+                    fetched[ref] = part
+                parts.append(part)
                 offset += chunk_size
             if len(parts) == 1:
                 payload = memoryview(parts[0])

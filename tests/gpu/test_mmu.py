@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import GpuPageFault
-from repro.gpu.mmu import (PERM_R, PERM_W, PERM_X, PTE_FORMATS, GpuMmu,
-                           MaliLpaePteFormat, MaliPteFormat,
+from repro.errors import GpuPageFault, SocError
+from repro.gpu.mmu import (L1_SPAN, PERM_R, PERM_W, PERM_X, PTE_FORMATS,
+                           GpuMmu, MaliLpaePteFormat, MaliPteFormat,
                            PageTableBuilder, V3dPteFormat, VA_SPACE_SIZE,
                            split_va, walk_page_table)
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
@@ -116,6 +116,113 @@ class TestPageTableBuilder:
         used_before = allocator.pages_in_use
         pt.destroy()
         assert allocator.pages_in_use < used_before
+
+
+class TestRangeOps:
+    """``map_range``/``unmap_range`` write a leaf table's run of PTEs
+    in one store; the tables must come out as if mapped page by page."""
+
+    #: (first VA, pages): inside one leaf table, across one boundary,
+    #: and across two (a whole 512-entry table in the middle).
+    RANGES = [(0x100000, 7), (L1_SPAN - 3 * PAGE_SIZE, 10),
+              (5 * L1_SPAN - 40 * PAGE_SIZE, 600)]
+
+    def world(self, fmt_name):
+        memory = PhysicalMemory(64 * MIB)
+        allocator = PageAllocator(memory, 0, 8192, seed=3)
+        pt = PageTableBuilder(memory, allocator, PTE_FORMATS[fmt_name])
+        return memory, allocator, pt
+
+    def tables(self, memory, pt):
+        return [(pa, memory.read(pa, PAGE_SIZE))
+                for pa in pt.table_pages()]
+
+    def assert_same(self, fmt_name, ranged, paged):
+        (mem_a, _alloc_a, pt_a), (mem_b, _alloc_b, pt_b) = ranged, paged
+        fmt = PTE_FORMATS[fmt_name]
+        assert walk_page_table(mem_a, pt_a.root_pa, fmt) == \
+            walk_page_table(mem_b, pt_b.root_pa, fmt)
+        assert self.tables(mem_a, pt_a) == self.tables(mem_b, pt_b)
+        assert list(pt_a.mappings()) == list(pt_b.mappings())
+
+    @pytest.mark.parametrize("fmt_name", sorted(PTE_FORMATS))
+    def test_range_equals_per_page(self, fmt_name):
+        ranged, paged = self.world(fmt_name), self.world(fmt_name)
+        fmt = PTE_FORMATS[fmt_name]
+        expected = []
+        for va, pages in self.RANGES:
+            perms = PERM_R | (PERM_W if pages % 2 else PERM_X)
+            pas = ranged[1].alloc_pages(pages)
+            assert paged[1].alloc_pages(pages) == pas
+            ranged[2].map_range(va, pas, perms)
+            for i, pa in enumerate(pas):
+                paged[2].map_page(va + i * PAGE_SIZE, pa, perms)
+            walked_perms = perms if fmt.has_permissions else \
+                PERM_R | PERM_W | PERM_X
+            expected += [(va + i * PAGE_SIZE, pa, walked_perms)
+                         for i, pa in enumerate(pas)]
+        self.assert_same(fmt_name, ranged, paged)
+        assert walk_page_table(ranged[0], ranged[2].root_pa, fmt) == \
+            sorted(expected)
+        # 1 root + the leaf tables the three ranges touch.
+        assert len(ranged[2].table_pages()) == 1 + 1 + 1 + 3
+
+        va, pages = self.RANGES[2]
+        ranged[2].unmap_range(va + 10 * PAGE_SIZE, 580)
+        for i in range(10, 590):
+            paged[2].unmap_page(va + i * PAGE_SIZE)
+        self.assert_same(fmt_name, ranged, paged)
+        assert ranged[2].mapped_page_count() == 7 + 10 + 20
+        assert ranged[2].lookup(va + 10 * PAGE_SIZE) is None
+        assert ranged[2].lookup(va + 590 * PAGE_SIZE) is not None
+
+    def test_write_hook_sees_every_pte_byte_range(self):
+        memory, allocator, pt = self.world("mali")
+        va, pages = self.RANGES[1]
+        pas = allocator.alloc_pages(pages)
+        pt.map_range(va, pas[:1], PERM_R)  # leaf table now exists
+        pt.unmap_range(va, 1)
+        seen = []
+        memory.write_hook = lambda pa, size: seen.append((pa, size))
+        pt.map_range(va, pas, PERM_R)
+        low, high = pt._l1_tables[0], pt._l1_tables[1]
+        # 3 PTEs at the end of the first leaf, then: scrub of the new
+        # leaf, its root pointer, 7 PTEs at its start.
+        assert seen == [(low + 509 * 8, 3 * 8), (high, PAGE_SIZE),
+                        (pt.root_pa + 8, 8), (high, 7 * 8)]
+
+    def test_remap_overwrites_like_per_page(self):
+        ranged, paged = self.world("mali"), self.world("mali")
+        for world in (ranged, paged):
+            world[2].map_range(0x100000, world[1].alloc_pages(4), PERM_R)
+        pas = ranged[1].alloc_pages(4)
+        assert paged[1].alloc_pages(4) == pas
+        ranged[2].map_range(0x102000, pas, PERM_R | PERM_W)
+        for i, pa in enumerate(pas):
+            paged[2].map_page(0x102000 + i * PAGE_SIZE, pa,
+                              PERM_R | PERM_W)
+        self.assert_same("mali", ranged, paged)
+        assert ranged[2].mapped_page_count() == 6
+
+    def test_range_errors(self):
+        memory, allocator, pt = self.world("mali")
+        pas = allocator.alloc_pages(4)
+        with pytest.raises(SocError, match="page-aligned"):
+            pt.map_range(0x100800, pas, PERM_R)
+        with pytest.raises(SocError, match="page-aligned"):
+            pt.map_range(0x100000, [pas[0], pas[1] + 8], PERM_R)
+        with pytest.raises(GpuPageFault):
+            pt.map_range(VA_SPACE_SIZE - 2 * PAGE_SIZE, pas, PERM_R)
+        assert pt.mapped_page_count() == 0
+        pt.map_range(0x100000, pas[:2], PERM_R)
+        with pytest.raises(SocError, match="0x102000 is not mapped"):
+            pt.unmap_range(0x100000, 3)
+        # The refused unmap removed nothing.
+        assert pt.mapped_page_count() == 2
+        assert len(walk_page_table(memory, pt.root_pa, pt.fmt)) == 2
+        pt.map_range(0x300000, [], PERM_R)
+        pt.unmap_range(0x300000, 0)
+        assert pt.mapped_page_count() == 2
 
 
 class TestGpuMmu:

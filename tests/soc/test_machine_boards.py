@@ -1,9 +1,12 @@
 """Boards and the machine composition root."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import SocError
 from repro.soc import BOARDS, Machine, board_by_name
+from repro.soc.memory import PAGE_SIZE
 from repro.soc.boards import HIKEY960, RASPBERRY_PI4
 
 
@@ -45,6 +48,26 @@ class TestMachine:
         a = Machine.create("hikey960", seed=1).gpu_allocator.alloc_pages(8)
         b = Machine.create("hikey960", seed=2).gpu_allocator.alloc_pages(8)
         assert a != b
+
+    @pytest.mark.parametrize("board", sorted(BOARDS))
+    def test_boot_cost_does_not_scale_with_gpu_memory(self, board):
+        """A machine pays for pages a session allocates, not for the
+        region the board advertises: boot leaves no per-page state."""
+        Machine.create(board, seed=1)  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            machine = Machine.create(board, seed=2)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        allocator = machine.gpu_allocator
+        assert allocator.page_count == \
+            machine.board.gpu_mem_bytes // PAGE_SIZE
+        assert allocator.pages_free == allocator.page_count
+        assert allocator.pages_in_use == 0
+        assert not allocator._displaced and not allocator._recycled
+        assert machine.memory.touched_pages() == 0
 
     def test_attach_second_gpu_rejected(self):
         machine = Machine.create("hikey960", seed=1)

@@ -1,6 +1,9 @@
 """Physical memory and the page allocator."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AllocationError, PhysicalMemoryError
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
@@ -51,6 +54,22 @@ class TestPhysicalMemory:
         memory.fill(0x3000, 100, 0xAB)
         assert memory.read(0x3000, 100) == b"\xAB" * 100
 
+    def test_scrub_pages_zeroes_and_materializes(self, memory):
+        memory.write(0x3000, b"\xAB" * PAGE_SIZE)
+        seen = []
+        memory.write_hook = lambda pa, size: seen.append((pa, size))
+        before = memory.touched_pages()
+        memory.scrub_pages([0x3000, 0x7000])
+        assert memory.read(0x3000, PAGE_SIZE) == b"\x00" * PAGE_SIZE
+        assert memory.touched_pages() == before + 1
+        assert seen == [(0x3000, PAGE_SIZE), (0x7000, PAGE_SIZE)]
+
+    def test_scrub_pages_rejects_bad_addresses(self, memory):
+        with pytest.raises(PhysicalMemoryError):
+            memory.scrub_pages([0x3004])
+        with pytest.raises(PhysicalMemoryError):
+            memory.scrub_pages([memory.size])
+
     def test_size_must_be_page_multiple(self):
         with pytest.raises(PhysicalMemoryError):
             PhysicalMemory(PAGE_SIZE + 1)
@@ -83,9 +102,26 @@ class TestPageAllocator:
         pa = alloc.alloc_page()
         memory.write(pa, b"\xFF" * PAGE_SIZE)
         alloc.free_page(pa)
+        # LIFO recycling is part of the layout contract: the page just
+        # freed is the next one out, and it comes back zeroed.
         pa2 = alloc.alloc_page()
-        if pa2 == pa:
-            assert memory.read(pa2, PAGE_SIZE) == b"\x00" * PAGE_SIZE
+        assert pa2 == pa
+        assert memory.read(pa2, PAGE_SIZE) == b"\x00" * PAGE_SIZE
+
+    def test_bulk_allocated_pages_are_scrubbed_through_the_hook(
+            self, memory):
+        alloc = self.make(memory)
+        dirty = alloc.alloc_pages(5)
+        for pa in dirty:
+            memory.write(pa, b"\xFF" * PAGE_SIZE)
+        alloc.free_pages(dirty)
+        hooked = []
+        memory.write_hook = lambda pa, size: hooked.append((pa, size))
+        pages = alloc.alloc_pages(8)  # 5 recycled + 3 fresh
+        assert pages[:5] == dirty[::-1]
+        assert all(memory.read(pa, PAGE_SIZE) == b"\x00" * PAGE_SIZE
+                   for pa in pages)
+        assert hooked == [(pa, PAGE_SIZE) for pa in pages]
 
     def test_seed_changes_allocation_order(self, memory):
         a = self.make(memory, seed=1).alloc_pages(8)
@@ -103,6 +139,22 @@ class TestPageAllocator:
         with pytest.raises(AllocationError):
             alloc.alloc_pages(5)
         assert alloc.pages_in_use == 0  # nothing leaked
+
+    def test_refused_bulk_request_draws_nothing(self, memory):
+        """The up-front check counts fresh *and* recycled pages, and a
+        refusal leaves the permutation where it was."""
+        alloc = self.make(memory, pages=8, seed=5)
+        model = EagerAllocator(0, 8, seed=5)
+        held = alloc.alloc_pages(6)
+        assert held == [model.alloc() for _ in range(6)]
+        for pa in held[:3]:
+            alloc.free_page(pa)
+            model.free(pa)
+        assert alloc.pages_free == 5
+        with pytest.raises(AllocationError, match="6 requested, 5 free"):
+            alloc.alloc_pages(6)
+        assert alloc.pages_free == 5
+        assert alloc.alloc_pages(5) == [model.alloc() for _ in range(5)]
 
     def test_double_free_rejected(self, memory):
         alloc = self.make(memory)
@@ -139,3 +191,106 @@ class TestPageAllocator:
         with pytest.raises(AllocationError):
             PageAllocator(memory, base_pa=0,
                           page_count=memory.size // PAGE_SIZE + 1)
+
+
+# --------------------------------------------------------------------------
+# Differential: the lazy permutation against the allocator it replaced.
+# --------------------------------------------------------------------------
+
+class EagerAllocator:
+    """Reference model: the whole free list shuffled at construction,
+    popped from and appended to at the end. The shipped allocator must
+    hand out the same page at every step."""
+
+    def __init__(self, base_pa, page_count, seed):
+        self.free_list = [base_pa + i * PAGE_SIZE
+                          for i in range(page_count)]
+        random.Random(seed).shuffle(self.free_list)
+        self.used = {}
+
+    def alloc(self, tag=""):
+        pa = self.free_list.pop()
+        self.used[pa] = tag
+        return pa
+
+    def free(self, pa):
+        del self.used[pa]
+        self.free_list.append(pa)
+
+    def usage_by_tag(self):
+        out = {}
+        for tag in self.used.values():
+            out[tag] = out.get(tag, 0) + 1
+        return out
+
+
+SIZES = (1, 2, 64, 4096)
+BASE_PA = 3 * PAGE_SIZE
+
+
+def _pair(size, seed):
+    memory = PhysicalMemory((size + 3) * PAGE_SIZE)
+    return (PageAllocator(memory, BASE_PA, size, seed=seed),
+            EagerAllocator(BASE_PA, size, seed))
+
+
+def _assert_accounts_agree(alloc, model):
+    assert alloc.pages_free == len(model.free_list)
+    assert alloc.pages_in_use == len(model.used)
+    assert alloc.usage_by_tag() == model.usage_by_tag()
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed", (0, 1, 0x5EED ^ 2026))
+def test_lazy_permutation_to_exhaustion_and_back(size, seed):
+    alloc, model = _pair(size, seed)
+    order = random.Random(seed + 1)
+    for tag in ("first", "second"):
+        held = []
+        while alloc.pages_free:
+            held.append(alloc.alloc_page(tag))
+            assert held[-1] == model.alloc(tag)
+        assert sorted(held) == [BASE_PA + i * PAGE_SIZE
+                                for i in range(size)]
+        assert not alloc._displaced  # every drawn slot was dropped
+        _assert_accounts_agree(alloc, model)
+        with pytest.raises(AllocationError):
+            alloc.alloc_page()
+        order.shuffle(held)
+        for pa in held:
+            alloc.free_page(pa)
+            model.free(pa)
+        _assert_accounts_agree(alloc, model)
+    assert alloc.pages_free == size
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SIZES), st.integers(0, 2 ** 32),
+       st.lists(st.tuples(st.sampled_from(["alloc", "bulk", "free"]),
+                          st.integers(0, 2 ** 16)), max_size=80))
+def test_lazy_allocator_matches_eager_reference(size, seed, ops):
+    alloc, model = _pair(size, seed)
+    held = []
+    for op, arg in ops:
+        if op == "alloc" and alloc.pages_free:
+            tag = f"t{arg % 3}"
+            held.append(alloc.alloc_page(tag))
+            assert held[-1] == model.alloc(tag)
+        elif op == "bulk":
+            count = arg % (alloc.pages_free + 2)
+            if count > alloc.pages_free:
+                with pytest.raises(AllocationError):
+                    alloc.alloc_pages(count)
+                continue
+            pages = alloc.alloc_pages(count, "bulk")
+            assert pages == [model.alloc("bulk") for _ in range(count)]
+            held.extend(pages)
+        elif op == "free" and held:
+            pa = held.pop(arg % len(held))
+            alloc.free_page(pa)
+            model.free(pa)
+        _assert_accounts_agree(alloc, model)
+        # State grows with pages drawn, never with the region.
+        assert len(alloc._displaced) <= size - alloc._fresh
+    assert sorted(held) == sorted(model.used)
+    assert all(alloc.owner_of(pa) == model.used[pa] for pa in held)

@@ -7,6 +7,8 @@ import zlib
 
 import pytest
 
+from repro.core.dumps import MemoryDump
+from repro.core.recording import Recording
 from repro.errors import (StoreCorruptionError, StoreError,
                           StoreNotFoundError)
 from repro.obs.session import Observability
@@ -155,6 +157,92 @@ class TestIntegrityChain:
         report = vault.diagnose(manifest.digest)
         assert report is not None
         assert report.action_index >= 0
+
+
+class TestRepeatedChunks:
+    """A fetch reads, inflates and hashes each distinct chunk once,
+    whatever the number of dumps that reference it."""
+
+    SHARED = bytes(range(200))
+
+    @pytest.fixture
+    def packed(self, vault):
+        base = synthetic_recording(3)
+        recording = Recording(base.meta, base.actions, [
+            MemoryDump(0x10000, self.SHARED),
+            MemoryDump(0x20000, bytes(reversed(self.SHARED))),
+            MemoryDump(0x30000, self.SHARED),
+            MemoryDump(0x40000, self.SHARED)])
+        manifest = vault.pack(recording)
+        refs = manifest.chunk_refs()
+        assert len(refs) == 4 and len(set(refs)) == 2
+        return recording, manifest
+
+    def _count_reads(self, vault, monkeypatch):
+        reads = []
+        real = vault._get_object
+
+        def counting(digest, *args, **kwargs):
+            reads.append(digest)
+            return real(digest, *args, **kwargs)
+        monkeypatch.setattr(vault, "_get_object", counting)
+        return reads
+
+    def test_each_unique_object_read_once(self, vault, packed,
+                                          monkeypatch):
+        recording, manifest = packed
+        reads = self._count_reads(vault, monkeypatch)
+        fetched = vault.fetch(manifest.digest, verify=True)
+        assert sorted(reads) == sorted(set(manifest.objects()))
+        assert fetched.to_bytes() == recording.to_bytes()
+        assert vault.last_fetch_info["chunks"] == 4
+
+    def test_shared_chunk_damage_names_first_referencing_dump(
+            self, vault, packed):
+        _recording, manifest = packed
+        shared = manifest.dumps[0][2][0][0]
+        assert shared == manifest.dumps[2][2][0][0]
+        _corrupt_object(vault, shared)
+        with pytest.raises(StoreCorruptionError) as info:
+            vault.fetch(manifest.digest)
+        assert info.value.chunk_digest == shared
+        assert info.value.dump_index == 0
+        assert info.value.dump_va == 0x10000
+        assert [p.chunk_digest for p in vault.verify()] == [shared]
+
+    def test_later_ref_with_a_lying_size_still_raises(self, vault,
+                                                      packed):
+        _recording, manifest = packed
+        path = vault._manifest_path(manifest.digest)
+        data = json.load(open(path))
+        data["dumps"][2]["chunks"][0][1] -= 1  # first ref stays honest
+        json.dump(data, open(path, "w"))
+        with pytest.raises(StoreCorruptionError,
+                           match="manifest says 199") as info:
+            vault.fetch(manifest.digest)
+        assert info.value.dump_index == 2
+        assert info.value.dump_va == 0x30000
+
+    def test_unverified_fetch_repeats_the_damage(self, vault, packed):
+        recording, manifest = packed
+        _corrupt_object(vault, manifest.dumps[0][2][0][0])
+        damaged = vault.fetch(manifest.digest, verify=False)
+        assert [d.size for d in damaged.dumps] == \
+            [d.size for d in recording.dumps]
+        assert bytes(damaged.dumps[0].data) != self.SHARED
+        assert bytes(damaged.dumps[0].data) == \
+            bytes(damaged.dumps[2].data) == bytes(damaged.dumps[3].data)
+        assert bytes(damaged.dumps[1].data) == \
+            bytes(recording.dumps[1].data)
+
+    def test_replication_copies_each_object_once(self, tmp_path, vault,
+                                                 packed):
+        recording, manifest = packed
+        local = Vault(str(tmp_path / "local"))
+        local.replicate_from(vault, manifest.digest)
+        assert local.stats().unique_chunks == 2
+        assert local.fetch(manifest.digest).to_bytes() == \
+            recording.to_bytes()
 
 
 class TestGcRefcounts:

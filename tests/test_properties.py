@@ -125,17 +125,19 @@ def test_serialization_normal_form(actions, blob):
 # --------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from(["alloc", "free"]), max_size=60),
+@given(st.lists(st.tuples(st.sampled_from(["alloc", "free"]),
+                          st.integers(0, 63)), max_size=60),
        st.integers(0, 2 ** 16))
 def test_allocator_conservation(ops, seed):
     memory = PhysicalMemory(4 * MIB)
     allocator = PageAllocator(memory, 0, 64, seed=seed)
     held = []
-    for op in ops:
+    for op, pick in ops:
         if op == "alloc" and allocator.pages_free:
             held.append(allocator.alloc_page())
         elif op == "free" and held:
-            allocator.free_page(held.pop())
+            # Any held page, not only the newest one.
+            allocator.free_page(held.pop(pick % len(held)))
     assert allocator.pages_in_use == len(held)
     assert allocator.pages_in_use + allocator.pages_free == 64
     assert len(set(held)) == len(held)  # no page handed out twice
