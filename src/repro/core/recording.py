@@ -17,7 +17,8 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import actions as act
@@ -27,6 +28,44 @@ from repro.soc.memory import PAGE_SIZE
 
 MAGIC = b"GRRC"
 VERSION = 1
+
+_U8, _U16, _U32, _U64 = (struct.Struct("<" + code) for code in "BHIQ")
+_DUMP_ENTRY = struct.Struct("<QI")
+
+#: Wire layout of an action: tag, then the dataclass fields in
+#: declaration order -- min/recorded interval, ``src`` (string-table
+#: ref), job index, then the per-type codes below. ``I`` at a position
+#: listed as a ref is an index into the string table; ``?`` is a bool
+#: stored as one byte.
+_ACTION_HEADER = "<BQQII"
+_ACTION_WIRE = {
+    act.RegReadOnce: ("IQ?", (4,)),
+    act.RegReadWait: ("IQQQ", (4,)),
+    act.RegWrite: ("IQQ?", (4,)),
+    act.SetGpuPgtable: ("Q", ()),
+    act.MapGpuMem: ("QIQ", ()),
+    act.UnmapGpuMem: ("QI", ()),
+    act.Upload: ("QI", ()),
+    act.CopyToGpu: ("QQI", (6,)),
+    act.CopyFromGpu: ("QQI", (6,)),
+    act.WaitIrq: ("Q", ()),
+    act.IrqEnter: ("", ()),
+    act.IrqExit: ("", ()),
+}
+
+
+def _action_codec(cls: type):
+    """(class, one Struct for the whole action, getter of its fields
+    in wire order, positions of string refs among them)."""
+    codes, refs = _ACTION_WIRE[cls]
+    names = [f.name for f in fields(cls)]
+    return (cls, struct.Struct(_ACTION_HEADER + codes),
+            attrgetter(*names), (2,) + refs)
+
+
+#: Indexed by action tag: an action encodes and decodes in one struct
+#: call, not one per field.
+_ACTION_CODECS = tuple(_action_codec(cls) for cls in act.ACTION_TYPES)
 
 
 @dataclass(frozen=True)
@@ -203,16 +242,16 @@ class _Writer:
         return index
 
     def u8(self, v: int) -> None:
-        self.parts.append(struct.pack("<B", v))
+        self.parts.append(_U8.pack(v))
 
     def u16(self, v: int) -> None:
-        self.parts.append(struct.pack("<H", v))
+        self.parts.append(_U16.pack(v))
 
     def u32(self, v: int) -> None:
-        self.parts.append(struct.pack("<I", v))
+        self.parts.append(_U32.pack(v))
 
     def u64(self, v: int) -> None:
-        self.parts.append(struct.pack("<Q", v))
+        self.parts.append(_U64.pack(v))
 
     def raw(self, b: bytes) -> None:
         self.parts.append(b)
@@ -232,25 +271,25 @@ class _Reader:
         self.pos = 0
         self.strings: List[str] = []
 
-    def _unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
+    def unpack(self, codec: struct.Struct) -> tuple:
+        end = self.pos + codec.size
+        if end > len(self.data):
             raise SerializationError("truncated recording body")
-        value = struct.unpack_from(fmt, self.data, self.pos)[0]
-        self.pos += size
-        return value
+        values = codec.unpack_from(self.data, self.pos)
+        self.pos = end
+        return values
 
     def u8(self) -> int:
-        return self._unpack("<B")
+        return self.unpack(_U8)[0]
 
     def u16(self) -> int:
-        return self._unpack("<H")
+        return self.unpack(_U16)[0]
 
     def u32(self) -> int:
-        return self._unpack("<I")
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return self._unpack("<Q")
+        return self.unpack(_U64)[0]
 
     def raw(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -262,8 +301,7 @@ class _Reader:
     def string(self) -> str:
         return self.raw(self.u16()).decode("utf-8")
 
-    def ref(self) -> str:
-        index = self.u32()
+    def ref(self, index: int) -> str:
         if index >= len(self.strings):
             raise SerializationError(f"bad string ref {index}")
         return self.strings[index]
@@ -352,44 +390,11 @@ def _encode_body(rec: Recording, with_dump_data: bool = True) -> bytes:
         if tag is None:
             raise SerializationError(
                 f"unserializable action {type(action).__name__}")
-        aw.u8(tag)
-        aw.u64(action.min_interval_ns)
-        aw.u64(action.recorded_interval_ns)
-        aw.u32(aw.intern(action.src))
-        aw.u32(action.job_index)
-        if isinstance(action, act.RegReadOnce):
-            aw.u32(aw.intern(action.reg))
-            aw.u64(action.val)
-            aw.u8(1 if action.ignore else 0)
-        elif isinstance(action, act.RegReadWait):
-            aw.u32(aw.intern(action.reg))
-            aw.u64(action.mask)
-            aw.u64(action.val)
-            aw.u64(action.timeout_ns)
-        elif isinstance(action, act.RegWrite):
-            aw.u32(aw.intern(action.reg))
-            aw.u64(action.mask)
-            aw.u64(action.val)
-            aw.u8(1 if action.is_job_kick else 0)
-        elif isinstance(action, act.SetGpuPgtable):
-            aw.u64(action.memattr)
-        elif isinstance(action, act.MapGpuMem):
-            aw.u64(action.addr)
-            aw.u32(action.num_pages)
-            aw.u64(action.raw_pte_flags)
-        elif isinstance(action, act.UnmapGpuMem):
-            aw.u64(action.addr)
-            aw.u32(action.num_pages)
-        elif isinstance(action, act.Upload):
-            aw.u64(action.addr)
-            aw.u32(action.dump_index)
-        elif isinstance(action, (act.CopyToGpu, act.CopyFromGpu)):
-            aw.u64(action.gaddr)
-            aw.u64(action.size)
-            aw.u32(aw.intern(action.buffer_name))
-        elif isinstance(action, act.WaitIrq):
-            aw.u64(action.timeout_ns)
-        # IrqEnter / IrqExit carry no extra fields.
+        _cls, codec, wire_fields, refs = _ACTION_CODECS[tag]
+        values = list(wire_fields(action))
+        for position in refs:
+            values[position] = aw.intern(values[position])
+        aw.raw(codec.pack(tag, *values))
 
     w.u32(len(aw.string_list))
     for s in aw.string_list:
@@ -398,8 +403,7 @@ def _encode_body(rec: Recording, with_dump_data: bool = True) -> bytes:
 
     w.u32(len(rec.dumps))
     for dump in rec.dumps:
-        w.u64(dump.va)
-        w.u32(len(dump.data))
+        w.raw(_DUMP_ENTRY.pack(dump.va, len(dump.data)))
         if with_dump_data:
             w.raw(dump.data)
     return w.getvalue()
@@ -426,41 +430,14 @@ def _decode_body(data: bytes,
     actions: List[act.Action] = []
     for _ in range(r.u32()):
         tag = r.u8()
-        if tag >= len(act.ACTION_TYPES):
+        if tag >= len(_ACTION_CODECS):
             raise SerializationError(f"unknown action tag {tag}")
-        cls = act.ACTION_TYPES[tag]
-        common = {
-            "min_interval_ns": r.u64(),
-            "recorded_interval_ns": r.u64(),
-            "src": r.ref(),
-            "job_index": r.u32(),
-        }
-        if cls is act.RegReadOnce:
-            action = cls(reg=r.ref(), val=r.u64(), ignore=bool(r.u8()),
-                         **common)
-        elif cls is act.RegReadWait:
-            action = cls(reg=r.ref(), mask=r.u64(), val=r.u64(),
-                         timeout_ns=r.u64(), **common)
-        elif cls is act.RegWrite:
-            action = cls(reg=r.ref(), mask=r.u64(), val=r.u64(),
-                         is_job_kick=bool(r.u8()), **common)
-        elif cls is act.SetGpuPgtable:
-            action = cls(memattr=r.u64(), **common)
-        elif cls is act.MapGpuMem:
-            action = cls(addr=r.u64(), num_pages=r.u32(),
-                         raw_pte_flags=r.u64(), **common)
-        elif cls is act.UnmapGpuMem:
-            action = cls(addr=r.u64(), num_pages=r.u32(), **common)
-        elif cls is act.Upload:
-            action = cls(addr=r.u64(), dump_index=r.u32(), **common)
-        elif cls in (act.CopyToGpu, act.CopyFromGpu):
-            action = cls(gaddr=r.u64(), size=r.u64(),
-                         buffer_name=r.ref(), **common)
-        elif cls is act.WaitIrq:
-            action = cls(timeout_ns=r.u64(), **common)
-        else:
-            action = cls(**common)
-        actions.append(action)
+        cls, codec, _wire_fields, refs = _ACTION_CODECS[tag]
+        r.pos -= 1  # the codec covers the tag byte too
+        values = list(r.unpack(codec)[1:])
+        for position in refs:
+            values[position] = r.ref(values[position])
+        actions.append(cls(*values))
 
     dumps = []
     n_dumps = r.u32()
@@ -469,8 +446,7 @@ def _decode_body(data: bytes,
             f"skeleton declares {n_dumps} dumps, "
             f"{len(dump_payloads)} payloads supplied")
     for index in range(n_dumps):
-        va = r.u64()
-        size = r.u32()
+        va, size = r.unpack(_DUMP_ENTRY)
         if dump_payloads is None:
             dumps.append(MemoryDump(va, r.raw(size)))
         else:

@@ -171,6 +171,14 @@ class StoreNotFoundError(StoreError):
     """
 
 
+class StoreLayoutError(StoreError):
+    """The directory holds a vault in an on-disk layout this version
+    does not read (the loose ``objects/<aa>/`` files that pack files
+    replaced). Usage-shaped, like pointing at the wrong directory:
+    ``grr`` maps it to exit code 2.
+    """
+
+
 class StoreCorruptionError(StoreError):
     """A vault object failed its integrity check.
 

@@ -6,12 +6,13 @@ packed, deduplicated, integrity-checked and queryable by the board
 they were recorded for. This package provides that registry layer:
 
 - :mod:`repro.store.chunks`: deterministic content-defined chunking of
-  dump payloads (gear rolling hash), so recordings of the same model
-  family share storage;
-- :mod:`repro.store.vault`: the on-disk object store -- zlib chunk
-  objects, per-recording JSON manifests forming an integrity chain,
-  verification, refcounted garbage collection, and a fetch path that
-  reconstructs byte-identical recordings;
+  dump payloads (gear rolling hash, evaluated a buffer at a time),
+  so recordings of the same model family share storage;
+- :mod:`repro.store.vault`: the on-disk object store -- pack files of
+  chunk objects with a per-recording object index, per-recording JSON
+  manifests forming an integrity chain, verification, refcounted
+  garbage collection, and a fetch path that reconstructs
+  byte-identical recordings;
 - :mod:`repro.store.index`: the compatibility index keyed on
   (family, board, clock rate, schema versions) that lets a serve
   fleet ask "best recording for this board".

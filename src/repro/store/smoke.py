@@ -7,12 +7,15 @@
    into a fresh vault;
 2. assert the patched variant actually dedups against its base and
    ``grr store verify`` passes on the pristine vault;
-3. corrupt one chunk on disk -- the one holding the first job's
-   descriptor chain -- and assert ``grr store verify`` exits 1
+3. corrupt one chunk inside its pack -- the one holding the first
+   job's descriptor chain -- and assert ``grr store verify`` exits 1
    naming that exact chunk, and that the doctor handoff
    (``vault.diagnose``) localizes the divergence to an action;
-4. restore the chunk, re-verify clean;
-5. serve 50 requests out of the vault (``VaultRecordingStore`` with
+4. restore the pack, re-verify clean;
+5. remove the g31 base the g71 patch dedups against and ``grr store
+   gc``: the base's pack is partially live, so gc must rewrite it,
+   and ``grr store verify`` must still pass on what is left;
+6. serve 50 requests out of the vault (``VaultRecordingStore`` with
    worker prefetch) and check every answer against the CPU reference.
 
 ``--forensics DIR`` instead dumps a vault forensics bundle (the
@@ -74,10 +77,17 @@ def _descriptor_chunk(vault, recording) -> str:
     raise AssertionError("no chunk covers the first job chain")
 
 
-def _flip_byte(path: str) -> None:
-    raw = bytearray(open(path, "rb").read())
-    raw[len(raw) // 2] ^= 0xFF
-    open(path, "wb").write(bytes(raw))
+def flip_object_byte(vault, digest: str) -> str:
+    """Invert the middle byte of one object's stored bytes, inside
+    its pack; returns the pack's path. The one fault injector the
+    smoke, the forensics bundle and the test suites share."""
+    path, offset, length = vault.object_location(digest)
+    with open(path, "r+b") as handle:
+        handle.seek(offset + length // 2)
+        byte = handle.read(1)
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+    return path
 
 
 def forensics_bundle(outdir: str) -> int:
@@ -92,7 +102,7 @@ def forensics_bundle(outdir: str) -> int:
         vault.pack(recording)
     victim = recordings[0]
     chunk = _descriptor_chunk(vault, victim)
-    _flip_byte(vault._object_path(chunk))
+    flip_object_byte(vault, chunk)
     problems = vault.verify()
     with open(os.path.join(outdir, "verify-report.json"), "w") as f:
         json.dump([{"recording": p.recording_digest,
@@ -129,14 +139,14 @@ def main(argv=None) -> int:
     os.makedirs(outdir, exist_ok=True)
     vault_dir = os.path.join(outdir, "vault")
 
-    print("[1/5] recording two families + a g71 patch; packing ...")
+    print("[1/6] recording two families + a g71 patch; packing ...")
     paths, recordings = _write_corpus(outdir)
     code = grr.main(["store", "pack", vault_dir] + paths)
     if code != 0:
         print(f"FAIL: grr store pack exited {code}")
         return 1
 
-    print("[2/5] dedup + pristine verify ...")
+    print("[2/6] dedup + pristine verify ...")
     vault = Vault(vault_dir)
     patched_stats = vault.recording_stats(recordings[-1].digest())
     if not patched_stats["shared_chunks"]:
@@ -148,12 +158,13 @@ def main(argv=None) -> int:
         print(f"FAIL: pristine vault failed verify (exit {code})")
         return 1
 
-    print("[3/5] corrupting a descriptor chunk on disk ...")
+    print("[3/6] corrupting a descriptor chunk on disk ...")
     victim = recordings[0]
     chunk = _descriptor_chunk(vault, victim)
-    chunk_path = vault._object_path(chunk)
-    shutil.copy(chunk_path, chunk_path + ".pristine")
-    _flip_byte(chunk_path)
+    pack_path = vault.object_location(chunk)[0]
+    pristine = os.path.join(outdir, "pack.pristine")
+    shutil.copy(pack_path, pristine)
+    flip_object_byte(vault, chunk)
     code = grr.main(["store", "verify", vault_dir])
     if code != 1:
         print(f"FAIL: verify of corrupt vault exited {code}, want 1")
@@ -171,14 +182,33 @@ def main(argv=None) -> int:
     print(f"      verify flagged chunk {chunk[:12]}, doctor localized "
           f"action #{report.action_index}")
 
-    print("[4/5] restoring the chunk; re-verify ...")
-    shutil.move(chunk_path + ".pristine", chunk_path)
+    print("[4/6] restoring the pack; re-verify ...")
+    shutil.move(pristine, pack_path)
     code = grr.main(["store", "verify", vault_dir])
     if code != 0:
         print(f"FAIL: restored vault failed verify (exit {code})")
         return 1
 
-    print("[5/5] serving 50 requests out of the vault ...")
+    print("[5/6] removing the g31 base; gc rewrites its pack ...")
+    base, patched = recordings[-2], recordings[-1]
+    base_pack = vault.object_location(
+        vault.load_manifest(base.digest()).skeleton_digest)[0]
+    kept = set(vault.load_manifest(patched.digest()).chunk_refs())
+    if not any(vault.object_location(c)[0] == base_pack for c in kept):
+        print("FAIL: the g71 patch keeps nothing of its base's pack "
+              "alive -- the corpus no longer exercises pack rewrite")
+        return 1
+    vault.remove(base.digest())
+    if grr.main(["store", "gc", vault_dir]) != 0 \
+            or os.path.exists(base_pack):
+        print("FAIL: gc left the partially-live pack in place")
+        return 1
+    code = grr.main(["store", "verify", vault_dir])
+    if code != 0:
+        print(f"FAIL: vault failed verify after gc (exit {code})")
+        return 1
+
+    print("[6/6] serving 50 requests out of the vault ...")
     store = VaultRecordingStore(vault, list(SMOKE_MIX))
     server = ReplayServer(store, ServerConfig(
         families=("mali", "mali", "v3d"), seed=2026, prefetch=True))

@@ -2,29 +2,51 @@
 
 On-disk layout under one root directory::
 
-    objects/<aa>/<sha256>.z   zlib-compressed blobs: dump chunks and
-                              recording skeletons, named by the SHA-256
-                              of their *uncompressed* bytes
+    packs/<sha256>.pack       the objects one ``pack()`` /
+                              ``replicate_from()`` call added -- dump
+                              chunks and recording skeletons -- back to
+                              back, each behind a 4-byte record word
+                              (stored length; top bit set when the bytes
+                              are stored raw because zlib would not
+                              shrink them). Named by the SHA-256 of the
+                              file, so equal content gives equal vaults.
+    packs/<digest>.idx        one per packed recording: where every
+                              object *that recording* needs lives --
+                              fixed-width entries (object digest ->
+                              pack, offset, record word), sorted by
+                              digest, sealed with a SHA-256. Derived
+                              data: ``reindex()`` rebuilds it from the
+                              packs.
     manifests/<digest>.json   one per packed recording: the skeleton
                               object, the per-dump chunk lists, and the
                               recording digest the reassembly must hash
                               back to
     index.json                the compatibility index (repro.store.index)
 
+Objects are still addressed by the SHA-256 of their *uncompressed*
+bytes; packs only change how many files hold them. A fetch reads the
+recording's own ``.idx`` (objects it shares with earlier recordings are
+listed there too, pointing into the earlier packs -- so the cost is
+O(objects of this recording), whatever else the vault holds), then one
+contiguous span per pack touched. A chunk zlib cannot shrink is handed
+on as a view into that span, with no inflate and no copy.
+
 Integrity is a chain with the recording digest at the root: the
 manifest names every chunk by content hash, ``fetch`` re-hashes each
-chunk as it streams it in, and the reassembled recording must hash
-back to the manifest's ``digest`` -- the same value
+chunk as it takes it out of the pack and the reassembled recording
+must hash back to the manifest's ``digest`` -- the same value
 ``Recording.digest()`` computes and the replay load cache keys on. A
 mismatch anywhere raises :class:`StoreCorruptionError` carrying the
 chunk and the dump location, so the damaged recording can be handed
-straight to the replay doctor (:meth:`Vault.diagnose`).
+straight to the replay doctor (:meth:`Vault.diagnose`). Nothing is
+trusted for being in the index: a wrong offset only ever yields bytes
+that fail their address.
 
 Garbage collection is refcount-shaped: a chunk is live while any
-manifest references it, and ``gc()`` deletes only objects no manifest
-can reach. Removing a recording deletes its manifest (and index entry)
-first, so a crash between ``remove`` and ``gc`` leaves garbage, never
-a dangling manifest.
+manifest references it, and ``gc()`` deletes packs no index reaches
+and rewrites partially-live ones. Writes go pack, index, manifest and
+removal goes manifest, index, so a crash in between leaves garbage,
+never a dangling manifest.
 """
 
 from __future__ import annotations
@@ -32,14 +54,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.recording import (Recording, decode_skeleton,
                                   encode_skeleton)
 from repro.errors import (StoreCorruptionError, StoreError,
-                          StoreNotFoundError)
+                          StoreLayoutError, StoreNotFoundError)
 from repro.obs.session import NULL_OBS
 from repro.store import chunks as cdc
 from repro.store.index import (CompatEntry, CompatIndex, gpu_clock_hz)
@@ -49,6 +72,180 @@ from repro.store.index import (CompatEntry, CompatIndex, gpu_clock_hz)
 OBJECT_ZLIB_LEVEL = 6
 
 MANIFEST_SCHEMA = 1
+
+#: The word in front of every pack record (and in every index entry):
+#: stored length, ``_RAW`` set when the bytes are not zlib-compressed.
+_RECORD = struct.Struct("<I")
+_RAW = 1 << 31
+_LENGTH = _RAW - 1
+
+_INDEX_MAGIC = b"GRIX"
+_INDEX_HEADER = struct.Struct("<4sI")       # magic, number of packs
+_INDEX_ENTRY = struct.Struct("<32sHQI")     # digest, pack no, offset, word
+_SEAL = hashlib.sha256().digest_size
+
+#: Where an object's stored bytes are: (pack id, offset, record word).
+Location = Tuple[str, int, int]
+
+
+def _encode_index(where: Dict[str, Location]) -> bytes:
+    packs = sorted({pack for pack, _offset, _word in where.values()})
+    number = {pack: no for no, pack in enumerate(packs)}
+    body = b"".join(
+        [_INDEX_HEADER.pack(_INDEX_MAGIC, len(packs))]
+        + [bytes.fromhex(pack) for pack in packs]
+        + [_INDEX_ENTRY.pack(bytes.fromhex(digest), number[pack],
+                             offset, word)
+           for digest, (pack, offset, word) in sorted(where.items())])
+    return body + hashlib.sha256(body).digest()
+
+
+def _load_index(path: str) -> Dict[str, Location]:
+    """Parse one recording's object index, whole (it is as long as
+    the recording has objects, not as the vault has)."""
+    try:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except FileNotFoundError:
+        raise StoreError(f"missing object index {path} "
+                         f"(`grr store reindex` rebuilds it)")
+    body = blob[:-_SEAL]
+    if (len(body) < _INDEX_HEADER.size
+            or hashlib.sha256(body).digest() != blob[-_SEAL:]
+            or body[:4] != _INDEX_MAGIC):
+        raise StoreError(f"corrupt object index {path} "
+                         f"(`grr store reindex` rebuilds it)")
+    _magic, n_packs = _INDEX_HEADER.unpack_from(body)
+    entries = _INDEX_HEADER.size + n_packs * _SEAL
+    packs = [body[at:at + _SEAL].hex()
+             for at in range(_INDEX_HEADER.size, entries, _SEAL)]
+    return {digest.hex(): (packs[no], offset, word)
+            for digest, no, offset, word
+            in _INDEX_ENTRY.iter_unpack(body[entries:])}
+
+
+def _scan_pack(path: str) -> Tuple[bytes, List[Tuple[int, int]]]:
+    """A pack's bytes and the (offset, word) of every record in it."""
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    records = []
+    pos = 0
+    while pos < len(blob):
+        end = pos + _RECORD.size
+        if end <= len(blob):
+            word, = _RECORD.unpack_from(blob, pos)
+            end += word & _LENGTH
+        if end > len(blob):
+            raise StoreError(f"truncated pack {path}")
+        records.append((pos + _RECORD.size, word))
+        pos = end
+    return blob, records
+
+
+class _PackWriter:
+    """Streams added objects into a fresh pack file, renamed to the
+    SHA-256 of its bytes when the ``with`` block completes; no file
+    when nothing was added, and none is kept when the block raises."""
+
+    def __init__(self, packs_dir: str):
+        self._packs_dir = packs_dir
+        self._tmp = os.path.join(packs_dir, f"incoming-{os.getpid()}.tmp")
+        self._handle = None
+        self._sha = hashlib.sha256()
+        self._size = 0
+        self._added: Dict[Hashable, Tuple[int, int]] = {}
+        #: key -> Location of everything added, once the block is done.
+        self.located: Dict[Hashable, Location] = {}
+
+    def __enter__(self) -> "_PackWriter":
+        return self
+
+    def put(self, payload: bytes, present) -> Tuple[str, bool]:
+        """Add ``payload`` unless ``present`` or this pack already has
+        it; returns (its address, whether it was added)."""
+        digest = hashlib.sha256(payload).hexdigest()
+        new = digest not in present and digest not in self._added
+        if new:
+            self.add(digest, payload)
+        return digest, new
+
+    def add(self, digest: str, payload: bytes) -> None:
+        packed = zlib.compress(payload, OBJECT_ZLIB_LEVEL)
+        if len(packed) < len(payload):
+            self.add_stored(digest, len(packed), packed)
+        else:
+            self.add_stored(digest, len(payload) | _RAW, payload)
+
+    def add_stored(self, key: Hashable, word: int, stored: bytes) -> None:
+        if self._handle is None:
+            self._handle = open(self._tmp, "wb")
+        for part in (_RECORD.pack(word), stored):
+            self._handle.write(part)
+            self._sha.update(part)
+        self._added[key] = (self._size + _RECORD.size, word)
+        self._size += _RECORD.size + len(stored)
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        if self._handle is None:
+            return
+        self._handle.close()
+        if exc_type is not None:
+            os.remove(self._tmp)
+            return
+        pack = self._sha.hexdigest()
+        os.replace(self._tmp,
+                   os.path.join(self._packs_dir, pack + ".pack"))
+        self.located = {key: (pack, offset, word)
+                        for key, (offset, word) in self._added.items()}
+
+
+class _Source:
+    """Stored bytes of a set of located objects, at one read per pack
+    touched: the span from the first to the last of *these* objects."""
+
+    def __init__(self, packs_dir: str, where: Dict[str, Location]):
+        self._packs_dir = packs_dir
+        self.where = where
+        self._spans: Optional[Dict[str, Tuple[int, memoryview]]] = None
+
+    def stored(self, digest: str) -> Optional[Tuple[memoryview, int]]:
+        """(stored bytes, record word), or None when the object is not
+        located or its pack is gone; the bytes come up short when the
+        pack is truncated."""
+        location = self.where.get(digest)
+        if location is None:
+            return None
+        if self._spans is None:
+            self._spans = self._read_spans()
+        pack, offset, word = location
+        span = self._spans.get(pack)
+        if span is None:
+            return None
+        start = offset - span[0]
+        return span[1][start:start + (word & _LENGTH)], word
+
+    def _read_spans(self) -> Dict[str, Tuple[int, memoryview]]:
+        # Records never overlap, so one that starts below the span
+        # cannot also end above it: one comparison settles most.
+        bounds: Dict[str, List[int]] = {}
+        for pack, offset, word in self.where.values():
+            bound = bounds.get(pack)
+            if bound is None:
+                bounds[pack] = [offset, offset + (word & _LENGTH)]
+            elif offset < bound[0]:
+                bound[0] = offset
+            elif offset + (word & _LENGTH) > bound[1]:
+                bound[1] = offset + (word & _LENGTH)
+        spans = {}
+        for pack, (low, high) in bounds.items():
+            try:
+                with open(os.path.join(self._packs_dir, pack + ".pack"),
+                          "rb") as handle:
+                    handle.seek(low)
+                    spans[pack] = (low, memoryview(handle.read(high - low)))
+            except FileNotFoundError:
+                pass
+        return spans
 
 
 @dataclass
@@ -122,7 +319,7 @@ class VaultStats:
     #: Dump + skeleton bytes as the recordings see them (uncompressed,
     #: with duplicates counted once per recording).
     logical_bytes: int = 0
-    #: Compressed object files on disk.
+    #: Everything under ``packs/``: pack files and object indexes.
     object_bytes: int = 0
     manifest_bytes: int = 0
     index_bytes: int = 0
@@ -145,10 +342,15 @@ class Vault:
     def __init__(self, root: str, obs=NULL_OBS):
         self.root = root
         self.obs = obs
-        self._objects_dir = os.path.join(root, "objects")
+        self._packs_dir = os.path.join(root, "packs")
         self._manifests_dir = os.path.join(root, "manifests")
         self._index_path = os.path.join(root, "index.json")
-        os.makedirs(self._objects_dir, exist_ok=True)
+        if os.path.isdir(os.path.join(root, "objects")):
+            raise StoreLayoutError(
+                f"{root} holds the retired loose objects/ layout; this "
+                f"version reads pack files only -- re-pack the "
+                f"recordings into a fresh vault")
+        os.makedirs(self._packs_dir, exist_ok=True)
         os.makedirs(self._manifests_dir, exist_ok=True)
         self.index = CompatIndex.load(self._index_path)
         #: What the most recent :meth:`fetch` moved -- chunk and byte
@@ -166,48 +368,74 @@ class Vault:
 
     # -- object plumbing -----------------------------------------------------
 
-    def _object_path(self, digest: str) -> str:
-        return os.path.join(self._objects_dir, digest[:2],
-                            digest + ".z")
+    def _packs_file(self, stem: str, ext: str) -> str:
+        return os.path.join(self._packs_dir, stem + ext)
 
     def _manifest_path(self, digest: str) -> str:
         return os.path.join(self._manifests_dir, digest + ".json")
 
-    def _put_object(self, payload: bytes) -> Tuple[str, bool]:
-        """Store ``payload`` content-addressed; returns (digest, new)."""
-        digest = hashlib.sha256(payload).hexdigest()
-        path = self._object_path(digest)
-        if os.path.exists(path):
-            return digest, False
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(zlib.compress(payload, OBJECT_ZLIB_LEVEL))
-        os.replace(tmp, path)
-        return digest, True
+    def _source(self, recording_digest: str) -> _Source:
+        """The objects of one packed recording, via its own index."""
+        return _Source(self._packs_dir, _load_index(
+            self._packs_file(recording_digest, ".idx")))
 
-    def _get_object(self, digest: str, expect_size: int = -1,
+    def _all_locations(self) -> Dict[str, Location]:
+        """Every indexed object of the vault: what a write dedups
+        against. O(vault), so the read path never calls it."""
+        where: Dict[str, Location] = {}
+        for name in sorted(os.listdir(self._packs_dir)):
+            if name.endswith(".idx"):
+                where.update(
+                    _load_index(os.path.join(self._packs_dir, name)))
+        return where
+
+    @staticmethod
+    def _replace_file(path: str, data: bytes) -> None:
+        with open(path + ".tmp", "wb") as handle:
+            handle.write(data)
+        os.replace(path + ".tmp", path)
+
+    def _write_index(self, recording_digest: str,
+                     where: Dict[str, Location]) -> None:
+        self._replace_file(self._packs_file(recording_digest, ".idx"),
+                           _encode_index(where))
+
+    def object_location(self, digest: str) -> Tuple[str, int, int]:
+        """(pack path, offset, length) of an object's stored bytes --
+        what a fault-injection test or a forensics tool pokes at."""
+        location = self._all_locations().get(digest)
+        if location is None:
+            raise StoreNotFoundError(f"no object {digest[:12]} in "
+                                     f"{self.root}")
+        pack, offset, word = location
+        return self._packs_file(pack, ".pack"), offset, word & _LENGTH
+
+    def _get_object(self, digest: str, source: _Source,
+                    expect_size: int = -1,
                     context: Optional[dict] = None) -> bytes:
-        """Read and integrity-check one object.
+        """Take one object out of ``source`` and integrity-check it.
 
         ``context`` (recording digest / dump location) flows into the
         corruption error so the caller can hand off to the doctor.
         """
         ctx = context or {}
-        path = self._object_path(digest)
-        try:
-            with open(path, "rb") as handle:
-                compressed = handle.read()
-        except FileNotFoundError:
+        found = source.stored(digest)
+        if found is None:
             raise StoreNotFoundError(
-                f"missing object {digest[:12]} "
-                f"(expected at {path})")
-        try:
-            payload = zlib.decompress(compressed)
-        except zlib.error as exc:
+                f"missing object {digest[:12]} (not in the index, or "
+                f"its pack is gone from {self._packs_dir})")
+        payload, word = found
+        if len(payload) != word & _LENGTH:
             raise StoreCorruptionError(
-                f"object {digest[:12]} is not valid zlib: {exc}",
+                f"object {digest[:12]} is cut short: truncated pack",
                 chunk_digest=digest, **ctx)
+        if not word & _RAW:
+            try:
+                payload = zlib.decompress(payload)
+            except zlib.error as exc:
+                raise StoreCorruptionError(
+                    f"object {digest[:12]} is not valid zlib: {exc}",
+                    chunk_digest=digest, **ctx)
         if hashlib.sha256(payload).hexdigest() != digest:
             raise StoreCorruptionError(
                 "object content does not match its address",
@@ -224,10 +452,10 @@ class Vault:
     def pack(self, recording: Recording) -> Manifest:
         """Add one recording; idempotent on content.
 
-        Splits every dump with the content-defined chunker, stores the
-        new chunks and the skeleton as compressed objects, writes the
-        manifest, and registers the recording in the compatibility
-        index. Returns the manifest (the existing one when the same
+        Splits every dump with the content-defined chunker, appends
+        the new chunks and the skeleton to one fresh pack, writes the
+        recording's object index and manifest, and registers the
+        recording in the compatibility index. Returns the manifest (the existing one when the same
         content was already packed).
         """
         obs = self.obs
@@ -240,23 +468,26 @@ class Vault:
             if existing is not None:
                 obs.counter("store.pack.duplicate_recordings").inc()
                 return existing
+            where = self._all_locations()
             skeleton = encode_skeleton(recording)
-            skeleton_digest, new = self._put_object(skeleton)
-            new_chunks = 0 + (1 if new else 0)
-            shared_chunks = 0 if new else 1
-            stored_bytes = 0
+            new_chunks = shared_chunks = stored_bytes = 0
             dumps: List[Tuple[int, int, List[Tuple[str, int]]]] = []
-            for dump in recording.dumps:
-                chunk_list: List[Tuple[str, int]] = []
-                for piece in cdc.split(dump.data):
-                    piece_digest, new = self._put_object(piece)
-                    if new:
-                        new_chunks += 1
-                        stored_bytes += len(piece)
-                    else:
-                        shared_chunks += 1
-                    chunk_list.append((piece_digest, len(piece)))
-                dumps.append((dump.va, dump.size, chunk_list))
+            with _PackWriter(self._packs_dir) as writer:
+                skeleton_digest, new = writer.put(skeleton, where)
+                new_chunks += new
+                shared_chunks += not new
+                for dump in recording.dumps:
+                    chunk_list: List[Tuple[str, int]] = []
+                    for piece in cdc.split(dump.data):
+                        piece_digest, new = writer.put(piece, where)
+                        if new:
+                            new_chunks += 1
+                            stored_bytes += len(piece)
+                        else:
+                            shared_chunks += 1
+                        chunk_list.append((piece_digest, len(piece)))
+                    dumps.append((dump.va, dump.size, chunk_list))
+            where.update(writer.located)
             manifest = Manifest(
                 digest=digest,
                 skeleton_digest=skeleton_digest,
@@ -266,6 +497,8 @@ class Vault:
                 family=recording.meta.family,
                 board=recording.meta.board,
                 gpu_model=recording.meta.gpu_model)
+            self._write_index(digest, {obj: where[obj]
+                                       for obj in manifest.objects()})
             self._write_manifest(manifest)
             self.index.add(CompatEntry(
                 digest=digest,
@@ -285,12 +518,10 @@ class Vault:
             return manifest
 
     def _write_manifest(self, manifest: Manifest) -> None:
-        path = self._manifest_path(manifest.digest)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest.to_dict(), handle,
-                      separators=(",", ":"), sort_keys=True)
-        os.replace(tmp, path)
+        self._replace_file(
+            self._manifest_path(manifest.digest),
+            json.dumps(manifest.to_dict(), separators=(",", ":"),
+                       sort_keys=True).encode("utf-8"))
 
     # -- manifest access -----------------------------------------------------
 
@@ -385,10 +616,10 @@ class Vault:
         """
         manifest = self.load_manifest(digest)
         skeleton = self._get_object(
-            manifest.skeleton_digest, manifest.skeleton_size,
-            context={"recording_digest": digest})
+            manifest.skeleton_digest, self._source(digest),
+            manifest.skeleton_size, context={"recording_digest": digest})
         payloads = [b"\x00" * size for _va, size, _c in manifest.dumps]
-        return decode_skeleton(skeleton, payloads)
+        return decode_skeleton(bytes(skeleton), payloads)
 
     def _reassemble(self, manifest: Manifest,
                     verify: bool) -> Recording:
@@ -397,7 +628,8 @@ class Vault:
 
         A single-chunk dump (the common case under content-defined
         chunking) is a zero-copy view straight into the fetched chunk
-        buffer; multi-chunk dumps are assembled once into a buffer and
+        buffer -- for a chunk stored raw, into the span read from its
+        pack; multi-chunk dumps are assembled once into a buffer and
         viewed. Downstream -- ``MemoryDump`` digesting, the compiled
         upload plan, nano-driver residency hashing and per-page writes
         -- operates on the views without materializing ``bytes``, so
@@ -405,15 +637,16 @@ class Vault:
         Views are read-only: the vault owns the underlying buffers and
         nothing downstream may mutate them.
         """
-        skeleton = self._get_object(
-            manifest.skeleton_digest, manifest.skeleton_size,
-            context={"recording_digest": manifest.digest})
+        source = self._source(manifest.digest)
+        skeleton = bytes(self._get_object(
+            manifest.skeleton_digest, source, manifest.skeleton_size,
+            context={"recording_digest": manifest.digest}))
         payloads: List[memoryview] = []
         # (chunk digest, manifest size) -> bytes already read this
-        # fetch. Tensor dumps repeat chunks; each distinct ref is read,
-        # inflated, hashed and size-checked once, by its first use. A
-        # ref that names a known digest with another size is a distinct
-        # key and goes through the checks on its own.
+        # fetch. Tensor dumps repeat chunks; each distinct ref is taken
+        # out of its pack, hashed and size-checked once, by its first
+        # use. A ref that names a known digest with another size is a
+        # distinct key and goes through the checks on its own.
         fetched: Dict[Tuple[str, int], bytes] = {}
         for dump_index, (va, size, chunk_list) in \
                 enumerate(manifest.dumps):
@@ -425,14 +658,14 @@ class Vault:
                 if part is None:
                     if verify:
                         part = self._get_object(
-                            chunk_digest, chunk_size,
+                            chunk_digest, source, chunk_size,
                             context={"recording_digest": manifest.digest,
                                      "dump_index": dump_index,
                                      "dump_va": va,
                                      "dump_offset": offset})
                     else:
                         part = self._read_object_best_effort(
-                            chunk_digest, chunk_size)
+                            chunk_digest, source, chunk_size)
                     fetched[ref] = part
                 parts.append(part)
                 offset += chunk_size
@@ -454,21 +687,22 @@ class Vault:
             payloads.append(payload)
         return decode_skeleton(skeleton, payloads)
 
-    def _read_object_best_effort(self, digest: str,
+    @staticmethod
+    def _read_object_best_effort(digest: str, source: _Source,
                                  size: int) -> bytes:
         """The object's bytes, corrupt or not, padded/clipped to
         ``size`` -- the forensics path: the doctor wants to replay the
         damage, not be stopped by it."""
-        try:
-            with open(self._object_path(digest), "rb") as handle:
-                compressed = handle.read()
-        except FileNotFoundError:
+        found = source.stored(digest)
+        if found is None:
             return b"\x00" * size
-        try:
-            payload = zlib.decompress(compressed)
-        except zlib.error:
-            payload = compressed
-        return payload[:size].ljust(size, b"\x00")
+        payload, word = found
+        if not word & _RAW:
+            try:
+                payload = zlib.decompress(payload)
+            except zlib.error:
+                pass
+        return bytes(payload[:size]).ljust(size, b"\x00")
 
     # -- replication ---------------------------------------------------------
 
@@ -482,7 +716,8 @@ class Vault:
         damaged lands locally -- carrying the chunk and dump location
         for the doctor handoff. Objects already present locally are
         skipped (content addressing makes the copy idempotent and
-        dedup-aware). Returns the replicated manifest.
+        dedup-aware); the rest land in one fresh pack. Returns the
+        replicated manifest.
         """
         obs = self.obs
         manifest = peer.load_manifest(digest)
@@ -506,23 +741,32 @@ class Vault:
             copied = 0
             copied_bytes = 0
             healed = 0
-            for obj in manifest.objects():
-                local = self._object_path(obj)
-                if os.path.exists(local):
-                    try:
-                        self._get_object(obj, sizes[obj],
-                                         context=contexts[obj])
-                        continue
-                    except StoreError:
-                        # Local copy is damaged: replace it from the
-                        # peer (replication doubles as repair).
-                        os.remove(local)
+            remote = peer._source(digest)
+            where = self._all_locations()
+            local = _Source(self._packs_dir, {
+                obj: where[obj] for obj in sizes if obj in where})
+            with _PackWriter(self._packs_dir) as writer:
+                for obj, size in sizes.items():
+                    if obj in where:
+                        try:
+                            self._get_object(obj, local, size,
+                                             context=contexts[obj])
+                            continue
+                        except StoreError:
+                            pass  # damaged here: repaired below
+                    payload = peer._get_object(obj, remote, size,
+                                               context=contexts[obj])
+                    if obj in where:
+                        # Replication doubles as repair: put the good
+                        # bytes back where every index expects them.
+                        self._heal_object(where[obj], payload)
                         healed += 1
-                payload = peer._get_object(obj, sizes[obj],
-                                           context=contexts[obj])
-                self._put_object(payload)
-                copied += 1
-                copied_bytes += len(payload)
+                    else:
+                        writer.add(obj, payload)
+                    copied += 1
+                    copied_bytes += len(payload)
+            where.update(writer.located)
+            self._write_index(digest, {obj: where[obj] for obj in sizes})
             self._write_manifest(manifest)
             entry = peer.index.entries.get(digest)
             if entry is not None:
@@ -536,6 +780,24 @@ class Vault:
             if healed:
                 obs.counter("store.replicate.healed").inc(healed)
             return manifest
+
+    def _heal_object(self, location: Location, payload: bytes) -> None:
+        """Rewrite one pack record in place from its verified content
+        (storage is deterministic, so it takes the same bytes)."""
+        pack, offset, word = location
+        stored = payload if word & _RAW \
+            else zlib.compress(payload, OBJECT_ZLIB_LEVEL)
+        if len(stored) != word & _LENGTH:
+            raise StoreError(
+                f"index entry for pack {pack[:12]} @{offset} does not "
+                f"fit its object (`grr store reindex` rebuilds it)")
+        fd = os.open(self._packs_file(pack, ".pack"),
+                     os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            os.pwrite(fd, _RECORD.pack(word) + stored,
+                      offset - _RECORD.size)
+        finally:
+            os.close(fd)
 
     # -- verify --------------------------------------------------------------
 
@@ -583,68 +845,136 @@ class Vault:
     # -- gc / remove ---------------------------------------------------------
 
     def remove(self, digest: str) -> bool:
-        """Drop a recording: manifest + index entry. Chunks stay until
-        ``gc()`` -- they may be shared, and an unreferenced chunk is
-        harmless garbage, while a missing referenced chunk is a broken
-        recording."""
+        """Drop a recording: manifest, object index, compatibility
+        entry. Chunks stay until ``gc()`` -- they may be shared, and
+        an unreferenced chunk is harmless garbage, while a missing
+        referenced chunk is a broken recording."""
         path = self._manifest_path(digest)
         if not os.path.exists(path):
             return False
         os.remove(path)
+        try:
+            os.remove(self._packs_file(digest, ".idx"))
+        except FileNotFoundError:
+            pass
         if self.index.remove(digest):
             self.index.save(self._index_path)
         return True
 
+    def _manifests(self) -> Dict[str, Manifest]:
+        """Every manifest in the vault, each parsed once."""
+        return {digest: self.load_manifest(digest)
+                for digest in self.digests()}
+
     def chunk_refcounts(self) -> Dict[str, int]:
         """object digest -> number of manifests referencing it."""
         counts: Dict[str, int] = {}
-        for digest in self.digests():
-            manifest = self.load_manifest(digest)
+        for manifest in self._manifests().values():
             for obj in set(manifest.objects()):
                 counts[obj] = counts.get(obj, 0) + 1
         return counts
 
-    def _object_files(self) -> Iterable[Tuple[str, str]]:
-        for shard in sorted(os.listdir(self._objects_dir)):
-            shard_dir = os.path.join(self._objects_dir, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".z"):
-                    yield name[:-2], os.path.join(shard_dir, name)
-
     def gc(self) -> Tuple[int, int]:
         """Delete objects no manifest references.
 
-        Returns ``(objects_removed, bytes_freed)``. Safe by
-        construction against in-flight fetches of *live* recordings:
-        liveness is "referenced by any manifest", and fetch
-        materializes a whole Recording in memory before anyone replays
-        it -- see DESIGN.md.
+        A pack none of whose records a live recording's index points
+        at is deleted; a partially-live pack is rewritten with its
+        live records only (verbatim, under a new content name) and the
+        indexes that pointed into it are re-pointed before the old
+        file goes. Index files of removed recordings and abandoned
+        ``.tmp`` files go too. Returns ``(objects_removed,
+        bytes_freed)``. Safe by construction against in-flight fetches
+        of *live* recordings: liveness is "referenced by any
+        manifest", and fetch materializes a whole Recording in memory
+        before anyone replays it -- see DESIGN.md.
         """
         obs = self.obs
-        live = self.chunk_refcounts()
         removed = 0
-        freed = 0
         with obs.span("store:gc", obs.track("store", "vault"),
                       cat="store"):
-            for digest, path in list(self._object_files()):
-                if digest in live:
+            before = self._packs_bytes()
+            indexes = {digest: _load_index(
+                self._packs_file(digest, ".idx"))
+                for digest in self.digests()}
+            live = {(pack, offset) for where in indexes.values()
+                    for pack, offset, _word in where.values()}
+            moved: Dict[Tuple[str, int], Location] = {}
+            doomed: List[str] = []
+            for name in sorted(os.listdir(self._packs_dir)):
+                path = os.path.join(self._packs_dir, name)
+                stem, ext = os.path.splitext(name)
+                if ext != ".pack":
+                    if ext == ".tmp" or stem not in indexes:
+                        doomed.append(path)
                     continue
-                freed += os.path.getsize(path)
-                os.remove(path)
-                removed += 1
+                blob, records = _scan_pack(path)
+                keep = [record for record in records
+                        if (stem, record[0]) in live]
+                if len(keep) == len(records):
+                    continue
+                removed += len(records) - len(keep)
+                doomed.append(path)
+                with _PackWriter(self._packs_dir) as writer:
+                    for offset, word in keep:
+                        writer.add_stored(
+                            (stem, offset), word,
+                            blob[offset:offset + (word & _LENGTH)])
+                moved.update(writer.located)
+            for digest, where in indexes.items():
+                if any((pack, offset) in moved
+                       for pack, offset, _word in where.values()):
+                    self._write_index(digest, {
+                        obj: moved.get(location[:2], location)
+                        for obj, location in where.items()})
+            # A rewrite is named by its content, which may be the
+            # name of a pack on its way out: spare what was just written.
+            rewritten = {self._packs_file(pack, ".pack")
+                         for pack, _offset, _word in moved.values()}
+            for path in doomed:
+                if path not in rewritten:
+                    os.remove(path)
+            freed = before - self._packs_bytes()
             obs.counter("store.gc.removed").inc(removed)
             obs.counter("store.gc.freed_bytes").inc(freed)
         return removed, freed
 
+    def reindex(self) -> None:
+        """Rebuild every recording's object index from the packs.
+
+        Pack records carry no address, so each is inflated and hashed
+        to learn it; a damaged record hashes to an address nobody
+        asks for and its recording fetches as missing that object.
+        """
+        where: Dict[str, Location] = {}
+        for name in sorted(os.listdir(self._packs_dir)):
+            stem, ext = os.path.splitext(name)
+            if ext != ".pack":
+                continue
+            blob, records = _scan_pack(os.path.join(self._packs_dir, name))
+            for offset, word in records:
+                payload = blob[offset:offset + (word & _LENGTH)]
+                if not word & _RAW:
+                    try:
+                        payload = zlib.decompress(payload)
+                    except zlib.error:
+                        continue
+                where.setdefault(hashlib.sha256(payload).hexdigest(),
+                                 (stem, offset, word))
+        for digest, manifest in self._manifests().items():
+            self._write_index(digest, {
+                obj: where[obj] for obj in manifest.objects()
+                if obj in where})
+
     # -- accounting ----------------------------------------------------------
+
+    def _packs_bytes(self) -> int:
+        return sum(os.path.getsize(os.path.join(self._packs_dir, name))
+                   for name in os.listdir(self._packs_dir))
 
     def stats(self) -> VaultStats:
         stats = VaultStats()
         unique: set = set()
-        for digest in self.digests():
-            manifest = self.load_manifest(digest)
+        for digest, manifest in self._manifests().items():
             stats.recordings += 1
             refs = manifest.chunk_refs()
             stats.chunk_refs += len(refs)
@@ -654,8 +984,7 @@ class Vault:
             stats.manifest_bytes += os.path.getsize(
                 self._manifest_path(digest))
         stats.unique_chunks = len(unique)
-        stats.object_bytes = sum(os.path.getsize(path)
-                                 for _d, path in self._object_files())
+        stats.object_bytes = self._packs_bytes()
         if os.path.exists(self._index_path):
             stats.index_bytes = os.path.getsize(self._index_path)
         return stats
@@ -664,15 +993,24 @@ class Vault:
         """Per-recording chunk accounting for ``grr inspect --store``:
         chunk count, how much of it dedups against the rest of the
         vault, and which recordings it shares chunks with."""
-        manifest = self.load_manifest(digest)
+        manifests = self._manifests()
+        if digest not in manifests:
+            raise StoreNotFoundError(
+                f"no recording {digest[:12]} in vault {self.root}")
+        return self._sharing(digest, manifests)
+
+    @staticmethod
+    def _sharing(digest: str,
+                 manifests: Dict[str, Manifest]) -> Dict[str, object]:
+        manifest = manifests[digest]
         own = manifest.chunk_refs()
         own_set = set(own)
         shared_with: Dict[str, int] = {}
         others: set = set()
-        for other in self.digests():
+        for other, other_manifest in manifests.items():
             if other == digest:
                 continue
-            other_chunks = set(self.load_manifest(other).chunk_refs())
+            other_chunks = set(other_manifest.chunk_refs())
             overlap = len(own_set & other_chunks)
             if overlap:
                 shared_with[other] = overlap
@@ -702,14 +1040,11 @@ class Vault:
         put in the vault. ``grr store pack`` prints this breakdown and
         the surgery bench pins the sibling-SKU ratio.
         """
-        per: List[Dict[str, object]] = []
-        for digest in self.digests():
-            manifest = self.load_manifest(digest)
-            if ("#job" not in manifest.workload
-                    and not manifest.workload.startswith("synthetic/")):
-                continue
-            stats = self.recording_stats(digest)
-            per.append(stats)
+        manifests = self._manifests()
+        per = [self._sharing(digest, manifests)
+               for digest, manifest in manifests.items()
+               if "#job" in manifest.workload
+               or manifest.workload.startswith("synthetic/")]
         chunk_refs = sum(int(p["chunks"]) for p in per)
         shared_refs = sum(int(p["shared_chunks"]) for p in per)
         return {

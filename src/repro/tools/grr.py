@@ -629,6 +629,16 @@ def cmd_store_gc(args) -> int:
     return 0
 
 
+def cmd_store_reindex(args) -> int:
+    """Rebuild every object index from the packs."""
+    from repro.store import Vault
+
+    vault = Vault.open(args.vault)
+    vault.reindex()
+    print(f"reindex: {len(vault.digests())} object indexes rebuilt")
+    return 0
+
+
 def cmd_surgery_slice(args) -> int:
     """Extract one job (or one kernel) into a micro-recording."""
     from repro.surgery import analyze_recording, slice_job, verify_slice
@@ -1668,6 +1678,12 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("vault")
     gc.set_defaults(func=cmd_store_gc)
 
+    reindex = store_sub.add_parser(
+        "reindex", help="rebuild the per-recording object indexes by "
+        "scanning the pack files")
+    reindex.add_argument("vault")
+    reindex.set_defaults(func=cmd_store_reindex)
+
     bench = sub.add_parser(
         "bench", help="benchmark suites: replay fast path (load cache, "
         "compiled dispatch, resident dumps) or serving throughput")
@@ -1929,15 +1945,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.errors import SerializationError
 
-    from repro.errors import StoreNotFoundError
+    from repro.errors import StoreLayoutError, StoreNotFoundError
 
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SerializationError, StoreNotFoundError) as error:
+    except (SerializationError, StoreNotFoundError,
+            StoreLayoutError) as error:
         # A file that is not a recording -- or a vault/digest that is
-        # not there -- is a usage error, like a missing file or an
-        # unknown board: exit 2, not 1. Store *corruption* stays a
+        # not there, or a directory in the retired vault layout -- is
+        # a usage error, like a missing file or an unknown board:
+        # exit 2, not 1. Store *corruption* stays a
         # verification failure (StoreError -> ReproError -> exit 1).
         print(f"error: {error}", file=sys.stderr)
         return 2

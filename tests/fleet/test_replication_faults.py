@@ -18,15 +18,12 @@ from repro.fleet.replication import ReplicatedVaultStore
 from repro.obs.session import Observability
 from repro.soc.clock import VirtualClock
 from repro.store import Vault
+from repro.store.smoke import flip_object_byte
 
 MIX = [("mali", "mnist")]
 
 
-def _corrupt_object(vault, digest):
-    path = vault._object_path(digest)
-    raw = bytearray(open(path, "rb").read())
-    raw[len(raw) // 2] ^= 0xFF
-    open(path, "wb").write(bytes(raw))
+_corrupt_object = flip_object_byte
 
 
 @pytest.fixture

@@ -11,10 +11,14 @@ world.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.recording import (MemoryDump, Recording, RecordingMeta,
                                   decode_skeleton, encode_skeleton)
-from repro.store import CHUNK_MAX, CHUNK_MIN, Vault, chunk_digest, split
+from repro.store import (CHUNK_AVG_BITS, CHUNK_MAX, CHUNK_MIN, Vault,
+                         chunk_digest, split)
+from repro.store.chunks import _BLOCK, GEAR, iter_boundaries
 from tests.serve.test_recording_fuzz import synthetic_recording
 
 
@@ -85,6 +89,100 @@ class TestSplitInvariants:
         assert b"".join(chunks) == data
         for piece in chunks[:-1]:
             assert lo <= len(piece) <= hi
+
+
+def reference_boundaries(data, min_size=CHUNK_MIN,
+                         avg_bits=CHUNK_AVG_BITS, max_size=CHUNK_MAX):
+    """The chunking rule as first written: one gear-hash step per
+    byte, fingerprint restarted at every boundary. Far too slow to
+    ship (5.8 MB/s); kept here as the model ``iter_boundaries`` must
+    equal on every input."""
+    mask = (1 << avg_bits) - 1
+    out = []
+    start = 0
+    fingerprint = 0
+    for index, byte in enumerate(data, 1):
+        fingerprint = ((fingerprint << 1) + GEAR[byte]) \
+            & 0xFFFF_FFFF_FFFF_FFFF
+        length = index - start
+        if (length >= min_size and fingerprint & mask == mask) \
+                or length >= max_size:
+            out.append(index)
+            start = index
+            fingerprint = 0
+    if start < len(data):
+        out.append(len(data))
+    return out
+
+
+def _payload(kind: str, size: int, seed: int) -> bytes:
+    rng = random.Random(seed)
+    if kind == "zero":
+        return bytes(size)
+    if kind == "constant":
+        return bytes([rng.randrange(256)]) * size
+    if kind == "random":
+        return rng.randbytes(size)
+    page = rng.randbytes(4096)  # the same page over and over
+    return (page * (size // 4096 + 1))[:size]
+
+
+KINDS = ("zero", "constant", "random", "paged")
+
+
+def _edge_sizes(min_size, avg_bits, max_size):
+    """Every length at which the blocked evaluation changes shape."""
+    edges = {0, 1, 2 * _BLOCK + 5, 3 * _BLOCK}
+    for centre, reach in ((min_size, 1), (max_size, 1),
+                          (avg_bits, 1), (_BLOCK, avg_bits),
+                          (2 * _BLOCK, avg_bits)):
+        edges.update((centre - reach, centre - 1, centre, centre + 1,
+                      centre + reach))
+    return sorted(size for size in edges if size >= 0)
+
+
+@st.composite
+def chunk_params(draw):
+    if draw(st.booleans()):
+        return CHUNK_MIN, CHUNK_AVG_BITS, CHUNK_MAX
+    # Custom bounds, on both sides of every regime: a window longer
+    # than the minimum chunk, and fingerprints wider than 16/32 bits.
+    min_size = draw(st.integers(1, 600))
+    avg_bits = draw(st.sampled_from(
+        (0, 1, 3, 8, 10, 15, 16, 17, 20, 31, 32, 33, 48, 63, 64)))
+    max_size = min_size + draw(st.integers(0, 5000))
+    return min_size, avg_bits, max_size
+
+
+class TestEqualsPerByteReference:
+    """The vectorised splitter against the loop it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(params=chunk_params(), kind=st.sampled_from(KINDS),
+           seed=st.integers(0, 2 ** 32), data=st.data())
+    def test_same_boundaries(self, params, kind, seed, data):
+        size = data.draw(st.one_of(
+            st.sampled_from(_edge_sizes(*params)),
+            st.integers(0, 2 * _BLOCK + 4096)))
+        payload = _payload(kind, size, seed)
+        want = reference_boundaries(payload, *params)
+        assert list(iter_boundaries(payload, *params)) == want
+        assert list(iter_boundaries(memoryview(payload), *params)) \
+            == want
+        assert b"".join(split(payload, *params)) == payload
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_block_edge_at_default_parameters(self, kind):
+        for size in _edge_sizes(CHUNK_MIN, CHUNK_AVG_BITS, CHUNK_MAX):
+            payload = _payload(kind, size, size)
+            assert list(iter_boundaries(payload)) == \
+                reference_boundaries(payload), (kind, size)
+
+    def test_fingerprint_wider_than_64_bits_is_refused(self):
+        with pytest.raises(ValueError):
+            split(b"x" * 100, avg_bits=65)
+        with pytest.raises(ValueError):
+            split(b"x" * 100, min_size=10, max_size=9)
 
 
 class TestSkeletonHooks:

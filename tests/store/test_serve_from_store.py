@@ -18,6 +18,7 @@ from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
                          ServerConfig, VaultRecordingStore,
                          generate_requests, verify_report)
 from repro.store import Vault
+from repro.store.smoke import flip_object_byte
 
 MIX = (("mali", "mnist"), ("mali", "kws"), ("v3d", "mnist"))
 
@@ -94,11 +95,8 @@ class TestStoreFailureRungs:
         VaultRecordingStore.pack_zoo(vault, mix)
         digest = vault.digests()[0]
         manifest = vault.load_manifest(digest)
-        for chunk_digest in manifest.chunk_refs():
-            path = vault._object_path(chunk_digest)
-            raw = bytearray(open(path, "rb").read())
-            raw[0] ^= 0xFF
-            open(path, "wb").write(bytes(raw))
+        for chunk_digest in set(manifest.chunk_refs()):
+            flip_object_byte(vault, chunk_digest)
 
         store = VaultRecordingStore(Vault(root), mix)
         report = _serve(store, requests=8, mix=mix)

@@ -3,7 +3,6 @@ compatibility index, and the doctor handoff on corruption."""
 
 import json
 import os
-import zlib
 
 import pytest
 
@@ -14,6 +13,7 @@ from repro.errors import (StoreCorruptionError, StoreError,
 from repro.obs.session import Observability
 from repro.soc.clock import VirtualClock
 from repro.store import CompatEntry, CompatIndex, Vault, gpu_clock_hz
+from repro.store.smoke import flip_object_byte
 from tests.serve.test_recording_fuzz import synthetic_recording
 
 
@@ -27,12 +27,7 @@ def mnist_recording(mali_mnist_recorded):
     return mali_mnist_recorded[0].recording
 
 
-def _corrupt_object(vault: Vault, digest: str) -> str:
-    path = vault._object_path(digest)
-    raw = bytearray(open(path, "rb").read())
-    raw[len(raw) // 2] ^= 0xFF
-    open(path, "wb").write(bytes(raw))
-    return path
+_corrupt_object = flip_object_byte
 
 
 class TestPackFetch:
@@ -95,16 +90,18 @@ class TestIntegrityChain:
 
     def test_valid_zlib_wrong_content_detected(self, vault,
                                                mnist_recording):
-        """Damage that keeps the zlib stream decodable must still be
-        caught by the content address."""
+        """Damage no zlib check can see -- a flipped byte in a chunk
+        that is stored raw -- must still be caught by the content
+        address."""
         manifest = vault.pack(mnist_recording)
-        chunk = manifest.dumps[0][2][0]
-        path = vault._object_path(chunk[0])
-        payload = bytearray(zlib.decompress(open(path, "rb").read()))
-        payload[0] ^= 0x01
-        open(path, "wb").write(zlib.compress(bytes(payload), 6))
-        with pytest.raises(StoreCorruptionError):
+        raw = next(digest for _va, _size, chunk_list in manifest.dumps
+                   for digest, size in chunk_list
+                   if vault.object_location(digest)[2] == size)
+        _corrupt_object(vault, raw)
+        with pytest.raises(StoreCorruptionError,
+                           match="does not match its address") as info:
             vault.fetch(manifest.digest)
+        assert info.value.chunk_digest == raw
 
     def test_corrupt_skeleton_detected(self, vault, mnist_recording):
         manifest = vault.pack(mnist_recording)
@@ -268,7 +265,7 @@ class TestGcRefcounts:
         # b must still fetch clean, shared chunks intact
         assert vault.verify() == []
         for digest in shared:
-            assert os.path.exists(vault._object_path(digest))
+            assert os.path.exists(vault.object_location(digest)[0])
 
     def test_refcounts_count_manifests_not_refs(self, vault,
                                                 mnist_recording):

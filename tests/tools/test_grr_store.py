@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.recording import Recording
 from repro.store import Vault
+from repro.store.smoke import flip_object_byte
 from repro.tools.grr import main
 
 
@@ -109,10 +110,7 @@ class TestVerifyGcCorruption:
         vault = Vault(root)
         manifest = vault.pack(fleet["base"])
         chunk = manifest.dumps[0][2][0][0]
-        path = vault._object_path(chunk)
-        raw = bytearray(open(path, "rb").read())
-        raw[len(raw) // 2] ^= 0xFF
-        open(path, "wb").write(bytes(raw))
+        flip_object_byte(vault, chunk)
         return root
 
     def test_verify_clean_exits_0(self, packed, capsys):
