@@ -1,66 +1,64 @@
-"""Compiled replay programs: the serve loop's fast path.
+"""Compiled replay programs: the one optimised executor.
 
 The reference interpreter (:mod:`repro.core.interpreter`) walks the
 action list with an ``isinstance`` chain, resolves register names
 through the nano driver's map on every access, and looks pacing
-intervals up per action. That cost is paid on *every* replay -- the
-opposite of the steady-state serve regime (same recording, new inputs,
-many times) that replay is supposed to win.
+intervals up per action -- on *every* replay, the opposite of the
+steady-state serve regime (same recording, new inputs, many times).
 
-``compile_program`` lowers a *verified* recording once:
+``compile_program`` lowers a *verified* recording once: each action
+becomes a spec tuple with its register name pre-resolved to an
+absolute MMIO address and its dump bytes/digest pre-fetched; pacing
+becomes a flat array of minimum intervals. A :class:`CompiledProgram`
+is machine-independent data bound to a board configuration, so the
+replayer's load cache shares it between replayers;
+:meth:`CompiledProgram.bind` attaches it to one nano driver as one
+closure per action, run by the single loop in
+:meth:`CompiledExecutor.execute`.
 
-- every action becomes a small spec tuple with its register name
-  pre-resolved to an absolute MMIO address (via
-  :meth:`NanoGpuDriver.resolve`) and its dump bytes/digest pre-fetched;
-- the pacing schedule becomes a flat array of minimum intervals;
-- Upload actions are pre-grouped into an upload plan (address, size,
-  content digest per segment) so resident-dump behaviour is
-  inspectable before running anything.
+That loop serves two batch widths. The replayer's *input* picks
+between them; no option does:
 
-A :class:`CompiledProgram` is machine-independent data bound to a
-board configuration (family + MMIO base + register map), so the
-replayer's content-addressed load cache can share it between replayer
-instances. :meth:`CompiledProgram.bind` attaches it to one nano driver,
-building per-action closures (bound-method dispatch, no ``isinstance``)
-that the executor runs in a tight loop.
-
-The fast path must be *observably identical* to the reference
-interpreter: same outputs, same :class:`InterpreterStats`, same
-chokepoint/trace events at the same virtual times. Only wall-clock
-time differs. The differential suite in
-``tests/core/test_compiled_fastpath.py`` holds this line.
+- ``Replayer.replay(inputs)`` is width 1 and must be *observably
+  identical* to the reference interpreter: same outputs, same
+  :class:`InterpreterStats`, same chokepoint/trace events at the same
+  virtual times; only host time differs.
+  ``tests/core/test_compiled_fastpath.py`` holds this line and
+  ``grr doctor --vs-reference`` rests on it.
+- ``Replayer.replay_mega([inputs, ...])`` arms a
+  :class:`~repro.gpu.shader_exec.BatchEnv` on the GPU: the chain runs
+  once, member 0 through GPU memory like a solo replay, members
+  1..N-1 in the overlay the batched shader executor evaluates. While
+  an overlay is armed -- and only then, because they shorten virtual
+  time -- register-write runs execute as :class:`Superblock` bulk
+  applications. What the batch dimension cannot represent raises
+  :class:`~repro.errors.MegaBatchDivergence`; callers fall back to
+  per-request replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core import actions as act
 from repro.core.interpreter import (ACTION_OVERHEAD_NS,
                                     IMPLICIT_IRQ_TIMEOUT_NS,
                                     InterpreterOptions, InterpreterStats)
-from repro.core.nano_driver import NanoGpuDriver
+from repro.core.nano_driver import UPLOAD_BW, NanoGpuDriver
 from repro.core.recording import Recording
-from repro.errors import (ReplayAborted, ReplayDivergence, ReplayError,
-                          ReplayTimeout)
+from repro.errors import (MegaBatchDivergence, ReplayAborted,
+                          ReplayDivergence, ReplayError, ReplayTimeout)
+from repro.gpu.shader_exec import BatchEnv
 from repro.obs.metrics import LATENCY_BUCKETS_NS
+from repro.units import SEC
 
 #: Per-action flags checked in the executor's main loop (cheap integer
 #: tests replacing the interpreter's post-dispatch ``isinstance``).
 FLAG_KICK = 1
 FLAG_IRQ_EXIT = 2
-
-
-@dataclass(frozen=True)
-class UploadSegment:
-    """One entry of a program's precomputed upload plan."""
-
-    action_index: int
-    addr: int
-    dump_index: int
-    size: int
-    digest: str
 
 
 class CompiledProgram:
@@ -75,7 +73,6 @@ class CompiledProgram:
                  specs: List[Tuple], names: List[str],
                  srcs: List[str], flags: List[int],
                  intervals: List[int],
-                 upload_plan: List[UploadSegment],
                  board_key: Tuple[str, int]):
         self.recording = recording
         self.specs = specs
@@ -83,7 +80,6 @@ class CompiledProgram:
         self.srcs = srcs
         self.flags = flags
         self.intervals = intervals
-        self.upload_plan = upload_plan
         self.board_key = board_key
         self._superblocks: Optional[Dict[int, "Superblock"]] = None
 
@@ -91,18 +87,11 @@ class CompiledProgram:
         return len(self.specs)
 
     def superblocks(self) -> Dict[int, "Superblock"]:
-        """Superblock index for the mega-batch executor (lazy, cached).
-
-        Purely derived data: the normal :class:`CompiledExecutor` never
-        reads it, so the existing fast path is untouched.
-        """
+        """Superblock index, read while a batch overlay is armed
+        (lazy, cached; purely derived data)."""
         if self._superblocks is None:
             self._superblocks = compile_superblocks(self)
         return self._superblocks
-
-    @property
-    def upload_plan_bytes(self) -> int:
-        return sum(seg.size for seg in self.upload_plan)
 
     def bind(self, nano: NanoGpuDriver) -> "CompiledExecutor":
         if (nano.family, nano.mmio_base) != self.board_key:
@@ -126,6 +115,10 @@ _IRQ_EXIT = 9
 _SYNTH_COPY = 10
 _UNKNOWN = 11
 
+#: Kinds that are one nano-driver call on the spec's operands.
+_PLAIN_CALLS = {_SET_PGTABLE: "set_gpu_pgtable", _MAP: "map_gpu_mem",
+                _UNMAP: "unmap_gpu_mem", _IRQ_EXIT: "exit_irq_context"}
+
 
 def compile_program(recording: Recording,
                     nano: NanoGpuDriver) -> CompiledProgram:
@@ -140,9 +133,8 @@ def compile_program(recording: Recording,
     srcs: List[str] = []
     flags: List[int] = []
     intervals: List[int] = []
-    upload_plan: List[UploadSegment] = []
 
-    for index, action in enumerate(recording.actions):
+    for action in recording.actions:
         names.append(type(action).__name__)
         srcs.append(action.src)
         intervals.append(action.min_interval_ns)
@@ -170,9 +162,6 @@ def compile_program(recording: Recording,
             dump = recording.dumps[action.dump_index]
             specs.append((_UPLOAD, action.addr, dump.data, dump.digest,
                           dump.size))
-            upload_plan.append(UploadSegment(
-                index, action.addr, action.dump_index, dump.size,
-                dump.digest))
         elif isinstance(action, act.WaitIrq):
             specs.append((_WAIT_IRQ, action.timeout_ns))
         elif isinstance(action, act.IrqEnter):
@@ -187,15 +176,14 @@ def compile_program(recording: Recording,
         flags.append(flag)
 
     return CompiledProgram(recording, specs, names, srcs, flags,
-                           intervals, upload_plan,
-                           (nano.family, nano.mmio_base))
+                           intervals, (nano.family, nano.mmio_base))
 
 
 @dataclass(frozen=True)
 class Superblock:
     """A run of consecutive RegWrite actions fused into one dispatch.
 
-    The mega-batch executor pays one dispatch overhead and one pacing
+    The executor pays one dispatch overhead and one pacing
     computation for the whole run instead of one per action: the block
     occupies ``max(pacing_ns, ACTION_OVERHEAD_NS + length *
     MMIO_ACCESS_NS)`` of virtual time from its start, where
@@ -251,10 +239,26 @@ class CompiledExecutor:
         self.nano = nano
         self.obs = nano.machine.obs
         self.stats = InterpreterStats()
+        #: Superblocks the most recent ``execute`` ran (0 at width 1).
+        self.superblocks_run = 0
         self._actions_track = self.obs.track("replay", "actions")
         self._jobs_track = self.obs.track("replay", "jobs")
         self._job_span = None
         self._flight = nano.flight
+        # With observability off every counter is a null object; the
+        # closures and the loop make metric calls only when a session
+        # is attached. (The executor is re-bound when the machine's
+        # obs session changes.)
+        self._live = self.obs.enabled
+        #: (counter, histogram) of interrupt waits; None when not live
+        #: or when the program never waits.
+        self._irq_metrics = None
+        if self._live and any(spec[0] in (_WAIT_IRQ, _IRQ_ENTER)
+                              for spec in program.specs):
+            self._irq_metrics = (
+                self.obs.counter("replay.irq_waits"),
+                self.obs.histogram("replay.irq_wait_ns",
+                                   LATENCY_BUCKETS_NS))
         self._steps: List[Callable[[int], None]] = [
             self._build_step(i) for i in range(len(program))]
 
@@ -265,24 +269,20 @@ class CompiledExecutor:
         src = self.program.srcs[index]
         kind = spec[0]
         nano = self.nano
+        # One closure per action kind. A metric the closure feeds is
+        # None when no session is attached, and the closure tests for
+        # that, so obs-off replays make no metric calls at all.
         obs = self.obs
-        # With observability off every counter is a null object; build
-        # closures without the no-op calls so the hot loop pays for
-        # metrics only when a session is attached. (The executor is
-        # re-bound when the machine's obs session changes.)
-        live = obs.enabled
+        live = self._live
 
         if kind == _REG_WRITE:
             _, addr, val, mask = spec
-            write_at = nano.reg_write_at
-            if not live:
-                def step(i, _w=write_at, _a=addr, _v=val, _m=mask):
-                    _w(_a, _v, _m)
-                return step
-            ctr = obs.counter("replay.reg_writes")
 
-            def step(i, _w=write_at, _c=ctr, _a=addr, _v=val, _m=mask):
-                _c.inc()
+            def step(i, _w=nano.reg_write_at,
+                     _c=obs.counter("replay.reg_writes") if live else None,
+                     _a=addr, _v=val, _m=mask):
+                if _c is not None:
+                    _c.inc()
                 _w(_a, _v, _m)
             return step
 
@@ -315,48 +315,22 @@ class CompiledExecutor:
                         f"{val:#x}) timed out", i, src)
             return step
 
-        if kind == _SET_PGTABLE:
-            _, memattr = spec
-            set_pgtable = nano.set_gpu_pgtable
+        if kind in _PLAIN_CALLS:
+            call = getattr(nano, _PLAIN_CALLS[kind])
+            operands = spec[1:]
 
             def step(i):
-                set_pgtable(memattr)
-            return step
-
-        if kind == _MAP:
-            _, addr, num_pages, pte_flags = spec
-            map_mem = nano.map_gpu_mem
-
-            def step(i):
-                map_mem(addr, num_pages, pte_flags)
-            return step
-
-        if kind == _UNMAP:
-            _, addr, num_pages = spec
-            unmap_mem = nano.unmap_gpu_mem
-
-            def step(i):
-                unmap_mem(addr, num_pages)
+                call(*operands)
             return step
 
         if kind == _UPLOAD:
             _, addr, data, digest, size = spec
             upload = nano.upload
             clock = nano.clock
-            if not live:
-                def step(i):
-                    t0 = clock.now()
-                    uploaded = upload(addr, data, digest=digest)
-                    stats = self.stats
-                    stats.upload_ns += clock.now() - t0
-                    stats.upload_bytes += uploaded
-                    skipped = size - uploaded
-                    if skipped:
-                        stats.upload_skipped_bytes += skipped
-                return step
-            uploads_ctr = obs.counter("replay.uploads")
-            bytes_ctr = obs.counter("replay.upload_bytes")
-            skip_ctr = obs.counter("replay.upload_skipped_bytes")
+            ctrs = (obs.counter("replay.uploads"),
+                    obs.counter("replay.upload_bytes"),
+                    obs.counter("replay.upload_skipped_bytes")
+                    ) if live else None
 
             def step(i):
                 t0 = clock.now()
@@ -364,89 +338,39 @@ class CompiledExecutor:
                 stats = self.stats
                 stats.upload_ns += clock.now() - t0
                 stats.upload_bytes += uploaded
-                uploads_ctr.inc()
-                bytes_ctr.inc(uploaded)
                 skipped = size - uploaded
                 if skipped:
                     stats.upload_skipped_bytes += skipped
-                    skip_ctr.inc(skipped)
+                if ctrs is not None:
+                    uploads_ctr, bytes_ctr, skip_ctr = ctrs
+                    uploads_ctr.inc()
+                    bytes_ctr.inc(uploaded)
+                    if skipped:
+                        skip_ctr.inc(skipped)
             return step
 
         if kind == _WAIT_IRQ:
             _, timeout_ns = spec
-            wait_irq = nano.wait_irq
-            clock = nano.clock
-            if not live:
-                def step(i):
-                    stats = self.stats
-                    stats.irqs_waited += 1
-                    t0 = clock.now()
-                    ok = wait_irq(timeout_ns)
-                    stats.irq_wait_ns += clock.now() - t0
-                    if not ok:
-                        raise ReplayTimeout(
-                            "no GPU interrupt arrived in time", i, src)
-                return step
-            ctr = obs.counter("replay.irq_waits")
-            hist = obs.histogram("replay.irq_wait_ns",
-                                 LATENCY_BUCKETS_NS)
 
             def step(i):
-                stats = self.stats
-                stats.irqs_waited += 1
-                ctr.inc()
-                t0 = clock.now()
-                ok = wait_irq(timeout_ns)
-                waited = clock.now() - t0
-                stats.irq_wait_ns += waited
-                hist.observe(waited)
-                if not ok:
+                self.stats.irqs_waited += 1
+                if not self._timed_wait_irq(timeout_ns):
                     raise ReplayTimeout(
                         "no GPU interrupt arrived in time", i, src)
             return step
 
         if kind == _IRQ_ENTER:
-            wait_irq = nano.wait_irq
-            clock = nano.clock
             enter = nano.enter_irq_context
-            if not live:
-                def step(i):
-                    if nano.pending_irqs == 0:
-                        t0 = clock.now()
-                        ok = wait_irq(IMPLICIT_IRQ_TIMEOUT_NS)
-                        self.stats.irq_wait_ns += clock.now() - t0
-                        if not ok:
-                            raise ReplayTimeout(
-                                "no GPU interrupt for asynchronous irq "
-                                "context", i, src)
-                    enter()
-                return step
-            ctr = obs.counter("replay.irq_waits")
-            hist = obs.histogram("replay.irq_wait_ns",
-                                 LATENCY_BUCKETS_NS)
 
             def step(i):
-                if nano.pending_irqs == 0:
-                    # Record-time interrupt preempted the CPU; replay
-                    # synchronizes on its arrival here instead.
-                    ctr.inc()
-                    t0 = clock.now()
-                    ok = wait_irq(IMPLICIT_IRQ_TIMEOUT_NS)
-                    waited = clock.now() - t0
-                    self.stats.irq_wait_ns += waited
-                    hist.observe(waited)
-                    if not ok:
-                        raise ReplayTimeout(
-                            "no GPU interrupt for asynchronous irq "
-                            "context", i, src)
+                # Record-time interrupt preempted the CPU; replay
+                # synchronizes on its arrival here instead.
+                if nano.pending_irqs == 0 and \
+                        not self._timed_wait_irq(IMPLICIT_IRQ_TIMEOUT_NS):
+                    raise ReplayTimeout(
+                        "no GPU interrupt for asynchronous irq "
+                        "context", i, src)
                 enter()
-            return step
-
-        if kind == _IRQ_EXIT:
-            exit_irq = nano.exit_irq_context
-
-            def step(i):
-                exit_irq()
             return step
 
         if kind == _SYNTH_COPY:
@@ -464,18 +388,35 @@ class CompiledExecutor:
             raise ReplayError(f"unknown action {type_name}", i, src)
         return step
 
+    def _timed_wait_irq(self, timeout_ns: int) -> bool:
+        """Block on a GPU interrupt, charging the wait to the stats."""
+        metrics = self._irq_metrics
+        if metrics is not None:
+            metrics[0].inc()
+        clock = self.nano.clock
+        t0 = clock.now()
+        ok = self.nano.wait_irq(timeout_ns)
+        waited = clock.now() - t0
+        self.stats.irq_wait_ns += waited
+        if metrics is not None:
+            metrics[1].observe(waited)
+        return ok
+
     # -- execution ----------------------------------------------------------
 
     def execute(self, options: Optional[InterpreterOptions] = None,
                 deposit_inputs: Optional[Callable[[], None]] = None,
-                start_index: int = 0,
                 should_yield: Optional[Callable[[], bool]] = None
                 ) -> InterpreterStats:
         """Run the program; semantics mirror ``ReplayInterpreter``.
 
         ``options.use_recorded_intervals`` is not supported here -- the
         replayer routes that (and checkpointing) to the reference
-        interpreter.
+        interpreter. While the caller has a batch overlay armed on the
+        GPU (``gpu.mega_batch``; the caller owns arming and clearing
+        it), register-write runs execute as superblocks, which pace
+        per run instead of per action (see :class:`Superblock`) and
+        take no injected delay: a fused pass has no retry ladder.
         """
         options = options or InterpreterOptions()
         if options.use_recorded_intervals:
@@ -484,9 +425,10 @@ class CompiledExecutor:
                 "the reference interpreter for recorded intervals")
         self.stats = InterpreterStats()
         self._job_span = None
+        self.superblocks_run = 0
         stats = self.stats
         obs = self.obs
-        emit = obs.enabled
+        emit = self._live
         clock = self.nano.clock
         clock_now = clock.now
         clock_advance = clock.advance
@@ -499,17 +441,22 @@ class CompiledExecutor:
         actions_ctr = obs.counter("replay.actions")
         pacing_ctr = obs.counter("replay.pacing_wait_ns")
         actions_track = self._actions_track
-        jobs_track = self._jobs_track
         extra_delay = options.extra_delay_ns
         delay_range = options.extra_delay_range
 
-        if start_index > 0 and deposit_inputs is not None:
-            # Resuming mid-stream (checkpoint restore): inputs are
-            # already in GPU memory from the original attempt.
-            deposit_inputs = None
+        # Width 1 keeps the reference interpreter's per-action pacing
+        # (an empty table); an armed overlay selects the superblocks.
+        superblocks: Dict[int, Superblock] = {}
+        if self.nano.machine.gpu.mega_batch is not None:
+            superblocks = self.program.superblocks()
+            sb_ctr = obs.counter("replay.superblocks")
+            sb_actions_ctr = obs.counter("replay.superblock.actions")
+            sb_hist = obs.histogram("replay.superblock.span_ns",
+                                    LATENCY_BUCKETS_NS)
 
         flight = self._flight
         flight_record = flight.record
+        on_flag = self._on_flag
 
         # Loop-local accumulators, written back in ``finally`` so a
         # divergence mid-stream leaves stats as the reference path
@@ -517,12 +464,53 @@ class CompiledExecutor:
         executed = 0
         pacing_total = 0
         last_end = clock_now()
+        index, n = 0, len(steps)
         try:
-            for index in range(start_index, len(steps)):
+            while index < n:
                 flight.action_index = index
                 if should_yield is not None and should_yield():
                     raise ReplayAborted("preempted by the environment",
                                         index, srcs[index])
+
+                if index in superblocks:
+                    block = superblocks[index]
+                    # One dispatch + one pacing computation for the
+                    # whole RegWrite run: the block occupies
+                    # max(sum of member intervals, overhead + length *
+                    # MMIO cost) of virtual time from its start.
+                    sb_t0 = clock_now()
+                    target_end = last_end + block.pacing_ns
+                    clock_advance(ACTION_OVERHEAD_NS)
+                    for i in range(block.start, block.end):
+                        flight.action_index = i
+                        steps[i](i)
+                        executed += 1
+                        if flags[i]:
+                            on_flag(flags[i], i)
+                    now = clock_now()
+                    if target_end > now:
+                        wait = target_end - now
+                        pacing_total += wait
+                        if emit:
+                            pacing_ctr.inc(wait)
+                        flight_record(now, "Pacing", (wait,))
+                        clock_advance(wait)
+                    self.superblocks_run += 1
+                    if emit:
+                        actions_ctr.inc(block.length)
+                        sb_ctr.inc()
+                        sb_actions_ctr.inc(block.length)
+                        sb_hist.observe(clock_now() - sb_t0)
+                        obs.complete(
+                            f"superblock[{block.start}:{block.end}]",
+                            actions_track, sb_t0, clock_now(),
+                            cat="replay-superblock",
+                            args={"start": block.start,
+                                  "len": block.length,
+                                  "pacing_ns": block.pacing_ns})
+                    last_end = clock_now()
+                    index = block.end
+                    continue
 
                 interval = intervals[index]
                 if extra_delay and (delay_range is None or
@@ -554,23 +542,8 @@ class CompiledExecutor:
                                  clock_now(), cat="replay-action",
                                  args={"index": index,
                                        "src": srcs[index]})
-                flag = flags[index]
-                if flag:
-                    if flag & FLAG_KICK:
-                        if stats.first_kick_at_ns < 0:
-                            stats.first_kick_at_ns = clock_now()
-                        stats.jobs_kicked += 1
-                        flight_record(clock_now(), "JobKick",
-                                      (stats.jobs_kicked - 1,))
-                        if self._job_span is not None:
-                            obs.end(self._job_span)
-                        self._job_span = obs.begin(
-                            f"job[{stats.jobs_kicked - 1}]", jobs_track,
-                            cat="replay-job", args={"index": index})
-                    if flag & FLAG_IRQ_EXIT:
-                        if self._job_span is not None:
-                            obs.end(self._job_span)
-                            self._job_span = None
+                if flags[index]:
+                    on_flag(flags[index], index)
                 last_end = clock_now()
 
                 if deposit_inputs is not None and \
@@ -578,6 +551,7 @@ class CompiledExecutor:
                     deposit_inputs()
                     deposit_inputs = None
                     last_end = clock_now()
+                index += 1
         except BaseException:
             # Mirror the reference interpreter's span hygiene: a
             # failed replay must not leak an open job span.
@@ -593,3 +567,170 @@ class CompiledExecutor:
             # Degenerate recording with no prologue: deposit up front.
             deposit_inputs()
         return stats
+
+    def _on_flag(self, flag: int, index: int) -> None:
+        """Job bookkeeping after a kick write or an IrqExit."""
+        stats = self.stats
+        obs = self.obs
+        if flag & FLAG_KICK:
+            now = self.nano.clock.now()
+            if stats.first_kick_at_ns < 0:
+                stats.first_kick_at_ns = now
+            stats.jobs_kicked += 1
+            self._flight.record(now, "JobKick", (stats.jobs_kicked - 1,))
+            if self._job_span is not None:
+                obs.end(self._job_span)
+            self._job_span = obs.begin(
+                f"job[{stats.jobs_kicked - 1}]", self._jobs_track,
+                cat="replay-job", args={"index": index})
+        if flag & FLAG_IRQ_EXIT:
+            if self._job_span is not None:
+                obs.end(self._job_span)
+                self._job_span = None
+
+
+# -- mega-batch glue: the batch overlay's deposit and extract ----------------
+
+
+@dataclass
+class MegaReplayResult:
+    """Outcome of one fused mega-batch replay of N member requests."""
+
+    #: Per-member output dicts; index 0 is the head request, whose
+    #: replay also defines the post-replay machine state.
+    outputs: List[Dict[str, np.ndarray]]
+    duration_ns: int
+    stats: InterpreterStats
+    #: How many members the fused pass served.
+    batch: int
+    #: Superblocks executed (fused RegWrite runs).
+    superblocks: int = 0
+    startup_ns: int = 0
+    #: A fused pass runs once; there is no internal retry ladder.
+    attempts: int = 1
+
+
+def replay_mega(replayer,
+                inputs_list: Sequence[Optional[Dict[str, np.ndarray]]],
+                should_yield: Optional[Callable[[], bool]] = None
+                ) -> MegaReplayResult:
+    """Replay the staged recording for N inputs in one fused pass.
+
+    The action chain executes once (member 0 flows through GPU
+    memory exactly like :meth:`Replayer.replay`, so post-replay machine
+    state equals a solo replay of the head request); members
+    1..N-1 live in a batch overlay evaluated by the batched shader
+    executor. Output tensors absent from the overlay were produced
+    batch-independently -- no input-dependent data flowed into
+    them, so member 0's bytes are correct for every member.
+
+    No internal retry ladder: a :class:`ReplayError` (including
+    :class:`MegaBatchDivergence`) propagates so callers can fall
+    back to per-request replay, which handles arbitrary aliasing
+    and recovery. A call rejected before the pass starts leaves the
+    replayer as it was.
+    """
+    recording = replayer._require_loaded()
+    executor = replayer._fast_executor(False)
+    if executor is None:
+        raise ReplayError(
+            "mega-batch replay requires the compiled fast path")
+    if not inputs_list:
+        raise ReplayError("empty mega-batch")
+    obs = replayer.machine.obs
+    members = [dict(m or {}) for m in inputs_list]
+    if len({frozenset(m) for m in members}) > 1:
+        obs.counter("replay.mega.diverged").inc()
+        raise MegaBatchDivergence(
+            "mega-batch members provide different input sets")
+    for member in members:
+        replayer._check_inputs(recording, member)
+    replayer._last_inputs = members[0]
+    n = len(members)
+
+    t_start = replayer.machine.clock.now()
+    span = obs.begin(
+        f"replayer:replay-mega:{recording.meta.workload}",
+        obs.track("replay", "session"), cat="replay", args={"batch": n})
+    obs.counter("replay.attempts").inc()
+    obs.counter("replay.mega.batches").inc()
+    obs.counter("replay.mega.requests").inc(n)
+    env = BatchEnv(n)
+    gpu = replayer.machine.gpu
+    gpu.counters.begin_session(recording.digest())
+
+    def run() -> InterpreterStats:
+        gpu.mega_batch = env
+        try:
+            return executor.execute(
+                deposit_inputs=lambda: _deposit_mega(
+                    replayer, recording, members, env),
+                should_yield=replayer._yield_predicate(should_yield))
+        finally:
+            gpu.mega_batch = None
+
+    try:
+        stats, outputs = replayer._attempt(
+            span, 1, run, lambda rec: _extract_mega(replayer, rec, env))
+    except ReplayAborted:
+        raise
+    except ReplayError:
+        obs.counter("replay.mega.diverged").inc()
+        replayer._end_span(span, failed=True)
+        raise
+    replayer._end_span(span, batch=n,
+                       superblocks=executor.superblocks_run)
+    return MegaReplayResult(
+        outputs=outputs,
+        duration_ns=replayer.machine.clock.now() - t_start,
+        stats=stats,
+        batch=n,
+        superblocks=executor.superblocks_run,
+        startup_ns=(stats.first_kick_at_ns - t_start
+                    if stats.first_kick_at_ns >= 0 else 0))
+
+
+def _deposit_mega(replayer, recording: Recording,
+                  members: List[Dict[str, np.ndarray]],
+                  env: BatchEnv) -> None:
+    for io in recording.meta.inputs:
+        if io.name not in members[0]:
+            continue
+        stacked = np.stack([
+            np.ascontiguousarray(member[io.name], dtype=np.float32)
+            for member in members])
+        head = stacked[0].tobytes()
+        if len(head) != io.size:
+            raise ReplayError(
+                f"input {io.name!r}: {len(head)} bytes provided, "
+                f"recording expects {io.size}")
+        replayer.nano.copy_to_gpu(io.gaddr, head)
+        # Members beyond the head pay copy bandwidth into the batch
+        # overlay instead of GPU memory.
+        replayer.machine.clock.advance(
+            (env.n - 1) * max(1, io.size * SEC // UPLOAD_BW))
+        env.seed(io.gaddr, stacked)
+
+
+def _extract_mega(replayer, recording: Recording,
+                  env: BatchEnv) -> List[Dict[str, np.ndarray]]:
+    all_outputs = [replayer._extract(recording)]
+    extract_ns = 0
+    for k in range(1, env.n):
+        member_out: Dict[str, np.ndarray] = {}
+        for io in recording.meta.outputs:
+            row = env.fetch(io.gaddr, io.size)
+            if row is None:
+                member_out[io.name] = all_outputs[0][io.name].copy()
+            else:
+                array = np.ascontiguousarray(row[k])
+                if io.shape:
+                    array = array.reshape(io.shape)
+                member_out[io.name] = array
+            # Members beyond the head pay the same copy-out
+            # bandwidth as a solo extract, without an MMU walk.
+            extract_ns += max(1, io.size * SEC // UPLOAD_BW)
+        all_outputs.append(member_out)
+    if extract_ns:
+        replayer.machine.clock.advance(extract_ns)
+    return all_outputs

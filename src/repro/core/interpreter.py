@@ -13,7 +13,7 @@ raw record-time gaps are replayed instead -- the Figure 10 ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional
 
 from repro.core import actions as act
@@ -66,6 +66,13 @@ class InterpreterStats:
     #: Virtual time of the first job-kick write (GR "startup" ends here).
     first_kick_at_ns: int = -1
 
+    def add(self, other: "InterpreterStats") -> None:
+        """Accumulate ``other``'s totals (``first_kick_at_ns`` is not one)."""
+        for f in fields(self):
+            if f.name != "first_kick_at_ns":
+                setattr(self, f.name,
+                        getattr(self, f.name) + getattr(other, f.name))
+
 
 class ReplayInterpreter:
     """Executes one recording against the nano driver."""
@@ -95,7 +102,6 @@ class ReplayInterpreter:
         actions = self.recording.actions
         prologue_len = self.recording.meta.prologue_len
         flight = self.nano.flight
-        job_in_flight = False
 
         if start_index > 0 and deposit_inputs is not None:
             # Resuming mid-stream (checkpoint restore): inputs are
@@ -143,7 +149,6 @@ class ReplayInterpreter:
                     self.stats.jobs_kicked += 1
                     flight.record(clock.now(), "JobKick",
                                   (self.stats.jobs_kicked - 1,))
-                    job_in_flight = True
                     if self._job_span is not None:
                         self._obs.end(self._job_span)
                     self._job_span = self._obs.begin(
@@ -151,11 +156,10 @@ class ReplayInterpreter:
                         self._jobs_track, cat="replay-job",
                         args={"index": index})
                 if isinstance(action, act.IrqExit):
-                    job_in_flight = False
                     if self._job_span is not None:
                         self._obs.end(self._job_span)
                         self._job_span = None
-                    if self.checkpoints is not None and not job_in_flight:
+                    if self.checkpoints is not None:
                         self.checkpoints.maybe_take(index + 1,
                                                     self.stats.jobs_kicked)
                 last_end = clock.now()
@@ -251,14 +255,10 @@ class ReplayInterpreter:
             nano.enter_irq_context()
         elif isinstance(action, act.IrqExit):
             nano.exit_irq_context()
-        elif isinstance(action, act.CopyToGpu):
+        elif isinstance(action, (act.CopyToGpu, act.CopyFromGpu)):
             raise ReplayError(
-                "CopyToGpu actions are synthesized by the replayer",
-                index, action.src)
-        elif isinstance(action, act.CopyFromGpu):
-            raise ReplayError(
-                "CopyFromGpu actions are synthesized by the replayer",
-                index, action.src)
+                f"{type(action).__name__} actions are synthesized by the "
+                "replayer", index, action.src)
         else:
             raise ReplayError(f"unknown action {type(action).__name__}",
                               index, action.src)

@@ -23,7 +23,8 @@ import numpy as np
 from repro.core.cache import LruCache
 from repro.core.checkpoints import CheckpointManager, CheckpointPolicy
 from repro.core.compiled import (CompiledExecutor, CompiledProgram,
-                                 compile_program)
+                                 MegaReplayResult, compile_program,
+                                 replay_mega)
 from repro.core.interpreter import (InterpreterOptions, InterpreterStats,
                                     ReplayInterpreter)
 from repro.core.nano_driver import NanoGpuDriver
@@ -219,26 +220,13 @@ class Replayer:
             else:
                 obs.counter("replay.cache.misses").inc()
                 evictions_before = LOAD_CACHE.evictions
-                report = verify_recording(
-                    recording, self.nano.register_names(),
-                    max_gpu_bytes=self.max_gpu_bytes,
-                    preexisting_maps=dict(self._session_maps))
-                program = compile_program(recording, self.nano)
+                report, program = self._verify_and_compile(recording)
                 LOAD_CACHE.put(key, (report, program))
                 evicted = LOAD_CACHE.evictions - evictions_before
                 if evicted:
                     obs.counter("replay.cache.evictions").inc(evicted)
-            if key in self._warm_keys:
+            if not self._charge_cold_load(key, recording):
                 self.machine.clock.advance(WARM_LOAD_NS)
-            else:
-                # Decompression + verification cost, paid once per
-                # content on this replayer.
-                self.machine.clock.advance(
-                    max(1, recording.dump_bytes() * SEC // DECOMPRESS_BW)
-                    + VERIFY_ACTION_NS * len(recording.actions))
-                if len(self._warm_keys) > 4096:
-                    self._warm_keys.clear()
-                self._warm_keys.add(key)
         self.current = recording
         self.verification = report
         self.program = program
@@ -270,29 +258,38 @@ class Replayer:
         """
         self._require_init()
         key = self._load_key(recording)
-
-        def produce():
-            report = verify_recording(
-                recording, self.nano.register_names(),
-                max_gpu_bytes=self.max_gpu_bytes,
-                preexisting_maps=dict(self._session_maps))
-            return report, compile_program(recording, self.nano)
-
         # Warm-path traffic bypasses the demand hit/miss counters by
         # design; count it separately so prefetching is visible in
         # ``grr stats`` instead of silently absent.
         self.machine.obs.counter("replay.cache.warmed").inc()
-        produced = LOAD_CACHE.warm(key, produce)
+        produced = LOAD_CACHE.warm(
+            key, lambda: self._verify_and_compile(recording))
         if produced:
             self.machine.obs.counter("replay.cache.prefetched").inc()
-        if key not in self._warm_keys:
-            self.machine.clock.advance(
-                max(1, recording.dump_bytes() * SEC // DECOMPRESS_BW)
-                + VERIFY_ACTION_NS * len(recording.actions))
-            if len(self._warm_keys) > 4096:
-                self._warm_keys.clear()
-            self._warm_keys.add(key)
+        self._charge_cold_load(key, recording)
         return produced
+
+    def _verify_and_compile(self, recording: Recording
+                            ) -> Tuple[VerificationReport, CompiledProgram]:
+        """A load-cache entry for ``recording`` in this session."""
+        report = verify_recording(
+            recording, self.nano.register_names(),
+            max_gpu_bytes=self.max_gpu_bytes,
+            preexisting_maps=dict(self._session_maps))
+        return report, compile_program(recording, self.nano)
+
+    def _charge_cold_load(self, key: tuple, recording: Recording) -> bool:
+        """Charge decompression + verification, once per content on
+        this replayer; False when ``key`` was already paid for."""
+        if key in self._warm_keys:
+            return False
+        self.machine.clock.advance(
+            max(1, recording.dump_bytes() * SEC // DECOMPRESS_BW)
+            + VERIFY_ACTION_NS * len(recording.actions))
+        if len(self._warm_keys) > 4096:
+            self._warm_keys.clear()
+        self._warm_keys.add(key)
+        return True
 
     def _load_key(self, recording: Recording) -> tuple:
         # The GPU family rides along explicitly even though the
@@ -330,6 +327,10 @@ class Replayer:
         # intervals (the Figure 10 ablation) and checkpointing fall
         # back to the reference interpreter.
         executor = self._fast_executor(use_recorded_intervals)
+        yield_now = self._yield_predicate(should_yield)
+
+        def deposit() -> None:
+            self._deposit(recording, inputs)
         attempts = 0
         extra_delay = 0
         delay_range: Optional[Tuple[int, int]] = None
@@ -344,45 +345,29 @@ class Replayer:
                 use_recorded_intervals=use_recorded_intervals,
                 extra_delay_ns=extra_delay,
                 extra_delay_range=delay_range)
-            try:
+
+            def run() -> InterpreterStats:
                 if executor is not None:
-                    stats = executor.execute(
-                        options,
-                        deposit_inputs=lambda: self._deposit(recording,
-                                                             inputs),
-                        should_yield=self._yield_predicate(should_yield))
-                else:
-                    interpreter = ReplayInterpreter(
-                        self.nano, recording, options,
-                        should_yield=self._yield_predicate(should_yield),
-                        checkpoints=self.checkpoints if
-                        self.checkpoints.enabled else None)
-                    stats = interpreter.execute(
-                        deposit_inputs=lambda: self._deposit(recording,
-                                                             inputs))
-                self._note_session_maps(recording)
-                outputs = self._extract(recording)
-                startup = (stats.first_kick_at_ns - t_start
-                           if stats.first_kick_at_ns >= 0 else 0)
-                obs.end(replay_span, args={"attempts": attempts})
-                self._note_flight_metrics(obs)
+                    return executor.execute(options, deposit, yield_now)
+                return ReplayInterpreter(
+                    self.nano, recording, options, yield_now,
+                    self.checkpoints if self.checkpoints.enabled
+                    else None).execute(deposit)
+            try:
+                stats, outputs = self._attempt(replay_span, attempts, run,
+                                               self._extract)
+                self._end_span(replay_span, attempts=attempts)
                 return ReplayResult(
                     outputs=outputs,
                     duration_ns=self.machine.clock.now() - t_start,
                     attempts=attempts,
                     stats=stats,
-                    startup_ns=startup)
+                    startup_ns=(stats.first_kick_at_ns - t_start
+                                if stats.first_kick_at_ns >= 0 else 0))
             except ReplayAborted:
-                obs.end(replay_span, args={"aborted": True})
-                self._note_flight_metrics(obs)
                 raise
             except ReplayError as error:
                 last_error = error
-                # Mark the divergence in the flight ring so the doctor
-                # can anchor its report, then count it.
-                self.machine.flight.record(
-                    self.machine.clock.now(), "Divergence",
-                    (attempts, type(error).__name__))
                 obs.counter("replay.divergence.detected").inc()
                 obs.gauge("replay.divergence.last_index").set(
                     getattr(error, "action_index", -1))
@@ -415,16 +400,37 @@ class Replayer:
                               "window_start": delay_range[0],
                               "window_end": delay_range[1],
                               "extra_delay_ns": extra_delay})
-        obs.end(replay_span, args={"failed": True, "attempts": attempts})
         obs.counter("replay.divergence.unrecovered").inc()
-        self._note_flight_metrics(obs)
+        self._end_span(replay_span, failed=True, attempts=attempts)
         raise ReplayError(
             f"replay failed after {attempts} attempts: {last_error}",
             getattr(last_error, "action_index", -1),
             getattr(last_error, "source", ""))
 
-    def _note_flight_metrics(self, obs) -> None:
-        """Publish the flight recorder's capacity gauges."""
+    def _attempt(self, span, attempt: int, run, extract):
+        """One pass over the staged recording plus the epilogue every
+        executor shares: note the session's mappings and extract on
+        success, close ``span`` on an abort, and mark any other failure
+        in the flight ring so the doctor can anchor its report. Errors
+        propagate; returns ``(stats, extracted outputs)``."""
+        try:
+            stats = run()
+            self._note_session_maps(self.current)
+            return stats, extract(self.current)
+        except ReplayAborted:
+            self._end_span(span, aborted=True)
+            raise
+        except ReplayError as error:
+            self.machine.flight.record(
+                self.machine.clock.now(), "Divergence",
+                (attempt, type(error).__name__))
+            raise
+
+    def _end_span(self, span, **args) -> None:
+        """End a replay's session span and publish the flight
+        recorder's capacity gauges."""
+        obs = self.machine.obs
+        obs.end(span, args=args)
         for name, value in self.machine.flight.snapshot().items():
             obs.gauge(name).set(value)
 
@@ -473,14 +479,7 @@ class Replayer:
                 startup = result.startup_ns + self.load_ns
                 stats.first_kick_at_ns = result.stats.first_kick_at_ns
             total_attempts += result.attempts
-            stats.actions_executed += result.stats.actions_executed
-            stats.jobs_kicked += result.stats.jobs_kicked
-            stats.irqs_waited += result.stats.irqs_waited
-            stats.pacing_wait_ns += result.stats.pacing_wait_ns
-            stats.upload_bytes += result.stats.upload_bytes
-            stats.upload_skipped_bytes += result.stats.upload_skipped_bytes
-            stats.upload_ns += result.stats.upload_ns
-            stats.irq_wait_ns += result.stats.irq_wait_ns
+            stats.add(result.stats)
         return ReplayResult(
             outputs=result.outputs,
             duration_ns=self.machine.clock.now() - t_start,
@@ -493,17 +492,12 @@ class Replayer:
     def replay_mega(self,
                     inputs_list: Sequence[Optional[Dict[str, np.ndarray]]],
                     should_yield: Optional[Callable[[], bool]] = None
-                    ) -> "MegaReplayResult":
-        """Replay the staged recording for N inputs in one fused pass.
-
-        Thin entry point: the fused-execution machinery lives in
-        :mod:`repro.core.megabatch` (see :func:`~repro.core.megabatch.
-        replay_mega` for semantics). No internal retry ladder: a
-        :class:`~repro.errors.ReplayError` (including
-        :class:`~repro.errors.MegaBatchDivergence`) propagates so
-        callers can fall back to per-request replay.
-        """
-        from repro.core.megabatch import replay_mega
+                    ) -> MegaReplayResult:
+        """Replay the staged recording for N inputs in one fused pass
+        (:func:`repro.core.compiled.replay_mega` has the semantics). No
+        internal retry ladder: a :class:`~repro.errors.ReplayError`
+        (including :class:`~repro.errors.MegaBatchDivergence`)
+        propagates so callers can fall back to per-request replay."""
         return replay_mega(self, inputs_list, should_yield)
 
     # -- CPU footprint (Section 7.3) ---------------------------------------------------------

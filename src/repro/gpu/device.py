@@ -79,7 +79,7 @@ class GpuDevice:
         # Mega-batch arming: when set to a shader_exec.BatchEnv, job
         # completion evaluates shader programs batched (one pass for N
         # fused requests) instead of unbatched. Owned by the replayer's
-        # mega executor, which clears it when the fused replay ends.
+        # ``replay_mega``, which clears it when the fused replay ends.
         self.mega_batch = None
 
     # -- identity ------------------------------------------------------------

@@ -32,8 +32,8 @@ Scheduling policy:
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -964,103 +964,128 @@ class ReplayServer:
         def off() -> int:
             return machine.clock.now() - t0
 
-        def load_span(rid: int, psid: int, start_off: int,
-                      failed: bool = False) -> None:
-            args = dict(worker.replayer.last_load_info)
-            if failed:
-                args["failed"] = True
-            sid = rt.begin(rid, "load", psid=psid,
+        def stage(rid: int, start_off: int) -> bool:
+            """Stage the recording under ``rid``'s attempt, leaving its
+            ``load`` span; False when the worker could not."""
+            try:
+                worker.stage(recording)
+                self.obs.counter(f"serve.cache.{worker.last_stage}").inc()
+                args = dict(worker.replayer.last_load_info)
+            except ReproError:
+                args = dict(worker.replayer.last_load_info, failed=True)
+            sid = rt.begin(rid, "load", psid=attempt_sid[rid],
                            t_ns=dispatch_ns + start_off, args=args)
             rt.end(rid, sid, t_ns=dispatch_ns + off())
+            return "failed" not in args
 
         head_rid = batch[0].rid
-        staged = True
-        try:
-            worker.stage(recording)
-            self.obs.counter(f"serve.cache.{worker.last_stage}").inc()
-            load_span(head_rid, attempt_sid[head_rid], 0)
-        except ReproError:
-            staged = False
-            load_span(head_rid, attempt_sid[head_rid], 0, failed=True)
-        fused = False
-        if (staged and self.config.mega_batch and len(batch) > 1
-                and mode == "fast"
-                and all(r.fault is None for r in batch)):
-            fused = self._run_fused(worker, batch, recording,
-                                    attempt_sid, dispatch_ns, off,
-                                    results)
-            if not fused:
-                # The fused attempt healed the worker; the per-request
-                # loop below restages and serves every member down the
-                # normal ladder.
-                staged = False
-        for slot, request in enumerate(batch if not fused else []):
+
+        def wait_span(rid: int, wait_off: int) -> None:
+            # Time this request spent waiting for earlier batch members
+            # (and the shared staging) on this worker.
+            if rid != head_rid and wait_off > 0:
+                sid = rt.begin(rid, "batch.wait", psid=attempt_sid[rid],
+                               t_ns=dispatch_ns)
+                rt.end(rid, sid, t_ns=dispatch_ns + wait_off)
+
+        staged = stage(head_rid, 0)
+        worker.replayer.fast_path = (mode == "fast")
+        attempts = self.config.worker_attempts if mode == "fast" else 1
+        # One group per replay call: the whole batch when it can fuse
+        # into one mega-batch pass, else every request on its own. A
+        # fused group that fails heals the worker and re-queues its
+        # members as singles, which restage and go down the normal
+        # ladder -- a fused failure costs latency, never answers.
+        fusable = (staged and self.config.mega_batch and len(batch) > 1
+                   and mode == "fast"
+                   and all(r.fault is None for r in batch))
+        groups = deque([batch] if fusable else ([r] for r in batch))
+        while groups:
+            group = groups.popleft()
+            fused = len(group) > 1
+            request = group[0]
             rid = request.rid
             asid = attempt_sid[rid]
             wait_off = off()
-            if slot > 0 and wait_off > 0:
-                # Time this request spent waiting for earlier batch
-                # members (and the shared staging) on this worker.
-                wait_sid = rt.begin(rid, "batch.wait", psid=asid,
-                                    t_ns=dispatch_ns)
-                rt.end(rid, wait_sid, t_ns=dispatch_ns + wait_off)
-            if not staged:
-                restage_off = off()
-                try:
-                    worker.stage(recording)
-                    staged = True
-                    self.obs.counter(
-                        f"serve.cache.{worker.last_stage}").inc()
-                    load_span(rid, asid, restage_off)
-                except ReproError:
-                    load_span(rid, asid, restage_off, failed=True)
+            if not fused:
+                wait_span(rid, wait_off)
+                staged = staged or stage(rid, wait_off)
+                if not staged:
                     fail_off = off()
                     rt.end(rid, asid, t_ns=dispatch_ns + fail_off,
                            args={"outcome": "stage-failed"})
                     results.append((request, None, 0, fail_off))
                     continue
-            self._inject(worker, request, asid)
-            worker.replayer.fast_path = (mode == "fast")
-            attempts = (self.config.worker_attempts
-                        if mode == "fast" else 1)
+                self._inject(worker, request, asid)
             replay_off = off()
             tape_before = gpu_tape.totals() if trace_tape else None
+            inputs = [request_inputs(recording, member.input_seed)
+                      for member in group]
             try:
-                result = worker.replayer.replay(
-                    inputs=request_inputs(recording, request.input_seed),
-                    max_attempts=attempts)
-                done_off = off()
-                kernels = (list(gpu_tape.session_kernels)
-                           if trace_tape else [])
-                self._trace_replay(rid, asid, dispatch_ns, replay_off,
-                                   done_off, mode, result, kernels)
-                if tape_before is not None:
-                    self._mark_counters(rid, asid, tape_before,
-                                        gpu_tape)
-                rt.end(rid, asid, t_ns=dispatch_ns + done_off,
-                       args={"outcome": "ok"})
-                results.append((request, result.outputs, result.attempts,
-                                done_off))
+                if fused:
+                    result = worker.replayer.replay_mega(inputs)
+                    outputs = result.outputs
+                else:
+                    result = worker.replayer.replay(
+                        inputs=inputs[0], max_attempts=attempts)
+                    outputs = [result.outputs]
             except ReplayError as error:
-                self.obs.counter("serve.worker_failures").inc()
-                fail_off = off()
-                replay_sid = rt.begin(
-                    rid, "replay", psid=asid,
-                    t_ns=dispatch_ns + replay_off,
-                    args={"path": mode})
-                rt.end(rid, replay_sid, t_ns=dispatch_ns + fail_off,
-                       args={"failed": type(error).__name__})
-                rt.end(rid, asid, t_ns=dispatch_ns + fail_off,
-                       args={"outcome": "failed"})
-                results.append((request, None, attempts, fail_off))
+                if fused:
+                    self.obs.counter("serve.mega.fallbacks").inc()
+                    rt.mark(rid, "mega.fallback", psid=asid,
+                            args={"error": type(error).__name__})
+                    groups.extend([member] for member in group)
+                else:
+                    self.obs.counter("serve.worker_failures").inc()
+                    fail_off = off()
+                    replay_sid = rt.begin(
+                        rid, "replay", psid=asid,
+                        t_ns=dispatch_ns + replay_off,
+                        args={"path": mode})
+                    rt.end(rid, replay_sid, t_ns=dispatch_ns + fail_off,
+                           args={"failed": type(error).__name__})
+                    rt.end(rid, asid, t_ns=dispatch_ns + fail_off,
+                           args={"outcome": "failed"})
+                    results.append((request, None, attempts, fail_off))
                 worker.heal()
                 staged = False
+                continue
             finally:
                 # A sticky fault that the family's job model happened
                 # to shrug off must not leak into later dispatches.
                 if request.fault is not None \
                         and request.fault.kind == "gpu-sticky":
                     worker.injector.restore_cores()
+            done_off = off()
+            kernels = list(gpu_tape.session_kernels) if trace_tape else []
+            if fused:
+                self.obs.counter("serve.mega.batches").inc()
+                self.obs.counter("serve.mega.requests").inc(len(group))
+                self.obs.histogram("serve.mega.size",
+                                   BATCH_BUCKETS).observe(len(group))
+            for slot, member in enumerate(group):
+                rid = member.rid
+                asid = attempt_sid[rid]
+                if fused:
+                    wait_span(rid, wait_off)
+                self._trace_replay(rid, asid, dispatch_ns, replay_off,
+                                   done_off, mode, result, kernels)
+                if slot == 0 and tape_before is not None:
+                    # A fused pass ran once for the whole group, so its
+                    # counter delta is attributed to the head member
+                    # only (double-counting it per member would inflate
+                    # fleet aggregates by the fan-out).
+                    self._mark_counters(
+                        rid, asid, tape_before, gpu_tape,
+                        extra={"batch": len(group)} if fused else None)
+                if fused:
+                    rt.mark(rid, "mega.fused", psid=asid,
+                            args={"batch": len(group), "slot": slot,
+                                  "superblocks": result.superblocks})
+                rt.end(rid, asid, t_ns=dispatch_ns + done_off,
+                       args={"outcome": "ok"})
+                results.append((member, outputs[slot], result.attempts,
+                                done_off))
         service_ns = machine.clock.now() - t0
         self.obs.histogram("serve.service_ns",
                            LATENCY_BUCKETS_NS).observe(service_ns)
@@ -1068,69 +1093,6 @@ class ReplayServer:
             service_ns,
             lambda: self._on_batch_done(worker, dispatch_ns, mode,
                                         len(batch), results))
-
-    def _run_fused(self, worker: Worker, batch: List[ServeRequest],
-                   recording, attempt_sid: Dict[int, int],
-                   dispatch_ns: int, off, results) -> bool:
-        """One fused mega-batch replay serving the whole batch.
-
-        On success, fills ``results`` (every member: 1 attempt, same
-        completion offset) and returns True. On any
-        :class:`ReplayError` -- including a batch-dimension divergence
-        -- heals the worker and returns False; the caller's
-        per-request loop then serves every member down the normal
-        failure ladder, so a fused failure costs latency, never
-        answers.
-        """
-        rt = self.rtrace
-        n = len(batch)
-        fuse_off = off()
-        worker.replayer.fast_path = True
-        inputs_list = [request_inputs(recording, request.input_seed)
-                       for request in batch]
-        gpu_tape = worker.machine.require_gpu().counters
-        trace_tape = self.config.trace and gpu_tape.enabled
-        tape_before = gpu_tape.totals() if trace_tape else None
-        try:
-            mega = worker.replayer.replay_mega(inputs_list)
-        except ReplayError as error:
-            self.obs.counter("serve.mega.fallbacks").inc()
-            rt.mark(batch[0].rid, "mega.fallback",
-                    psid=attempt_sid[batch[0].rid],
-                    args={"error": type(error).__name__})
-            worker.heal()
-            return False
-        done_off = off()
-        self.obs.counter("serve.mega.batches").inc()
-        self.obs.counter("serve.mega.requests").inc(n)
-        self.obs.histogram("serve.mega.size",
-                           BATCH_BUCKETS).observe(n)
-        shim = SimpleNamespace(stats=mega.stats, attempts=1)
-        kernels = (list(gpu_tape.session_kernels)
-                   if trace_tape else [])
-        for slot, request in enumerate(batch):
-            rid = request.rid
-            asid = attempt_sid[rid]
-            if slot > 0 and fuse_off > 0:
-                wait_sid = rt.begin(rid, "batch.wait", psid=asid,
-                                    t_ns=dispatch_ns)
-                rt.end(rid, wait_sid, t_ns=dispatch_ns + fuse_off)
-            self._trace_replay(rid, asid, dispatch_ns, fuse_off,
-                               done_off, "fast", shim, kernels)
-            if slot == 0 and tape_before is not None:
-                # The fused pass ran once for the whole batch, so its
-                # counter delta is attributed to the head member only
-                # (double-counting it per member would inflate fleet
-                # aggregates by the fan-out).
-                self._mark_counters(rid, asid, tape_before, gpu_tape,
-                                    extra={"batch": n})
-            rt.mark(rid, "mega.fused", psid=asid,
-                    args={"batch": n, "slot": slot,
-                          "superblocks": mega.superblocks})
-            rt.end(rid, asid, t_ns=dispatch_ns + done_off,
-                   args={"outcome": "ok"})
-            results.append((request, mega.outputs[slot], 1, done_off))
-        return True
 
     def _trace_replay(self, rid: int, asid: int, dispatch_ns: int,
                       start_off: int, end_off: int, mode: str,

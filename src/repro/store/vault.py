@@ -631,7 +631,7 @@ class Vault:
         buffer -- for a chunk stored raw, into the span read from its
         pack; multi-chunk dumps are assembled once into a buffer and
         viewed. Downstream -- ``MemoryDump`` digesting, the compiled
-        upload plan, nano-driver residency hashing and per-page writes
+        program, nano-driver residency hashing and per-page writes
         -- operates on the views without materializing ``bytes``, so
         the chunk buffer is the *only* copy of the payload in memory.
         Views are read-only: the vault owns the underlying buffers and

@@ -9,27 +9,38 @@ fast path skips resident uploads that the reference interpreter skips
 too (residency lives in the nano driver, not the executor).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.bench.workloads import (fresh_replay_machine, get_recorded,
                                    model_input)
+from repro.core.checkpoints import CheckpointPolicy
 from repro.core.compiled import CompiledProgram
 from repro.core.replayer import Replayer
+from repro.errors import ReplayAborted, ReplayError
+from repro.obs import enable_observability
+from repro.stack.framework import build_model
+from repro.stack.reference import run_reference
 
 FAMILY_MODELS = [("mali", "mnist"), ("v3d", "mnist"), ("adreno", "mnist")]
 
 
-def run_arm(family, model, fast, obs_on, replays=3, seed=900):
-    """One replay arm: a fresh machine replaying ``replays`` inputs."""
+def _loaded(family, model, obs_on=False, seed=900, **replayer_kwargs):
     workload, _stack = get_recorded(family, model)
     machine = fresh_replay_machine(family, seed=seed)
     if obs_on:
-        from repro.obs import enable_observability
         enable_observability(machine)
-    replayer = Replayer(machine, fast_path=fast)
+    replayer = Replayer(machine, **replayer_kwargs)
     replayer.init()
     replayer.load(workload.recording)
+    return machine, replayer
+
+
+def run_arm(family, model, fast, obs_on, replays=3, seed=900):
+    """One replay arm: a fresh machine replaying ``replays`` inputs."""
+    machine, replayer = _loaded(family, model, obs_on, seed, fast_path=fast)
     results = []
     for i in range(replays):
         x = model_input(model, seed=10 + i)
@@ -87,3 +98,72 @@ class TestDifferential:
             assert a.stats.upload_skipped_bytes == \
                 b.stats.upload_skipped_bytes
             assert a.stats.upload_bytes == b.stats.upload_bytes
+
+
+class TestOneLoopTwoWidths:
+    """The executor's single loop at width 1 (``replay``) and with a
+    batch overlay armed (``replay_mega``): superblocks move *when*
+    register writes land, never what the chain does."""
+
+    @pytest.mark.parametrize("family,model", FAMILY_MODELS)
+    def test_fused_single_member_equals_replay_but_for_pacing(
+            self, family, model):
+        x = {"input": model_input(model, seed=10)}
+        m_solo, r_solo = _loaded(family, model)
+        solo_tape = m_solo.flight.start_capture()
+        solo = r_solo.replay(inputs=x)
+        m_mega, r_mega = _loaded(family, model)
+        mega_tape = m_mega.flight.start_capture()
+        mega = r_mega.replay_mega([x])
+
+        assert mega.batch == 1 and mega.attempts == 1
+        assert mega.superblocks > 0
+        assert r_solo._executor.superblocks_run == 0
+        for name, want in solo.outputs.items():
+            assert np.asarray(mega.outputs[0][name]).tobytes() == \
+                np.asarray(want).tobytes()
+        # Counts and byte totals are the chain's; the pacing total and
+        # the first-kick *timestamp* are what superblocks shorten.
+        assert replace(mega.stats, pacing_wait_ns=0, first_kick_at_ns=0) \
+            == replace(solo.stats, pacing_wait_ns=0, first_kick_at_ns=0)
+        assert mega.stats.pacing_wait_ns <= solo.stats.pacing_wait_ns
+        assert 0 <= mega.startup_ns <= solo.startup_ns
+        assert mega.duration_ns <= solo.duration_ns
+
+        def chain(tape):
+            # Virtual timestamps are what superblock pacing is allowed
+            # to move; kinds, action indices and payloads are not.
+            return [(kind, index, detail)
+                    for _seq, _t_ns, kind, index, detail in tape
+                    if kind != "Pacing"]
+        assert chain(mega_tape) == chain(solo_tape)
+
+    def test_preempted_fused_pass_leaves_the_replayer_usable(self):
+        machine, replayer = _loaded("mali", "mnist", obs_on=True)
+        batch = [{"input": model_input("mnist", seed=20 + k)}
+                 for k in range(3)]
+        with pytest.raises(ReplayAborted):
+            replayer.replay_mega(batch, should_yield=lambda: True)
+        assert machine.gpu.mega_batch is None
+        assert machine.obs.tracer.open_span_count() == 0
+        result = replayer.replay(inputs=batch[1])
+        want = run_reference(build_model("mnist"), batch[1]["input"])
+        assert np.array_equal(result.output,
+                              want.reshape(result.output.shape))
+
+    @pytest.mark.parametrize("replayer_kwargs", [
+        {"fast_path": False},
+        {"checkpoint_policy": CheckpointPolicy(every_n_jobs=1)},
+    ], ids=["reference-forced", "checkpointing"])
+    def test_rejected_fused_call_keeps_last_inputs(self, replayer_kwargs):
+        """``resume_after_preemption`` replays ``_last_inputs``; a fused
+        call refused for want of a compiled executor must not change
+        them."""
+        _machine, replayer = _loaded("mali", "mnist", **replayer_kwargs)
+        first = {"input": model_input("mnist", seed=30)}
+        replayer.replay(inputs=first)
+        before = replayer._last_inputs
+        with pytest.raises(ReplayError, match="compiled fast path"):
+            replayer.replay_mega([{"input": model_input("mnist", seed=31)}])
+        assert replayer._last_inputs is before
+        assert np.array_equal(before["input"], first["input"])

@@ -156,6 +156,29 @@ class TestDivergenceFallback:
                     response.outputs[name].reshape(-1),
                     want.reshape(-1))
 
+        # ...exactly once: the fallback re-serves members, it must not
+        # answer any of them twice
+        rids = [r.rid for r in report.responses]
+        assert len(rids) == len(set(rids)) == load.requests
+        events = report.trace_events
+        assert validate_events(events, expected_rids=set(rids)) == []
+        latency = {r.rid: r.latency_ns for r in report.responses}
+        for rid, root in span_trees(events).items():
+            assert root.duration_ns == latency[rid]
+            assert sum(n.exclusive_ns for n in root.walk()) \
+                == root.duration_ns
+        # one mark per failed fused attempt, on that attempt's head
+        marks = [e for e in events
+                 if e["ev"] == "mark" and e["name"] == "mega.fallback"]
+        assert len(marks) == counters["serve.mega.fallbacks"]
+        attempts = {(e["rid"], e["sid"]): e["args"] for e in events
+                    if e["ev"] == "begin" and e["name"] == "attempt"}
+        for mark in marks:
+            attempt = attempts[(mark["rid"], mark["psid"])]
+            assert attempt["slot"] == 0 and attempt["batch"] > 1
+            assert mark["args"] == {"error": "MegaBatchDivergence"}
+        assert len({(m["rid"], m["psid"]) for m in marks}) == len(marks)
+
 
 MULTI_MIX = (("mali", "mnist"), ("v3d", "mnist"), ("adreno", "mnist"))
 
