@@ -62,6 +62,12 @@ LOAD_CACHE_CAPACITY = 64
 #: is exactly as trustworthy as re-running the verifier.
 LOAD_CACHE = LruCache(capacity=LOAD_CACHE_CAPACITY)
 
+#: Bound executors one replayer keeps (least recently used out first):
+#: a serving worker alternating between a few contents re-binds none
+#: of them (a bind is one closure per action, and the host's cyclic GC
+#: pays for each).
+BOUND_EXECUTORS = 4
+
 #: Compressed-blob digest -> decoded Recording, so ``load_bytes`` of a
 #: known blob skips decompression and decoding entirely.
 BLOB_CACHE = LruCache(capacity=LOAD_CACHE_CAPACITY)
@@ -129,6 +135,12 @@ class Replayer:
         self.last_load_info: Dict[str, object] = {}
         #: Delay window of the most recent §5.4 injected-delay retry.
         self.last_delay_range: Optional[Tuple[int, int]] = None
+        #: (CompiledProgram, obs session), both by identity -> the
+        #: executor bound to this replayer's nano driver. Lives here,
+        #: not in the process-wide load cache: an executor references
+        #: the machine.
+        self._executors = LruCache(capacity=BOUND_EXECUTORS)
+        #: The executor the most recent fast-path replay ran on.
         self._executor: Optional[CompiledExecutor] = None
         self._session_maps: Dict[int, int] = {}
         #: Load-cache keys whose one-time Load cost this replayer has
@@ -185,7 +197,6 @@ class Replayer:
         self.current = None
         self.verification = None
         self.program = None
-        self._executor = None
         return self.machine.clock.now() - t0
 
     # -- API: Load -------------------------------------------------------------------
@@ -230,7 +241,6 @@ class Replayer:
         self.current = recording
         self.verification = report
         self.program = program
-        self._executor = None  # re-bound lazily on the next replay
         self.load_ns = self.machine.clock.now() - t0
         obs.gauge("replay.load_ns").set(self.load_ns)
         return report
@@ -438,9 +448,10 @@ class Replayer:
                        ) -> Optional[CompiledExecutor]:
         """The bound compiled executor, or None for the reference path.
 
-        The executor is rebound when the staged program changed (a new
-        ``load``) or when the machine's observability session was
-        swapped since the last bind.
+        Bound lazily, once per staged program and observability
+        session: executors of recently staged programs are kept across
+        ``load``/``reset_session``, and a swapped ``machine.obs``
+        binds afresh.
         """
         if (not self.fast_path or self.program is None
                 or use_recorded_intervals or self.checkpoints.enabled):
@@ -448,9 +459,9 @@ class Replayer:
         # The staged program may come from the load cache, compiled
         # against an earlier Recording object with the same digest --
         # byte-identical content, so it replays this recording exactly.
-        if (self._executor is None
-                or self._executor.obs is not self.machine.obs):
-            self._executor = self.program.bind(self.nano)
+        self._executor = self._executors.get_or_produce(
+            (self.program, self.machine.obs),
+            lambda: self.program.bind(self.nano))
         return self._executor
 
     def replay_sequence(self, recordings: Sequence[Recording],

@@ -24,7 +24,6 @@ from typing import List, Optional
 from repro.errors import (GpuPageFault, JobDecodeError,
                           ShaderDecodeError)
 from repro.gpu.device import GpuDevice, RunningJob
-from repro.gpu.isa import decode_program
 from repro.gpu.mmu import PTE_FORMATS
 from repro.soc.machine import Machine
 from repro.soc.mmio import RegAttr, RegisterDef
@@ -262,8 +261,7 @@ class AdrenoGpu(GpuDevice):
                 magic, blob_size, shader_va = RING_PKT.unpack(raw)
                 if magic != RING_PKT_MAGIC:
                     raise JobDecodeError(f"bad ring magic {magic:#x}")
-                program = decode_program(
-                    self.mmu.read_va(shader_va, blob_size, access="x"))
+                program = self._fetch_kernel(shader_va, blob_size, "x")
             except GpuPageFault as fault:
                 self._raise_smmu_fault(fault.va)
                 return
@@ -316,7 +314,7 @@ class AdrenoGpu(GpuDevice):
         self.regs.poke("SPTP_PWR_STATUS", 0)
         job = self._hw_active
         if job is not None and job.completion is not None:
-            job.completion.cancel()
+            self._cancel(job.completion)
             self._hw_active = None
             self._hw_pending.clear()
             self.note_job_retired(job)

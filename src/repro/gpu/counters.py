@@ -20,9 +20,8 @@ Attribution model:
 * ``begin_job()`` / ``record_kernel(...)`` are called by the GPU
   device as jobs complete: one kernel row per program executed, with
   instructions retired (the shader executor's return value), modeled
-  FLOPs and bytes touched (``isa.flops_estimate`` /
-  ``isa.bytes_touched``), the TLB hit/miss delta the program caused,
-  and the mega-batch fan-out it ran under.
+  FLOPs and bytes touched (``isa.kernel_cost``), the TLB hit/miss
+  delta the program caused, and the mega-batch fan-out it ran under.
 
 Determinism: every value is derived from replayed state on the
 virtual clock -- same seed, same tape, byte for byte.  The tape is
@@ -88,19 +87,7 @@ def kernel_label(program) -> str:
     FLOPs) plus 5 other instructions fused in the same program".  Ties
     break toward the earliest instruction, so the label is stable.
     """
-    instructions = getattr(program, "instructions", None) or ()
-    if not len(instructions):
-        return "empty"
-    best = None
-    best_flops = -1.0
-    for instr in instructions:
-        flops = isa.flops_estimate(instr)
-        if flops > best_flops:
-            best_flops = flops
-            best = instr
-    rest = len(instructions) - 1
-    name = best.op.name.lower()
-    return f"{name}+{rest}" if rest else name
+    return isa.kernel_cost(program)[2]
 
 
 class CounterTape:
@@ -172,13 +159,8 @@ class CounterTape:
         if not self.enabled:
             return
         self._kernel += 1
-        label = kernel_label(program)
+        flops, nbytes, label = isa.kernel_cost(program)
         row = self._row(self._digest, self._job, self._kernel, label)
-        flops = 0.0
-        nbytes = 0
-        for instr in getattr(program, "instructions", ()):
-            flops += isa.flops_estimate(instr)
-            nbytes += isa.bytes_touched(instr)
         scale = fanout if fanout else 1
         flops *= scale
         nbytes *= scale

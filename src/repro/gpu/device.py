@@ -9,10 +9,13 @@ recorder's idle heuristic, fault injection for Section 7.2).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.errors import SocError
 from repro.gpu.counters import CounterTape
+from repro.gpu.isa import Program, decode_program, kernel_cost
 from repro.gpu.mmu import GpuMmu, PteFormat
 from repro.gpu.perf import GpuPerfModel
 from repro.gpu.shader_exec import (execute_program,
@@ -21,6 +24,11 @@ from repro.soc.clock import ClockDomain, EventHandle
 from repro.soc.machine import Machine
 from repro.soc.mmio import RegisterDef, RegisterFile
 from repro.units import US
+
+#: Distinct shader blobs one device keeps decoded (oldest out first).
+MAX_KERNELS = 256
+#: Busy/idle edges one device remembers (two per job).
+BUSY_HISTORY = 1024
 
 
 @dataclass
@@ -66,15 +74,23 @@ class GpuDevice:
         # Busy/idle tracking: transitions feed the recorder's
         # "GPU idle through the interval => skippable" heuristic (§4.5).
         self._busy_count = 0
-        self.busy_transitions: List[Tuple[int, bool]] = [(0, False)]
+        self.busy_transitions: Deque[Tuple[int, bool]] = deque(
+            [(0, False)], maxlen=BUSY_HISTORY)
         self.busy_observers: List[Callable[[bool], None]] = []
 
         # Fault injection (hardware-level events; see repro.gpu.faults).
         self.offline_core_mask = 0
         self._busy_span = None
 
+        #: Scheduled hardware events that have neither fired nor been
+        #: cancelled; a reset cancels them all.
         self._pending_ops: List[EventHandle] = []
         self._irq_level = False
+
+        #: Kernel cache: shader blob bytes -> decoded program with its
+        #: cost filled in. Keyed by content, and the blob is still read
+        #: through the MMU on every kick, so an entry cannot go stale.
+        self._kernels: Dict[bytes, Program] = {}
 
         # Mega-batch arming: when set to a shader_exec.BatchEnv, job
         # completion evaluates shader programs batched (one pass for N
@@ -129,9 +145,17 @@ class GpuDevice:
             observer(busy)
 
     def idle_throughout(self, t0: int, t1: int) -> bool:
-        """True if the GPU was idle during the whole window [t0, t1]."""
+        """True if the GPU was idle during the whole window [t0, t1].
+
+        The history is bounded (:data:`BUSY_HISTORY` edges): a window
+        that starts before the oldest edge kept raises
+        :class:`~repro.errors.SocError` instead of guessing."""
         if t1 < t0:
             t0, t1 = t1, t0
+        if t0 < self.busy_transitions[0][0]:
+            raise SocError(
+                f"busy history starts at {self.busy_transitions[0][0]} "
+                f"ns; the window from {t0} ns is no longer retained")
         state_at_t0 = False
         for when, busy in self.busy_transitions:
             if when <= t0:
@@ -145,7 +169,8 @@ class GpuDevice:
 
     def trim_busy_history(self) -> None:
         """Drop history older than the current instant (memory bound)."""
-        self.busy_transitions = [(self.machine.clock.now(), self.busy)]
+        self.busy_transitions.clear()
+        self.busy_transitions.append((self.machine.clock.now(), self.busy))
 
     # -- job execution timeline (obs plumbing) ----------------------------------
 
@@ -173,7 +198,21 @@ class GpuDevice:
                 self.machine.obs.end(job.obs_span)
                 job.obs_span = None
 
-    # -- shader execution (shared by the family completion paths) ---------------
+    # -- shader fetch and execution (shared by the family paths) -----------------
+
+    def _fetch_kernel(self, va: int, size: int, access: str) -> Program:
+        """The shader program at ``va``: its bytes are fetched through
+        the MMU on every kick and decoded once per distinct blob. Shared
+        between jobs, so nobody edits the program returned."""
+        blob = self.mmu.read_va(va, size, access=access)
+        program = self._kernels.get(blob)
+        if program is None:
+            program = decode_program(blob)
+            program.cost = kernel_cost(program)
+            if len(self._kernels) >= MAX_KERNELS:
+                del self._kernels[next(iter(self._kernels))]
+            self._kernels[blob] = program
+        return program
 
     def _run_job_programs(self, job: RunningJob) -> None:
         """Execute every shader program of a retiring job.
@@ -212,9 +251,22 @@ class GpuDevice:
 
     def _schedule(self, delay_ns: int, callback: Callable[[], None],
                   tag: str = "") -> EventHandle:
-        handle = self.machine.clock.schedule(delay_ns, callback, tag)
+        def fire() -> None:
+            nonlocal handle
+            self._pending_ops.remove(handle)
+            # Unhook handle -> event -> fire -> handle, so a fired event
+            # is freed by reference count, not by the cycle collector.
+            handle = None
+            callback()
+        handle = self.machine.clock.schedule(delay_ns, fire, tag)
         self._pending_ops.append(handle)
         return handle
+
+    def _cancel(self, handle: EventHandle) -> None:
+        """Cancel one scheduled event and stop tracking it."""
+        handle.cancel()
+        if handle in self._pending_ops:
+            self._pending_ops.remove(handle)
 
     def _cancel_pending(self) -> None:
         for handle in self._pending_ops:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 from repro.errors import ShaderDecodeError
 
@@ -91,14 +92,15 @@ class TensorRef:
     va: int
     shape: Tuple[int, ...]
 
-    @property
+    # Derived from frozen fields, so computed once per operand.
+    @cached_property
     def elements(self) -> int:
         n = 1
         for d in self.shape:
             n *= d
         return n
 
-    @property
+    @cached_property
     def nbytes(self) -> int:
         return self.elements * 4
 
@@ -128,6 +130,10 @@ class Program:
     """A decoded shader program."""
 
     instructions: List[Instruction] = field(default_factory=list)
+    #: :func:`kernel_cost` of the instructions, filled in only by an
+    #: owner that never edits them afterwards (the GPU's kernel cache).
+    cost: Optional[Tuple[float, int, str]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def referenced_ranges(self) -> List[Tuple[int, int]]:
         """All (va, size) ranges any instruction touches."""
@@ -257,3 +263,32 @@ def flops_estimate(instr: Instruction) -> float:
 def bytes_touched(instr: Instruction) -> int:
     """Total memory traffic of one instruction (for bandwidth costing)."""
     return sum(ref.nbytes for ref in instr.operands)
+
+
+def kernel_cost(program: Program) -> Tuple[float, int, str]:
+    """``(FLOPs, bytes touched, label)`` of a whole program.
+
+    The one walk over a kernel's instructions that the cost model, the
+    counter tape and the profiler's frame names all read, each summed
+    in instruction order. The label is the dominant op (most modeled
+    FLOPs, earliest on a tie) plus the count of other instructions:
+    ``conv2d+5``, ``relu``, ``empty``.
+    """
+    if program.cost is not None:
+        return program.cost
+    flops = 0.0
+    traffic = 0
+    best = None
+    best_flops = -1.0
+    for instr in program.instructions:
+        estimate = flops_estimate(instr)
+        flops += estimate
+        traffic += bytes_touched(instr)
+        if estimate > best_flops:
+            best_flops = estimate
+            best = instr
+    if best is None:
+        return flops, traffic, "empty"
+    name = best.op.name.lower()
+    rest = len(program.instructions) - 1
+    return flops, traffic, f"{name}+{rest}" if rest else name

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 from repro.errors import GpuPageFault, JobDecodeError, ShaderDecodeError
 from repro.gpu import jobs as jobfmt
 from repro.gpu.device import GpuDevice, RunningJob
-from repro.gpu.isa import Program, decode_program
 from repro.gpu.mmu import PTE_FORMATS
 from repro.soc.machine import Machine
 from repro.soc.mmio import RegAttr, RegisterDef
@@ -368,8 +367,7 @@ class MaliGpu(GpuDevice):
             chain = jobfmt.walk_mali_chain(
                 head, lambda va, n: self.mmu.read_va(va, n, access="x"))
             programs = [
-                decode_program(self.mmu.read_va(d.shader_va, d.shader_size,
-                                                access="x"))
+                self._fetch_kernel(d.shader_va, d.shader_size, "x")
                 for _va, d in chain
             ]
         except GpuPageFault as fault:
@@ -437,7 +435,7 @@ class MaliGpu(GpuDevice):
         if job is None:
             return
         if job.completion is not None:
-            job.completion.cancel()
+            self._cancel(job.completion)
         if self._hw_active is job:
             self._start_next_queued()
         elif job in self._hw_pending:
@@ -459,7 +457,7 @@ class MaliGpu(GpuDevice):
             if job is not None and job.active_cores and \
                     (self.regs.peek(f"JS{slot}_AFFINITY") & mask):
                 if job.completion is not None:
-                    job.completion.cancel()
+                    self._cancel(job.completion)
                 if self._hw_active is job:
                     self._start_next_queued()
                 elif job in self._hw_pending:

@@ -11,6 +11,18 @@ cross-SKU experience: the regular Mali format, the LPAE variant used by
 the low-end SKU whose *permission bits sit in a different order* (the
 cross-GPU patch re-arranges them), and the v3d format which has no
 permission bits at all (forcing the recorder's conservative dumps).
+
+Host cost. The MMU caches two things, both derived from page-table
+memory and both dropped by :meth:`GpuMmu._drop_translations` wherever
+that memory may have changed: translations (the TLB, kept coherent by a
+write hook on physical memory) and *page runs* -- per
+``(va, size, access)`` range, the physical pages the TLB already
+resolved it to. A warm bulk access then costs one C-level gather (or
+one physical write per page) instead of a Python iteration per page;
+first touches, faults and partial writes go through the one
+page-at-a-time loop, :meth:`GpuMmu._walk`, and count the same hits and
+misses either way. The bytes themselves are never cached: a run holds
+the live page buffers, so it reads whatever the CPU or GPU last wrote.
 """
 
 from __future__ import annotations
@@ -33,6 +45,11 @@ _L1_BITS = 9
 _L0_BITS = 9
 L1_SPAN = 1 << (_OFFSET_BITS + _L1_BITS)  # 2 MiB per L1 table
 VA_SPACE_SIZE = 1 << (_OFFSET_BITS + _L1_BITS + _L0_BITS)  # 1 GiB
+
+#: Pages all remembered page runs of one MMU may span together (128 MiB
+#: of touched ranges). A range that would not fit alone is never
+#: remembered; one that no longer fits starts the memo over.
+MAX_RUN_PAGES = 1 << 15
 
 
 def split_va(va: int) -> Tuple[int, int, int]:
@@ -216,6 +233,14 @@ class GpuMmu:
         self.base_pa: Optional[int] = None
         self.enabled = False
         self._tlb: Dict[Tuple[int, str], int] = {}
+        #: Page runs: ``(va, size, access)`` -> what the TLB said about
+        #: every page of that range when it was last probed -- the live
+        #: page buffers for a read, ``(pa, length)`` pieces for a write.
+        #: A memo of TLB entries, so it is dropped exactly where the TLB
+        #: is (:meth:`_drop_translations`); translations are remembered,
+        #: bytes never are.
+        self._runs: Dict[Tuple[int, int, str], list] = {}
+        self._run_pages = 0
         self.fault_count = 0
         #: Emulated TLB performance counters (plain ints on the hot
         #: path; the device's CounterTape samples deltas per kernel).
@@ -228,12 +253,14 @@ class GpuMmu:
         #: Coherent-TLB mode. The simulated TLB is an implementation
         #: cache, not architectural state: with shootdown, any physical
         #: write to a page this MMU has walked tables from clears the
-        #: cache, so translations can never go stale and architectural
-        #: flush commands have nothing left to invalidate. Cached
-        #: translations then survive across replays, removing a full
-        #: page-table walk per touched page per replay. Set False to
-        #: get the historical behaviour (flush commands discard the
-        #: TLB) -- the replay fast-path benchmark does, to measure the
+        #: cache (and the page runs built from it), so translations can
+        #: never go stale and architectural flush commands have nothing
+        #: left to invalidate. Cached translations then survive across
+        #: replays, removing a full page-table walk per touched page
+        #: per replay -- and, through the runs, the per-page work of a
+        #: warm access altogether. Set False to get the historical
+        #: behaviour (flush commands discard the TLB and the runs) --
+        #: the replay fast-path benchmark does, to measure the
         #: pre-optimization baseline.
         self.coherent_tlb = True
         self._table_pages: set = set()
@@ -259,24 +286,29 @@ class GpuMmu:
         last = (pa + size - 1) >> 12
         if first in tables or (last != first and any(
                 page in tables for page in range(first + 1, last + 1))):
-            self._tlb.clear()
-            tables.clear()
+            self._drop_translations()
+
+    def _drop_translations(self) -> None:
+        """Forget every cached translation: the TLB, the table pages it
+        was walked from and the page runs probed out of it."""
+        self._tlb.clear()
+        self._table_pages.clear()
+        self._runs.clear()
+        self._run_pages = 0
 
     def set_base(self, base_pa: int) -> None:
         changed = base_pa != self.base_pa
         self.base_pa = base_pa
         self.enabled = base_pa != 0
         if changed or not self.coherent_tlb:
-            self._tlb.clear()
-            self._table_pages.clear()
+            self._drop_translations()
 
     def flush_tlb(self) -> None:
         if self.coherent_tlb:
             # Shootdown keeps the cache coherent with table memory;
             # the architectural flush has nothing to invalidate.
             return
-        self._tlb.clear()
-        self._table_pages.clear()
+        self._drop_translations()
 
     def translate(self, va: int, access: str) -> int:
         """Translate one VA; raises :class:`GpuPageFault` on failure."""
@@ -315,42 +347,109 @@ class GpuMmu:
 
     # -- bulk access (gather/scatter across non-contiguous pages) ----------
 
-    def read_va(self, va: int, size: int, access: str = "r") -> bytes:
-        # Page-at-a-time gather. The TLB probe is inlined: the shader
-        # cores stream entire weight tensors through here, so the
-        # per-page constant factor is the GPU model's hot path.
+    def _walk(self, va: int, size: int, access: str
+              ) -> Iterator[Tuple[int, int]]:
+        """``(pa, length)`` of each page ``[va, va + size)`` touches,
+        translated one page at a time as the caller consumes them.
+
+        The one page loop behind every first touch, fault and partial
+        write: a fault leaves the pages before it accessed, and a page
+        is translated only after the caller is done with the previous
+        one (whose write may have shot the TLB down). The TLB probe is
+        inlined -- this is the per-page cost of a cold access.
+        """
         tlb = self._tlb
-        mem_read = self.memory.read
-        page_mask = PAGE_SIZE - 1
-        chunks = []
         cursor = va
-        remaining = size
-        while remaining > 0:
-            offset = cursor & page_mask
-            chunk = min(remaining, PAGE_SIZE - offset)
+        end = va + size
+        while cursor < end:
+            offset = cursor & (PAGE_SIZE - 1)
             base = tlb.get((cursor - offset, access))
             if base is None:
                 pa = self.translate(cursor, access)
             else:
                 self.tlb_hits += 1
                 pa = base | offset
-            chunks.append(mem_read(pa, chunk))
+            chunk = min(end - cursor, PAGE_SIZE - offset)
+            yield pa, chunk
             cursor += chunk
-            remaining -= chunk
-        return b"".join(chunks)
+
+    def _run(self, va: int, size: int, access: str) -> Optional[list]:
+        """The page run of ``[va, va + size)``: remembered, or probed
+        now out of TLB entries that are *already present*.
+
+        None unless every page of the range hits the TLB (and, for a
+        read, has a buffer in physical memory), so a run never counts
+        a miss, walks a table or faults -- whatever it cannot answer
+        goes through :meth:`_walk`. Using a run is worth
+        ``tlb_hits += len(run)``.
+        """
+        key = (va, size, access)
+        run = self._runs.get(key)
+        if run is not None or \
+                not 0 < size <= (MAX_RUN_PAGES - 1) * PAGE_SIZE:
+            return run
+        tlb = self._tlb
+        page_buffer = self.memory.page_buffer
+        run = []
+        cursor = va
+        end = va + size
+        while cursor < end:
+            offset = cursor & (PAGE_SIZE - 1)
+            base = tlb.get((cursor - offset, access))
+            if base is None:
+                return None
+            chunk = min(end - cursor, PAGE_SIZE - offset)
+            if access == "w":
+                run.append((base | offset, chunk))
+            else:
+                buffer = page_buffer(base)
+                if buffer is None:
+                    return None
+                run.append(buffer if chunk == PAGE_SIZE else
+                           memoryview(buffer)[offset:offset + chunk])
+            cursor += chunk
+        if self._run_pages + len(run) > MAX_RUN_PAGES:
+            self._runs.clear()
+            self._run_pages = 0
+        self._runs[key] = run
+        self._run_pages += len(run)
+        return run
+
+    def _parts(self, va: int, size: int, access: str) -> list:
+        """One buffer per page of a readable range, TLB traffic counted."""
+        run = self._run(va, size, access)
+        if run is not None:
+            self.tlb_hits += len(run)
+            return run
+        return [self.memory.read(pa, chunk)
+                for pa, chunk in self._walk(va, size, access)]
+
+    def read_va(self, va: int, size: int, access: str = "r") -> bytes:
+        return b"".join(self._parts(va, size, access))
+
+    def gather_va(self, va: int, size: int, access: str = "r") -> bytearray:
+        """:meth:`read_va` into a fresh mutable buffer -- what the
+        shader cores wrap as a tensor without a second copy."""
+        return bytearray().join(self._parts(va, size, access))
 
     def write_va(self, va: int, data: bytes) -> None:
+        size = len(data)
         if self.write_observer is not None:
-            self.write_observer(va, len(data))
-        cursor = va
-        offset = 0
-        while offset < len(data):
-            pa = self.translate(cursor, "w")
-            chunk = min(len(data) - offset,
-                        PAGE_SIZE - (cursor & (PAGE_SIZE - 1)))
-            self.memory.write(pa, data[offset:offset + chunk])
-            cursor += chunk
-            offset += chunk
+            self.write_observer(va, size)
+        view = memoryview(data)
+        tlb = self._tlb
+        done = 0
+        for pa, chunk in self._run(va, size, "w") or ():
+            if not tlb:
+                # The previous page was a page-table page: its write
+                # shot the TLB (and this run) down. Finish by walking.
+                break
+            self.tlb_hits += 1
+            self.memory.write(pa, view[done:done + chunk])
+            done += chunk
+        for pa, chunk in self._walk(va + done, size - done, "w"):
+            self.memory.write(pa, view[done:done + chunk])
+            done += chunk
 
 
 class PageTableBuilder:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpu.isa import Program, bytes_touched, flops_estimate
+from repro.gpu.isa import Program, kernel_cost
 from repro.soc.clock import ClockDomain
 from repro.soc.machine import InterferenceProfile
 from repro.units import US
@@ -44,8 +44,7 @@ class GpuPerfModel:
         """Cycle count for executing ``program`` on ``active_cores``."""
         if active_cores <= 0:
             raise ValueError("job needs at least one active core")
-        flops = sum(flops_estimate(i) for i in program.instructions)
-        traffic = sum(bytes_touched(i) for i in program.instructions)
+        flops, traffic, _label = kernel_cost(program)
         compute_cycles = flops / (self.flops_per_core_cycle * active_cores)
         memory_cycles = (traffic
                          / (self.bytes_per_core_cycle * active_cores)

@@ -206,8 +206,8 @@ def compute_fill(shape: Tuple[int, ...],
 
 
 def _load(mmu: GpuMmu, ref: TensorRef) -> np.ndarray:
-    raw = mmu.read_va(ref.va, ref.nbytes, access="r")
-    return np.frombuffer(raw, dtype=np.float32).reshape(ref.shape).copy()
+    raw = mmu.gather_va(ref.va, ref.nbytes, access="r")
+    return np.frombuffer(raw, dtype=np.float32).reshape(ref.shape)
 
 
 def _store(mmu: GpuMmu, ref: TensorRef, value: np.ndarray) -> None:

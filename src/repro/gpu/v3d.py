@@ -23,7 +23,6 @@ from typing import List, Optional
 from repro.errors import GpuPageFault, JobDecodeError, ShaderDecodeError
 from repro.gpu import jobs as jobfmt
 from repro.gpu.device import GpuDevice, RunningJob
-from repro.gpu.isa import decode_program
 from repro.gpu.mmu import PTE_FORMATS
 from repro.soc.machine import Machine
 from repro.soc.mmio import RegAttr, RegisterDef
@@ -211,8 +210,7 @@ class V3dGpu(GpuDevice):
             entries = jobfmt.walk_control_list(
                 base_va, lambda va, n: self.mmu.read_va(va, n, access="r"))
             programs = [
-                decode_program(self.mmu.read_va(e.shader_va, e.shader_size,
-                                                access="r"))
+                self._fetch_kernel(e.shader_va, e.shader_size, "r")
                 for e in entries if e.opcode == jobfmt.CL_EXEC_SHADER
             ]
         except GpuPageFault as fault:
@@ -266,7 +264,7 @@ class V3dGpu(GpuDevice):
         self.offline_core_mask |= mask
         job = self._job
         if job is not None:
-            job.completion.cancel()
+            self._cancel(job.completion)
             self._job = None
             self.note_job_retired(job)
             self._exit_busy()

@@ -72,11 +72,21 @@ class PhysicalMemory:
 
     def write(self, pa: int, data: bytes) -> None:
         """Write ``data`` at physical address ``pa``."""
-        self._check_range(pa, len(data))
-        if self.write_hook is not None:
-            self.write_hook(pa, len(data))
-        offset = 0
         length = len(data)
+        if pa < 0 or pa + length > self.size:
+            self._check_range(pa, length)
+        if self.write_hook is not None:
+            self.write_hook(pa, length)
+        page_index, page_offset = divmod(pa, PAGE_SIZE)
+        if 0 < length <= PAGE_SIZE - page_offset:
+            # Single-page write: the unit MMU-mediated stores and dump
+            # uploads decompose into (as in read).
+            page = self._pages.get(page_index)
+            if page is None:
+                page = self._pages[page_index] = bytearray(PAGE_SIZE)
+            page[page_offset:page_offset + length] = data
+            return
+        offset = 0
         while offset < length:
             page_index, page_offset = divmod(pa + offset, PAGE_SIZE)
             chunk = min(length - offset, PAGE_SIZE - page_offset)
@@ -132,6 +142,13 @@ class PhysicalMemory:
     def touched_pages(self) -> int:
         """Number of pages actually materialized."""
         return len(self._pages)
+
+    def page_buffer(self, pa: int) -> Optional[bytearray]:
+        """The live buffer behind the page containing ``pa``, or None
+        while the page is unmaterialized. A page's buffer is created
+        once and only ever written in place, so a holder (the GPU MMU's
+        page runs) sees every later write; holders read, never resize."""
+        return self._pages.get(pa // PAGE_SIZE)
 
     def page_is_zero(self, pa: int) -> bool:
         """True if the page containing ``pa`` holds only zero bytes."""

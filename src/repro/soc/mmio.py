@@ -84,6 +84,12 @@ class RegisterFile:
             self._by_name[d.name] = d
             self._by_offset[d.offset] = d
         self._values: Dict[str, int] = {d.name: d.reset for d in defs}
+        # Definitions are frozen: decide once which names the bus may
+        # read or write, instead of testing an enum flag per access.
+        self._readable = {d.name for d in defs
+                          if RegAttr.READABLE in d.attrs}
+        self._writable = {d.name for d in defs
+                          if RegAttr.WRITABLE in d.attrs}
         self._write_handlers: Dict[str, Callable[[int, int], None]] = {}
         self._read_handlers: Dict[str, Callable[[int], int]] = {}
         self._access_hooks: List[Callable[[str, str, int], None]] = []
@@ -146,11 +152,14 @@ class RegisterFile:
     # -- internal state (no hooks, no handlers) ------------------------------
 
     def peek(self, name: str) -> int:
-        self.lookup(name)
-        return self._values[name]
+        value = self._values.get(name)
+        if value is None:
+            self.lookup(name)
+        return value
 
     def poke(self, name: str, value: int) -> None:
-        self.lookup(name)
+        if name not in self._values:
+            self.lookup(name)
         self._values[name] = value & U32_MASK
 
     def snapshot(self) -> Dict[str, int]:
@@ -164,8 +173,8 @@ class RegisterFile:
     # -- bus-facing access ----------------------------------------------------
 
     def read(self, name: str) -> int:
-        d = self.lookup(name)
-        if RegAttr.READABLE not in d.attrs:
+        if name not in self._readable:
+            self.lookup(name)
             raise MmioError(f"register {name} is not readable")
         if self._gate is not None and not self._gate():
             value = U32_MASK
@@ -181,8 +190,8 @@ class RegisterFile:
         return value
 
     def write(self, name: str, value: int) -> None:
-        d = self.lookup(name)
-        if RegAttr.WRITABLE not in d.attrs:
+        if name not in self._writable:
+            self.lookup(name)
             raise MmioError(f"register {name} is not writable")
         value &= U32_MASK
         if self._gate is not None and not self._gate():
@@ -209,6 +218,10 @@ class MmioBus:
 
     def __init__(self) -> None:
         self._mappings: List[Tuple[int, int, RegisterFile]] = []
+        #: Address -> (register file, register name), filled the first
+        #: time an address resolves (at most one entry per mapped
+        #: register) and reset by :meth:`map`.
+        self._routes: Dict[int, Tuple[RegisterFile, str]] = {}
 
     def map(self, base: int, regfile: RegisterFile) -> None:
         size = regfile.span()
@@ -217,6 +230,7 @@ class MmioBus:
                 raise MmioError(
                     f"MMIO mapping at {base:#x} overlaps existing mapping")
         self._mappings.append((base, size, regfile))
+        self._routes.clear()
 
     def resolve(self, addr: int) -> Tuple[RegisterFile, int]:
         for base, size, regfile in self._mappings:
@@ -224,13 +238,21 @@ class MmioBus:
                 return regfile, addr - base
         raise MmioError(f"no MMIO mapping at address {addr:#x}")
 
+    def _route(self, addr: int) -> Tuple[RegisterFile, str]:
+        route = self._routes.get(addr)
+        if route is None:
+            regfile, offset = self.resolve(addr)
+            route = regfile, regfile.lookup_offset(offset).name
+            self._routes[addr] = route
+        return route
+
     def read(self, addr: int) -> int:
-        regfile, offset = self.resolve(addr)
-        return regfile.read_offset(offset)
+        regfile, name = self._route(addr)
+        return regfile.read(name)
 
     def write(self, addr: int, value: int) -> None:
-        regfile, offset = self.resolve(addr)
-        regfile.write_offset(offset, value)
+        regfile, name = self._route(addr)
+        regfile.write(name, value)
 
     def base_of(self, regfile: RegisterFile) -> Optional[int]:
         for base, _, rf in self._mappings:

@@ -8,8 +8,9 @@ On-disk layout under one root directory::
                               back, each behind a 4-byte record word
                               (stored length; top bit set when the bytes
                               are stored raw because zlib would not
-                              shrink them). Named by the SHA-256 of the
-                              file, so equal content gives equal vaults.
+                              shrink them by a tenth). Named by the
+                              SHA-256 of the file, so equal content
+                              gives equal vaults.
     packs/<digest>.idx        one per packed recording: where every
                               object *that recording* needs lives --
                               fixed-width entries (object digest ->
@@ -28,8 +29,9 @@ bytes; packs only change how many files hold them. A fetch reads the
 recording's own ``.idx`` (objects it shares with earlier recordings are
 listed there too, pointing into the earlier packs -- so the cost is
 O(objects of this recording), whatever else the vault holds), then one
-contiguous span per pack touched. A chunk zlib cannot shrink is handed
-on as a view into that span, with no inflate and no copy.
+contiguous span per pack touched. A chunk stored raw (zlib would save
+under 10%) is handed on as a view into that span, with no inflate and
+no copy.
 
 Integrity is a chain with the recording digest at the root: the
 manifest names every chunk by content hash, ``fetch`` re-hashes each
@@ -170,8 +172,10 @@ class _PackWriter:
         return digest, new
 
     def add(self, digest: str, payload: bytes) -> None:
+        # Deflated only when that saves a tenth: a read inflates every
+        # deflated object it touches, a raw one is a view of the span.
         packed = zlib.compress(payload, OBJECT_ZLIB_LEVEL)
-        if len(packed) < len(payload):
+        if len(packed) * 10 <= len(payload) * 9:
             self.add_stored(digest, len(packed), packed)
         else:
             self.add_stored(digest, len(payload) | _RAW, payload)

@@ -1,6 +1,7 @@
 """GPU MMU: PTE formats, table building, translation, faults."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GpuPageFault, SocError
 from repro.gpu.mmu import (L1_SPAN, PERM_R, PERM_W, PERM_X, PTE_FORMATS,
@@ -320,3 +321,302 @@ class TestGpuMmu:
         mmu.translate(0x100000, "r")
         mmu.set_base(allocator.alloc_page())  # different address space
         assert not mmu._tlb
+
+
+# ---------------------------------------------------------------------------
+# Page runs: the bulk data path against a page-at-a-time reference.
+# ---------------------------------------------------------------------------
+
+
+class PageAtATimeMmu(GpuMmu):
+    """The reference data path: every access walks its range one page
+    at a time through the TLB, exactly as the MMU did before it
+    remembered page runs. Translation, shootdown and the counters are
+    the real class's; only the two bulk loops are kept here."""
+
+    def read_va(self, va, size, access="r"):
+        chunks = []
+        cursor = va
+        remaining = size
+        while remaining > 0:
+            offset = cursor & (PAGE_SIZE - 1)
+            chunk = min(remaining, PAGE_SIZE - offset)
+            base = self._tlb.get((cursor - offset, access))
+            if base is None:
+                pa = self.translate(cursor, access)
+            else:
+                self.tlb_hits += 1
+                pa = base | offset
+            chunks.append(self.memory.read(pa, chunk))
+            cursor += chunk
+            remaining -= chunk
+        return b"".join(chunks)
+
+    def gather_va(self, va, size, access="r"):
+        return bytearray(self.read_va(va, size, access))
+
+    def write_va(self, va, data):
+        if self.write_observer is not None:
+            self.write_observer(va, len(data))
+        cursor = va
+        offset = 0
+        while offset < len(data):
+            pa = self.translate(cursor, "w")
+            chunk = min(len(data) - offset,
+                        PAGE_SIZE - (cursor & (PAGE_SIZE - 1)))
+            self.memory.write(pa, data[offset:offset + chunk])
+            cursor += chunk
+            offset += chunk
+
+
+#: Eight VA pages straddling an L1-table boundary; a ninth is never
+#: mapped, so ranges reaching it have an unmapped tail.
+RUN_SLOTS = 8
+RUN_BASE_VA = L1_SPAN - 4 * PAGE_SIZE
+#: (offset from RUN_BASE_VA, size) of the ranges the property test
+#: accesses -- few enough that sequences repeat them and reuse runs.
+RUN_RANGES = (
+    (0x10, 0x20),                              # inside one page
+    (PAGE_SIZE - 0x10, 0x40),                  # unaligned, two pages
+    (0, 3 * PAGE_SIZE),                        # aligned, multi-page
+    (3 * PAGE_SIZE + 0x800, 2 * PAGE_SIZE),    # across the L1 boundary
+    (6 * PAGE_SIZE + 8, 0x30),                 # a page with no buffer yet
+    (6 * PAGE_SIZE + 4, 3 * PAGE_SIZE - 8),    # unmapped tail
+    (0, RUN_SLOTS * PAGE_SIZE),                # everything
+    (5 * PAGE_SIZE, 0),                        # empty
+)
+RUN_PERMS = (PERM_R, PERM_R | PERM_W, PERM_R | PERM_W | PERM_X,
+             PERM_R | PERM_X, PERM_W)
+#: Never written before the test maps them: pages without a buffer.
+RAW_PAS = (12 * MIB, 12 * MIB + PAGE_SIZE)
+
+
+class RunWorld:
+    """One memory + page tables + MMU, with both write hooks logged."""
+
+    def __init__(self, mmu_cls, fmt_name, coherent):
+        self.memory = PhysicalMemory(16 * MIB)
+        self.log = []
+        self.memory.write_hook = \
+            lambda pa, n: self.log.append(("phys", pa, n))
+        allocator = PageAllocator(self.memory, 0, 1024, seed=7)
+        fmt = PTE_FORMATS[fmt_name]
+        self.pt = PageTableBuilder(self.memory, allocator, fmt)
+        self.mmu = mmu_cls(self.memory, fmt)
+        self.mmu.coherent_tlb = coherent
+        self.mmu.write_observer = \
+            lambda va, n: self.log.append(("gpu", va, n))
+        self.mmu.set_base(self.pt.root_pa)
+        self.pool = allocator.alloc_pages(6, "data") + list(RAW_PAS)
+        self.mapped = set()
+
+    def step(self, op, a, b, c):
+        """Apply one operation; returns what a caller could observe."""
+        mmu, memory = self.mmu, self.memory
+        try:
+            if op == "map":
+                va = RUN_BASE_VA + (a % RUN_SLOTS) * PAGE_SIZE
+                if va in self.mapped:  # remap the same VA elsewhere
+                    self.pt.unmap_page(va)
+                self.pt.map_page(va, self.pool[b % len(self.pool)],
+                                 RUN_PERMS[c % len(RUN_PERMS)])
+                self.mapped.add(va)
+            elif op == "unmap":
+                va = RUN_BASE_VA + (a % RUN_SLOTS) * PAGE_SIZE
+                if va in self.mapped:
+                    self.pt.unmap_page(va)
+                    self.mapped.discard(va)
+            elif op == "cpu_write":
+                offset = b % PAGE_SIZE
+                data = bytes([c % 251 + 1]) * min(64, PAGE_SIZE - offset)
+                memory.write(self.pool[a % len(self.pool)] + offset, data)
+            elif op == "scrub":
+                memory.scrub_pages([self.pool[a % len(self.pool)]])
+            elif op == "read":
+                offset, size = RUN_RANGES[a % len(RUN_RANGES)]
+                return mmu.read_va(RUN_BASE_VA + offset, size,
+                                   access="rx"[b % 2])
+            elif op == "gather":
+                offset, size = RUN_RANGES[a % len(RUN_RANGES)]
+                return bytes(mmu.gather_va(RUN_BASE_VA + offset, size))
+            elif op == "write":
+                offset, size = RUN_RANGES[a % len(RUN_RANGES)]
+                data = bytes((b + i) % 256 for i in range(251)) \
+                    * (size // 251 + 1)
+                mmu.write_va(RUN_BASE_VA + offset, data[:size])
+            elif op == "flush":
+                mmu.flush_tlb()
+            elif op == "rebase":
+                mmu.set_base(self.pt.root_pa)
+        except GpuPageFault as fault:
+            return ("fault", fault.va, fault.access, fault.reason)
+        return None
+
+    def observable(self):
+        mmu = self.mmu
+        return (mmu.tlb_hits, mmu.tlb_misses, mmu.fault_count, self.log)
+
+    def contents(self):
+        pages = self.pool + self.pt.table_pages()
+        return ([self.memory.read(pa, PAGE_SIZE) for pa in pages],
+                self.memory.touched_pages())
+
+
+def _assert_runs_cover_live_buffers(world):
+    """Every remembered read run sits on TLB entries that exist and on
+    pages that have a buffer."""
+    mmu = world.mmu
+    for (va, size, access), run in mmu._runs.items():
+        assert 0 < len(run) <= (size + 2 * PAGE_SIZE - 2) // PAGE_SIZE
+        for page_va in range(va & ~(PAGE_SIZE - 1), va + size, PAGE_SIZE):
+            pa = mmu._tlb[(page_va, access)]
+            if access != "w":
+                assert world.memory.page_buffer(pa) is not None
+    assert mmu._run_pages == sum(len(run) for run in mmu._runs.values())
+
+
+RUN_OPS = ("map", "map", "unmap", "cpu_write", "scrub", "read", "read",
+           "read", "gather", "write", "write", "flush", "rebase")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(PTE_FORMATS)), st.booleans(),
+       st.lists(st.tuples(st.sampled_from(RUN_OPS), st.integers(0, 255),
+                          st.integers(0, 2 ** 16), st.integers(0, 255)),
+                max_size=70))
+def test_page_runs_match_page_at_a_time_reference(fmt_name, coherent, ops):
+    world = RunWorld(GpuMmu, fmt_name, coherent)
+    model = RunWorld(PageAtATimeMmu, fmt_name, coherent)
+    # A populated start, so short sequences reach warm accesses too.
+    prologue = [("map", slot, slot, 2) for slot in range(RUN_SLOTS - 1)]
+    for op in prologue + ops:
+        assert world.step(*op) == model.step(*op), op
+        assert world.observable() == model.observable(), op
+        _assert_runs_cover_live_buffers(world)
+    # Equal memory, including after writes that faulted mid-range.
+    assert world.contents() == model.contents()
+    assert not model.mmu._runs
+
+
+class TestPageRuns:
+    def build(self, memory, allocator, pages=3, perms=PERM_R | PERM_W):
+        fmt = PTE_FORMATS["mali"]
+        pt = PageTableBuilder(memory, allocator, fmt)
+        mmu = GpuMmu(memory, fmt)
+        mmu.set_base(pt.root_pa)
+        pas = allocator.alloc_pages(pages)
+        pt.map_range(0x100000, pas, perms)
+        return pt, mmu, pas
+
+    def test_warm_read_is_one_gather_and_counts_every_page(
+            self, memory, allocator, monkeypatch):
+        _pt, mmu, _pas = self.build(memory, allocator)
+        data = bytes(range(256)) * 40
+        mmu.write_va(0x100080, data)
+        assert mmu.read_va(0x100080, len(data)) == data   # first touch
+        assert (0x100080, len(data), "r") not in mmu._runs
+        assert mmu.read_va(0x100080, len(data)) == data   # probes a run
+        reads = []
+        monkeypatch.setattr(
+            PhysicalMemory, "read",
+            lambda self, pa, n: reads.append((pa, n)) or bytes(n))
+        hits, misses = mmu.tlb_hits, mmu.tlb_misses
+        assert mmu.read_va(0x100080, len(data)) == data
+        assert bytes(mmu.gather_va(0x100080, len(data))) == data
+        assert reads == []
+        assert (mmu.tlb_hits, mmu.tlb_misses) == (hits + 6, misses)
+
+    def test_bytes_are_never_remembered(self, memory, allocator):
+        _pt, mmu, pas = self.build(memory, allocator)
+        for _ in range(3):
+            mmu.read_va(0x100000, 3 * PAGE_SIZE)
+        memory.write(pas[1] + 5, b"cpu")              # CPU store
+        assert mmu.read_va(0x100000, 3 * PAGE_SIZE)[PAGE_SIZE + 5:][:3] \
+            == b"cpu"
+        memory.scrub_pages([pas[1]])                   # page recycled
+        assert mmu.read_va(0x100000, 3 * PAGE_SIZE) == bytes(3 * PAGE_SIZE)
+        mmu.write_va(0x100ffe, b"gpu!")                # GPU store
+        assert mmu.read_va(0x100000, 3 * PAGE_SIZE)[0xffe:][:4] == b"gpu!"
+
+    def test_no_run_over_a_page_without_a_buffer(self, memory, allocator):
+        pt, mmu, _pas = self.build(memory, allocator)
+        pt.map_page(0x200000, RAW_PAS[0], PERM_R | PERM_W)
+        assert memory.page_buffer(RAW_PAS[0]) is None
+        for _ in range(3):
+            assert mmu.read_va(0x200010, 64) == bytes(64)
+        assert not mmu._runs
+        memory.write(RAW_PAS[0] + 0x10, b"now it exists")
+        for _ in range(2):
+            assert mmu.read_va(0x200010, 13) == b"now it exists"
+        assert (0x200010, 13, "r") in mmu._runs
+
+    @pytest.mark.parametrize("drop", ["table-write", "set_base",
+                                      "noncoherent-flush"])
+    def test_runs_are_dropped_where_the_tlb_is(self, memory, allocator,
+                                               drop):
+        pt, mmu, _pas = self.build(memory, allocator)
+        if drop == "noncoherent-flush":
+            mmu.coherent_tlb = False
+        for _ in range(2):
+            mmu.read_va(0x100000, 2 * PAGE_SIZE)
+            mmu.write_va(0x100000, bytes(2 * PAGE_SIZE))
+        assert len(mmu._runs) == 2 and mmu._run_pages == 4
+        if drop == "table-write":
+            pt.map_page(0x300000, allocator.alloc_page(), PERM_R)
+        elif drop == "set_base":
+            mmu.set_base(allocator.alloc_page())
+        else:
+            mmu.flush_tlb()
+        assert not mmu._tlb and not mmu._runs and mmu._run_pages == 0
+
+    def test_coherent_flush_keeps_runs(self, memory, allocator):
+        _pt, mmu, _pas = self.build(memory, allocator)
+        for _ in range(2):
+            mmu.read_va(0x100000, 2 * PAGE_SIZE)
+        mmu.flush_tlb()
+        assert mmu._runs
+
+    def test_write_into_a_table_page_finishes_page_by_page(
+            self, memory, allocator):
+        """A GPU store that lands in a page-table page shoots the TLB
+        down mid-range: the pages after it are walked again, as the
+        page-at-a-time loop would."""
+        worlds = []
+        for cls in (GpuMmu, PageAtATimeMmu):
+            mem = PhysicalMemory(64 * MIB)
+            alloc = PageAllocator(mem, 0, 8192, seed=3)
+            fmt = PTE_FORMATS["mali"]
+            pt = PageTableBuilder(mem, alloc, fmt)
+            mmu = cls(mem, fmt)
+            mmu.set_base(pt.root_pa)
+            first, last = alloc.alloc_pages(2)
+            pt.map_page(0x100000, first, PERM_R | PERM_W)
+            leaf = pt.table_pages()[1]
+            pt.map_page(0x101000, leaf, PERM_R | PERM_W)
+            pt.map_page(0x102000, last, PERM_R | PERM_W)
+            for page in range(3):   # warm the TLB without storing
+                mmu.translate(0x100000 + page * PAGE_SIZE, "w")
+            # Rewrite the leaf table with its own bytes: harmless to
+            # the mappings, but still a write to a table page.
+            data = b"a" * PAGE_SIZE + mem.read(leaf, PAGE_SIZE) \
+                + b"c" * PAGE_SIZE
+            before = (mmu.tlb_hits, mmu.tlb_misses)
+            mmu.write_va(0x100000, data)
+            worlds.append((mmu.tlb_hits - before[0],
+                           mmu.tlb_misses - before[1],
+                           mem.read(first, 4), mem.read(last, 4)))
+        assert worlds[0] == worlds[1] == (2, 1, b"aaaa", b"cccc")
+
+    def test_remembered_pages_are_capped(self, memory, allocator,
+                                         monkeypatch):
+        import repro.gpu.mmu as mmu_mod
+        monkeypatch.setattr(mmu_mod, "MAX_RUN_PAGES", 4)
+        _pt, mmu, _pas = self.build(memory, allocator, pages=6)
+        for offset in range(0, 6 * PAGE_SIZE, PAGE_SIZE):
+            for _ in range(2):
+                mmu.read_va(0x100000 + offset, 16)
+            assert mmu._run_pages <= 4
+        for _ in range(3):   # wider than the cap: never remembered
+            assert mmu.read_va(0x100000, 5 * PAGE_SIZE) == \
+                bytes(5 * PAGE_SIZE)
+        assert (0x100000, 5 * PAGE_SIZE, "r") not in mmu._runs

@@ -85,6 +85,51 @@ class TestPhysicalMemory:
         memory.write(0x5000, b"\x01")
         assert not memory.page_is_zero(0x5000)
 
+    def test_page_buffer_is_created_once_and_written_in_place(
+            self, memory):
+        assert memory.page_buffer(0x5010) is None
+        memory.read(0x5000, 64)                 # reads materialize nothing
+        assert memory.page_buffer(0x5010) is None
+        memory.write(0x5ff0, b"x" * 32)         # spills into the next page
+        buffer = memory.page_buffer(0x5010)
+        assert buffer is memory.page_buffer(0x5fff)
+        assert bytes(buffer[-16:]) == b"x" * 16
+        memory.write(0x5000, memoryview(b"abc"))
+        memory.scrub_pages([0x6000])
+        assert bytes(memory.page_buffer(0x6000)[:16]) == bytes(16)
+        memory.scrub_pages([0x5000])
+        assert memory.page_buffer(0x5000) is buffer
+        assert not any(buffer)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 4 * PAGE_SIZE), st.integers(0, 2 * PAGE_SIZE + 3),
+        st.integers(1, 255)), max_size=20))
+    def test_writes_match_a_flat_buffer(self, writes):
+        """Single-page and page-crossing writes, empty ones and ones
+        that end exactly at a page or at the end of memory."""
+        memory = PhysicalMemory(4 * PAGE_SIZE)
+        model = bytearray(memory.size)
+        hooked = []
+        memory.write_hook = lambda pa, n: hooked.append((pa, n))
+        expect = []
+        touched = set()
+        for pa, length, fill in writes:
+            data = bytes([fill]) * length
+            if pa + length > memory.size:
+                with pytest.raises(PhysicalMemoryError):
+                    memory.write(pa, data)
+                continue
+            memory.write(pa, data)
+            model[pa:pa + length] = data
+            expect.append((pa, length))
+            if length:   # an empty write materializes nothing
+                touched.update(range(pa // PAGE_SIZE,
+                                     (pa + length - 1) // PAGE_SIZE + 1))
+        assert memory.read(0, memory.size) == bytes(model)
+        assert hooked == expect
+        assert memory.touched_pages() == len(touched)
+
 
 class TestPageAllocator:
     def make(self, memory, pages=64, seed=0):

@@ -11,6 +11,7 @@ vaults, and a fetch reads only its own recording's index.
 
 import os
 import random
+import zlib
 
 import pytest
 
@@ -74,17 +75,35 @@ class TestLayout:
         assert _tree(vault.root) == before
 
     def test_only_chunks_zlib_shrinks_are_deflated(self, vault):
-        manifest = vault.pack(_recording("a", NOISE, SOFT))
-        stored = {digest: (vault.object_location(digest)[2], size)
-                  for _va, _size, chunk_list in manifest.dumps
-                  for digest, size in chunk_list}
-        noise = [s for _va, _size, chunk_list in manifest.dumps[:1]
-                 for s in chunk_list]
-        soft = [s for _va, _size, chunk_list in manifest.dumps[1:]
-                for s in chunk_list]
-        assert all(stored[d] == (size, size) for d, size in noise)
-        assert all(stored[d][0] < size for d, size in soft)
-        assert vault.fetch(manifest.digest).dumps[0].data == NOISE
+        """Deflated only when that saves at least a tenth: a chunk
+        zlib shrinks by ~5% is stored raw, one it halves is not."""
+        slight = random.Random(3).randbytes(2850) + bytes(150)
+        half = random.Random(4).randbytes(1500) + bytes(1500)
+        payloads = (NOISE, slight, half, SOFT)
+        manifest = vault.pack(_recording("a", *payloads))
+        saved = []
+        for payload, (_va, _size, chunk_list) in zip(payloads,
+                                                     manifest.dumps):
+            offset = 0
+            shares = []
+            for digest, size in chunk_list:
+                packed = len(zlib.compress(payload[offset:offset + size],
+                                           vault_module.OBJECT_ZLIB_LEVEL))
+                offset += size
+                deflated = packed * 10 <= size * 9
+                assert vault.object_location(digest)[2] == \
+                    (packed if deflated else size)
+                shares.append((1 - packed / size, deflated))
+            saved.append(shares)
+        noise, slight_saved, half_saved, soft = saved
+        assert all(share <= 0 and not deflated
+                   for share, deflated in noise)
+        assert all(0.03 < share < 0.1 and not deflated
+                   for share, deflated in slight_saved)
+        assert all(share > 0.4 and deflated
+                   for share, deflated in half_saved + soft)
+        fetched = vault.fetch(manifest.digest)
+        assert [bytes(d.data) for d in fetched.dumps] == list(payloads)
 
     def test_same_content_gives_byte_identical_vaults(self, tmp_path):
         trees = []
