@@ -10,11 +10,21 @@ the codebase test suite asserts it.
 
 from __future__ import annotations
 
+import glob
 import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List, Sequence
 
 import repro
+from repro.errors import ReproError
+
+#: The deployable whose measured import closure stands beside the
+#: hand-named ``replayer`` row (``python -m repro.core.replay``).
+REPLAY_ENTRY = "repro.core.replay"
+
+PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
 #: Component -> package paths relative to the ``repro`` package.
 COMPONENT_PATHS: Dict[str, List[str]] = {
@@ -38,6 +48,7 @@ class ComponentStats:
     name: str
     files: int = 0
     sloc: int = 0
+    lines: int = 0
     bytes_on_disk: int = 0
 
 
@@ -101,24 +112,52 @@ def count_sloc(path: str) -> int:
 def _python_files(root: str) -> List[str]:
     if os.path.isfile(root):
         return [root] if root.endswith(".py") else []
-    out: List[str] = []
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                out.append(os.path.join(dirpath, name))
-    return out
+    return glob.glob(os.path.join(root, "**", "*.py"), recursive=True)
+
+
+def measure_files(name: str, paths: Iterable[str]) -> ComponentStats:
+    stats = ComponentStats(name)
+    for path in paths:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        stats.files += 1
+        stats.sloc += count_sloc(path)
+        stats.lines += data.count(b"\n")
+        stats.bytes_on_disk += len(data)
+    return stats
 
 
 def analyze_codebase() -> CodebaseReport:
     """Measure every component of this repository."""
-    package_root = os.path.dirname(os.path.abspath(repro.__file__))
     report = CodebaseReport()
     for component, rel_paths in COMPONENT_PATHS.items():
-        stats = ComponentStats(component)
-        for rel in rel_paths:
-            for path in _python_files(os.path.join(package_root, rel)):
-                stats.files += 1
-                stats.sloc += count_sloc(path)
-                stats.bytes_on_disk += os.path.getsize(path)
-        report.components[component] = stats
+        report.components[component] = measure_files(component, (
+            path for rel in rel_paths
+            for path in _python_files(os.path.join(PACKAGE_ROOT, rel))))
     return report
+
+
+def import_closure(argv: Sequence[str]) -> Dict[str, str]:
+    """The ``repro`` modules (name -> file) a fresh interpreter imports
+    while running ``python <argv>`` to completion, read off ``-X
+    importtime``'s stderr: imports made at run time count, what this
+    process has loaded does not. A ``-m`` module is added by name
+    (runpy executes it without an import record)."""
+    src = os.path.dirname(PACKAGE_ROOT)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], text=True,
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+    log = proc.stderr.splitlines()
+    if proc.returncode != 0:
+        raise ReproError(f"python {' '.join(argv)} exited "
+                         f"{proc.returncode}: {log[-5:]}")
+    modules = {line.rpartition("|")[2].strip() for line in log
+               if line.startswith("import time:")}
+    modules.update(argv[1:2] if argv[0] == "-m" else ())
+    closure = {}
+    for module in sorted(m for m in modules if m.split(".")[0] == "repro"):
+        base = os.path.join(src, *module.split("."))
+        closure[module] = base + ".py" if os.path.isfile(base + ".py") \
+            else os.path.join(base, "__init__.py")
+    return closure

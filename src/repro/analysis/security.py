@@ -43,23 +43,30 @@ def _base_meta(machine: Machine) -> RecordingMeta:
                          workload="fabricated")
 
 
+def _rejected_at_load(machine: Machine, recording: Recording, name: str,
+                      defense: str, if_accepted: str,
+                      **replayer_kwargs) -> AttackResult:
+    """An attack the verifier must turn away at Load."""
+    replayer = Replayer(machine, **replayer_kwargs)
+    replayer.init()
+    try:
+        replayer.load(recording)
+        return AttackResult(name, False, "none", if_accepted)
+    except VerificationError as error:
+        return AttackResult(name, True, defense, str(error))
+    finally:
+        replayer.cleanup()
+
+
 def attack_illegal_register(machine: Machine) -> AttackResult:
     """Name a register outside the replayer's map (e.g. an SoC secure
     fuse controller the adversary hopes is adjacent in MMIO space)."""
     recording = Recording(_base_meta(machine), [
         act.RegWrite(reg="EFUSE_SECRET_KEY", val=0xDEAD),
     ], [])
-    replayer = Replayer(machine)
-    replayer.init()
-    try:
-        replayer.load(recording)
-        return AttackResult("illegal-register", False, "none",
-                            "verifier accepted an unknown register")
-    except VerificationError as error:
-        return AttackResult("illegal-register", True,
-                            "register-map whitelist", str(error))
-    finally:
-        replayer.cleanup()
+    return _rejected_at_load(
+        machine, recording, "illegal-register", "register-map whitelist",
+        "verifier accepted an unknown register")
 
 
 def attack_oob_upload(machine: Machine) -> AttackResult:
@@ -71,17 +78,9 @@ def attack_oob_upload(machine: Machine) -> AttackResult:
         act.Upload(addr=0x900000, dump_index=0),
     ], [MemoryDump(0x900000, b"\x41" * PAGE_SIZE)])
     meta.prologue_len = 2
-    replayer = Replayer(machine)
-    replayer.init()
-    try:
-        replayer.load(recording)
-        return AttackResult("oob-upload", False, "none",
-                            "verifier accepted an out-of-map upload")
-    except VerificationError as error:
-        return AttackResult("oob-upload", True,
-                            "GPU-memory bounds check", str(error))
-    finally:
-        replayer.cleanup()
+    return _rejected_at_load(
+        machine, recording, "oob-upload", "GPU-memory bounds check",
+        "verifier accepted an out-of-map upload")
 
 
 def attack_memory_bomb(machine: Machine) -> AttackResult:
@@ -93,18 +92,10 @@ def attack_memory_bomb(machine: Machine) -> AttackResult:
         actions.append(act.MapGpuMem(
             addr=0x100000 + i * 210 * MIB // PAGE_SIZE * PAGE_SIZE,
             num_pages=huge_pages, raw_pte_flags=0x7))
-    recording = Recording(meta, actions, [])
-    replayer = Replayer(machine, max_gpu_bytes=256 * MIB)
-    replayer.init()
-    try:
-        replayer.load(recording)
-        return AttackResult("memory-bomb", False, "none",
-                            "memory-hungry recording accepted")
-    except VerificationError as error:
-        return AttackResult("memory-bomb", True,
-                            "max-GPU-memory policy", str(error))
-    finally:
-        replayer.cleanup()
+    return _rejected_at_load(
+        machine, Recording(meta, actions, []), "memory-bomb",
+        "max-GPU-memory policy", "memory-hungry recording accepted",
+        max_gpu_bytes=256 * MIB)
 
 
 def attack_malformed_file(machine: Machine) -> AttackResult:

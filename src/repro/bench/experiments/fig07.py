@@ -14,9 +14,8 @@ import numpy as np
 
 from repro.bench.harness import ResultTable, geomean
 from repro.bench.workloads import (MALI_INFERENCE_SET, V3D_INFERENCE_SET,
-                                   fresh_replay_machine, get_recorded,
-                                   model_input)
-from repro.core.replayer import Replayer
+                                   get_recorded, model_input)
+from repro.core.replay import boot_replayer
 from repro.stack.reference import run_reference
 
 
@@ -30,10 +29,7 @@ def stack_inference_ns(stack, x: np.ndarray) -> int:
 
 def gr_inference_ns(family: str, workload, x: np.ndarray,
                     check: bool = True) -> int:
-    machine = fresh_replay_machine(family, seed=4321)
-    replayer = Replayer(machine)
-    replayer.init()
-    replayer.load(workload.recording)
+    replayer = boot_replayer(workload.recording, None, 4321)[1]
     result = replayer.replay(inputs={"input": x})
     if check:
         from repro.stack.framework import build_model

@@ -11,10 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.harness import ResultTable, cached
-from repro.bench.workloads import (fresh_replay_machine,
-                                   record_math_kernel, vecadd_ir)
+from repro.bench.workloads import record_math_kernel, vecadd_ir
 from repro.core.patching import patch_recording_for_sku
-from repro.core.replayer import Replayer
+from repro.core.replay import boot_replayer
 from repro.errors import ReplayError
 
 #: Scaled from the paper's 16M to keep numpy time bounded; the shape
@@ -33,10 +32,7 @@ def _vecadd_recording(sku: str):
 
 
 def _replay_on_g71(recording, inputs, expect) -> int:
-    machine = fresh_replay_machine("mali", seed=2024, board="hikey960")
-    replayer = Replayer(machine)
-    replayer.init()
-    replayer.load(recording)
+    replayer = boot_replayer(recording, "hikey960", 2024)[1]
     result = replayer.replay(inputs=inputs)
     if not np.array_equal(result.outputs["c"], expect):
         raise AssertionError("cross-GPU replay produced wrong results")

@@ -10,17 +10,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.bench.harness import ResultTable
-from repro.bench.workloads import (MALI_INFERENCE_SET,
-                                   fresh_replay_machine, get_recorded,
+from repro.bench.workloads import (MALI_INFERENCE_SET, get_recorded,
                                    model_input)
-from repro.core.replayer import Replayer
+from repro.core.replay import boot_replayer
 
 
 def _replay_ns(family: str, workload, x, use_recorded: bool) -> int:
-    machine = fresh_replay_machine(family, seed=777)
-    replayer = Replayer(machine)
-    replayer.init()
-    replayer.load(workload.recording)
+    replayer = boot_replayer(workload.recording, None, 777)[1]
     result = replayer.replay(inputs={"input": x},
                              use_recorded_intervals=use_recorded)
     return result.duration_ns

@@ -11,10 +11,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.bench.harness import ResultTable
-from repro.bench.workloads import (MALI_INFERENCE_SET,
-                                   fresh_replay_machine, get_recorded,
+from repro.bench.workloads import (MALI_INFERENCE_SET, get_recorded,
                                    model_input)
-from repro.core.replayer import Replayer
+from repro.core.replay import boot_replayer
 
 
 def cpu_memory(family: str = "mali",
@@ -26,10 +25,7 @@ def cpu_memory(family: str = "mali",
         workload, stack = get_recorded(family, model_name)
         stack_bytes = stack.net.cpu_footprint_bytes()
 
-        machine = fresh_replay_machine(family, seed=733)
-        replayer = Replayer(machine)
-        replayer.init()
-        replayer.load(workload.recording)
+        replayer = boot_replayer(workload.recording, None, 733)[1]
         replayer.replay(inputs={"input": model_input(model_name)})
         replayer_bytes = replayer.cpu_footprint_bytes()
 

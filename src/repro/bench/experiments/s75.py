@@ -17,6 +17,7 @@ from repro.bench.harness import ResultTable
 from repro.bench.workloads import (fresh_replay_machine, get_recorded,
                                    model_input)
 from repro.core.checkpoints import CheckpointPolicy
+from repro.core.replay import boot_replayer
 from repro.core.replayer import Replayer
 from repro.environments.scheduler import GpuHandoffScheduler, InteractiveApp
 from repro.units import MS
@@ -33,10 +34,8 @@ def preemption_delays(families=("mali", "v3d"),
     for family in families:
         model_name = model_by_family[family]
         workload, _stack = get_recorded(family, model_name)
-        machine = fresh_replay_machine(family, seed=31337)
-        replayer = Replayer(machine)
-        replayer.init()
-        replayer.load(workload.recording)
+        machine, replayer = boot_replayer(workload.recording, None,
+                                          31337)
         scheduler = GpuHandoffScheduler(machine, replayer)
         app = InteractiveApp("game", burst_ns=16 * MS)
         scheduler.schedule_preemption(app, delay_ns=500_000)

@@ -34,10 +34,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.bench.harness import ResultTable
-from repro.bench.workloads import fresh_replay_machine, get_recorded
+from repro.bench.workloads import get_recorded
 from repro.core.patching import patch_recording_for_sku
 from repro.core.recording import Recording
-from repro.core.replayer import Replayer
+from repro.core.replay import boot_replayer
 from repro.store import Vault
 from repro.surgery import (analyze_recording, cpu_reference_outputs,
                            interleave, slice_job, verify_slice)
@@ -60,12 +60,7 @@ def _parent(family: str) -> Recording:
 
 
 def _replay_duration_ns(recording: Recording) -> int:
-    machine = fresh_replay_machine(recording.meta.family, seed=4242,
-                                   board=recording.meta.board)
-    replayer = Replayer(machine)
-    replayer.init()
-    replayer.load(recording)
-    return replayer.replay().duration_ns
+    return boot_replayer(recording, None, 4242)[1].replay().duration_ns
 
 
 def measure_surgery() -> Dict[str, object]:

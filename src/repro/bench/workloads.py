@@ -15,10 +15,10 @@ import numpy as np
 from repro.core.harness import (RecordedWorkload, record_inference,
                                 record_kernel_workload)
 from repro.bench.harness import cached
-from repro.environments.base import host_kernel_configures_gpu
 from repro.errors import ReproError
 from repro.gpu.isa import Op
-from repro.soc.machine import Machine
+from repro.soc.boards import board_for_family
+from repro.soc.machine import Machine, fresh_replay_machine
 from repro.stack.driver import AdrenoDriver, MaliDriver, V3dDriver
 from repro.stack.framework import AclNetwork, NcnnNetwork, build_model
 from repro.stack.framework.base import NetworkRunner
@@ -35,9 +35,6 @@ MALI_FULL_ROSTER = MALI_INFERENCE_SET + (
     "lenet5", "googlenet-lite", "kws", "har", "autoencoder",
     "yolov4-tiny", "resnet18")
 
-MALI_BOARD = "hikey960"
-V3D_BOARD = "raspberrypi4"
-
 
 @dataclass
 class StackHandle:
@@ -52,17 +49,12 @@ class StackHandle:
         return self.net.run(x, **kwargs)
 
 
-ADRENO_BOARD = "pixel4"
-
-
-def board_for_family(family: str) -> str:
-    if family == "mali":
-        return MALI_BOARD
-    if family == "v3d":
-        return V3D_BOARD
-    if family == "adreno":
-        return ADRENO_BOARD
-    raise ReproError(f"unknown GPU family {family!r}")
+#: GPU family -> the (driver, runtime, framework) stack recorded on it.
+STACKS = {
+    "mali": (MaliDriver, OpenClRuntime, AclNetwork),
+    "adreno": (AdrenoDriver, OpenClRuntime, AclNetwork),
+    "v3d": (V3dDriver, VulkanRuntime, NcnnNetwork),
+}
 
 
 def build_stack(family: str, model_name: str, fuse: bool = False,
@@ -79,33 +71,14 @@ def build_stack(family: str, model_name: str, fuse: bool = False,
         from repro.obs import enable_observability
         enable_observability(machine)
     model = build_model(model_name)
-    if family == "mali":
-        driver = MaliDriver(machine)
-        runtime = OpenClRuntime(driver)
-        net = AclNetwork(runtime, model, fuse=fuse)
-    elif family == "adreno":
-        driver = AdrenoDriver(machine)
-        runtime = OpenClRuntime(driver)
-        net = AclNetwork(runtime, model, fuse=fuse)
-    elif family == "v3d":
-        driver = V3dDriver(machine)
-        runtime = VulkanRuntime(driver)
-        net = NcnnNetwork(runtime, model, fuse=fuse)
-    else:
+    if family not in STACKS:
         raise ReproError(f"unknown GPU family {family!r}")
+    make_driver, make_runtime, make_net = STACKS[family]
+    driver = make_driver(machine)
+    runtime = make_runtime(driver)
+    net = make_net(runtime, model, fuse=fuse)
     net.configure()
     return StackHandle(machine, driver, runtime, net)
-
-
-def fresh_replay_machine(family: str, seed: int = 1000,
-                         board: Optional[str] = None,
-                         flight_capacity: Optional[int] = None) -> Machine:
-    """A machine for the replay side, GPU power configured by the host
-    kernel (the D1 userspace/kernel deployments)."""
-    machine = Machine.create(board or board_for_family(family), seed=seed,
-                             flight_capacity=flight_capacity)
-    host_kernel_configures_gpu(machine)
-    return machine
 
 
 def get_recorded(family: str, model_name: str, fuse: bool = False,
@@ -156,11 +129,7 @@ def record_math_kernel(family: str, ir: KernelIR, board: str,
                        seed: int = 3) -> RecordedWorkload:
     """Record a raw kernel workload on the given board."""
     machine = Machine.create(board, seed=seed)
-    if family == "mali":
-        driver = MaliDriver(machine)
-        runtime = OpenClRuntime(driver)
-    else:
-        driver = V3dDriver(machine)
-        runtime = VulkanRuntime(driver)
+    make_driver, make_runtime, _make_net = STACKS[family]
+    runtime = make_runtime(make_driver(machine))
     runtime.init_context()
     return record_kernel_workload(runtime, ir, ir.name)

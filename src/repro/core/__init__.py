@@ -11,25 +11,32 @@
   layer (§5.2);
 - :mod:`repro.core.interpreter` / ``replayer`` -- action execution,
   pacing, failure detection/recovery, checkpointing, preemption;
-- :mod:`repro.core.patching` -- cross-SKU recording patches (§6.4).
+- :mod:`repro.core.patching` -- cross-SKU recording patches (§6.4);
+- :mod:`repro.core.replay` -- ``python -m repro.core.replay file.grr``,
+  the deployable: the replayer half and nothing above it.
+
+What loads when: ``import repro.core`` loads no submodule; the names
+in ``__all__`` resolve on first access. ``from repro.core import
+Replayer`` loads the replayer half (plus ``soc``, ``gpu``, ``errors``,
+``units``); only the recorder-half names -- ``GpuRecorder``,
+``RecorderOptions``, ``RecordedWorkload``, ``record_*`` -- load
+:mod:`repro.stack`, the stack the replayer exists to replace.
 """
 
-from repro.core.harness import (RecordedWorkload, record_inference,
-                                record_training_iteration)
-from repro.core.recorder import GpuRecorder, RecorderOptions
-from repro.core.recording import Recording, RecordingMeta
-from repro.core.replayer import Replayer, ReplayResult
-from repro.core.verifier import verify_recording
+from repro import lazy_exports
 
-__all__ = [
-    "GpuRecorder",
-    "RecordedWorkload",
-    "Recording",
-    "RecordingMeta",
-    "RecorderOptions",
-    "ReplayResult",
-    "Replayer",
-    "record_inference",
-    "record_training_iteration",
-    "verify_recording",
-]
+_HOMES = {
+    "GpuRecorder": "recorder",
+    "RecordedWorkload": "harness",
+    "Recording": "recording",
+    "RecordingMeta": "recording",
+    "RecorderOptions": "recorder",
+    "ReplayResult": "replayer",
+    "Replayer": "replayer",
+    "record_inference": "harness",
+    "record_training_iteration": "harness",
+    "verify_recording": "verifier",
+}
+
+__all__ = list(_HOMES)
+__getattr__ = lazy_exports(__name__, _HOMES)

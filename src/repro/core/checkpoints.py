@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.nano_driver import NanoGpuDriver
-from repro.obs.metrics import SIZE_BUCKETS_BYTES
+from repro.units import SIZE_BUCKETS_BYTES
 
 
 @dataclass

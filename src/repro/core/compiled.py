@@ -52,8 +52,7 @@ from repro.core.recording import Recording
 from repro.errors import (MegaBatchDivergence, ReplayAborted,
                           ReplayDivergence, ReplayError, ReplayTimeout)
 from repro.gpu.shader_exec import BatchEnv
-from repro.obs.metrics import LATENCY_BUCKETS_NS
-from repro.units import SEC
+from repro.units import LATENCY_BUCKETS_NS, SEC
 
 #: Per-action flags checked in the executor's main loop (cheap integer
 #: tests replacing the interpreter's post-dispatch ``isinstance``).

@@ -22,7 +22,7 @@ from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recording import Recording
 from repro.errors import (ReplayAborted, ReplayDivergence, ReplayError,
                           ReplayTimeout)
-from repro.obs.metrics import LATENCY_BUCKETS_NS
+from repro.units import LATENCY_BUCKETS_NS
 
 #: Interpreter dispatch overhead per action.
 ACTION_OVERHEAD_NS = 300

@@ -28,13 +28,12 @@ from repro.core.dumps import MemoryDump, coalesce_pages
 from repro.core.recording import Recording, RecordingMeta
 from repro.errors import RecordingError
 from repro.gpu import jobs as jobfmt
-from repro.obs.metrics import SIZE_BUCKETS_BYTES
 from repro.soc import firmware as fw
 from repro.soc.memory import PAGE_SIZE
 from repro.stack.driver import trace
 from repro.stack.driver.base import GpuDriver
 from repro.stack.driver.memory import MemFlags
-from repro.units import SEC
+from repro.units import SEC, SIZE_BUCKETS_BYTES
 
 #: Throughput of the recorder's page hashing/copying (record-time cost).
 DUMP_BW = int(1.5 * 1024 ** 3)

@@ -14,22 +14,25 @@ Four hosting environments, matching Table 4's "Replayers" column:
 
 Plus :mod:`repro.environments.scheduler` -- GPU handoff between a
 replayer and interactive apps (deployment D1, Section 5.3).
+
+What loads when: ``import repro.environments`` loads no submodule; the
+names in ``__all__`` resolve on first access. An environment imports
+the replayer half of :mod:`repro.core` and nothing of :mod:`repro.stack`
+or :mod:`repro.obs`: that closure is what a TEE would have to trust.
 """
 
-from repro.environments.baremetal import BaremetalEnvironment
-from repro.environments.base import DeploymentEnvironment
-from repro.environments.kernelspace import KernelEnvironment
-from repro.environments.scheduler import GpuHandoffScheduler, InteractiveApp
-from repro.environments.tee import SecureMonitor, TeeEnvironment
-from repro.environments.userspace import UserspaceEnvironment
+from repro import lazy_exports
 
-__all__ = [
-    "BaremetalEnvironment",
-    "DeploymentEnvironment",
-    "GpuHandoffScheduler",
-    "InteractiveApp",
-    "KernelEnvironment",
-    "SecureMonitor",
-    "TeeEnvironment",
-    "UserspaceEnvironment",
-]
+_HOMES = {
+    "BaremetalEnvironment": "baremetal",
+    "DeploymentEnvironment": "base",
+    "GpuHandoffScheduler": "scheduler",
+    "InteractiveApp": "scheduler",
+    "KernelEnvironment": "kernelspace",
+    "SecureMonitor": "tee",
+    "TeeEnvironment": "tee",
+    "UserspaceEnvironment": "userspace",
+}
+
+__all__ = list(_HOMES)
+__getattr__ = lazy_exports(__name__, _HOMES)

@@ -14,9 +14,7 @@ from typing import Dict, List, Optional
 from repro.core.recording import Recording
 from repro.core.replayer import Replayer, ReplayResult
 from repro.errors import EnvironmentError_
-from repro.gpu.v3d import V3D_DEFAULT_CLOCK_HZ, V3D_FIRMWARE_ID
-from repro.soc import firmware as fw
-from repro.soc.machine import Machine
+from repro.soc.machine import Machine, host_kernel_configures_gpu
 
 
 @dataclass
@@ -29,18 +27,6 @@ class TcbProfile:
     #: Approximate executable footprint of the replayer build, bytes
     #: (Table 4's "Ours" column).
     replayer_binary_bytes: int = 0
-
-
-def host_kernel_configures_gpu(machine: Machine) -> None:
-    """What a commodity kernel did at boot: power the GPU rail.
-
-    User/kernel-level replayers "reuse the configuration done by the
-    kernel transparently" (Section 6.3); this is that configuration.
-    """
-    if machine.board.firmware_managed_power:
-        machine.firmware.request(fw.TAG_SET_POWER, V3D_FIRMWARE_ID, 1)
-        machine.firmware.request(fw.TAG_SET_CLOCK_RATE, V3D_FIRMWARE_ID,
-                                 V3D_DEFAULT_CLOCK_HZ)
 
 
 class DeploymentEnvironment:

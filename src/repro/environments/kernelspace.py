@@ -8,13 +8,15 @@ exactly the arrangement Section 6.3 describes for v3d.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.environments.base import (DeploymentEnvironment, TcbProfile,
                                      host_kernel_configures_gpu)
 from repro.errors import EnvironmentError_
-from repro.stack.driver.base import GpuDriver
 from repro.units import KIB, MS
+
+if TYPE_CHECKING:
+    from repro.stack.driver.base import GpuDriver
 
 
 #: insmod + ioctl surface registration.

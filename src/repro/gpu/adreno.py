@@ -18,7 +18,6 @@ claim ("our GPU model fits popular integrated GPUs"):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import (GpuPageFault, JobDecodeError,
@@ -89,13 +88,6 @@ def _adreno_registers() -> List[RegisterDef]:
         RegisterDef("UCHE_CACHE_FLUSH", 0x064, rw_trig,
                     doc="bit0: flush; hardware clears when done"),
     ]
-
-
-@dataclass
-class _RingEntry:
-    offset: int
-    shader_va: int
-    shader_size: int
 
 
 class AdrenoGpu(GpuDevice):

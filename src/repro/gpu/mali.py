@@ -430,10 +430,8 @@ class MaliGpu(GpuDevice):
         self.regs.poke(f"JS{slot}_STATUS", JS_STATUS_FAULT)
         self._assert_irq("JOB", 1 << (16 + slot))
 
-    def _hard_stop(self, slot: int) -> None:
-        job = self._jobs[slot]
-        if job is None:
-            return
+    def _evict(self, slot: int, job: RunningJob) -> None:
+        """Take a job off the hardware before it completes."""
         if job.completion is not None:
             self._cancel(job.completion)
         if self._hw_active is job:
@@ -443,6 +441,12 @@ class MaliGpu(GpuDevice):
         self.note_job_retired(job)
         self._jobs[slot] = None
         self._exit_busy()
+
+    def _hard_stop(self, slot: int) -> None:
+        job = self._jobs[slot]
+        if job is None:
+            return
+        self._evict(slot, job)
         self.regs.poke(f"JS{slot}_STATUS", JS_STATUS_IDLE)
         self._assert_irq("JOB", 1 << (16 + slot))
 
@@ -456,15 +460,7 @@ class MaliGpu(GpuDevice):
         for slot, job in list(self._jobs.items()):
             if job is not None and job.active_cores and \
                     (self.regs.peek(f"JS{slot}_AFFINITY") & mask):
-                if job.completion is not None:
-                    self._cancel(job.completion)
-                if self._hw_active is job:
-                    self._start_next_queued()
-                elif job in self._hw_pending:
-                    self._hw_pending.remove(job)
-                self.note_job_retired(job)
-                self._jobs[slot] = None
-                self._exit_busy()
+                self._evict(slot, job)
                 self._fail_job(slot, job.chain_va)
 
     def restore_cores(self) -> None:

@@ -141,52 +141,25 @@ class MaliLpaePteFormat(MaliPteFormat):
     _W = 1 << 3
 
 
-class AdrenoPteFormat(PteFormat):
+class AdrenoPteFormat(MaliPteFormat):
     """Adreno SMMU format: 8-byte entries, permissions at bits 6..8.
 
     A third layout again (Table 1 row 5): recordings do not port
-    between families, only between SKUs sharing a format.
+    between families, only between SKUs sharing a format. Encoded
+    like Mali's with the bits elsewhere; unlike Mali's, a table
+    pointer never decodes as a page.
     """
 
     name = "adreno-smmu"
-    pte_size = 8
-    has_permissions = True
-
-    _VALID = 1 << 0
     _TABLE = 1 << 1
     _R = 1 << 6
     _W = 1 << 7
     _X = 1 << 8
 
-    def encode_pte(self, pa: int, perms: int) -> int:
-        value = self._VALID | (pa & ~(PAGE_SIZE - 1))
-        if perms & PERM_R:
-            value |= self._R
-        if perms & PERM_W:
-            value |= self._W
-        if perms & PERM_X:
-            value |= self._X
-        return value
-
     def decode_pte(self, value: int) -> Tuple[bool, int, int]:
-        if not value & self._VALID or value & self._TABLE:
+        if value & self._TABLE:
             return False, 0, 0
-        perms = 0
-        if value & self._R:
-            perms |= PERM_R
-        if value & self._W:
-            perms |= PERM_W
-        if value & self._X:
-            perms |= PERM_X
-        return True, value & ~0xFFF, perms
-
-    def encode_table_ptr(self, pa: int) -> int:
-        return self._VALID | self._TABLE | (pa & ~(PAGE_SIZE - 1))
-
-    def decode_table_ptr(self, value: int) -> Tuple[bool, int]:
-        if not (value & self._VALID and value & self._TABLE):
-            return False, 0
-        return True, value & ~0xFFF
+        return super().decode_pte(value)
 
 
 class V3dPteFormat(PteFormat):

@@ -15,7 +15,8 @@ the one place all of that telemetry flows through:
 - :mod:`repro.obs.chrome_trace` -- a validator for the exported
   timeline (used by tests, ``grr trace`` and the CI smoke job);
 - :mod:`repro.obs.flight` -- the always-on bounded flight recorder
-  every machine carries (forensics for ``grr doctor``);
+  every machine carries (forensics for ``grr doctor``; it and the
+  null session live under :mod:`repro.soc`, re-imported here);
 - :mod:`repro.obs.rtrace` -- request-scoped tracing for the serving
   path: one causal span tree per request, JSONL/Chrome export,
   completeness validation (event-log schema v1);
@@ -30,9 +31,9 @@ the one place all of that telemetry flows through:
   the metrics registry into ring-buffered series (OpenMetrics +
   JSONL exporters, ``grr dash``);
 - :mod:`repro.obs.doctor` -- divergence localization and failure
-  forensics (NOT imported here: it depends on the replayer, which
-  depends on the machine, which imports this package -- import it
-  lazily, ``from repro.obs.doctor import run_doctor``).
+  forensics (NOT imported here: it depends on the replayer and the
+  GPU models, which nothing else in this package needs -- import it
+  by name, ``from repro.obs.doctor import run_doctor``).
 
 Determinism contract: observability only ever *reads* the virtual
 clock. Enabling it must change recorded/replayed virtual-time results

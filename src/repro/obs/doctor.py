@@ -17,10 +17,10 @@ what did the machine look like when it did?* This module answers it:
 - :func:`flip_dump_byte` / :func:`patch_reg_read` build deliberately
   corrupted recordings (tests, the CI doctor smoke step).
 
-Import note: this module imports the replayer, which imports the
-machine, which imports :mod:`repro.obs` -- so it must never be
-imported from ``repro/obs/__init__.py``. Import it lazily at the point
-of use (``from repro.obs.doctor import run_doctor``).
+Import note: this module imports the replayer (and with it
+:mod:`repro.gpu`), which the rest of :mod:`repro.obs` does not need --
+so it is not imported from ``repro/obs/__init__.py``. Import it by its
+own name (``from repro.obs.doctor import run_doctor``).
 
 The report schema is stable (``schema_version``): saved reports are
 artifacts that outlive the process that wrote them, and ``grr trace``
@@ -39,6 +39,7 @@ import numpy as np
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
 from repro.core.recording import Recording
+from repro.core.replay import boot_replayer, seeded_inputs
 from repro.core.replayer import Replayer
 from repro.errors import ObsError, ReplayError
 from repro.obs.flight import event_to_dict
@@ -282,30 +283,6 @@ def report_from_error(machine: Machine, recording: Recording,
 # --------------------------------------------------------------------------
 
 
-def _build_replayer(recording: Recording, board: str, seed: int,
-                    fast_path: bool) -> Tuple[Machine, Replayer]:
-    from repro.environments.base import host_kernel_configures_gpu
-
-    machine = Machine.create(board, seed=seed)
-    host_kernel_configures_gpu(machine)
-    replayer = Replayer(machine, fast_path=fast_path)
-    replayer.init()
-    replayer.load(recording)
-    return machine, replayer
-
-
-def _inputs_for(recording: Recording,
-                seed: int) -> Dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    inputs: Dict[str, np.ndarray] = {}
-    for io in recording.meta.inputs:
-        if io.optional:
-            continue
-        shape = io.shape or (io.size // 4,)
-        inputs[io.name] = rng.standard_normal(shape).astype(np.float32)
-    return inputs
-
-
 def _quiet_cleanup(replayer: Replayer) -> None:
     try:
         replayer.cleanup()
@@ -332,10 +309,9 @@ def run_doctor(recording: Recording, board: str, seed: int = 2026,
     if vs_reference:
         return lockstep_compare(recording, board, seed=seed,
                                 ref_seed=ref_seed)
-    machine, replayer = _build_replayer(recording, board, seed,
-                                        fast_path=True)
+    machine, replayer = boot_replayer(recording, board, seed)
     try:
-        replayer.replay(inputs=_inputs_for(recording, seed),
+        replayer.replay(inputs=seeded_inputs(recording, seed),
                         max_attempts=1)
     except ReplayError as error:
         return report_from_error(machine, recording, error, attempts=1)
@@ -349,29 +325,25 @@ def lockstep_compare(recording: Recording, board: str, seed: int = 2026,
                      ) -> Optional[DivergenceReport]:
     """Fast path vs reference interpreter, compared chokepoint by
     chokepoint on their complete flight tapes."""
-    fast_machine, fast_replayer = _build_replayer(recording, board, seed,
-                                                  fast_path=True)
-    ref_machine, ref_replayer = _build_replayer(
+    fast_machine, fast_replayer = boot_replayer(recording, board, seed,
+                                                fast_path=True)
+    ref_machine, ref_replayer = boot_replayer(
         recording, board, seed if ref_seed is None else ref_seed,
         fast_path=False)
     # Capture only the replay itself: init/load jitter is not part of
     # the comparison. Both arms get the same inputs.
-    inputs = _inputs_for(recording, seed)
+    inputs = seeded_inputs(recording, seed)
     fast_tape = fast_machine.flight.start_capture()
     ref_tape = ref_machine.flight.start_capture()
-    fast_outputs = ref_outputs = None
-    fast_error: Optional[ReplayError] = None
-    ref_error: Optional[ReplayError] = None
-    try:
-        fast_outputs = fast_replayer.replay(inputs=inputs,
-                                            max_attempts=1).outputs
-    except ReplayError as error:
-        fast_error = error
-    try:
-        ref_outputs = ref_replayer.replay(inputs=inputs,
-                                          max_attempts=1).outputs
-    except ReplayError as error:
-        ref_error = error
+    def attempt(replayer: Replayer):
+        try:
+            return replayer.replay(inputs=inputs,
+                                   max_attempts=1).outputs, None
+        except ReplayError as error:
+            return None, error
+
+    fast_outputs, fast_error = attempt(fast_replayer)
+    ref_outputs, ref_error = attempt(ref_replayer)
     fast_machine.flight.stop_capture()
     ref_machine.flight.stop_capture()
     _quiet_cleanup(fast_replayer)

@@ -9,19 +9,10 @@ directly comparable -- no adaptive binning.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ObsError
-from repro.units import KIB, MIB, MS, SEC, US
-
-#: Default boundaries for duration histograms (virtual nanoseconds).
-LATENCY_BUCKETS_NS: Tuple[int, ...] = (
-    1 * US, 10 * US, 100 * US, 1 * MS, 10 * MS, 100 * MS, 1 * SEC,
-    10 * SEC)
-
-#: Default boundaries for size histograms (bytes).
-SIZE_BUCKETS_BYTES: Tuple[int, ...] = (
-    4 * KIB, 64 * KIB, 1 * MIB, 16 * MIB, 64 * MIB, 256 * MIB)
+from repro.units import LATENCY_BUCKETS_NS, SIZE_BUCKETS_BYTES
 
 
 class Counter:

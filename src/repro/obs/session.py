@@ -1,7 +1,8 @@
 """The per-machine observability session and its null twin.
 
 Every :class:`~repro.soc.machine.Machine` carries an ``obs`` attribute.
-By default it is :data:`NULL_OBS` -- an object with the same surface
+By default it is :data:`NULL_OBS` (defined in :mod:`repro.soc.nullobs`,
+re-imported here) -- an object with the same surface
 as :class:`Observability` whose every method is a no-op -- so the
 instrumented code paths (driver, recorder, interpreter, environments)
 never branch on "is obs on?" and never pay more than one attribute
@@ -18,6 +19,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import SpanHandle, SpanTracer, Track
+from repro.soc.nullobs import NULL_OBS, NullObservability
 
 
 class Observability:
@@ -78,8 +80,8 @@ class Observability:
         """The DriverTracer that feeds this session (lazily built).
 
         Imported lazily: :mod:`repro.obs.driver_hook` pulls in
-        :mod:`repro.stack.driver.trace`, and the stack package imports
-        :mod:`repro.soc.machine`, which imports this module.
+        :mod:`repro.stack.driver.trace`, and a session on a replay-only
+        machine must not load the stack it replaces.
         """
         if self._driver_tracer is None:
             from repro.obs.driver_hook import ObsDriverTracer
@@ -96,97 +98,6 @@ class Observability:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(trace, handle, indent=1)
         return trace
-
-
-class _NullSpan:
-    """A reusable no-op span handle / context manager."""
-
-    __slots__ = ()
-    closed = True
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def end(self, args: Optional[dict] = None) -> None:
-        pass
-
-
-class _NullMetric:
-    """Accepts every Counter/Gauge/Histogram mutation, records nothing."""
-
-    __slots__ = ()
-    value = 0
-    count = 0
-    sum = 0
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def mean(self) -> float:
-        return 0.0
-
-
-_NULL_SPAN = _NullSpan()
-_NULL_METRIC = _NullMetric()
-_NULL_TRACK = Track(0, 0)
-
-
-class NullObservability:
-    """Same surface as :class:`Observability`; does nothing."""
-
-    enabled = False
-
-    def track(self, process: str, thread: str = "main") -> Track:
-        return _NULL_TRACK
-
-    def span(self, name, track, cat="", args=None):
-        return _NULL_SPAN
-
-    def begin(self, name, track, cat="", args=None):
-        return _NULL_SPAN
-
-    def end(self, handle, args=None) -> None:
-        pass
-
-    def instant(self, name, track, args=None) -> None:
-        pass
-
-    def complete(self, name, track, start_ns, end_ns, args=None,
-                 cat="") -> None:
-        pass
-
-    def counter(self, name):
-        return _NULL_METRIC
-
-    def gauge(self, name):
-        return _NULL_METRIC
-
-    def histogram(self, name, boundaries=None):
-        return _NULL_METRIC
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def driver_tracer(self):
-        return None
-
-    def to_chrome_trace(self) -> dict:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-
-NULL_OBS = NullObservability()
 
 
 def enable_observability(machine) -> Observability:

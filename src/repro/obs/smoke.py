@@ -31,24 +31,17 @@ import json
 import os
 import sys
 
-import numpy as np
-
 #: Counters a successful MNIST replay must have incremented.
 REQUIRED_NONZERO = ("replay.reg_writes", "replay.irq_waits",
                     "replay.upload_bytes", "replay.actions")
 
 
 def _record_mnist(rec_path: str):
-    from repro.bench.workloads import build_stack
-    from repro.core.harness import record_inference
+    from repro.bench.workloads import get_recorded
 
-    stack = build_stack("mali", "mnist")
-    warm = np.zeros(stack.net.model.input_shape, np.float32)
-    stack.net.run(warm)
-    workload = record_inference(stack.net)
-    with open(rec_path, "wb") as handle:
-        handle.write(workload.recording.to_bytes())
-    return workload.recording
+    recording = get_recorded("mali", "mnist")[0].recording
+    recording.save(rec_path)
+    return recording
 
 
 def forensics_bundle(outdir: str) -> int:
@@ -59,20 +52,18 @@ def forensics_bundle(outdir: str) -> int:
     snapshot -- CI uploads the directory when a guarded job fails,
     giving the investigating human something better than a log tail.
     """
+    from repro.core.replay import boot_replayer, seeded_inputs
     from repro.errors import ReplayError
-    from repro.obs.doctor import (flip_dump_byte, report_from_error,
-                                  _build_replayer, _inputs_for)
+    from repro.obs.doctor import flip_dump_byte, report_from_error
 
     os.makedirs(outdir, exist_ok=True)
     recording = _record_mnist(os.path.join(outdir, "mnist.grr"))
     corrupted, _dump, _off = flip_dump_byte(recording)
     from repro.obs import enable_observability
-    machine, replayer = _build_replayer(corrupted,
-                                        corrupted.meta.board, 2026,
-                                        fast_path=True)
+    machine, replayer = boot_replayer(corrupted, None, 2026)
     enable_observability(machine)
     try:
-        replayer.replay(inputs=_inputs_for(corrupted, 2026),
+        replayer.replay(inputs=seeded_inputs(corrupted, 2026),
                         max_attempts=1)
         print("FORENSICS: corrupted replay unexpectedly succeeded")
         return 1
@@ -90,10 +81,12 @@ def forensics_bundle(outdir: str) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.core.recording import Recording
+    from repro.core.replay import (boot_replayer, fresh_replay,
+                                   seeded_inputs)
     from repro.errors import ReplayError
-    from repro.obs import validate_chrome_trace
-    from repro.obs.doctor import (flip_dump_byte, run_doctor,
-                                  _build_replayer, _inputs_for)
+    from repro.obs import enable_observability, validate_chrome_trace
+    from repro.obs.doctor import flip_dump_byte, run_doctor
     from repro.tools import grr
 
     argv = sys.argv[1:] if argv is None else argv
@@ -123,9 +116,10 @@ def main(argv=None) -> int:
         return 1
 
     print("[3/6] replay with obs on; checking metric snapshot ...")
-    recording = grr._load(rec_path)
-    machine, replayer, _result = grr._fresh_replay(
-        recording, recording.meta.board, seed=2026, with_obs=True)
+    recording = Recording.load(rec_path)
+    machine, replayer, _result = fresh_replay(
+        recording, recording.meta.board, 2026,
+        prepare=enable_observability)
     replayer.cleanup()
     counters = machine.obs.snapshot()["counters"]
     for name in REQUIRED_NONZERO:
@@ -146,10 +140,10 @@ def main(argv=None) -> int:
     print("[5/6] corrupt one dump byte; doctor must localize it ...")
     corrupted, dump_index, offset = flip_dump_byte(recording)
     # Ground truth: where does the reference interpreter first fail?
-    gt_machine, gt_replayer = _build_replayer(
+    gt_machine, gt_replayer = boot_replayer(
         corrupted, recording.meta.board, 2026, fast_path=False)
     try:
-        gt_replayer.replay(inputs=_inputs_for(corrupted, 2026),
+        gt_replayer.replay(inputs=seeded_inputs(corrupted, 2026),
                            max_attempts=1)
         print("FAIL: corrupted recording replayed without error")
         return 1

@@ -17,16 +17,9 @@ the trace-event format's microseconds only at export.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-
-@dataclass(frozen=True)
-class Track:
-    """One timeline row: a (pid, tid) pair."""
-
-    pid: int
-    tid: int
+from repro.soc.nullobs import Track
 
 
 class SpanHandle:

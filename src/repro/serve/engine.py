@@ -38,19 +38,21 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bench.workloads import (board_for_family, fresh_replay_machine,
-                                   get_recorded)
 from repro.core.recording import Recording
+from repro.core.replay import seeded_inputs as request_inputs
 from repro.core.replayer import Replayer
 from repro.errors import ReplayError, ReproError
 from repro.gpu.counters import aggregate as aggregate_counters
 from repro.gpu.faults import FaultInjector
+from repro.obs.doctor import flip_dump_byte
 from repro.obs.metrics import LATENCY_BUCKETS_NS
 from repro.obs.rtrace import NULL_RTRACE, RequestTracer, SCHEMA
 from repro.obs.session import Observability
 from repro.obs.timeseries import TimeSeriesCollector
 from repro.serve.loadgen import ServeRequest
+from repro.soc.boards import board_for_family
 from repro.soc.clock import VirtualClock
+from repro.soc.machine import fresh_replay_machine
 from repro.units import MS, SEC
 
 #: How long an injected transient core-collapse lasts (virtual).
@@ -140,6 +142,8 @@ class RecordingStore:
     def from_zoo(cls, mix) -> "RecordingStore":
         """Record (or reuse the session-cached recording of) every
         (family, model) pair in ``mix``."""
+        from repro.bench.workloads import get_recorded
+
         store = cls()
         for family, model in mix:
             workload, _stack = get_recorded(family, model)
@@ -172,7 +176,6 @@ class RecordingStore:
         if request.fault is not None and request.fault.kind == "poison":
             poisoned = self._poisoned.get(key)
             if poisoned is None:
-                from repro.obs.doctor import flip_dump_byte
                 poisoned, _, _ = flip_dump_byte(self._recordings[key])
                 self._poisoned[key] = poisoned
             return poisoned
@@ -194,7 +197,11 @@ class RecordingStore:
         recording's output interface. Stores whose recordings are not
         zoo models (e.g. synthetic surgery sessions, which carry no
         inputs and no framework graph) override this with their own
-        reference."""
+        reference.
+
+        ``repro.stack`` is imported here, at call time, by design: the
+        CPU ground truth (degrade rung, ``verify_report``) is the one
+        thing serving loads that ``import repro.serve`` did not."""
         from repro.stack.framework import build_model
         from repro.stack.reference import run_reference
 
@@ -242,6 +249,8 @@ class VaultRecordingStore(RecordingStore):
     def pack_zoo(cls, vault, mix) -> "VaultRecordingStore":
         """Pack every (family, model) zoo recording into ``vault`` and
         serve from it -- the one-call path the benches use."""
+        from repro.bench.workloads import get_recorded
+
         for family, model in mix:
             workload, _stack = get_recorded(family, model)
             vault.pack(workload.recording)
@@ -313,19 +322,6 @@ class VaultRecordingStore(RecordingStore):
         drained = self._fetch_log
         self._fetch_log = []
         return drained
-
-
-def request_inputs(recording: Recording,
-                   seed: int) -> Dict[str, np.ndarray]:
-    """The request's input tensors, fully determined by its seed."""
-    rng = np.random.default_rng(seed)
-    inputs: Dict[str, np.ndarray] = {}
-    for io in recording.meta.inputs:
-        if io.optional:
-            continue
-        shape = io.shape or (io.size // 4,)
-        inputs[io.name] = rng.standard_normal(shape).astype(np.float32)
-    return inputs
 
 
 _MODEL_CACHE: Dict[str, object] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ReproError
 from repro.units import GIB, MIB
 
 
@@ -92,6 +93,18 @@ BOARDS = {
     spec.name: spec
     for spec in (HIKEY960, ODROID_N2, ODROID_C4, RASPBERRY_PI4, PIXEL4)
 }
+
+
+#: The evaluation board each GPU family records and replays on.
+FAMILY_BOARDS = {"mali": HIKEY960.name, "v3d": RASPBERRY_PI4.name,
+                 "adreno": PIXEL4.name}
+
+
+def board_for_family(family: str) -> str:
+    try:
+        return FAMILY_BOARDS[family]
+    except KeyError:
+        raise ReproError(f"unknown GPU family {family!r}") from None
 
 
 def board_by_name(name: str) -> BoardSpec:

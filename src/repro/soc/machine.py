@@ -14,14 +14,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import SocError
-from repro.obs.flight import FlightRecorder
-from repro.obs.session import NULL_OBS
-from repro.soc.boards import BoardSpec, board_by_name
+from repro.soc.boards import BoardSpec, board_by_name, board_for_family
 from repro.soc.clock import VirtualClock
-from repro.soc.firmware import FirmwareMailbox
+from repro.soc.firmware import (TAG_SET_CLOCK_RATE, TAG_SET_POWER,
+                                FirmwareMailbox)
+from repro.soc.flight import FlightRecorder
 from repro.soc.irq import InterruptController
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
 from repro.soc.mmio import MmioBus
+from repro.soc.nullobs import NULL_OBS
 
 
 @dataclass
@@ -105,3 +106,29 @@ class Machine:
     def now(self) -> int:
         """Shorthand for the machine's virtual time."""
         return self.clock.now()
+
+
+def host_kernel_configures_gpu(machine: Machine) -> None:
+    """What a commodity kernel did at boot: power the GPU rail.
+
+    User/kernel-level replayers "reuse the configuration done by the
+    kernel transparently" (Section 6.3); this is that configuration.
+    """
+    if machine.board.firmware_managed_power:
+        # Imported lazily: repro.gpu depends on repro.soc.
+        from repro.gpu.v3d import V3D_DEFAULT_CLOCK_HZ, V3D_FIRMWARE_ID
+
+        machine.firmware.request(TAG_SET_POWER, V3D_FIRMWARE_ID, 1)
+        machine.firmware.request(TAG_SET_CLOCK_RATE, V3D_FIRMWARE_ID,
+                                 V3D_DEFAULT_CLOCK_HZ)
+
+
+def fresh_replay_machine(family: str, seed: int = 1000,
+                         board: Optional[str] = None,
+                         flight_capacity: Optional[int] = None) -> Machine:
+    """A machine for the replay side, GPU power configured by the host
+    kernel (the D1 userspace/kernel deployments)."""
+    machine = Machine.create(board or board_for_family(family), seed=seed,
+                             flight_capacity=flight_capacity)
+    host_kernel_configures_gpu(machine)
+    return machine

@@ -44,6 +44,7 @@ import numpy as np
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
 from repro.core.recording import IoBuffer, Recording, RecordingMeta
+from repro.core.replay import boot_replayer, seeded_inputs
 from repro.core.replayer import Replayer
 from repro.errors import SurgeryError
 from repro.gpu import adreno as adreno_hw
@@ -143,19 +144,7 @@ class Slice:
 
 def _scratch_replayer(recording: Recording, board: Optional[str],
                       seed: int = 7100) -> Replayer:
-    from repro.bench.workloads import fresh_replay_machine
-    machine = fresh_replay_machine(recording.meta.family, seed=seed,
-                                   board=board or recording.meta.board)
-    replayer = Replayer(machine)
-    replayer.init()
-    replayer.load(recording)
-    return replayer
-
-
-def _default_inputs(recording: Recording,
-                    input_seed: int) -> Dict[str, np.ndarray]:
-    from repro.serve.engine import request_inputs
-    return request_inputs(recording, input_seed)
+    return boot_replayer(recording, board, seed)[1]
 
 
 def _truncated(parent: Recording, end: int, n_jobs: int) -> Recording:
@@ -393,7 +382,7 @@ def slice_job(parent: Recording, job_index: int,
                   cat="surgery"):
         analysis = analysis or analyze_recording(parent)
         info = analysis.job(job_index)
-        inputs = _default_inputs(parent, input_seed)
+        inputs = seeded_inputs(parent, input_seed)
         image = capture_closure(parent, info, inputs, board)
         obs.counter("surgery.slice.capture_replays").inc()
 
@@ -559,7 +548,7 @@ def verify_slice(parent: Recording, slice_: "Slice",
     """
     analysis = analysis or analyze_recording(parent)
     info = analysis.job(slice_.manifest.job_index)
-    inputs = _default_inputs(parent, slice_.manifest.input_seed)
+    inputs = seeded_inputs(parent, slice_.manifest.input_seed)
     writes = [tuple(r) for r in slice_.manifest.writes]
     ref = parent_write_bytes(parent, info, inputs, board, writes=writes)
     got = slice_write_bytes(slice_, board)

@@ -102,15 +102,14 @@ from typing import List, Optional
 from repro.core import actions as act
 from repro.core.patching import patch_recording_for_sku
 from repro.core.recording import Recording
+from repro.core.replay import (add_replay_arguments, fresh_replay,
+                               resolve_board)
 from repro.core.verifier import verify_recording
-from repro.errors import ReproError, VerificationError
+from repro.errors import (ReproError, SerializationError,
+                          StoreLayoutError, StoreNotFoundError,
+                          VerificationError)
 from repro.soc import BOARDS, Machine
 from repro.units import MIB, fmt_bytes, fmt_ns
-
-
-def _load(path: str) -> Recording:
-    with open(path, "rb") as handle:
-        return Recording.from_bytes(handle.read())
 
 
 def _describe_action(action: act.Action) -> str:
@@ -146,7 +145,7 @@ def _describe_action(action: act.Action) -> str:
 
 
 def cmd_info(args) -> int:
-    recording = _load(args.file)
+    recording = Recording.load(args.file)
     meta = recording.meta
     print(f"recording: {args.file}")
     print(f"  workload:   {meta.workload} "
@@ -177,7 +176,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_actions(args) -> int:
-    recording = _load(args.file)
+    recording = Recording.load(args.file)
     actions = recording.actions[:args.limit] if args.limit else \
         recording.actions
     for index, action in enumerate(actions):
@@ -190,12 +189,11 @@ def cmd_actions(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    recording = _load(args.file)
-    if args.board not in BOARDS:
-        print(f"unknown board {args.board!r}; "
-              f"known: {', '.join(sorted(BOARDS))}")
+    recording = Recording.load(args.file)
+    board = resolve_board(args, recording)
+    if board is None:
         return 2
-    machine = Machine.create(args.board, seed=0)
+    machine = Machine.create(board, seed=0)
     register_names = {d.name for d in machine.gpu.regs.defs()}
     max_bytes = args.max_gpu_mb * MIB if args.max_gpu_mb else None
     try:
@@ -213,54 +211,13 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _resolve_board(args, recording: Recording) -> Optional[str]:
-    board = getattr(args, "board", None) or recording.meta.board
-    if board not in BOARDS:
-        print(f"unknown board {board!r}; "
-              f"known: {', '.join(sorted(BOARDS))}")
-        return None
-    return board
-
-
-def _fresh_replay(recording: Recording, board: str, seed: int,
-                  with_obs: bool = False):
-    """Replay ``recording`` on a fresh board with random inputs.
-
-    Returns ``(machine, replayer, result)``; the replayer is still
-    initialized so callers can inspect it before cleanup().
-    """
-    import numpy as np
-
-    from repro.core.replayer import Replayer
-    from repro.environments.base import host_kernel_configures_gpu
-    from repro.obs import enable_observability
-
-    machine = Machine.create(board, seed=seed)
-    if with_obs:
-        enable_observability(machine)
-    host_kernel_configures_gpu(machine)
-    replayer = Replayer(machine)
-    replayer.init()
-    replayer.load(recording)
-    rng = np.random.default_rng(seed)
-    inputs = {}
-    for io in recording.meta.inputs:
-        if io.optional:
-            continue
-        shape = io.shape or (io.size // 4,)
-        inputs[io.name] = rng.standard_normal(shape).astype(np.float32)
-    result = replayer.replay(inputs=inputs)
-    return machine, replayer, result
-
-
 def cmd_replay(args) -> int:
     """Replay a recording on a fresh simulated board with random input."""
-    recording = _load(args.file)
-    board = _resolve_board(args, recording)
+    recording = Recording.load(args.file)
+    board = resolve_board(args, recording)
     if board is None:
         return 2
-    machine, replayer, result = _fresh_replay(recording, board,
-                                              args.seed)
+    machine, replayer, result = fresh_replay(recording, board, args.seed)
     print(f"replayed {recording.meta.workload} on "
           f"{machine.gpu.model_name}: {result.stats.jobs_kicked} jobs, "
           f"{result.stats.actions_executed} actions in "
@@ -310,21 +267,20 @@ def cmd_trace(args) -> int:
 
     Also accepts a saved ``grr doctor`` report, exporting its flight
     window instead of replaying."""
-    from repro.errors import SerializationError
-    from repro.obs import validate_chrome_trace
+    from repro.obs import enable_observability, validate_chrome_trace
 
     try:
-        recording = _load(args.file)
+        recording = Recording.load(args.file)
     except SerializationError:
         handled = _trace_from_report(args)
         if handled is None:
             raise
         return handled
-    board = _resolve_board(args, recording)
+    board = resolve_board(args, recording)
     if board is None:
         return 2
-    machine, replayer, result = _fresh_replay(recording, board,
-                                              args.seed, with_obs=True)
+    machine, replayer, result = fresh_replay(
+        recording, board, args.seed, prepare=enable_observability)
     replayer.cleanup()
     trace = machine.obs.export_timeline(args.out)
     errors = validate_chrome_trace(trace)
@@ -420,12 +376,14 @@ def cmd_stats(args) -> int:
         print("error: a recording file is required unless --diff is "
               "given", file=sys.stderr)
         return 2
-    recording = _load(args.file)
-    board = _resolve_board(args, recording)
+    from repro.obs import enable_observability
+
+    recording = Recording.load(args.file)
+    board = resolve_board(args, recording)
     if board is None:
         return 2
-    machine, replayer, result = _fresh_replay(recording, board,
-                                              args.seed, with_obs=True)
+    machine, replayer, result = fresh_replay(
+        recording, board, args.seed, prepare=enable_observability)
     replayer.cleanup()
     snapshot = machine.obs.snapshot()
     if args.json:
@@ -445,7 +403,7 @@ def _inspect_store(args) -> int:
 
     vault = Vault.open(args.store)
     if os.path.exists(args.file):
-        digest = _load(args.file).digest()
+        digest = Recording.load(args.file).digest()
         if digest not in vault:
             print(f"error: {args.file} (digest {digest[:12]}) is not "
                   f"packed in {args.store}", file=sys.stderr)
@@ -471,7 +429,7 @@ def cmd_inspect(args) -> int:
     """Content-addressing view: recording digest, per-dump hashes."""
     if args.store:
         return _inspect_store(args)
-    recording = _load(args.file)
+    recording = Recording.load(args.file)
     if args.jobs:
         return _inspect_jobs(args.file, recording)
     if args.digest and not args.dumps:
@@ -522,7 +480,7 @@ def cmd_store_pack(args) -> int:
 
     vault = Vault(args.vault)
     for path in args.files:
-        recording = _load(path)
+        recording = Recording.load(path)
         manifest = vault.pack(recording)
         print(f"packed {path} -> {manifest.digest[:12]} "
               f"({recording.meta.workload} on {manifest.board}, "
@@ -579,8 +537,7 @@ def cmd_store_fetch(args) -> int:
     vault = Vault.open(args.vault)
     digest = vault.resolve(args.digest)
     recording = vault.fetch(digest, verify=not args.no_verify)
-    with open(args.output, "wb") as handle:
-        handle.write(recording.to_bytes())
+    recording.save(args.output)
     state = "unverified" if args.no_verify else "verified"
     print(f"fetched {digest[:12]} ({recording.meta.workload}) "
           f"-> {args.output} ({state})")
@@ -644,7 +601,7 @@ def cmd_surgery_slice(args) -> int:
     from repro.surgery import analyze_recording, slice_job, verify_slice
     from repro.surgery.analyze import ranges_bytes
 
-    parent = _load(args.file)
+    parent = Recording.load(args.file)
     analysis = analyze_recording(parent)
     slice_ = slice_job(parent, args.job, kernel_index=args.kernel,
                        input_seed=args.input_seed, board=args.board,
@@ -655,8 +612,7 @@ def cmd_surgery_slice(args) -> int:
         if args.kernel is not None:
             out += f".k{args.kernel}"
         out += ".grr"
-    with open(out, "wb") as handle:
-        handle.write(slice_.recording.to_bytes())
+    slice_.recording.save(out)
     manifest_path = out + ".manifest.json"
     slice_.manifest.save(manifest_path)
     manifest = slice_.manifest
@@ -689,7 +645,7 @@ def _load_slice(path: str):
     """A slice file plus its required .manifest.json sidecar."""
     from repro.surgery import Slice, SliceManifest
 
-    recording = _load(path)
+    recording = Recording.load(path)
     manifest = SliceManifest.load(path + ".manifest.json")
     if manifest.slice_digest != recording.digest():
         raise VerificationError(
@@ -716,8 +672,7 @@ def cmd_surgery_compose(args) -> int:
         composed = reorder(slices, args.order_seed)
     else:
         composed = interleave(slices, rounds=args.rounds)
-    with open(args.output, "wb") as handle:
-        handle.write(composed.recording.to_bytes())
+    composed.recording.save(args.output)
     manifest_path = args.output + ".manifest.json"
     composed.manifest.save(manifest_path)
     manifest = composed.manifest
@@ -756,7 +711,7 @@ def cmd_surgery_compose(args) -> int:
 def cmd_surgery_ls(args) -> int:
     """Per-job surgery table over recording files."""
     for path in args.files:
-        _inspect_jobs(path, _load(path))
+        _inspect_jobs(path, Recording.load(path))
     return 0
 
 
@@ -771,52 +726,28 @@ def cmd_bench(args) -> int:
                                          replay_fastpath, serve_throughput,
                                          store_report, surgery_report)
 
-    if args.suite == "fleet":
-        def measure():
-            return measure_fleet()
-        guarded = ("scaling_ratio", "differential_ok")
-        def render():
-            return fleet_scaling().render()
-    elif args.suite == "obs":
-        def measure():
-            return measure_obs()
-        guarded = ("obs_speed_ratio",)
-        def render():
-            return obs_overhead().render()
-    elif args.suite == "serve":
-        def measure():
-            return measure_serve(mega=args.mega)
-        guarded = ("throughput_ratio", "plain_throughput_ratio")
-        def render():
-            return serve_throughput(mega=args.mega).render()
-    elif args.suite == "store":
-        def measure():
-            return measure_store()
-        guarded = ("dedup_savings",)
-        def render():
-            return store_report().render()
-    elif args.suite == "surgery":
-        def measure():
-            return measure_surgery()
-        guarded = ("sibling_dump_dedup", "equivalence_ok",
-                   "composed_differential_ok")
-        def render():
-            return surgery_report().render()
-    else:
-        def measure():
-            return measure_fastpath(family=args.family,
-                                    model_name=args.model,
-                                    replays=args.replays)
-        guarded = ("warm_load_speedup", "replay_speedup",
-                   "fast_replays_per_sec", "mega_replays_per_sec",
-                   "mega_speedup")
-        def render():
-            return replay_fastpath(family=args.family,
-                                   model_name=args.model,
-                                   replays=args.replays).render()
+    # suite -> (measure, report table, their kwargs, guarded metrics)
+    measure, report, kwargs, guarded = {
+        "fastpath": (
+            measure_fastpath, replay_fastpath,
+            {"family": args.family, "model_name": args.model,
+             "replays": args.replays},
+            ("warm_load_speedup", "replay_speedup",
+             "fast_replays_per_sec", "mega_replays_per_sec",
+             "mega_speedup")),
+        "fleet": (measure_fleet, fleet_scaling, {},
+                  ("scaling_ratio", "differential_ok")),
+        "obs": (measure_obs, obs_overhead, {}, ("obs_speed_ratio",)),
+        "serve": (measure_serve, serve_throughput, {"mega": args.mega},
+                  ("throughput_ratio", "plain_throughput_ratio")),
+        "store": (measure_store, store_report, {}, ("dedup_savings",)),
+        "surgery": (measure_surgery, surgery_report, {},
+                    ("sibling_dump_dedup", "equivalence_ok",
+                     "composed_differential_ok")),
+    }[args.suite]
 
     if args.json or args.check:
-        measured = measure()
+        measured = measure(**kwargs)
         if args.json:
             print(json_mod.dumps(measured, indent=2, sort_keys=True))
         if args.check:
@@ -855,18 +786,16 @@ def cmd_bench(args) -> int:
                       f"{args.tolerance:.0%} below pin)", file=sys.stderr)
                 return 1
         return 0
-    print(render())
+    print(report(**kwargs).render())
     return 0
 
 
-def cmd_serve(args) -> int:
-    """Run the serving engine against a seeded synthetic load."""
-    import json as json_mod
-
-    from repro.bench.workloads import board_for_family
-    from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
-                             ServerConfig, generate_requests,
-                             verify_report)
+def _serving_store(args):
+    """``(families, store)`` for ``grr serve`` / ``grr fleet`` from
+    ``--families``, ``--models`` and ``--synthetic``; None (said why)
+    on an unknown family."""
+    from repro.serve import RecordingStore
+    from repro.soc.boards import board_for_family
 
     families = tuple(f.strip() for f in args.families.split(",")
                      if f.strip())
@@ -877,27 +806,59 @@ def cmd_serve(args) -> int:
             board_for_family(family)
         except ReproError:
             print(f"unknown family {family!r}", file=sys.stderr)
-            return 2
-    worker_families = tuple(families[i % len(families)]
-                            for i in range(args.workers))
-    if args.synthetic:
-        # The synthetic workload source: composed surgery sessions
-        # drawn from a seeded plan, served exactly like zoo models.
-        from repro.surgery import SyntheticRecordingStore
-
-        store = SyntheticRecordingStore()
-        for family in sorted(set(families)):
-            store.populate_from_models(
-                family, list(models), sessions=args.synthetic,
-                seed=args.synthetic_seed)
-        mix = tuple(store.mix())
-    else:
-        store = RecordingStore.from_zoo(tuple(
+            return None
+    if not args.synthetic:
+        return families, RecordingStore.from_zoo(tuple(
             (family, model)
             for family in sorted(set(families)) for model in models))
-        mix = tuple(store.mix())
+    # The synthetic workload source: composed surgery sessions
+    # drawn from a seeded plan, served exactly like zoo models.
+    from repro.surgery import SyntheticRecordingStore
+
+    store = SyntheticRecordingStore()
+    for family in sorted(set(families)):
+        store.populate_from_models(
+            family, list(models), sessions=args.synthetic,
+            seed=args.synthetic_seed)
+    return families, store
+
+
+def _verify_served(args, report, store) -> int:
+    """Exit code after checking every answer against the CPU
+    reference (skipped under ``--no-verify``)."""
+    from repro.serve import verify_report
+
+    if args.no_verify:
+        return 0
+    mismatches = verify_report(report, store)
+    if mismatches:
+        print(f"error: {len(mismatches)} outputs disagree with the "
+              f"CPU reference:", file=sys.stderr)
+        for mismatch in mismatches[:10]:
+            print(f"  {mismatch}", file=sys.stderr)
+        return 1
+    counts = report.counts()
+    print(f"  verified: all {counts['ok'] + counts['degraded']} answered "
+          f"outputs match the CPU reference",
+          file=sys.stderr if args.json else sys.stdout)
+    return 0
+
+
+def cmd_serve(args) -> int:
+    """Run the serving engine against a seeded synthetic load."""
+    import json as json_mod
+
+    from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
+                             generate_requests)
+
+    served = _serving_store(args)
+    if served is None:
+        return 2
+    families, store = served
+    worker_families = tuple(families[i % len(families)]
+                            for i in range(args.workers))
     load_cfg = LoadgenConfig(
-        requests=args.requests, seed=args.seed, mix=mix,
+        requests=args.requests, seed=args.seed, mix=tuple(store.mix()),
         fault_rate=args.fault_rate)
     requests = generate_requests(load_cfg)
     tracing = not args.no_trace
@@ -915,8 +876,6 @@ def cmd_serve(args) -> int:
 
     aux = sys.stderr if args.json else sys.stdout
     if args.trace_out or args.trace_chrome or args.profile_out:
-        import json as json_mod
-
         from repro.obs.prof import chrome_flame, folded_stacks, \
             to_folded_text
         from repro.obs.rtrace import (events_to_chrome, events_to_jsonl,
@@ -1015,40 +974,20 @@ def cmd_serve(args) -> int:
         print(f"error: {len(report.lost)} requests lost: "
               f"{report.lost[:10]}", file=sys.stderr)
         return 1
-    if not args.no_verify:
-        mismatches = verify_report(report, store)
-        if mismatches:
-            print(f"error: {len(mismatches)} outputs disagree with the "
-                  f"CPU reference:", file=sys.stderr)
-            for mismatch in mismatches[:10]:
-                print(f"  {mismatch}", file=sys.stderr)
-            return 1
-        answered = counts["ok"] + counts["degraded"]
-        print(f"  verified: all {answered} answered outputs match the "
-              f"CPU reference",
-              file=sys.stderr if args.json else sys.stdout)
-    return 0
+    return _verify_served(args, report, store)
 
 
 def cmd_fleet(args) -> int:
     """Serve a seeded synthetic load on a simulated multi-node fleet."""
     import json as json_mod
 
-    from repro.bench.workloads import board_for_family
     from repro.fleet import Fleet, FleetConfig
-    from repro.serve import (LoadgenConfig, RecordingStore,
-                             generate_requests, verify_report)
+    from repro.serve import LoadgenConfig, generate_requests
 
-    families = tuple(f.strip() for f in args.families.split(",")
-                     if f.strip())
-    models = tuple(m.strip() for m in args.models.split(",")
-                   if m.strip())
-    for family in families:
-        try:
-            board_for_family(family)
-        except ReproError:
-            print(f"unknown family {family!r}", file=sys.stderr)
-            return 2
+    served = _serving_store(args)
+    if served is None:
+        return 2
+    families, store = served
     quotas = []
     for spec in args.quota or ():
         tenant, _, cap = spec.partition("=")
@@ -1057,22 +996,8 @@ def cmd_fleet(args) -> int:
                   file=sys.stderr)
             return 2
         quotas.append((tenant, int(cap)))
-    if args.synthetic:
-        from repro.surgery import SyntheticRecordingStore
-
-        store = SyntheticRecordingStore()
-        for family in sorted(set(families)):
-            store.populate_from_models(
-                family, list(models), sessions=args.synthetic,
-                seed=args.synthetic_seed)
-        mix = tuple(store.mix())
-    else:
-        store = RecordingStore.from_zoo(tuple(
-            (family, model)
-            for family in sorted(set(families)) for model in models))
-        mix = tuple(store.mix())
     load_cfg = LoadgenConfig(
-        requests=args.requests, seed=args.seed, mix=mix,
+        requests=args.requests, seed=args.seed, mix=tuple(store.mix()),
         fault_rate=args.fault_rate, shape=args.shape,
         popularity=args.popularity,
         tenants=tuple(t.strip() for t in args.tenants.split(",")
@@ -1154,19 +1079,7 @@ def cmd_fleet(args) -> int:
         failed = True
     if failed:
         return 1
-    if not args.no_verify:
-        mismatches = verify_report(report, store)
-        if mismatches:
-            print(f"error: {len(mismatches)} outputs disagree with "
-                  f"the CPU reference:", file=sys.stderr)
-            for mismatch in mismatches[:10]:
-                print(f"  {mismatch}", file=sys.stderr)
-            return 1
-        answered = counts["ok"] + counts["degraded"]
-        print(f"  verified: all {answered} answered outputs match the "
-              f"CPU reference",
-              file=sys.stderr if args.json else sys.stdout)
-    return 0
+    return _verify_served(args, report, store)
 
 
 def _read_events(path: str):
@@ -1361,12 +1274,11 @@ def cmd_counters(args) -> int:
     """Replay a recording and print the GPU performance-counter tape."""
     import json as json_mod
 
-    recording = _load(args.file)
-    board = _resolve_board(args, recording)
+    recording = Recording.load(args.file)
+    board = resolve_board(args, recording)
     if board is None:
         return 2
-    machine, replayer, result = _fresh_replay(recording, board,
-                                              args.seed)
+    machine, replayer, result = fresh_replay(recording, board, args.seed)
     replayer.cleanup()
     snapshot = machine.gpu.counters.snapshot()
     if args.json:
@@ -1470,8 +1382,8 @@ def cmd_doctor(args) -> int:
     """Diagnose a failing replay and localize the first divergence."""
     from repro.obs.doctor import run_doctor
 
-    recording = _load(args.file)
-    board = _resolve_board(args, recording)
+    recording = Recording.load(args.file)
+    board = resolve_board(args, recording)
     if board is None:
         return 2
     report = run_doctor(recording, board, seed=args.seed,
@@ -1490,12 +1402,11 @@ def cmd_doctor(args) -> int:
 
 
 def cmd_patch(args) -> int:
-    recording = _load(args.file)
+    recording = Recording.load(args.file)
     patched, report = patch_recording_for_sku(
         recording, args.target_sku,
         patch_affinity=not args.no_affinity)
-    with open(args.output, "wb") as handle:
-        handle.write(patched.to_bytes())
+    patched.save(args.output)
     print(f"patched {report.source_sku} -> {report.target_sku}: "
           f"{report.pte_entries_rewritten} PTE entries, "
           f"memattr={'yes' if report.memattr_patched else 'no'}, "
@@ -1529,28 +1440,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser(
         "replay", help="replay on a fresh simulated board")
-    replay.add_argument("file")
-    replay.add_argument("--board", default=None,
-                        help="defaults to the recording's board")
-    replay.add_argument("--seed", type=int, default=2026)
+    add_replay_arguments(replay)
     replay.set_defaults(func=cmd_replay)
 
     trace_cmd = sub.add_parser(
         "trace", help="replay + export a Chrome trace timeline")
-    trace_cmd.add_argument("file")
-    trace_cmd.add_argument("--board", default=None,
-                           help="defaults to the recording's board")
-    trace_cmd.add_argument("--seed", type=int, default=2026)
+    add_replay_arguments(trace_cmd)
     trace_cmd.add_argument("--out", default="timeline.json")
     trace_cmd.set_defaults(func=cmd_trace)
 
     stats = sub.add_parser(
         "stats", help="replay + print the metrics snapshot, or "
         "compare two saved snapshots with --diff")
-    stats.add_argument("file", nargs="?", default=None)
-    stats.add_argument("--board", default=None,
-                       help="defaults to the recording's board")
-    stats.add_argument("--seed", type=int, default=2026)
+    add_replay_arguments(stats, nargs="?", default=None)
     stats.add_argument("--json", action="store_true",
                        help="machine-readable output")
     stats.add_argument("--diff", nargs=2, default=None,
@@ -1852,10 +1754,7 @@ def build_parser() -> argparse.ArgumentParser:
     counters = sub.add_parser(
         "counters", help="replay a recording and print the emulated "
         "GPU performance-counter tape")
-    counters.add_argument("file")
-    counters.add_argument("--board", default=None,
-                          help="defaults to the recording's board")
-    counters.add_argument("--seed", type=int, default=2026)
+    add_replay_arguments(counters)
     counters.add_argument("--json", action="store_true",
                           help="machine-readable gpucounters.v1 "
                           "snapshot")
@@ -1918,10 +1817,7 @@ def build_parser() -> argparse.ArgumentParser:
     doctor = sub.add_parser(
         "doctor", help="diagnose a failing replay: localize the first "
         "diverging chokepoint, emit a DivergenceReport")
-    doctor.add_argument("file")
-    doctor.add_argument("--board", default=None,
-                        help="defaults to the recording's board")
-    doctor.add_argument("--seed", type=int, default=2026)
+    add_replay_arguments(doctor)
     doctor.add_argument("--vs-reference", action="store_true",
                         help="run the compiled fast path and the "
                         "reference interpreter in lockstep and localize "
@@ -1943,10 +1839,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.errors import SerializationError
-
-    from repro.errors import StoreLayoutError, StoreNotFoundError
-
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -18,6 +18,15 @@ KIB = 1024
 MIB = 1024 * 1024
 GIB = 1024 * 1024 * 1024
 
+#: Default histogram boundaries for durations (virtual nanoseconds).
+LATENCY_BUCKETS_NS = (
+    1 * US, 10 * US, 100 * US, 1 * MS, 10 * MS, 100 * MS, 1 * SEC,
+    10 * SEC)
+
+#: Default histogram boundaries for sizes (bytes).
+SIZE_BUCKETS_BYTES = (
+    4 * KIB, 64 * KIB, 1 * MIB, 16 * MIB, 64 * MIB, 256 * MIB)
+
 
 def fmt_ns(ns: int) -> str:
     """Render a nanosecond duration as a human-readable string."""

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from repro.core.replay import boot_replayer as _build_replayer
+from repro.core.replay import seeded_inputs as _inputs_for
 from repro.errors import ObsError, ReplayError
 from repro.obs.doctor import (SCHEMA_VERSION, DivergenceReport,
-                              _build_replayer, _inputs_for,
                               environment_fingerprint, first_kick_chain_va,
                               flip_dump_byte, lockstep_compare,
                               patch_reg_read, run_doctor)

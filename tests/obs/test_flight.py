@@ -99,7 +99,8 @@ class TestMachineIntegration:
         assert len(machine.flight) == 0
 
     def test_replay_populates_the_ring(self, mali_mnist_recorded):
-        from repro.obs.doctor import _build_replayer, _inputs_for
+        from repro.core.replay import (boot_replayer as _build_replayer,
+                                       seeded_inputs as _inputs_for)
 
         workload, _ = mali_mnist_recorded
         recording = workload.recording
@@ -130,7 +131,8 @@ class TestDifferentialTapes:
         ("mali", "hikey960"), ("v3d", "raspberrypi4")])
     def test_fast_and_reference_tapes_identical(self, family, board):
         from repro.bench.workloads import get_recorded
-        from repro.obs.doctor import _build_replayer, _inputs_for
+        from repro.core.replay import (boot_replayer as _build_replayer,
+                                       seeded_inputs as _inputs_for)
 
         workload, _ = get_recorded(family, "mnist")
         recording = workload.recording

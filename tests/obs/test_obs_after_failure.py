@@ -11,7 +11,9 @@ import pytest
 from repro.errors import ReplayAborted, ReplayError
 from repro.gpu.faults import FaultInjector
 from repro.obs import enable_observability
-from repro.obs.doctor import _build_replayer, _inputs_for, flip_dump_byte
+from repro.core.replay import boot_replayer as _build_replayer
+from repro.core.replay import seeded_inputs as _inputs_for
+from repro.obs.doctor import flip_dump_byte
 
 
 def _counters(machine):
