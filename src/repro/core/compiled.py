@@ -8,8 +8,9 @@ steady-state serve regime (same recording, new inputs, many times).
 
 ``compile_program`` lowers a *verified* recording once: each action
 becomes a spec tuple with its register name pre-resolved to an
-absolute MMIO address and its dump bytes/digest pre-fetched; pacing
-becomes a flat array of minimum intervals. A :class:`CompiledProgram`
+absolute MMIO address and its dump looked up (not hashed: residency
+goes by identity first); pacing becomes a flat array of minimum
+intervals. A :class:`CompiledProgram`
 is machine-independent data bound to a board configuration, so the
 replayer's load cache shares it between replayers;
 :meth:`CompiledProgram.bind` attaches it to one nano driver as one
@@ -80,6 +81,10 @@ class CompiledProgram:
         self.flags = flags
         self.intervals = intervals
         self.board_key = board_key
+        #: The map / unmap actions in order: ``(va, pages or None)``.
+        self.map_effects = [
+            (spec[1], spec[2] if spec[0] == _MAP else None)
+            for spec in specs if spec[0] in (_MAP, _UNMAP)]
         self._superblocks: Optional[Dict[int, "Superblock"]] = None
 
     def __len__(self) -> int:
@@ -158,9 +163,8 @@ def compile_program(recording: Recording,
         elif isinstance(action, act.UnmapGpuMem):
             specs.append((_UNMAP, action.addr, action.num_pages))
         elif isinstance(action, act.Upload):
-            dump = recording.dumps[action.dump_index]
-            specs.append((_UPLOAD, action.addr, dump.data, dump.digest,
-                          dump.size))
+            specs.append((_UPLOAD, action.addr,
+                          recording.dumps[action.dump_index]))
         elif isinstance(action, act.WaitIrq):
             specs.append((_WAIT_IRQ, action.timeout_ns))
         elif isinstance(action, act.IrqEnter):
@@ -323,7 +327,8 @@ class CompiledExecutor:
             return step
 
         if kind == _UPLOAD:
-            _, addr, data, digest, size = spec
+            _, addr, dump = spec
+            size = dump.size
             upload = nano.upload
             clock = nano.clock
             ctrs = (obs.counter("replay.uploads"),
@@ -333,7 +338,7 @@ class CompiledExecutor:
 
             def step(i):
                 t0 = clock.now()
-                uploaded = upload(addr, data, digest=digest)
+                uploaded = upload(addr, dump)
                 stats = self.stats
                 stats.upload_ns += clock.now() - t0
                 stats.upload_bytes += uploaded

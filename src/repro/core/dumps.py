@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Tuple
 
 from repro.soc.memory import PAGE_SIZE
@@ -22,10 +23,9 @@ class MemoryDump:
     ``data`` is any C-contiguous read-only buffer: ``bytes`` from the
     recorder/file loader, or a read-only ``memoryview`` into a
     vault-fetched chunk buffer (the zero-copy fetch path). Everything
-    downstream -- digesting, upload-plan compilation, nano-driver
-    residency hashing, per-page MMU writes -- must treat it as an
-    opaque buffer and never assume ``bytes`` methods beyond len /
-    slicing / hashing. Equality compares content either way.
+    downstream must treat it as an opaque buffer and never assume
+    ``bytes`` methods beyond len / slicing / hashing. Equality
+    compares content either way.
     """
 
     va: int
@@ -38,19 +38,15 @@ class MemoryDump:
     def end_va(self) -> int:
         return self.va + len(self.data)
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Content hash of the dump bytes (hex SHA-256).
-
-        Computed once and memoized on the instance; the nano driver
-        keys its GPU-resident state on it so repeated replays can skip
-        re-uploading bytes that are already on the GPU.
+        """Content hash of the dump bytes (hex SHA-256): a residency
+        key, computed on demand (the nano driver asks when two dump
+        objects meet at one address) and memoized. Not an integrity
+        check -- those are the chunk addresses and the body digest at
+        fetch, and ``verify_recording`` at load.
         """
-        cached = self.__dict__.get("_digest")
-        if cached is None:
-            cached = hashlib.sha256(self.data).hexdigest()
-            object.__setattr__(self, "_digest", cached)
-        return cached
+        return hashlib.sha256(self.data).hexdigest()
 
 
 def coalesce_pages(pages: Iterable[Tuple[int, bytes]]) -> List[MemoryDump]:

@@ -214,8 +214,7 @@ class ReplayInterpreter:
         elif isinstance(action, act.Upload):
             dump = self.recording.dumps[action.dump_index]
             t0 = nano.clock.now()
-            uploaded = nano.upload(action.addr, dump.data,
-                                   digest=dump.digest)
+            uploaded = nano.upload(action.addr, dump)
             self.stats.upload_ns += nano.clock.now() - t0
             self.stats.upload_bytes += uploaded
             obs.counter("replay.uploads").inc()

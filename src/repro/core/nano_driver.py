@@ -17,6 +17,7 @@ import bisect
 import hashlib
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.dumps import MemoryDump
 from repro.errors import ReplayError, VerificationError
 from repro.gpu import adreno as adreno_hw
 from repro.gpu import mali as mali_hw
@@ -59,10 +60,10 @@ class NanoGpuDriver:
         self._fmt = gpu.mmu.fmt  # the replayer's own SKU format
         self._pt: Optional[PageTableBuilder] = None
         self._regions: Dict[int, Tuple[List[int], int]] = {}
-        #: GPU-resident dump state: upload VA -> (content digest, size).
-        #: Entries are dropped whenever the bytes underneath might have
-        #: changed (unmap, fresh map, CPU writes, memory release).
-        self._resident: Dict[int, Tuple[str, int]] = {}
+        #: GPU-resident dumps: upload VA -> the dump last uploaded,
+        #: dropped whenever the bytes underneath might have changed
+        #: (unmap, fresh map, CPU writes, memory release).
+        self._resident: Dict[int, MemoryDump] = {}
         #: Sorted resident base addresses + the largest resident dump,
         #: so the per-GPU-write overlap check is a bisect, not a scan.
         self._resident_bases: List[int] = []
@@ -441,15 +442,15 @@ class NanoGpuDriver:
         if lo >= hi:
             return
         stale = [base for base in bases[lo:hi]
-                 if va < base + self._resident[base][1]]
+                 if va < base + self._resident[base].size]
         for base in stale:
             del self._resident[base]
             bases.remove(base)
 
     def resident_digest(self, va: int) -> Optional[str]:
         """The content digest resident at ``va``, if any (debug/CLI)."""
-        entry = self._resident.get(va)
-        return entry[0] if entry is not None else None
+        held = self._resident.get(va)
+        return held.digest if held is not None else None
 
     def forget_resident(self) -> None:
         """Drop all resident-dump knowledge, forcing the next replay to
@@ -460,37 +461,38 @@ class NanoGpuDriver:
 
     def upload(self, va: int, data: bytes,
                digest: Optional[str] = None) -> int:
-        """Load dump bytes at ``va``; returns the bytes actually moved.
+        """Load a dump at ``va``; returns the bytes actually moved.
 
-        When ``digest`` (or the computed content hash) matches what a
-        previous upload left at the same address -- and nothing has
-        dirtied the range since -- the copy is skipped entirely: the
-        bytes are already GPU-resident. Repeated replays of one
-        recording and §5.4 delay-injection retries hit this path.
-
-        ``data`` may be any C-contiguous read-only buffer (``bytes`` or
-        a read-only ``memoryview`` into a vault chunk buffer): residency
-        hashing, length checks and per-page writes all operate on the
-        view without materializing an intermediate ``bytes`` copy.
+        ``data`` is a :class:`MemoryDump` (what replay passes) or raw
+        bytes -- any C-contiguous read-only buffer, written page by
+        page with no intermediate copy -- and ``digest`` its content
+        hash, if the caller has one. When the dump a previous upload
+        left here is this one, or one of equal size and digest, and
+        nothing dirtied the range since, the copy is skipped (repeated
+        replays, §5.4 delay-injection retries). The digest is a
+        residency key, not an integrity check: it is computed only
+        when two different dump objects meet at one address.
         """
-        if digest is None:
-            digest = hashlib.sha256(data).hexdigest()
-        if self._resident.get(va) == (digest, len(data)):
+        dump = data if isinstance(data, MemoryDump) else MemoryDump(va, data)
+        if digest is not None:  # fills the cached property
+            dump.__dict__.setdefault("digest", digest)
+        size = dump.size
+        held = self._resident.get(va)
+        if held is dump or (held is not None and held.size == size
+                            and held.digest == dump.digest):
             self.clock.advance(RESIDENT_CHECK_NS)
             if self.counters.enabled:
-                self.counters.note_upload_skipped(len(data))
-            self.flight.record(self.clock.now(), "Upload",
-                               (va, len(data), 0))
+                self.counters.note_upload_skipped(size)
+            self.flight.record(self.clock.now(), "Upload", (va, size, 0))
             return 0
-        self.clock.advance(max(1, len(data) * SEC // UPLOAD_BW))
-        self._drop_resident(va, len(data))
-        self._cpu_access(va, len(data), data)
-        self._resident[va] = (digest, len(data))
+        self.clock.advance(max(1, size * SEC // UPLOAD_BW))
+        self._drop_resident(va, size)
+        self._cpu_access(va, size, dump.data)
+        self._resident[va] = dump
         bisect.insort(self._resident_bases, va)
-        self._resident_max = max(self._resident_max, len(data))
-        self.flight.record(self.clock.now(), "Upload",
-                           (va, len(data), len(data)))
-        return len(data)
+        self._resident_max = max(self._resident_max, size)
+        self.flight.record(self.clock.now(), "Upload", (va, size, size))
+        return size
 
     def copy_to_gpu(self, gaddr: int, data: bytes) -> None:
         self.clock.advance(max(1, len(data) * SEC // UPLOAD_BW))

@@ -132,7 +132,14 @@ class Recording:
         as cross-SKU patching build new Recording objects).
         """
         if self._digest is None:
-            self._digest = hashlib.sha256(_encode_body(self)).hexdigest()
+            # Hashed as the body lies, dump by dump: never joined.
+            skeleton = encode_skeleton(self)
+            table = len(skeleton) - _DUMP_ENTRY.size * len(self.dumps)
+            h = hashlib.sha256(skeleton[:table])
+            for dump in self.dumps:
+                h.update(_DUMP_ENTRY.pack(dump.va, dump.size))
+                h.update(dump.data)
+            self._digest = h.hexdigest()
         return self._digest
 
     # -- accounting ---------------------------------------------------------

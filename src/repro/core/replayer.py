@@ -425,7 +425,11 @@ class Replayer:
         propagate; returns ``(stats, extracted outputs)``."""
         try:
             stats = run()
-            self._note_session_maps(self.current)
+            for va, pages in self.program.map_effects:
+                if pages is None:
+                    self._session_maps.pop(va, None)
+                else:
+                    self._session_maps[va] = pages
             return stats, extract(self.current)
         except ReplayAborted:
             self._end_span(span, aborted=True)
@@ -607,14 +611,6 @@ class Replayer:
                 array = array.reshape(io.shape)
             outputs[io.name] = array
         return outputs
-
-    def _note_session_maps(self, recording: Recording) -> None:
-        from repro.core import actions as act
-        for action in recording.actions:
-            if isinstance(action, act.MapGpuMem):
-                self._session_maps[action.addr] = action.num_pages
-            elif isinstance(action, act.UnmapGpuMem):
-                self._session_maps.pop(action.addr, None)
 
     # -- guards --------------------------------------------------------------------------------
 

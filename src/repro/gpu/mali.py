@@ -61,6 +61,12 @@ FAULT_MEMATTR = 2
 FAULT_PERMISSION = 3
 
 NUM_JOB_SLOTS = 2
+#: Names every interrupt check and job start looks up, formatted once.
+_IRQ_REGS = {group: (f"{group}_IRQ_RAWSTAT", f"{group}_IRQ_MASK")
+             for group in ("GPU", "JOB", "MMU")}
+_JS_REGS = [tuple(f"JS{slot}_{reg}" for reg in
+                  ("HEAD_HI", "HEAD_LO", "AFFINITY", "STATUS"))
+            for slot in range(NUM_JOB_SLOTS)]
 
 # Hardware timing bases (virtual ns, jittered at run time).
 RESET_DELAY_NS = 100 * US
@@ -208,31 +214,32 @@ class MaliGpu(GpuDevice):
             "GPU_TEMP", lambda _v: 55 + self.machine.rng.randrange(10))
 
     def _masked_reader(self, group: str):
+        rawstat, mask = _IRQ_REGS[group]
+        peek = self.regs.peek
+
         def read(_value: int) -> int:
-            raw = self.regs.peek(f"{group}_IRQ_RAWSTAT")
-            mask = self.regs.peek(f"{group}_IRQ_MASK")
-            return raw & mask
+            return peek(rawstat) & peek(mask)
         return read
 
     # -- interrupt plumbing ----------------------------------------------------
 
     def _irq_pending_level(self) -> bool:
-        for group in ("GPU", "JOB", "MMU"):
-            raw = self.regs.peek(f"{group}_IRQ_RAWSTAT")
-            mask = self.regs.peek(f"{group}_IRQ_MASK")
-            if raw & mask:
+        peek = self.regs.peek
+        for rawstat, mask in _IRQ_REGS.values():
+            if peek(rawstat) & peek(mask):
                 return True
         return False
 
     def _assert_irq(self, group: str, bits: int) -> None:
-        raw = self.regs.peek(f"{group}_IRQ_RAWSTAT")
-        self.regs.poke(f"{group}_IRQ_RAWSTAT", raw | bits)
+        rawstat = _IRQ_REGS[group][0]
+        self.regs.poke(rawstat, self.regs.peek(rawstat) | bits)
         self.update_irq_line()
 
     def _on_irq_clear(self, group: str):
+        rawstat = _IRQ_REGS[group][0]
+
         def handler(_old: int, value: int) -> None:
-            raw = self.regs.peek(f"{group}_IRQ_RAWSTAT")
-            self.regs.poke(f"{group}_IRQ_RAWSTAT", raw & ~value)
+            self.regs.poke(rawstat, self.regs.peek(rawstat) & ~value)
             self.update_irq_line()
         return handler
 
@@ -341,9 +348,9 @@ class MaliGpu(GpuDevice):
 
     def _start_job(self, slot: int) -> None:
         regs = self.regs
-        head = (regs.peek(f"JS{slot}_HEAD_HI") << 32) | \
-            regs.peek(f"JS{slot}_HEAD_LO")
-        affinity = regs.peek(f"JS{slot}_AFFINITY")
+        head_hi, head_lo, affinity_reg, status_reg = _JS_REGS[slot]
+        head = (regs.peek(head_hi) << 32) | regs.peek(head_lo)
+        affinity = regs.peek(affinity_reg)
 
         if self._resetting or self._jobs[slot] is not None:
             self._fail_job(slot, head)
@@ -381,7 +388,7 @@ class MaliGpu(GpuDevice):
             return
 
         ncores = bin(active_cores).count("1")
-        regs.poke(f"JS{slot}_STATUS", JS_STATUS_ACTIVE)
+        regs.poke(status_reg, JS_STATUS_ACTIVE)
         self._enter_busy()
         job = RunningJob(slot, head, programs, None, ncores)
         self._jobs[slot] = job
@@ -423,7 +430,7 @@ class MaliGpu(GpuDevice):
             self._fail_job(slot, job.chain_va)
             return
         self._exit_busy()
-        self.regs.poke(f"JS{slot}_STATUS", JS_STATUS_DONE)
+        self.regs.poke(_JS_REGS[slot][3], JS_STATUS_DONE)
         self._assert_irq("JOB", 1 << slot)
 
     def _fail_job(self, slot: int, _head: int) -> None:

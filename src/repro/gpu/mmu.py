@@ -21,8 +21,12 @@ resolved it to. A warm bulk access then costs one C-level gather (or
 one physical write per page) instead of a Python iteration per page;
 first touches, faults and partial writes go through the one
 page-at-a-time loop, :meth:`GpuMmu._walk`, and count the same hits and
-misses either way. The bytes themselves are never cached: a run holds
-the live page buffers, so it reads whatever the CPU or GPU last wrote.
+misses either way. That loop walks the root once per leaf table it
+crosses, not once per page: misses decode their PTEs in place in the
+table's page buffer (never stale) and look the table up again only
+after a write to the root table's page. The bytes themselves are never
+cached: a run holds the live page buffers, as a cold gather does, so
+it reads whatever the CPU or GPU last wrote.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
 PERM_R = 1
 PERM_W = 2
 PERM_X = 4
+_NEEDED = {"r": PERM_R, "w": PERM_W, "x": PERM_X}
 
 # Virtual address split: 4 KiB pages, 512-entry L1 tables, 512-entry L0
 # root -> 1 GiB of GPU virtual address space per context.
@@ -205,6 +210,7 @@ class GpuMmu:
         self.fmt = fmt
         self.base_pa: Optional[int] = None
         self.enabled = False
+        self._entry = struct.Struct("<Q" if fmt.pte_size == 8 else "<I")
         self._tlb: Dict[Tuple[int, str], int] = {}
         #: Page runs: ``(va, size, access)`` -> what the TLB said about
         #: every page of that range when it was last probed -- the live
@@ -284,39 +290,53 @@ class GpuMmu:
         self._drop_translations()
 
     def translate(self, va: int, access: str) -> int:
-        """Translate one VA; raises :class:`GpuPageFault` on failure."""
+        """Translate one VA; raises :class:`GpuPageFault` on failure.
+        The one-page case of :meth:`_walk`."""
+        offset = va & (PAGE_SIZE - 1)
+        pa = self._tlb.get((va - offset, access))
+        if pa is None:
+            return self._miss(va, access)[0] | offset
+        self.tlb_hits += 1
+        return pa | offset
+
+    def _miss(self, va: int, access: str, leaf: Optional[tuple] = None
+              ) -> Tuple[int, tuple]:
+        """Walk the tables for ``va``'s page; remember the translation
+        and the table pages it came from. Returns the page's PA and the
+        leaf table (number, PA, live page buffer, both table pages),
+        which a walk hands back so its next miss there skips the root."""
         if not self.enabled or self.base_pa is None:
             raise GpuPageFault(va, access, "MMU disabled")
-        page_va = va & ~(PAGE_SIZE - 1)
-        cached = self._tlb.get((page_va, access))
-        if cached is not None:
-            self.tlb_hits += 1
-            return cached | (va & (PAGE_SIZE - 1))
         self.tlb_misses += 1
-        l0, l1, offset = split_va(va)
-        l0_entry = self.memory.read_u64(self.base_pa + l0 * 8) \
-            if self.fmt.pte_size == 8 else \
-            self.memory.read_u32(self.base_pa + l0 * 4)
-        valid, l1_pa = self.fmt.decode_table_ptr(l0_entry)
-        if not valid:
-            self.fault_count += 1
-            raise GpuPageFault(va, access, "no L1 table")
-        pte = self.memory.read_u64(l1_pa + l1 * 8) \
-            if self.fmt.pte_size == 8 else \
-            self.memory.read_u32(l1_pa + l1 * 4)
-        valid, pa, perms = self.fmt.decode_pte(pte)
+        fmt = self.fmt
+        width = fmt.pte_size
+        index = va >> _OFFSET_BITS
+        if leaf is None or leaf[0] != index >> _L1_BITS:
+            if index >> (_L1_BITS + _L0_BITS):
+                split_va(va)  # raises
+            valid, l1_pa = fmt.decode_table_ptr(self._entry.unpack(
+                self.memory.read(self.base_pa + (index >> _L1_BITS) * width,
+                                 width))[0])
+            if not valid:
+                self.fault_count += 1
+                raise GpuPageFault(va, access, "no L1 table")
+            leaf = (index >> _L1_BITS, l1_pa, self.memory.page_buffer(l1_pa),
+                    (self.base_pa >> 12, l1_pa >> 12))
+        _number, l1_pa, buffer, tables = leaf
+        at = (index & ((1 << _L1_BITS) - 1)) * width
+        # No buffer (yet): a read's zeros, or its error.
+        valid, pa, perms = fmt.decode_pte(
+            self._entry.unpack_from(buffer, at)[0] if buffer is not None
+            else self._entry.unpack(self.memory.read(l1_pa + at, width))[0])
         if not valid:
             self.fault_count += 1
             raise GpuPageFault(va, access, "invalid PTE")
-        if self.fmt.has_permissions:
-            needed = {"r": PERM_R, "w": PERM_W, "x": PERM_X}[access]
-            if not perms & needed:
-                self.fault_count += 1
-                raise GpuPageFault(va, access, "permission denied")
-        self._table_pages.add(self.base_pa >> 12)
-        self._table_pages.add(l1_pa >> 12)
-        self._tlb[(page_va, access)] = pa
-        return pa | offset
+        if fmt.has_permissions and not perms & _NEEDED[access]:
+            self.fault_count += 1
+            raise GpuPageFault(va, access, "permission denied")
+        self._table_pages.update(tables)
+        self._tlb[(va & ~(PAGE_SIZE - 1), access)] = pa
+        return pa, leaf
 
     # -- bulk access (gather/scatter across non-contiguous pages) ----------
 
@@ -328,23 +348,24 @@ class GpuMmu:
         The one page loop behind every first touch, fault and partial
         write: a fault leaves the pages before it accessed, and a page
         is translated only after the caller is done with the previous
-        one (whose write may have shot the TLB down). The TLB probe is
-        inlined -- this is the per-page cost of a cold access.
+        one, whose write may have been to the root table.
         """
         tlb = self._tlb
         cursor = va
         end = va + size
+        leaf = None
         while cursor < end:
             offset = cursor & (PAGE_SIZE - 1)
-            base = tlb.get((cursor - offset, access))
-            if base is None:
-                pa = self.translate(cursor, access)
+            pa = tlb.get((cursor - offset, access))
+            if pa is None:
+                pa, leaf = self._miss(cursor, access, leaf)
             else:
                 self.tlb_hits += 1
-                pa = base | offset
             chunk = min(end - cursor, PAGE_SIZE - offset)
-            yield pa, chunk
+            yield pa | offset, chunk
             cursor += chunk
+            if leaf is not None and pa >> 12 == leaf[3][0]:
+                leaf = None
 
     def _run(self, va: int, size: int, access: str) -> Optional[list]:
         """The page run of ``[va, va + size)``: remembered, or probed
@@ -394,8 +415,15 @@ class GpuMmu:
         if run is not None:
             self.tlb_hits += len(run)
             return run
-        return [self.memory.read(pa, chunk)
-                for pa, chunk in self._walk(va, size, access)]
+        page_buffer = self.memory.page_buffer
+        parts = []
+        for pa, chunk in self._walk(va, size, access):
+            buffer = page_buffer(pa)
+            # No buffer (yet): a read's zeros, or its error.
+            parts.append(self.memory.read(pa, chunk) if buffer is None
+                         else buffer if chunk == PAGE_SIZE else
+                         memoryview(buffer)[pa % PAGE_SIZE:][:chunk])
+        return parts
 
     def read_va(self, va: int, size: int, access: str = "r") -> bytes:
         return b"".join(self._parts(va, size, access))

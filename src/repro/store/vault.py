@@ -219,16 +219,18 @@ class _Source:
         location = self.where.get(digest)
         if location is None:
             return None
-        if self._spans is None:
-            self._spans = self._read_spans()
         pack, offset, word = location
-        span = self._spans.get(pack)
+        span = self.spans().get(pack)
         if span is None:
             return None
         start = offset - span[0]
         return span[1][start:start + (word & _LENGTH)], word
 
-    def _read_spans(self) -> Dict[str, Tuple[int, memoryview]]:
+    def spans(self) -> Dict[str, Tuple[int, memoryview]]:
+        """pack -> (offset of the first byte read, the bytes), read on
+        first use; a pack that is gone has no entry."""
+        if self._spans is not None:
+            return self._spans
         # Records never overlap, so one that starts below the span
         # cannot also end above it: one comparison settles most.
         bounds: Dict[str, List[int]] = {}
@@ -240,16 +242,17 @@ class _Source:
                 bound[0] = offset
             elif offset + (word & _LENGTH) > bound[1]:
                 bound[1] = offset + (word & _LENGTH)
-        spans = {}
+        self._spans = {}
         for pack, (low, high) in bounds.items():
             try:
                 with open(os.path.join(self._packs_dir, pack + ".pack"),
                           "rb") as handle:
                     handle.seek(low)
-                    spans[pack] = (low, memoryview(handle.read(high - low)))
+                    self._spans[pack] = (
+                        low, memoryview(handle.read(high - low)))
             except FileNotFoundError:
                 pass
-        return spans
+        return self._spans
 
 
 @dataclass
@@ -303,8 +306,7 @@ class Manifest:
             digest=data["digest"],
             skeleton_digest=data["skeleton"]["digest"],
             skeleton_size=data["skeleton"]["size"],
-            dumps=[(d["va"], d["size"],
-                    [(digest, csize) for digest, csize in d["chunks"]])
+            dumps=[(d["va"], d["size"], list(map(tuple, d["chunks"])))
                    for d in data["dumps"]],
             workload=data.get("workload", ""),
             family=data.get("family", ""),
@@ -378,10 +380,14 @@ class Vault:
     def _manifest_path(self, digest: str) -> str:
         return os.path.join(self._manifests_dir, digest + ".json")
 
-    def _source(self, recording_digest: str) -> _Source:
-        """The objects of one packed recording, via its own index."""
-        return _Source(self._packs_dir, _load_index(
-            self._packs_file(recording_digest, ".idx")))
+    def _source(self, recording_digest: str,
+                only: Optional[str] = None) -> _Source:
+        """The objects of one packed recording -- or just ``only`` --
+        via the recording's own index."""
+        where = _load_index(self._packs_file(recording_digest, ".idx"))
+        if only is not None:
+            where = {only: where[only]} if only in where else {}
+        return _Source(self._packs_dir, where)
 
     def _all_locations(self) -> Dict[str, Location]:
         """Every indexed object of the vault: what a write dedups
@@ -586,7 +592,7 @@ class Vault:
         with obs.span("store:fetch", obs.track("store", "vault"),
                       cat="store", args={"digest": digest[:12]}):
             manifest, recording = self._fetch_checked(digest, verify)
-            chunks = len(manifest.chunk_refs())
+            chunks = sum(len(refs) for _va, _size, refs in manifest.dumps)
             nbytes = sum(size for _va, size, _c in manifest.dumps)
             obs.counter("store.fetch.recordings").inc()
             obs.counter("store.fetch.chunks").inc(chunks)
@@ -620,7 +626,8 @@ class Vault:
         """
         manifest = self.load_manifest(digest)
         skeleton = self._get_object(
-            manifest.skeleton_digest, self._source(digest),
+            manifest.skeleton_digest,
+            self._source(digest, only=manifest.skeleton_digest),
             manifest.skeleton_size, context={"recording_digest": digest})
         payloads = [b"\x00" * size for _va, size, _c in manifest.dumps]
         return decode_skeleton(bytes(skeleton), payloads)
@@ -633,18 +640,25 @@ class Vault:
         A single-chunk dump (the common case under content-defined
         chunking) is a zero-copy view straight into the fetched chunk
         buffer -- for a chunk stored raw, into the span read from its
-        pack; multi-chunk dumps are assembled once into a buffer and
-        viewed. Downstream -- ``MemoryDump`` digesting, the compiled
-        program, nano-driver residency hashing and per-page writes
-        -- operates on the views without materializing ``bytes``, so
-        the chunk buffer is the *only* copy of the payload in memory.
-        Views are read-only: the vault owns the underlying buffers and
-        nothing downstream may mutate them.
+        pack; a multi-chunk dump is one ``join`` of its chunks, viewed.
+        Downstream -- the body digest, the compiled program, the nano
+        driver's per-page writes -- operates on the views without
+        materializing ``bytes``, so the chunk buffer is the *only*
+        copy of the payload in memory. Views are read-only: the vault
+        owns the underlying buffers and nothing downstream may mutate
+        them.
+
+        With ``verify``, every distinct chunk is checked once, inline
+        when it is fine and by :meth:`_get_object` -- which raises,
+        naming the chunk and where it lands -- when it is anything
+        else, so a damaged vault says exactly what that method says.
         """
         source = self._source(manifest.digest)
         skeleton = bytes(self._get_object(
             manifest.skeleton_digest, source, manifest.skeleton_size,
             context={"recording_digest": manifest.digest}))
+        where, spans = source.where, source.spans()
+        sha256, inflate = hashlib.sha256, zlib.decompress
         payloads: List[memoryview] = []
         # (chunk digest, manifest size) -> bytes already read this
         # fetch. Tensor dumps repeat chunks; each distinct ref is taken
@@ -655,33 +669,43 @@ class Vault:
         for dump_index, (va, size, chunk_list) in \
                 enumerate(manifest.dumps):
             parts: List[bytes] = []
-            offset = 0
-            for chunk_digest, chunk_size in chunk_list:
-                ref = (chunk_digest, chunk_size)
+            for ref in chunk_list:
                 part = fetched.get(ref)
-                if part is None:
-                    if verify:
+                if part is None and not verify:
+                    part = fetched[ref] = self._read_object_best_effort(
+                        ref[0], source, ref[1])
+                elif part is None:
+                    # _get_object's checks on the chunk that passes
+                    # them -- located, whole, inflated if deflated, of
+                    # the manifest's size, hashing to its address --
+                    # without its call, context or copy per chunk.
+                    chunk_digest, chunk_size = ref
+                    try:
+                        pack, offset, word = where[chunk_digest]
+                        low, span = spans[pack]
+                        part = span[offset - low:
+                                    offset - low + (word & _LENGTH)]
+                        fine = len(part) == word & _LENGTH
+                        if fine and not word & _RAW:
+                            part = inflate(part)
+                        fine = (fine and len(part) == chunk_size and
+                                sha256(part).hexdigest() == chunk_digest)
+                    except (KeyError, zlib.error):
+                        fine = False
+                    if not fine:
+                        first_use = chunk_list.index(ref)
                         part = self._get_object(
                             chunk_digest, source, chunk_size,
                             context={"recording_digest": manifest.digest,
                                      "dump_index": dump_index,
                                      "dump_va": va,
-                                     "dump_offset": offset})
-                    else:
-                        part = self._read_object_best_effort(
-                            chunk_digest, source, chunk_size)
+                                     "dump_offset": sum(
+                                         csize for _digest, csize
+                                         in chunk_list[:first_use])})
                     fetched[ref] = part
                 parts.append(part)
-                offset += chunk_size
-            if len(parts) == 1:
-                payload = memoryview(parts[0])
-            else:
-                buf = bytearray(sum(len(p) for p in parts))
-                cursor = 0
-                for p in parts:
-                    buf[cursor:cursor + len(p)] = p
-                    cursor += len(p)
-                payload = memoryview(buf).toreadonly()
+            payload = memoryview(parts[0] if len(parts) == 1
+                                 else b"".join(parts))
             if len(payload) != size:
                 raise StoreCorruptionError(
                     f"dump reassembled to {len(payload)} bytes, "

@@ -52,6 +52,22 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def hashed_lengths(monkeypatch):
+    """Spy on ``hashlib.sha256(...)``: the list this returns grows by
+    the length of every buffer handed to the constructor (streamed
+    ``update`` calls are not constructor calls)."""
+    import hashlib
+    lengths = []
+    real = hashlib.sha256
+
+    def counting(data=b"", **kwargs):
+        lengths.append(len(data))
+        return real(data, **kwargs)
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    return lengths
+
+
 def make_input(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape).astype(
         np.float32)

@@ -620,3 +620,259 @@ class TestPageRuns:
             assert mmu.read_va(0x100000, 5 * PAGE_SIZE) == \
                 bytes(5 * PAGE_SIZE)
         assert (0x100000, 5 * PAGE_SIZE, "r") not in mmu._runs
+
+
+# ---------------------------------------------------------------------------
+# The walker against the per-page, two-reads-per-miss walk it replaced.
+# ---------------------------------------------------------------------------
+
+
+class TwoReadsMmu(PageAtATimeMmu):
+    """The reference walker: every miss reads its root entry and its
+    PTE out of physical memory, one ``translate`` per page -- the MMU
+    as it was before a walk looked the leaf table up once per table."""
+
+    def translate(self, va, access):
+        if not self.enabled or self.base_pa is None:
+            raise GpuPageFault(va, access, "MMU disabled")
+        page_va = va & ~(PAGE_SIZE - 1)
+        cached = self._tlb.get((page_va, access))
+        if cached is not None:
+            self.tlb_hits += 1
+            return cached | (va & (PAGE_SIZE - 1))
+        self.tlb_misses += 1
+        l0, l1, offset = split_va(va)
+        wide = self.fmt.pte_size == 8
+        read = self.memory.read_u64 if wide else self.memory.read_u32
+        valid, l1_pa = self.fmt.decode_table_ptr(
+            read(self.base_pa + l0 * self.fmt.pte_size))
+        if not valid:
+            self.fault_count += 1
+            raise GpuPageFault(va, access, "no L1 table")
+        valid, pa, perms = self.fmt.decode_pte(
+            read(l1_pa + l1 * self.fmt.pte_size))
+        if not valid:
+            self.fault_count += 1
+            raise GpuPageFault(va, access, "invalid PTE")
+        if self.fmt.has_permissions:
+            needed = {"r": PERM_R, "w": PERM_W, "x": PERM_X}[access]
+            if not perms & needed:
+                self.fault_count += 1
+                raise GpuPageFault(va, access, "permission denied")
+        self._table_pages.add(self.base_pa >> 12)
+        self._table_pages.add(l1_pa >> 12)
+        self._tlb[(page_va, access)] = pa
+        return pa | offset
+
+    def _walk(self, va, size, access):
+        cursor, end = va, va + size
+        while cursor < end:
+            chunk = min(end - cursor, PAGE_SIZE - cursor % PAGE_SIZE)
+            yield self.translate(cursor, access), chunk
+            cursor += chunk
+
+
+#: The walked window: the last pages of one leaf table, the whole of
+#: the next, and the first pages of a third whose L1 table is missing.
+WALK_EDGE = 6
+WALK_BASE_VA = 3 * L1_SPAN - WALK_EDGE * PAGE_SIZE
+WALK_PAGES = WALK_EDGE + 512 + WALK_EDGE
+WALK_MEMORY = 32 * MIB
+
+
+class WalkWorld:
+    """Seeded page tables with every kind of page the walker can meet,
+    the leaf table of the middle run and the root table mapped into
+    the window themselves, and one MMU class over them."""
+
+    def __init__(self, mmu_cls, fmt_name, seed, coherent=True):
+        import random
+        rng = random.Random(seed)
+        self.memory = PhysicalMemory(WALK_MEMORY)
+        allocator = PageAllocator(self.memory, 0, 4096, seed=seed)
+        self.fmt = PTE_FORMATS[fmt_name]
+        self.pt = PageTableBuilder(self.memory, allocator, self.fmt)
+        self.mmu = mmu_cls(self.memory, self.fmt)
+        self.mmu.coherent_tlb = coherent
+        self.mmu.set_base(self.pt.root_pa)
+        raw = iter(range(20 * MIB, WALK_MEMORY, PAGE_SIZE))
+        self.kinds = {}
+        mapped = WALK_EDGE + 512     # the third table stays missing
+        for page in range(mapped):
+            va = WALK_BASE_VA + page * PAGE_SIZE
+            kind = rng.choice(("rw",) * 8 + ("r", "w", "x", "hole", "hole",
+                                             "raw", "outside"))
+            self.kinds[page] = kind
+            if kind == "hole":
+                continue
+            if kind == "raw":        # never written: no page buffer
+                pa, perms = next(raw), PERM_R | PERM_W
+            elif kind == "outside":  # valid PTE, no such memory
+                pa, perms = WALK_MEMORY + page * PAGE_SIZE, PERM_R | PERM_W
+            else:
+                pa = allocator.alloc_page("data")
+                self.memory.write(pa, bytes([page % 251 + 1]) * PAGE_SIZE)
+                perms = {"rw": PERM_R | PERM_W, "r": PERM_R, "w": PERM_W,
+                         "x": PERM_X | PERM_R}[kind]
+            self.pt.map_page(va, pa, perms)
+        # Tables mapped into the window: a store through these VAs
+        # rewrites the tables the same store is being walked through.
+        tables = self.pt.table_pages()
+        middle = self.pt._l1_tables[split_va(
+            WALK_BASE_VA + WALK_EDGE * PAGE_SIZE)[0]]
+        self.leaf_page = WALK_EDGE + 40
+        self.root_page = WALK_EDGE + 90
+        for table_page, table_pa in ((self.leaf_page, middle),
+                                     (self.root_page, tables[0])):
+            # With plain data pages around it, so a store gets there.
+            for page in range(table_page - 4, table_page + 10):
+                va = WALK_BASE_VA + page * PAGE_SIZE
+                if self.pt.lookup(va) is not None:
+                    self.pt.unmap_page(va)
+                pa = table_pa if page == table_page \
+                    else allocator.alloc_page("data")
+                self.pt.map_page(va, pa, PERM_R | PERM_W)
+                self.kinds[page] = "table" if page == table_page else "rw"
+
+    def va(self, page, offset=0):
+        return WALK_BASE_VA + page * PAGE_SIZE + offset
+
+    def call(self, op, va, size, access="r", data=b""):
+        mmu = self.mmu
+        try:
+            if op == "walk":
+                return list(mmu._walk(va, size, access))
+            if op == "translate":
+                return mmu.translate(va, access)
+            if op == "read":
+                return mmu.read_va(va, size, access)
+            if op == "gather":
+                return bytes(mmu.gather_va(va, size, access))
+            return mmu.write_va(va, data)
+        except GpuPageFault as fault:
+            return ("fault", fault.va, fault.access, fault.reason)
+        except Exception as error:   # PhysicalMemoryError and its message
+            return (type(error).__name__, str(error))
+
+    def state(self):
+        mmu = self.mmu
+        return (mmu.tlb_hits, mmu.tlb_misses, mmu.fault_count,
+                dict(mmu._tlb), set(mmu._table_pages))
+
+    def contents(self):
+        return {index: bytes(page) for index, page
+                in self.memory._pages.items()}
+
+
+def _both(fmt_name, seed, coherent=True):
+    return (WalkWorld(GpuMmu, fmt_name, seed, coherent),
+            WalkWorld(TwoReadsMmu, fmt_name, seed, coherent))
+
+
+def _same(world, model, *call, **kwargs):
+    got, want = world.call(*call, **kwargs), model.call(*call, **kwargs)
+    assert got == want, (call, got if not isinstance(got, bytes) else "...")
+    assert world.state() == model.state(), call
+    return got
+
+
+@pytest.mark.parametrize("fmt_name", sorted(PTE_FORMATS))
+class TestWalkerAgainstTwoReadsReference:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("coherent", (True, False))
+    def test_seeded_ranges(self, fmt_name, seed, coherent):
+        """Random accesses over random tables: equal results, faults,
+        counters, TLB and table pages after every one, equal memory at
+        the end."""
+        import random
+        world, model = _both(fmt_name, seed, coherent)
+        rng = random.Random(seed * 7919)
+        window = WALK_PAGES * PAGE_SIZE
+        for step in range(160):
+            op = rng.choice(("walk", "translate", "read", "gather",
+                             "write", "write"))
+            start = rng.randrange(-PAGE_SIZE, window)
+            size = rng.choice((1, 17, PAGE_SIZE, 3 * PAGE_SIZE + 5,
+                               40 * PAGE_SIZE, 600 * PAGE_SIZE))
+            # Loads are "r" or "x"; "w" belongs to stores (a run
+            # remembered for one is not one a load can gather).
+            access = rng.choice("rrwx" if op in ("walk", "translate")
+                                else "rx")
+            data = bytes([step % 255 + 1]) * min(size, 9 * PAGE_SIZE)
+            _same(world, model, op, WALK_BASE_VA + start, size,
+                  access=access, data=data)
+            if step % 40 == 0:
+                world.mmu.flush_tlb()
+                model.mmu.flush_tlb()
+        assert world.contents() == model.contents()
+
+    def test_each_kind_of_page_and_boundary(self, fmt_name):
+        world, model = _both(fmt_name, 5)
+        by_kind = {}
+        for page, kind in world.kinds.items():
+            by_kind.setdefault(kind, page)
+        for kind, page in sorted(by_kind.items()):
+            for access in "rwx":
+                # From mid-page two pages earlier, across it.
+                for op in ("walk", "translate") if access == "w" else \
+                        ("walk", "read", "gather", "translate"):
+                    _same(world, model, op, world.va(page - 2, 0x321),
+                          3 * PAGE_SIZE, access=access)
+        # Across both leaf-table boundaries, the second into the table
+        # that does not exist; and off both ends of the VA space.
+        for op in ("walk", "read", "gather"):
+            _same(world, model, op, world.va(0, 0x10), 20 * PAGE_SIZE)
+            _same(world, model, op, world.va(WALK_EDGE + 500),
+                  30 * PAGE_SIZE)
+            missing = world.va(WALK_EDGE + 512, 8)
+            assert _same(world, model, op, missing, PAGE_SIZE) == \
+                ("fault", missing, "r", "no L1 table")
+        for va in (VA_SPACE_SIZE - 0x800, -0x800, VA_SPACE_SIZE):
+            for op in ("walk", "read", "translate"):
+                _same(world, model, op, va, 2 * PAGE_SIZE)
+
+    @pytest.mark.parametrize("coherent", (True, False))
+    @pytest.mark.parametrize("table", ("leaf", "root"))
+    def test_a_store_rewrites_the_table_it_is_walked_through(
+            self, fmt_name, coherent, table):
+        """``write_va`` over a range whose own bytes land in the leaf
+        table (then the root table) serving its later pages: those
+        pages must translate through what the store just wrote."""
+        world, model = _both(fmt_name, 11, coherent)
+        fmt = world.fmt
+        code = "<Q" if fmt.pte_size == 8 else "<I"
+        import struct
+        results = []
+        for w in (world, model):
+            page = w.leaf_page if table == "leaf" else w.root_page
+            entries = []
+            if table == "leaf":
+                # Remap every page of the middle table onto two pages
+                # (the mapped table itself stays mapped where it is).
+                spare = [20 * MIB - PAGE_SIZE, 20 * MIB - 2 * PAGE_SIZE]
+                here = w.pt.lookup(w.va(page))[0]
+                for slot in range(512):
+                    target = here if slot == page - WALK_EDGE \
+                        else spare[slot % 2]
+                    entries.append(fmt.encode_pte(target, PERM_R | PERM_W))
+            else:
+                # Point the middle table's root entry at the first
+                # leaf table, drop every other root entry.
+                first = w.pt._l1_tables[split_va(WALK_BASE_VA)[0]]
+                middle_l0 = split_va(w.va(WALK_EDGE))[0]
+                entries = [fmt.encode_table_ptr(first)
+                           if slot == middle_l0 else 0
+                           for slot in range(512)]
+            payload = struct.pack(f"{code[0]}512{code[1]}", *entries)
+            payload = payload.ljust(PAGE_SIZE, b"\0")
+            # Warm a few translations first, so hits and misses mix.
+            for warm in range(page - 3, page + 6, 2):
+                w.call("translate", w.va(warm), 1, access="w")
+            data = b"\x11" * (3 * PAGE_SIZE - 0x40) + payload \
+                + b"\x22" * (5 * PAGE_SIZE + 0x40)
+            results.append(w.call("write", w.va(page - 3, 0x40), 0,
+                                  data=data))
+            results.append(w.call("read", w.va(page - 3), 12 * PAGE_SIZE))
+        assert results[:2] == results[2:]
+        assert world.state() == model.state()
+        assert world.contents() == model.contents()
