@@ -9,8 +9,11 @@
 - :mod:`repro.core.verifier` -- static security verification (§5.1);
 - :mod:`repro.core.nano_driver` -- the ~600-SLoC-equivalent GPU access
   layer (§5.2);
-- :mod:`repro.core.interpreter` / ``replayer`` -- action execution,
-  pacing, failure detection/recovery, checkpointing, preemption;
+- :mod:`repro.core.compiled` / ``replayer`` -- action execution,
+  pacing, failure detection/recovery, preemption;
+- :mod:`repro.core.interpreter`, ``checkpoints``, ``mega`` -- the
+  reference executor, §5.3 checkpointing and the fused-batch half:
+  each loads when a caller asks for it, never for a default replay;
 - :mod:`repro.core.patching` -- cross-SKU recording patches (§6.4);
 - :mod:`repro.core.replay` -- ``python -m repro.core.replay file.grr``,
   the deployable: the replayer half and nothing above it.

@@ -12,12 +12,16 @@ action carries:
   reports (Section 5.4);
 - ``job_index`` -- which GPU job the action belongs to (0 = before the
   first kick), used by the interval analysis of Figure 5.
+
+The module ends with the executor contract, which the compiled
+executor and the reference interpreter both import from here, so
+neither loads the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass, fields
+from typing import Optional, Tuple
 
 
 @dataclass
@@ -147,3 +151,55 @@ ACTION_TYPES: Tuple[type, ...] = (
 )
 
 ACTION_TAGS = {cls: tag for tag, cls in enumerate(ACTION_TYPES)}
+
+
+# -- the executor contract ---------------------------------------------------
+
+#: Dispatch overhead per action, on either executor.
+ACTION_OVERHEAD_NS = 300
+
+#: Timeout when an IrqEnter must wait for an interrupt that arrived
+#: asynchronously at record time (it preempted the CPU mid-work, so no
+#: explicit WaitIrq precedes it in the recording).
+IMPLICIT_IRQ_TIMEOUT_NS = 2_000_000_000
+
+
+@dataclass
+class InterpreterOptions:
+    """Replay-time knobs."""
+
+    #: Replay the raw recorded gaps instead of the skip-heuristic ones.
+    use_recorded_intervals: bool = False
+    #: Extra delay injected before paced actions (failure recovery,
+    #: Section 5.4: "injects additional delay to the action intervals").
+    extra_delay_ns: int = 0
+    #: Restrict the extra delay to actions in [start, end) -- "the
+    #: action intervals that precede the divergence occurrence".
+    extra_delay_range: Optional[tuple] = None
+
+
+@dataclass
+class InterpreterStats:
+    actions_executed: int = 0
+    jobs_kicked: int = 0
+    irqs_waited: int = 0
+    pacing_wait_ns: int = 0
+    #: Bytes actually moved into GPU memory by Upload actions.
+    upload_bytes: int = 0
+    #: Bytes Upload actions skipped because identical content was
+    #: already GPU-resident (repeated replays, recovery retries).
+    upload_skipped_bytes: int = 0
+    #: Virtual time spent inside Upload actions (resident-check or DMA).
+    upload_ns: int = 0
+    #: Virtual time spent blocked on GPU interrupts (WaitIrq plus the
+    #: implicit wait synthesized for asynchronous IrqEnter).
+    irq_wait_ns: int = 0
+    #: Virtual time of the first job-kick write (GR "startup" ends here).
+    first_kick_at_ns: int = -1
+
+    def add(self, other: "InterpreterStats") -> None:
+        """Accumulate ``other``'s totals (``first_kick_at_ns`` is not one)."""
+        for f in fields(self):
+            if f.name != "first_kick_at_ns":
+                setattr(self, f.name,
+                        getattr(self, f.name) + getattr(other, f.name))

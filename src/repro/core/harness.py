@@ -52,12 +52,6 @@ class RecordedWorkload:
     def total_jobs(self) -> int:
         return sum(r.meta.n_jobs for r in self.recordings)
 
-    def total_zipped_bytes(self) -> int:
-        return sum(r.size_zipped() for r in self.recordings)
-
-    def total_unzipped_bytes(self) -> int:
-        return sum(r.size_unzipped() for r in self.recordings)
-
 
 def _weight_ranges(runner: NetworkRunner) -> List[Tuple[int, int]]:
     """GPU ranges of NN parameters -- the record-by-value annotations."""

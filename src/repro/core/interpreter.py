@@ -1,4 +1,10 @@
-"""The replay interpreter: executes a recording's action stream.
+"""The reference replay interpreter: executes a recording's action
+stream one ``isinstance`` at a time.
+
+The oracle of the differential suite and ``grr doctor --vs-reference``
+and the only executor that paces on recorded intervals or stops at
+checkpoints. The deployable does not load it: the replayer imports it
+where a caller asks for one of those (DESIGN.md "Layering").
 
 Correctness checking follows Section 3.2: every state-changing event
 must match the recording -- a RegReadOnce returning a different value
@@ -13,65 +19,19 @@ raw record-time gaps are replayed instead -- the Figure 10 ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core import actions as act
-from repro.core.checkpoints import CheckpointManager
+from repro.core.actions import (ACTION_OVERHEAD_NS, IMPLICIT_IRQ_TIMEOUT_NS,
+                                InterpreterOptions, InterpreterStats)
 from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recording import Recording
 from repro.errors import (ReplayAborted, ReplayDivergence, ReplayError,
                           ReplayTimeout)
 from repro.units import LATENCY_BUCKETS_NS
 
-#: Interpreter dispatch overhead per action.
-ACTION_OVERHEAD_NS = 300
-
-#: Timeout when an IrqEnter must wait for an interrupt that arrived
-#: asynchronously at record time (it preempted the CPU mid-work, so no
-#: explicit WaitIrq precedes it in the recording).
-IMPLICIT_IRQ_TIMEOUT_NS = 2_000_000_000
-
-
-@dataclass
-class InterpreterOptions:
-    """Replay-time knobs."""
-
-    #: Replay the raw recorded gaps instead of the skip-heuristic ones.
-    use_recorded_intervals: bool = False
-    #: Extra delay injected before paced actions (failure recovery,
-    #: Section 5.4: "injects additional delay to the action intervals").
-    extra_delay_ns: int = 0
-    #: Restrict the extra delay to actions in [start, end) -- "the
-    #: action intervals that precede the divergence occurrence".
-    extra_delay_range: Optional[tuple] = None
-
-
-@dataclass
-class InterpreterStats:
-    actions_executed: int = 0
-    jobs_kicked: int = 0
-    irqs_waited: int = 0
-    pacing_wait_ns: int = 0
-    #: Bytes actually moved into GPU memory by Upload actions.
-    upload_bytes: int = 0
-    #: Bytes Upload actions skipped because identical content was
-    #: already GPU-resident (repeated replays, recovery retries).
-    upload_skipped_bytes: int = 0
-    #: Virtual time spent inside Upload actions (resident-check or DMA).
-    upload_ns: int = 0
-    #: Virtual time spent blocked on GPU interrupts (WaitIrq plus the
-    #: implicit wait synthesized for asynchronous IrqEnter).
-    irq_wait_ns: int = 0
-    #: Virtual time of the first job-kick write (GR "startup" ends here).
-    first_kick_at_ns: int = -1
-
-    def add(self, other: "InterpreterStats") -> None:
-        """Accumulate ``other``'s totals (``first_kick_at_ns`` is not one)."""
-        for f in fields(self):
-            if f.name != "first_kick_at_ns":
-                setattr(self, f.name,
-                        getattr(self, f.name) + getattr(other, f.name))
+if TYPE_CHECKING:
+    from repro.core.checkpoints import CheckpointManager
 
 
 class ReplayInterpreter:

@@ -1,7 +1,7 @@
 """The replayer facade: Init / Load / Replay (Section 5).
 
-Composes the static verifier, the interpreter and the nano driver, and
-adds the run-time policies of Sections 5.3/5.4:
+Composes the static verifier, the compiled executor and the nano
+driver, and adds the run-time policies of Sections 5.3/5.4:
 
 - failure recovery by re-execution, then re-execution with injected
   delays around the failing action, then a meaningful error naming the
@@ -10,30 +10,35 @@ adds the run-time policies of Sections 5.3/5.4:
   checkpoint restore or whole re-execution);
 - replay *sessions*: consecutive recordings (per-layer chains) share
   the GPU address space, so intermediates flow through GPU memory.
+
+A default replay runs on what this module imports; ``interpreter``,
+``checkpoints`` and ``mega`` load when a caller asks for what only
+they do (DESIGN.md "Layering").
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
+from repro.core.actions import InterpreterOptions, InterpreterStats
 from repro.core.cache import LruCache
-from repro.core.checkpoints import CheckpointManager, CheckpointPolicy
 from repro.core.compiled import (CompiledExecutor, CompiledProgram,
-                                 MegaReplayResult, compile_program,
-                                 replay_mega)
-from repro.core.interpreter import (InterpreterOptions, InterpreterStats,
-                                    ReplayInterpreter)
+                                 compile_program)
 from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recording import Recording
 from repro.core.verifier import VerificationReport, verify_recording
 from repro.errors import ReplayAborted, ReplayError
 from repro.soc.machine import Machine
-from repro.soc.memory import PAGE_SIZE
 from repro.units import SEC, US
+
+if TYPE_CHECKING:
+    from repro.core.checkpoints import CheckpointPolicy
+    from repro.core.mega import MegaReplayResult
 
 #: Throughput of recording decompression at Load time (zlib on a
 #: mobile CPU).
@@ -118,8 +123,14 @@ class Replayer:
         self.machine = machine
         self.nano = NanoGpuDriver(machine)
         self.max_gpu_bytes = max_gpu_bytes
-        self.checkpoints = CheckpointManager(
-            self.nano, checkpoint_policy or CheckpointPolicy())
+        #: None unless the caller's policy takes checkpoints (building
+        #: the policy is what imported :mod:`repro.core.checkpoints`).
+        self.checkpoints = None
+        if checkpoint_policy is not None \
+                and checkpoint_policy.every_n_jobs > 0:
+            from repro.core.checkpoints import CheckpointManager
+            self.checkpoints = CheckpointManager(self.nano,
+                                                 checkpoint_policy)
         #: ``False`` forces the reference interpreter for every replay
         #: (the differential suite's baseline, and an escape hatch).
         self.fast_path = fast_path
@@ -359,10 +370,10 @@ class Replayer:
             def run() -> InterpreterStats:
                 if executor is not None:
                     return executor.execute(options, deposit, yield_now)
+                from repro.core.interpreter import ReplayInterpreter
                 return ReplayInterpreter(
                     self.nano, recording, options, yield_now,
-                    self.checkpoints if self.checkpoints.enabled
-                    else None).execute(deposit)
+                    self.checkpoints).execute(deposit)
             try:
                 stats, outputs = self._attempt(replay_span, attempts, run,
                                                self._extract)
@@ -458,7 +469,7 @@ class Replayer:
         binds afresh.
         """
         if (not self.fast_path or self.program is None
-                or use_recorded_intervals or self.checkpoints.enabled):
+                or use_recorded_intervals or self.checkpoints is not None):
             return None
         # The staged program may come from the load cache, compiled
         # against an earlier Recording object with the same digest --
@@ -509,10 +520,11 @@ class Replayer:
                     should_yield: Optional[Callable[[], bool]] = None
                     ) -> MegaReplayResult:
         """Replay the staged recording for N inputs in one fused pass
-        (:func:`repro.core.compiled.replay_mega` has the semantics). No
+        (:func:`repro.core.mega.replay_mega` has the semantics). No
         internal retry ladder: a :class:`~repro.errors.ReplayError`
         (including :class:`~repro.errors.MegaBatchDivergence`)
         propagates so callers can fall back to per-request replay."""
+        from repro.core.mega import replay_mega
         return replay_mega(self, inputs_list, should_yield)
 
     # -- CPU footprint (Section 7.3) ---------------------------------------------------------
@@ -532,7 +544,8 @@ class Replayer:
             return 0
         staged = self.current.size_unzipped() if self.current else 0
         checkpoints = sum(c.bytes_captured
-                          for c in self.checkpoints.checkpoints)
+                          for c in self.checkpoints.checkpoints) \
+            if self.checkpoints is not None else 0
         return self.REPLAYER_RSS_BYTES + staged + checkpoints
 
     # -- preemption (Section 5.3) ----------------------------------------------------------
@@ -553,11 +566,12 @@ class Replayer:
         exists, whole re-execution otherwise."""
         recording = self._require_loaded()
         self._preempt_requested = False
-        checkpoint = self.checkpoints.latest()
-        if checkpoint is None:
+        manager = self.checkpoints
+        if manager is None or manager.latest() is None:
             return self.replay(inputs=self._last_inputs)
+        from repro.core.interpreter import ReplayInterpreter
         t_start = self.machine.clock.now()
-        self.checkpoints.restore_latest(recording.meta.memattr)
+        checkpoint = manager.restore_latest(recording.meta.memattr)
         interpreter = ReplayInterpreter(self.nano, recording,
                                         InterpreterOptions(),
                                         checkpoints=None)

@@ -76,8 +76,9 @@ class GpuHandoffScheduler:
         """
         while True:
             try:
-                if self.events and self.replayer.checkpoints.latest() \
-                        is None:
+                manager = self.replayer.checkpoints
+                if self.events and (manager is None
+                                    or manager.latest() is None):
                     # Disrupted with no checkpoint: start over.
                     result = self.replayer.replay(
                         inputs=inputs,

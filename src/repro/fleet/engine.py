@@ -14,7 +14,7 @@ Request flow::
 
     loadgen stream -> Fleet._on_arrival (admission: quotas, priority)
                    -> DigestRouter.route (affinity / power-of-two)
-                   -> route_hop_ns later: node ReplayServer.submit
+                   -> ROUTE_HOP_NS later: node ReplayServer.submit
                    -> node ladder (PR 4) -> on_complete hook
                    -> router/admission bookkeeping + fleet.* metrics
 
@@ -43,6 +43,16 @@ from repro.serve.loadgen import ServeRequest
 from repro.soc.clock import VirtualClock
 from repro.units import MS, SEC, US
 
+#: Workers per hosted family a node boots with (the autoscaler floor).
+WORKERS_MIN = 1
+#: Modeled router -> node network hop.
+ROUTE_HOP_NS = 50 * US
+#: Affinity spills to power-of-two-choices when every warm node has at
+#: least this many requests in flight.
+AFFINITY_QUEUE_THRESHOLD = 8
+#: Autoscaler cadence.
+AUTOSCALE_INTERVAL_NS = 2 * MS
+
 
 def content_key(request: ServeRequest) -> str:
     """The router's affinity key: identifies the recording content a
@@ -63,30 +73,21 @@ class FleetConfig:
     nodes: int = 3
     #: Board families every node hosts a worker pool for.
     node_families: Tuple[str, ...] = ("mali", "v3d")
-    #: Per-family pool bounds on each node (autoscaler floor/ceiling).
-    workers_min: int = 1
+    #: Per-family pool ceiling on each node (the floor is
+    #: :data:`WORKERS_MIN`).
     workers_max: int = 3
     seed: int = 2026
     #: Per-node admission queue bound.
     queue_depth: int = 256
     max_batch: int = 4
-    worker_attempts: int = 3
-    max_retries: int = 1
     prefetch: bool = False
     trace: bool = True
     mega_batch: bool = False
     #: Per-node time-series scraping (off by default: a fleet run
     #: scrapes N registries per interval).
     timeseries: bool = False
-    scrape_interval_ns: int = 2 * MS
     gpu_counters: bool = True
-    #: Modeled router -> node network hop.
-    route_hop_ns: int = 50 * US
-    #: Affinity spills to power-of-two-choices when every warm node
-    #: has at least this many requests in flight.
-    affinity_queue_threshold: int = 8
-    #: Autoscaler cadence / provisioning delay / growth trigger.
-    autoscale_interval_ns: int = 2 * MS
+    #: Autoscaler provisioning delay / growth trigger.
     scale_up_ns: int = 5 * MS
     backlog_per_worker: int = 2
     #: (tenant, max in-flight) pairs; absent tenants are unlimited.
@@ -96,24 +97,21 @@ class FleetConfig:
     best_effort_limit: Optional[int] = None
 
     def node_config(self, node_id: int) -> ServerConfig:
-        """The ServerConfig one node boots with (``workers_min``
+        """The ServerConfig one node boots with (``WORKERS_MIN``
         workers per hosted family; the autoscaler grows from there).
         Node seeds are deterministic functions of the fleet seed, so
         same-seed fleets build identical machines."""
         families = tuple(family for family in self.node_families
-                         for _ in range(self.workers_min))
+                         for _ in range(WORKERS_MIN))
         return ServerConfig(
             families=families,
             seed=self.seed + 7919 * (node_id + 1),
             queue_depth=self.queue_depth,
             max_batch=self.max_batch,
-            worker_attempts=self.worker_attempts,
-            max_retries=self.max_retries,
             prefetch=self.prefetch,
             trace=self.trace,
             mega_batch=self.mega_batch,
             timeseries=self.timeseries,
-            scrape_interval_ns=self.scrape_interval_ns,
             gpu_counters=self.gpu_counters)
 
 
@@ -213,14 +211,14 @@ class Fleet:
             self.servers.append(server)
             self.autoscalers.append(PoolAutoscaler(
                 node_id, server, cfg.node_families, self.clock,
-                min_workers=cfg.workers_min,
+                min_workers=WORKERS_MIN,
                 max_workers=cfg.workers_max,
-                interval_ns=cfg.autoscale_interval_ns,
+                interval_ns=AUTOSCALE_INTERVAL_NS,
                 scale_up_ns=cfg.scale_up_ns,
                 backlog_per_worker=cfg.backlog_per_worker,
                 obs=self.obs))
         self.router = DigestRouter(
-            cfg.nodes, queue_threshold=cfg.affinity_queue_threshold,
+            cfg.nodes, queue_threshold=AFFINITY_QUEUE_THRESHOLD,
             seed=cfg.seed, obs=self.obs)
         self.admission = AdmissionController(dict(cfg.quotas),
                                              obs=self.obs)
@@ -247,7 +245,7 @@ class Fleet:
             "schema": SCHEMA, "nodes": cfg.nodes,
             "requests": len(ordered), "seed": cfg.seed,
             "families": list(cfg.node_families),
-            "workers_min": cfg.workers_min,
+            "workers_min": WORKERS_MIN,
             "workers_max": cfg.workers_max})
         for request in ordered:
             self.clock.schedule(request.arrival_ns,
@@ -295,7 +293,7 @@ class Fleet:
         self._tenant_of[request.rid] = request.tenant
         self.obs.counter("fleet.router.hops").inc()
         self.clock.schedule(
-            cfg.route_hop_ns,
+            ROUTE_HOP_NS,
             lambda: self.servers[node].submit(request))
 
     def _shed_at_router(self, request: ServeRequest,

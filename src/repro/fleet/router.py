@@ -44,9 +44,6 @@ class DigestRouter:
         #: Append-only decision log (JSON-able dicts).
         self.decisions: List[Dict[str, object]] = []
 
-    def warm_nodes(self, key: str) -> List[int]:
-        return [n for n in range(self.nodes) if key in self._warm[n]]
-
     def route(self, rid: int, key: str,
               candidates: Sequence[int]) -> int:
         """Pick a node for one request; updates in-flight and warm

@@ -18,8 +18,7 @@ from repro.gpu.counters import CounterTape
 from repro.gpu.isa import Program, decode_program, kernel_cost
 from repro.gpu.mmu import GpuMmu, PteFormat
 from repro.gpu.perf import GpuPerfModel
-from repro.gpu.shader_exec import (execute_program,
-                                   execute_program_batched)
+from repro.gpu.shader_exec import execute_program
 from repro.soc.clock import ClockDomain, EventHandle
 from repro.soc.machine import Machine
 from repro.soc.mmio import RegisterDef, RegisterFile
@@ -92,10 +91,11 @@ class GpuDevice:
         #: through the MMU on every kick, so an entry cannot go stale.
         self._kernels: Dict[bytes, Program] = {}
 
-        # Mega-batch arming: when set to a shader_exec.BatchEnv, job
-        # completion evaluates shader programs batched (one pass for N
+        # Mega-batch arming: when set to a shader_batch.BatchEnv, job
+        # completion runs shader programs through it (one pass for N
         # fused requests) instead of unbatched. Owned by the replayer's
-        # ``replay_mega``, which clears it when the fused replay ends.
+        # ``replay_mega``, which clears it when the fused replay ends;
+        # the device never imports the overlay's module.
         self.mega_batch = None
 
     # -- identity ------------------------------------------------------------
@@ -230,7 +230,7 @@ class GpuDevice:
         if not tape.enabled:
             for program in job.programs:
                 if env is not None:
-                    execute_program_batched(program, mmu, env)
+                    env.run(program, mmu)
                 else:
                     execute_program(program, mmu)
             return
@@ -240,7 +240,7 @@ class GpuDevice:
             hits0 = mmu.tlb_hits
             misses0 = mmu.tlb_misses
             if env is not None:
-                retired = execute_program_batched(program, mmu, env)
+                retired = env.run(program, mmu)
             else:
                 retired = execute_program(program, mmu)
             tape.record_kernel(program, retired,

@@ -14,9 +14,9 @@ the one place all of that telemetry flows through:
   default, so the instrumented code paths cost nothing when disabled);
 - :mod:`repro.obs.chrome_trace` -- a validator for the exported
   timeline (used by tests, ``grr trace`` and the CI smoke job);
-- :mod:`repro.obs.flight` -- the always-on bounded flight recorder
-  every machine carries (forensics for ``grr doctor``; it and the
-  null session live under :mod:`repro.soc`, re-imported here);
+- :mod:`repro.soc.flight` -- the always-on bounded flight recorder
+  every machine carries (forensics for ``grr doctor``) lives beside
+  the machine, as does the null session this package re-imports;
 - :mod:`repro.obs.rtrace` -- request-scoped tracing for the serving
   path: one causal span tree per request, JSONL/Chrome export,
   completeness validation (event-log schema v1);

@@ -7,7 +7,7 @@ question is always the same: *which chokepoint diverged first, and
 what did the machine look like when it did?* This module answers it:
 
 - :func:`report_from_error` folds the machine's flight-recorder ring
-  (:mod:`repro.obs.flight`) around a :class:`~repro.errors.ReplayError`
+  (:mod:`repro.soc.flight`) around a :class:`~repro.errors.ReplayError`
   into a :class:`DivergenceReport`;
 - :func:`lockstep_compare` replays the same recording twice -- compiled
   fast path vs the reference interpreter -- capturing both complete
@@ -42,7 +42,7 @@ from repro.core.recording import Recording
 from repro.core.replay import boot_replayer, seeded_inputs
 from repro.core.replayer import Replayer
 from repro.errors import ObsError, ReplayError
-from repro.obs.flight import event_to_dict
+from repro.soc.flight import event_to_dict
 from repro.soc.machine import Machine
 
 #: Bump when a field of :class:`DivergenceReport` changes meaning.

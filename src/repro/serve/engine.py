@@ -38,6 +38,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+# The replayer loads these when a replay first asks for them; a server
+# runs both rungs (the reference interpreter below the compiled path,
+# fused batches under ``mega_batch``), so it loads them here and not
+# on the serving timeline.
+import repro.core.interpreter  # noqa: F401
+import repro.core.mega  # noqa: F401
 from repro.core.recording import Recording
 from repro.core.replay import seeded_inputs as request_inputs
 from repro.core.replayer import Replayer
@@ -59,6 +65,12 @@ from repro.units import MS, SEC
 TRANSIENT_FAULT_NS = 8 * MS
 #: Server-side backoff before re-dispatching a failed request.
 REQUEUE_BACKOFF_NS = 2 * MS
+#: §5.4 re-execution attempts inside one worker dispatch.
+WORKER_ATTEMPTS = 3
+#: Server-level re-dispatches onto a different worker.
+MAX_RETRIES = 1
+#: Virtual time between time-series scrapes.
+SCRAPE_INTERVAL_NS = 2 * MS
 #: Modeled cost of answering one request on the CPU reference path.
 CPU_FALLBACK_NS = 20 * MS
 
@@ -77,10 +89,6 @@ class ServerConfig:
     seed: int = 2026
     queue_depth: int = 64
     max_batch: int = 4
-    #: §5.4 re-execution attempts inside one worker dispatch.
-    worker_attempts: int = 3
-    #: Server-level re-dispatches onto a different worker.
-    max_retries: int = 1
     #: Warm every worker's load cache from the store before the
     #: timeline starts (the vault's prefetch path). Off by default:
     #: a prefetched run pays Load costs up front, so its service
@@ -109,20 +117,10 @@ class ServerConfig:
     #: virtual-time results are identical either way; off saves the
     #: per-scrape Python cost.
     timeseries: bool = True
-    #: Virtual time between time-series scrapes.
-    scrape_interval_ns: int = 2 * MS
     #: Emulated GPU performance-counter tapes on the worker machines
     #: (repro.gpu.counters). Always-on by default, like the flight
     #: recorder; the overhead benchmark's "off" arm disables them.
     gpu_counters: bool = True
-
-    @classmethod
-    def from_counts(cls, workers: int, families: Tuple[str, ...],
-                    **kwargs) -> "ServerConfig":
-        """``workers`` workers cycling through ``families``."""
-        assigned = tuple(families[i % len(families)]
-                         for i in range(workers))
-        return cls(families=assigned, **kwargs)
 
 
 class RecordingStore:
@@ -563,7 +561,7 @@ class ReplayServer:
         #: ``obs`` and ``rtrace`` it only reads clock + registry.
         self.timeseries = (
             TimeSeriesCollector(self.obs.metrics,
-                                interval_ns=self.config.scrape_interval_ns,
+                                interval_ns=SCRAPE_INTERVAL_NS,
                                 derive=self._derive_series)
             if self.config.timeseries else None)
         self._pending: List[ServeRequest] = []
@@ -643,15 +641,6 @@ class ReplayServer:
 
     def workers_for(self, family: str) -> List[Worker]:
         return [w for w in self.workers if w.family == family]
-
-    def warm_digests(self) -> Dict[str, int]:
-        """digest -> worker count currently warm on it."""
-        warm: Dict[str, int] = {}
-        for worker in self.workers:
-            if worker.warm_digest is not None:
-                warm[worker.warm_digest] = \
-                    warm.get(worker.warm_digest, 0) + 1
-        return warm
 
     def _prefetch_workers(self) -> None:
         """Stream every recording a worker's family will serve from
@@ -986,7 +975,7 @@ class ReplayServer:
 
         staged = stage(head_rid, 0)
         worker.replayer.fast_path = (mode == "fast")
-        attempts = self.config.worker_attempts if mode == "fast" else 1
+        attempts = WORKER_ATTEMPTS if mode == "fast" else 1
         # One group per replay call: the whole batch when it can fuse
         # into one mega-batch pass, else every request on its own. A
         # fused group that fails heals the worker and re-queues its
@@ -1226,7 +1215,7 @@ class ReplayServer:
                               if w.family == request.family]
             untried = [w for w in family_workers
                        if w.id not in self._tries[rid]]
-            if untried and self._retries[rid] < self.config.max_retries:
+            if untried and self._retries[rid] < MAX_RETRIES:
                 self._retries[rid] += 1
                 self.obs.counter("serve.retries").inc()
                 self.rtrace.mark(rid, "ladder", args={

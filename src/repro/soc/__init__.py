@@ -2,8 +2,9 @@
 
 Provides the hardware environment the GPU stack and the replayer run on:
 a discrete-event virtual clock, physical DRAM with a page allocator, an
-MMIO bus with register files, an interrupt controller, power and clock
-domains, a firmware mailbox, and board definitions composing them into a
+MMIO bus with register files, an interrupt controller, clock domains,
+a firmware mailbox (which owns GPU power where a board has one), and
+board definitions composing them into a
 :class:`~repro.soc.machine.Machine`.
 """
 
@@ -21,7 +22,6 @@ from repro.soc.irq import InterruptController
 from repro.soc.machine import Machine
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
 from repro.soc.mmio import MmioBus, RegAttr, RegisterDef, RegisterFile
-from repro.soc.power import PowerDomain
 
 __all__ = [
     "BOARDS",
@@ -36,7 +36,6 @@ __all__ = [
     "PAGE_SIZE",
     "PageAllocator",
     "PhysicalMemory",
-    "PowerDomain",
     "RASPBERRY_PI4",
     "RegAttr",
     "RegisterDef",

@@ -206,12 +206,6 @@ class RegisterFile:
         if handler is not None:
             handler(old, value)
 
-    def read_offset(self, offset: int) -> int:
-        return self.read(self.lookup_offset(offset).name)
-
-    def write_offset(self, offset: int, value: int) -> None:
-        self.write(self.lookup_offset(offset).name, value)
-
 
 class MmioBus:
     """Routes physical MMIO addresses to mapped register files."""

@@ -63,9 +63,6 @@ class SurgeryPlan:
         with open(path) as fh:
             return cls.from_json(fh.read())
 
-    def session_names(self) -> List[str]:
-        return [f"syn{i}" for i in range(len(self.sessions))]
-
 
 def generate_plan(family: str, corpus: Dict[str, int], sessions: int,
                   seed: int, input_seed: int = 0) -> SurgeryPlan:

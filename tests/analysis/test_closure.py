@@ -37,24 +37,29 @@ REPLAYS = (("mali", "mnist"), ("v3d", "mnist"), ("adreno", "mnist"),
 
 #: entry -> (forbidden packages, module / line / byte ceilings; None
 #: is unpinned). Module ceilings are exactly what this tree measures;
-#: lines and bytes (1,972 / 67,710 and 8,546 / 324,927 measured) carry
+#: lines and bytes (1,854 / 63,900 and 7,807 / 295,683 measured) carry
 #: about half a percent of slack so that a bug fix does not trip them.
 #: All may only shrink. An entry is an import statement's module or a
 #: ``(family, model)`` recording replayed by ``python -m
 #: repro.core.replay``.
 BUDGET = {
     "repro.soc.machine": (
-        ("gpu", "core", "environments") + ABOVE_CORE, 14, 2000, 68000),
-    **{replay: (("environments",) + ABOVE_CORE, 37, 8600, 327000)
+        ("gpu", "core", "environments") + ABOVE_CORE, 13, 1863, 64200),
+    **{replay: (("environments",) + ABOVE_CORE, 34, 7845, 297000)
        for replay in REPLAYS},
     "repro.store": (
         ("stack", "serve", "fleet", "surgery", "bench", "environments",
-         "tools", "analysis"), 32, None, None),
-    "repro.serve": (SERVING, 53, None, None),
-    "repro.fleet": (SERVING, 59, None, None),
-    "repro.environments.tee": (ABOVE_CORE, 39, None, None),
-    "repro.environments.baremetal": (ABOVE_CORE, 39, None, None),
+         "tools", "analysis"), 31, None, None),
+    "repro.serve": (SERVING, 52, None, None),
+    "repro.fleet": (SERVING, 58, None, None),
+    "repro.environments.tee": (ABOVE_CORE, 36, None, None),
+    "repro.environments.baremetal": (ABOVE_CORE, 36, None, None),
 }
+
+#: What a default replay never loads, each behind the caller that asks
+#: for it (DESIGN.md "Layering", the call-time-import table).
+ON_DEMAND = {"repro.core.interpreter", "repro.core.checkpoints",
+             "repro.core.mega", "repro.gpu.shader_batch"}
 
 
 @pytest.fixture(scope="session")
@@ -105,6 +110,80 @@ def test_a_replay_imports_nothing_the_entry_did_not(recording_files):
                            recording_files["v3d", "mnist"]])
 
 
+#: Replay once by default, then once more with ``{option}`` (which
+#: leaves its answer in ``got``); print what the second one loaded.
+_OPTION_REPLAY = """
+import sys
+from repro.core.recording import Recording
+from repro.core.replay import boot_replayer, seeded_inputs
+recording = Recording.load(sys.argv[1])
+inputs = seeded_inputs(recording, 7)
+machine, replayer = boot_replayer(recording, None, 7)
+want = replayer.replay(inputs=inputs).outputs
+assert not {on_demand!r} & set(sys.modules)
+before = set(sys.modules)
+{option}
+assert list(got) == list(want)
+assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+print(*sorted(m for m in set(sys.modules) - before
+              if m.startswith("repro.")))
+"""
+
+#: option -> (what runs it, the modules it may load and must).
+OPTIONS = {
+    "default": ("got = replayer.replay(inputs=inputs).outputs", []),
+    "fast_path=False": (
+        "other = boot_replayer(recording, None, 7, fast_path=False)[1]\n"
+        "got = other.replay(inputs=inputs).outputs",
+        ["repro.core.interpreter"]),
+    "use_recorded_intervals": (
+        "got = replayer.replay(inputs=inputs,"
+        " use_recorded_intervals=True).outputs",
+        ["repro.core.interpreter"]),
+    "checkpoint_policy": (
+        "from repro.core.checkpoints import CheckpointPolicy\n"
+        "from repro.core.replayer import Replayer\n"
+        "from repro.soc.machine import fresh_replay_machine\n"
+        "other = Replayer(fresh_replay_machine('v3d', seed=7),"
+        " checkpoint_policy=CheckpointPolicy(every_n_jobs=4))\n"
+        "other.init()\n"
+        "other.load(recording)\n"
+        "got = other.replay(inputs=inputs).outputs\n"
+        "assert other.checkpoints.taken_count > 0",
+        ["repro.core.checkpoints", "repro.core.interpreter"]),
+    "replay_mega": (
+        "fused = replayer.replay_mega([inputs, inputs]).outputs\n"
+        "assert fused[0]['output'].tobytes()"
+        " == want['output'].tobytes()\n"
+        "got = fused[1]",
+        ["repro.core.mega", "repro.gpu.shader_batch"]),
+}
+
+
+@pytest.mark.parametrize("option", OPTIONS)
+def test_an_option_loads_its_module_and_only_then(option,
+                                                  recording_files):
+    """The on-demand modules are absent after a default replay; the
+    option that needs one loads exactly it and answers with the
+    default replay's bytes."""
+    code, loads = OPTIONS[option]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_ROOT))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         _OPTION_REPLAY.format(on_demand=ON_DEMAND, option=code),
+         recording_files["v3d", "mnist"]],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == loads
+
+
+def test_a_server_holds_its_rungs_at_import_time():
+    """``repro.serve`` runs the reference rung and fuses batches, so it
+    imports both with itself; it never takes a checkpoint."""
+    assert ON_DEMAND & set(import_closure(["-c", "import repro.serve"])) \
+        == ON_DEMAND - {"repro.core.checkpoints"}
+
+
 def test_guard_bites_on_an_injected_import(tmp_path, monkeypatch):
     """The same checker, the ``soc.machine`` row, one forbidden import
     added by a package on ``PYTHONPATH``: it must fail and say why."""
@@ -127,14 +206,14 @@ import repro.serve as serve
 from repro.core.recording import Recording
 store = serve.RecordingStore()
 mix = (("mali", "mnist"), ("v3d", "mnist"))
-for (family, model), path in zip(mix, sys.argv[1:]):
+for (family, model), path in zip(mix, sys.argv[1:3]):
     store.add(family, model, Recording.load(path))
 requests = serve.generate_requests(serve.LoadgenConfig(
     requests=60, seed=5, mix=mix, fault_rate=0.3))
 assert any(r.fault and r.fault.kind == "poison" for r in requests)
 before = set(sys.modules)
-server = serve.ReplayServer(
-    store, serve.ServerConfig(families=("mali", "v3d"), seed=9))
+server = serve.ReplayServer(store, serve.ServerConfig(
+    families=("mali", "v3d"), seed=9, **eval(sys.argv[3])))
 report = server.serve(requests)
 server.close()
 assert report.counts()["degraded"] > 0
@@ -147,17 +226,20 @@ def test_a_faulted_serve_imports_only_the_cpu_ground_truth(
         recording_files):
     """No module loads on the serving timeline except ``repro.stack``,
     the CPU reference behind the degrade rung (a call-time import by
-    design, see ``RecordingStore.reference_outputs``)."""
+    design, see ``RecordingStore.reference_outputs``) -- fused batches
+    or not."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_ROOT))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FAULTED_SERVE,
-         recording_files["mali", "mnist"],
-         recording_files["v3d", "mnist"]],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    loaded = proc.stdout.split()
-    assert "repro.stack.reference" in loaded
-    assert [m for m in loaded if not m.startswith("repro.stack")] == []
+    for config in ({}, {"mega_batch": True, "max_batch": 4}):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTED_SERVE,
+             recording_files["mali", "mnist"],
+             recording_files["v3d", "mnist"], repr(config)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        loaded = proc.stdout.split()
+        assert "repro.stack.reference" in loaded
+        assert [m for m in loaded
+                if not m.startswith("repro.stack")] == []
 
 
 # -- the package-level graph ------------------------------------------------

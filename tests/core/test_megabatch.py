@@ -12,8 +12,8 @@ import pytest
 
 from repro.bench.workloads import (fresh_replay_machine, get_recorded,
                                    model_input)
-from repro.core.compiled import (_REG_WRITE, Superblock, compile_program,
-                                 compile_superblocks)
+from repro.core.compiled import _REG_WRITE, compile_program
+from repro.core.mega import Superblock, compile_superblocks
 from repro.core.replayer import Replayer, clear_load_cache
 from repro.errors import MegaBatchDivergence, ReplayError
 from repro.obs import enable_observability

@@ -50,18 +50,12 @@ def test_lazy_packages_export_what_they_always_did(package, homes):
 
 
 def test_moved_names_are_one_object_under_both_paths():
-    import repro.obs.flight
     import repro.obs.metrics
     import repro.obs.session
     import repro.obs.tracer
-    import repro.soc.flight
     import repro.soc.nullobs
     import repro.units
 
-    for name in ("DEFAULT_RING_SIZE", "FLIGHT_FIELDS", "FlightEvent",
-                 "FlightRecorder", "event_to_dict"):
-        assert getattr(repro.obs.flight, name) \
-            is getattr(repro.soc.flight, name)
     for old in (repro.obs.session, repro.obs):
         assert old.NULL_OBS is repro.soc.nullobs.NULL_OBS
         assert old.NullObservability \

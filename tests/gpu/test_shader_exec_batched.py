@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MegaBatchDivergence, ShaderDecodeError
 from repro.gpu.isa import Op, TensorRef
-from repro.gpu.shader_exec import (_ELEMENTWISE_OPS, BatchEnv, compute_op,
-                                   compute_op_batched)
+from repro.gpu.shader_batch import (_ELEMENTWISE_OPS, BatchEnv,
+                                    compute_op_batched)
+from repro.gpu.shader_exec import compute_op
 
 
 def members(n, *shape, seed=0):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs.flight import (DEFAULT_RING_SIZE, FLIGHT_FIELDS,
+from repro.soc.flight import (DEFAULT_RING_SIZE, FLIGHT_FIELDS,
                               FlightEvent, FlightRecorder, event_to_dict)
 from repro.soc.machine import Machine
 

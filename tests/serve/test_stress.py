@@ -10,7 +10,7 @@ byte-identical metric snapshots and response summaries.
 
 import json
 
-from repro.obs.flight import DEFAULT_RING_SIZE
+from repro.soc.flight import DEFAULT_RING_SIZE
 from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
                          ServerConfig, generate_requests)
 from repro.units import MS, US

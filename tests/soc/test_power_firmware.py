@@ -1,65 +1,10 @@
-"""Power domains and the firmware mailbox."""
+"""The firmware mailbox."""
 
 import pytest
 
-from repro.errors import FirmwareError, SocError
+from repro.errors import FirmwareError
 from repro.soc import firmware as fw
 from repro.soc.clock import VirtualClock
-from repro.soc.power import PowerController, PowerDomain
-from repro.units import MS, US
-
-
-class TestPowerDomain:
-    def test_starts_off(self):
-        domain = PowerDomain("gpu", VirtualClock(), settle_ns=1 * MS)
-        assert not domain.is_on
-        assert not domain.is_stable()
-
-    def test_needs_settling_after_power_on(self):
-        clock = VirtualClock()
-        domain = PowerDomain("gpu", clock, settle_ns=1 * MS)
-        domain.power_on()
-        assert domain.is_on and not domain.is_stable()
-        clock.advance(1 * MS)
-        assert domain.is_stable()
-
-    def test_require_stable_raises_before_settle(self):
-        clock = VirtualClock()
-        domain = PowerDomain("gpu", clock, settle_ns=1 * MS)
-        domain.power_on()
-        with pytest.raises(SocError):
-            domain.require_stable()
-
-    def test_transitions_counted(self):
-        domain = PowerDomain("gpu", VirtualClock(), settle_ns=0)
-        domain.power_on()
-        domain.power_on()  # no-op
-        domain.power_off()
-        assert domain.transitions == 2
-
-
-class TestPowerController:
-    def test_ordered_bring_up_waits_each_domain(self):
-        clock = VirtualClock()
-        controller = PowerController(clock)
-        controller.add_domain("rail", settle_ns=2 * MS)
-        controller.add_domain("core", settle_ns=1 * MS)
-        controller.power_on_in_order()
-        assert controller.all_stable()
-        assert clock.now() >= 3 * MS
-
-    def test_duplicate_domain_rejected(self):
-        controller = PowerController(VirtualClock())
-        controller.add_domain("rail", 0)
-        with pytest.raises(SocError):
-            controller.add_domain("rail", 0)
-
-    def test_power_off_all(self):
-        controller = PowerController(VirtualClock())
-        controller.add_domain("rail", 0)
-        controller.power_on_in_order()
-        controller.power_off_all()
-        assert not controller.domain("rail").is_on
 
 
 class TestFirmwareMailbox:
