@@ -11,9 +11,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Tuple
+from typing import List
 
-from repro.soc.memory import PAGE_SIZE
+from repro.soc.memory import PageSource
 
 
 @dataclass(frozen=True)
@@ -48,43 +48,18 @@ class MemoryDump:
         """
         return hashlib.sha256(self.data).hexdigest()
 
+    @cached_property
+    def pages(self) -> PageSource:
+        """What physical memory tags this dump's pages with (and its
+        zero-page map): one per dump object, built on first upload."""
+        return PageSource(self.data)
 
-def coalesce_pages(pages: Iterable[Tuple[int, bytes]]) -> List[MemoryDump]:
-    """Merge per-page captures into contiguous dumps.
-
-    ``pages`` yields (va, page_bytes) for individual pages; adjacent
-    VAs are merged so a 40-page shader blob becomes one Upload action
-    instead of 40.
-    """
-    ordered = sorted(pages, key=lambda p: p[0])
-    out: List[MemoryDump] = []
-    run_va = None
-    run_parts: List[bytes] = []
-    cursor = 0
-    for va, data in ordered:
-        if run_va is not None and va == cursor:
-            run_parts.append(data)
-            cursor += len(data)
-            continue
-        if run_va is not None:
-            out.append(MemoryDump(run_va, b"".join(run_parts)))
-        run_va = va
-        run_parts = [data]
-        cursor = va + len(data)
-    if run_va is not None:
-        out.append(MemoryDump(run_va, b"".join(run_parts)))
-    return out
+    def __getstate__(self) -> dict:
+        # A copy tags pages of its own: these tags name this object.
+        return {k: v for k, v in self.__dict__.items() if k != "pages"}
 
 
 def zero_page_ratio(dumps: List[MemoryDump]) -> float:
     """Fraction of dumped pages that are all-zero (compressibility)."""
-    total = 0
-    zero = 0
-    zero_page = b"\x00" * PAGE_SIZE
-    for dump in dumps:
-        for off in range(0, len(dump.data), PAGE_SIZE):
-            page = dump.data[off:off + PAGE_SIZE]
-            total += 1
-            if page == zero_page[:len(page)]:
-                zero += 1
-    return zero / total if total else 0.0
+    zero = [z for dump in dumps for z in dump.pages.zero]
+    return sum(zero) / len(zero) if zero else 0.0

@@ -24,7 +24,7 @@ from repro.gpu import mali as mali_hw
 from repro.gpu import v3d as v3d_hw
 from repro.gpu.mmu import PageTableBuilder
 from repro.soc.machine import Machine
-from repro.soc.memory import PAGE_SIZE
+from repro.soc.memory import PAGE_SIZE, PageSource
 from repro.units import MS, SEC, US
 
 MMIO_ACCESS_NS = 150
@@ -397,9 +397,15 @@ class NanoGpuDriver:
             self.reg_write("MMU_CTRL", v3d_hw.MMU_CTRL_ENABLE
                            | v3d_hw.MMU_CTRL_TLB_CLEAR)
 
-    def _cpu_access(self, va: int, size: int,
-                    data: Optional[bytes] = None) -> bytes:
+    def _cpu_access(self, va: int, size: int, data: Optional[bytes] = None,
+                    source: Optional[PageSource] = None) -> bytes:
+        """Read ``size`` bytes at ``va``, or store ``data`` there (the
+        one page-store loop): with its ``source``, page ``k`` of
+        whole-page ``data`` is a tagged store, copying only if needed."""
         pt = self._require_pt()
+        memory = self.machine.memory
+        if data is not None:
+            self._drop_resident(va, size)
         out = bytearray()
         cursor = va
         remaining = size
@@ -413,10 +419,11 @@ class NanoGpuDriver:
             in_page = cursor & (PAGE_SIZE - 1)
             chunk = min(remaining, PAGE_SIZE - in_page)
             if data is None:
-                out += self.machine.memory.read(pa + in_page, chunk)
+                out += memory.read(pa + in_page, chunk)
+            elif source is not None:
+                memory.store_page(pa, source, offset // PAGE_SIZE)
             else:
-                self.machine.memory.write(pa + in_page,
-                                          data[offset:offset + chunk])
+                memory.write(pa + in_page, data[offset:offset + chunk])
             cursor += chunk
             offset += chunk
             remaining -= chunk
@@ -453,29 +460,28 @@ class NanoGpuDriver:
         return held.digest if held is not None else None
 
     def forget_resident(self) -> None:
-        """Drop all resident-dump knowledge, forcing the next replay to
-        re-upload everything (benchmark baselines, paranoia mode)."""
+        """Drop all resident-dump knowledge, so the next replay pays for
+        re-uploading everything (benchmark baselines, paranoia mode).
+        Virtual only: the host copies no page that holds its bytes."""
         self._resident.clear()
         self._resident_bases.clear()
         self._resident_max = 0
 
-    def upload(self, va: int, data: bytes,
-               digest: Optional[str] = None) -> int:
-        """Load a dump at ``va``; returns the bytes actually moved.
+    def upload(self, va: int, data: bytes) -> int:
+        """Load a dump at ``va``; returns the bytes the model moves.
 
         ``data`` is a :class:`MemoryDump` (what replay passes) or raw
         bytes -- any C-contiguous read-only buffer, written page by
-        page with no intermediate copy -- and ``digest`` its content
-        hash, if the caller has one. When the dump a previous upload
+        page with no intermediate copy. When the dump a previous upload
         left here is this one, or one of equal size and digest, and
-        nothing dirtied the range since, the copy is skipped (repeated
-        replays, §5.4 delay-injection retries). The digest is a
-        residency key, not an integrity check: it is computed only
-        when two different dump objects meet at one address.
+        nothing dirtied the range since, the upload is skipped
+        (repeated replays, §5.4 delay-injection retries). The digest is
+        a residency key, not an integrity check: it is computed only
+        when two different dump objects meet at one address. Any other
+        upload costs its size in virtual time; the host copies only the
+        pages of a page-aligned dump that do not hold them already.
         """
         dump = data if isinstance(data, MemoryDump) else MemoryDump(va, data)
-        if digest is not None:  # fills the cached property
-            dump.__dict__.setdefault("digest", digest)
         size = dump.size
         held = self._resident.get(va)
         if held is dump or (held is not None and held.size == size
@@ -486,8 +492,8 @@ class NanoGpuDriver:
             self.flight.record(self.clock.now(), "Upload", (va, size, 0))
             return 0
         self.clock.advance(max(1, size * SEC // UPLOAD_BW))
-        self._drop_resident(va, size)
-        self._cpu_access(va, size, dump.data)
+        self._cpu_access(va, size, dump.data, None if (va | size) % PAGE_SIZE
+                         else dump.pages)
         self._resident[va] = dump
         bisect.insort(self._resident_bases, va)
         self._resident_max = max(self._resident_max, size)
@@ -496,7 +502,6 @@ class NanoGpuDriver:
 
     def copy_to_gpu(self, gaddr: int, data: bytes) -> None:
         self.clock.advance(max(1, len(data) * SEC // UPLOAD_BW))
-        self._drop_resident(gaddr, len(data))
         self._cpu_access(gaddr, len(data), data)
         self.flight.record(self.clock.now(), "CopyToGpu",
                            (gaddr, len(data)))
@@ -528,7 +533,6 @@ class NanoGpuDriver:
     def restore_memory(self, snapshot: Dict[int, bytes]) -> None:
         total_pages = 0
         for va, data in snapshot.items():
-            self._drop_resident(va, len(data))
             self._cpu_access(va, len(data), data)
             total_pages += (len(data) + PAGE_SIZE - 1) // PAGE_SIZE
         self.clock.advance(max(1, self.mapped_bytes() * SEC // UPLOAD_BW)

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core import actions as act
-from repro.core.dumps import MemoryDump, coalesce_pages
+from repro.core.dumps import MemoryDump
 from repro.core.recording import Recording, RecordingMeta
 from repro.errors import RecordingError
 from repro.gpu import jobs as jobfmt
@@ -37,6 +37,33 @@ from repro.units import SEC, SIZE_BUCKETS_BYTES
 
 #: Throughput of the recorder's page hashing/copying (record-time cost).
 DUMP_BW = int(1.5 * 1024 ** 3)
+
+
+def coalesce_pages(pages: Iterable[Tuple[int, bytes]]) -> List[MemoryDump]:
+    """Merge per-page captures into contiguous dumps.
+
+    ``pages`` yields (va, page_bytes) for individual pages; adjacent
+    VAs are merged so a 40-page shader blob becomes one Upload action
+    instead of 40.
+    """
+    ordered = sorted(pages, key=lambda p: p[0])
+    out: List[MemoryDump] = []
+    run_va = None
+    run_parts: List[bytes] = []
+    cursor = 0
+    for va, data in ordered:
+        if run_va is not None and va == cursor:
+            run_parts.append(data)
+            cursor += len(data)
+            continue
+        if run_va is not None:
+            out.append(MemoryDump(run_va, b"".join(run_parts)))
+        run_va = va
+        run_parts = [data]
+        cursor = va + len(data)
+    if run_va is not None:
+        out.append(MemoryDump(run_va, b"".join(run_parts)))
+    return out
 
 
 @dataclass

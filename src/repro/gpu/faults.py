@@ -15,7 +15,30 @@ from typing import List, Tuple
 
 from repro.errors import SocError
 from repro.gpu.device import GpuDevice
-from repro.gpu.mmu import walk_page_table
+from repro.gpu.mmu import L1_SPAN, VA_SPACE_SIZE, PteFormat, split_va
+from repro.soc.memory import PAGE_SIZE, PhysicalMemory
+
+
+def walk_page_table(memory: PhysicalMemory, root_pa: int,
+                    fmt: PteFormat) -> List[Tuple[int, int, int]]:
+    """Walk a page table in memory, returning (va, pa, perms) triples.
+
+    This is what the recorder does to capture the GPU virtual address
+    space: it only needs the root register value and the PTE encoding.
+    """
+    entries: List[Tuple[int, int, int]] = []
+    read_entry = memory.read_u64 if fmt.pte_size == 8 else memory.read_u32
+    for l0 in range(VA_SPACE_SIZE // L1_SPAN):
+        l0_value = read_entry(root_pa + l0 * fmt.pte_size)
+        valid, l1_pa = fmt.decode_table_ptr(l0_value)
+        if not valid:
+            continue
+        for l1 in range(L1_SPAN // PAGE_SIZE):
+            pte = read_entry(l1_pa + l1 * fmt.pte_size)
+            valid, pa, perms = fmt.decode_pte(pte)
+            if valid:
+                entries.append((l0 * L1_SPAN + l1 * PAGE_SIZE, pa, perms))
+    return entries
 
 
 class FaultInjector:
@@ -57,8 +80,6 @@ class FaultInjector:
         else:
             raise SocError(f"VA {va:#x} is not mapped; cannot corrupt")
         # Re-walk structurally to find the leaf entry's physical slot.
-        from repro.gpu.mmu import split_va  # local import avoids cycle noise
-
         l0, l1, _ = split_va(va)
         read_entry = memory.read_u64 if fmt.pte_size == 8 else memory.read_u32
         l0_value = read_entry(mmu.base_pa + l0 * fmt.pte_size)

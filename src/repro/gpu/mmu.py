@@ -24,15 +24,16 @@ page-at-a-time loop, :meth:`GpuMmu._walk`, and count the same hits and
 misses either way. That loop walks the root once per leaf table it
 crosses, not once per page: misses decode their PTEs in place in the
 table's page buffer (never stale) and look the table up again only
-after a write to the root table's page. The bytes themselves are never
-cached: a run holds the live page buffers, as a cold gather does, so
-it reads whatever the CPU or GPU last wrote.
+after a write to the root table's page. A run holds the live page
+buffers, so it reads whatever the CPU or GPU last wrote. Bytes are
+remembered once: a gather whose pages are tagged as one dump's returns
+a view of the dump, until a page tagged from it changes.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import GpuPageFault, SocError
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
@@ -217,9 +218,10 @@ class GpuMmu:
         #: page buffers for a read, ``(pa, length)`` pieces for a write.
         #: A memo of TLB entries, so it is dropped exactly where the TLB
         #: is (:meth:`_drop_translations`); translations are remembered,
-        #: bytes never are.
+        #: bytes only as ``_views`` (the same ranges, :meth:`gather_va`).
         self._runs: Dict[Tuple[int, int, str], list] = {}
         self._run_pages = 0
+        self._views: Dict[Tuple[int, int, str], object] = {}
         self.fault_count = 0
         #: Emulated TLB performance counters (plain ints on the hot
         #: path; the device's CounterTape samples deltas per kernel).
@@ -273,6 +275,7 @@ class GpuMmu:
         self._tlb.clear()
         self._table_pages.clear()
         self._runs.clear()
+        self._views.clear()
         self._run_pages = 0
 
     def set_base(self, base_pa: int) -> None:
@@ -404,6 +407,7 @@ class GpuMmu:
             cursor += chunk
         if self._run_pages + len(run) > MAX_RUN_PAGES:
             self._runs.clear()
+            self._views.clear()
             self._run_pages = 0
         self._runs[key] = run
         self._run_pages += len(run)
@@ -428,10 +432,47 @@ class GpuMmu:
     def read_va(self, va: int, size: int, access: str = "r") -> bytes:
         return b"".join(self._parts(va, size, access))
 
-    def gather_va(self, va: int, size: int, access: str = "r") -> bytearray:
-        """:meth:`read_va` into a fresh mutable buffer -- what the
-        shader cores wrap as a tensor without a second copy."""
-        return bytearray().join(self._parts(va, size, access))
+    def gather_va(self, va: int, size: int,
+                  access: str = "r") -> Union[bytearray, memoryview]:
+        """:meth:`read_va`'s bytes as the shader cores wrap them, with
+        no second copy: a fresh ``bytearray``, or from a range's second
+        gather on, while its pages hold consecutive pages of one dump, a
+        read-only view of the dump. TLB counts are :meth:`_parts`'."""
+        parts = self._parts(va, size, access)
+        key = (va, size, access)
+        seen = self._views.get(key)
+        if seen is None:
+            self._views[key] = True
+        elif seen is True or seen and seen[0].version != seen[1]:
+            found = self._source(va, size, access)
+            # A range that held a dump may again: look next time too.
+            self._views[key] = found or seen is not True
+            if found:
+                return found[2]
+        elif seen:
+            return seen[2]
+        return bytearray().join(parts)
+
+    def _source(self, va: int, size: int, access: str):
+        """``(source, version, view)`` if the translated range holds
+        pages ``k, k + 1, ...`` of one ``PageSource``, else False."""
+        tags, tag_pages = self.memory.tags, self.memory.tag_pages
+        tlb = self._tlb
+        first = va & ~(PAGE_SIZE - 1)
+        index = tlb[(first, access)] >> 12 if size else None
+        source = tags.get(index)
+        if source is None:
+            return False
+        k = tag_pages[index]
+        page_vas = range(first, va + size, PAGE_SIZE)
+        if k + len(page_vas) > len(source.zero):
+            return False
+        for page, page_va in enumerate(page_vas, k):
+            index = tlb[(page_va, access)] >> 12
+            if tags.get(index) is not source or tag_pages[index] != page:
+                return False
+        start = k * PAGE_SIZE + va - first
+        return source, source.version, source.data[start:start + size]
 
     def write_va(self, va: int, data: bytes) -> None:
         size = len(data)
@@ -557,27 +598,3 @@ class PageTableBuilder:
         self.allocator.free_pages(self.table_pages())
         self._l1_tables.clear()
         self._mappings.clear()
-
-
-def walk_page_table(memory: PhysicalMemory, root_pa: int,
-                    fmt: PteFormat) -> List[Tuple[int, int, int]]:
-    """Walk a page table in memory, returning (va, pa, perms) triples.
-
-    This is what the recorder does to capture the GPU virtual address
-    space: it only needs the root register value and the PTE encoding.
-    """
-    entries: List[Tuple[int, int, int]] = []
-    read_entry = memory.read_u64 if fmt.pte_size == 8 else memory.read_u32
-    for l0 in range(1 << _L0_BITS):
-        l0_value = read_entry(root_pa + l0 * fmt.pte_size)
-        valid, l1_pa = fmt.decode_table_ptr(l0_value)
-        if not valid:
-            continue
-        for l1 in range(1 << _L1_BITS):
-            pte = read_entry(l1_pa + l1 * fmt.pte_size)
-            valid, pa, perms = fmt.decode_pte(pte)
-            if not valid:
-                continue
-            va = (l0 << (_OFFSET_BITS + _L1_BITS)) | (l1 << _OFFSET_BITS)
-            entries.append((va, pa, perms))
-    return entries

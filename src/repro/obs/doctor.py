@@ -42,7 +42,6 @@ from repro.core.recording import Recording
 from repro.core.replay import boot_replayer, seeded_inputs
 from repro.core.replayer import Replayer
 from repro.errors import ObsError, ReplayError
-from repro.soc.flight import event_to_dict
 from repro.soc.machine import Machine
 
 #: Bump when a field of :class:`DivergenceReport` changes meaning.
@@ -50,6 +49,47 @@ SCHEMA_VERSION = 1
 
 #: Flight events on each side of the anchor included in a report.
 WINDOW_EVENTS = 48
+
+#: Field names for each flight event kind's ``detail`` tuple. This
+#: table is part of the stable report schema: renaming a kind or
+#: reordering its fields changes what saved DivergenceReports mean.
+FLIGHT_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "RegWrite": ("addr", "val", "mask"),
+    "RegRead": ("addr", "val"),
+    "RegPoll": ("addr", "mask", "want", "polls", "ok", "last"),
+    "WaitIrq": ("timeout_ns", "ok", "waited_ns"),
+    "IrqEnter": (),
+    "IrqExit": (),
+    "MemMap": ("va", "num_pages"),
+    "MemUnmap": ("va", "num_pages"),
+    "SetPgtable": ("memattr",),
+    "Upload": ("va", "size", "moved"),
+    "CopyToGpu": ("va", "size"),
+    "CopyFromGpu": ("va", "size"),
+    "Reset": ("cause",),
+    "Pacing": ("wait_ns",),
+    "JobKick": ("job",),
+    "GpuIrqRaise": ("line",),
+    "GpuJobStart": ("slot", "chain_va"),
+    "GpuJobRetire": ("slot", "chain_va"),
+    "Preempt": ("app",),
+    "Divergence": ("attempt", "error"),
+}
+
+
+def event_to_dict(event: Tuple) -> Dict[str, object]:
+    """Expand a raw flight ring tuple into a JSON-friendly dict."""
+    seq, t_ns, kind, action_index, detail = event
+    out: Dict[str, object] = {
+        "seq": seq, "t_ns": t_ns, "kind": kind,
+        "action_index": action_index,
+    }
+    fields = FLIGHT_FIELDS.get(kind)
+    if fields is not None and len(fields) == len(detail):
+        out.update(zip(fields, detail))
+    else:
+        out["detail"] = list(detail)
+    return out
 
 
 @dataclass
@@ -249,7 +289,7 @@ def report_from_error(machine: Machine, recording: Recording,
     (skipping the replayer's own ``Divergence`` marker); if the ring
     rolled past it, the last retained event stands in.
     """
-    window = machine.flight.window_dicts()
+    window = [event_to_dict(event) for event in machine.flight.ring]
     fail_index = getattr(error, "action_index", -1)
     anchor: Optional[Dict[str, object]] = None
     for entry in reversed(window):

@@ -54,7 +54,8 @@ def forensics_bundle(outdir: str) -> int:
     """
     from repro.core.replay import boot_replayer, seeded_inputs
     from repro.errors import ReplayError
-    from repro.obs.doctor import flip_dump_byte, report_from_error
+    from repro.obs.doctor import (event_to_dict, flip_dump_byte,
+                                  report_from_error)
 
     os.makedirs(outdir, exist_ok=True)
     recording = _record_mnist(os.path.join(outdir, "mnist.grr"))
@@ -71,7 +72,8 @@ def forensics_bundle(outdir: str) -> int:
         report = report_from_error(machine, corrupted, error)
     report.save(os.path.join(outdir, "doctor-report.json"))
     with open(os.path.join(outdir, "flight-ring.json"), "w") as handle:
-        json.dump(machine.flight.window_dicts(), handle, indent=1)
+        json.dump([event_to_dict(event) for event in machine.flight.ring],
+                  handle, indent=1)
     with open(os.path.join(outdir, "metrics.json"), "w") as handle:
         json.dump(machine.obs.snapshot(), handle, indent=1,
                   sort_keys=True)

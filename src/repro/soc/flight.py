@@ -14,8 +14,7 @@ recorder cannot be turned off): recording an event never touches the
 virtual clock and never allocates beyond the ring -- a bounded deque
 of small tuples. Events are stored as plain tuples
 ``(seq, t_ns, kind, action_index, detail)`` to keep the hot-path cost
-at one tuple build plus one deque append; :func:`event_to_dict`
-expands them for reports and export.
+at one tuple build plus one deque append; the doctor expands them.
 """
 
 from __future__ import annotations
@@ -38,48 +37,6 @@ class FlightEvent(NamedTuple):
     kind: str
     action_index: int
     detail: Tuple
-
-
-#: Field names for each event kind's ``detail`` tuple. This table is
-#: part of the stable report schema: renaming a kind or reordering its
-#: fields changes what saved DivergenceReports mean.
-FLIGHT_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "RegWrite": ("addr", "val", "mask"),
-    "RegRead": ("addr", "val"),
-    "RegPoll": ("addr", "mask", "want", "polls", "ok", "last"),
-    "WaitIrq": ("timeout_ns", "ok", "waited_ns"),
-    "IrqEnter": (),
-    "IrqExit": (),
-    "MemMap": ("va", "num_pages"),
-    "MemUnmap": ("va", "num_pages"),
-    "SetPgtable": ("memattr",),
-    "Upload": ("va", "size", "moved"),
-    "CopyToGpu": ("va", "size"),
-    "CopyFromGpu": ("va", "size"),
-    "Reset": ("cause",),
-    "Pacing": ("wait_ns",),
-    "JobKick": ("job",),
-    "GpuIrqRaise": ("line",),
-    "GpuJobStart": ("slot", "chain_va"),
-    "GpuJobRetire": ("slot", "chain_va"),
-    "Preempt": ("app",),
-    "Divergence": ("attempt", "error"),
-}
-
-
-def event_to_dict(event: Tuple) -> Dict[str, object]:
-    """Expand a raw ring tuple into a JSON-friendly dict."""
-    seq, t_ns, kind, action_index, detail = event
-    out: Dict[str, object] = {
-        "seq": seq, "t_ns": t_ns, "kind": kind,
-        "action_index": action_index,
-    }
-    fields = FLIGHT_FIELDS.get(kind)
-    if fields is not None and len(fields) == len(detail):
-        out.update(zip(fields, detail))
-    else:
-        out["detail"] = list(detail)
-    return out
 
 
 class FlightRecorder:
@@ -157,12 +114,6 @@ class FlightRecorder:
         if last is not None:
             events = events[-last:]
         return [FlightEvent(*event) for event in events]
-
-    def window_dicts(self, last: Optional[int] = None
-                     ) -> List[Dict[str, object]]:
-        if last is None:
-            return [event_to_dict(e) for e in self.ring]
-        return [event_to_dict(tuple(e)) for e in self.window(last)]
 
     # -- lockstep capture ------------------------------------------------------
 

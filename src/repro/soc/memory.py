@@ -15,6 +15,9 @@ The order is a seeded permutation of the region, drawn *lazily*: a
 machine pays for the pages a session allocates, not for the gigabytes
 the board advertises. Construction is O(1) and the allocator's state
 grows only with pages handed out (see :class:`PageAllocator`).
+
+A page may be tagged page ``k`` of a :class:`PageSource`, and then
+holds exactly those bytes (DESIGN.md, "Pages know what they hold").
 """
 
 from __future__ import annotations
@@ -29,6 +32,24 @@ PAGE_SIZE = 4096
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
+class PageSource:
+    """A read-only buffer as tagged stores copy it: ``zero[k]`` says its
+    page ``k`` is all zero, and ``version`` is bumped whenever a page
+    tagged from it is overwritten, scrubbed or re-tagged."""
+
+    __slots__ = ("data", "zero", "version")
+
+    def __init__(self, data) -> None:
+        self.data = view = memoryview(data).toreadonly().cast("B")
+        self.zero = [_ZERO_PAGE.startswith(view[at:at + PAGE_SIZE])
+                     for at in range(0, len(view), PAGE_SIZE)]
+        self.version = 0
+
+
+#: The source of an all-zero page's tag, ``(ZERO, 0)``.
+ZERO = PageSource(_ZERO_PAGE)
+
+
 class PhysicalMemory:
     """Byte-addressable sparse physical memory."""
 
@@ -38,6 +59,10 @@ class PhysicalMemory:
                 f"memory size must be a positive multiple of {PAGE_SIZE}")
         self.size = size_bytes
         self._pages: Dict[int, bytearray] = {}
+        #: Page ``n`` holds page ``tag_pages[n]`` of ``tags[n]`` (plain
+        #: values: no load on the collector). Set only by this class.
+        self.tags: Dict[int, PageSource] = {}
+        self.tag_pages: Dict[int, int] = {}
         #: Optional observer of physical writes: ``fn(pa, length)``,
         #: called before the bytes land. The GPU MMU subscribes so it
         #: can shoot down TLB entries when page-table pages change
@@ -78,9 +103,13 @@ class PhysicalMemory:
         if self.write_hook is not None:
             self.write_hook(pa, length)
         page_index, page_offset = divmod(pa, PAGE_SIZE)
+        tags = self.tags
         if 0 < length <= PAGE_SIZE - page_offset:
             # Single-page write: the unit MMU-mediated stores and dump
             # uploads decompose into (as in read).
+            held = tags.pop(page_index, None)
+            if held is not None:
+                held.version += 1
             page = self._pages.get(page_index)
             if page is None:
                 page = self._pages[page_index] = bytearray(PAGE_SIZE)
@@ -90,6 +119,9 @@ class PhysicalMemory:
         while offset < length:
             page_index, page_offset = divmod(pa + offset, PAGE_SIZE)
             chunk = min(length - offset, PAGE_SIZE - page_offset)
+            held = tags.pop(page_index, None)
+            if held is not None:
+                held.version += 1
             page = self._pages.get(page_index)
             if page is None:
                 page = bytearray(PAGE_SIZE)
@@ -102,10 +134,12 @@ class PhysicalMemory:
         self.write(pa, bytes([value]) * length)
 
     def scrub_pages(self, pas: Iterable[int]) -> None:
-        """Zero whole pages: what ``write(pa, bytes(PAGE_SIZE))`` does
-        to each, without building the 4-KiB operand. The ``write_hook``
-        still sees every page."""
+        """Zero whole pages and tag them ``ZERO``: what ``write(pa,
+        bytes(PAGE_SIZE))`` does to each, without the 4-KiB operand,
+        and nothing to a page tagged ``ZERO``. The ``write_hook`` still
+        sees every page scrubbed."""
         pages = self._pages
+        tags = self.tags
         hook = self.write_hook
         size = self.size
         for pa in pas:
@@ -115,6 +149,13 @@ class PhysicalMemory:
                     f"scrub of unaligned page {pa:#x}")
             if pa < 0 or pa >= size:
                 self._check_range(pa, PAGE_SIZE)
+            held = tags.get(page_index)
+            if held is ZERO:
+                continue
+            if held is not None:
+                held.version += 1
+            tags[page_index] = ZERO
+            self.tag_pages[page_index] = 0
             if hook is not None:
                 hook(pa, PAGE_SIZE)
             page = pages.get(page_index)
@@ -122,6 +163,23 @@ class PhysicalMemory:
                 pages[page_index] = bytearray(PAGE_SIZE)
             else:
                 page[:] = _ZERO_PAGE
+
+    def store_page(self, pa: int, source: PageSource, k: int) -> None:
+        """The tagged store of page ``k`` of ``source`` to the page at
+        ``pa``: a copy through :meth:`write`, unless the page holds the
+        bytes already (that is its tag, or both pages are all zero)."""
+        page_index = pa // PAGE_SIZE
+        tag_pages = self.tag_pages
+        held = self.tags.get(page_index)
+        if held is source and tag_pages[page_index] == k:
+            return
+        if held is not None and source.zero[k] \
+                and held.zero[tag_pages[page_index]]:
+            held.version += 1
+        else:
+            self.write(pa, source.data[k * PAGE_SIZE:(k + 1) * PAGE_SIZE])
+        self.tags[page_index] = source
+        tag_pages[page_index] = k
 
     # -- word access -------------------------------------------------------
 
@@ -147,7 +205,7 @@ class PhysicalMemory:
         """The live buffer behind the page containing ``pa``, or None
         while the page is unmaterialized. A page's buffer is created
         once and only ever written in place, so a holder (the GPU MMU's
-        page runs) sees every later write; holders read, never resize."""
+        page runs) sees every later write; holders read, never write."""
         return self._pages.get(pa // PAGE_SIZE)
 
     def page_is_zero(self, pa: int) -> bool:

@@ -109,7 +109,29 @@ from repro.errors import (ReproError, SerializationError,
                           StoreLayoutError, StoreNotFoundError,
                           VerificationError)
 from repro.soc import BOARDS, Machine
-from repro.units import MIB, fmt_bytes, fmt_ns
+from repro.units import GIB, KIB, MIB, MS, SEC, US
+
+
+def fmt_ns(ns: int) -> str:
+    """Render a nanosecond duration as a human-readable string."""
+    if ns >= SEC:
+        return f"{ns / SEC:.3f} s"
+    if ns >= MS:
+        return f"{ns / MS:.3f} ms"
+    if ns >= US:
+        return f"{ns / US:.3f} us"
+    return f"{ns} ns"
+
+
+def fmt_bytes(n: int) -> str:
+    """Render a byte count as a human-readable string."""
+    if n >= GIB:
+        return f"{n / GIB:.2f} GiB"
+    if n >= MIB:
+        return f"{n / MIB:.2f} MiB"
+    if n >= KIB:
+        return f"{n / KIB:.2f} KiB"
+    return f"{n} B"
 
 
 def _describe_action(action: act.Action) -> str:

@@ -28,28 +28,6 @@ SIZE_BUCKETS_BYTES = (
     4 * KIB, 64 * KIB, 1 * MIB, 16 * MIB, 64 * MIB, 256 * MIB)
 
 
-def fmt_ns(ns: int) -> str:
-    """Render a nanosecond duration as a human-readable string."""
-    if ns >= SEC:
-        return f"{ns / SEC:.3f} s"
-    if ns >= MS:
-        return f"{ns / MS:.3f} ms"
-    if ns >= US:
-        return f"{ns / US:.3f} us"
-    return f"{ns} ns"
-
-
-def fmt_bytes(n: int) -> str:
-    """Render a byte count as a human-readable string."""
-    if n >= GIB:
-        return f"{n / GIB:.2f} GiB"
-    if n >= MIB:
-        return f"{n / MIB:.2f} MiB"
-    if n >= KIB:
-        return f"{n / KIB:.2f} KiB"
-    return f"{n} B"
-
-
 def align_up(value: int, alignment: int) -> int:
     """Round ``value`` up to the next multiple of ``alignment``."""
     if alignment <= 0:

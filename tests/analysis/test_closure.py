@@ -37,7 +37,7 @@ REPLAYS = (("mali", "mnist"), ("v3d", "mnist"), ("adreno", "mnist"),
 
 #: entry -> (forbidden packages, module / line / byte ceilings; None
 #: is unpinned). Module ceilings are exactly what this tree measures;
-#: lines and bytes (1,854 / 63,900 and 7,807 / 295,683 measured) carry
+#: lines and bytes (1,841 / 63,985 and 7,790 / 296,294 measured) carry
 #: about half a percent of slack so that a bug fix does not trip them.
 #: All may only shrink. An entry is an import statement's module or a
 #: ``(family, model)`` recording replayed by ``python -m

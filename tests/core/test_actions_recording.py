@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import actions as act
-from repro.core.dumps import MemoryDump, coalesce_pages, zero_page_ratio
+from repro.core.dumps import MemoryDump, zero_page_ratio
+from repro.core.recorder import coalesce_pages
 from repro.core.recording import IoBuffer, Recording, RecordingMeta
 from repro.errors import SerializationError
 from repro.soc.memory import PAGE_SIZE

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.soc.flight import (DEFAULT_RING_SIZE, FLIGHT_FIELDS,
-                              FlightEvent, FlightRecorder, event_to_dict)
+from repro.obs.doctor import FLIGHT_FIELDS, event_to_dict
+from repro.soc.flight import DEFAULT_RING_SIZE, FlightEvent, FlightRecorder
 from repro.soc.machine import Machine
 
 
@@ -74,7 +74,7 @@ class TestEventDict:
         flight = FlightRecorder()
         flight.action_index = 2
         flight.record(123, "RegPoll", (0x40, 0xFF, 1, 6, True, 1))
-        entry = flight.window_dicts()[0]
+        entry = event_to_dict(flight.ring[0])
         assert entry == {
             "seq": 0, "t_ns": 123, "kind": "RegPoll",
             "action_index": 2, "addr": 0x40, "mask": 0xFF,

@@ -9,8 +9,9 @@ from repro.core.dumps import MemoryDump
 from repro.core.recording import Recording, RecordingMeta
 from repro.core.verifier import verify_recording
 from repro.errors import ReproError, VerificationError
+from repro.gpu.faults import walk_page_table
 from repro.gpu.mmu import (PERM_R, PERM_W, PERM_X, PTE_FORMATS,
-                           PageTableBuilder, walk_page_table)
+                           PageTableBuilder)
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
 from repro.units import MIB
 

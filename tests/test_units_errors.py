@@ -3,8 +3,9 @@
 import pytest
 
 from repro import errors
+from repro.tools.grr import fmt_bytes, fmt_ns
 from repro.units import (GIB, KIB, MIB, MS, NS, SEC, US, align_down,
-                         align_up, fmt_bytes, fmt_ns)
+                         align_up)
 
 
 class TestUnits:

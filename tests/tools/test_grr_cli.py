@@ -242,7 +242,7 @@ class TestTop:
         outlasts the makespan."""
         import json
 
-        from repro.units import fmt_ns
+        from repro.tools.grr import fmt_ns
         path = str(tmp_path / "events.jsonl")
         assert main(["serve", "--requests", "40", "--seed", "31",
                      "--fault-rate", "0.15", "--no-verify", "--json",
