@@ -288,10 +288,10 @@ class CompiledExecutor:
                     ) if live else None
 
             def step(i):
-                t0 = clock.now()
+                t0 = clock.now_ns
                 uploaded = upload(addr, dump)
                 stats = self.stats
-                stats.upload_ns += clock.now() - t0
+                stats.upload_ns += clock.now_ns - t0
                 stats.upload_bytes += uploaded
                 skipped = size - uploaded
                 if skipped:
@@ -349,9 +349,9 @@ class CompiledExecutor:
         if metrics is not None:
             metrics[0].inc()
         clock = self.nano.clock
-        t0 = clock.now()
+        t0 = clock.now_ns
         ok = self.nano.wait_irq(timeout_ns)
-        waited = clock.now() - t0
+        waited = clock.now_ns - t0
         self.stats.irq_wait_ns += waited
         if metrics is not None:
             metrics[1].observe(waited)
@@ -385,8 +385,8 @@ class CompiledExecutor:
         stats = self.stats
         obs = self.obs
         emit = self._live
-        clock = self.nano.clock
-        clock_now = clock.now
+        nano = self.nano
+        clock = nano.clock
         clock_advance = clock.advance
         steps = self._steps
         names = self.program.names
@@ -403,7 +403,7 @@ class CompiledExecutor:
         # Width 1 keeps the reference interpreter's per-action pacing
         # (an empty table); an armed overlay selects the superblocks.
         superblocks: Dict[int, Superblock] = {}
-        if self.nano.machine.gpu.mega_batch is not None:
+        if nano.machine.gpu.mega_batch is not None:
             superblocks = self.program.superblocks()
             sb_ctr = obs.counter("replay.superblocks")
             sb_actions_ctr = obs.counter("replay.superblock.actions")
@@ -419,12 +419,13 @@ class CompiledExecutor:
         # would.
         executed = 0
         pacing_total = 0
-        last_end = clock_now()
+        last_end = clock.now_ns
         index, n = 0, len(steps)
         try:
             while index < n:
                 flight.action_index = index
-                if should_yield is not None and should_yield():
+                if nano.preempt_requested or (should_yield is not None
+                                              and should_yield()):
                     raise ReplayAborted("preempted by the environment",
                                         index, srcs[index])
 
@@ -434,7 +435,7 @@ class CompiledExecutor:
                     # whole RegWrite run: the block occupies
                     # max(sum of member intervals, overhead + length *
                     # MMIO cost) of virtual time from its start.
-                    sb_t0 = clock_now()
+                    sb_t0 = clock.now_ns
                     target_end = last_end + block.pacing_ns
                     clock_advance(ACTION_OVERHEAD_NS)
                     for i in range(block.start, block.end):
@@ -443,7 +444,7 @@ class CompiledExecutor:
                         executed += 1
                         if flags[i]:
                             on_flag(flags[i], i)
-                    now = clock_now()
+                    now = clock.now_ns
                     if target_end > now:
                         wait = target_end - now
                         pacing_total += wait
@@ -456,15 +457,15 @@ class CompiledExecutor:
                         actions_ctr.inc(block.length)
                         sb_ctr.inc()
                         sb_actions_ctr.inc(block.length)
-                        sb_hist.observe(clock_now() - sb_t0)
+                        sb_hist.observe(clock.now_ns - sb_t0)
                         obs.complete(
                             f"superblock[{block.start}:{block.end}]",
-                            actions_track, sb_t0, clock_now(),
+                            actions_track, sb_t0, clock.now_ns,
                             cat="replay-superblock",
                             args={"start": block.start,
                                   "len": block.length,
                                   "pacing_ns": block.pacing_ns})
-                    last_end = clock_now()
+                    last_end = clock.now_ns
                     index = block.end
                     continue
 
@@ -474,7 +475,7 @@ class CompiledExecutor:
                                     < delay_range[1]):
                     interval += extra_delay
                 target = last_end + interval
-                now = clock_now()
+                now = clock.now_ns
                 if target > now:
                     # Pacing wait and dispatch overhead are one clock
                     # advance; events still fire at their due times, so
@@ -495,18 +496,18 @@ class CompiledExecutor:
                 if emit:
                     actions_ctr.inc()
                     obs.complete(names[index], actions_track, t_start,
-                                 clock_now(), cat="replay-action",
+                                 clock.now_ns, cat="replay-action",
                                  args={"index": index,
                                        "src": srcs[index]})
                 if flags[index]:
                     on_flag(flags[index], index)
-                last_end = clock_now()
+                last_end = clock.now_ns
 
                 if deposit_inputs is not None and \
                         index == prologue_len - 1:
                     deposit_inputs()
                     deposit_inputs = None
-                    last_end = clock_now()
+                    last_end = clock.now_ns
                 index += 1
         except BaseException:
             # Mirror the reference interpreter's span hygiene: a
@@ -529,16 +530,17 @@ class CompiledExecutor:
         stats = self.stats
         obs = self.obs
         if flag & FLAG_KICK:
-            now = self.nano.clock.now()
+            now = self.nano.clock.now_ns
             if stats.first_kick_at_ns < 0:
                 stats.first_kick_at_ns = now
             stats.jobs_kicked += 1
             self._flight.record(now, "JobKick", (stats.jobs_kicked - 1,))
             if self._job_span is not None:
                 obs.end(self._job_span)
-            self._job_span = obs.begin(
-                f"job[{stats.jobs_kicked - 1}]", self._jobs_track,
-                cat="replay-job", args={"index": index})
+            if self._live:
+                self._job_span = obs.begin(
+                    f"job[{stats.jobs_kicked - 1}]", self._jobs_track,
+                    cat="replay-job", args={"index": index})
         if flag & FLAG_IRQ_EXIT:
             if self._job_span is not None:
                 obs.end(self._job_span)

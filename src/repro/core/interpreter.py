@@ -72,7 +72,9 @@ class ReplayInterpreter:
             for index in range(start_index, len(actions)):
                 action = actions[index]
                 flight.action_index = index
-                if self.should_yield is not None and self.should_yield():
+                if self.nano.preempt_requested or (
+                        self.should_yield is not None
+                        and self.should_yield()):
                     raise ReplayAborted("preempted by the environment",
                                         index, action.src)
 

@@ -152,7 +152,7 @@ def replay_mega(replayer,
             return executor.execute(
                 deposit_inputs=lambda: _deposit_mega(
                     replayer, recording, members, env),
-                should_yield=replayer._yield_predicate(should_yield))
+                should_yield=should_yield)
         finally:
             gpu.mega_batch = None
 

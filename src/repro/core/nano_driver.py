@@ -53,6 +53,7 @@ class NanoGpuDriver:
         self.family = gpu.family
         self.model_name = gpu.model_name
         self.mmio_base = machine.board.gpu_mmio_base
+        self.mmio = machine.mmio
         self.irq_number = machine.board.gpu_irq
         # The shipped register map: names resolved to MMIO addresses.
         self._reg_offsets: Dict[str, int] = {
@@ -64,8 +65,9 @@ class NanoGpuDriver:
         #: dropped whenever the bytes underneath might have changed
         #: (unmap, fresh map, CPU writes, memory release).
         self._resident: Dict[int, MemoryDump] = {}
-        #: Sorted resident base addresses + the largest resident dump,
-        #: so the per-GPU-write overlap check is a bisect, not a scan.
+        #: Sorted resident base addresses + the largest resident dump
+        #: (lowered when it leaves), so the per-GPU-write overlap check
+        #: is a bisect, not a scan.
         self._resident_bases: List[int] = []
         self._resident_max = 0
         self._irq_count = 0
@@ -83,6 +85,10 @@ class NanoGpuDriver:
         # this driver is likewise the chokepoint they all cross.
         self.counters = gpu.counters
         self._in_poll = False
+        #: Set by the replayer's ``request_preempt``: the replay in
+        #: flight aborts before its next action (both executors read
+        #: this flag once per action).
+        self.preempt_requested = False
 
     # -- register map (the §5.1 name->address resolution) -----------------------
 
@@ -127,32 +133,36 @@ class NanoGpuDriver:
     # variants -- the name lookup itself costs no virtual time.
 
     def reg_read_at(self, addr: int) -> int:
-        self.clock.advance(MMIO_ACCESS_NS)
+        clock = self.clock
+        clock.advance(MMIO_ACCESS_NS)
         self.reg_io_count += 1
-        value = self.machine.mmio.read(addr)
+        value = self.mmio.read(addr)
         if not self._in_poll:
-            self.flight.record(self.clock.now(), "RegRead",
-                               (addr, value))
+            self.flight.record(clock.now_ns, "RegRead", (addr, value))
         return value
 
     def reg_write_at(self, addr: int, value: int,
                      mask: int = 0xFFFFFFFF) -> None:
-        self.clock.advance(MMIO_ACCESS_NS)
+        clock = self.clock
+        mmio = self.mmio
+        counters = self.counters
+        clock.advance(MMIO_ACCESS_NS)
         self.reg_io_count += 1
-        if self.counters.enabled:
-            self.counters.note_mmio_write()
+        if counters.enabled:
+            # CounterTape.note_mmio_write, without the call.
+            counters.session.mmio_writes += 1
+            counters.total_mmio_writes += 1
         if mask != 0xFFFFFFFF:
-            current = self.machine.mmio.read(addr)
-            value = (current & ~mask) | (value & mask)
-        self.machine.mmio.write(addr, value)
-        self.flight.record(self.clock.now(), "RegWrite",
-                           (addr, value, mask))
+            value = (mmio.read(addr) & ~mask) | (value & mask)
+        mmio.write(addr, value)
+        self.flight.record(clock.now_ns, "RegWrite", (addr, value, mask))
 
     def reg_poll_at(self, addr: int, mask: int, value: int,
                     timeout_ns: int) -> bool:
         # One summarized flight event per poll, not one per read: a
         # long poll would otherwise flush the whole ring.
-        deadline = self.clock.now() + timeout_ns
+        clock = self.clock
+        deadline = clock.now_ns + timeout_ns
         self._in_poll = True
         polls = 0
         last = 0
@@ -163,14 +173,13 @@ class NanoGpuDriver:
                 if (last & mask) == value:
                     ok = True
                     break
-                if self.clock.now() >= deadline:
+                if clock.now_ns >= deadline:
                     ok = False
                     break
-                self.clock.advance(min(POLL_STEP_NS,
-                                       deadline - self.clock.now()))
+                clock.advance(min(POLL_STEP_NS, deadline - clock.now_ns))
         finally:
             self._in_poll = False
-        self.flight.record(self.clock.now(), "RegPoll",
+        self.flight.record(clock.now_ns, "RegPoll",
                            (addr, mask, value, polls, ok, last))
         return ok
 
@@ -194,19 +203,19 @@ class NanoGpuDriver:
         self.machine.irq.ack(self.irq_number)
 
     def wait_irq(self, timeout_ns: int) -> bool:
-        t0 = self.clock.now()
+        t0 = self.clock.now_ns
         deadline = t0 + timeout_ns
         ok = True
         while self._irq_count == 0:
-            if self.clock.now() >= deadline:
+            if self.clock.now_ns >= deadline:
                 ok = False
                 break
             fired = self.clock.advance_to_next_event(limit_ns=deadline)
             if not fired and self._irq_count == 0:
                 ok = False
                 break
-        self.flight.record(self.clock.now(), "WaitIrq",
-                           (timeout_ns, ok, self.clock.now() - t0))
+        self.flight.record(self.clock.now_ns, "WaitIrq",
+                           (timeout_ns, ok, self.clock.now_ns - t0))
         return ok
 
     @property
@@ -217,11 +226,11 @@ class NanoGpuDriver:
         if self._irq_count > 0:
             self._irq_count -= 1
         self.in_irq_context = True
-        self.flight.record(self.clock.now(), "IrqEnter")
+        self.flight.record(self.clock.now_ns, "IrqEnter")
 
     def exit_irq_context(self) -> None:
         self.in_irq_context = False
-        self.flight.record(self.clock.now(), "IrqExit")
+        self.flight.record(self.clock.now_ns, "IrqExit")
 
     def clear_irq_state(self) -> None:
         self._irq_count = 0
@@ -365,7 +374,7 @@ class NanoGpuDriver:
         self.clock.advance(PTE_PATCH_NS * num_pages)
         self._regions[va] = (pas, num_pages)
         self._drop_resident(va, num_pages * PAGE_SIZE)
-        self.flight.record(self.clock.now(), "MemMap", (va, num_pages))
+        self.flight.record(self.clock.now_ns, "MemMap", (va, num_pages))
 
     def unmap_gpu_mem(self, va: int, num_pages: int) -> None:
         entry = self._regions.pop(va, None)
@@ -376,11 +385,11 @@ class NanoGpuDriver:
         self._require_pt().unmap_range(va, mapped_pages)
         self.machine.gpu_allocator.free_pages(pas)
         self._drop_resident(va, mapped_pages * PAGE_SIZE)
-        self.flight.record(self.clock.now(), "MemUnmap",
+        self.flight.record(self.clock.now_ns, "MemUnmap",
                            (va, mapped_pages))
 
     def set_gpu_pgtable(self, memattr: int) -> None:
-        self.flight.record(self.clock.now(), "SetPgtable", (memattr,))
+        self.flight.record(self.clock.now_ns, "SetPgtable", (memattr,))
         root = self._require_pt().root_pa
         if self.family == "mali":
             self.reg_write("AS0_TRANSTAB_LO", root & 0xFFFFFFFF)
@@ -448,11 +457,14 @@ class NanoGpuDriver:
         hi = bisect.bisect_left(bases, end)
         if lo >= hi:
             return
+        resident = self._resident
         stale = [base for base in bases[lo:hi]
-                 if va < base + self._resident[base].size]
+                 if va < base + resident[base].size]
         for base in stale:
-            del self._resident[base]
             bases.remove(base)
+            if resident.pop(base).size == self._resident_max:
+                self._resident_max = max(
+                    [dump.size for dump in resident.values()], default=0)
 
     def resident_digest(self, va: int) -> Optional[str]:
         """The content digest resident at ``va``, if any (debug/CLI)."""
@@ -489,7 +501,7 @@ class NanoGpuDriver:
             self.clock.advance(RESIDENT_CHECK_NS)
             if self.counters.enabled:
                 self.counters.note_upload_skipped(size)
-            self.flight.record(self.clock.now(), "Upload", (va, size, 0))
+            self.flight.record(self.clock.now_ns, "Upload", (va, size, 0))
             return 0
         self.clock.advance(max(1, size * SEC // UPLOAD_BW))
         self._cpu_access(va, size, dump.data, None if (va | size) % PAGE_SIZE
@@ -497,19 +509,19 @@ class NanoGpuDriver:
         self._resident[va] = dump
         bisect.insort(self._resident_bases, va)
         self._resident_max = max(self._resident_max, size)
-        self.flight.record(self.clock.now(), "Upload", (va, size, size))
+        self.flight.record(self.clock.now_ns, "Upload", (va, size, size))
         return size
 
     def copy_to_gpu(self, gaddr: int, data: bytes) -> None:
         self.clock.advance(max(1, len(data) * SEC // UPLOAD_BW))
         self._cpu_access(gaddr, len(data), data)
-        self.flight.record(self.clock.now(), "CopyToGpu",
+        self.flight.record(self.clock.now_ns, "CopyToGpu",
                            (gaddr, len(data)))
 
     def copy_from_gpu(self, gaddr: int, size: int) -> bytes:
         self.clock.advance(max(1, size * SEC // UPLOAD_BW))
         out = self._cpu_access(gaddr, size)
-        self.flight.record(self.clock.now(), "CopyFromGpu",
+        self.flight.record(self.clock.now_ns, "CopyFromGpu",
                            (gaddr, size))
         return out
 

@@ -158,7 +158,6 @@ class Replayer:
         #: already paid in virtual time (the paper's Load is per
         #: content, not per call).
         self._warm_keys: set = set()
-        self._preempt_requested = False
         self._last_inputs: Dict[str, np.ndarray] = {}
         self._initialized = False
 
@@ -348,7 +347,6 @@ class Replayer:
         # intervals (the Figure 10 ablation) and checkpointing fall
         # back to the reference interpreter.
         executor = self._fast_executor(use_recorded_intervals)
-        yield_now = self._yield_predicate(should_yield)
 
         def deposit() -> None:
             self._deposit(recording, inputs)
@@ -369,10 +367,10 @@ class Replayer:
 
             def run() -> InterpreterStats:
                 if executor is not None:
-                    return executor.execute(options, deposit, yield_now)
+                    return executor.execute(options, deposit, should_yield)
                 from repro.core.interpreter import ReplayInterpreter
                 return ReplayInterpreter(
-                    self.nano, recording, options, yield_now,
+                    self.nano, recording, options, should_yield,
                     self.checkpoints).execute(deposit)
             try:
                 stats, outputs = self._attempt(replay_span, attempts, run,
@@ -552,7 +550,7 @@ class Replayer:
 
     def request_preempt(self) -> None:
         """Ask the running replay to yield at the next action."""
-        self._preempt_requested = True
+        self.nano.preempt_requested = True
 
     def handoff(self) -> int:
         """Give the GPU away *now*: flush + soft reset. Returns the
@@ -565,7 +563,7 @@ class Replayer:
         """Continue a preempted replay: checkpoint restore if one
         exists, whole re-execution otherwise."""
         recording = self._require_loaded()
-        self._preempt_requested = False
+        self.nano.preempt_requested = False
         manager = self.checkpoints
         if manager is None or manager.latest() is None:
             return self.replay(inputs=self._last_inputs)
@@ -580,14 +578,6 @@ class Replayer:
         return ReplayResult(outputs=outputs,
                             duration_ns=self.machine.clock.now() - t_start,
                             attempts=1, stats=stats)
-
-    def _yield_predicate(self, extra: Optional[Callable[[], bool]]
-                         ) -> Callable[[], bool]:
-        def should_yield() -> bool:
-            if self._preempt_requested:
-                return True
-            return extra() if extra is not None else False
-        return should_yield
 
     # -- I/O plumbing -----------------------------------------------------------------------
 

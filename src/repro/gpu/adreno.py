@@ -25,7 +25,7 @@ from repro.errors import (GpuPageFault, JobDecodeError,
 from repro.gpu.device import GpuDevice, RunningJob
 from repro.gpu.mmu import PTE_FORMATS
 from repro.soc.machine import Machine
-from repro.soc.mmio import RegAttr, RegisterDef
+from repro.soc.mmio import U32_MASK, RegAttr, RegisterDef
 from repro.units import US
 
 # RBBM_INT_0_STATUS bits.
@@ -131,17 +131,17 @@ class AdrenoGpu(GpuDevice):
     # -- interrupts ------------------------------------------------------------------
 
     def _irq_pending_level(self) -> bool:
-        return bool(self.regs.peek("RBBM_INT_0_STATUS")
-                    & self.regs.peek("RBBM_INT_0_MASK"))
+        values = self.regs.values
+        return bool(values["RBBM_INT_0_STATUS"] & values["RBBM_INT_0_MASK"])
 
     def _assert_int(self, bits: int) -> None:
-        self.regs.poke("RBBM_INT_0_STATUS",
-                       self.regs.peek("RBBM_INT_0_STATUS") | bits)
+        values = self.regs.values
+        values["RBBM_INT_0_STATUS"] = \
+            (values["RBBM_INT_0_STATUS"] | bits) & U32_MASK
         self.update_irq_line()
 
     def _on_int_clear(self, _old: int, value: int) -> None:
-        self.regs.poke("RBBM_INT_0_STATUS",
-                       self.regs.peek("RBBM_INT_0_STATUS") & ~value)
+        self.regs.values["RBBM_INT_0_STATUS"] &= ~value
         self.update_irq_line()
 
     # -- power / reset -----------------------------------------------------------------
@@ -225,19 +225,15 @@ class AdrenoGpu(GpuDevice):
 
     # -- ring-buffer command processor -------------------------------------------------------
 
-    def _ring_base(self) -> int:
-        return ((self.regs.peek("CP_RB_BASE_HI") << 32)
-                | self.regs.peek("CP_RB_BASE_LO"))
-
     def _on_doorbell(self, _old: int, wptr: int) -> None:
         """Consume ring packets from RPTR up to the new WPTR."""
-        if not self.regs.peek("GDSC_PWR_STATUS") or \
-                not self.regs.peek("SPTP_PWR_STATUS"):
+        values = self.regs.values
+        if not values["GDSC_PWR_STATUS"] or not values["SPTP_PWR_STATUS"]:
             self._assert_int(INT_RBBM_ERROR)
             return
-        size = self.regs.peek("CP_RB_SIZE")
-        base = self._ring_base()
-        rptr = self.regs.peek("CP_RB_RPTR")
+        size = values["CP_RB_SIZE"]
+        base = (values["CP_RB_BASE_HI"] << 32) | values["CP_RB_BASE_LO"]
+        rptr = values["CP_RB_RPTR"]
         if size == 0 or wptr % RING_PKT.size or wptr > size:
             self._assert_int(INT_RBBM_ERROR)
             return
@@ -294,7 +290,8 @@ class AdrenoGpu(GpuDevice):
             self._raise_smmu_fault(fault.va)
             return
         self._exit_busy()
-        self.regs.poke("CP_RB_RPTR", job.chain_va + RING_PKT.size)
+        self.regs.values["CP_RB_RPTR"] = \
+            (job.chain_va + RING_PKT.size) & U32_MASK
         self._assert_int(INT_CP_DONE)
         if self._hw_pending:
             self._begin_execution(self._hw_pending.pop(0))

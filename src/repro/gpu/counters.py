@@ -183,10 +183,11 @@ class CounterTape:
             self.session_kernels.append((label, flops))
 
     def note_mmio_write(self) -> None:
-        """An MMIO register write landed (nano driver hook).
+        """An MMIO register write landed.
 
-        Callers on the register-write hot path guard on ``enabled``
-        themselves before calling.
+        Callers guard on ``enabled`` themselves; the nano driver's
+        register-write hot path does these two adds inline instead of
+        calling (DESIGN.md "The per-action floor").
         """
         self.session.mmio_writes += 1
         self.total_mmio_writes += 1

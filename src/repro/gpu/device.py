@@ -132,12 +132,13 @@ class GpuDevice:
             self._record_busy_transition(False)
 
     def _record_busy_transition(self, busy: bool) -> None:
-        self.busy_transitions.append((self.machine.clock.now(), busy))
+        self.busy_transitions.append((self.machine.clock.now_ns, busy))
         obs = self.machine.obs
         if busy:
-            self._busy_span = obs.begin(
-                "busy", obs.track(f"gpu:{self.model_name}", "busy"),
-                cat="gpu")
+            if obs.enabled:
+                self._busy_span = obs.begin(
+                    "busy", obs.track(f"gpu:{self.model_name}", "busy"),
+                    cat="gpu")
         elif self._busy_span is not None:
             obs.end(self._busy_span)
             self._busy_span = None
@@ -178,20 +179,21 @@ class GpuDevice:
         """Open a timeline span on the job's slot track; family device
         models call this when the hardware actually starts crunching
         (not at enqueue -- queued jobs have no span yet)."""
-        self.machine.flight.record(self.machine.clock.now(),
-                                   "GpuJobStart",
-                                   (job.slot, job.chain_va))
-        obs = self.machine.obs
-        job.obs_span = obs.begin(
-            f"job@{job.chain_va:#x}",
-            obs.track(f"gpu:{self.model_name}", f"slot{job.slot}"),
-            cat="gpu-job",
-            args={"cores": job.active_cores})
+        machine = self.machine
+        machine.flight.record(machine.clock.now_ns, "GpuJobStart",
+                              (job.slot, job.chain_va))
+        obs = machine.obs
+        if obs.enabled:
+            job.obs_span = obs.begin(
+                f"job@{job.chain_va:#x}",
+                obs.track(f"gpu:{self.model_name}", f"slot{job.slot}"),
+                cat="gpu-job",
+                args={"cores": job.active_cores})
 
     def note_job_retired(self, job: Optional[RunningJob]) -> None:
         """Close the slot span (completion, fault, or hard stop)."""
         if job is not None:
-            self.machine.flight.record(self.machine.clock.now(),
+            self.machine.flight.record(self.machine.clock.now_ns,
                                        "GpuJobRetire",
                                        (job.slot, job.chain_va))
             if job.obs_span is not None:
@@ -288,7 +290,7 @@ class GpuDevice:
         level = self._irq_pending_level()
         if level and not self._irq_level:
             self._irq_level = True
-            self.machine.flight.record(self.machine.clock.now(),
+            self.machine.flight.record(self.machine.clock.now_ns,
                                        "GpuIrqRaise", (self.irq_number,))
             self.machine.irq.raise_irq(self.irq_number)
         elif not level:

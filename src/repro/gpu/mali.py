@@ -25,7 +25,7 @@ from repro.gpu import jobs as jobfmt
 from repro.gpu.device import GpuDevice, RunningJob
 from repro.gpu.mmu import PTE_FORMATS
 from repro.soc.machine import Machine
-from repro.soc.mmio import RegAttr, RegisterDef
+from repro.soc.mmio import U32_MASK, RegAttr, RegisterDef
 from repro.units import US
 
 # GPU_IRQ_RAWSTAT bits.
@@ -215,31 +215,33 @@ class MaliGpu(GpuDevice):
 
     def _masked_reader(self, group: str):
         rawstat, mask = _IRQ_REGS[group]
-        peek = self.regs.peek
+        values = self.regs.values
 
         def read(_value: int) -> int:
-            return peek(rawstat) & peek(mask)
+            return values[rawstat] & values[mask]
         return read
 
     # -- interrupt plumbing ----------------------------------------------------
 
     def _irq_pending_level(self) -> bool:
-        peek = self.regs.peek
+        values = self.regs.values
         for rawstat, mask in _IRQ_REGS.values():
-            if peek(rawstat) & peek(mask):
+            if values[rawstat] & values[mask]:
                 return True
         return False
 
     def _assert_irq(self, group: str, bits: int) -> None:
         rawstat = _IRQ_REGS[group][0]
-        self.regs.poke(rawstat, self.regs.peek(rawstat) | bits)
+        values = self.regs.values
+        values[rawstat] = (values[rawstat] | bits) & U32_MASK
         self.update_irq_line()
 
     def _on_irq_clear(self, group: str):
         rawstat = _IRQ_REGS[group][0]
+        values = self.regs.values
 
         def handler(_old: int, value: int) -> None:
-            self.regs.poke(rawstat, self.regs.peek(rawstat) & ~value)
+            values[rawstat] &= ~value
             self.update_irq_line()
         return handler
 
@@ -347,24 +349,24 @@ class MaliGpu(GpuDevice):
         return handler
 
     def _start_job(self, slot: int) -> None:
-        regs = self.regs
+        values = self.regs.values
         head_hi, head_lo, affinity_reg, status_reg = _JS_REGS[slot]
-        head = (regs.peek(head_hi) << 32) | regs.peek(head_lo)
-        affinity = regs.peek(affinity_reg)
+        head = (values[head_hi] << 32) | values[head_lo]
+        affinity = values[affinity_reg]
 
         if self._resetting or self._jobs[slot] is not None:
             self._fail_job(slot, head)
             return
-        if regs.peek("L2_READY") == 0:
+        if values["L2_READY"] == 0:
             self._fail_job(slot, head)
             return
-        if regs.peek("AS0_MEMATTR") != self.spec.required_memattr:
+        if values["AS0_MEMATTR"] != self.spec.required_memattr:
             # Translation-config mismatch: the incompatibility the
             # cross-SKU MMU patch fixes (Section 6.4, item 2).
             self._raise_mmu_fault(FAULT_MEMATTR, head)
             self._fail_job(slot, head)
             return
-        active_cores = affinity & regs.peek("SHADER_READY") \
+        active_cores = affinity & values["SHADER_READY"] \
             & ~self.offline_core_mask
         if active_cores == 0:
             self._fail_job(slot, head)
@@ -388,7 +390,7 @@ class MaliGpu(GpuDevice):
             return
 
         ncores = bin(active_cores).count("1")
-        regs.poke(status_reg, JS_STATUS_ACTIVE)
+        values[status_reg] = JS_STATUS_ACTIVE
         self._enter_busy()
         job = RunningJob(slot, head, programs, None, ncores)
         self._jobs[slot] = job
@@ -430,11 +432,11 @@ class MaliGpu(GpuDevice):
             self._fail_job(slot, job.chain_va)
             return
         self._exit_busy()
-        self.regs.poke(_JS_REGS[slot][3], JS_STATUS_DONE)
+        self.regs.values[_JS_REGS[slot][3]] = JS_STATUS_DONE
         self._assert_irq("JOB", 1 << slot)
 
     def _fail_job(self, slot: int, _head: int) -> None:
-        self.regs.poke(f"JS{slot}_STATUS", JS_STATUS_FAULT)
+        self.regs.values[_JS_REGS[slot][3]] = JS_STATUS_FAULT
         self._assert_irq("JOB", 1 << (16 + slot))
 
     def _evict(self, slot: int, job: RunningJob) -> None:

@@ -37,12 +37,22 @@ def output_arity(op: Op) -> int:
 # --------------------------------------------------------------------------
 
 
+def pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
+    """``np.pad(x, ((0, 0), (pad, pad), (pad, pad)))``, same dtype and
+    bytes, as one zero-filled copy (``np.pad`` costs more in argument
+    handling than in copying at these sizes)."""
+    c, h, w = x.shape
+    out = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    out[:, pad:pad + h, pad:pad + w] = x
+    return out
+
+
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
             stride: int, pad: int) -> np.ndarray:
     ic, h, wd = x.shape
     oc, _, kh, kw = w.shape
     del ic
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    xp = pad_hw(x, pad)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
     out = np.zeros((oc, oh, ow), dtype=np.float32)
@@ -59,7 +69,7 @@ def _dwconv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     c, h, wd = x.shape
     del c
     _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    xp = pad_hw(x, pad)
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
     out = np.zeros((x.shape[0], oh, ow), dtype=np.float32)
@@ -172,8 +182,7 @@ def compute_op(op: Op, inputs: Sequence[np.ndarray],
     if op == Op.GLOBALAVGPOOL:
         return [inputs[0].mean(axis=(1, 2), dtype=np.float32)]
     if op == Op.PAD:
-        pad = int(p[0])
-        return [np.pad(inputs[0], ((0, 0), (pad, pad), (pad, pad)))]
+        return [pad_hw(inputs[0], int(p[0]))]
     if op == Op.CONCAT:
         return [np.concatenate(list(inputs), axis=0)]
     if op == Op.UPSAMPLE2X:

@@ -25,7 +25,7 @@ from repro.gpu import jobs as jobfmt
 from repro.gpu.device import GpuDevice, RunningJob
 from repro.gpu.mmu import PTE_FORMATS
 from repro.soc.machine import Machine
-from repro.soc.mmio import RegAttr, RegisterDef
+from repro.soc.mmio import U32_MASK, RegAttr, RegisterDef
 from repro.units import US
 
 # CTL_INT_STS bits.
@@ -132,16 +132,16 @@ class V3dGpu(GpuDevice):
     # -- interrupts ----------------------------------------------------------------
 
     def _irq_pending_level(self) -> bool:
-        return bool(self.regs.peek("CTL_INT_STS")
-                    & self.regs.peek("CTL_INT_MSK"))
+        values = self.regs.values
+        return bool(values["CTL_INT_STS"] & values["CTL_INT_MSK"])
 
     def _assert_int(self, bits: int) -> None:
-        self.regs.poke("CTL_INT_STS", self.regs.peek("CTL_INT_STS") | bits)
+        values = self.regs.values
+        values["CTL_INT_STS"] = (values["CTL_INT_STS"] | bits) & U32_MASK
         self.update_irq_line()
 
     def _on_int_clr(self, _old: int, value: int) -> None:
-        self.regs.poke("CTL_INT_STS",
-                       self.regs.peek("CTL_INT_STS") & ~value)
+        self.regs.values["CTL_INT_STS"] &= ~value
         self.update_irq_line()
 
     # -- reset / caches ---------------------------------------------------------------
@@ -200,12 +200,13 @@ class V3dGpu(GpuDevice):
     # -- job execution -----------------------------------------------------------------
 
     def _on_kick(self, _old: int, end_va: int) -> None:
-        base_va = self.regs.peek("CT0QBA")
+        values = self.regs.values
+        base_va = values["CT0QBA"]
         if self._job is not None:
             # One outstanding job only; a second kick is a CT error.
             self._assert_int(INT_CTERR)
             return
-        self.regs.poke("CTL_STATUS", 0)
+        values["CTL_STATUS"] = 0
         try:
             entries = jobfmt.walk_control_list(
                 base_va, lambda va, n: self.mmu.read_va(va, n, access="r"))
@@ -215,11 +216,11 @@ class V3dGpu(GpuDevice):
             ]
         except GpuPageFault as fault:
             self._raise_mmu_fault(fault.va)
-            self.regs.poke("CTL_STATUS", STATUS_IDLE)
+            values["CTL_STATUS"] = STATUS_IDLE
             return
         except (JobDecodeError, ShaderDecodeError):
             self._assert_int(INT_CTERR)
-            self.regs.poke("CTL_STATUS", STATUS_IDLE)
+            values["CTL_STATUS"] = STATUS_IDLE
             return
 
         # The firmware owns the clock; honor DVFS changes at kick time.
@@ -254,7 +255,7 @@ class V3dGpu(GpuDevice):
             self._raise_mmu_fault(fault.va)
             return
         self._exit_busy()
-        self.regs.poke("CTL_STATUS", STATUS_IDLE)
+        self.regs.values["CTL_STATUS"] = STATUS_IDLE
         self._assert_int(INT_FRDONE)
 
     # -- fault injection --------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import SocError
 
@@ -59,21 +59,23 @@ class VirtualClock:
     """
 
     def __init__(self) -> None:
-        self._now_ns = 0
+        #: Current virtual time in nanoseconds. Read-only: only the
+        #: clock moves it. Hot paths read it instead of calling now().
+        self.now_ns = 0
         self._heap: List[_Event] = []
         self._seq = itertools.count()
         self._draining = False
 
     def now(self) -> int:
         """Current virtual time in nanoseconds."""
-        return self._now_ns
+        return self.now_ns
 
     def schedule(self, delay_ns: int, callback: Callable[[], None],
                  tag: str = "") -> EventHandle:
         """Schedule ``callback`` to fire ``delay_ns`` from now."""
         if delay_ns < 0:
             raise SocError(f"cannot schedule event in the past ({delay_ns} ns)")
-        event = _Event(self._now_ns + delay_ns, next(self._seq), callback, tag)
+        event = _Event(self.now_ns + delay_ns, next(self._seq), callback, tag)
         heapq.heappush(self._heap, event)
         return EventHandle(event)
 
@@ -81,7 +83,15 @@ class VirtualClock:
         """Advance virtual time by ``delta_ns``, firing due events."""
         if delta_ns < 0:
             raise SocError(f"cannot advance time backwards ({delta_ns} ns)")
-        self._advance_to(self._now_ns + delta_ns)
+        target_ns = self.now_ns + delta_ns
+        heap = self._heap
+        if self._draining or (heap and (heap[0].due_ns <= target_ns
+                                        or heap[0].cancelled)):
+            self._advance_to(target_ns)
+        else:
+            # Nothing due inside the window -- the overwhelmingly
+            # common case for small CPU-side advances -- in one frame.
+            self.now_ns = target_ns
 
     def next_event_ns(self) -> Optional[int]:
         """Due time of the earliest pending event, or None."""
@@ -98,7 +108,7 @@ class VirtualClock:
         """
         due = self.next_event_ns()
         if due is None or (limit_ns is not None and due > limit_ns):
-            if limit_ns is not None and limit_ns > self._now_ns:
+            if limit_ns is not None and limit_ns > self.now_ns:
                 self._advance_to(limit_ns)
             return False
         self._advance_to(due)
@@ -118,16 +128,8 @@ class VirtualClock:
         if self._draining:
             # An event callback advanced the clock; just move time, the
             # outer drain loop keeps firing newly-due events.
-            if target_ns > self._now_ns:
-                self._now_ns = target_ns
-            return
-        heap = self._heap
-        if not heap or (heap[0].due_ns > target_ns
-                        and not heap[0].cancelled):
-            # Nothing due inside the window -- the overwhelmingly
-            # common case for small CPU-side advances.
-            if target_ns > self._now_ns:
-                self._now_ns = target_ns
+            if target_ns > self.now_ns:
+                self.now_ns = target_ns
             return
         self._draining = True
         try:
@@ -136,14 +138,14 @@ class VirtualClock:
                 if not self._heap or self._heap[0].due_ns > target_ns:
                     break
                 event = heapq.heappop(self._heap)
-                if event.due_ns > self._now_ns:
-                    self._now_ns = event.due_ns
+                if event.due_ns > self.now_ns:
+                    self.now_ns = event.due_ns
                 event.callback()
                 # Callbacks may push time forward; never move backwards.
-                if self._now_ns > target_ns:
-                    target_ns = self._now_ns
-            if target_ns > self._now_ns:
-                self._now_ns = target_ns
+                if self.now_ns > target_ns:
+                    target_ns = self.now_ns
+            if target_ns > self.now_ns:
+                self.now_ns = target_ns
         finally:
             self._draining = False
 
@@ -188,23 +190,3 @@ class ClockDomain:
             raise SocError(f"clock domain {self.name} is gated off")
         return max(1, int(cycles * 1_000_000_000 / self._rate_hz))
 
-
-def poll_until(clock: VirtualClock, predicate: Callable[[], bool],
-               step_ns: int, timeout_ns: int) -> Tuple[bool, int]:
-    """Poll ``predicate`` on the virtual clock, advancing ``step_ns`` per try.
-
-    Models a driver polling loop (``wait_for`` macros). Returns
-    ``(success, polls)`` where ``polls`` counts predicate evaluations --
-    the nondeterministic quantity the recorder summarizes away.
-    """
-    deadline = clock.now() + timeout_ns
-    polls = 1
-    if predicate():
-        return True, polls
-    while clock.now() < deadline:
-        remaining = deadline - clock.now()
-        clock.advance(min(step_ns, remaining))
-        polls += 1
-        if predicate():
-            return True, polls
-    return False, polls

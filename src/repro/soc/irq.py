@@ -10,7 +10,7 @@ is masked out).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.errors import SocError
 
@@ -31,7 +31,6 @@ class InterruptController:
         self._handlers: Dict[int, IrqHandler] = {}
         self._masked: Set[int] = set()
         self._pending: Set[int] = set()
-        self._delivery_hooks: List[Callable[[int, str], None]] = []
 
     def register_line(self, number: int, name: str) -> IrqLine:
         if number in self._lines:
@@ -72,13 +71,6 @@ class InterruptController:
         """Acknowledge a pending interrupt (clears the pending bit)."""
         self._pending.discard(number)
 
-    def add_delivery_hook(self, hook: Callable[[int, str], None]) -> None:
-        """Observe deliveries as ``hook(line, phase)``; phase: enter/exit."""
-        self._delivery_hooks.append(hook)
-
-    def remove_delivery_hook(self, hook: Callable[[int, str], None]) -> None:
-        self._delivery_hooks.remove(hook)
-
     # -- device side ---------------------------------------------------------
 
     def raise_irq(self, number: int) -> None:
@@ -92,10 +84,4 @@ class InterruptController:
         handler = self._handlers.get(number)
         if handler is None:
             return  # Level-triggered: stays pending until someone connects.
-        for hook in self._delivery_hooks:
-            hook(number, "enter")
-        try:
-            handler(number)
-        finally:
-            for hook in self._delivery_hooks:
-                hook(number, "exit")
+        handler(number)

@@ -63,12 +63,13 @@ class RegisterDef:
 
 
 class RegisterFile:
-    """A device's register block: values, handlers, and access hooks.
+    """A device's register block: values and handlers.
 
     Devices attach per-register read/write handlers to implement
-    behaviour (starting jobs, acknowledging interrupts). External
-    observers (the recorder) attach access hooks that see every read
-    and write without perturbing them.
+    behaviour (starting jobs, acknowledging interrupts), and read and
+    write :attr:`values` directly on their own hot paths; everyone else
+    goes through the bus (:meth:`read`/:meth:`write`) or
+    :meth:`peek`/:meth:`poke`.
     """
 
     def __init__(self, defs: List[RegisterDef]):
@@ -83,7 +84,10 @@ class RegisterFile:
                 raise MmioError(f"register {d.name} offset not word-aligned")
             self._by_name[d.name] = d
             self._by_offset[d.offset] = d
-        self._values: Dict[str, int] = {d.name: d.reset for d in defs}
+        #: Register name -> stored 32-bit value. The device model that
+        #: owns the block reads and writes it in place (and keeps every
+        #: value it stores within 32 bits); anyone else peeks and pokes.
+        self.values: Dict[str, int] = {d.name: d.reset for d in defs}
         # Definitions are frozen: decide once which names the bus may
         # read or write, instead of testing an enum flag per access.
         self._readable = {d.name for d in defs
@@ -92,7 +96,6 @@ class RegisterFile:
                           if RegAttr.WRITABLE in d.attrs}
         self._write_handlers: Dict[str, Callable[[int, int], None]] = {}
         self._read_handlers: Dict[str, Callable[[int], int]] = {}
-        self._access_hooks: List[Callable[[str, str, int], None]] = []
         self._gate: Optional[Callable[[], bool]] = None
 
     # -- definitions -------------------------------------------------------
@@ -142,29 +145,22 @@ class RegisterFile:
         an unpowered peripheral."""
         self._gate = gate
 
-    def add_access_hook(self, hook: Callable[[str, str, int], None]) -> None:
-        """Observe accesses as ``hook(kind, name, value)``; kind: 'r'/'w'."""
-        self._access_hooks.append(hook)
-
-    def remove_access_hook(self, hook: Callable[[str, str, int], None]) -> None:
-        self._access_hooks.remove(hook)
-
-    # -- internal state (no hooks, no handlers) ------------------------------
+    # -- internal state (no handlers) ------------------------------------------
 
     def peek(self, name: str) -> int:
-        value = self._values.get(name)
+        value = self.values.get(name)
         if value is None:
             self.lookup(name)
         return value
 
     def poke(self, name: str, value: int) -> None:
-        if name not in self._values:
+        if name not in self.values:
             self.lookup(name)
-        self._values[name] = value & U32_MASK
+        self.values[name] = value & U32_MASK
 
     def snapshot(self) -> Dict[str, int]:
         """Copy of all register values (for checkpointing)."""
-        return dict(self._values)
+        return dict(self.values)
 
     def restore(self, values: Dict[str, int]) -> None:
         for name, value in values.items():
@@ -177,16 +173,11 @@ class RegisterFile:
             self.lookup(name)
             raise MmioError(f"register {name} is not readable")
         if self._gate is not None and not self._gate():
-            value = U32_MASK
-            for hook in self._access_hooks:
-                hook("r", name, value)
-            return value
-        value = self._values[name]
+            return U32_MASK
+        value = self.values[name]
         handler = self._read_handlers.get(name)
         if handler is not None:
             value = handler(value) & U32_MASK
-        for hook in self._access_hooks:
-            hook("r", name, value)
         return value
 
     def write(self, name: str, value: int) -> None:
@@ -195,13 +186,10 @@ class RegisterFile:
             raise MmioError(f"register {name} is not writable")
         value &= U32_MASK
         if self._gate is not None and not self._gate():
-            for hook in self._access_hooks:
-                hook("w", name, value)
             return
-        old = self._values[name]
-        self._values[name] = value
-        for hook in self._access_hooks:
-            hook("w", name, value)
+        values = self.values
+        old = values[name]
+        values[name] = value
         handler = self._write_handlers.get(name)
         if handler is not None:
             handler(old, value)
@@ -233,20 +221,19 @@ class MmioBus:
         raise MmioError(f"no MMIO mapping at address {addr:#x}")
 
     def _route(self, addr: int) -> Tuple[RegisterFile, str]:
-        route = self._routes.get(addr)
-        if route is None:
-            regfile, offset = self.resolve(addr)
-            route = regfile, regfile.lookup_offset(offset).name
-            self._routes[addr] = route
+        """Resolve an address seen for the first time, and remember it."""
+        regfile, offset = self.resolve(addr)
+        route = regfile, regfile.lookup_offset(offset).name
+        self._routes[addr] = route
         return route
 
     def read(self, addr: int) -> int:
-        regfile, name = self._route(addr)
-        return regfile.read(name)
+        route = self._routes.get(addr) or self._route(addr)
+        return route[0].read(route[1])
 
     def write(self, addr: int, value: int) -> None:
-        regfile, name = self._route(addr)
-        regfile.write(name, value)
+        route = self._routes.get(addr) or self._route(addr)
+        route[0].write(route[1], value)
 
     def base_of(self, regfile: RegisterFile) -> Optional[int]:
         for base, _, rf in self._mappings:

@@ -7,9 +7,11 @@ import pytest
 from repro.bench.workloads import fresh_replay_machine, get_recorded
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
+from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recording import Recording, RecordingMeta
 from repro.core.replay import seeded_inputs
 from repro.core.replayer import LOAD_CACHE, Replayer, clear_load_cache
+from repro.gpu.mmu import PERM_R, PERM_W
 from repro.soc.memory import PAGE_SIZE
 
 #: The ``replay_hot`` recordings, and per replay (first, second, third)
@@ -170,3 +172,39 @@ def test_session_maps_follow_the_recordings_map_effects(fast_path):
             tuple(sorted(want.items()))
         replayer.reset_session()
     replayer.cleanup()
+
+
+class CountingDict(dict):
+    """A dict that counts ``d[key]`` reads."""
+
+    gets = 0
+
+    def __getitem__(self, key):
+        self.gets += 1
+        return super().__getitem__(key)
+
+
+def test_a_store_after_a_large_dump_left_visits_its_neighbours_only():
+    """Once the largest resident dump has left, the overlap check a GPU
+    store runs looks at the dumps it overlaps plus at most one more,
+    not at every base within the departed dump's size below it."""
+    machine = fresh_replay_machine("mali", seed=9)
+    nano = NanoGpuDriver(machine)
+    nano.init_gpu()
+    raw = machine.gpu.mmu.fmt.encode_pte(0, PERM_R | PERM_W)
+    big, small = 0x1000000, 0x2000000
+    nano.map_gpu_mem(big, 256, raw)
+    nano.map_gpu_mem(small, 64, raw)
+    nano.set_gpu_pgtable(machine.gpu.spec.required_memattr)
+    nano.upload(big, bytes(256 * PAGE_SIZE))
+    for k in range(64):
+        nano.upload(small + k * PAGE_SIZE, bytes([k + 1]) * PAGE_SIZE)
+    nano.copy_to_gpu(big, b"x")                 # the 1-MiB dump leaves
+    assert nano.resident_digest(big) is None
+    nano._resident = visits = CountingDict(nano._resident)
+    store = small + 40 * PAGE_SIZE
+    machine.gpu.mmu.write_va(store + 8, bytes(16))
+    assert visits.gets <= 1 + 1
+    assert nano.resident_digest(store) is None
+    assert nano.resident_digest(store - PAGE_SIZE) is not None
+    assert nano.resident_digest(store + PAGE_SIZE) is not None

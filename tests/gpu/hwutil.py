@@ -13,9 +13,24 @@ from repro.gpu.isa import (Instruction, Op, Program, TensorRef,
                            encode_program)
 from repro.gpu.mmu import PERM_R, PERM_W, PERM_X, PageTableBuilder
 from repro.soc import firmware as fw
-from repro.soc.clock import poll_until
 from repro.soc.memory import PAGE_SIZE
 from repro.units import MS, US
+
+
+def poll_until(clock, predicate, step_ns: int, timeout_ns: int):
+    """Poll ``predicate`` on the virtual clock, advancing ``step_ns`` per
+    try: a driver's ``wait_for`` loop, as a bring-up test writes one.
+    Returns ``(success, polls)``, ``polls`` counting evaluations."""
+    deadline = clock.now() + timeout_ns
+    polls = 1
+    if predicate():
+        return True, polls
+    while clock.now() < deadline:
+        clock.advance(min(step_ns, deadline - clock.now()))
+        polls += 1
+        if predicate():
+            return True, polls
+    return False, polls
 
 
 def mali_power_up(machine):

@@ -5,9 +5,9 @@ import pytest
 
 from repro.gpu import adreno as hw
 from repro.soc import Machine
-from repro.soc.clock import poll_until
 from repro.units import MS, US
 from tests.gpu import hwutil
+from tests.gpu.hwutil import poll_until
 
 
 @pytest.fixture

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.errors import ShaderDecodeError
 from repro.gpu.isa import Instruction, Op, Program, TensorRef
 from repro.gpu.mmu import (PERM_R, PERM_W, PERM_X, PTE_FORMATS, GpuMmu,
                            PageTableBuilder)
 from repro.gpu.shader_exec import (compute_fill, compute_op,
-                                   execute_program, output_arity)
+                                   execute_program, output_arity, pad_hw)
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
 from repro.units import MIB
 
@@ -264,3 +264,17 @@ def test_softmax_is_probability_distribution(x):
     out = compute_op(Op.SOFTMAX, [x], ())[0]
     assert (out >= 0).all()
     assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float32, array_shapes(min_dims=3, max_dims=3, max_side=5),
+              elements=st.floats(width=32)),
+       st.integers(0, 3))
+def test_pad_helper_is_np_pad_bitwise(x, pad):
+    """The convolutions and the PAD op pad with ``pad_hw``; it must be
+    ``np.pad`` byte for byte (NaN payloads and -0.0 included), or the
+    GPU would stop matching the CPU reference that shares it."""
+    want = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    for got in (pad_hw(x, pad), compute_op(Op.PAD, [x], (float(pad),))[0]):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

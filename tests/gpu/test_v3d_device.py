@@ -9,9 +9,9 @@ from repro.gpu.isa import (Instruction, Op, Program, TensorRef,
 from repro.gpu.v3d import (INT_CTERR, INT_FRDONE, INT_MMU_FAULT,
                            L2T_FLUSH, V3D_GPU_IDENT)
 from repro.soc import Machine
-from repro.soc.clock import poll_until
 from repro.units import MS, US
 from tests.gpu import hwutil
+from tests.gpu.hwutil import poll_until
 
 
 @pytest.fixture

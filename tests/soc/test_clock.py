@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import SocError
-from repro.soc.clock import ClockDomain, VirtualClock, poll_until
+from repro.soc.clock import ClockDomain, VirtualClock
 from repro.units import MS, US
+from tests.gpu.hwutil import poll_until
 
 
 class TestVirtualClock:

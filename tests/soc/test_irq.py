@@ -59,31 +59,3 @@ class TestInterruptController:
             irq.raise_irq(99)
         with pytest.raises(SocError):
             irq.connect(99, lambda line: None)
-
-    def test_delivery_hooks_bracket_handler(self, irq):
-        order = []
-        irq.connect(5, lambda line: order.append("handler"))
-        irq.add_delivery_hook(lambda line, phase: order.append(phase))
-        irq.raise_irq(5)
-        assert order == ["enter", "handler", "exit"]
-
-    def test_hook_exit_fires_even_if_handler_raises(self, irq):
-        phases = []
-        irq.add_delivery_hook(lambda line, phase: phases.append(phase))
-
-        def bad_handler(line):
-            raise RuntimeError("boom")
-
-        irq.connect(5, bad_handler)
-        with pytest.raises(RuntimeError):
-            irq.raise_irq(5)
-        assert phases == ["enter", "exit"]
-
-    def test_hook_removal(self, irq):
-        seen = []
-        hook = lambda line, phase: seen.append(phase)  # noqa: E731
-        irq.add_delivery_hook(hook)
-        irq.remove_delivery_hook(hook)
-        irq.connect(5, lambda line: None)
-        irq.raise_irq(5)
-        assert seen == []

@@ -59,31 +59,14 @@ class TestRegisterFile:
         regs.set_read_handler("STATUS", lambda stored: stored | 0x80)
         assert regs.read("STATUS") == 0x80
 
-    def test_access_hooks_observe_reads_and_writes(self):
-        regs = make_regfile()
-        log = []
-        regs.add_access_hook(lambda kind, name, value:
-                             log.append((kind, name, value)))
-        regs.write("CTRL", 5)
-        regs.read("CTRL")
-        assert log == [("w", "CTRL", 5), ("r", "CTRL", 5)]
-
-    def test_hook_removal(self):
-        regs = make_regfile()
-        log = []
-        hook = lambda *a: log.append(a)  # noqa: E731
-        regs.add_access_hook(hook)
-        regs.remove_access_hook(hook)
-        regs.write("CTRL", 5)
-        assert log == []
-
     def test_peek_poke_bypass_handlers_and_hooks(self):
+        """Handlers are the only hooks a register file has."""
         regs = make_regfile()
         log = []
-        regs.add_access_hook(lambda *a: log.append(a))
         regs.set_write_handler("CTRL", lambda o, n: log.append("h"))
+        regs.set_read_handler("CTRL", lambda v: log.append("r") or v)
         regs.poke("CTRL", 42)
-        assert regs.peek("CTRL") == 42
+        assert regs.peek("CTRL") == 42 == regs.values["CTRL"]
         assert log == []
 
     def test_snapshot_restore(self):
@@ -162,7 +145,8 @@ class TestMmioBus:
 class TestResolvedOnce:
     """Attribute checks come from sets built at construction and the
     bus remembers where an address led: the messages, the order of
-    checks, hooks and handlers, and the gate are what they were."""
+    checks and handlers (the only hooks a register file has), and the
+    gate are what they were."""
 
     def test_error_messages_and_their_order(self):
         regs = make_regfile()
@@ -183,7 +167,6 @@ class TestResolvedOnce:
     def test_rejected_access_reaches_no_hook_or_handler(self):
         regs = make_regfile()
         log = []
-        regs.add_access_hook(lambda *a: log.append(a))
         regs.set_write_handler("STATUS", lambda o, n: log.append("w"))
         regs.set_read_handler("KICK", lambda v: log.append("r") or v)
         with pytest.raises(MmioError):
@@ -195,8 +178,6 @@ class TestResolvedOnce:
     def test_hook_and_handler_order(self):
         regs = make_regfile()
         log = []
-        regs.add_access_hook(lambda *a: log.append(("hook1",) + a))
-        regs.add_access_hook(lambda *a: log.append(("hook2",) + a))
         regs.set_write_handler(
             "CTRL", lambda old, new: log.append(
                 ("handler", old, new, regs.peek("CTRL"))))
@@ -205,25 +186,23 @@ class TestResolvedOnce:
         regs.write("CTRL", 0x1_0000_0009)
         assert regs.read("CTRL") == 0x1FF
         assert log == [
-            # Store, then hooks in registration order, then the handler.
-            ("hook1", "w", "CTRL", 9), ("hook2", "w", "CTRL", 9),
+            # Store (truncated to 32 bits), then the handler.
             ("handler", 7, 9, 9),
-            # Read handler first; hooks see what the reader sees.
-            ("reader", 9),
-            ("hook1", "r", "CTRL", 0x1FF), ("hook2", "r", "CTRL", 0x1FF)]
+            # The reader sees the stored value; the bus, what it says.
+            ("reader", 9)]
+        assert regs.peek("CTRL") == 9
 
     def test_gated_block(self):
         regs = make_regfile()
         log = []
         powered = [False]
         regs.set_gate(lambda: powered[0])
-        regs.add_access_hook(lambda *a: log.append(a))
         regs.set_write_handler("CTRL", lambda o, n: log.append("handler"))
         regs.set_read_handler("CTRL", lambda v: log.append("reader") or v)
         assert regs.read("CTRL") == 0xFFFFFFFF
         regs.write("CTRL", 5)
-        # Hooks observe the dead accesses; handlers and the store do not.
-        assert log == [("r", "CTRL", 0xFFFFFFFF), ("w", "CTRL", 5)]
+        # Dead accesses reach neither the handlers nor the store.
+        assert log == []
         assert regs.peek("CTRL") == 7
         # Attribute checks come before the gate.
         with pytest.raises(MmioError, match="not readable"):
@@ -270,12 +249,15 @@ class TestResolvedOnce:
         assert set(bus._routes) == {0x1000, 0x2000}
 
     def test_bus_access_reaches_hooks_like_a_named_access(self):
+        """A routed access runs the register's handlers, resolved or
+        not, exactly as the named access does."""
         bus = MmioBus()
         regs = make_regfile()
         bus.map(0x1000, regs)
         log = []
-        regs.add_access_hook(lambda *a: log.append(a))
+        regs.set_write_handler("CTRL", lambda o, n: log.append(("w", o, n)))
+        regs.set_read_handler("COUNTER", lambda v: log.append(("r", v)) or 5)
         for _ in range(2):
-            bus.write(0x1000, 3)
-            bus.read(0x100C)
-        assert log == [("w", "CTRL", 3), ("r", "COUNTER", 0)] * 2
+            bus.write(0x1000, 0x1_0000_0003)
+            assert bus.read(0x100C) == 5
+        assert log == [("w", 7, 3), ("r", 0), ("w", 3, 3), ("r", 0)]
