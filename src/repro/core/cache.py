@@ -44,7 +44,6 @@ class LruCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._warms = 0
 
     # -- core operations ----------------------------------------------------
 
@@ -84,25 +83,6 @@ class LruCache:
             self.put(key, value)
             return value
 
-    def warm(self, key: Hashable,
-             produce: Callable[[], object]) -> bool:
-        """Prefetch: produce and store ``key`` if absent, *without*
-        touching hit/miss accounting.
-
-        ``lookup``/``get_or_produce`` measure demand traffic; a
-        prefetcher (the recording vault streaming content into the
-        replay load cache ahead of a serve run) is supply, and letting
-        it inflate the miss counter would make a fully-warmed cache
-        look cold. Returns True when the entry was produced, False
-        when it was already present.
-        """
-        with self._lock:
-            if key in self._entries:
-                return False
-            self.put(key, produce())
-            self._warms += 1
-            return True
-
     def clear(self) -> None:
         """Drop every entry; accounting survives (it is cumulative)."""
         with self._lock:
@@ -113,10 +93,6 @@ class LruCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
 
     @property
     def capacity(self) -> Optional[int]:
@@ -133,7 +109,3 @@ class LruCache:
     @property
     def evictions(self) -> int:
         return self._evictions
-
-    @property
-    def warms(self) -> int:
-        return self._warms

@@ -241,13 +241,26 @@ class Replayer:
             else:
                 obs.counter("replay.cache.misses").inc()
                 evictions_before = LOAD_CACHE.evictions
-                report, program = self._verify_and_compile(recording)
+                report = verify_recording(
+                    recording, self.nano.register_names(),
+                    max_gpu_bytes=self.max_gpu_bytes,
+                    preexisting_maps=dict(self._session_maps))
+                program = compile_program(recording, self.nano)
                 LOAD_CACHE.put(key, (report, program))
                 evicted = LOAD_CACHE.evictions - evictions_before
                 if evicted:
                     obs.counter("replay.cache.evictions").inc(evicted)
-            if not self._charge_cold_load(key, recording):
+            if warm:
                 self.machine.clock.advance(WARM_LOAD_NS)
+            else:
+                # Decompression + verification, once per content on
+                # this replayer.
+                self.machine.clock.advance(
+                    max(1, recording.dump_bytes() * SEC // DECOMPRESS_BW)
+                    + VERIFY_ACTION_NS * len(recording.actions))
+                if len(self._warm_keys) > 4096:
+                    self._warm_keys.clear()
+                self._warm_keys.add(key)
         self.current = recording
         self.verification = report
         self.program = program
@@ -263,53 +276,6 @@ class Replayer:
             recording = Recording.from_bytes(blob)
             BLOB_CACHE.put(blob_key, recording)
         return self.load(recording)
-
-    def prefetch(self, recording: Recording) -> bool:
-        """Warm the load cache for ``recording`` without staging it.
-
-        The recording vault's fetch path uses this to stream verified
-        content into :data:`LOAD_CACHE` ahead of a serve run. The
-        entry is produced through :meth:`LruCache.warm`, so demand
-        hit/miss accounting stays untouched, and the one-time Load
-        cost (decompression + verification virtual time) is paid here
-        -- the point of prefetching is that the serve-time ``load``
-        runs at :data:`WARM_LOAD_NS`. Returns True when the entry was
-        produced, False when the cache was already warm.
-        """
-        self._require_init()
-        key = self._load_key(recording)
-        # Warm-path traffic bypasses the demand hit/miss counters by
-        # design; count it separately so prefetching is visible in
-        # ``grr stats`` instead of silently absent.
-        self.machine.obs.counter("replay.cache.warmed").inc()
-        produced = LOAD_CACHE.warm(
-            key, lambda: self._verify_and_compile(recording))
-        if produced:
-            self.machine.obs.counter("replay.cache.prefetched").inc()
-        self._charge_cold_load(key, recording)
-        return produced
-
-    def _verify_and_compile(self, recording: Recording
-                            ) -> Tuple[VerificationReport, CompiledProgram]:
-        """A load-cache entry for ``recording`` in this session."""
-        report = verify_recording(
-            recording, self.nano.register_names(),
-            max_gpu_bytes=self.max_gpu_bytes,
-            preexisting_maps=dict(self._session_maps))
-        return report, compile_program(recording, self.nano)
-
-    def _charge_cold_load(self, key: tuple, recording: Recording) -> bool:
-        """Charge decompression + verification, once per content on
-        this replayer; False when ``key`` was already paid for."""
-        if key in self._warm_keys:
-            return False
-        self.machine.clock.advance(
-            max(1, recording.dump_bytes() * SEC // DECOMPRESS_BW)
-            + VERIFY_ACTION_NS * len(recording.actions))
-        if len(self._warm_keys) > 4096:
-            self._warm_keys.clear()
-        self._warm_keys.add(key)
-        return True
 
     def _load_key(self, recording: Recording) -> tuple:
         # The GPU family rides along explicitly even though the

@@ -38,7 +38,7 @@ from repro.obs.rtrace import NULL_RTRACE, RequestTracer, SCHEMA
 from repro.obs.session import Observability
 from repro.serve.engine import (RecordingStore, ReplayServer,
                                 ServeReport, ServeResponse,
-                                ServerConfig, latency_percentiles)
+                                ServerConfig)
 from repro.serve.loadgen import ServeRequest
 from repro.soc.clock import VirtualClock
 from repro.units import MS, SEC, US
@@ -50,8 +50,11 @@ ROUTE_HOP_NS = 50 * US
 #: Affinity spills to power-of-two-choices when every warm node has at
 #: least this many requests in flight.
 AFFINITY_QUEUE_THRESHOLD = 8
-#: Autoscaler cadence.
+#: Autoscaler cadence, provisioning delay and growth trigger (pending
+#: requests per worker).
 AUTOSCALE_INTERVAL_NS = 2 * MS
+SCALE_UP_NS = 5 * MS
+BACKLOG_PER_WORKER = 2
 
 
 def content_key(request: ServeRequest) -> str:
@@ -80,16 +83,11 @@ class FleetConfig:
     #: Per-node admission queue bound.
     queue_depth: int = 256
     max_batch: int = 4
-    prefetch: bool = False
     trace: bool = True
-    mega_batch: bool = False
     #: Per-node time-series scraping (off by default: a fleet run
     #: scrapes N registries per interval).
     timeseries: bool = False
     gpu_counters: bool = True
-    #: Autoscaler provisioning delay / growth trigger.
-    scale_up_ns: int = 5 * MS
-    backlog_per_worker: int = 2
     #: (tenant, max in-flight) pairs; absent tenants are unlimited.
     quotas: Tuple[Tuple[str, int], ...] = ()
     #: Queue depth at which best-effort (priority 0) traffic sheds;
@@ -108,9 +106,7 @@ class FleetConfig:
             seed=self.seed + 7919 * (node_id + 1),
             queue_depth=self.queue_depth,
             max_batch=self.max_batch,
-            prefetch=self.prefetch,
             trace=self.trace,
-            mega_batch=self.mega_batch,
             timeseries=self.timeseries,
             gpu_counters=self.gpu_counters)
 
@@ -143,14 +139,8 @@ class FleetReport:
     #: :class:`ServeReport`.
     trace_events: List[dict] = field(default_factory=list, repr=False)
 
-    def counts(self) -> Dict[str, int]:
-        out = {"ok": 0, "degraded": 0, "shed": 0}
-        for response in self.responses:
-            out[response.status] = out.get(response.status, 0) + 1
-        return out
-
-    def latency_percentiles(self) -> Dict[str, float]:
-        return latency_percentiles(self.responses)
+    counts = ServeReport.counts
+    latency_percentiles = ServeReport.latency_percentiles
 
     def throughput_rps(self) -> float:
         return self.snapshot["gauges"].get("fleet.throughput_rps", 0.0)
@@ -211,8 +201,8 @@ class Fleet:
                 min_workers=WORKERS_MIN,
                 max_workers=cfg.workers_max,
                 interval_ns=AUTOSCALE_INTERVAL_NS,
-                scale_up_ns=cfg.scale_up_ns,
-                backlog_per_worker=cfg.backlog_per_worker,
+                scale_up_ns=SCALE_UP_NS,
+                backlog_per_worker=BACKLOG_PER_WORKER,
                 obs=self.obs))
         self.router = DigestRouter(
             cfg.nodes, queue_threshold=AFFINITY_QUEUE_THRESHOLD,
@@ -309,14 +299,8 @@ class Fleet:
         self.obs.counter("fleet.requests.shed").inc()
         self.obs.histogram("fleet.latency_ns",
                            LATENCY_BUCKETS_NS).observe(0)
-        self._responses[rid] = ServeResponse(
-            rid=rid, status="shed", path="",
-            family=request.family, model=request.model,
-            input_seed=request.input_seed, worker=-1,
-            arrival_ns=request.arrival_ns, completed_ns=now,
-            attempts=0, retries=0, batch_size=0,
-            fault=request.fault.kind if request.fault else "",
-            shed_reason=reason)
+        self._responses[rid] = ServeResponse.of(request, "shed", now,
+                                                shed_reason=reason)
 
     def _on_node_complete(self, node_id: int,
                           response: ServeResponse) -> None:

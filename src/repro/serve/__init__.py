@@ -13,8 +13,7 @@ from repro.serve.engine import (BATCH_BUCKETS, CPU_FALLBACK_NS,
                                 REQUEUE_BACKOFF_NS, ServeReport,
                                 ServeResponse, ServerConfig,
                                 TRANSIENT_FAULT_NS, VaultRecordingStore,
-                                Worker, expected_outputs,
-                                request_inputs, verify_report)
+                                Worker, request_inputs, verify_report)
 from repro.serve.loadgen import (FAULT_KINDS, FaultSpec, LoadgenConfig,
                                  NO_DEADLINE_NS, ServeRequest,
                                  generate_requests)
@@ -36,7 +35,6 @@ __all__ = [
     "TRANSIENT_FAULT_NS",
     "VaultRecordingStore",
     "Worker",
-    "expected_outputs",
     "generate_requests",
     "request_inputs",
     "verify_report",

@@ -21,12 +21,16 @@ Scheduling policy:
   ``Recording.digest()``) coalesce onto one worker, preferring a
   worker already warm on that digest -- a warm worker keeps its
   session maps and resident dumps, so only inputs and outputs move;
-- failure ladder: the worker's own §5.4 re-execution absorbs
-  transient faults; a dispatch that still fails is retried with
-  backoff on a *different* worker; then the reference interpreter;
-  then the ``stack.reference`` CPU path, which always answers
-  (ground truth by construction). Degraded is better than wrong or
-  lost.
+- failure ladder (:data:`LADDER`, one record per rung): the worker's
+  own §5.4 re-execution absorbs transient faults; a dispatch that
+  still fails is retried with backoff on a *different* worker; then
+  the reference interpreter; then the ``stack.reference`` CPU path
+  (:data:`CPU_RUNG`), which always answers (ground truth by
+  construction). Degraded is better than wrong or lost.
+
+Each admitted request is one :class:`Admitted` record (its rung, the
+workers tried on it, attempts, retries, open queue span); the
+scheduler reads the record's rung instead of testing path names.
 """
 
 from __future__ import annotations
@@ -34,14 +38,14 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 # The replayer loads these when a replay first asks for them; a server
-# runs both rungs (the reference interpreter below the compiled path,
-# fused batches under ``mega_batch``), so it loads them here and not
-# on the serving timeline.
+# runs both GPU rungs (the reference interpreter below the compiled
+# path, fused batches under ``mega_batch``), so it loads them here and
+# not on the serving timeline.
 import repro.core.interpreter  # noqa: F401
 import repro.core.mega  # noqa: F401
 from repro.core.recording import Recording
@@ -65,10 +69,6 @@ from repro.units import MS, SEC
 TRANSIENT_FAULT_NS = 8 * MS
 #: Server-side backoff before re-dispatching a failed request.
 REQUEUE_BACKOFF_NS = 2 * MS
-#: §5.4 re-execution attempts inside one worker dispatch.
-WORKER_ATTEMPTS = 3
-#: Server-level re-dispatches onto a different worker.
-MAX_RETRIES = 1
 #: Virtual time between time-series scrapes.
 SCRAPE_INTERVAL_NS = 2 * MS
 #: Modeled cost of answering one request on the CPU reference path.
@@ -76,6 +76,35 @@ CPU_FALLBACK_NS = 20 * MS
 
 #: Batch-size histogram buckets (requests per dispatch).
 BATCH_BUCKETS = (1, 2, 4, 8, 16, 32)
+
+
+@dataclass(frozen=True, eq=False)
+class Rung:
+    """One rung of the failure ladder, as plain data. ``path`` names
+    it in rtrace args and marks and in ``ServeResponse.path``."""
+
+    path: str
+    status: str       # of an answer served on this rung
+    compiled: bool    # compiled executor, else the reference interpreter
+    attempts: int     # §5.4 re-execution attempts per worker dispatch
+    retries: int      # re-dispatches to another worker, then next rung
+    batches: bool     # coalesces with fresh same-content requests
+    fuses: bool       # fuses a batch into one replay (``mega_batch``)
+    faults: bool      # takes the request's injected hardware fault
+
+
+#: The GPU rungs, top first. A request that fails the last one is
+#: answered on :data:`CPU_RUNG`.
+LADDER: Tuple[Rung, ...] = (
+    Rung("fast", status="ok", compiled=True, attempts=3, retries=1,
+         batches=True, fuses=True, faults=True),
+    Rung("reference", status="degraded", compiled=False, attempts=1,
+         retries=0, batches=False, fuses=False, faults=False),
+)
+#: The bottom rung: the ``stack.reference`` CPU answer, no GPU
+#: dispatch, always answers.
+CPU_RUNG = Rung("cpu", status="degraded", compiled=False, attempts=0,
+                retries=0, batches=False, fuses=False, faults=False)
 
 
 @dataclass(frozen=True)
@@ -89,19 +118,10 @@ class ServerConfig:
     seed: int = 2026
     queue_depth: int = 64
     max_batch: int = 4
-    #: Warm every worker's load cache from the store before the
-    #: timeline starts (the vault's prefetch path). Off by default:
-    #: a prefetched run pays Load costs up front, so its service
-    #: times differ from a cold run's -- both are deterministic, but
-    #: only same-config runs compare byte-for-byte.
-    prefetch: bool = False
     #: Request-scoped tracing (repro.obs.rtrace). On by default: the
     #: tracer only reads the clock, so virtual-time results are
     #: identical either way; off saves the per-event Python cost.
     trace: bool = True
-    #: Flight-recorder ring capacity per worker machine (None = the
-    #: always-on default, DEFAULT_RING_SIZE).
-    flight_capacity: Optional[int] = None
     #: Fuse same-digest batches into one mega-batch replay: the worker
     #: runs the action chain once with the batch stacked through the
     #: shader executor, instead of once per request. Opt-in: fused
@@ -325,14 +345,6 @@ class VaultRecordingStore(RecordingStore):
 _MODEL_CACHE: Dict[str, object] = {}
 
 
-def expected_outputs(store: RecordingStore, family: str, model: str,
-                     input_seed: int) -> Dict[str, np.ndarray]:
-    """Ground truth: the store's reference answer for this request.
-    This is both the degraded fallback and what every served output is
-    verified against; see :meth:`RecordingStore.reference_outputs`."""
-    return store.reference_outputs(family, model, input_seed)
-
-
 @dataclass
 class ServeResponse:
     """The terminal answer for one request (exactly one per request)."""
@@ -353,6 +365,23 @@ class ServeResponse:
     shed_reason: str = ""
     outputs: Dict[str, np.ndarray] = field(default_factory=dict,
                                            repr=False)
+
+    @classmethod
+    def of(cls, request: ServeRequest, status: str, completed_ns: int,
+           path: str = "", worker: int = -1, attempts: int = 0,
+           retries: int = 0, batch_size: int = 0, shed_reason: str = "",
+           outputs=None) -> "ServeResponse":
+        """The response to ``request``; the defaults describe a request
+        no worker touched."""
+        return cls(
+            rid=request.rid, status=status, path=path,
+            family=request.family, model=request.model,
+            input_seed=request.input_seed, worker=worker,
+            arrival_ns=request.arrival_ns, completed_ns=completed_ns,
+            attempts=attempts, retries=retries, batch_size=batch_size,
+            fault=request.fault.kind if request.fault else "",
+            shed_reason=shed_reason,
+            outputs={} if outputs is None else outputs)
 
     @property
     def latency_ns(self) -> int:
@@ -378,16 +407,6 @@ class ServeResponse:
             "shed_reason": self.shed_reason,
             "outputs_sha256": self.output_digest(),
         }
-
-
-def latency_percentiles(responses: Sequence[ServeResponse]
-                        ) -> Dict[str, float]:
-    """Nearest-rank p50 / p95 / p99 of the answered (non-shed)
-    responses' ``latency_ns`` -- exact, unlike the ``*.latency_ns``
-    histogram's bucket estimate. A shed latency measures the shed
-    policy, not the serving path."""
-    answered = [r.latency_ns for r in responses if r.status != "shed"]
-    return {f"p{q}": percentile(answered, q) for q in (50, 95, 99)}
 
 
 @dataclass
@@ -424,7 +443,13 @@ class ServeReport:
         return out
 
     def latency_percentiles(self) -> Dict[str, float]:
-        return latency_percentiles(self.responses)
+        """Nearest-rank p50 / p95 / p99 of the answered (non-shed)
+        responses' ``latency_ns`` -- exact, unlike the
+        ``*.latency_ns`` histogram's bucket estimate. A shed latency
+        measures the shed policy, not the serving path."""
+        answered = [r.latency_ns for r in self.responses
+                    if r.status != "shed"]
+        return {f"p{q}": percentile(answered, q) for q in (50, 95, 99)}
 
     def throughput_rps(self) -> float:
         return self.snapshot["gauges"].get("serve.throughput_rps", 0.0)
@@ -450,8 +475,8 @@ def verify_report(report: ServeReport,
     for response in report.responses:
         if response.status == "shed":
             continue
-        expected = expected_outputs(store, response.family,
-                                    response.model, response.input_seed)
+        expected = store.reference_outputs(
+            response.family, response.model, response.input_seed)
         for name, want in expected.items():
             got = response.outputs.get(name)
             if got is None:
@@ -468,20 +493,16 @@ class Worker:
     """One replay machine in the pool: a board, a replayer, a fault
     injector, and the digest it is currently warm on."""
 
-    def __init__(self, wid: int, family: str, board: str, seed: int,
-                 flight_capacity: Optional[int] = None):
+    def __init__(self, wid: int, family: str, board: str, seed: int):
         self.id = wid
         self.family = family
-        self.board = board
         self.machine = fresh_replay_machine(family, seed=seed,
-                                            board=board,
-                                            flight_capacity=flight_capacity)
+                                            board=board)
         self.replayer = Replayer(self.machine)
         self.replayer.init()
         self.injector = FaultInjector(self.machine.require_gpu())
         self.busy = False
         self.warm_digest: Optional[str] = None
-        self.dispatches = 0
         #: How the last stage() resolved: "warm" (session kept, no
         #: load) or "cold" (a load ran). Worker-local state only, so
         #: the serve.cache.* counters built from it are identical
@@ -518,6 +539,19 @@ class Worker:
             self.replayer.cleanup()
         except ReproError:
             pass
+
+
+@dataclass(eq=False)
+class Admitted:
+    """One admitted request's scheduling state, arrival to answer."""
+
+    request: ServeRequest
+    rung: Rung = LADDER[0]
+    #: Ids of the workers tried on this rung.
+    tries: List[int] = field(default_factory=list)
+    attempts: int = 0    # worker-internal §5.4 attempts, summed
+    retries: int = 0     # re-dispatches onto a different worker
+    queue_sid: Optional[int] = None  # open ``queue`` span while pending
 
 
 class ReplayServer:
@@ -571,22 +605,12 @@ class ReplayServer:
                                 interval_ns=SCRAPE_INTERVAL_NS,
                                 derive=self._derive_series)
             if self.config.timeseries else None)
-        self._pending: List[ServeRequest] = []
+        #: Admitted requests waiting for a worker, in dispatch order.
+        self._pending: List[Admitted] = []
         self._submitted: List[ServeRequest] = []
         self._responses: Dict[int, ServeResponse] = {}
-        #: Per-request scheduling state: escalation mode and the
-        #: workers already tried in that mode.
-        self._mode: Dict[int, str] = {}
-        self._tries: Dict[int, List[int]] = {}
-        self._attempts: Dict[int, int] = {}
-        self._retries: Dict[int, int] = {}
-        #: rid -> open "queue" span sid (request currently in
-        #: ``_pending``).
-        self._qsid: Dict[int, int] = {}
         self._served = False
         self.obs.gauge("serve.workers").set(len(self.workers))
-        if self.config.prefetch:
-            self._prefetch_workers()
 
     # -- worker pool management ---------------------------------------------
 
@@ -595,8 +619,7 @@ class ReplayServer:
         wid = self._next_wid
         self._next_wid += 1
         worker = Worker(wid, family, board or board_for_family(family),
-                        seed=self.config.seed * 1000 + wid,
-                        flight_capacity=self.config.flight_capacity)
+                        seed=self.config.seed * 1000 + wid)
         if not self.config.gpu_counters:
             tape = worker.machine.require_gpu().counters
             tape.enabled = False
@@ -633,7 +656,7 @@ class ReplayServer:
         routing signal)."""
         if family is None:
             return len(self._pending)
-        return sum(1 for r in self._pending if r.family == family)
+        return sum(1 for r in self._pending if r.request.family == family)
 
     def outstanding_count(self, family: Optional[str] = None) -> int:
         """Submitted requests without a terminal answer: queued,
@@ -648,32 +671,6 @@ class ReplayServer:
 
     def workers_for(self, family: str) -> List[Worker]:
         return [w for w in self.workers if w.family == family]
-
-    def _prefetch_workers(self) -> None:
-        """Stream every recording a worker's family will serve from
-        the store into the process-wide load cache, before the request
-        timeline starts. Worker machine clocks absorb the Load cost
-        here; batch service times are measured as deltas, so warmup
-        never leaks into a request's latency."""
-        warmed = 0
-        calls = 0
-        for worker in self.workers:
-            for family, model in self.store.mix():
-                if family != worker.family:
-                    continue
-                if not self.store.available(family, model):
-                    continue
-                calls += 1
-                if worker.replayer.prefetch(
-                        self.store.healthy(family, model)):
-                    warmed += 1
-        self.obs.counter("serve.store.prefetched").inc(warmed)
-        # Mirror of the per-machine replay.cache.warmed counters, so
-        # prefetch traffic shows up in the server-side snapshot too.
-        self.obs.counter("replay.cache.warmed").inc(calls)
-        fetches = self.store.drain_fetches()
-        self.rtrace.meta("prefetch", args={"warmed": warmed,
-                                           "fetches": fetches})
 
     def _derive_series(self, snapshot: Dict[str, Dict[str, object]]
                        ) -> Dict[str, float]:
@@ -753,8 +750,8 @@ class ReplayServer:
         ordered = self._submitted
         # Defensive: the ladder guarantees every request terminates,
         # but a lost request must surface as shed, never silently.
-        for request in list(self._pending):
-            self._shed(request, "starved")
+        for record in list(self._pending):
+            self._shed(record, "starved")
         self._pending.clear()
         makespan = self.clock.now()
         served = sum(1 for r in self._responses.values()
@@ -799,12 +796,9 @@ class ReplayServer:
         if request.fault is not None:
             self.obs.counter(
                 f"serve.fault.{request.fault.kind}").inc()
-        self._mode.setdefault(rid, "fast")
-        self._tries.setdefault(rid, [])
-        self._attempts.setdefault(rid, 0)
-        self._retries.setdefault(rid, 0)
+        record = Admitted(request)
         if not any(w.family == request.family for w in self.workers):
-            self._degrade_cpu(request, reason="no-worker")
+            self._degrade_cpu(record, reason="no-worker")
             return
         available = self.store.available(request.family, request.model)
         for info in self.store.drain_fetches():
@@ -820,29 +814,29 @@ class ReplayServer:
             except (ReproError, KeyError):
                 # Even the skeleton is gone: the output interface is
                 # unknowable, so the request cannot be answered at all.
-                self._shed(request, "store-lost")
+                self._shed(record, "store-lost")
                 return
-            self._degrade_cpu(request, reason="store-miss")
+            self._degrade_cpu(record, reason="store-miss")
             return
         if len(self._pending) >= self.config.queue_depth:
-            self._shed(request, "queue-full")
+            self._shed(record, "queue-full")
             return
-        self._pending.append(request)
-        self._qsid[rid] = self.rtrace.begin(rid, "queue")
+        self._pending.append(record)
+        record.queue_sid = self.rtrace.begin(rid, "queue")
         self._note_queue_depth()
         self._dispatch()
 
-    def _requeue(self, request: ServeRequest) -> None:
+    def _requeue(self, record: Admitted) -> None:
         """Re-admit after backoff; retries bypass the depth bound (the
         request already holds an admission slot conceptually)."""
-        rid = request.rid
+        rid = record.request.rid
         backoff_sid = self.rtrace.begin(
             rid, "backoff", args={"backoff_ns": REQUEUE_BACKOFF_NS})
 
         def readmit() -> None:
             self.rtrace.end(rid, backoff_sid)
-            self._pending.insert(0, request)
-            self._qsid[rid] = self.rtrace.begin(rid, "queue")
+            self._pending.insert(0, record)
+            record.queue_sid = self.rtrace.begin(rid, "queue")
             self._note_queue_depth()
             self._dispatch()
         self.clock.schedule(REQUEUE_BACKOFF_NS, readmit)
@@ -863,13 +857,12 @@ class ReplayServer:
             if not idle:
                 return
             for head in self._pending:
-                tried = self._tries[head.rid]
                 candidates = [w for w in idle
-                              if w.family == head.family
-                              and w.id not in tried]
+                              if w.family == head.request.family
+                              and w.id not in head.tries]
                 if not candidates:
                     continue
-                digest = self.store.recording_for(head).digest()
+                digest = self.store.recording_for(head.request).digest()
                 warm = [w for w in candidates
                         if w.warm_digest == digest]
                 worker = (warm or candidates)[0]
@@ -880,40 +873,41 @@ class ReplayServer:
 
     def _shed_expired(self) -> None:
         now = self.clock.now()
-        expired = [r for r in self._pending if now > r.deadline_ns]
-        for request in expired:
-            self._pending.remove(request)
-            self._shed(request, "deadline")
+        expired = [r for r in self._pending
+                   if now > r.request.deadline_ns]
+        for record in expired:
+            self._pending.remove(record)
+            self._shed(record, "deadline")
         if expired:
             self._note_queue_depth()
 
-    def _take_batch(self, head: ServeRequest,
-                    digest: str) -> List[ServeRequest]:
-        """``head`` plus following fresh same-content requests, up to
-        ``max_batch``. Retried and reference-mode requests go solo --
-        their worker-exclusion sets are their own."""
+    def _take_batch(self, head: Admitted,
+                    digest: str) -> List[Admitted]:
+        """``head`` plus following fresh same-content requests on its
+        rung, up to ``max_batch``, when the rung batches. A retried
+        request goes solo -- its worker-exclusion set is its own."""
         batch = [head]
-        if self._mode[head.rid] == "fast" and not self._tries[head.rid]:
-            for request in self._pending:
+        rung = head.rung
+        if rung.batches and not head.tries:
+            for record in self._pending:
                 if len(batch) >= self.config.max_batch:
                     break
-                if request.rid == head.rid:
+                if record is head:
                     continue
-                if (request.family == head.family
-                        and self._mode[request.rid] == "fast"
-                        and not self._tries[request.rid]
-                        and self.store.recording_for(request).digest()
-                        == digest):
-                    batch.append(request)
-        for request in batch:
-            self._pending.remove(request)
+                if (record.request.family == head.request.family
+                        and record.rung is rung
+                        and not record.tries
+                        and self.store.recording_for(
+                            record.request).digest() == digest):
+                    batch.append(record)
+        for record in batch:
+            self._pending.remove(record)
         self._note_queue_depth()
         return batch
 
     # -- execution ----------------------------------------------------------
 
-    def _run_batch(self, worker: Worker,
-                   batch: List[ServeRequest]) -> None:
+    def _run_batch(self, worker: Worker, batch: List[Admitted]) -> None:
         """Execute ``batch`` synchronously on the worker machine and
         map the virtual time it took onto the server timeline.
 
@@ -925,32 +919,31 @@ class ReplayServer:
         ``completed_ns`` uses.
         """
         worker.busy = True
-        worker.dispatches += 1
         dispatch_ns = self.clock.now()
-        mode = self._mode[batch[0].rid]
-        recording = self.store.recording_for(batch[0])
+        rung = batch[0].rung
+        recording = self.store.recording_for(batch[0].request)
         self.obs.counter("serve.batches").inc()
         self.obs.histogram("serve.batch.size",
                            BATCH_BUCKETS).observe(len(batch))
         rt = self.rtrace
         attempt_sid: Dict[int, int] = {}
-        for slot, request in enumerate(batch):
-            rid = request.rid
-            self._tries[rid].append(worker.id)
-            queue_sid = self._qsid.pop(rid, None)
-            if queue_sid is not None:
-                rt.end(rid, queue_sid, t_ns=dispatch_ns)
+        for slot, record in enumerate(batch):
+            rid = record.request.rid
+            record.tries.append(worker.id)
+            if record.queue_sid is not None:
+                rt.end(rid, record.queue_sid, t_ns=dispatch_ns)
+                record.queue_sid = None
             attempt_sid[rid] = rt.begin(
                 rid, "attempt", t_ns=dispatch_ns,
-                args={"worker": worker.id, "mode": mode,
+                args={"worker": worker.id, "mode": rung.path,
                       "batch": len(batch), "slot": slot,
-                      "try": len(self._tries[rid])})
+                      "try": len(record.tries)})
 
         machine = worker.machine
         t0 = machine.clock.now()
         gpu_tape = machine.require_gpu().counters
         trace_tape = self.config.trace and gpu_tape.enabled
-        results: List[Tuple[ServeRequest, Optional[Dict[str, np.ndarray]],
+        results: List[Tuple[Admitted, Optional[Dict[str, np.ndarray]],
                             int, int]] = []
 
         def off() -> int:
@@ -970,7 +963,7 @@ class ReplayServer:
             rt.end(rid, sid, t_ns=dispatch_ns + off())
             return "failed" not in args
 
-        head_rid = batch[0].rid
+        head_rid = batch[0].request.rid
 
         def wait_span(rid: int, wait_off: int) -> None:
             # Time this request spent waiting for earlier batch members
@@ -981,21 +974,21 @@ class ReplayServer:
                 rt.end(rid, sid, t_ns=dispatch_ns + wait_off)
 
         staged = stage(head_rid, 0)
-        worker.replayer.fast_path = (mode == "fast")
-        attempts = WORKER_ATTEMPTS if mode == "fast" else 1
+        worker.replayer.fast_path = rung.compiled
         # One group per replay call: the whole batch when it can fuse
         # into one mega-batch pass, else every request on its own. A
         # fused group that fails heals the worker and re-queues its
         # members as singles, which restage and go down the normal
         # ladder -- a fused failure costs latency, never answers.
         fusable = (staged and self.config.mega_batch and len(batch) > 1
-                   and mode == "fast"
-                   and all(r.fault is None for r in batch))
+                   and rung.fuses
+                   and all(r.request.fault is None for r in batch))
         groups = deque([batch] if fusable else ([r] for r in batch))
         while groups:
             group = groups.popleft()
             fused = len(group) > 1
-            request = group[0]
+            record = group[0]
+            request = record.request
             rid = request.rid
             asid = attempt_sid[rid]
             wait_off = off()
@@ -1006,12 +999,12 @@ class ReplayServer:
                     fail_off = off()
                     rt.end(rid, asid, t_ns=dispatch_ns + fail_off,
                            args={"outcome": "stage-failed"})
-                    results.append((request, None, 0, fail_off))
+                    results.append((record, None, 0, fail_off))
                     continue
-                self._inject(worker, request, asid)
+                self._inject(worker, record, asid)
             replay_off = off()
             tape_before = gpu_tape.totals() if trace_tape else None
-            inputs = [request_inputs(recording, member.input_seed)
+            inputs = [request_inputs(recording, member.request.input_seed)
                       for member in group]
             try:
                 if fused:
@@ -1019,7 +1012,7 @@ class ReplayServer:
                     outputs = result.outputs
                 else:
                     result = worker.replayer.replay(
-                        inputs=inputs[0], max_attempts=attempts)
+                        inputs=inputs[0], max_attempts=rung.attempts)
                     outputs = [result.outputs]
             except ReplayError as error:
                 if fused:
@@ -1033,12 +1026,13 @@ class ReplayServer:
                     replay_sid = rt.begin(
                         rid, "replay", psid=asid,
                         t_ns=dispatch_ns + replay_off,
-                        args={"path": mode})
+                        args={"path": rung.path})
                     rt.end(rid, replay_sid, t_ns=dispatch_ns + fail_off,
                            args={"failed": type(error).__name__})
                     rt.end(rid, asid, t_ns=dispatch_ns + fail_off,
                            args={"outcome": "failed"})
-                    results.append((request, None, attempts, fail_off))
+                    results.append((record, None, rung.attempts,
+                                    fail_off))
                 worker.heal()
                 staged = False
                 continue
@@ -1056,12 +1050,12 @@ class ReplayServer:
                 self.obs.histogram("serve.mega.size",
                                    BATCH_BUCKETS).observe(len(group))
             for slot, member in enumerate(group):
-                rid = member.rid
+                rid = member.request.rid
                 asid = attempt_sid[rid]
                 if fused:
                     wait_span(rid, wait_off)
                 self._trace_replay(rid, asid, dispatch_ns, replay_off,
-                                   done_off, mode, result, kernels)
+                                   done_off, rung.path, result, kernels)
                 if slot == 0 and tape_before is not None:
                     # A fused pass ran once for the whole group, so its
                     # counter delta is attributed to the head member
@@ -1083,11 +1077,11 @@ class ReplayServer:
                            LATENCY_BUCKETS_NS).observe(service_ns)
         self.clock.schedule(
             service_ns,
-            lambda: self._on_batch_done(worker, dispatch_ns, mode,
+            lambda: self._on_batch_done(worker, dispatch_ns, rung,
                                         len(batch), results))
 
     def _trace_replay(self, rid: int, asid: int, dispatch_ns: int,
-                      start_off: int, end_off: int, mode: str,
+                      start_off: int, end_off: int, path: str,
                       result, kernels=()) -> None:
         """One ``replay`` span with its cost decomposition.
 
@@ -1108,7 +1102,7 @@ class ReplayServer:
         stats = result.stats
         replay_sid = rt.begin(
             rid, "replay", psid=asid, t_ns=dispatch_ns + start_off,
-            args={"path": mode, "attempts": result.attempts,
+            args={"path": path, "attempts": result.attempts,
                   "jobs": stats.jobs_kicked})
         cursor = dispatch_ns + start_off
         for name, duration in (("upload", stats.upload_ns),
@@ -1161,13 +1155,15 @@ class ReplayServer:
             delta = {**extra, **delta}
         self.rtrace.mark(rid, "gpu.counters", psid=asid, args=delta)
 
-    def _inject(self, worker: Worker, request: ServeRequest,
+    def _inject(self, worker: Worker, record: Admitted,
                 attempt_sid: int) -> None:
         """Fire the request's scheduled hardware fault (first dispatch
-        only -- the fault models an event on the machine that first
-        served it; poison travels with the content instead)."""
-        if request.fault is None or self._retries[request.rid] > 0 \
-                or self._mode[request.rid] != "fast":
+        of a rung that takes faults only -- the fault models an event
+        on the machine that first served it; poison travels with the
+        content instead)."""
+        request = record.request
+        if request.fault is None or record.retries > 0 \
+                or not record.rung.faults:
             return
         kind = request.fault.kind
         if kind not in ("gpu-transient", "gpu-sticky"):
@@ -1182,22 +1178,21 @@ class ReplayServer:
                                           worker.injector.restore_cores)
 
     def _on_batch_done(self, worker: Worker, dispatch_ns: int,
-                       mode: str, batch_size: int, results) -> None:
+                       rung: Rung, batch_size: int, results) -> None:
         worker.busy = False
         end_ns = self.clock.now()
         self.obs.complete(
-            f"serve:batch:{mode}", self.obs.track("serve",
-                                                  f"worker-{worker.id}"),
+            f"serve:batch:{rung.path}",
+            self.obs.track("serve", f"worker-{worker.id}"),
             dispatch_ns, end_ns,
             args={"batch": batch_size, "worker": worker.id},
             cat="serve")
-        for request, outputs, attempts, offset_ns in results:
-            self._attempts[request.rid] += attempts
+        for record, outputs, attempts, offset_ns in results:
+            record.attempts += attempts
             if outputs is not None:
-                path = "fast" if mode == "fast" else "reference"
-                if path == "reference":
+                if not rung.compiled:
                     self.obs.counter("serve.reference_fallbacks").inc()
-                self._complete(request, outputs, path, worker.id,
+                self._complete(record, outputs, rung, worker.id,
                                batch_size, dispatch_ns + offset_ns)
             else:
                 fail_ns = dispatch_ns + offset_ns
@@ -1205,100 +1200,95 @@ class ReplayServer:
                     # The failed request sat on the worker until the
                     # rest of the batch drained; that wait is part of
                     # its end-to-end latency, so it gets a span.
+                    rid = record.request.rid
                     drain_sid = self.rtrace.begin(
-                        request.rid, "batch.drain", t_ns=fail_ns)
-                    self.rtrace.end(request.rid, drain_sid,
-                                    t_ns=end_ns)
-                self._on_failure(request, worker)
+                        rid, "batch.drain", t_ns=fail_ns)
+                    self.rtrace.end(rid, drain_sid, t_ns=end_ns)
+                self._on_failure(record)
         self._dispatch()
 
     # -- the failure ladder -------------------------------------------------
 
-    def _on_failure(self, request: ServeRequest,
-                    worker: Worker) -> None:
+    def _on_failure(self, record: Admitted) -> None:
+        """Climb down after a failed dispatch: another worker while the
+        rung has retries left and an untried worker, else the next
+        rung, else the CPU."""
+        request = record.request
         rid = request.rid
-        if self._mode[rid] == "fast":
-            family_workers = [w for w in self.workers
-                              if w.family == request.family]
-            untried = [w for w in family_workers
-                       if w.id not in self._tries[rid]]
-            if untried and self._retries[rid] < MAX_RETRIES:
-                self._retries[rid] += 1
-                self.obs.counter("serve.retries").inc()
-                self.rtrace.mark(rid, "ladder", args={
-                    "rung": "other-worker",
-                    "retry": self._retries[rid]})
-                self._requeue(request)
-                return
-            self._mode[rid] = "reference"
-            self._tries[rid] = []
-            self.rtrace.mark(rid, "ladder", args={"rung": "reference"})
-            self._requeue(request)
+        rung = record.rung
+        untried = [w for w in self.workers
+                   if w.family == request.family
+                   and w.id not in record.tries]
+        # Every dispatch on this rung tried one worker, so the rung's
+        # retries so far are one fewer than its tried workers.
+        if untried and len(record.tries) <= rung.retries:
+            record.retries += 1
+            self.obs.counter("serve.retries").inc()
+            self.rtrace.mark(rid, "ladder", args={
+                "rung": "other-worker", "retry": record.retries})
+            self._requeue(record)
             return
-        # The reference interpreter rejected it too (poisoned content,
-        # or a recording this board cannot replay): answer on the CPU.
-        self.rtrace.mark(rid, "ladder", args={"rung": "cpu"})
-        self._degrade_cpu(request, reason="replay-rejected")
+        below = LADDER.index(rung) + 1
+        if below < len(LADDER):
+            record.rung = LADDER[below]
+            record.tries = []
+            self.rtrace.mark(rid, "ladder",
+                             args={"rung": record.rung.path})
+            self._requeue(record)
+            return
+        # The last GPU rung rejected it too (poisoned content, or a
+        # recording this board cannot replay): answer on the CPU.
+        self.rtrace.mark(rid, "ladder", args={"rung": CPU_RUNG.path})
+        self._degrade_cpu(record, reason="replay-rejected")
 
-    def _degrade_cpu(self, request: ServeRequest, reason: str) -> None:
+    def _degrade_cpu(self, record: Admitted, reason: str) -> None:
+        request = record.request
         self.obs.counter("serve.cpu_fallbacks").inc()
-        cpu_sid = self.rtrace.begin(request.rid, "cpu",
+        cpu_sid = self.rtrace.begin(request.rid, CPU_RUNG.path,
                                     args={"reason": reason})
 
         def finish() -> None:
-            outputs = expected_outputs(self.store, request.family,
-                                       request.model, request.input_seed)
+            outputs = self.store.reference_outputs(
+                request.family, request.model, request.input_seed)
             self.rtrace.end(request.rid, cpu_sid)
-            self._complete(request, outputs, "cpu", -1, 1,
+            self._complete(record, outputs, CPU_RUNG, -1, 1,
                            self.clock.now(), degrade_reason=reason)
         self.clock.schedule(CPU_FALLBACK_NS, finish)
 
     # -- terminal responses -------------------------------------------------
 
-    def _complete(self, request: ServeRequest,
-                  outputs: Dict[str, np.ndarray], path: str,
+    def _complete(self, record: Admitted,
+                  outputs: Dict[str, np.ndarray], rung: Rung,
                   worker_id: int, batch_size: int, completed_ns: int,
                   degrade_reason: str = "") -> None:
-        status = "ok" if path == "fast" else "degraded"
-        self.obs.counter(f"serve.requests.{status}").inc()
+        request = record.request
+        self.obs.counter(f"serve.requests.{rung.status}").inc()
         self.obs.histogram("serve.latency_ns",
                            LATENCY_BUCKETS_NS).observe(
             completed_ns - request.arrival_ns)
-        self.rtrace.finish(request.rid, status, t_ns=completed_ns,
-                           args={"path": path,
+        self.rtrace.finish(request.rid, rung.status, t_ns=completed_ns,
+                           args={"path": rung.path,
                                  "worker": worker_id,
                                  "reason": degrade_reason})
-        self._responses[request.rid] = ServeResponse(
-            rid=request.rid, status=status, path=path,
-            family=request.family, model=request.model,
-            input_seed=request.input_seed, worker=worker_id,
-            arrival_ns=request.arrival_ns, completed_ns=completed_ns,
-            attempts=self._attempts.get(request.rid, 0),
-            retries=self._retries.get(request.rid, 0),
-            batch_size=batch_size,
-            fault=request.fault.kind if request.fault else "",
-            shed_reason=degrade_reason,
-            outputs=outputs)
-        if self.on_complete is not None:
-            self.on_complete(self._responses[request.rid])
+        self._respond(ServeResponse.of(
+            request, rung.status, completed_ns, path=rung.path,
+            worker=worker_id, attempts=record.attempts,
+            retries=record.retries, batch_size=batch_size,
+            shed_reason=degrade_reason, outputs=outputs))
 
-    def _shed(self, request: ServeRequest, reason: str) -> None:
+    def _shed(self, record: Admitted, reason: str) -> None:
+        rid = record.request.rid
         self.obs.counter("serve.requests.shed").inc()
-        queue_sid = self._qsid.pop(request.rid, None)
-        if queue_sid is not None:
-            self.rtrace.end(request.rid, queue_sid)
-        self.rtrace.finish(request.rid, "shed",
-                           args={"reason": reason})
-        self._responses[request.rid] = ServeResponse(
-            rid=request.rid, status="shed", path="",
-            family=request.family, model=request.model,
-            input_seed=request.input_seed, worker=-1,
-            arrival_ns=request.arrival_ns,
-            completed_ns=self.clock.now(),
-            attempts=self._attempts.get(request.rid, 0),
-            retries=self._retries.get(request.rid, 0),
-            batch_size=0,
-            fault=request.fault.kind if request.fault else "",
-            shed_reason=reason)
+        if record.queue_sid is not None:
+            self.rtrace.end(rid, record.queue_sid)
+            record.queue_sid = None
+        self.rtrace.finish(rid, "shed", args={"reason": reason})
+        self._respond(ServeResponse.of(
+            record.request, "shed", self.clock.now(),
+            attempts=record.attempts, retries=record.retries,
+            shed_reason=reason))
+
+    def _respond(self, response: ServeResponse) -> None:
+        self._responses[response.rid] = response
         if self.on_complete is not None:
-            self.on_complete(self._responses[request.rid])
+            self.on_complete(response)

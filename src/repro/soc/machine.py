@@ -46,8 +46,7 @@ class InterferenceProfile:
 class Machine:
     """One simulated SoC board with an integrated GPU."""
 
-    def __init__(self, board: BoardSpec, seed: int = 0,
-                 flight_capacity: Optional[int] = None):
+    def __init__(self, board: BoardSpec, seed: int = 0):
         self.board = board
         self.seed = seed
         self.clock = VirtualClock()
@@ -70,22 +69,16 @@ class Machine:
         self.obs = NULL_OBS
         # Flight recorder: always on, bounded, forensics-only. Unlike
         # obs it cannot be swapped out -- divergence localization
-        # depends on the ring existing whenever a replay fails. The
-        # capacity is configurable (serving pools trade ring depth
-        # against per-worker footprint) but never unbounded.
-        if flight_capacity is None:
-            self.flight = FlightRecorder()
-        else:
-            self.flight = FlightRecorder(capacity=flight_capacity)
+        # depends on the ring existing whenever a replay fails.
+        self.flight = FlightRecorder()
         self.gpu = None  # type: Optional[object]
 
     @classmethod
-    def create(cls, board: "BoardSpec | str", seed: int = 0,
-               flight_capacity: Optional[int] = None) -> "Machine":
+    def create(cls, board: "BoardSpec | str", seed: int = 0) -> "Machine":
         """Build a machine and mount the board's GPU device on it."""
         if isinstance(board, str):
             board = board_by_name(board)
-        machine = cls(board, seed, flight_capacity=flight_capacity)
+        machine = cls(board, seed)
         # Imported lazily: repro.gpu depends on repro.soc.
         from repro.gpu import create_gpu
 
@@ -124,11 +117,9 @@ def host_kernel_configures_gpu(machine: Machine) -> None:
 
 
 def fresh_replay_machine(family: str, seed: int = 1000,
-                         board: Optional[str] = None,
-                         flight_capacity: Optional[int] = None) -> Machine:
+                         board: Optional[str] = None) -> Machine:
     """A machine for the replay side, GPU power configured by the host
     kernel (the D1 userspace/kernel deployments)."""
-    machine = Machine.create(board or board_for_family(family), seed=seed,
-                             flight_capacity=flight_capacity)
+    machine = Machine.create(board or board_for_family(family), seed=seed)
     host_kernel_configures_gpu(machine)
     return machine

@@ -15,8 +15,8 @@
 5. remove the g31 base the g71 patch dedups against and ``grr store
    gc``: the base's pack is partially live, so gc must rewrite it,
    and ``grr store verify`` must still pass on what is left;
-6. serve 50 requests out of the vault (``VaultRecordingStore`` with
-   worker prefetch) and check every answer against the CPU reference.
+6. serve 50 requests out of the vault (``VaultRecordingStore``) and
+   check every answer against the CPU reference.
 
 ``--forensics DIR`` instead dumps a vault forensics bundle (the
 corrupt-chunk verify report, the doctor's DivergenceReport, vault
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     print("[6/6] serving 50 requests out of the vault ...")
     store = VaultRecordingStore(vault, list(SMOKE_MIX))
     server = ReplayServer(store, ServerConfig(
-        families=("mali", "mali", "v3d"), seed=2026, prefetch=True))
+        families=("mali", "mali", "v3d"), seed=2026))
     stream = generate_requests(LoadgenConfig(
         mix=list(SMOKE_MIX), requests=50, seed=2026))
     serve_report = server.serve(stream)

@@ -829,6 +829,16 @@ def cmd_serve(args) -> int:
     from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
                              generate_requests)
 
+    if args.no_trace and (args.trace_out or args.trace_chrome
+                          or args.profile_out):
+        print("error: --trace-out/--trace-chrome/--profile-out "
+              "require tracing (drop --no-trace)", file=sys.stderr)
+        return 2
+    if args.no_timeseries and (args.timeseries_out or args.openmetrics):
+        print("error: --timeseries-out/--openmetrics require the "
+              "time-series collector (drop --no-timeseries)",
+              file=sys.stderr)
+        return 2
     served = _serving_store(args)
     if served is None:
         return 2
@@ -839,11 +849,10 @@ def cmd_serve(args) -> int:
         requests=args.requests, seed=args.seed, mix=tuple(store.mix()),
         fault_rate=args.fault_rate)
     requests = generate_requests(load_cfg)
-    tracing = not args.no_trace
     server = ReplayServer(store, ServerConfig(
         families=worker_families, seed=args.seed,
         queue_depth=args.queue_depth, max_batch=args.max_batch,
-        mega_batch=args.mega, trace=tracing,
+        mega_batch=args.mega, trace=not args.no_trace,
         timeseries=not args.no_timeseries,
         gpu_counters=not args.no_counters))
     # Stamp the load shape into the event log so a saved trace is
@@ -859,10 +868,6 @@ def cmd_serve(args) -> int:
         from repro.obs.rtrace import (events_to_chrome, events_to_jsonl,
                                       validate_events)
 
-        if not tracing:
-            print("error: --trace-out/--trace-chrome/--profile-out "
-                  "require tracing (drop --no-trace)", file=sys.stderr)
-            return 2
         events = report.trace_events
         problems = validate_events(
             events, expected_rids={r.rid for r in report.responses})
@@ -893,11 +898,6 @@ def cmd_serve(args) -> int:
                   f"stacks; render with flamegraph.pl or `grr "
                   f"profile`)", file=aux)
     if args.timeseries_out or args.openmetrics:
-        if report.timeseries is None:
-            print("error: --timeseries-out/--openmetrics require the "
-                  "time-series collector (drop --no-timeseries)",
-                  file=sys.stderr)
-            return 2
         if args.timeseries_out:
             with open(args.timeseries_out, "w") as handle:
                 handle.write(report.timeseries.to_jsonl())
@@ -962,6 +962,10 @@ def cmd_fleet(args) -> int:
     from repro.fleet import Fleet, FleetConfig
     from repro.serve import LoadgenConfig, generate_requests
 
+    if args.no_trace and args.trace_out:
+        print("error: --trace-out requires tracing (drop --no-trace)",
+              file=sys.stderr)
+        return 2
     served = _serving_store(args)
     if served is None:
         return 2
@@ -1001,10 +1005,6 @@ def cmd_fleet(args) -> int:
     if args.trace_out:
         from repro.obs.rtrace import events_to_jsonl
 
-        if args.no_trace:
-            print("error: --trace-out requires tracing (drop "
-                  "--no-trace)", file=sys.stderr)
-            return 2
         with open(args.trace_out, "w") as handle:
             handle.write(events_to_jsonl(report.trace_events))
         print(f"wrote {args.trace_out} "

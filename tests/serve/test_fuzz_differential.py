@@ -19,8 +19,8 @@ import pytest
 from repro.bench.workloads import board_for_family, fresh_replay_machine
 from repro.core.replayer import Replayer
 from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
-                         ServerConfig, expected_outputs,
-                         generate_requests, request_inputs)
+                         ServerConfig, generate_requests,
+                         request_inputs)
 from repro.units import MS
 
 CASES = 50
@@ -110,8 +110,8 @@ def test_served_equals_reference_equals_cpu(case_seed, reference_rig):
         assert response.status in ("ok", "degraded"), (
             f"case {case_seed} rid {response.rid}: no deadline, no "
             f"bounded queue pressure, yet {response.status}")
-        cpu = expected_outputs(_store(), response.family,
-                               response.model, response.input_seed)
+        cpu = _store().reference_outputs(
+            response.family, response.model, response.input_seed)
         ref = reference_rig.output(response.family, response.model,
                                    response.input_seed)
         for name, want in cpu.items():
@@ -142,8 +142,8 @@ def test_faulted_requests_still_answer_correctly(reference_rig):
     counters = report.snapshot["counters"]
     assert counters.get("serve.worker_failures", 0) > 0
     for response in report.responses:
-        cpu = expected_outputs(_store(), response.family,
-                               response.model, response.input_seed)
+        cpu = _store().reference_outputs(
+            response.family, response.model, response.input_seed)
         for name, want in cpu.items():
             assert np.array_equal(response.outputs[name].reshape(-1),
                                   want.reshape(-1))

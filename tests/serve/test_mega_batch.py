@@ -17,8 +17,7 @@ from repro.errors import MegaBatchDivergence
 from repro.obs.attribution import attribute
 from repro.obs.rtrace import span_trees, validate_events
 from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
-                         ServerConfig, expected_outputs,
-                         generate_requests)
+                         ServerConfig, generate_requests)
 
 MIX = (("mali", "mnist"), ("mali", "dense-serve"))
 
@@ -88,8 +87,8 @@ class TestFusedEqualsUnbatched:
     def test_every_fused_answer_matches_cpu_reference(self):
         report = _serve(_closed_load(), mega=True)
         for response in report.responses:
-            cpu = expected_outputs(_store(), response.family,
-                                   response.model, response.input_seed)
+            cpu = _store().reference_outputs(
+                response.family, response.model, response.input_seed)
             for name, want in cpu.items():
                 assert np.array_equal(
                     response.outputs[name].reshape(-1),
@@ -149,8 +148,8 @@ class TestDivergenceFallback:
         # every member still answers, correctly and un-degraded
         for response in report.responses:
             assert response.status == "ok"
-            cpu = expected_outputs(_store(), response.family,
-                                   response.model, response.input_seed)
+            cpu = _store().reference_outputs(
+                response.family, response.model, response.input_seed)
             for name, want in cpu.items():
                 assert np.array_equal(
                     response.outputs[name].reshape(-1),
@@ -229,8 +228,8 @@ class TestMultiFamilyFaultedMega:
                 assert fused_out[response.rid][name].tobytes() \
                     == want.tobytes()
             # ...and exactly the CPU reference, faulted or not
-            cpu = expected_outputs(multi_store, response.family,
-                                   response.model, response.input_seed)
+            cpu = multi_store.reference_outputs(
+                response.family, response.model, response.input_seed)
             for name, want in cpu.items():
                 assert np.array_equal(
                     response.outputs[name].reshape(-1),

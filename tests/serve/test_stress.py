@@ -69,25 +69,6 @@ def test_queue_drains_and_flight_rings_stay_bounded():
         server.close()
 
 
-def test_custom_flight_capacity_is_respected_under_overload():
-    """The ring bound is configurable end to end: a server built with
-    ``flight_capacity=32`` must hand every worker machine a 32-slot
-    recorder, and the overload burst must wrap it, not grow it."""
-    store = RecordingStore.from_zoo(LOAD.mix)
-    server = ReplayServer(store, ServerConfig(
-        families=("mali", "mali", "v3d"), seed=99, queue_depth=8,
-        max_batch=4, flight_capacity=32))
-    server.serve(generate_requests(LOAD))
-    try:
-        for worker in server.workers:
-            flight = worker.machine.flight
-            assert flight.capacity == 32
-            assert len(flight.ring) <= 32
-            assert flight.seq >= len(flight.ring)
-    finally:
-        server.close()
-
-
 def test_same_seed_runs_are_byte_identical():
     from repro.core.replayer import clear_load_cache
 

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.core.replayer import clear_load_cache
 from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
                          ServerConfig, VaultRecordingStore,
                          generate_requests, verify_report)
@@ -23,10 +22,9 @@ from repro.store.smoke import flip_object_byte
 MIX = (("mali", "mnist"), ("mali", "kws"), ("v3d", "mnist"))
 
 
-def _serve(store, seed=7, requests=24, prefetch=False, mix=None):
+def _serve(store, seed=7, requests=24, mix=None):
     server = ReplayServer(store, ServerConfig(
-        families=("mali", "mali", "v3d"), seed=seed,
-        prefetch=prefetch))
+        families=("mali", "mali", "v3d"), seed=seed))
     stream = generate_requests(LoadgenConfig(
         mix=list(mix or MIX), requests=requests, seed=seed))
     report = server.serve(stream)
@@ -56,19 +54,6 @@ class TestDifferential:
         store = VaultRecordingStore(Vault(packed_vault), list(MIX))
         report = _serve(store)
         assert verify_report(report, store) == []
-
-    def test_prefetch_run_is_same_seed_deterministic(self,
-                                                     packed_vault):
-        clear_load_cache()
-        first = _serve(VaultRecordingStore(Vault(packed_vault),
-                                           list(MIX)), prefetch=True)
-        clear_load_cache()
-        second = _serve(VaultRecordingStore(Vault(packed_vault),
-                                            list(MIX)), prefetch=True)
-        assert _summary(first) == _summary(second)
-        counters = first.snapshot["counters"]
-        assert counters["serve.store.prefetched"] > 0
-        assert all(r.status == "ok" for r in first.responses)
 
 
 class TestStoreFailureRungs:

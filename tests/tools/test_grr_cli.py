@@ -227,6 +227,34 @@ class TestServeTracing:
                      str(tmp_path / "x.jsonl")]) == 2
         assert "drop --no-trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,hint", [
+        (["serve", "--no-trace", "--trace-out", "x.jsonl"],
+         "drop --no-trace"),
+        (["serve", "--no-trace", "--trace-chrome", "x.json"],
+         "drop --no-trace"),
+        (["serve", "--no-trace", "--profile-out", "x.folded"],
+         "drop --no-trace"),
+        (["serve", "--no-timeseries", "--timeseries-out", "x.jsonl"],
+         "drop --no-timeseries"),
+        (["serve", "--no-timeseries", "--openmetrics", "x.txt"],
+         "drop --no-timeseries"),
+        (["fleet", "--no-trace", "--trace-out", "x.jsonl"],
+         "drop --no-trace"),
+    ], ids=["serve-trace-out", "serve-trace-chrome", "serve-profile-out",
+            "serve-timeseries-out", "serve-openmetrics",
+            "fleet-trace-out"])
+    def test_flag_conflict_exits_before_serving(self, argv, hint,
+                                                monkeypatch, capsys):
+        from repro.fleet import Fleet
+        from repro.serve import ReplayServer
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("built a server despite the conflict")
+        monkeypatch.setattr(ReplayServer, "__init__", refuse)
+        monkeypatch.setattr(Fleet, "__init__", refuse)
+        assert main(argv) == 2
+        assert hint in capsys.readouterr().err
+
 
 class TestTop:
     def test_dashboard_renders(self, trace_log_path, capsys):
