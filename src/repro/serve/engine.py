@@ -29,8 +29,8 @@ Scheduling policy:
   construction). Degraded is better than wrong or lost.
 
 Each admitted request is one :class:`Admitted` record (its rung, the
-workers tried on it, attempts, retries, open queue span); the
-scheduler reads the record's rung instead of testing path names.
+workers tried on it, attempts, retries, open queue span); every
+ladder policy decision reads the record's :class:`Rung`.
 """
 
 from __future__ import annotations

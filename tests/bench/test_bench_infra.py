@@ -106,6 +106,17 @@ class TestCache:
         assert len(cache) == 0
         assert cache.misses == 1
 
+    def test_capacity_evicts_least_recently_used(self):
+        cache = RecordingCache(capacity=2)
+        for key in ("a", "b", "a", "c"):
+            cache.get_or_produce((key,), lambda k=key: k)
+        assert len(cache) == 2
+        assert cache.evictions == 1
+        assert (cache.hits, cache.misses) == (1, 3)
+        # "b" was the least recently used: producing it again misses.
+        cache.get_or_produce(("b",), lambda: "b")
+        assert cache.misses == 4
+
 
 class TestGeomean:
     def test_basic(self):
