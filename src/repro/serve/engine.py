@@ -496,8 +496,7 @@ class Worker:
     def __init__(self, wid: int, family: str, board: str, seed: int):
         self.id = wid
         self.family = family
-        self.machine = fresh_replay_machine(family, seed=seed,
-                                            board=board)
+        self.machine = fresh_replay_machine(family, seed=seed, board=board)
         self.replayer = Replayer(self.machine)
         self.replayer.init()
         self.injector = FaultInjector(self.machine.require_gpu())
@@ -1031,8 +1030,7 @@ class ReplayServer:
                            args={"failed": type(error).__name__})
                     rt.end(rid, asid, t_ns=dispatch_ns + fail_off,
                            args={"outcome": "failed"})
-                    results.append((record, None, rung.attempts,
-                                    fail_off))
+                    results.append((record, None, rung.attempts, fail_off))
                 worker.heal()
                 staged = False
                 continue
