@@ -14,7 +14,7 @@ Walks the full GPUReplay workflow on the simulated SoC:
 
 import numpy as np
 
-from repro.core import Replayer, record_inference
+from repro.core import Recording, Replayer, record_inference
 from repro.soc import Machine
 from repro.stack.driver import MaliDriver
 from repro.stack.framework import AclNetwork, build_model
@@ -58,7 +58,7 @@ def deploy_and_replay(blob: bytes):
     machine = Machine.create("hikey960", seed=99)  # different layout!
     replayer = Replayer(machine)
     replayer.init()
-    report = replayer.load_bytes(blob)
+    report = replayer.load(Recording.from_bytes(blob))
     print(f"  verified: {report.actions} actions, "
           f"{len(report.registers_used)} registers, peak GPU memory "
           f"{report.peak_mapped_bytes / 1e6:.1f} MB")

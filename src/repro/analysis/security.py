@@ -103,7 +103,7 @@ def attack_malformed_file(machine: Machine) -> AttackResult:
     replayer = Replayer(machine)
     replayer.init()
     try:
-        replayer.load_bytes(b"GRRC" + b"\x99" * 64)
+        replayer.load(Recording.from_bytes(b"GRRC" + b"\x99" * 64))
         return AttackResult("malformed-file", False, "none",
                             "corrupt file parsed")
     except SerializationError as error:

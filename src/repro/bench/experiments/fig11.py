@@ -14,6 +14,7 @@ import numpy as np
 from repro.bench.harness import ResultTable
 from repro.bench.workloads import (fresh_replay_machine, get_recorded,
                                    model_input)
+from repro.core.conditional import replay_sequence
 from repro.core.replayer import Replayer
 
 GRANULARITY_CONFIGS = (
@@ -29,7 +30,7 @@ def _replay_total_ns(family: str, workload, x) -> int:
     replayer = Replayer(machine)
     t0 = machine.clock.now()
     replayer.init()
-    replayer.replay_sequence(workload.recordings, inputs={"input": x})
+    replay_sequence(replayer, workload.recordings, inputs={"input": x})
     return machine.clock.now() - t0
 
 

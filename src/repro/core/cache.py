@@ -1,4 +1,4 @@
-"""A small thread-safe LRU cache shared by the replay fast path.
+"""A small LRU cache shared by the replay fast path.
 
 Two users with the same needs:
 
@@ -14,7 +14,6 @@ a capacity bound with least-recently-used eviction.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Callable, Hashable, Optional, Tuple
 
@@ -29,9 +28,7 @@ class LruCache:
 
     ``capacity=None`` means unbounded (the pre-fast-path behaviour of
     the bench recording cache); any positive integer bounds the entry
-    count, evicting the least recently *used* entry first. All
-    operations take an internal lock, so a long-lived serve loop can
-    share one cache across worker threads.
+    count, evicting the least recently *used* entry first.
     """
 
     def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY):
@@ -40,7 +37,6 @@ class LruCache:
                              f"got {capacity}")
         self._capacity = capacity
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -49,50 +45,40 @@ class LruCache:
 
     def lookup(self, key: Hashable) -> Tuple[object, bool]:
         """Return ``(value, hit)``; counts the hit or miss."""
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is _MISSING:
-                self._misses += 1
-                return None, False
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return value, True
+        value = self._entries.get(key, _MISSING)
+        if value is _MISSING:
+            self._misses += 1
+            return None, False
+        self._entries.move_to_end(key)
+        self._hits += 1
+        return value, True
 
     def put(self, key: Hashable, value: object) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while self._capacity is not None and \
-                    len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while self._capacity is not None and \
+                len(self._entries) > self._capacity:
+            self._entries.popitem(last=False)
+            self._evictions += 1
 
     def get_or_produce(self, key: Hashable,
                        produce: Callable[[], object]) -> object:
-        """Return the cached value, producing (and storing) on a miss.
-
-        ``produce`` runs under the cache lock: concurrent callers of
-        the same key see exactly one production. Producers must not
-        re-enter the cache with a *different* key from another thread.
-        """
-        with self._lock:
-            value, hit = self.lookup(key)
-            if hit:
-                return value
-            value = produce()
-            self.put(key, value)
+        """Return the cached value, producing (and storing) on a miss."""
+        value, hit = self.lookup(key)
+        if hit:
             return value
+        value = produce()
+        self.put(key, value)
+        return value
 
     def clear(self) -> None:
         """Drop every entry; accounting survives (it is cumulative)."""
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     # -- introspection ------------------------------------------------------
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def capacity(self) -> Optional[int]:

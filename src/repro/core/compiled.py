@@ -24,8 +24,8 @@ between them; no option does:
 
 - ``Replayer.replay(inputs)`` is width 1 and must be *observably
   identical* to the reference interpreter: same outputs, same
-  :class:`InterpreterStats`, same chokepoint/trace events at the same
-  virtual times; only host time differs.
+  :class:`InterpreterStats`, same flight events at the same virtual
+  times; only host time differs.
   ``tests/core/test_compiled_fastpath.py`` holds this line and
   ``grr doctor --vs-reference`` rests on it.
 - ``Replayer.replay_mega([inputs, ...])`` arms a batch overlay on the
@@ -45,15 +45,9 @@ from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recording import Recording
 from repro.errors import (ReplayAborted, ReplayDivergence, ReplayError,
                           ReplayTimeout)
-from repro.units import LATENCY_BUCKETS_NS
 
 if TYPE_CHECKING:
     from repro.core.mega import Superblock
-
-#: Per-action flags checked in the executor's main loop (cheap integer
-#: tests replacing the interpreter's post-dispatch ``isinstance``).
-FLAG_KICK = 1
-FLAG_IRQ_EXIT = 2
 
 
 class CompiledProgram:
@@ -65,15 +59,16 @@ class CompiledProgram:
     """
 
     def __init__(self, recording: Recording,
-                 specs: List[Tuple], names: List[str],
-                 srcs: List[str], flags: List[int],
+                 specs: List[Tuple], srcs: List[str], kicks: List[bool],
                  intervals: List[int],
                  board_key: Tuple[str, int]):
         self.recording = recording
         self.specs = specs
-        self.names = names
         self.srcs = srcs
-        self.flags = flags
+        #: Per action: is it a job-kick write? (The executor's one
+        #: post-dispatch test, replacing the interpreter's
+        #: ``isinstance``.)
+        self.kicks = kicks
         self.intervals = intervals
         self.board_key = board_key
         #: The map / unmap actions in order: ``(va, pages or None)``.
@@ -129,19 +124,16 @@ def compile_program(recording: Recording,
     every register name eagerly and assumes dump indices are in range.
     """
     specs: List[Tuple] = []
-    names: List[str] = []
     srcs: List[str] = []
-    flags: List[int] = []
+    kicks: List[bool] = []
     intervals: List[int] = []
 
     for action in recording.actions:
-        names.append(type(action).__name__)
         srcs.append(action.src)
         intervals.append(action.min_interval_ns)
-        flag = 0
+        kicks.append(isinstance(action, act.RegWrite)
+                     and action.is_job_kick)
         if isinstance(action, act.RegWrite):
-            if action.is_job_kick:
-                flag |= FLAG_KICK
             specs.append((_REG_WRITE, nano.resolve(action.reg),
                           action.val, action.mask))
         elif isinstance(action, act.RegReadOnce):
@@ -166,53 +158,36 @@ def compile_program(recording: Recording,
         elif isinstance(action, act.IrqEnter):
             specs.append((_IRQ_ENTER,))
         elif isinstance(action, act.IrqExit):
-            flag |= FLAG_IRQ_EXIT
             specs.append((_IRQ_EXIT,))
         elif isinstance(action, (act.CopyToGpu, act.CopyFromGpu)):
             specs.append((_SYNTH_COPY, type(action).__name__))
         else:
             specs.append((_UNKNOWN, type(action).__name__))
-        flags.append(flag)
 
-    return CompiledProgram(recording, specs, names, srcs, flags,
+    return CompiledProgram(recording, specs, srcs, kicks,
                            intervals, (nano.family, nano.mmio_base))
 
 
 class CompiledExecutor:
-    """A compiled program bound to one nano driver and obs session.
+    """A compiled program bound to one nano driver.
 
     Reusable across replays: ``execute`` resets per-run state. The
     per-action closures are built once at bind time and capture the
-    nano driver's bound methods plus pre-created obs counters, so the
-    hot loop does no name resolution, no ``isinstance`` dispatch and
-    no metric-registry lookups.
+    nano driver's bound methods, so the hot loop does no name
+    resolution and no ``isinstance`` dispatch. The executor emits
+    nothing but the nano driver's flight events: the flight tape is
+    the replay's one per-chokepoint stream (DESIGN.md "Flight recorder
+    and the replay doctor").
     """
 
     def __init__(self, program: CompiledProgram, nano: NanoGpuDriver):
         self.program = program
         self.nano = nano
-        self.obs = nano.machine.obs
         self.stats = InterpreterStats()
-        #: Superblocks the most recent ``execute`` ran (0 at width 1).
-        self.superblocks_run = 0
-        self._actions_track = self.obs.track("replay", "actions")
-        self._jobs_track = self.obs.track("replay", "jobs")
-        self._job_span = None
+        #: ``(length, virtual ns)`` of each superblock the most recent
+        #: ``execute`` ran (empty at width 1).
+        self.superblocks_run: List[Tuple[int, int]] = []
         self._flight = nano.flight
-        # With observability off every counter is a null object; the
-        # closures and the loop make metric calls only when a session
-        # is attached. (The executor is re-bound when the machine's
-        # obs session changes.)
-        self._live = self.obs.enabled
-        #: (counter, histogram) of interrupt waits; None when not live
-        #: or when the program never waits.
-        self._irq_metrics = None
-        if self._live and any(spec[0] in (_WAIT_IRQ, _IRQ_ENTER)
-                              for spec in program.specs):
-            self._irq_metrics = (
-                self.obs.counter("replay.irq_waits"),
-                self.obs.histogram("replay.irq_wait_ns",
-                                   LATENCY_BUCKETS_NS))
         self._steps: List[Callable[[int], None]] = [
             self._build_step(i) for i in range(len(program))]
 
@@ -223,31 +198,19 @@ class CompiledExecutor:
         src = self.program.srcs[index]
         kind = spec[0]
         nano = self.nano
-        # One closure per action kind. A metric the closure feeds is
-        # None when no session is attached, and the closure tests for
-        # that, so obs-off replays make no metric calls at all.
-        obs = self.obs
-        live = self._live
 
         if kind == _REG_WRITE:
             _, addr, val, mask = spec
 
-            def step(i, _w=nano.reg_write_at,
-                     _c=obs.counter("replay.reg_writes") if live else None,
-                     _a=addr, _v=val, _m=mask):
-                if _c is not None:
-                    _c.inc()
+            def step(i, _w=nano.reg_write_at, _a=addr, _v=val, _m=mask):
                 _w(_a, _v, _m)
             return step
 
         if kind == _REG_READ_ONCE:
             _, addr, val, ignore, reg = spec
             read_at = nano.reg_read_at
-            ctr = obs.counter("replay.reg_reads") if live else None
 
             def step(i):
-                if ctr is not None:
-                    ctr.inc()
                 value = read_at(addr)
                 if not ignore and value != val:
                     raise ReplayDivergence(
@@ -258,11 +221,8 @@ class CompiledExecutor:
         if kind == _REG_READ_WAIT:
             _, addr, mask, val, timeout_ns, reg = spec
             poll_at = nano.reg_poll_at
-            ctr = obs.counter("replay.reg_polls") if live else None
 
             def step(i):
-                if ctr is not None:
-                    ctr.inc()
                 if not poll_at(addr, mask, val, timeout_ns):
                     raise ReplayTimeout(
                         f"poll of {reg} (mask {mask:#x}, want "
@@ -282,10 +242,6 @@ class CompiledExecutor:
             size = dump.size
             upload = nano.upload
             clock = nano.clock
-            ctrs = (obs.counter("replay.uploads"),
-                    obs.counter("replay.upload_bytes"),
-                    obs.counter("replay.upload_skipped_bytes")
-                    ) if live else None
 
             def step(i):
                 t0 = clock.now_ns
@@ -296,12 +252,6 @@ class CompiledExecutor:
                 skipped = size - uploaded
                 if skipped:
                     stats.upload_skipped_bytes += skipped
-                if ctrs is not None:
-                    uploads_ctr, bytes_ctr, skip_ctr = ctrs
-                    uploads_ctr.inc()
-                    bytes_ctr.inc(uploaded)
-                    if skipped:
-                        skip_ctr.inc(skipped)
             return step
 
         if kind == _WAIT_IRQ:
@@ -345,16 +295,10 @@ class CompiledExecutor:
 
     def _timed_wait_irq(self, timeout_ns: int) -> bool:
         """Block on a GPU interrupt, charging the wait to the stats."""
-        metrics = self._irq_metrics
-        if metrics is not None:
-            metrics[0].inc()
         clock = self.nano.clock
         t0 = clock.now_ns
         ok = self.nano.wait_irq(timeout_ns)
-        waited = clock.now_ns - t0
-        self.stats.irq_wait_ns += waited
-        if metrics is not None:
-            metrics[1].observe(waited)
+        self.stats.irq_wait_ns += clock.now_ns - t0
         return ok
 
     # -- execution ----------------------------------------------------------
@@ -380,23 +324,16 @@ class CompiledExecutor:
                 "compiled programs pace with minimum intervals; use "
                 "the reference interpreter for recorded intervals")
         self.stats = InterpreterStats()
-        self._job_span = None
-        self.superblocks_run = 0
+        self.superblocks_run = []
         stats = self.stats
-        obs = self.obs
-        emit = self._live
         nano = self.nano
         clock = nano.clock
         clock_advance = clock.advance
         steps = self._steps
-        names = self.program.names
         srcs = self.program.srcs
-        flags = self.program.flags
+        kicks = self.program.kicks
         intervals = self.program.intervals
         prologue_len = self.program.recording.meta.prologue_len
-        actions_ctr = obs.counter("replay.actions")
-        pacing_ctr = obs.counter("replay.pacing_wait_ns")
-        actions_track = self._actions_track
         extra_delay = options.extra_delay_ns
         delay_range = options.extra_delay_range
 
@@ -405,14 +342,10 @@ class CompiledExecutor:
         superblocks: Dict[int, Superblock] = {}
         if nano.machine.gpu.mega_batch is not None:
             superblocks = self.program.superblocks()
-            sb_ctr = obs.counter("replay.superblocks")
-            sb_actions_ctr = obs.counter("replay.superblock.actions")
-            sb_hist = obs.histogram("replay.superblock.span_ns",
-                                    LATENCY_BUCKETS_NS)
 
         flight = self._flight
         flight_record = flight.record
-        on_flag = self._on_flag
+        on_kick = self._on_kick
 
         # Loop-local accumulators, written back in ``finally`` so a
         # divergence mid-stream leaves stats as the reference path
@@ -442,29 +375,16 @@ class CompiledExecutor:
                         flight.action_index = i
                         steps[i](i)
                         executed += 1
-                        if flags[i]:
-                            on_flag(flags[i], i)
+                        if kicks[i]:
+                            on_kick()
                     now = clock.now_ns
                     if target_end > now:
                         wait = target_end - now
                         pacing_total += wait
-                        if emit:
-                            pacing_ctr.inc(wait)
                         flight_record(now, "Pacing", (wait,))
                         clock_advance(wait)
-                    self.superblocks_run += 1
-                    if emit:
-                        actions_ctr.inc(block.length)
-                        sb_ctr.inc()
-                        sb_actions_ctr.inc(block.length)
-                        sb_hist.observe(clock.now_ns - sb_t0)
-                        obs.complete(
-                            f"superblock[{block.start}:{block.end}]",
-                            actions_track, sb_t0, clock.now_ns,
-                            cat="replay-superblock",
-                            args={"start": block.start,
-                                  "len": block.length,
-                                  "pacing_ns": block.pacing_ns})
+                    self.superblocks_run.append(
+                        (block.length, clock.now_ns - sb_t0))
                     last_end = clock.now_ns
                     index = block.end
                     continue
@@ -482,41 +402,28 @@ class CompiledExecutor:
                     # this is invisible in virtual time.
                     wait = target - now
                     pacing_total += wait
-                    if emit:
-                        pacing_ctr.inc(wait)
                     flight_record(now, "Pacing", (wait,))
-                    t_start = target
                     clock_advance(wait + ACTION_OVERHEAD_NS)
                 else:
-                    t_start = now
                     clock_advance(ACTION_OVERHEAD_NS)
 
                 steps[index](index)
                 executed += 1
-                if emit:
-                    actions_ctr.inc()
-                    obs.complete(names[index], actions_track, t_start,
-                                 clock.now_ns, cat="replay-action",
-                                 args={"index": index,
-                                       "src": srcs[index]})
-                if flags[index]:
-                    on_flag(flags[index], index)
+                if kicks[index]:
+                    on_kick()
                 last_end = clock.now_ns
 
                 if deposit_inputs is not None and \
                         index == prologue_len - 1:
+                    flight.action_index = -1
                     deposit_inputs()
                     deposit_inputs = None
                     last_end = clock.now_ns
                 index += 1
-        except BaseException:
-            # Mirror the reference interpreter's span hygiene: a
-            # failed replay must not leak an open job span.
-            if self._job_span is not None:
-                obs.end(self._job_span)
-                self._job_span = None
-            raise
         finally:
+            # Whatever runs next (input deposit, output copy, a
+            # recovery reset, the next request) is no action's event.
+            flight.action_index = -1
             stats.actions_executed += executed
             stats.pacing_wait_ns += pacing_total
 
@@ -525,23 +432,11 @@ class CompiledExecutor:
             deposit_inputs()
         return stats
 
-    def _on_flag(self, flag: int, index: int) -> None:
-        """Job bookkeeping after a kick write or an IrqExit."""
+    def _on_kick(self) -> None:
+        """Job bookkeeping after a kick write."""
         stats = self.stats
-        obs = self.obs
-        if flag & FLAG_KICK:
-            now = self.nano.clock.now_ns
-            if stats.first_kick_at_ns < 0:
-                stats.first_kick_at_ns = now
-            stats.jobs_kicked += 1
-            self._flight.record(now, "JobKick", (stats.jobs_kicked - 1,))
-            if self._job_span is not None:
-                obs.end(self._job_span)
-            if self._live:
-                self._job_span = obs.begin(
-                    f"job[{stats.jobs_kicked - 1}]", self._jobs_track,
-                    cat="replay-job", args={"index": index})
-        if flag & FLAG_IRQ_EXIT:
-            if self._job_span is not None:
-                obs.end(self._job_span)
-                self._job_span = None
+        now = self.nano.clock.now_ns
+        if stats.first_kick_at_ns < 0:
+            stats.first_kick_at_ns = now
+        stats.jobs_kicked += 1
+        self._flight.record(now, "JobKick", (stats.jobs_kicked - 1,))

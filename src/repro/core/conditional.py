@@ -18,12 +18,45 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.actions import InterpreterStats
 from repro.core.recording import Recording
 from repro.core.replayer import Replayer, ReplayResult
 from repro.errors import ReplayError
 from repro.soc.machine import Machine
 
 BranchSource = Union[Recording, bytes, Sequence[Recording]]
+
+
+def replay_sequence(replayer: Replayer, recordings: Sequence[Recording],
+                    inputs: Optional[Dict[str, np.ndarray]] = None,
+                    use_recorded_intervals: bool = False
+                    ) -> ReplayResult:
+    """Replay a per-layer chain {R1..Rn} in one session of the
+    initialised ``replayer``: intermediates stay resident in GPU
+    memory between recordings; only R1 takes inputs and only Rn
+    yields outputs (Section 3.1's NN-inference pattern)."""
+    if not recordings:
+        raise ReplayError("empty recording sequence")
+    t_start = replayer.machine.clock.now()
+    total_attempts = 0
+    stats = InterpreterStats()
+    startup = 0
+    for index, recording in enumerate(recordings):
+        replayer.load(recording)
+        result = replayer.replay(
+            inputs=inputs if index == 0 else {},
+            use_recorded_intervals=use_recorded_intervals)
+        if index == 0:
+            startup = result.startup_ns + replayer.load_ns
+            stats.first_kick_at_ns = result.stats.first_kick_at_ns
+        total_attempts += result.attempts
+        stats.add(result.stats)
+    return ReplayResult(
+        outputs=result.outputs,
+        duration_ns=replayer.machine.clock.now() - t_start,
+        attempts=total_attempts,
+        stats=stats,
+        startup_ns=startup)
 
 
 def _as_chain(source: BranchSource) -> List[Recording]:
@@ -89,7 +122,7 @@ class ConditionalReplayApp:
         if len(chain) == 1:
             self.replayer.load(chain[0])
             return self.replayer.replay(inputs=inputs)
-        return self.replayer.replay_sequence(chain, inputs=inputs)
+        return replay_sequence(self.replayer, chain, inputs=inputs)
 
     def run(self, x: np.ndarray,
             input_name: str = "input") -> ReplayResult:

@@ -28,7 +28,6 @@ from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recording import Recording
 from repro.errors import (ReplayAborted, ReplayDivergence, ReplayError,
                           ReplayTimeout)
-from repro.units import LATENCY_BUCKETS_NS
 
 if TYPE_CHECKING:
     from repro.core.checkpoints import CheckpointManager
@@ -47,11 +46,6 @@ class ReplayInterpreter:
         self.should_yield = should_yield
         self.checkpoints = checkpoints
         self.stats = InterpreterStats()
-        obs = nano.machine.obs
-        self._obs = obs
-        self._actions_track = obs.track("replay", "actions")
-        self._jobs_track = obs.track("replay", "jobs")
-        self._job_span = None
 
     def execute(self,
                 deposit_inputs: Optional[Callable[[], None]] = None,
@@ -89,54 +83,36 @@ class ReplayInterpreter:
                 if target > clock.now():
                     wait = target - clock.now()
                     self.stats.pacing_wait_ns += wait
-                    self._obs.counter("replay.pacing_wait_ns").inc(wait)
                     # Recorded before the advance so events firing
                     # during the wait land after the decision -- the
                     # compiled path does the same.
                     flight.record(clock.now(), "Pacing", (wait,))
                     clock.advance(wait)
-                t_start = clock.now()
                 clock.advance(ACTION_OVERHEAD_NS)
 
                 self._execute_one(action, index)
                 self.stats.actions_executed += 1
-                self._obs.counter("replay.actions").inc()
-                self._obs.complete(
-                    type(action).__name__, self._actions_track, t_start,
-                    clock.now(), cat="replay-action",
-                    args={"index": index, "src": action.src})
                 if isinstance(action, act.RegWrite) and action.is_job_kick:
                     if self.stats.first_kick_at_ns < 0:
                         self.stats.first_kick_at_ns = clock.now()
                     self.stats.jobs_kicked += 1
                     flight.record(clock.now(), "JobKick",
                                   (self.stats.jobs_kicked - 1,))
-                    if self._job_span is not None:
-                        self._obs.end(self._job_span)
-                    self._job_span = self._obs.begin(
-                        f"job[{self.stats.jobs_kicked - 1}]",
-                        self._jobs_track, cat="replay-job",
-                        args={"index": index})
-                if isinstance(action, act.IrqExit):
-                    if self._job_span is not None:
-                        self._obs.end(self._job_span)
-                        self._job_span = None
-                    if self.checkpoints is not None:
-                        self.checkpoints.maybe_take(index + 1,
-                                                    self.stats.jobs_kicked)
+                if isinstance(action, act.IrqExit) and \
+                        self.checkpoints is not None:
+                    self.checkpoints.maybe_take(index + 1,
+                                                self.stats.jobs_kicked)
                 last_end = clock.now()
 
                 if deposit_inputs is not None and index == prologue_len - 1:
+                    flight.action_index = -1
                     deposit_inputs()
                     deposit_inputs = None
                     last_end = clock.now()
-        except BaseException:
-            # Divergence/timeout/abort mid-stream: the job span would
-            # otherwise leak open in the tracer forever.
-            if self._job_span is not None:
-                self._obs.end(self._job_span)
-                self._job_span = None
-            raise
+        finally:
+            # Whatever runs next (input deposit, output copy, a
+            # recovery reset, the next request) is no action's event.
+            flight.action_index = -1
 
         if deposit_inputs is not None:
             # Degenerate recording with no prologue: deposit up front.
@@ -147,19 +123,15 @@ class ReplayInterpreter:
 
     def _execute_one(self, action: act.Action, index: int) -> None:
         nano = self.nano
-        obs = self._obs
         if isinstance(action, act.RegWrite):
-            obs.counter("replay.reg_writes").inc()
             nano.reg_write(action.reg, action.val, action.mask)
         elif isinstance(action, act.RegReadOnce):
-            obs.counter("replay.reg_reads").inc()
             value = nano.reg_read(action.reg)
             if not action.ignore and value != action.val:
                 raise ReplayDivergence(
                     f"register {action.reg} read {value:#x}, recorded "
                     f"{action.val:#x}", index, action.src)
         elif isinstance(action, act.RegReadWait):
-            obs.counter("replay.reg_polls").inc()
             ok = nano.reg_poll(action.reg, action.mask, action.val,
                                action.timeout_ns)
             if not ok:
@@ -179,21 +151,14 @@ class ReplayInterpreter:
             uploaded = nano.upload(action.addr, dump)
             self.stats.upload_ns += nano.clock.now() - t0
             self.stats.upload_bytes += uploaded
-            obs.counter("replay.uploads").inc()
-            obs.counter("replay.upload_bytes").inc(uploaded)
             skipped = dump.size - uploaded
             if skipped:
                 self.stats.upload_skipped_bytes += skipped
-                obs.counter("replay.upload_skipped_bytes").inc(skipped)
         elif isinstance(action, act.WaitIrq):
             self.stats.irqs_waited += 1
-            obs.counter("replay.irq_waits").inc()
             t0 = nano.clock.now()
             ok = nano.wait_irq(action.timeout_ns)
-            waited = nano.clock.now() - t0
-            self.stats.irq_wait_ns += waited
-            obs.histogram("replay.irq_wait_ns",
-                          LATENCY_BUCKETS_NS).observe(waited)
+            self.stats.irq_wait_ns += nano.clock.now() - t0
             if not ok:
                 raise ReplayTimeout(
                     "no GPU interrupt arrived in time", index, action.src)
@@ -201,14 +166,9 @@ class ReplayInterpreter:
             if nano.pending_irqs == 0:
                 # The record-time interrupt preempted the CPU; replay
                 # synchronizes on its arrival here instead.
-                obs.counter("replay.irq_waits").inc()
                 t0 = nano.clock.now()
                 ok = nano.wait_irq(IMPLICIT_IRQ_TIMEOUT_NS)
-                waited = nano.clock.now() - t0
-                self.stats.irq_wait_ns += waited
-                obs.histogram(
-                    "replay.irq_wait_ns",
-                    LATENCY_BUCKETS_NS).observe(waited)
+                self.stats.irq_wait_ns += nano.clock.now() - t0
                 if not ok:
                     raise ReplayTimeout(
                         "no GPU interrupt for asynchronous irq context",

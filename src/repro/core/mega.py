@@ -31,7 +31,7 @@ from repro.core.nano_driver import UPLOAD_BW
 from repro.core.recording import Recording
 from repro.errors import MegaBatchDivergence, ReplayAborted, ReplayError
 from repro.gpu.shader_batch import BatchEnv
-from repro.units import SEC
+from repro.units import LATENCY_BUCKETS_NS, SEC
 
 
 @dataclass(frozen=True)
@@ -158,21 +158,32 @@ def replay_mega(replayer,
 
     try:
         stats, outputs = replayer._attempt(
-            span, 1, run, lambda rec: _extract_mega(replayer, rec, env))
+            span, 1, executor, run,
+            lambda rec: _extract_mega(replayer, rec, env))
     except ReplayAborted:
         raise
     except ReplayError:
         obs.counter("replay.mega.diverged").inc()
         replayer._end_span(span, failed=True)
         raise
-    replayer._end_span(span, batch=n,
-                       superblocks=executor.superblocks_run)
+    finally:
+        # (length, virtual ns) of each superblock the pass ran.
+        blocks = executor.superblocks_run
+        obs.counter("replay.superblocks").inc(len(blocks))
+        actions = obs.counter("replay.superblock.actions")
+        span_ns = obs.histogram("replay.superblock.span_ns",
+                                LATENCY_BUCKETS_NS)
+        for length, block_ns in blocks:
+            actions.inc(length)
+            span_ns.observe(block_ns)
+    superblocks = len(executor.superblocks_run)
+    replayer._end_span(span, batch=n, superblocks=superblocks)
     return MegaReplayResult(
         outputs=outputs,
         duration_ns=replayer.machine.clock.now() - t_start,
         stats=stats,
         batch=n,
-        superblocks=executor.superblocks_run,
+        superblocks=superblocks,
         startup_ns=(stats.first_kick_at_ns - t_start
                     if stats.first_kick_at_ns >= 0 else 0))
 

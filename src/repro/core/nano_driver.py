@@ -85,9 +85,9 @@ class NanoGpuDriver:
         # this driver is likewise the chokepoint they all cross.
         self.counters = gpu.counters
         self._in_poll = False
-        #: Set by the replayer's ``request_preempt``: the replay in
-        #: flight aborts before its next action (both executors read
-        #: this flag once per action).
+        #: Set by an environment that wants the GPU back: the replay
+        #: in flight aborts before its next action (both executors
+        #: read this flag once per action).
         self.preempt_requested = False
 
     # -- register map (the §5.1 name->address resolution) -----------------------
@@ -199,7 +199,6 @@ class NanoGpuDriver:
         """The bare-minimum handler: note arrival, nothing else."""
         del line
         self._irq_count += 1
-        self.machine.obs.counter("nano.irqs").inc()
         self.machine.irq.ack(self.irq_number)
 
     def wait_irq(self, timeout_ns: int) -> bool:

@@ -18,10 +18,9 @@ they do (DESIGN.md "Layering").
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, Optional, Sequence,
-                    Tuple)
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,15 +72,10 @@ LOAD_CACHE = LruCache(capacity=LOAD_CACHE_CAPACITY)
 #: pays for each).
 BOUND_EXECUTORS = 4
 
-#: Compressed-blob digest -> decoded Recording, so ``load_bytes`` of a
-#: known blob skips decompression and decoding entirely.
-BLOB_CACHE = LruCache(capacity=LOAD_CACHE_CAPACITY)
-
 
 def clear_load_cache() -> None:
-    """Drop both fast-path caches (tests and long-lived daemons)."""
+    """Drop the load cache (tests and long-lived daemons)."""
     LOAD_CACHE.clear()
-    BLOB_CACHE.clear()
 
 
 def recovery_delay_window(fail_index: int) -> Tuple[int, int]:
@@ -146,10 +140,9 @@ class Replayer:
         self.last_load_info: Dict[str, object] = {}
         #: Delay window of the most recent §5.4 injected-delay retry.
         self.last_delay_range: Optional[Tuple[int, int]] = None
-        #: (CompiledProgram, obs session), both by identity -> the
-        #: executor bound to this replayer's nano driver. Lives here,
-        #: not in the process-wide load cache: an executor references
-        #: the machine.
+        #: CompiledProgram (by identity) -> the executor bound to this
+        #: replayer's nano driver. Lives here, not in the process-wide
+        #: load cache: an executor references the machine.
         self._executors = LruCache(capacity=BOUND_EXECUTORS)
         #: The executor the most recent fast-path replay ran on.
         self._executor: Optional[CompiledExecutor] = None
@@ -268,15 +261,6 @@ class Replayer:
         obs.gauge("replay.load_ns").set(self.load_ns)
         return report
 
-    def load_bytes(self, blob: bytes) -> VerificationReport:
-        """Load from serialized bytes; known blobs skip decoding."""
-        blob_key = hashlib.sha256(blob).hexdigest()
-        recording, hit = BLOB_CACHE.lookup(blob_key)
-        if not hit:
-            recording = Recording.from_bytes(blob)
-            BLOB_CACHE.put(blob_key, recording)
-        return self.load(recording)
-
     def _load_key(self, recording: Recording) -> tuple:
         # The GPU family rides along explicitly even though the
         # register-map fingerprint already covers it: the fingerprint
@@ -330,17 +314,18 @@ class Replayer:
                 use_recorded_intervals=use_recorded_intervals,
                 extra_delay_ns=extra_delay,
                 extra_delay_range=delay_range)
-
-            def run() -> InterpreterStats:
-                if executor is not None:
-                    return executor.execute(options, deposit, should_yield)
+            if executor is not None:
+                runner = executor
+                run = partial(executor.execute, options, deposit,
+                              should_yield)
+            else:
                 from repro.core.interpreter import ReplayInterpreter
-                return ReplayInterpreter(
-                    self.nano, recording, options, should_yield,
-                    self.checkpoints).execute(deposit)
+                runner = ReplayInterpreter(self.nano, recording, options,
+                                           should_yield, self.checkpoints)
+                run = partial(runner.execute, deposit)
             try:
-                stats, outputs = self._attempt(replay_span, attempts, run,
-                                               self._extract)
+                stats, outputs = self._attempt(replay_span, attempts,
+                                               runner, run, self._extract)
                 self._end_span(replay_span, attempts=attempts)
                 return ReplayResult(
                     outputs=outputs,
@@ -392,12 +377,14 @@ class Replayer:
             getattr(last_error, "action_index", -1),
             getattr(last_error, "source", ""))
 
-    def _attempt(self, span, attempt: int, run, extract):
-        """One pass over the staged recording plus the epilogue every
-        executor shares: note the session's mappings and extract on
-        success, close ``span`` on an abort, and mark any other failure
-        in the flight ring so the doctor can anchor its report. Errors
-        propagate; returns ``(stats, extracted outputs)``."""
+    def _attempt(self, span, attempt: int, runner, run, extract):
+        """One pass of ``runner`` (``run()`` executes it) over the
+        staged recording plus the epilogue every executor shares: note
+        the session's mappings and extract on success, close ``span``
+        on an abort, mark any other failure in the flight ring so the
+        doctor can anchor its report, and publish the pass to the obs
+        session. Errors propagate; returns ``(stats, extracted
+        outputs)``."""
         try:
             stats = run()
             for va, pages in self.program.map_effects:
@@ -410,10 +397,14 @@ class Replayer:
             self._end_span(span, aborted=True)
             raise
         except ReplayError as error:
-            self.machine.flight.record(
-                self.machine.clock.now(), "Divergence",
-                (attempt, type(error).__name__))
+            flight = self.machine.flight
+            flight.action_index = error.action_index
+            flight.record(self.machine.clock.now(), "Divergence",
+                          (attempt, type(error).__name__))
+            flight.action_index = -1
             raise
+        finally:
+            self.machine.obs.publish_replay(self.current, runner.stats)
 
     def _end_span(self, span, **args) -> None:
         """End a replay's session span and publish the flight
@@ -427,10 +418,8 @@ class Replayer:
                        ) -> Optional[CompiledExecutor]:
         """The bound compiled executor, or None for the reference path.
 
-        Bound lazily, once per staged program and observability
-        session: executors of recently staged programs are kept across
-        ``load``/``reset_session``, and a swapped ``machine.obs``
-        binds afresh.
+        Bound lazily, once per staged program: executors of recently
+        staged programs are kept across ``load``/``reset_session``.
         """
         if (not self.fast_path or self.program is None
                 or use_recorded_intervals or self.checkpoints is not None):
@@ -439,43 +428,8 @@ class Replayer:
         # against an earlier Recording object with the same digest --
         # byte-identical content, so it replays this recording exactly.
         self._executor = self._executors.get_or_produce(
-            (self.program, self.machine.obs),
-            lambda: self.program.bind(self.nano))
+            self.program, lambda: self.program.bind(self.nano))
         return self._executor
-
-    def replay_sequence(self, recordings: Sequence[Recording],
-                        inputs: Optional[Dict[str, np.ndarray]] = None,
-                        use_recorded_intervals: bool = False
-                        ) -> ReplayResult:
-        """Replay a per-layer chain {R1..Rn} in one session.
-
-        Intermediates stay resident in replayer-owned GPU memory
-        between recordings; only R1 takes inputs and only Rn yields
-        outputs (Section 3.1's NN-inference pattern).
-        """
-        if not recordings:
-            raise ReplayError("empty recording sequence")
-        t_start = self.machine.clock.now()
-        total_attempts = 0
-        stats = InterpreterStats()
-        result: Optional[ReplayResult] = None
-        startup = 0
-        for index, recording in enumerate(recordings):
-            self.load(recording)
-            result = self.replay(
-                inputs=inputs if index == 0 else {},
-                use_recorded_intervals=use_recorded_intervals)
-            if index == 0:
-                startup = result.startup_ns + self.load_ns
-                stats.first_kick_at_ns = result.stats.first_kick_at_ns
-            total_attempts += result.attempts
-            stats.add(result.stats)
-        return ReplayResult(
-            outputs=result.outputs,
-            duration_ns=self.machine.clock.now() - t_start,
-            attempts=total_attempts,
-            stats=stats,
-            startup_ns=startup)
 
     # -- API: mega-batch replay ----------------------------------------------------------
 
@@ -491,32 +445,7 @@ class Replayer:
         from repro.core.mega import replay_mega
         return replay_mega(self, inputs_list, should_yield)
 
-    # -- CPU footprint (Section 7.3) ---------------------------------------------------------
-
-    #: Fixed resident memory of the replayer itself: code, the
-    #: interpreter's state, the nano driver's bookkeeping.
-    REPLAYER_RSS_BYTES = 2 * 1024 * 1024
-
-    def cpu_footprint_bytes(self) -> int:
-        """Modeled resident CPU memory of the replayer (§7.3).
-
-        The replayer holds the decompressed recording (actions +
-        staged dumps) and little else -- no GPU contexts, no JIT
-        caches, no NN graph structures.
-        """
-        if not self._initialized:
-            return 0
-        staged = self.current.size_unzipped() if self.current else 0
-        checkpoints = sum(c.bytes_captured
-                          for c in self.checkpoints.checkpoints) \
-            if self.checkpoints is not None else 0
-        return self.REPLAYER_RSS_BYTES + staged + checkpoints
-
     # -- preemption (Section 5.3) ----------------------------------------------------------
-
-    def request_preempt(self) -> None:
-        """Ask the running replay to yield at the next action."""
-        self.nano.preempt_requested = True
 
     def handoff(self) -> int:
         """Give the GPU away *now*: flush + soft reset. Returns the
@@ -539,7 +468,10 @@ class Replayer:
         interpreter = ReplayInterpreter(self.nano, recording,
                                         InterpreterOptions(),
                                         checkpoints=None)
-        stats = interpreter.execute(start_index=checkpoint.action_index)
+        try:
+            stats = interpreter.execute(start_index=checkpoint.action_index)
+        finally:
+            self.machine.obs.publish_replay(recording, interpreter.stats)
         outputs = self._extract(recording)
         return ReplayResult(outputs=outputs,
                             duration_ns=self.machine.clock.now() - t_start,

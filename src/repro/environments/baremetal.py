@@ -105,4 +105,5 @@ class BaremetalEnvironment(DeploymentEnvironment):
             known = sorted(self.embedded)
             raise EnvironmentError_(
                 f"no embedded recording {name!r}; linked: {known}")
-        return self.require_replayer().load_bytes(self.embedded[name].blob)
+        return self.require_replayer().load(
+            Recording.from_bytes(self.embedded[name].blob))

@@ -84,21 +84,15 @@ class FleetConfig:
     queue_depth: int = 256
     max_batch: int = 4
     trace: bool = True
-    #: Per-node time-series scraping (off by default: a fleet run
-    #: scrapes N registries per interval).
-    timeseries: bool = False
-    gpu_counters: bool = True
     #: (tenant, max in-flight) pairs; absent tenants are unlimited.
     quotas: Tuple[Tuple[str, int], ...] = ()
-    #: Queue depth at which best-effort (priority 0) traffic sheds;
-    #: None = half the node queue bound.
-    best_effort_limit: Optional[int] = None
 
     def node_config(self, node_id: int) -> ServerConfig:
         """The ServerConfig one node boots with (``WORKERS_MIN``
         workers per hosted family; the autoscaler grows from there).
         Node seeds are deterministic functions of the fleet seed, so
-        same-seed fleets build identical machines."""
+        same-seed fleets build identical machines. Nodes keep no time
+        series: a fleet run would scrape N registries per interval."""
         families = tuple(family for family in self.node_families
                          for _ in range(WORKERS_MIN))
         return ServerConfig(
@@ -107,8 +101,7 @@ class FleetConfig:
             queue_depth=self.queue_depth,
             max_batch=self.max_batch,
             trace=self.trace,
-            timeseries=self.timeseries,
-            gpu_counters=self.gpu_counters)
+            timeseries=False)
 
 
 @dataclass
@@ -237,16 +230,13 @@ class Fleet:
         for request in ordered:
             self.clock.schedule(request.arrival_ns,
                                 lambda r=request: self._on_arrival(r))
-        # Autoscalers and per-node scrapes piggyback on the drain loop
-        # (see repro.fleet.autoscale for why they are not clock
-        # events of their own).
+        # Autoscalers piggyback on the drain loop (see
+        # repro.fleet.autoscale for why they are not clock events of
+        # their own).
         while self.clock.advance_to_next_event():
             now = self.clock.now()
             for scaler in self.autoscalers:
                 scaler.maybe_scale(now)
-            for server in self.servers:
-                if server.timeseries is not None:
-                    server.timeseries.maybe_scrape(now)
         now = self.clock.now()
         for scaler in self.autoscalers:
             scaler.drain(now)
@@ -259,18 +249,14 @@ class Fleet:
 
     # -- admission + routing ------------------------------------------------
 
-    def _best_effort_limit(self) -> int:
-        if self.config.best_effort_limit is not None:
-            return self.config.best_effort_limit
-        return self.config.queue_depth // 2
-
     def _on_arrival(self, request: ServeRequest) -> None:
         cfg = self.config
         self.obs.counter("fleet.requests.submitted").inc()
         candidates = list(range(cfg.nodes))
         min_pending = min(s.pending_count() for s in self.servers)
+        # Best-effort traffic sheds once every node's queue is half full.
         reason = self.admission.reject_reason(
-            request, min_pending, self._best_effort_limit())
+            request, min_pending, cfg.queue_depth // 2)
         if reason is not None:
             self._shed_at_router(request, reason)
             return

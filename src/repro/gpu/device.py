@@ -39,8 +39,6 @@ class RunningJob:
     programs: List[object]
     completion: Optional[EventHandle]
     active_cores: int
-    #: Open timeline span while the job executes (obs plumbing).
-    obs_span: Optional[object] = None
 
 
 class GpuDevice:
@@ -173,32 +171,23 @@ class GpuDevice:
         self.busy_transitions.clear()
         self.busy_transitions.append((self.machine.clock.now(), self.busy))
 
-    # -- job execution timeline (obs plumbing) ----------------------------------
+    # -- job execution marks (flight events) -------------------------------------
 
     def note_job_executing(self, job: RunningJob) -> None:
-        """Open a timeline span on the job's slot track; family device
+        """Mark the job's start on the flight tape; family device
         models call this when the hardware actually starts crunching
-        (not at enqueue -- queued jobs have no span yet)."""
+        (not at enqueue). The timeline's slot rows are drawn from
+        these marks (:func:`repro.obs.chrome_trace.flight_chrome_events`)."""
         machine = self.machine
         machine.flight.record(machine.clock.now_ns, "GpuJobStart",
                               (job.slot, job.chain_va))
-        obs = machine.obs
-        if obs.enabled:
-            job.obs_span = obs.begin(
-                f"job@{job.chain_va:#x}",
-                obs.track(f"gpu:{self.model_name}", f"slot{job.slot}"),
-                cat="gpu-job",
-                args={"cores": job.active_cores})
 
     def note_job_retired(self, job: Optional[RunningJob]) -> None:
-        """Close the slot span (completion, fault, or hard stop)."""
+        """Mark the job's end (completion, fault, or hard stop)."""
         if job is not None:
             self.machine.flight.record(self.machine.clock.now_ns,
                                        "GpuJobRetire",
                                        (job.slot, job.chain_va))
-            if job.obs_span is not None:
-                self.machine.obs.end(job.obs_span)
-                job.obs_span = None
 
     # -- shader fetch and execution (shared by the family paths) -----------------
 

@@ -12,8 +12,10 @@ the one place all of that telemetry flows through:
 - :mod:`repro.obs.session` -- the :class:`Observability` object that a
   :class:`~repro.soc.machine.Machine` carries (a no-op null object by
   default, so the instrumented code paths cost nothing when disabled);
-- :mod:`repro.obs.chrome_trace` -- a validator for the exported
-  timeline (used by tests, ``grr trace`` and the CI smoke job);
+- :mod:`repro.obs.chrome_trace` -- the one flight-to-Chrome
+  converter (the replay timeline rows are a view of the flight tape)
+  and a validator for the exported timeline (used by tests,
+  ``grr trace`` and the CI smoke job);
 - :mod:`repro.soc.flight` -- the always-on bounded flight recorder
   every machine carries (forensics for ``grr doctor``) lives beside
   the machine, as does the null session this package re-imports;

@@ -42,6 +42,8 @@ from repro.core.recording import Recording
 from repro.core.replay import boot_replayer, seeded_inputs
 from repro.core.replayer import Replayer
 from repro.errors import ObsError, ReplayError
+from repro.obs.chrome_trace import event_to_dict, flight_chrome_events
+from repro.obs.tracer import SpanTracer
 from repro.soc.machine import Machine
 
 #: Bump when a field of :class:`DivergenceReport` changes meaning.
@@ -49,47 +51,6 @@ SCHEMA_VERSION = 1
 
 #: Flight events on each side of the anchor included in a report.
 WINDOW_EVENTS = 48
-
-#: Field names for each flight event kind's ``detail`` tuple. This
-#: table is part of the stable report schema: renaming a kind or
-#: reordering its fields changes what saved DivergenceReports mean.
-FLIGHT_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "RegWrite": ("addr", "val", "mask"),
-    "RegRead": ("addr", "val"),
-    "RegPoll": ("addr", "mask", "want", "polls", "ok", "last"),
-    "WaitIrq": ("timeout_ns", "ok", "waited_ns"),
-    "IrqEnter": (),
-    "IrqExit": (),
-    "MemMap": ("va", "num_pages"),
-    "MemUnmap": ("va", "num_pages"),
-    "SetPgtable": ("memattr",),
-    "Upload": ("va", "size", "moved"),
-    "CopyToGpu": ("va", "size"),
-    "CopyFromGpu": ("va", "size"),
-    "Reset": ("cause",),
-    "Pacing": ("wait_ns",),
-    "JobKick": ("job",),
-    "GpuIrqRaise": ("line",),
-    "GpuJobStart": ("slot", "chain_va"),
-    "GpuJobRetire": ("slot", "chain_va"),
-    "Preempt": ("app",),
-    "Divergence": ("attempt", "error"),
-}
-
-
-def event_to_dict(event: Tuple) -> Dict[str, object]:
-    """Expand a raw flight ring tuple into a JSON-friendly dict."""
-    seq, t_ns, kind, action_index, detail = event
-    out: Dict[str, object] = {
-        "seq": seq, "t_ns": t_ns, "kind": kind,
-        "action_index": action_index,
-    }
-    fields = FLIGHT_FIELDS.get(kind)
-    if fields is not None and len(fields) == len(detail):
-        out.update(zip(fields, detail))
-    else:
-        out["detail"] = list(detail)
-    return out
 
 
 @dataclass
@@ -193,31 +154,25 @@ class DivergenceReport:
         return "\n".join(lines)
 
     def flight_chrome_trace(self) -> Dict[str, object]:
-        """The flight window as Chrome trace-event JSON (``grr trace``)."""
-        events: List[Dict[str, object]] = [
-            {"ph": "M", "pid": 1, "tid": 1, "name": "process_name",
-             "args": {"name": "flight-recorder"}},
-            {"ph": "M", "pid": 1, "tid": 1, "name": "thread_name",
-             "args": {"name": f"doctor:{self.kind}"}},
-        ]
-        for entry in self.flight_window:
-            args = {k: v for k, v in entry.items()
-                    if k not in ("t_ns", "kind")}
-            events.append({
-                "ph": "i", "pid": 1, "tid": 1, "s": "t",
-                "name": str(entry.get("kind", "?")),
-                "ts": entry.get("t_ns", 0) / 1e3,
-                "args": args,
-            })
-        events.append({
-            "ph": "i", "pid": 1, "tid": 1, "s": "t",
+        """The flight window as Chrome trace-event JSON (``grr trace``):
+        the live timeline's action, job and slot rows, each window
+        event as an instant, and the divergence marker."""
+        tracer = SpanTracer(clock=None)
+        marks = tracer.track("flight-recorder", f"doctor:{self.kind}")
+        gpu = self.environment.get("gpu_model")
+        events = flight_chrome_events(
+            self.flight_window, tracer.track,
+            f"gpu:{gpu}" if gpu else "gpu", chokepoints=marks)
+        trace = tracer.to_chrome_trace()
+        trace["traceEvents"] += events + [{
+            "ph": "i", "pid": marks.pid, "tid": marks.tid, "s": "t",
             "name": f"DIVERGENCE:{self.kind}",
             "ts": self.t_ns / 1e3,
             "args": {"action_index": self.action_index,
                      "event_index": self.event_index,
                      "message": self.message},
-        })
-        return {"traceEvents": events, "displayTimeUnit": "ns"}
+        }]
+        return trace
 
 
 def _render_kv(mapping: Dict[str, object],

@@ -54,8 +54,8 @@ def forensics_bundle(outdir: str) -> int:
     """
     from repro.core.replay import boot_replayer, seeded_inputs
     from repro.errors import ReplayError
-    from repro.obs.doctor import (event_to_dict, flip_dump_byte,
-                                  report_from_error)
+    from repro.obs.doctor import flip_dump_byte, report_from_error
+    from repro.obs.chrome_trace import event_to_dict
 
     os.makedirs(outdir, exist_ok=True)
     recording = _record_mnist(os.path.join(outdir, "mnist.grr"))

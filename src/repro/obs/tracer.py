@@ -3,8 +3,10 @@
 Spans are emitted as Chrome trace-event JSON (the format loaded by
 ``chrome://tracing`` and Perfetto). Every span lives on a *track* --
 one (pid, tid) pair per simulated process/thread: the CPU environment
-gets one pid with tids for the main thread, the IRQ context and the
-replay streams; each GPU gets its own pid with one tid per job slot.
+gets one pid with tids for its streams; each GPU gets its own pid.
+The replay path's per-action, per-job and GPU-slot rows are not spans:
+an obs session draws them from the flight tape on the same tracks
+(:func:`repro.obs.chrome_trace.flight_chrome_events`).
 
 The tracer NEVER advances the clock; it only reads ``clock.now()``.
 That is the determinism contract of the whole obs layer: virtual-time

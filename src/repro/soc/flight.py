@@ -1,13 +1,14 @@
 """The flight recorder: always-on, bounded chokepoint history.
 
-Full tracing (:mod:`repro.obs.tracer`) is opt-in and unbounded; the
-flight recorder is the opposite trade-off, after rr's "always be
-recording" lesson: every machine keeps a fixed-size ring of the most
-recent chokepoint events -- register I/O, polls, IRQ waits, memory
-maps, uploads, pacing decisions, job kicks -- even when observability
-is off. When a replay diverges, the ring *is* the forensic record: the
-doctor (:mod:`repro.obs.doctor`) folds its tail into the
-:class:`~repro.obs.doctor.DivergenceReport`.
+The replay path's one per-chokepoint event stream, after rr's "always
+be recording" lesson: every machine keeps a fixed-size ring of the
+most recent chokepoint events -- register I/O, polls, IRQ waits,
+memory maps, uploads, pacing decisions, job kicks -- even when
+observability is off. When a replay diverges, the ring *is* the
+forensic record: the doctor (:mod:`repro.obs.doctor`) folds its tail
+into the :class:`~repro.obs.doctor.DivergenceReport`. An obs session
+captures the whole stream on a tape (:meth:`FlightRecorder.
+start_capture`) and draws its replay timeline and metrics from it.
 
 Contract (same as the rest of the obs layer, but stricter because the
 recorder cannot be turned off): recording an event never touches the
@@ -43,10 +44,10 @@ class FlightRecorder:
     """Fixed-size ring of recent chokepoint events, always on.
 
     One per :class:`~repro.soc.machine.Machine` (``machine.flight``).
-    Executors keep :attr:`action_index` pointed at the replay action
-    currently in flight so every event lands pre-attributed; code that
-    runs outside a replay (record-time device activity) tags events
-    with whatever index is current, usually ``-1``.
+    Executors point :attr:`action_index` at the replay action in flight
+    so every event lands pre-attributed, and set it to ``-1`` whenever
+    no action runs: input deposit, output copy, recovery resets and
+    record-time device activity are no action's events.
     """
 
     __slots__ = ("ring", "seq", "action_index", "_tape")
@@ -58,7 +59,8 @@ class FlightRecorder:
         self.ring: deque = deque(maxlen=capacity)
         #: Total events ever recorded; the next event's sequence number.
         self.seq = 0
-        #: Replay action currently executing (set by the interpreters).
+        #: Replay action currently executing, -1 between actions (set
+        #: by the executors).
         self.action_index = -1
         self._tape: Optional[list] = None
 
@@ -76,12 +78,8 @@ class FlightRecorder:
     # -- capacity accounting --------------------------------------------------
 
     @property
-    def capacity(self) -> int:
-        return self.ring.maxlen or 0
-
-    @property
     def ring_size(self) -> int:
-        """Alias for :attr:`capacity` (stable report-schema name)."""
+        """The ring's capacity (stable report-schema name)."""
         return self.ring.maxlen or 0
 
     @property
@@ -120,10 +118,11 @@ class FlightRecorder:
     def start_capture(self) -> List[Tuple]:
         """Additionally copy every future event onto an unbounded tape.
 
-        The doctor's fast-vs-reference lockstep comparison needs the
-        *complete* event stream of one replay, not just the ring tail;
-        the returned list grows as events arrive and stays valid after
-        :meth:`stop_capture`.
+        The doctor's fast-vs-reference lockstep comparison and an obs
+        session need the *complete* event stream, not just the ring
+        tail; the returned list grows as events arrive and stays valid
+        after :meth:`stop_capture`. One tape at a time: a new capture
+        replaces the running one.
         """
         self._tape = []
         return self._tape

@@ -100,6 +100,9 @@ class NullObservability:
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
+    def publish_replay(self, recording, stats) -> None:
+        pass
+
     def driver_tracer(self):
         return None
 

@@ -37,7 +37,7 @@ REPLAYS = (("mali", "mnist"), ("v3d", "mnist"), ("adreno", "mnist"),
 
 #: entry -> (forbidden packages, module / line / byte ceilings; None
 #: is unpinned). Module ceilings are exactly what this tree measures;
-#: lines and bytes (1,787 / 61,861 and 7,690 / 292,127 measured) carry
+#: lines and bytes (1,789 / 62,030 and 7,493 / 283,795 measured) carry
 #: about half a percent of slack so that a bug fix does not trip them.
 #: All may only shrink. An entry is an import statement's module or a
 #: ``(family, model)`` recording replayed by ``python -m
@@ -45,7 +45,7 @@ REPLAYS = (("mali", "mnist"), ("v3d", "mnist"), ("adreno", "mnist"),
 BUDGET = {
     "repro.soc.machine": (
         ("gpu", "core", "environments") + ABOVE_CORE, 13, 1796, 62200),
-    **{replay: (("environments",) + ABOVE_CORE, 34, 7730, 293600)
+    **{replay: (("environments",) + ABOVE_CORE, 34, 7530, 285200)
        for replay in REPLAYS},
     "repro.store": (
         ("stack", "serve", "fleet", "surgery", "bench", "environments",

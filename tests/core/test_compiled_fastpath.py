@@ -118,7 +118,7 @@ class TestOneLoopTwoWidths:
 
         assert mega.batch == 1 and mega.attempts == 1
         assert mega.superblocks > 0
-        assert r_solo._executor.superblocks_run == 0
+        assert r_solo._executor.superblocks_run == []
         for name, want in solo.outputs.items():
             assert np.asarray(mega.outputs[0][name]).tobytes() == \
                 np.asarray(want).tobytes()

@@ -63,7 +63,7 @@ def preempted_at(fast_path, how):
     def one_ms_in():
         fired.append(True)
         if how == "request":
-            replayer.request_preempt()
+            replayer.nano.preempt_requested = True
     replayer.machine.clock.schedule(1_000_000, one_ms_in)
     should_yield = (lambda: bool(fired)) if how == "caller" else None
     with pytest.raises(ReplayAborted) as info:
@@ -77,7 +77,7 @@ def preempted_at(fast_path, how):
 
 
 def test_preemption_stops_both_executors_at_one_index():
-    """``request_preempt`` from a clock event, and a caller's
+    """``nano.preempt_requested`` set from a clock event, and a caller's
     ``should_yield`` that turns true at the same instant, abort at the
     same action on the compiled and the reference executor; the resumed
     replays answer alike."""

@@ -5,6 +5,8 @@ import pytest
 
 from repro.bench.workloads import fresh_replay_machine, model_input
 from repro.core.checkpoints import CheckpointPolicy
+from repro.core.conditional import replay_sequence
+from repro.core.recording import Recording
 from repro.core.replayer import Replayer
 from repro.errors import ReplayError
 from repro.gpu.faults import FaultInjector
@@ -77,7 +79,7 @@ class TestEndToEnd:
         workload, _ = mali_mnist_recorded
         replayer = Replayer(fresh_replay_machine("mali", seed=144))
         replayer.init()
-        replayer.load_bytes(workload.recording.to_bytes())
+        replayer.load(Recording.from_bytes(workload.recording.to_bytes()))
         x = model_input("mnist", seed=9)
         result = replayer.replay(inputs={"input": x})
         expected = run_reference(build_model("mnist"), x, fuse=False)
@@ -210,15 +212,15 @@ class TestSequencesAndPreemption:
         replayer = Replayer(machine)
         replayer.init()
         x = model_input("mnist", seed=11)
-        result = replayer.replay_sequence(workload.recordings,
-                                          inputs={"input": x})
+        result = replay_sequence(replayer, workload.recordings,
+                                 inputs={"input": x})
         expected = run_reference(build_model("mnist"), x, fuse=True)
         assert np.array_equal(result.output,
                               expected.reshape(result.output.shape))
 
     def test_empty_sequence_rejected(self, replayer):
         with pytest.raises(ReplayError):
-            replayer.replay_sequence([])
+            replay_sequence(replayer, [])
 
     def test_preempt_and_reexecute(self, mali_alexnet_recorded):
         workload, _ = mali_alexnet_recorded
@@ -226,7 +228,7 @@ class TestSequencesAndPreemption:
         replayer = Replayer(machine)
         replayer.init()
         replayer.load(workload.recording)
-        replayer.request_preempt()
+        replayer.nano.preempt_requested = True
         from repro.errors import ReplayAborted
         x = model_input("alexnet", seed=6)
         with pytest.raises(ReplayAborted):

@@ -68,8 +68,7 @@ class TestByteIdentity:
 class TestZeroInterference:
     def test_obs_toggles_change_no_fleet_output(self, fleet_store,
                                                 run_a):
-        dark = _run(fleet_store, trace=False, timeseries=False,
-                    gpu_counters=False)
+        dark = _run(fleet_store, trace=False)
         assert json.dumps(dark.summary(), sort_keys=True) == \
             json.dumps(run_a.summary(), sort_keys=True)
         assert dark.trace_events == []
@@ -80,13 +79,6 @@ class TestZeroInterference:
             assert response.completed_ns == twin.completed_ns
             for name, value in response.outputs.items():
                 assert np.array_equal(value, twin.outputs[name])
-
-    def test_timeseries_on_changes_no_fleet_output(self, fleet_store,
-                                                   run_a):
-        scraped = _run(fleet_store, timeseries=True)
-        assert json.dumps(scraped.summary(), sort_keys=True) == \
-            json.dumps(run_a.summary(), sort_keys=True)
-        assert scraped.node_reports[0].timeseries is not None
 
 
 class TestAggregation:

@@ -160,6 +160,18 @@ class TestReportSchema:
         assert validate_chrome_trace(trace) == []
         names = [e["name"] for e in trace["traceEvents"]]
         assert any(n.startswith("DIVERGENCE:") for n in names)
+        # The live timeline's converter draws the window's rows too.
+        cats = {e.get("cat") for e in trace["traceEvents"]}
+        assert "replay-action" in cats
+
+    def test_flight_chrome_trace_survives_missing_fields(self):
+        from repro.obs import validate_chrome_trace
+
+        report = DivergenceReport(flight_window=[
+            {"kind": "Pacing", "action_index": 0},
+            {"t_ns": 5, "kind": "GpuJobStart", "action_index": 0},
+            {"t_ns": 9, "kind": "RegWrite"}])
+        assert validate_chrome_trace(report.flight_chrome_trace()) == []
 
 
 class TestCorruptionHelpers:

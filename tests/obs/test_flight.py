@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs.doctor import FLIGHT_FIELDS, event_to_dict
+from repro.obs.chrome_trace import FLIGHT_FIELDS, event_to_dict
 from repro.soc.flight import DEFAULT_RING_SIZE, FlightEvent, FlightRecorder
 from repro.soc.machine import Machine
 
@@ -151,3 +151,84 @@ class TestDifferentialTapes:
             # Everything but the global seq must match: time, kind,
             # action attribution, and the full detail payload.
             assert fast_event[1:] == ref_event[1:]
+
+
+#: Replay action type -> the flight kinds its execution may record
+#: itself. Any action may also carry its pacing decision and GPU
+#: activity that fires while it runs.
+OWN_KINDS = {
+    "RegWrite": {"RegWrite", "JobKick"},
+    "RegReadOnce": {"RegRead"},
+    "RegReadWait": {"RegPoll"},
+    "SetGpuPgtable": {"SetPgtable", "RegWrite"},
+    "MapGpuMem": {"MemMap"},
+    "UnmapGpuMem": {"MemUnmap"},
+    "Upload": {"Upload"},
+    "WaitIrq": {"WaitIrq"},
+    "IrqEnter": {"WaitIrq", "IrqEnter"},
+    "IrqExit": {"IrqExit"},
+}
+ANY_ACTION = {"Pacing", "GpuIrqRaise", "GpuJobStart", "GpuJobRetire"}
+
+
+class TestActionAttribution:
+    """Outside an action the flight index is -1: input deposit, output
+    copy, recovery resets and cleanup are no action's events."""
+
+    @staticmethod
+    def _strays(recording, tape):
+        """Events charged to an action that did not record them."""
+        strays = []
+        for event in tape:
+            kind, index = event[2], event[3]
+            if index < 0 or kind in ANY_ACTION:
+                continue
+            action = type(recording.actions[index]).__name__
+            if kind not in OWN_KINDS[action] and kind != "Divergence":
+                strays.append((index, action, kind))
+        return strays
+
+    @pytest.mark.parametrize("fast_path", [True, False],
+                             ids=["compiled", "reference"])
+    def test_replay_and_cleanup_events_stay_outside_actions(
+            self, mali_mnist_recorded, fast_path):
+        from repro.core.replay import boot_replayer, seeded_inputs
+
+        recording = mali_mnist_recorded[0].recording
+        machine, replayer = boot_replayer(recording, "hikey960", 52,
+                                          fast_path=fast_path)
+        tape = machine.flight.start_capture()
+        replayer.replay(inputs=seeded_inputs(recording, 52))
+        assert machine.flight.action_index == -1
+        replayer.cleanup()
+        assert self._strays(recording, tape) == []
+        outside = {event[2] for event in tape if event[3] < 0}
+        assert {"CopyToGpu", "CopyFromGpu", "Reset"} <= outside
+        assert {event[3] for event in tape if event[3] >= 0} == \
+            set(range(len(recording.actions)))
+
+    @pytest.mark.parametrize("fast_path", [True, False],
+                             ids=["compiled", "reference"])
+    def test_recovery_resets_are_no_actions_events(
+            self, mali_mnist_recorded, fast_path):
+        from repro.core.replay import boot_replayer, seeded_inputs
+        from repro.errors import ReplayError
+        from repro.obs.doctor import flip_dump_byte
+
+        corrupted, _dump, _offset = flip_dump_byte(
+            mali_mnist_recorded[0].recording)
+        machine, replayer = boot_replayer(corrupted, "hikey960", 2026,
+                                          fast_path=fast_path)
+        tape = machine.flight.start_capture()
+        with pytest.raises(ReplayError) as info:
+            replayer.replay(inputs=seeded_inputs(corrupted, 2026),
+                            max_attempts=3)
+        assert machine.flight.action_index == -1
+        assert self._strays(corrupted, tape) == []
+        failed = info.value.action_index
+        marks = [event for event in tape if event[2] == "Divergence"]
+        assert len(marks) == 3
+        assert {event[3] for event in marks} == {failed}
+        resets = [event for event in tape if event[2] == "Reset"]
+        assert len(resets) == 2
+        assert {event[3] for event in resets} == {-1}

@@ -66,11 +66,13 @@ def registered_names():
     names |= _snapshot_names(machine.obs.snapshot())
 
     from repro.fleet import Fleet, FleetConfig
+    # Queues of 4 shed best-effort traffic at 2 pending: this stream
+    # reaches the quota shed, the priority shed and the autoscaler.
     fleet = Fleet(store, FleetConfig(
-        nodes=2, node_families=("mali", "v3d"), queue_depth=8,
-        quotas=(("acme", 2),), best_effort_limit=1))
+        nodes=2, node_families=("mali", "v3d"), queue_depth=4,
+        quotas=(("acme", 2),)))
     fleet_report = fleet.serve(generate_requests(LoadgenConfig(
-        requests=24, seed=6, mix=mix, fault_rate=0.1,
+        requests=48, seed=6, mix=mix, fault_rate=0.1,
         tenants=("acme", "globex"), priorities=(0, 1, 2))))
     fleet.close()
     names |= _snapshot_names(fleet_report.snapshot)
@@ -83,7 +85,8 @@ def test_run_registers_a_representative_set(registered_names):
                      "serve.cache.hit_ratio", "replay.attempts",
                      "serve.mega.batches", "fleet.latency_ns",
                      "fleet.router.affinity_hits",
-                     "fleet.requests.submitted"):
+                     "fleet.requests.submitted",
+                     "fleet.admission.priority_shed"):
         assert expected in registered_names
 
 

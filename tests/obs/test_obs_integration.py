@@ -54,6 +54,36 @@ class TestGrrTrace:
         assert "replay" in processes
         assert any(name.startswith("gpu:") for name in processes)
 
+    def test_replay_rows_are_the_flight_view(self, mali_mnist_recorded,
+                                             recording_path, tmp_path):
+        """One slice per executed action, job kick and GPU job, all
+        drawn from the flight tape; the span tracer keeps the session,
+        nano and busy spans."""
+        out = str(tmp_path / "timeline.json")
+        assert grr.main(["trace", recording_path, "--out", out]) == 0
+        with open(out, encoding="utf-8") as handle:
+            events = json.load(handle)["traceEvents"]
+        names = {(e["pid"], e["tid"]): e["args"]["name"] for e in events
+                 if e["ph"] == "M" and e["name"] == "thread_name"}
+        procs = {e["pid"]: e["args"]["name"] for e in events
+                 if e["ph"] == "M" and e["name"] == "process_name"}
+        rows = {}
+        for event in events:
+            if event["ph"] in ("X", "B"):
+                row = (procs[event["pid"]],
+                       names[event["pid"], event["tid"]], event["ph"])
+                rows[row] = rows.get(row, 0) + 1
+        recording = mali_mnist_recorded[0].recording
+        kicks = sum(1 for action in recording.actions
+                    if getattr(action, "is_job_kick", False))
+        assert rows.pop(("replay", "actions", "X")) == \
+            len(recording.actions)
+        assert rows.pop(("replay", "jobs", "X")) == kicks
+        assert rows.pop(("gpu:mali-g71", "slot0", "X")) == kicks
+        assert set(rows) == {("replay", "session", "B"),
+                             ("replay", "nano", "B"),
+                             ("gpu:mali-g71", "busy", "B")}
+
     def test_stats_subcommand(self, recording_path, capsys):
         assert grr.main(["stats", recording_path, "--json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
@@ -73,6 +103,31 @@ class TestReplayMetrics:
         irq_hist = snapshot["histograms"]["replay.irq_wait_ns"]
         assert irq_hist["count"] == counters["replay.irq_waits"]
         assert sum(irq_hist["bucket_counts"]) == irq_hist["count"]
+
+    def test_per_chokepoint_counters_count_the_recording(
+            self, mali_mnist_recorded):
+        """Published from the flight tape once per pass, the counters
+        still count what the replay did: each action of a kind once,
+        every interrupt the GPU raised and every IRQ wait."""
+        from collections import Counter
+        workload, _stack = mali_mnist_recorded
+        machine, result = _replay_with_obs(workload, seed=2103)
+        counters = machine.obs.snapshot()["counters"]
+        kinds = Counter(type(a).__name__ for a in workload.recording.actions)
+        assert counters["replay.actions"] == sum(kinds.values())
+        assert counters["replay.reg_writes"] == kinds["RegWrite"]
+        assert counters["replay.reg_reads"] == kinds["RegReadOnce"]
+        assert counters["replay.reg_polls"] == kinds["RegReadWait"]
+        assert counters["replay.uploads"] == kinds["Upload"]
+        assert counters["replay.upload_bytes"] == result.stats.upload_bytes
+        assert counters["replay.pacing_wait_ns"] == \
+            result.stats.pacing_wait_ns
+        assert counters["nano.irqs"] == result.stats.jobs_kicked
+        waits = [e for e in machine.obs.tape
+                 if e[2] == "WaitIrq" and e[3] >= 0]
+        assert counters["replay.irq_waits"] == len(waits)
+        assert machine.obs.snapshot()["histograms"]["replay.irq_wait_ns"][
+            "sum"] == result.stats.irq_wait_ns
 
     def test_replay_timeline_validates(self, mali_mnist_recorded):
         workload, _stack = mali_mnist_recorded

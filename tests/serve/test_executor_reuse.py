@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.workloads import (fresh_replay_machine, get_recorded,
                                    model_input)
+from repro.core.actions import MapGpuMem
 from repro.core.compiled import CompiledProgram
 from repro.core.replayer import (BOUND_EXECUTORS, LOAD_CACHE, Replayer,
                                  clear_load_cache)
@@ -61,7 +62,12 @@ def test_worker_alternating_two_digests_binds_each_program_once(
     server.close()
 
 
-def test_swapping_the_obs_session_binds_afresh(binds):
+def test_a_session_enabled_after_replays_sees_the_next_replay(binds):
+    """An executor holds no obs state, so enabling observability binds
+    nothing new; the session reads the next replay off the flight
+    tape. The timeline draws every action that recorded an event: all
+    but the MapGpuMem actions, which re-map regions the session holds
+    (a no-op that touches nothing)."""
     workload, _stack = get_recorded("mali", "mnist")
     machine = fresh_replay_machine("mali", seed=41)
     replayer = Replayer(machine)
@@ -72,15 +78,20 @@ def test_swapping_the_obs_session_binds_afresh(binds):
     replayer.reset_session()
     replayer.load(workload.recording)      # same content staged again
     replayer.replay(inputs=inputs)
+    executor = replayer._executor
+    obs = enable_observability(machine)
+    result = replayer.replay(inputs=inputs)
     assert len(binds) == 1
-    null_executor = replayer._executor
-    enable_observability(machine)
-    replayer.replay(inputs=inputs)
-    replayer.replay(inputs=inputs)
-    assert len(binds) == 2
-    assert replayer._executor is not null_executor
-    assert replayer._executor.obs is machine.obs
+    assert replayer._executor is executor
     assert len(replayer._executors) <= BOUND_EXECUTORS
+    actions = workload.recording.actions
+    assert result.stats.actions_executed == len(actions)
+    assert obs.snapshot()["counters"]["replay.actions"] == len(actions)
+    drawn = {event["args"]["index"]
+             for event in obs.to_chrome_trace()["traceEvents"]
+             if event.get("cat") == "replay-action"}
+    assert drawn == {index for index, action in enumerate(actions)
+                     if not isinstance(action, MapGpuMem)}
 
 
 def test_closed_server_leaves_no_reference_to_a_worker_machine(binds):

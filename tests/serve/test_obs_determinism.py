@@ -125,8 +125,7 @@ class TestFleetZeroInterference:
 
     def test_fleet_obs_off_changes_no_result(self):
         lit = self._fleet()
-        dark = self._fleet(trace=False, timeseries=False,
-                           gpu_counters=False)
+        dark = self._fleet(trace=False)
         assert dark.summary() == lit.summary()
         assert dark.trace_events == []
         assert lit.trace_events
