@@ -14,5 +14,5 @@ def test_tab05_cves(experiment):
     # Every corpus CVE is eliminated by some deployment.
     assert any("D2: eliminates 9/9" in note for note in table.notes)
     # The executable attack suite all blocked.
-    assert any("5/5" in note and "attack" in note
+    assert any("6/6" in note and "attack" in note
                for note in table.notes)

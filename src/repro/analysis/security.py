@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
+from repro.core.nano_driver import PGTABLE_ROOT_REGS
 from repro.core.recording import Recording, RecordingMeta
 from repro.core.replayer import Replayer
 from repro.errors import (ReplayError, SerializationError,
@@ -98,6 +99,24 @@ def attack_memory_bomb(machine: Machine) -> AttackResult:
         max_gpu_bytes=256 * MIB)
 
 
+def attack_pgtable_redirect(machine: Machine) -> AttackResult:
+    """Point the GPU page-table root at a physical page the replayer
+    never allocated: a register the map names, written with a value
+    only ``SetGpuPgtable`` may set."""
+    meta = _base_meta(machine)
+    roots = PGTABLE_ROOT_REGS[meta.family]
+    recording = Recording(meta, [
+        act.SetGpuPgtable(),
+        act.MapGpuMem(addr=0x100000, num_pages=1, raw_pte_flags=0x7),
+    ] + [act.RegWrite(reg=reg, val=0x1000 if reg == roots[0] else 0)
+         for reg in roots], [])
+    meta.prologue_len = 2
+    return _rejected_at_load(
+        machine, recording, "pgtable-redirect",
+        "page-table root write refused",
+        "verifier accepted a RegWrite to the page-table root")
+
+
 def attack_malformed_file(machine: Machine) -> AttackResult:
     """Feed the replayer a corrupted recording file."""
     replayer = Replayer(machine)
@@ -151,6 +170,7 @@ ATTACKS: Dict[str, Callable[[Machine], AttackResult]] = {
     "illegal-register": attack_illegal_register,
     "oob-upload": attack_oob_upload,
     "memory-bomb": attack_memory_bomb,
+    "pgtable-redirect": attack_pgtable_redirect,
     "malformed-file": attack_malformed_file,
     "gpu-hang": attack_gpu_hang,
 }

@@ -27,6 +27,13 @@ from repro.soc.machine import Machine
 from repro.soc.memory import PAGE_SIZE, PageSource
 from repro.units import MS, SEC, US
 
+#: The registers that hold the GPU page-table root, per family: only
+#: :meth:`NanoGpuDriver.set_gpu_pgtable` writes them, and the verifier
+#: refuses a recording's RegWrite to any of them.
+PGTABLE_ROOT_REGS = {"mali": ("AS0_TRANSTAB_LO", "AS0_TRANSTAB_HI"),
+                     "adreno": ("SMMU_TTBR0_LO", "SMMU_TTBR0_HI"),
+                     "v3d": ("MMU_PT_PA_BASE",)}
+
 MMIO_ACCESS_NS = 150
 POLL_STEP_NS = 10 * US
 #: Throughput of loading memory dumps into GPU memory.
@@ -390,18 +397,18 @@ class NanoGpuDriver:
     def set_gpu_pgtable(self, memattr: int) -> None:
         self.flight.record(self.clock.now_ns, "SetPgtable", (memattr,))
         root = self._require_pt().root_pa
+        # A 64-bit root splits LO/HI; v3d's register holds its page.
+        words = (root >> 12,) if self.family == "v3d" \
+            else (root & 0xFFFFFFFF, root >> 32)
+        for reg, word in zip(PGTABLE_ROOT_REGS[self.family], words):
+            self.reg_write(reg, word)
         if self.family == "mali":
-            self.reg_write("AS0_TRANSTAB_LO", root & 0xFFFFFFFF)
-            self.reg_write("AS0_TRANSTAB_HI", root >> 32)
             self.reg_write("AS0_MEMATTR", memattr)
             self.reg_write("AS0_COMMAND", mali_hw.AS_CMD_UPDATE)
         elif self.family == "adreno":
-            self.reg_write("SMMU_TTBR0_LO", root & 0xFFFFFFFF)
-            self.reg_write("SMMU_TTBR0_HI", root >> 32)
             self.reg_write("SMMU_CR0", memattr)
             self.reg_write("SMMU_TLBIALL", 1)
         else:
-            self.reg_write("MMU_PT_PA_BASE", root >> 12)
             self.reg_write("MMU_CTRL", v3d_hw.MMU_CTRL_ENABLE
                            | v3d_hw.MMU_CTRL_TLB_CLEAR)
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core import actions as act
+from repro.core.dispatch import DISPATCH
 from repro.core.dumps import MemoryDump
 from repro.core.recording import Recording, RecordingMeta
 from repro.errors import RecordingError
@@ -107,7 +108,7 @@ class GpuRecorder(trace.DriverTracer):
         self.options = options or RecorderOptions()
         self.family = driver.gpu.family
         self._fmt = driver.gpu.mmu.fmt
-        self._kick_regs = self._kick_register_names()
+        self._kick_regs = DISPATCH[self.family].kick_regs
         self._by_value: List[Tuple[int, int]] = []
         self._recordings: List[Recording] = []
         self._active = False
@@ -115,9 +116,6 @@ class GpuRecorder(trace.DriverTracer):
         self._reset_stream_state()
 
     # -- family knowledge (Table 1) ------------------------------------------
-
-    def _kick_register_names(self) -> Set[str]:
-        raise NotImplementedError
 
     def _capture_memattr(self) -> int:
         raise NotImplementedError
@@ -422,9 +420,6 @@ class MaliRecorder(GpuRecorder):
     harness annotated record-by-value (NN parameters) are captured too.
     """
 
-    def _kick_register_names(self) -> Set[str]:
-        return {f"JS{slot}_COMMAND" for slot in range(2)}
-
     def _capture_memattr(self) -> int:
         return self.driver.regs.peek("AS0_MEMATTR")
 
@@ -448,9 +443,6 @@ class AdrenoRecorder(MaliRecorder):
     knowledge differs.
     """
 
-    def _kick_register_names(self) -> Set[str]:
-        return {"CP_RB_WPTR"}
-
     def _capture_memattr(self) -> int:
         return self.driver.regs.peek("SMMU_CR0")
 
@@ -464,7 +456,7 @@ class AdrenoRecorder(MaliRecorder):
         return [
             act.RegWrite(reg=name, val=regs.peek(name),
                          src="recorder:ring-prologue")
-            for name in ("CP_RB_BASE_LO", "CP_RB_BASE_HI", "CP_RB_SIZE")
+            for name in DISPATCH["adreno"].config_regs
         ]
 
 
@@ -478,9 +470,6 @@ class V3dRecorder(GpuRecorder):
     dumps). Dumps are rounded to whole regions -- the conservatism that
     makes v3d recordings larger but highly compressible (Section 7.3).
     """
-
-    def _kick_register_names(self) -> Set[str]:
-        return {"CT0QEA"}
 
     def _capture_memattr(self) -> int:
         return 0  # v3d has no translation-config register to capture.

@@ -4,7 +4,8 @@ Before anything touches hardware, the replayer proves three properties
 over the loaded recording:
 
 1. *No illegal GPU register access by CPU* -- every register name must
-   resolve through the replayer's shipped register map.
+   resolve through the replayer's shipped register map, and no
+   RegWrite may move the page-table root (``SetGpuPgtable`` sets it).
 2. *No illegal memory access by GPU* -- a recording only names sizes
    and GPU virtual addresses; every Upload/Copy must land inside
    memory the recording itself maps, mappings must not overlap, and
@@ -23,11 +24,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import actions as act
+from repro.core.nano_driver import PGTABLE_ROOT_REGS
 from repro.core.recording import Recording
 from repro.errors import VerificationError
 from repro.gpu.mmu import VA_SPACE_SIZE
 from repro.soc.memory import PAGE_SIZE
 from repro.units import MIB
+
+_ROOTS = frozenset(sum(PGTABLE_ROOT_REGS.values(), ()))
 
 
 @dataclass
@@ -77,6 +81,10 @@ def verify_recording(recording: Recording,
                 raise VerificationError(
                     f"action #{index}: illegal register access "
                     f"{action.reg!r} (not in the replayer's map)")
+            if isinstance(action, act.RegWrite) and action.reg in _ROOTS:
+                raise VerificationError(
+                    f"action #{index}: RegWrite to page-table root "
+                    f"{action.reg!r} (only SetGpuPgtable may set it)")
             report.registers_used.add(action.reg)
         elif isinstance(action, act.MapGpuMem):
             if action.num_pages <= 0:

@@ -83,8 +83,8 @@ CL_HALT = 0
 CL_EXEC_SHADER = 1
 CL_BRANCH = 2
 
-_CL_EXEC = struct.Struct("<BQI")  # opcode, shader_va, shader_size
-_CL_BRANCH = struct.Struct("<BQ")  # opcode, target_va
+CL_EXEC_PKT = struct.Struct("<BQI")  # opcode, shader_va, shader_size
+CL_BRANCH_PKT = struct.Struct("<BQ")  # opcode, target_va
 _CL_HALT = struct.Struct("<B")
 
 MAX_CL_PACKETS = 16384
@@ -92,20 +92,21 @@ MAX_CL_PACKETS = 16384
 
 @dataclass(frozen=True)
 class ControlListEntry:
-    """One parsed control-list packet."""
+    """One parsed control-list packet, at ``va``."""
 
     opcode: int
+    va: int
     shader_va: int = 0
     shader_size: int = 0
     target_va: int = 0
 
 
 def encode_cl_exec(shader_va: int, shader_size: int) -> bytes:
-    return _CL_EXEC.pack(CL_EXEC_SHADER, shader_va, shader_size)
+    return CL_EXEC_PKT.pack(CL_EXEC_SHADER, shader_va, shader_size)
 
 
 def encode_cl_branch(target_va: int) -> bytes:
-    return _CL_BRANCH.pack(CL_BRANCH, target_va)
+    return CL_BRANCH_PKT.pack(CL_BRANCH, target_va)
 
 
 def encode_cl_halt() -> bytes:
@@ -127,16 +128,16 @@ def walk_control_list(base_va: int,
             raise JobDecodeError("control list too long (cycle?)")
         opcode = read(va, 1)[0]
         if opcode == CL_HALT:
-            out.append(ControlListEntry(CL_HALT))
+            out.append(ControlListEntry(CL_HALT, va))
             return out
         if opcode == CL_EXEC_SHADER:
-            _, shader_va, size = _CL_EXEC.unpack(read(va, _CL_EXEC.size))
-            out.append(ControlListEntry(CL_EXEC_SHADER, shader_va, size))
-            va += _CL_EXEC.size
+            _, shader_va, size = CL_EXEC_PKT.unpack(read(va, CL_EXEC_PKT.size))
+            out.append(ControlListEntry(CL_EXEC_SHADER, va, shader_va, size))
+            va += CL_EXEC_PKT.size
             continue
         if opcode == CL_BRANCH:
-            _, target = _CL_BRANCH.unpack(read(va, _CL_BRANCH.size))
-            out.append(ControlListEntry(CL_BRANCH, target_va=target))
+            _, target = CL_BRANCH_PKT.unpack(read(va, CL_BRANCH_PKT.size))
+            out.append(ControlListEntry(CL_BRANCH, va, target_va=target))
             va = target
             continue
         raise JobDecodeError(f"unknown control-list opcode {opcode}")

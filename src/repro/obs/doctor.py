@@ -21,6 +21,8 @@ Import note: this module imports the replayer (and with it
 :mod:`repro.gpu`), which the rest of :mod:`repro.obs` does not need --
 so it is not imported from ``repro/obs/__init__.py``. Import it by its
 own name (``from repro.obs.doctor import run_doctor``).
+:func:`flip_dump_byte` and :func:`first_kick_chain_va` live beside the
+dispatch table (:mod:`repro.core.dispatch`) and are re-exported here.
 
 The report schema is stable (``schema_version``): saved reports are
 artifacts that outlive the process that wrote them, and ``grr trace``
@@ -37,7 +39,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core import actions as act
-from repro.core.dumps import MemoryDump
+from repro.core.dispatch import (  # noqa: F401 (re-exported)
+    first_kick_chain_va, flip_dump_byte)
 from repro.core.recording import Recording
 from repro.core.replay import boot_replayer, seeded_inputs
 from repro.core.replayer import Replayer
@@ -451,58 +454,6 @@ def _first_output_mismatch(fast_outputs, ref_outputs
 # --------------------------------------------------------------------------
 # Deliberate corruption (tests, CI doctor smoke).
 # --------------------------------------------------------------------------
-
-
-def first_kick_chain_va(recording: Recording) -> int:
-    """GPU VA of the first kicked job's descriptor chain.
-
-    Replays the register writes symbolically up to the first
-    ``is_job_kick`` write: Mali latches the chain head in
-    ``JS{slot}_HEAD_HI/LO`` before ``JS{slot}_COMMAND``; v3d keeps the
-    control-list base in ``CT0QBA`` and kicks via ``CT0QEA``; Adreno
-    programs the ring-buffer base into ``CP_RB_BASE_HI/LO`` and kicks
-    by bumping ``CP_RB_WPTR``, so the first packets decode from the
-    ring base.
-    """
-    regs: Dict[str, int] = {}
-    for action in recording.actions:
-        if not isinstance(action, act.RegWrite):
-            continue
-        if not action.is_job_kick:
-            regs[action.reg] = action.val
-            continue
-        if action.reg.startswith("JS") and action.reg.endswith("_COMMAND"):
-            slot = action.reg[2:-len("_COMMAND")]
-            return (regs.get(f"JS{slot}_HEAD_HI", 0) << 32) \
-                | regs.get(f"JS{slot}_HEAD_LO", 0)
-        if action.reg == "CT0QEA":
-            return regs.get("CT0QBA", 0)
-        if action.reg == "CP_RB_WPTR":
-            return (regs.get("CP_RB_BASE_HI", 0) << 32) \
-                | regs.get("CP_RB_BASE_LO", 0)
-        raise ObsError(
-            f"unrecognized kick register {action.reg!r}")
-    raise ObsError("recording has no job kick")
-
-
-def flip_dump_byte(recording: Recording
-                   ) -> Tuple[Recording, int, int]:
-    """A copy of ``recording`` with one dump byte flipped -- the first
-    byte of the first job's descriptor chain, so the corruption is
-    guaranteed to surface at the first kick. Returns
-    ``(corrupted, dump_index, offset)``."""
-    chain_va = first_kick_chain_va(recording)
-    for index, dump in enumerate(recording.dumps):
-        if dump.va <= chain_va < dump.end_va():
-            offset = chain_va - dump.va
-            data = bytearray(dump.data)
-            data[offset] ^= 0xFF
-            dumps = list(recording.dumps)
-            dumps[index] = MemoryDump(dump.va, bytes(data))
-            return (Recording(recording.meta, recording.actions, dumps),
-                    index, offset)
-    raise ObsError(
-        f"no dump covers the first job chain at {chain_va:#x}")
 
 
 def patch_reg_read(recording: Recording,

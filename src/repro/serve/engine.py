@@ -48,13 +48,13 @@ import numpy as np
 # not on the serving timeline.
 import repro.core.interpreter  # noqa: F401
 import repro.core.mega  # noqa: F401
+from repro.core.dispatch import flip_dump_byte
 from repro.core.recording import Recording
 from repro.core.replay import seeded_inputs as request_inputs
 from repro.core.replayer import Replayer
 from repro.errors import ReplayError, ReproError
 from repro.gpu.counters import aggregate as aggregate_counters
 from repro.gpu.faults import FaultInjector
-from repro.obs.doctor import flip_dump_byte
 from repro.obs.metrics import LATENCY_BUCKETS_NS, percentile
 from repro.obs.rtrace import NULL_RTRACE, RequestTracer, SCHEMA
 from repro.obs.session import Observability
@@ -1179,12 +1179,6 @@ class ReplayServer:
                        rung: Rung, batch_size: int, results) -> None:
         worker.busy = False
         end_ns = self.clock.now()
-        self.obs.complete(
-            f"serve:batch:{rung.path}",
-            self.obs.track("serve", f"worker-{worker.id}"),
-            dispatch_ns, end_ns,
-            args={"batch": batch_size, "worker": worker.id},
-            cat="serve")
         for record, outputs, attempts, offset_ns in results:
             record.attempts += attempts
             if outputs is not None:

@@ -6,8 +6,9 @@ last-written value of every register, the live GPU mappings and a
 sparse memory image built from the Upload actions in stream order. At
 every job-kick write it decodes the family's dispatch structure out of
 the image (Mali job-descriptor chain, v3d control list, Adreno ring
-packet), follows it to the shader programs, and unions every VA range
-the job's MMIO/DMA chain actually touches into the job's **closure**:
+packet; :data:`repro.gpu.dispatch.DISPATCH` knows each), follows it
+to the shader programs, and unions every VA range the job's MMIO/DMA
+chain actually touches into the job's **closure**:
 
 - descriptor bytes (chain / control list / ring packet),
 - shader program blobs,
@@ -23,20 +24,15 @@ capture replay in :mod:`repro.surgery.slicer`.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core import actions as act
+from repro.core.dispatch import DISPATCH
 from repro.core.recording import Recording
 from repro.errors import JobDecodeError, ShaderDecodeError, SurgeryError
-from repro.gpu import adreno as adreno_hw
-from repro.gpu.isa import Program, decode_program
-from repro.gpu.jobs import (CL_BRANCH, CL_EXEC_SHADER, CL_HALT,
-                            MALI_JOB_DESC_SIZE, decode_mali_job)
-from repro.gpu.isa import Op
+from repro.gpu.isa import Op, Program, decode_program
 from repro.gpu.shader_exec import compute_fill, compute_op, output_arity
 
 Range = Tuple[int, int]  # (va, size)
@@ -93,12 +89,6 @@ class SparseImage:
         pieces.sort(key=lambda p: p[0])
         self._segments = pieces
 
-    def covered(self, va: int, size: int) -> bool:
-        for seg_va, seg in self._segments:
-            if seg_va <= va and va + size <= seg_va + len(seg):
-                return True
-        return False
-
     def read(self, va: int, size: int) -> bytes:
         for seg_va, seg in self._segments:
             if seg_va <= va and va + size <= seg_va + len(seg):
@@ -135,14 +125,6 @@ class KernelInfo:
     def ops(self) -> List[str]:
         return [instr.op.name for instr in self.program.instructions]
 
-    def read_ranges(self) -> List[Range]:
-        out: List[Range] = []
-        for instr in self.program.instructions:
-            n_out = output_arity(instr.op)
-            for ref in instr.operands[:-n_out]:
-                out.append((ref.va, ref.nbytes))
-        return merge_ranges(out)
-
     def write_ranges(self) -> List[Range]:
         out: List[Range] = []
         for instr in self.program.instructions:
@@ -177,7 +159,6 @@ class JobInfo:
     live_maps: Dict[int, Tuple[int, int]]
     closure: List[Range] = field(default_factory=list)
     writes: List[Range] = field(default_factory=list)
-    reads: List[Range] = field(default_factory=list)
     #: Bytes of the closure the parent's own dumps cover at kick time.
     dump_covered_bytes: int = 0
 
@@ -227,69 +208,6 @@ class RecordingAnalysis:
             f"(jobs 0..{len(self.jobs) - 1})")
 
 
-def _walk_mali(chain_va: int, image: SparseImage) -> List[KernelInfo]:
-    kernels: List[KernelInfo] = []
-    va = chain_va
-    seen: set = set()
-    while va:
-        if va in seen or len(kernels) > 4096:
-            raise SurgeryError(f"mali job chain cycles at {va:#x}")
-        seen.add(va)
-        desc = decode_mali_job(image.read(va, MALI_JOB_DESC_SIZE))
-        program = decode_program(
-            image.read(desc.shader_va, desc.shader_size))
-        kernels.append(KernelInfo(len(kernels), va, MALI_JOB_DESC_SIZE,
-                                  desc.shader_va, desc.shader_size,
-                                  program))
-        va = desc.next_va
-    return kernels
-
-
-def _walk_v3d(qba: int, image: SparseImage) -> List[KernelInfo]:
-    # Walk packets manually so every entry keeps its VA (the composer
-    # needs byte offsets for the pointer rewrite).
-    kernels: List[KernelInfo] = []
-    va = qba
-    hops = 0
-    while True:
-        hops += 1
-        if hops > 16384:
-            raise SurgeryError(f"v3d control list cycles at {va:#x}")
-        opcode = image.read(va, 1)[0]
-        if opcode == CL_HALT:
-            return kernels
-        if opcode == CL_EXEC_SHADER:
-            _, shader_va, size = struct.unpack(
-                "<BQI", image.read(va, 13))
-            program = decode_program(image.read(shader_va, size))
-            kernels.append(KernelInfo(len(kernels), va, 13,
-                                      shader_va, size, program))
-            va += 13
-            continue
-        if opcode == CL_BRANCH:
-            _, target = struct.unpack("<BQ", image.read(va, 9))
-            va = target
-            continue
-        raise SurgeryError(f"unknown control-list opcode {opcode} at "
-                           f"{va:#x}")
-
-
-def _walk_adreno(base: int, rptr: int, wptr: int,
-                 image: SparseImage) -> List[KernelInfo]:
-    kernels: List[KernelInfo] = []
-    size = adreno_hw.RING_PKT.size
-    for off in range(rptr, wptr, size):
-        raw = image.read(base + off, size)
-        magic, blob_size, shader_va = adreno_hw.RING_PKT.unpack(raw)
-        if magic != adreno_hw.RING_PKT_MAGIC:
-            raise SurgeryError(
-                f"bad ring packet magic {magic:#x} at offset {off}")
-        program = decode_program(image.read(shader_va, blob_size))
-        kernels.append(KernelInfo(len(kernels), base + off, size,
-                                  shader_va, blob_size, program))
-    return kernels
-
-
 def analyze_recording(recording: Recording) -> RecordingAnalysis:
     """Recover the per-job structure of ``recording``.
 
@@ -298,12 +216,14 @@ def analyze_recording(recording: Recording) -> RecordingAnalysis:
     its kick. Raises :class:`SurgeryError` when a chain cannot be
     decoded -- which means the recording would not replay either.
     """
-    family = recording.meta.family
+    dispatch = DISPATCH.get(recording.meta.family)
+    if dispatch is None:
+        raise SurgeryError(
+            f"unknown GPU family {recording.meta.family!r}")
     regs: Dict[str, int] = {}
     live: Dict[int, Tuple[int, int]] = {}
     image = SparseImage()
     jobs: List[JobInfo] = []
-    rptr = 0
 
     for idx, action in enumerate(recording.actions):
         if isinstance(action, act.MapGpuMem):
@@ -314,93 +234,39 @@ def analyze_recording(recording: Recording) -> RecordingAnalysis:
             dump = recording.dumps[action.dump_index]
             image.write(action.addr, bytes(dump.data))
         elif isinstance(action, act.RegWrite):
-            regs[action.reg] = action.val
-            if action.reg in ("CP_RB_BASE_LO", "CP_RB_BASE_HI"):
-                rptr = 0
             if not action.is_job_kick:
+                dispatch.write(regs, action.reg, action.val)
                 continue
+            setup = dispatch.kick(regs, action.reg, action.val)
             try:
-                job, rptr = _decode_kick(family, recording, idx, action,
-                                         regs, live, image, rptr)
+                kernels = [
+                    KernelInfo(index, *entry, decode_program(
+                        image.read(entry.shader_va, entry.shader_size)))
+                    for index, entry in enumerate(
+                        dispatch.walk(setup, image.read))]
             except (JobDecodeError, ShaderDecodeError) as error:
                 raise SurgeryError(
                     f"job {len(jobs)} (kick at action {idx}) does not "
                     f"decode: {error}") from error
-            jobs.append(job)
+            closure: List[Range] = dispatch.span(setup)
+            writes: List[Range] = []
+            for kernel in kernels:
+                closure.append((kernel.desc_va, kernel.desc_size))
+                closure.append((kernel.shader_va, kernel.shader_size))
+                closure.extend(kernel.program.referenced_ranges())
+                writes.extend(kernel.write_ranges())
+            jobs.append(JobInfo(
+                job_index=action.job_index,
+                kick_index=idx,
+                completion_end=_completion_end(recording, idx),
+                chain_va=dispatch.head(setup),
+                setup=setup,
+                kernels=kernels,
+                live_maps=dict(live),
+                closure=merge_ranges(closure),
+                writes=merge_ranges(writes),
+                dump_covered_bytes=image.covered_bytes(closure)))
     return RecordingAnalysis(recording, jobs)
-
-
-def _decode_kick(family: str, recording: Recording, idx: int,
-                 action: act.RegWrite, regs: Dict[str, int],
-                 live: Dict[int, Tuple[int, int]], image: SparseImage,
-                 rptr: int) -> Tuple[JobInfo, int]:
-    """Build the JobInfo for the kick at action ``idx``."""
-    desc_ranges: List[Range] = []
-    if family == "mali":
-        slot = int(action.reg[2])
-        chain_va = ((regs.get(f"JS{slot}_HEAD_HI", 0) << 32)
-                    | regs.get(f"JS{slot}_HEAD_LO", 0))
-        kernels = _walk_mali(chain_va, image)
-        setup = {
-            "slot": slot,
-            "head_lo": regs.get(f"JS{slot}_HEAD_LO", 0),
-            "head_hi": regs.get(f"JS{slot}_HEAD_HI", 0),
-            "affinity": regs.get(f"JS{slot}_AFFINITY", 0),
-            "command": action.val,
-        }
-        next_rptr = rptr
-    elif family == "v3d":
-        chain_va = regs.get("CT0QBA", 0)
-        kernels = _walk_v3d(chain_va, image)
-        setup = {"qba": chain_va, "qea": action.val}
-        # The flat list segment from base to the kick's end address.
-        if action.val > chain_va:
-            desc_ranges.append((chain_va, action.val - chain_va))
-        next_rptr = rptr
-    elif family == "adreno":
-        base = ((regs.get("CP_RB_BASE_HI", 0) << 32)
-                | regs.get("CP_RB_BASE_LO", 0))
-        wptr = action.val
-        if wptr <= rptr:
-            raise SurgeryError(
-                f"adreno doorbell at action {idx} rewinds the ring "
-                f"(rptr {rptr}, wptr {wptr})")
-        kernels = _walk_adreno(base, rptr, wptr, image)
-        chain_va = base + rptr
-        setup = {
-            "ring_base": base,
-            "ring_size": regs.get("CP_RB_SIZE", 0),
-            "rptr": rptr,
-            "wptr": wptr,
-        }
-        next_rptr = wptr
-    else:
-        raise SurgeryError(f"unknown GPU family {family!r}")
-
-    closure: List[Range] = list(desc_ranges)
-    writes: List[Range] = []
-    reads: List[Range] = []
-    for kernel in kernels:
-        closure.append((kernel.desc_va, kernel.desc_size))
-        closure.append((kernel.shader_va, kernel.shader_size))
-        closure.extend(kernel.program.referenced_ranges())
-        writes.extend(kernel.write_ranges())
-        reads.extend(kernel.read_ranges())
-
-    job = JobInfo(
-        job_index=action.job_index,
-        kick_index=idx,
-        completion_end=_completion_end(recording, idx),
-        chain_va=chain_va,
-        setup=setup,
-        kernels=kernels,
-        live_maps=dict(live),
-        closure=merge_ranges(closure),
-        writes=merge_ranges(writes),
-        reads=merge_ranges(reads),
-        dump_covered_bytes=image.covered_bytes(closure),
-    )
-    return job, next_rptr
 
 
 def apply_kernels(kernels: List[KernelInfo], image: SparseImage) -> None:

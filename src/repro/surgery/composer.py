@@ -30,28 +30,23 @@ contract, checked against the shared CPU op semantics via
 from __future__ import annotations
 
 import copy
-import json
 import random
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import actions as act
+from repro.core.dispatch import DISPATCH
 from repro.core.dumps import MemoryDump
 from repro.core.recording import IoBuffer, Recording, RecordingMeta
 from repro.errors import SurgeryError
-from repro.gpu import adreno as adreno_hw
 from repro.gpu.isa import Instruction, Program, TensorRef, decode_program, \
     encode_program
-from repro.gpu.jobs import (CL_BRANCH, CL_EXEC_SHADER, CL_HALT,
-                            decode_mali_job, encode_cl_branch,
-                            encode_cl_exec, encode_cl_halt,
-                            encode_mali_job)
 from repro.obs.session import NULL_OBS
-from repro.surgery.analyze import (JobInfo, analyze_recording, merge_ranges)
-from repro.surgery.slicer import Slice, _REG_ACTIONS, _COMPLETION_ACTIONS
+from repro.surgery.analyze import analyze_recording
+from repro.surgery.slicer import (Sidecar, Slice, _REG_ACTIONS,
+                                  _completion_actions)
 
 #: Instance regions are placed on this alignment with one unit of
 #: guard space between them.
@@ -59,7 +54,7 @@ REGION_ALIGN = 1 << 20
 
 
 @dataclass
-class ComposedManifest:
+class ComposedManifest(Sidecar):
     """Provenance sidecar for a composed session."""
 
     schema: str
@@ -72,27 +67,6 @@ class ComposedManifest:
     expected_outputs: Dict[str, str] = field(default_factory=dict)
 
     SCHEMA = "surgery.composed.v1"
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=1, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ComposedManifest":
-        raw = json.loads(text)
-        if raw.get("schema") != cls.SCHEMA:
-            raise SurgeryError(
-                f"not a {cls.SCHEMA} manifest: {raw.get('schema')!r}")
-        return cls(**{k: raw[k] for k in cls.__dataclass_fields__
-                      if k in raw})
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "ComposedManifest":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
     def expected_output_arrays(self) -> Dict[str, np.ndarray]:
         out: Dict[str, np.ndarray] = {}
@@ -133,86 +107,26 @@ def _rebase_program(blob: bytes, delta: int) -> bytes:
     return out
 
 
-def _rebase_mali_desc(blob: bytes, delta: int) -> bytes:
-    desc = decode_mali_job(blob)
-    from dataclasses import replace
-    return encode_mali_job(replace(
-        desc,
-        next_va=desc.next_va + delta if desc.next_va else 0,
-        shader_va=desc.shader_va + delta))
-
-
-def _rebase_v3d_list(blob: bytes, delta: int) -> bytes:
-    out = bytearray()
-    pos = 0
-    while pos < len(blob):
-        opcode = blob[pos]
-        if opcode == CL_HALT:
-            out += encode_cl_halt()
-            pos += 1
-        elif opcode == CL_EXEC_SHADER:
-            _, shader_va, size = struct.unpack_from("<BQI", blob, pos)
-            out += encode_cl_exec(shader_va + delta, size)
-            pos += 13
-        elif opcode == CL_BRANCH:
-            _, target = struct.unpack_from("<BQ", blob, pos)
-            out += encode_cl_branch(target + delta)
-            pos += 9
-        else:
-            raise SurgeryError(
-                f"unknown control-list opcode {opcode} during rebase")
-    return bytes(out)
-
-
-def _rebase_adreno_ring(blob: bytes, delta: int) -> bytes:
-    pkt = adreno_hw.RING_PKT
-    out = bytearray()
-    for off in range(0, len(blob), pkt.size):
-        magic, size, shader_va = pkt.unpack_from(blob, off)
-        out += pkt.pack(magic, size, shader_va + delta)
-    return bytes(out)
-
-
 @dataclass
 class _Instance:
     """One slice placed at its own VA region inside the composition."""
 
     index: int
     slice: Slice
-    info: JobInfo                       # the slice's single job
     delta: int
     maps: List[act.MapGpuMem]
     uploads: List[Tuple[int, int]]      # (rebased va, dump index)
     dumps: List[MemoryDump]
-    setup: List[act.RegWrite]
-    kick: act.RegWrite
+    submit: List[act.RegWrite]          # setup writes, then the kick
     completion: List[act.Action]
     outputs: List[IoBuffer]
     rebased_pointers: int = 0
 
 
-def _classify_dump(info: JobInfo, va: int, size: int,
-                   family: str) -> str:
-    for kernel in info.kernels:
-        if (va, size) == (kernel.shader_va, kernel.shader_size):
-            return "shader"
-    if family == "mali":
-        if any((va, size) == (k.desc_va, k.desc_size)
-               for k in info.kernels):
-            return "desc"
-    elif family == "v3d":
-        if va == info.setup["qba"]:
-            return "desc"
-    elif family == "adreno":
-        if va == info.setup["ring_base"]:
-            return "desc"
-    return "data"
-
-
 def _place_instance(index: int, slice_: Slice, delta: int) -> _Instance:
     """Rebase one slice by ``delta`` into an :class:`_Instance`."""
     recording = slice_.recording
-    family = recording.meta.family
+    dispatch = DISPATCH[recording.meta.family]
     analysis = analyze_recording(recording)
     if len(analysis.jobs) != 1:
         raise SurgeryError(
@@ -235,65 +149,29 @@ def _place_instance(index: int, slice_: Slice, delta: int) -> _Instance:
             continue
         dump = recording.dumps[action.dump_index]
         data = bytes(dump.data)
-        kind = _classify_dump(info, action.addr, len(data), family)
-        if kind == "shader":
+        va, size = action.addr, len(data)
+        if any((va, size) == (k.shader_va, k.shader_size)
+               for k in info.kernels):
             data = _rebase_program(data, delta)
             rebased += sum(len(i.operands) for i in
                            decode_program(data).instructions)
-        elif kind == "desc" and family == "mali":
-            data = _rebase_mali_desc(data, delta)
-            rebased += 2
-        elif kind == "desc" and family == "v3d":
-            data = _rebase_v3d_list(data, delta)
-            rebased += len(info.kernels)
-        elif kind == "desc" and family == "adreno":
-            data = _rebase_adreno_ring(data, delta)
-            rebased += len(info.kernels)
+        elif any(va <= k.desc_va < va + size for k in info.kernels):
+            data, pointers = dispatch.rebase(data, delta)
+            rebased += pointers
         uploads.append((action.addr + delta, len(dumps)))
         dumps.append(MemoryDump(action.addr + delta, data))
 
-    setup: List[act.RegWrite]
-    if family == "mali":
-        slot = info.setup["slot"]
-        head = info.chain_va + delta
-        setup = [
-            act.RegWrite(reg=f"JS{slot}_HEAD_LO", val=head & 0xFFFFFFFF),
-            act.RegWrite(reg=f"JS{slot}_HEAD_HI", val=head >> 32),
-            act.RegWrite(reg=f"JS{slot}_AFFINITY",
-                         val=info.setup["affinity"]),
-        ]
-        kick = act.RegWrite(reg=f"JS{slot}_COMMAND",
-                            val=info.setup["command"], is_job_kick=True)
-    elif family == "v3d":
-        qba = info.setup["qba"] + delta
-        qea = info.setup["qea"] + delta
-        setup = [act.RegWrite(reg="CT0QBA", val=qba)]
-        kick = act.RegWrite(reg="CT0QEA", val=qea, is_job_kick=True)
-    elif family == "adreno":
-        base = info.setup["ring_base"] + delta
-        setup = [
-            act.RegWrite(reg="CP_RB_BASE_LO", val=base & 0xFFFFFFFF),
-            act.RegWrite(reg="CP_RB_BASE_HI", val=base >> 32),
-            act.RegWrite(reg="CP_RB_SIZE", val=info.setup["ring_size"]),
-        ]
-        kick = act.RegWrite(reg="CP_RB_WPTR", val=info.setup["wptr"],
-                            is_job_kick=True)
-    else:
-        raise SurgeryError(f"unknown GPU family {family!r}")
-
-    completion = [
-        copy.deepcopy(action) for action in
-        recording.actions[info.kick_index + 1:info.completion_end]
-        if isinstance(action, _COMPLETION_ACTIONS)]
+    setup, kick = dispatch.writes(dispatch.shift(info.setup, delta))
+    completion = _completion_actions(recording, info, dispatch, kick)
 
     outputs = [IoBuffer(name=f"s{index}.{io.name}",
                         gaddr=io.gaddr + delta, size=io.size,
                         shape=io.shape)
                for io in recording.meta.outputs]
 
-    return _Instance(index=index, slice=slice_, info=info, delta=delta,
+    return _Instance(index=index, slice=slice_, delta=delta,
                      maps=maps, uploads=uploads, dumps=dumps,
-                     setup=setup, kick=kick, completion=completion,
+                     submit=setup + [kick], completion=completion,
                      outputs=outputs, rebased_pointers=rebased)
 
 
@@ -309,13 +187,15 @@ def _map_extent(recording: Recording) -> Tuple[int, int]:
 
 def _global_config(slice_: Slice) -> List[act.RegWrite]:
     """Session-wide post-map configuration writes from a slice's
-    prologue (page-table flush and friends); ring-base programming is
-    per-instance, so ``CP_RB_*`` writes are excluded."""
+    prologue (page-table flush and friends); the family's config
+    registers (Adreno's ring base) are per-instance, so they are
+    excluded."""
     out = []
-    prologue_len = slice_.recording.meta.prologue_len
-    for action in slice_.recording.actions[:prologue_len]:
+    recording = slice_.recording
+    config_regs = DISPATCH[recording.meta.family].config_regs
+    for action in recording.actions[:recording.meta.prologue_len]:
         if (isinstance(action, act.RegWrite)
-                and not action.reg.startswith("CP_RB_")):
+                and action.reg not in config_regs):
             out.append(copy.deepcopy(action))
     return out
 
@@ -394,13 +274,10 @@ def compose(slices: List[Slice], schedule: List[int], op: str = "custom",
                 actions.append(act.Upload(
                     addr=va, dump_index=base + local_index,
                     job_index=kick_number))
-            for reg_action in instance.setup:
+            for reg_action in instance.submit:
                 clone = copy.deepcopy(reg_action)
                 clone.job_index = kick_number
                 actions.append(clone)
-            kick = copy.deepcopy(instance.kick)
-            kick.job_index = kick_number
-            actions.append(kick)
             for action in instance.completion:
                 clone = copy.deepcopy(action)
                 clone.job_index = kick_number + 1

@@ -36,20 +36,18 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import actions as act
+from repro.core.dispatch import DISPATCH, Dispatch
 from repro.core.dumps import MemoryDump
 from repro.core.recording import IoBuffer, Recording, RecordingMeta
 from repro.core.replay import boot_replayer, seeded_inputs
 from repro.core.replayer import Replayer
 from repro.errors import SurgeryError
-from repro.gpu import adreno as adreno_hw
-from repro.gpu.jobs import (decode_mali_job, encode_cl_exec, encode_cl_halt,
-                            encode_mali_job)
 from repro.obs.session import NULL_OBS
 from repro.surgery.analyze import (JobInfo, KernelInfo, RecordingAnalysis,
                                    Range, SparseImage, analyze_recording,
@@ -64,8 +62,35 @@ _COMPLETION_ACTIONS = _REG_ACTIONS + (act.WaitIrq, act.IrqEnter, act.IrqExit)
 # --------------------------------------------------------------------------
 
 
+class Sidecar:
+    """A JSON manifest saved beside a recording, tagged ``SCHEMA``."""
+
+    SCHEMA = ""
+
+    def to_json(self) -> str:
+        return json.dumps(self.__dict__, indent=1, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        raw = json.loads(text)
+        if raw.get("schema") != cls.SCHEMA:
+            raise SurgeryError(
+                f"not a {cls.SCHEMA} manifest: {raw.get('schema')!r}")
+        return cls(**{k: raw[k] for k in cls.__dataclass_fields__
+                      if k in raw})
+
+    def save(self, path: str) -> None:
+        with open(path, "w") as fh:
+            fh.write(self.to_json())
+
+    @classmethod
+    def load(cls, path: str):
+        with open(path) as fh:
+            return cls.from_json(fh.read())
+
+
 @dataclass
-class SliceManifest:
+class SliceManifest(Sidecar):
     """Provenance + structure sidecar for one micro-recording.
 
     Everything the composer and the differential tests need that the
@@ -92,27 +117,6 @@ class SliceManifest:
     expected_outputs: Dict[str, str] = field(default_factory=dict)
 
     SCHEMA = "surgery.slice.v1"
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=1, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SliceManifest":
-        raw = json.loads(text)
-        if raw.get("schema") != cls.SCHEMA:
-            raise SurgeryError(
-                f"not a {cls.SCHEMA} manifest: {raw.get('schema')!r}")
-        return cls(**{k: raw[k] for k in cls.__dataclass_fields__
-                      if k in raw})
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "SliceManifest":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
     def expected_output_arrays(self) -> Dict[str, np.ndarray]:
         out: Dict[str, np.ndarray] = {}
@@ -258,98 +262,22 @@ def _post_map_config(parent: Recording) -> List[act.RegWrite]:
     return out
 
 
-def _structural_dumps(family: str, kernels: List[KernelInfo],
-                      info: JobInfo, image: SparseImage,
-                      single_kernel: bool
-                      ) -> Tuple[List[Tuple[int, bytes, str]],
-                                 Dict[str, object],
-                                 List[act.RegWrite], act.RegWrite]:
-    """Dispatch-structure dumps + kick actions for the slice.
-
-    Returns (dumps as (va, data, kind), structure manifest dict,
-    setup RegWrites, kick RegWrite).
-    """
-    dumps: List[Tuple[int, bytes, str]] = []
-    if family == "mali":
-        descs = []
-        for pos, kernel in enumerate(kernels):
-            desc = decode_mali_job(
-                image.read(kernel.desc_va, kernel.desc_size))
-            if single_kernel or pos == len(kernels) - 1:
-                desc = replace(desc, next_va=0)
-            dumps.append((kernel.desc_va, encode_mali_job(desc), "desc"))
-            descs.append({"va": kernel.desc_va,
-                          "shader_va": kernel.shader_va,
-                          "shader_size": kernel.shader_size,
-                          "job_type": desc.job_type})
-        head = kernels[0].desc_va
-        slot = info.setup["slot"]
-        structure = {"kind": "mali", "slot": slot, "chain_va": head,
-                     "descs": descs}
-        setup = [
-            act.RegWrite(reg=f"JS{slot}_HEAD_LO", val=head & 0xFFFFFFFF),
-            act.RegWrite(reg=f"JS{slot}_HEAD_HI", val=head >> 32),
-            act.RegWrite(reg=f"JS{slot}_AFFINITY",
-                         val=info.setup["affinity"]),
-        ]
-        kick = act.RegWrite(reg=f"JS{slot}_COMMAND",
-                            val=info.setup["command"], is_job_kick=True)
-    elif family == "v3d":
-        qba = info.setup["qba"]
-        blob = b"".join(encode_cl_exec(k.shader_va, k.shader_size)
-                        for k in kernels) + encode_cl_halt()
-        dumps.append((qba, blob, "desc"))
-        structure = {"kind": "v3d", "qba": qba, "qea": qba + len(blob),
-                     "descs": [{"va": qba + 13 * i,
-                                "shader_va": k.shader_va,
-                                "shader_size": k.shader_size}
-                               for i, k in enumerate(kernels)]}
-        setup = [act.RegWrite(reg="CT0QBA", val=qba)]
-        kick = act.RegWrite(reg="CT0QEA", val=qba + len(blob),
-                            is_job_kick=True)
-    elif family == "adreno":
-        base = info.setup["ring_base"]
-        pkt_size = adreno_hw.RING_PKT.size
-        packets = []
-        descs = []
-        for i, kernel in enumerate(kernels):
-            raw = image.read(kernel.desc_va, kernel.desc_size)
-            packets.append(raw)
-            descs.append({"va": base + pkt_size * i,
-                          "shader_va": kernel.shader_va,
-                          "shader_size": kernel.shader_size})
-        blob = b"".join(packets)
-        dumps.append((base, blob, "desc"))
-        wptr = pkt_size * len(kernels)
-        structure = {"kind": "adreno", "ring_base": base,
-                     "ring_size": info.setup["ring_size"],
-                     "wptr": wptr, "descs": descs}
-        setup = []
-        kick = act.RegWrite(reg="CP_RB_WPTR", val=wptr, is_job_kick=True)
-    else:
-        raise SurgeryError(f"unknown GPU family {family!r}")
-    for kernel in kernels:
-        dumps.append((kernel.shader_va,
-                      image.read(kernel.shader_va, kernel.shader_size),
-                      "shader"))
-    return dumps, structure, setup, kick
-
-
 def _completion_actions(parent: Recording, info: JobInfo,
-                        family: str, wptr: int) -> List[act.Action]:
+                        dispatch: Dispatch,
+                        kick: act.RegWrite) -> List[act.Action]:
     """The parent's completion window for this job, renumbered for a
-    single-job tape. On Adreno the retire read of ``CP_RB_RPTR`` is the
-    one history-dependent value: the parent saw its own ring offset,
-    the slice always sees ``wptr``."""
+    single-job tape. A retire read of the family's ``retire_reg``
+    (Adreno's ``CP_RB_RPTR``) is the one history-dependent value: the
+    parent saw its own ring offset, the slice sees its kick's."""
     out: List[act.Action] = []
     for action in parent.actions[info.kick_index + 1:info.completion_end]:
         if not isinstance(action, _COMPLETION_ACTIONS):
             continue
         clone = copy.deepcopy(action)
         clone.job_index = 1
-        if (family == "adreno" and isinstance(clone, act.RegReadOnce)
-                and clone.reg == "CP_RB_RPTR"):
-            clone.val = wptr
+        if (isinstance(clone, act.RegReadOnce)
+                and clone.reg == dispatch.retire_reg):
+            clone.val = kick.val
         out.append(clone)
     return out
 
@@ -396,23 +324,27 @@ def slice_job(parent: Recording, job_index: int,
             kernels = [kernels[kernel_index]]
 
         family = parent.meta.family
-        struct_dumps, structure, setup, kick = _structural_dumps(
-            family, kernels, info, image, kernel_index is not None)
+        dispatch = DISPATCH[family]
+        structs, setup, structure = dispatch.encode(info.setup, kernels,
+                                                    image.read)
+        setup_writes, kick = dispatch.writes(setup)
+        # The prologue already programs the config registers.
+        setup_writes = [w for w in setup_writes
+                        if w.reg not in dispatch.config_regs]
+        struct_dumps = [(va, data, "desc") for va, data in structs] + [
+            (k.shader_va, image.read(k.shader_va, k.shader_size), "shader")
+            for k in kernels]
 
-        closure: List[Range] = []
+        structural = merge_ranges(
+            [(va, len(data)) for va, data, _kind in struct_dumps])
+        closure: List[Range] = list(structural)
         writes: List[Range] = []
         for kernel in kernels:
-            closure.append((kernel.shader_va, kernel.shader_size))
             closure.extend(kernel.program.referenced_ranges())
             writes.extend(kernel.write_ranges())
-        for va, data, _kind in struct_dumps:
-            closure.append((va, len(data)))
         closure = merge_ranges(closure)
         writes = merge_ranges(writes)
-
-        structural_ranges = merge_ranges(
-            [(va, len(data)) for va, data, _k in struct_dumps])
-        data_ranges = _subtract_ranges(closure, structural_ranges)
+        data_ranges = _subtract_ranges(closure, structural)
 
         keep_maps = {
             addr: spec for addr, spec in info.live_maps.items()
@@ -442,10 +374,9 @@ def slice_job(parent: Recording, job_index: int,
         prologue.extend(_post_map_config(parent))
 
         outputs = _slice_outputs(kernels)
-        wptr = structure.get("wptr", 0)
         actions: List[act.Action] = (
-            list(prologue) + list(uploads) + list(setup) + [kick]
-            + _completion_actions(parent, info, family, wptr))
+            list(prologue) + list(uploads) + setup_writes + [kick]
+            + _completion_actions(parent, info, dispatch, kick))
 
         workload = f"{parent.meta.workload}#job{job_index}"
         if kernel_index is not None:
@@ -532,11 +463,6 @@ def _expected_from_write_bytes(outputs: List[IoBuffer],
     return expected
 
 
-def write_bytes_match(a: Dict[Range, bytes], b: Dict[Range, bytes]) -> bool:
-    """Byte-equality over two write-set captures."""
-    return a == b
-
-
 def verify_slice(parent: Recording, slice_: "Slice",
                  board: Optional[str] = None,
                  analysis: Optional[RecordingAnalysis] = None) -> bool:
@@ -552,4 +478,4 @@ def verify_slice(parent: Recording, slice_: "Slice",
     writes = [tuple(r) for r in slice_.manifest.writes]
     ref = parent_write_bytes(parent, info, inputs, board, writes=writes)
     got = slice_write_bytes(slice_, board)
-    return write_bytes_match(ref, got)
+    return ref == got

@@ -92,8 +92,8 @@ class TestAttackSuite:
 
     def test_attack_names_cover_the_verifier_surface(self):
         assert set(ATTACKS) == {"illegal-register", "oob-upload",
-                                "memory-bomb", "malformed-file",
-                                "gpu-hang"}
+                                "memory-bomb", "pgtable-redirect",
+                                "malformed-file", "gpu-hang"}
 
     def test_attacks_work_on_v3d_too(self):
         from repro.environments.base import host_kernel_configures_gpu

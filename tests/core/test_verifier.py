@@ -155,3 +155,46 @@ class TestPolicies:
         report = verify_recording(rec, REGISTERS)
         assert report.actions == 2
         assert report.dump_bytes == 100
+
+
+#: Each family's page-table root registers, named here rather than
+#: imported so that the probe does not lean on the declaration it tests.
+ROOTS = {"mali": ("AS0_TRANSTAB_LO", "AS0_TRANSTAB_HI"),
+         "adreno": ("SMMU_TTBR0_LO", "SMMU_TTBR0_HI"),
+         "v3d": ("MMU_PT_PA_BASE",)}
+
+
+class TestPageTableRoot:
+    """Only SetGpuPgtable may move the GPU page-table root: a RegWrite
+    naming a root register is refused at load, whatever its value."""
+
+    @pytest.mark.parametrize("family", sorted(ROOTS))
+    def test_replayer_refuses_a_root_redirect(self, family):
+        from repro.core.replayer import Replayer
+        from repro.soc.machine import fresh_replay_machine
+
+        replayer = Replayer(fresh_replay_machine(family, seed=31))
+        replayer.init()
+        gpu = replayer.machine.require_gpu()
+        meta = RecordingMeta(gpu_model=gpu.model_name, family=family,
+                             pte_format=gpu.mmu.fmt.name,
+                             board=replayer.machine.board.name,
+                             workload="probe", prologue_len=2)
+        probe = Recording(meta, [
+            act.SetGpuPgtable(),
+            act.MapGpuMem(addr=0x100000, num_pages=1, raw_pte_flags=7),
+        ] + [act.RegWrite(reg=reg, val=0x1000 if i == 0 else 0)
+             for i, reg in enumerate(ROOTS[family])], [])
+        with pytest.raises(VerificationError, match="page-table root"):
+            replayer.load(probe)
+        replayer.cleanup()
+
+    def test_reads_of_a_root_stay_legal(self):
+        verify_recording(recording([
+            act.RegReadOnce(reg="AS0_TRANSTAB_LO", val=0, ignore=True),
+        ]), REGISTERS | {"AS0_TRANSTAB_LO"})
+
+    def test_the_driver_and_the_verifier_share_one_declaration(self):
+        from repro.core.nano_driver import PGTABLE_ROOT_REGS
+
+        assert PGTABLE_ROOT_REGS == ROOTS

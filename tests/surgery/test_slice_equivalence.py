@@ -7,6 +7,7 @@ against what the analyzer promised, kernel-level slicing, and that
 slicing is deterministic (same job, same bytes, same digest).
 """
 
+import copy
 import random
 
 import numpy as np
@@ -106,3 +107,23 @@ def test_math_kernel_parent_slices_too():
     expected = slice_.manifest.expected_output_arrays()
     assert expected and all(np.isfinite(a).all()
                             for a in expected.values())
+
+
+def test_adreno_analyzer_applies_the_doorbell_rule():
+    """A doorbell that ends mid-packet submits nothing on the device
+    (``AdrenoGpu._on_doorbell``), so the analyzer must refuse it too
+    rather than read the partial packet as a whole kernel."""
+    from repro.core.replay import boot_replayer
+    from repro.errors import ReplayError
+
+    parent = record_math_kernel("adreno", vecadd_ir(64),
+                                board_for_family("adreno")).recording
+    torn = copy.deepcopy(parent)
+    kick = next(a for a in torn.actions
+                if getattr(a, "is_job_kick", False))
+    kick.val -= 8
+    with pytest.raises(SurgeryError, match="whole number of packets"):
+        analyze_recording(torn)
+    replayer = boot_replayer(torn, None, 7)[1]
+    with pytest.raises(ReplayError):
+        replayer.replay(max_attempts=1)
