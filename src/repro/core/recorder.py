@@ -131,10 +131,14 @@ class GpuRecorder(trace.DriverTracer):
     def _on_begin(self) -> None:
         """Family hook: quiesce hardware state before recording."""
 
-    def _extra_prologue_actions(self) -> List[act.Action]:
-        """Family hook: extra address-space setup actions (e.g. the
-        Adreno ring configuration registers)."""
-        return []
+    def _config_prologue(self) -> List[act.Action]:
+        """The dispatch table's config registers (the Adreno ring's
+        base and size) as the driver left them: the recording's
+        prologue programs them once."""
+        regs = self.driver.regs
+        return [act.RegWrite(reg=name, val=regs.peek(name),
+                             src="recorder:ring-prologue")
+                for name in DISPATCH[self.family].config_regs]
 
     # -- annotations (the record-harness API of Section 4.4) ---------------------
 
@@ -221,7 +225,7 @@ class GpuRecorder(trace.DriverTracer):
         for region in sorted(self._live_regions.values(),
                              key=lambda r: r.va):
             self._append(self._map_action(region), interval=False)
-        for action in self._extra_prologue_actions():
+        for action in self._config_prologue():
             self._append(action, interval=False)
         self._prologue_len = len(self._actions)
 
@@ -450,14 +454,6 @@ class AdrenoRecorder(MaliRecorder):
         # A recording must start from ring offset zero, matching the
         # freshly-reset state the nano driver provides at replay time.
         self.driver.rewind_ring()
-
-    def _extra_prologue_actions(self) -> List[act.Action]:
-        regs = self.driver.regs
-        return [
-            act.RegWrite(reg=name, val=regs.peek(name),
-                         src="recorder:ring-prologue")
-            for name in DISPATCH["adreno"].config_regs
-        ]
 
 
 class V3dRecorder(GpuRecorder):
