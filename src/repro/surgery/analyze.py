@@ -6,7 +6,7 @@ last-written value of every register, the live GPU mappings and a
 sparse memory image built from the Upload actions in stream order. At
 every job-kick write it decodes the family's dispatch structure out of
 the image (Mali job-descriptor chain, v3d control list, Adreno ring
-packet; :data:`repro.gpu.dispatch.DISPATCH` knows each), follows it
+packet; :data:`repro.core.dispatch.DISPATCH` knows each), follows it
 to the shader programs, and unions every VA range the job's MMIO/DMA
 chain actually touches into the job's **closure**:
 
