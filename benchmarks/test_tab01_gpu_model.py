@@ -69,7 +69,7 @@ def test_tab01_family_records_and_replays(benchmark, family, board,
 
 
 def test_tab01_pte_formats_are_family_specific(benchmark):
-    from repro.gpu.mmu import PTE_FORMATS
+    from repro.gpu import PTE_FORMATS
 
     def distinct_encodings():
         out = {}

@@ -8,8 +8,8 @@ Layering, bottom-up; an import-time edge only points down (DESIGN.md
 
 - :mod:`repro.soc` -- the SoC substrate: virtual clock, memory, MMIO,
   interrupts, firmware, boards, the flight recorder every machine has.
-- :mod:`repro.gpu` -- register-level GPU device models, GPU MMU, a
-  shader bytecode ISA executed with numpy, job-binary formats.
+- :mod:`repro.gpu` -- the per-family interface (Table 1 as data) and,
+  per board, register-level device models, MMU, a numpy shader ISA.
 - :mod:`repro.core` -- GPUReplay itself. The replayer half (recordings,
   verifier, replayer, ``python -m repro.core.replay``) stops here; the
   recorder half sits on :mod:`repro.stack`, the *original* GPU stack

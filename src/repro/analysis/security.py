@@ -16,11 +16,11 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
-from repro.core.nano_driver import PGTABLE_ROOT_REGS
 from repro.core.recording import Recording, RecordingMeta
 from repro.core.replayer import Replayer
 from repro.errors import (ReplayError, SerializationError,
                           VerificationError)
+from repro.gpu import FAMILIES
 from repro.soc.machine import Machine
 from repro.soc.memory import PAGE_SIZE
 from repro.units import MIB, MS
@@ -104,7 +104,7 @@ def attack_pgtable_redirect(machine: Machine) -> AttackResult:
     never allocated: a register the map names, written with a value
     only ``SetGpuPgtable`` may set."""
     meta = _base_meta(machine)
-    roots = PGTABLE_ROOT_REGS[meta.family]
+    roots = FAMILIES[meta.family].root_regs
     recording = Recording(meta, [
         act.SetGpuPgtable(),
         act.MapGpuMem(addr=0x100000, num_pages=1, raw_pte_flags=0x7),

@@ -7,8 +7,8 @@
 - :mod:`repro.core.taint` -- magic-value input/output discovery;
 - :mod:`repro.core.harness` -- the developer-facing record harness;
 - :mod:`repro.core.verifier` -- static security verification (§5.1);
-- :mod:`repro.core.nano_driver` -- the ~600-SLoC-equivalent GPU access
-  layer (§5.2);
+- :mod:`repro.core.nano_driver` -- the GPU access layer (§5.2), driven
+  by the family's row of :data:`repro.gpu.FAMILIES`;
 - :mod:`repro.core.compiled` / ``replayer`` -- action execution,
   pacing, failure detection/recovery, preemption;
 - :mod:`repro.core.interpreter`, ``checkpoints``, ``mega`` -- the
@@ -20,10 +20,10 @@
 
 What loads when: ``import repro.core`` loads no submodule; the names
 in ``__all__`` resolve on first access. ``from repro.core import
-Replayer`` loads the replayer half (plus ``soc``, ``gpu``, ``errors``,
-``units``); only the recorder-half names -- ``GpuRecorder``,
-``RecorderOptions``, ``RecordedWorkload``, ``record_*`` -- load
-:mod:`repro.stack`, the stack the replayer exists to replace.
+Replayer`` loads the replayer half (plus the ``gpu`` interface,
+``soc.memory``, ``errors``, ``units``); only the recorder-half names --
+``GpuRecorder``, ``RecorderOptions``, ``RecordedWorkload``, ``record_*``
+-- load :mod:`repro.stack`, the stack the replayer exists to replace.
 """
 
 from repro import lazy_exports

@@ -3,32 +3,30 @@
 GPU families differ in a small interface (PAPER §4.1, Table 1): which
 register kicks a job, where the head of the job binary sits, and how
 that binary -- a Mali job chain, a v3d control list, an Adreno ring --
-links descriptors to shaders. :data:`DISPATCH` holds it once per family
-for the recorder, the surgery analyzer, slicer and composer, and
+links descriptors to shaders. :data:`DISPATCH` holds the binaries
+once per family for the surgery analyzer, slicer and composer, and
 :func:`first_kick_chain_va` / :func:`flip_dump_byte` (the replay
-doctor's and the serve engine's poisoned recordings). The device models
-and the nano driver keep their own code; the deployable never imports
-this module. A *submission* is the kick-time register state as a dict
-(``JobInfo.setup``).
+doctor's and the serve engine's poisoned recordings); the kick, config
+and retire registers are :data:`repro.gpu.FAMILIES`'. The deployable
+never imports this module. A *submission* is the kick-time register
+state as a dict (``JobInfo.setup``).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
 from repro.core.recording import Recording
 from repro.errors import JobDecodeError, ObsError
-from repro.gpu.adreno import RING_PKT, RING_PKT_MAGIC
+from repro.gpu import FAMILIES
 from repro.gpu.jobs import (CL_BRANCH, CL_BRANCH_PKT, CL_EXEC_PKT,
                             CL_EXEC_SHADER, CL_HALT, MALI_JOB_DESC_SIZE,
-                            decode_mali_job, encode_cl_exec,
-                            encode_cl_halt, encode_mali_job,
+                            RING_PKT, RING_PKT_MAGIC, decode_mali_job,
+                            encode_cl_exec, encode_cl_halt, encode_mali_job,
                             walk_control_list, walk_mali_chain)
-from repro.gpu.mali import NUM_JOB_SLOTS
 
 #: The control-list packets that carry a VA, right after the opcode.
 _CL_PACKETS = {CL_EXEC_SHADER: CL_EXEC_PKT, CL_BRANCH: CL_BRANCH_PKT}
@@ -89,16 +87,6 @@ class Dispatch:
     """
 
     family: str
-    #: Registers whose write kicks a job.
-    kick_regs: FrozenSet[str]
-    #: Registers that place the structure but that a recording programs
-    #: once, in its prologue: a slice keeps them there, a composition
-    #: programs them per instance.
-    config_regs: Tuple[str, ...] = ()
-    #: A register a job's completion reads back and finds equal to the
-    #: kick's value (Adreno's read pointer catches up with the doorbell):
-    #: the one completion value that depends on earlier jobs.
-    retire_reg: Optional[str] = None
 
     def write(self, regs: Dict[str, int], reg: str, val: int) -> None:
         """Latch a register write that does not kick into ``regs``."""
@@ -114,8 +102,6 @@ class MaliDispatch(Dispatch):
     ``JS<n>_COMMAND`` starts it."""
 
     family = "mali"
-    kick_regs = frozenset(f"JS{slot}_COMMAND"
-                          for slot in range(NUM_JOB_SLOTS))
 
     def kick(self, regs: Dict[str, int], reg: str, val: int) -> Setup:
         slot = int(reg[2])
@@ -177,7 +163,6 @@ class V3dDispatch(Dispatch):
     ``CT0QEA`` runs it."""
 
     family = "v3d"
-    kick_regs = frozenset({"CT0QEA"})
 
     def kick(self, regs: Dict[str, int], reg: str, val: int) -> Setup:
         return {"qba": regs.get("CT0QBA", 0), "qea": val}
@@ -236,9 +221,6 @@ class AdrenoDispatch(Dispatch):
     up to itself."""
 
     family = "adreno"
-    kick_regs = frozenset({"CP_RB_WPTR"})
-    config_regs = ("CP_RB_BASE_LO", "CP_RB_BASE_HI", "CP_RB_SIZE")
-    retire_reg = "CP_RB_RPTR"
 
     def write(self, regs: Dict[str, int], reg: str, val: int) -> None:
         regs[reg] = val
@@ -323,7 +305,7 @@ def first_kick_chain_va(recording: Recording) -> int:
             continue
         if not action.is_job_kick:
             dispatch.write(regs, action.reg, action.val)
-        elif action.reg in dispatch.kick_regs:
+        elif action.reg in FAMILIES[dispatch.family].kick_regs:
             return dispatch.head(
                 dispatch.kick(regs, action.reg, action.val))
         else:

@@ -1,10 +1,10 @@
-"""The nano GPU driver (Section 5.2): ~600 SLoC of hardware access.
+"""The nano GPU driver (Section 5.2): the replayer's hardware access.
 
-The only GPU knowledge the replayer ships: the per-family register map
-(names -> MMIO offsets), the reset/power bring-up sequence, the
-page-table encoding of its own SKU, and a bare-minimum interrupt
-handler that does nothing but flag arrival -- interrupt *handling* is
-the recording's job (the actions that follow a WaitIrq).
+The only GPU knowledge the replayer ships: the register map (names ->
+MMIO offsets), its family's :data:`repro.gpu.FAMILIES` row, its SKU's
+page-table encoding and an interrupt handler that only flags arrival
+-- interrupt *handling* is the recording's job (the actions that
+follow a WaitIrq).
 
 Register access goes through the machine's MMIO bus at resolved
 addresses, exactly as a user-level replayer would through mmap'd
@@ -15,24 +15,16 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.dumps import MemoryDump
 from repro.errors import ReplayError, VerificationError
-from repro.gpu import adreno as adreno_hw
-from repro.gpu import mali as mali_hw
-from repro.gpu import v3d as v3d_hw
-from repro.gpu.mmu import PageTableBuilder
-from repro.soc.machine import Machine
+from repro.gpu import FAMILIES, PageTableBuilder, Step
 from repro.soc.memory import PAGE_SIZE, PageSource
-from repro.units import MS, SEC, US
+from repro.units import SEC, US
 
-#: The registers that hold the GPU page-table root, per family: only
-#: :meth:`NanoGpuDriver.set_gpu_pgtable` writes them, and the verifier
-#: refuses a recording's RegWrite to any of them.
-PGTABLE_ROOT_REGS = {"mali": ("AS0_TRANSTAB_LO", "AS0_TRANSTAB_HI"),
-                     "adreno": ("SMMU_TTBR0_LO", "SMMU_TTBR0_HI"),
-                     "v3d": ("MMU_PT_PA_BASE",)}
+if TYPE_CHECKING:
+    from repro.soc.machine import Machine
 
 MMIO_ACCESS_NS = 150
 POLL_STEP_NS = 10 * US
@@ -58,6 +50,7 @@ class NanoGpuDriver:
         self.clock = machine.clock
         gpu = machine.require_gpu()
         self.family = gpu.family
+        self.table = FAMILIES[gpu.family]
         self.model_name = gpu.model_name
         self.mmio_base = machine.board.gpu_mmio_base
         self.mmio = machine.mmio
@@ -256,7 +249,7 @@ class NanoGpuDriver:
                       cat="nano", args={"family": self.family}):
             self.connect_irq()
             self.clear_irq_state()
-            self._family_reset()
+            self._run(self.table.reset)
             self.release_memory()
         # Observe GPU-side writes so resident-dump tracking never
         # claims bytes the GPU itself has since overwritten.
@@ -269,82 +262,30 @@ class NanoGpuDriver:
         self.flight.record(self.clock.now(), "Reset", ("soft",))
         with obs.span("nano:reset", obs.track("replay", "nano"),
                       cat="nano"):
-            self._family_reset()
+            self._run(self.table.reset)
         self.clear_irq_state()
-
-    def _family_reset(self) -> None:
-        if self.family == "mali":
-            self._mali_reset_and_power()
-        elif self.family == "adreno":
-            self._adreno_reset_and_power()
-        else:
-            self._v3d_reset()
 
     def flush_and_reset(self) -> None:
         """Preemption path: clean caches + TLB, then soft reset (§5.3)."""
-        if self.family == "mali":
-            self.reg_write("GPU_COMMAND", mali_hw.CMD_CLEAN_CACHES)
-            self.reg_poll("GPU_IRQ_RAWSTAT",
-                          mali_hw.IRQ_CLEAN_CACHES_COMPLETED,
-                          mali_hw.IRQ_CLEAN_CACHES_COMPLETED, 2 * MS)
-            self.reg_write("GPU_IRQ_CLEAR",
-                           mali_hw.IRQ_CLEAN_CACHES_COMPLETED)
-            self.reg_write("AS0_COMMAND", mali_hw.AS_CMD_FLUSH_PT)
-        elif self.family == "adreno":
-            self.reg_write("UCHE_CACHE_FLUSH", adreno_hw.UCHE_FLUSH)
-            self.reg_poll("UCHE_CACHE_FLUSH", adreno_hw.UCHE_FLUSH, 0,
-                          2 * MS)
-            self.reg_write("SMMU_TLBIALL", 1)
-        else:
-            self.reg_write("L2TCACTL", v3d_hw.L2T_FLUSH)
-            self.reg_poll("L2TCACTL", v3d_hw.L2T_FLUSH, 0, 2 * MS)
+        self._run(self.table.flush)
         self.soft_reset()
 
-    def _mali_reset_and_power(self) -> None:
-        self.reg_write("GPU_COMMAND", mali_hw.CMD_SOFT_RESET)
-        if not self.reg_poll("GPU_IRQ_RAWSTAT",
-                             mali_hw.IRQ_RESET_COMPLETED,
-                             mali_hw.IRQ_RESET_COMPLETED, 10 * MS):
-            raise ReplayError("nano driver: GPU reset timed out")
-        self.reg_write("GPU_IRQ_CLEAR", mali_hw.IRQ_RESET_COMPLETED)
-        self.reg_write("JOB_IRQ_MASK", 0xFFFFFFFF)
-        self.reg_write("MMU_IRQ_MASK", 0xFFFFFFFF)
-        self.reg_write("GPU_IRQ_MASK", 0)
-        self.reg_write("L2_PWRON", 1)
-        if not self.reg_poll("L2_READY", 1, 1, 5 * MS):
-            raise ReplayError("nano driver: L2 power-up timed out")
-        present = self.reg_read("SHADER_PRESENT")
-        self.reg_write("SHADER_PWRON", present)
-        if not self.reg_poll("SHADER_READY", present, present, 5 * MS):
-            raise ReplayError("nano driver: shader power-up timed out")
-
-    def _adreno_reset_and_power(self) -> None:
-        self.reg_write("RBBM_SW_RESET_CMD", 1)
-        if not self.reg_poll("RBBM_RESET_STATUS", 1, 1, 10 * MS):
-            raise ReplayError("nano driver: adreno reset timed out")
-        self.reg_write("RBBM_INT_0_MASK",
-                       adreno_hw.INT_CP_DONE | adreno_hw.INT_RBBM_ERROR
-                       | adreno_hw.INT_SMMU_FAULT)
-        self.reg_write("GDSC_PWR_CTRL", 1)
-        if not self.reg_poll("GDSC_PWR_STATUS", 1, 1, 5 * MS):
-            raise ReplayError("nano driver: GDSC power-up timed out")
-        self.reg_write("SPTP_PWR_CTRL", 1)
-        if not self.reg_poll("SPTP_PWR_STATUS", 1, 1, 5 * MS):
-            raise ReplayError("nano driver: SPTP power-up timed out")
-
-    def _v3d_reset(self) -> None:
-        if self.reg_read("CTL_IDENT") == 0xFFFFFFFF:
-            raise ReplayError(
-                "v3d reads as unpowered; the deployment environment "
-                "must configure GPU power/clocks before replay "
-                "(host kernel, or the recording's firmware sequence)")
-        self.reg_write("CTL_RESET", 1)
-        if not self.reg_poll("CTL_STATUS", v3d_hw.STATUS_IDLE,
-                             v3d_hw.STATUS_IDLE, 5 * MS):
-            raise ReplayError("nano driver: v3d reset timed out")
-        self.reg_write("CTL_INT_MSK",
-                       v3d_hw.INT_FRDONE | v3d_hw.INT_CTERR
-                       | v3d_hw.INT_MMU_FAULT)
+    def _run(self, steps: Sequence[Step]) -> None:
+        """Run one of the table's register sequences."""
+        last = 0
+        for step in steps:
+            value = last if step.value is None else step.value
+            if step.op == "write":
+                self.reg_write(step.reg, value)
+            elif step.op == "poll":
+                mask = last if step.mask is None else step.mask
+                if not self.reg_poll(step.reg, mask, value,
+                                     step.timeout_ns) and step.what:
+                    raise ReplayError(f"nano driver: {step.what} timed out")
+            else:
+                last = self.reg_read(step.reg)
+                if last == step.value:
+                    raise ReplayError(step.what)
 
     # -- GPU memory (MapGPUMem / Upload / CopyTo / CopyFrom) -----------------------------
 
@@ -396,21 +337,13 @@ class NanoGpuDriver:
 
     def set_gpu_pgtable(self, memattr: int) -> None:
         self.flight.record(self.clock.now_ns, "SetPgtable", (memattr,))
-        root = self._require_pt().root_pa
-        # A 64-bit root splits LO/HI; v3d's register holds its page.
-        words = (root >> 12,) if self.family == "v3d" \
-            else (root & 0xFFFFFFFF, root >> 32)
-        for reg, word in zip(PGTABLE_ROOT_REGS[self.family], words):
-            self.reg_write(reg, word)
-        if self.family == "mali":
-            self.reg_write("AS0_MEMATTR", memattr)
-            self.reg_write("AS0_COMMAND", mali_hw.AS_CMD_UPDATE)
-        elif self.family == "adreno":
-            self.reg_write("SMMU_CR0", memattr)
-            self.reg_write("SMMU_TLBIALL", 1)
-        else:
-            self.reg_write("MMU_CTRL", v3d_hw.MMU_CTRL_ENABLE
-                           | v3d_hw.MMU_CTRL_TLB_CLEAR)
+        table = self.table
+        root = self._require_pt().root_pa >> table.root_shift
+        for word, reg in enumerate(table.root_regs):
+            self.reg_write(reg, (root >> 32 * word) & 0xFFFFFFFF)
+        if table.memattr_reg is not None:
+            self.reg_write(table.memattr_reg, memattr)
+        self._run(table.arm)
 
     def _cpu_access(self, va: int, size: int, data: Optional[bytes] = None,
                     source: Optional[PageSource] = None) -> bytes:

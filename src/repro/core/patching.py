@@ -25,8 +25,7 @@ from typing import List
 from repro.core import actions as act
 from repro.core.recording import Recording
 from repro.errors import RecordingError
-from repro.gpu.mali import MALI_SKUS
-from repro.gpu.mmu import PTE_FORMATS
+from repro.gpu import MALI_SKUS, PTE_FORMATS
 
 
 @dataclass

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core import actions as act
-from repro.core.dispatch import DISPATCH
 from repro.core.dumps import MemoryDump
 from repro.core.recording import Recording, RecordingMeta
 from repro.errors import RecordingError
+from repro.gpu import FAMILIES
 from repro.gpu import jobs as jobfmt
 from repro.soc import firmware as fw
 from repro.soc.memory import PAGE_SIZE
@@ -108,7 +108,7 @@ class GpuRecorder(trace.DriverTracer):
         self.options = options or RecorderOptions()
         self.family = driver.gpu.family
         self._fmt = driver.gpu.mmu.fmt
-        self._kick_regs = DISPATCH[self.family].kick_regs
+        self._table = FAMILIES[self.family]
         self._by_value: List[Tuple[int, int]] = []
         self._recordings: List[Recording] = []
         self._active = False
@@ -118,7 +118,8 @@ class GpuRecorder(trace.DriverTracer):
     # -- family knowledge (Table 1) ------------------------------------------
 
     def _capture_memattr(self) -> int:
-        raise NotImplementedError
+        reg = self._table.memattr_reg
+        return self.driver.regs.peek(reg) if reg else 0
 
     def _dump_eligible_regions(self, chain_va: int) -> List[_Region]:
         """Which live regions may contain the job binary."""
@@ -132,13 +133,13 @@ class GpuRecorder(trace.DriverTracer):
         """Family hook: quiesce hardware state before recording."""
 
     def _config_prologue(self) -> List[act.Action]:
-        """The dispatch table's config registers (the Adreno ring's
+        """The family's config registers (the Adreno ring's
         base and size) as the driver left them: the recording's
         prologue programs them once."""
         regs = self.driver.regs
         return [act.RegWrite(reg=name, val=regs.peek(name),
                              src="recorder:ring-prologue")
-                for name in DISPATCH[self.family].config_regs]
+                for name in self._table.config_regs]
 
     # -- annotations (the record-harness API of Section 4.4) ---------------------
 
@@ -296,7 +297,7 @@ class GpuRecorder(trace.DriverTracer):
 
     def emit(self, event: trace.TraceEvent) -> None:
         if isinstance(event, trace.RegWriteEvent):
-            kick = event.name in self._kick_regs
+            kick = event.name in self._table.kick_regs
             self._reg_action_count += 1
             self._append(act.RegWrite(reg=event.name, mask=event.mask,
                                       val=event.value, is_job_kick=kick,
@@ -424,9 +425,6 @@ class MaliRecorder(GpuRecorder):
     harness annotated record-by-value (NN parameters) are captured too.
     """
 
-    def _capture_memattr(self) -> int:
-        return self.driver.regs.peek("AS0_MEMATTR")
-
     def _dump_eligible_regions(self, chain_va: int) -> List[_Region]:
         del chain_va  # exec permissions suffice on Mali
         out = []
@@ -447,9 +445,6 @@ class AdrenoRecorder(MaliRecorder):
     knowledge differs.
     """
 
-    def _capture_memattr(self) -> int:
-        return self.driver.regs.peek("SMMU_CR0")
-
     def _on_begin(self) -> None:
         # A recording must start from ring offset zero, matching the
         # freshly-reset state the nano driver provides at replay time.
@@ -466,9 +461,6 @@ class V3dRecorder(GpuRecorder):
     dumps). Dumps are rounded to whole regions -- the conservatism that
     makes v3d recordings larger but highly compressible (Section 7.3).
     """
-
-    def _capture_memattr(self) -> int:
-        return 0  # v3d has no translation-config register to capture.
 
     def _whole_region_dumps(self) -> bool:
         return True

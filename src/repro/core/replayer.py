@@ -32,12 +32,12 @@ from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recording import Recording
 from repro.core.verifier import VerificationReport, verify_recording
 from repro.errors import ReplayAborted, ReplayError
-from repro.soc.machine import Machine
 from repro.units import SEC, US
 
 if TYPE_CHECKING:
     from repro.core.checkpoints import CheckpointPolicy
     from repro.core.mega import MegaReplayResult
+    from repro.soc.machine import Machine
 
 #: Throughput of recording decompression at Load time (zlib on a
 #: mobile CPU).

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import actions as act
-from repro.core.nano_driver import PGTABLE_ROOT_REGS
 from repro.core.recording import Recording
 from repro.errors import VerificationError
-from repro.gpu.mmu import VA_SPACE_SIZE
+from repro.gpu import FAMILIES, VA_SPACE_SIZE
 from repro.soc.memory import PAGE_SIZE
 from repro.units import MIB
 
-_ROOTS = frozenset(sum(PGTABLE_ROOT_REGS.values(), ()))
+_ROOTS = frozenset(reg for family in FAMILIES.values()
+                   for reg in family.root_regs)
 
 
 @dataclass
@@ -108,10 +108,11 @@ def verify_recording(recording: Recording,
             live[action.addr] = action.num_pages
             peak = max(peak, sum(live.values()))
         elif isinstance(action, act.UnmapGpuMem):
-            if action.addr not in live:
+            pages = live.pop(action.addr, 0)
+            if pages != action.num_pages:
                 raise VerificationError(
-                    f"action #{index}: unmap of unmapped {action.addr:#x}")
-            del live[action.addr]
+                    f"action #{index}: unmap of {action.num_pages} pages at "
+                    f"{action.addr:#x}, which maps {pages}")
         elif isinstance(action, act.Upload):
             if not 0 <= action.dump_index < len(recording.dumps):
                 raise VerificationError(

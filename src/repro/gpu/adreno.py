@@ -8,7 +8,7 @@ claim ("our GPU model fits popular integrated GPUs"):
   the CP write pointer (``CP_RB_WPTR``); the command processor
   consumes packets and advances ``CP_RB_RPTR``;
 - the SMMU page tables use yet another PTE layout
-  (:class:`~repro.gpu.mmu.AdrenoPteFormat`), programmed through
+  (:class:`~repro.gpu.AdrenoPteFormat`), programmed through
   TTBR0/CR0 with explicit TLB invalidation;
 - synchronous submission is enforced the way Table 1 notes for
   Adreno: "check submitted job completion before a new command
@@ -17,35 +17,18 @@ claim ("our GPU model fits popular integrated GPUs"):
 
 from __future__ import annotations
 
-import struct
 from typing import List, Optional
 
 from repro.errors import (GpuPageFault, JobDecodeError,
                           ShaderDecodeError)
+from repro.gpu import (ADRENO_CLOCK_HZ, ADRENO_CORE_COUNT, ADRENO_GPU_ID,
+                       INT_CP_DONE, INT_RBBM_ERROR, INT_SMMU_FAULT,
+                       PTE_FORMATS, SMMU_ENABLE, UCHE_FLUSH)
 from repro.gpu.device import GpuDevice, RunningJob
-from repro.gpu.mmu import PTE_FORMATS
+from repro.gpu.jobs import RING_PKT, RING_PKT_MAGIC
 from repro.soc.machine import Machine
 from repro.soc.mmio import U32_MASK, RegAttr, RegisterDef
 from repro.units import US
-
-# RBBM_INT_0_STATUS bits.
-INT_CP_DONE = 1 << 0
-INT_RBBM_ERROR = 1 << 1
-INT_SMMU_FAULT = 1 << 2
-
-# SMMU_CR0 bits.
-SMMU_ENABLE = 1 << 0
-
-# UCHE_CACHE_FLUSH bits (hardware clears when the flush retires).
-UCHE_FLUSH = 1 << 0
-
-ADRENO_GPU_ID = 0x0604_0001  # Adreno 640-class
-ADRENO_CORE_COUNT = 2
-ADRENO_CLOCK_HZ = 585_000_000
-
-#: Ring packets: magic, shader size, shader VA.
-RING_PKT = struct.Struct("<IIQ")
-RING_PKT_MAGIC = 0x37544B50  # "PKT7"
 
 RESET_DELAY_NS = 60 * US
 PWRON_DELAY_NS = 35 * US

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.errors import SocError
+from repro.gpu import L1_SPAN, VA_SPACE_SIZE, PteFormat, split_va
 from repro.gpu.device import GpuDevice
-from repro.gpu.mmu import L1_SPAN, VA_SPACE_SIZE, PteFormat, split_va
 from repro.soc.memory import PAGE_SIZE, PhysicalMemory
 
 

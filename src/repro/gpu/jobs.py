@@ -1,4 +1,4 @@
-"""GPU job binary formats: Mali job chains and v3d control lists.
+"""GPU job binary formats: Mali job chains, v3d control lists, Adreno rings.
 
 These are the "GPU commands" layer of a job binary: small descriptor
 structures living in GPU memory, deeply linked by GPU virtual addresses
@@ -141,3 +141,11 @@ def walk_control_list(base_va: int,
             va = target
             continue
         raise JobDecodeError(f"unknown control-list opcode {opcode}")
+
+
+# --------------------------------------------------------------------------
+# Adreno: fixed-size packets in a ring buffer.
+# --------------------------------------------------------------------------
+
+RING_PKT = struct.Struct("<IIQ")  # magic, shader size, shader VA
+RING_PKT_MAGIC = 0x37544B50  # "PKT7"

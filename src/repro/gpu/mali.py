@@ -17,50 +17,23 @@ Family-level properties used by the evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import GpuPageFault, JobDecodeError, ShaderDecodeError
+from repro.gpu import (AS_CMD_FLUSH_PT, AS_CMD_UPDATE, CMD_CLEAN_CACHES,
+                       CMD_HARD_RESET, CMD_INV_CACHES, CMD_SOFT_RESET,
+                       FAULT_MEMATTR, FAULT_NONE, FAULT_PERMISSION,
+                       FAULT_TRANSLATION, IRQ_CLEAN_CACHES_COMPLETED,
+                       IRQ_POWER_CHANGED, IRQ_RESET_COMPLETED,
+                       JS_CMD_HARD_STOP, JS_CMD_START, JS_STATUS_ACTIVE,
+                       JS_STATUS_DONE, JS_STATUS_FAULT, JS_STATUS_IDLE,
+                       MALI_SKUS, NUM_JOB_SLOTS, PTE_FORMATS)
 from repro.gpu import jobs as jobfmt
 from repro.gpu.device import GpuDevice, RunningJob
-from repro.gpu.mmu import PTE_FORMATS
 from repro.soc.machine import Machine
 from repro.soc.mmio import U32_MASK, RegAttr, RegisterDef
 from repro.units import US
 
-# GPU_IRQ_RAWSTAT bits.
-IRQ_RESET_COMPLETED = 1 << 0
-IRQ_CLEAN_CACHES_COMPLETED = 1 << 1
-IRQ_POWER_CHANGED = 1 << 2
-
-# GPU_COMMAND values.
-CMD_NOP = 0
-CMD_SOFT_RESET = 1
-CMD_HARD_RESET = 2
-CMD_CLEAN_CACHES = 4
-CMD_INV_CACHES = 8
-
-# JSn_COMMAND values.
-JS_CMD_START = 1
-JS_CMD_HARD_STOP = 2
-
-# JSn_STATUS values.
-JS_STATUS_IDLE = 0x00
-JS_STATUS_ACTIVE = 0x08
-JS_STATUS_DONE = 0x40
-JS_STATUS_FAULT = 0x60
-
-# AS0_COMMAND values.
-AS_CMD_UPDATE = 1
-AS_CMD_FLUSH_PT = 4
-
-# AS0_FAULTSTATUS codes.
-FAULT_NONE = 0
-FAULT_TRANSLATION = 1
-FAULT_MEMATTR = 2
-FAULT_PERMISSION = 3
-
-NUM_JOB_SLOTS = 2
 #: Names every interrupt check and job start looks up, formatted once.
 _IRQ_REGS = {group: (f"{group}_IRQ_RAWSTAT", f"{group}_IRQ_MASK")
              for group in ("GPU", "JOB", "MMU")}
@@ -72,28 +45,6 @@ _JS_REGS = [tuple(f"JS{slot}_{reg}" for reg in
 RESET_DELAY_NS = 100 * US
 FLUSH_DELAY_NS = 25 * US
 PWRON_DELAY_NS = 30 * US
-
-
-@dataclass(frozen=True)
-class MaliSkuSpec:
-    """Static description of one SKU in the family."""
-
-    name: str
-    gpu_id: int
-    core_count: int
-    clock_hz: int
-    pte_format: str
-    #: MEMATTR value this SKU requires in AS0_MEMATTR before jobs run.
-    #: G71 expects the read-allocate bit (bit 2) set; G31/G52 do not.
-    required_memattr: int
-
-
-MALI_SKUS: Dict[str, MaliSkuSpec] = {
-    "g31": MaliSkuSpec("g31", 0x7093_0000, 1, 650_000_000,
-                       "mali-lpae", 0x48),
-    "g52": MaliSkuSpec("g52", 0x7402_0000, 2, 846_000_000, "mali", 0x48),
-    "g71": MaliSkuSpec("g71", 0x6000_0000, 8, 546_000_000, "mali", 0x4C),
-}
 
 
 def _mali_registers() -> List[RegisterDef]:

@@ -1,16 +1,10 @@
-"""GPU virtual memory: page-table formats, the GPU MMU, table builders.
+"""The GPU MMU: walks the page tables :mod:`repro.gpu` encodes.
 
 The paper's GPU model (Section 3.2) requires GPU virtual memory: the
 replayer may load memory dumps to physical pages *of its choice* and
 patch the page tables for relocation. To make that real, both record
 and replay machines allocate physical pages in different orders, and
 every GPU access goes through the MMU modelled here.
-
-Three page-table-entry formats are provided, matching Section 6.4's
-cross-SKU experience: the regular Mali format, the LPAE variant used by
-the low-end SKU whose *permission bits sit in a different order* (the
-cross-GPU patch re-arranges them), and the v3d format which has no
-permission bits at all (forcing the recorder's conservative dumps).
 
 Host cost. The MMU caches two things, both derived from page-table
 memory and both dropped by :meth:`GpuMmu._drop_translations` wherever
@@ -33,174 +27,20 @@ a view of the dump, until a page tagged from it changes.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
-from repro.errors import GpuPageFault, SocError
-from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
+from repro.errors import GpuPageFault
+# PageTableBuilder is imported from here too (ledger/).
+from repro.gpu import (L0_BITS, L1_BITS, OFFSET_BITS, PERM_R, PERM_W,
+                       PERM_X, PageTableBuilder, PteFormat, split_va)
+from repro.soc.memory import PAGE_SIZE, PhysicalMemory
 
-# Permission bits (logical, format-independent).
-PERM_R = 1
-PERM_W = 2
-PERM_X = 4
 _NEEDED = {"r": PERM_R, "w": PERM_W, "x": PERM_X}
-
-# Virtual address split: 4 KiB pages, 512-entry L1 tables, 512-entry L0
-# root -> 1 GiB of GPU virtual address space per context.
-_OFFSET_BITS = 12
-_L1_BITS = 9
-_L0_BITS = 9
-L1_SPAN = 1 << (_OFFSET_BITS + _L1_BITS)  # 2 MiB per L1 table
-VA_SPACE_SIZE = 1 << (_OFFSET_BITS + _L1_BITS + _L0_BITS)  # 1 GiB
 
 #: Pages all remembered page runs of one MMU may span together (128 MiB
 #: of touched ranges). A range that would not fit alone is never
 #: remembered; one that no longer fits starts the memo over.
 MAX_RUN_PAGES = 1 << 15
-
-
-def split_va(va: int) -> Tuple[int, int, int]:
-    """Split a VA into (l0_index, l1_index, page_offset)."""
-    if va < 0 or va >= VA_SPACE_SIZE:
-        raise GpuPageFault(va, "r", "outside GPU VA space")
-    offset = va & (PAGE_SIZE - 1)
-    l1 = (va >> _OFFSET_BITS) & ((1 << _L1_BITS) - 1)
-    l0 = (va >> (_OFFSET_BITS + _L1_BITS)) & ((1 << _L0_BITS) - 1)
-    return l0, l1, offset
-
-
-class PteFormat:
-    """Encodes/decodes page-table entries for one GPU family."""
-
-    name = "abstract"
-    pte_size = 8
-    has_permissions = True
-
-    def encode_pte(self, pa: int, perms: int) -> int:
-        raise NotImplementedError
-
-    def decode_pte(self, value: int) -> Tuple[bool, int, int]:
-        """Returns (valid, pa, perms)."""
-        raise NotImplementedError
-
-    def encode_table_ptr(self, pa: int) -> int:
-        raise NotImplementedError
-
-    def decode_table_ptr(self, value: int) -> Tuple[bool, int]:
-        raise NotImplementedError
-
-
-class MaliPteFormat(PteFormat):
-    """Regular Mali Bifrost format: valid, R, W, X at bits 0..3."""
-
-    name = "mali"
-    pte_size = 8
-    has_permissions = True
-
-    _VALID = 1 << 0
-    _R = 1 << 1
-    _W = 1 << 2
-    _X = 1 << 3
-    _TABLE = 1 << 4
-
-    def encode_pte(self, pa: int, perms: int) -> int:
-        value = self._VALID | (pa & ~(PAGE_SIZE - 1))
-        if perms & PERM_R:
-            value |= self._R
-        if perms & PERM_W:
-            value |= self._W
-        if perms & PERM_X:
-            value |= self._X
-        return value
-
-    def decode_pte(self, value: int) -> Tuple[bool, int, int]:
-        if not value & self._VALID:
-            return False, 0, 0
-        perms = 0
-        if value & self._R:
-            perms |= PERM_R
-        if value & self._W:
-            perms |= PERM_W
-        if value & self._X:
-            perms |= PERM_X
-        return True, value & ~0xFFF & ~(self._TABLE), perms
-
-    def encode_table_ptr(self, pa: int) -> int:
-        return self._VALID | self._TABLE | (pa & ~(PAGE_SIZE - 1))
-
-    def decode_table_ptr(self, value: int) -> Tuple[bool, int]:
-        if not (value & self._VALID and value & self._TABLE):
-            return False, 0
-        return True, value & ~0xFFF
-
-
-class MaliLpaePteFormat(MaliPteFormat):
-    """LPAE variant (Mali G31): permission bits in a *different order*.
-
-    X sits at bit 1, R at bit 2, W at bit 3. A G31 recording replayed
-    on G71 without re-arranging these bits yields wrong permissions --
-    the exact incompatibility Section 6.4's patch item (1) fixes.
-    """
-
-    name = "mali-lpae"
-    _X = 1 << 1
-    _R = 1 << 2
-    _W = 1 << 3
-
-
-class AdrenoPteFormat(MaliPteFormat):
-    """Adreno SMMU format: 8-byte entries, permissions at bits 6..8.
-
-    A third layout again (Table 1 row 5): recordings do not port
-    between families, only between SKUs sharing a format. Encoded
-    like Mali's with the bits elsewhere; unlike Mali's, a table
-    pointer never decodes as a page.
-    """
-
-    name = "adreno-smmu"
-    _TABLE = 1 << 1
-    _R = 1 << 6
-    _W = 1 << 7
-    _X = 1 << 8
-
-    def decode_pte(self, value: int) -> Tuple[bool, int, int]:
-        if value & self._TABLE:
-            return False, 0, 0
-        return super().decode_pte(value)
-
-
-class V3dPteFormat(PteFormat):
-    """v3d format: 4-byte PTEs, page number at bits 4..31, no perms."""
-
-    name = "v3d"
-    pte_size = 4
-    has_permissions = False
-
-    _VALID = 1 << 0
-    _TABLE = 1 << 1
-
-    def encode_pte(self, pa: int, perms: int) -> int:
-        del perms  # v3d page tables lack permission bits (Section 6.2).
-        return self._VALID | ((pa >> 12) << 4)
-
-    def decode_pte(self, value: int) -> Tuple[bool, int, int]:
-        if not value & self._VALID or value & self._TABLE:
-            return False, 0, 0
-        return True, ((value >> 4) << 12), PERM_R | PERM_W | PERM_X
-
-    def encode_table_ptr(self, pa: int) -> int:
-        return self._VALID | self._TABLE | ((pa >> 12) << 4)
-
-    def decode_table_ptr(self, value: int) -> Tuple[bool, int]:
-        if not (value & self._VALID and value & self._TABLE):
-            return False, 0
-        return True, (value >> 4) << 12
-
-
-PTE_FORMATS: Dict[str, PteFormat] = {
-    fmt.name: fmt
-    for fmt in (MaliPteFormat(), MaliLpaePteFormat(), V3dPteFormat(),
-                AdrenoPteFormat())
-}
 
 
 class GpuMmu:
@@ -313,20 +153,20 @@ class GpuMmu:
         self.tlb_misses += 1
         fmt = self.fmt
         width = fmt.pte_size
-        index = va >> _OFFSET_BITS
-        if leaf is None or leaf[0] != index >> _L1_BITS:
-            if index >> (_L1_BITS + _L0_BITS):
+        index = va >> OFFSET_BITS
+        if leaf is None or leaf[0] != index >> L1_BITS:
+            if index >> (L1_BITS + L0_BITS):
                 split_va(va)  # raises
             valid, l1_pa = fmt.decode_table_ptr(self._entry.unpack(
-                self.memory.read(self.base_pa + (index >> _L1_BITS) * width,
+                self.memory.read(self.base_pa + (index >> L1_BITS) * width,
                                  width))[0])
             if not valid:
                 self.fault_count += 1
                 raise GpuPageFault(va, access, "no L1 table")
-            leaf = (index >> _L1_BITS, l1_pa, self.memory.page_buffer(l1_pa),
+            leaf = (index >> L1_BITS, l1_pa, self.memory.page_buffer(l1_pa),
                     (self.base_pa >> 12, l1_pa >> 12))
         _number, l1_pa, buffer, tables = leaf
-        at = (index & ((1 << _L1_BITS) - 1)) * width
+        at = (index & ((1 << L1_BITS) - 1)) * width
         # No buffer (yet): a read's zeros, or its error.
         valid, pa, perms = fmt.decode_pte(
             self._entry.unpack_from(buffer, at)[0] if buffer is not None
@@ -492,109 +332,3 @@ class GpuMmu:
         for pa, chunk in self._walk(va + done, size - done, "w"):
             self.memory.write(pa, view[done:done + chunk])
             done += chunk
-
-
-class PageTableBuilder:
-    """CPU-side construction and maintenance of GPU page tables.
-
-    Used by the full driver *and* by the replayer's nano driver; both
-    sides need exactly the interface knowledge Table 1 lists -- the
-    register pointing at the tables and the PTE encoding.
-    """
-
-    def __init__(self, memory: PhysicalMemory, allocator: PageAllocator,
-                 fmt: PteFormat, tag: str = "pgtable"):
-        self.memory = memory
-        self.allocator = allocator
-        self.fmt = fmt
-        self.tag = tag
-        self.root_pa = allocator.alloc_page(tag)
-        self._l1_tables: Dict[int, int] = {}  # l0 index -> l1 table pa
-        self._mappings: Dict[int, Tuple[int, int]] = {}  # va page -> (pa, perms)
-
-    def _leaf_runs(self, va: int, num_pages: int
-                   ) -> List[Tuple[int, int, int, int]]:
-        """Split a page-aligned VA range at L1-table boundaries into
-        (l0, first l1 slot, first page number, page count) runs."""
-        if va % PAGE_SIZE:
-            raise SocError("mappings must be page-aligned")
-        if num_pages > 0:
-            # Both ends inside the VA space, or GpuPageFault.
-            split_va(va)
-            split_va(va + (num_pages - 1) * PAGE_SIZE)
-        runs = []
-        done = 0
-        while done < num_pages:
-            l0, l1 = divmod((va >> _OFFSET_BITS) + done, 1 << _L1_BITS)
-            count = min(num_pages - done, (1 << _L1_BITS) - l1)
-            runs.append((l0, l1, done, count))
-            done += count
-        return runs
-
-    def map_range(self, va: int, pas: Sequence[int], perms: int) -> None:
-        """Map ``pas`` at consecutive pages from ``va``: one packed
-        write of PTEs per leaf table the range crosses."""
-        for pa in pas:
-            if pa % PAGE_SIZE:
-                raise SocError("mappings must be page-aligned")
-        fmt = self.fmt
-        entry = "Q" if fmt.pte_size == 8 else "I"
-        for l0, l1, first, count in self._leaf_runs(va, len(pas)):
-            l1_pa = self._l1_tables.get(l0)
-            if l1_pa is None:
-                l1_pa = self.allocator.alloc_page(self.tag)
-                self._l1_tables[l0] = l1_pa
-                self.memory.write(
-                    self.root_pa + l0 * fmt.pte_size,
-                    struct.pack(f"<{entry}", fmt.encode_table_ptr(l1_pa)))
-            run = pas[first:first + count]
-            self.memory.write(
-                l1_pa + l1 * fmt.pte_size,
-                struct.pack(f"<{count}{entry}",
-                            *[fmt.encode_pte(pa, perms) for pa in run]))
-            page_va = va + first * PAGE_SIZE
-            for pa in run:
-                self._mappings[page_va] = (pa, perms)
-                page_va += PAGE_SIZE
-
-    def unmap_range(self, va: int, num_pages: int) -> None:
-        """Clear the PTEs of ``num_pages`` mapped pages from ``va``."""
-        page_vas = range(va, va + num_pages * PAGE_SIZE, PAGE_SIZE)
-        for page_va in page_vas:
-            if page_va not in self._mappings:
-                raise SocError(f"VA {page_va:#x} is not mapped")
-        pte_size = self.fmt.pte_size
-        for l0, l1, _first, count in self._leaf_runs(va, num_pages):
-            self.memory.write(self._l1_tables[l0] + l1 * pte_size,
-                              bytes(count * pte_size))
-        for page_va in page_vas:
-            del self._mappings[page_va]
-
-    def map_page(self, va: int, pa: int, perms: int) -> None:
-        self.map_range(va, (pa,), perms)
-
-    def unmap_page(self, va: int) -> None:
-        self.unmap_range(va, 1)
-
-    def lookup(self, va: int) -> Optional[Tuple[int, int]]:
-        """(pa, perms) of a mapped page VA, or None."""
-        return self._mappings.get(va & ~(PAGE_SIZE - 1))
-
-    def mappings(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield (va, pa, perms) for every mapped page, VA-sorted."""
-        for va in sorted(self._mappings):
-            pa, perms = self._mappings[va]
-            yield va, pa, perms
-
-    def mapped_page_count(self) -> int:
-        return len(self._mappings)
-
-    def table_pages(self) -> List[int]:
-        """Physical pages holding the tables themselves."""
-        return [self.root_pa] + sorted(self._l1_tables.values())
-
-    def destroy(self) -> None:
-        """Free the table pages (mapped data pages belong to the caller)."""
-        self.allocator.free_pages(self.table_pages())
-        self._l1_tables.clear()
-        self._mappings.clear()

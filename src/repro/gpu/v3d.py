@@ -21,34 +21,15 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import GpuPageFault, JobDecodeError, ShaderDecodeError
+from repro.gpu import (INT_CTERR, INT_FRDONE, INT_MMU_FAULT, L2T_FLUSH,
+                       MMU_CTRL_ENABLE, MMU_CTRL_TLB_CLEAR, PTE_FORMATS,
+                       STATUS_IDLE, V3D_CORE_COUNT, V3D_DEFAULT_CLOCK_HZ,
+                       V3D_FIRMWARE_ID, V3D_GPU_IDENT)
 from repro.gpu import jobs as jobfmt
 from repro.gpu.device import GpuDevice, RunningJob
-from repro.gpu.mmu import PTE_FORMATS
 from repro.soc.machine import Machine
 from repro.soc.mmio import U32_MASK, RegAttr, RegisterDef
 from repro.units import US
-
-# CTL_INT_STS bits.
-INT_FRDONE = 1 << 0  # control list finished
-INT_CTERR = 1 << 1  # control list / shader decode error
-INT_MMU_FAULT = 1 << 2
-
-# CTL_STATUS bits.
-STATUS_IDLE = 1 << 0
-
-# MMU_CTRL bits.
-MMU_CTRL_ENABLE = 1 << 0
-MMU_CTRL_TLB_CLEAR = 1 << 2
-
-# L2TCACTL bits.
-L2T_FLUSH = 1 << 2
-
-#: Firmware mailbox device id for the v3d block.
-V3D_FIRMWARE_ID = 10
-
-V3D_GPU_IDENT = 0x0443_3356  # "V3D\x04"
-V3D_CORE_COUNT = 4
-V3D_DEFAULT_CLOCK_HZ = 500_000_000
 
 RESET_DELAY_NS = 20 * US
 FLUSH_DELAY_NS = 15 * US

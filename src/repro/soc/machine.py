@@ -109,7 +109,7 @@ def host_kernel_configures_gpu(machine: Machine) -> None:
     """
     if machine.board.firmware_managed_power:
         # Imported lazily: repro.gpu depends on repro.soc.
-        from repro.gpu.v3d import V3D_DEFAULT_CLOCK_HZ, V3D_FIRMWARE_ID
+        from repro.gpu import V3D_DEFAULT_CLOCK_HZ, V3D_FIRMWARE_ID
 
         machine.firmware.request(TAG_SET_POWER, V3D_FIRMWARE_ID, 1)
         machine.firmware.request(TAG_SET_CLOCK_RATE, V3D_FIRMWARE_ID,

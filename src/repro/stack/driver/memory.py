@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import DriverError
-from repro.gpu.mmu import (PERM_R, PERM_W, PERM_X, PageTableBuilder,
-                           VA_SPACE_SIZE)
+from repro.gpu import PERM_R, PERM_W, PERM_X, VA_SPACE_SIZE, PageTableBuilder
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
 from repro.units import align_up
 

@@ -18,9 +18,10 @@ they were recorded for. This package provides that registry layer:
   fleet ask "best recording for this board".
 """
 
+from repro.gpu import gpu_clock_hz
 from repro.store.chunks import (CHUNK_AVG_BITS, CHUNK_MAX, CHUNK_MIN,
                                 CHUNK_SCHEME, chunk_digest, split)
-from repro.store.index import CompatEntry, CompatIndex, gpu_clock_hz
+from repro.store.index import CompatEntry, CompatIndex
 from repro.store.vault import Manifest, Vault, VaultStats
 
 __all__ = [

@@ -31,25 +31,6 @@ from repro.errors import StoreError
 from repro.store.chunks import CHUNK_SCHEME
 
 
-def gpu_clock_hz(gpu_model: str) -> int:
-    """The nominal GPU clock for a recorded GPU model string.
-
-    Resolved from the simulator's own device constants so the index
-    and the machines it routes to can never disagree.
-    """
-    if gpu_model.startswith("mali-"):
-        from repro.gpu.mali import MALI_SKUS
-        sku = MALI_SKUS.get(gpu_model[len("mali-"):])
-        return sku.clock_hz if sku else 0
-    if gpu_model == "v3d":
-        from repro.gpu.v3d import V3D_DEFAULT_CLOCK_HZ
-        return V3D_DEFAULT_CLOCK_HZ
-    if gpu_model.startswith("adreno"):
-        from repro.gpu.adreno import ADRENO_CLOCK_HZ
-        return ADRENO_CLOCK_HZ
-    return 0
-
-
 @dataclass
 class CompatEntry:
     """One packed recording's compatibility coordinates."""

@@ -65,9 +65,10 @@ from repro.core.recording import (Recording, decode_skeleton,
                                   encode_skeleton)
 from repro.errors import (StoreCorruptionError, StoreError,
                           StoreLayoutError, StoreNotFoundError)
+from repro.gpu import gpu_clock_hz
 from repro.obs.session import NULL_OBS
 from repro.store import chunks as cdc
-from repro.store.index import (CompatEntry, CompatIndex, gpu_clock_hz)
+from repro.store.index import CompatEntry, CompatIndex
 
 #: zlib level for stored objects; fixed so two packs of the same
 #: content produce byte-identical vaults.

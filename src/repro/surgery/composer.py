@@ -41,6 +41,7 @@ from repro.core.dispatch import DISPATCH
 from repro.core.dumps import MemoryDump
 from repro.core.recording import IoBuffer, Recording, RecordingMeta
 from repro.errors import SurgeryError
+from repro.gpu import FAMILIES, VA_SPACE_SIZE
 from repro.gpu.isa import Instruction, Program, TensorRef, decode_program, \
     encode_program
 from repro.obs.session import NULL_OBS
@@ -192,7 +193,7 @@ def _global_config(slice_: Slice) -> List[act.RegWrite]:
     excluded."""
     out = []
     recording = slice_.recording
-    config_regs = DISPATCH[recording.meta.family].config_regs
+    config_regs = FAMILIES[recording.meta.family].config_regs
     for action in recording.actions[:recording.meta.prologue_len]:
         if (isinstance(action, act.RegWrite)
                 and action.reg not in config_regs):
@@ -213,8 +214,6 @@ def compose(slices: List[Slice], schedule: List[int], op: str = "custom",
     instance is rebased into its own VA region; every occurrence
     re-uploads the instance's dumps so repeated jobs start identical.
     """
-    from repro.gpu.mmu import VA_SPACE_SIZE
-
     if not slices:
         raise SurgeryError("compose needs at least one slice")
     if not schedule:

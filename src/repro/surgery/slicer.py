@@ -48,6 +48,7 @@ from repro.core.recording import IoBuffer, Recording, RecordingMeta
 from repro.core.replay import boot_replayer, seeded_inputs
 from repro.core.replayer import Replayer
 from repro.errors import SurgeryError
+from repro.gpu import FAMILIES
 from repro.obs.session import NULL_OBS
 from repro.surgery.analyze import (JobInfo, KernelInfo, RecordingAnalysis,
                                    Range, SparseImage, analyze_recording,
@@ -276,7 +277,7 @@ def _completion_actions(parent: Recording, info: JobInfo,
         clone = copy.deepcopy(action)
         clone.job_index = 1
         if (isinstance(clone, act.RegReadOnce)
-                and clone.reg == dispatch.retire_reg):
+                and clone.reg == FAMILIES[dispatch.family].retire_reg):
             clone.val = kick.val
         out.append(clone)
     return out
@@ -330,7 +331,7 @@ def slice_job(parent: Recording, job_index: int,
         setup_writes, kick = dispatch.writes(setup)
         # The prologue already programs the config registers.
         setup_writes = [w for w in setup_writes
-                        if w.reg not in dispatch.config_regs]
+                        if w.reg not in FAMILIES[family].config_regs]
         struct_dumps = [(va, data, "desc") for va, data in structs] + [
             (k.shader_va, image.read(k.shader_va, k.shader_size), "shader")
             for k in kernels]

@@ -34,26 +34,32 @@ SERVING = ("stack", "bench", "surgery", "environments", "tools",
            "analysis")
 REPLAYS = (("mali", "mnist"), ("v3d", "mnist"), ("adreno", "mnist"),
            ("mali", "alexnet"))
+#: The simulated GPU: the device models and what only they import.
+#: ``create_gpu`` loads one family's at machine boot.
+DEVICE = ("gpu.mali", "gpu.v3d", "gpu.adreno", "gpu.device",
+          "gpu.shader_exec", "gpu.isa", "gpu.mmu")
 
 #: entry -> (forbidden packages, module / line / byte ceilings; None
 #: is unpinned). Module ceilings are exactly what this tree measures;
-#: lines and bytes (1,789 / 62,030 and 7,493 / 283,795 measured) carry
-#: about half a percent of slack so that a bug fix does not trip them.
-#: All may only shrink. An entry is an import statement's module or a
-#: ``(family, model)`` recording replayed by ``python -m
-#: repro.core.replay``.
+#: lines and bytes (1,769 / 61,866, 7,000 / 265,156 for mali and
+#: 3,698 / 141,891 measured) carry about half a percent of slack so
+#: that a bug fix does not trip them. All may only shrink. An entry is
+#: an import statement's module or a ``(family, model)`` recording
+#: replayed by ``python -m repro.core.replay``.
 BUDGET = {
     "repro.soc.machine": (
-        ("gpu", "core", "environments") + ABOVE_CORE, 13, 1796, 62200),
-    **{replay: (("environments",) + ABOVE_CORE, 34, 7530, 285200)
+        ("gpu", "core", "environments") + ABOVE_CORE, 13, 1778, 62180),
+    **{replay: (("environments",) + ABOVE_CORE, 32, 7035, 266500)
        for replay in REPLAYS},
+    "repro.core.replayer": (
+        DEVICE + ("soc.machine",) + ABOVE_CORE, 15, 3716, 142600),
     "repro.store": (
         ("stack", "serve", "fleet", "surgery", "bench", "environments",
-         "tools", "analysis"), 31, None, None),
-    "repro.serve": (SERVING, 52, None, None),
-    "repro.fleet": (SERVING, 58, None, None),
-    "repro.environments.tee": (ABOVE_CORE, 36, None, None),
-    "repro.environments.baremetal": (ABOVE_CORE, 36, None, None),
+         "tools", "analysis"), 25, None, None),
+    "repro.serve": (SERVING, 49, None, None),
+    "repro.fleet": (SERVING, 55, None, None),
+    "repro.environments.tee": (ABOVE_CORE, 26, None, None),
+    "repro.environments.baremetal": (ABOVE_CORE, 26, None, None),
 }
 
 #: What a default replay never loads, each behind the caller that asks
@@ -104,10 +110,17 @@ def test_closure_within_budget(entry, recording_files):
 
 def test_a_replay_imports_nothing_the_entry_did_not(recording_files):
     """Table 4's measured row reads the entry's import closure; it is
-    the whole deployable only while no replay loads a module late."""
-    assert import_closure(["-c", f"import {REPLAY_ENTRY}"]) \
-        == import_closure(["-m", REPLAY_ENTRY,
-                           recording_files["v3d", "mnist"]])
+    the whole replayer only while a replay loads nothing late but the
+    simulated GPU ``create_gpu`` mounts: the board's device model and
+    the modules only it imports."""
+    entry = import_closure(["-c", f"import {REPLAY_ENTRY}"])
+    replay = import_closure(["-m", REPLAY_ENTRY,
+                             recording_files["v3d", "mnist"]])
+    assert set(entry) <= set(replay)
+    assert sorted(set(replay) - set(entry)) == [
+        f"repro.gpu.{name}" for name in ("counters", "device", "isa",
+                                         "jobs", "mmu", "perf",
+                                         "shader_exec", "v3d")]
 
 
 #: Replay once by default, then once more with ``{option}`` (which
@@ -227,7 +240,8 @@ def test_a_faulted_serve_imports_only_the_cpu_ground_truth(
     """No module loads on the serving timeline except ``repro.stack``,
     the CPU reference behind the degrade rung (a call-time import by
     design, see ``RecordingStore.reference_outputs``) -- fused batches
-    or not."""
+    or not -- and the device models: ``create_gpu`` mounts one per
+    family when the pool boots, and the stack's drivers import all."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_ROOT))
     for config in ({}, {"mega_batch": True, "max_batch": 4}):
         proc = subprocess.run(
@@ -238,8 +252,8 @@ def test_a_faulted_serve_imports_only_the_cpu_ground_truth(
         assert proc.returncode == 0, proc.stderr[-2000:]
         loaded = proc.stdout.split()
         assert "repro.stack.reference" in loaded
-        assert [m for m in loaded
-                if not m.startswith("repro.stack")] == []
+        assert [m for m in loaded if not m.startswith("repro.stack")] \
+            == ["repro.gpu.adreno", "repro.gpu.mali", "repro.gpu.v3d"]
 
 
 # -- the package-level graph ------------------------------------------------

@@ -4,10 +4,11 @@ structure, and the register state a kick reads."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import gpu
+from repro.core.dispatch import DISPATCH, Entry
 from repro.errors import JobDecodeError
 from repro.gpu import jobs
-from repro.gpu.adreno import RING_PKT, RING_PKT_MAGIC
-from repro.core.dispatch import DISPATCH, Entry
+from repro.gpu.jobs import RING_PKT, RING_PKT_MAGIC
 
 FAMILIES = sorted(DISPATCH)
 PAGE = 4096
@@ -64,7 +65,7 @@ def submit(dispatch, writes, kick):
     regs = {}
     for reg, val in writes:
         dispatch.write(regs, reg, val)
-    assert kick[0] in dispatch.kick_regs
+    assert kick[0] in gpu.FAMILIES[dispatch.family].kick_regs
     return dispatch.kick(regs, *kick)
 
 
@@ -189,6 +190,6 @@ def test_a_v3d_span_is_the_list_from_base_to_end():
 
 
 def test_every_family_names_its_kick_registers():
-    assert DISPATCH["mali"].kick_regs == {"JS0_COMMAND", "JS1_COMMAND"}
-    assert DISPATCH["v3d"].kick_regs == {"CT0QEA"}
-    assert DISPATCH["adreno"].kick_regs == {"CP_RB_WPTR"}
+    assert gpu.FAMILIES["mali"].kick_regs == {"JS0_COMMAND", "JS1_COMMAND"}
+    assert gpu.FAMILIES["v3d"].kick_regs == {"CT0QEA"}
+    assert gpu.FAMILIES["adreno"].kick_regs == {"CP_RB_WPTR"}

@@ -9,7 +9,7 @@ from repro.core.intervals import (IntervalStats, accumulate_by_job,
 from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recorder import IntervalSample
 from repro.core.recording import Recording, RecordingMeta
-from repro.gpu.mmu import PERM_R, PERM_W
+from repro.gpu import PERM_R, PERM_W
 from repro.soc import Machine
 
 

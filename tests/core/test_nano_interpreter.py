@@ -9,7 +9,7 @@ from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recording import Recording, RecordingMeta
 from repro.errors import (ReplayAborted, ReplayDivergence, ReplayError,
                           ReplayTimeout, VerificationError)
-from repro.gpu.mmu import PERM_R, PERM_W
+from repro.gpu import PERM_R, PERM_W
 from repro.soc import Machine
 from repro.soc.memory import PAGE_SIZE
 from repro.units import MS

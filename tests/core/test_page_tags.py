@@ -18,8 +18,8 @@ from repro.core.nano_driver import NanoGpuDriver
 from repro.core.replay import seeded_inputs
 from repro.core.replayer import Replayer, clear_load_cache
 from repro.errors import GpuPageFault, PhysicalMemoryError
-from repro.gpu.mmu import (PERM_R, PERM_W, PTE_FORMATS, GpuMmu,
-                           PageTableBuilder)
+from repro.gpu import PERM_R, PERM_W, PTE_FORMATS, PageTableBuilder
+from repro.gpu.mmu import GpuMmu
 from repro.soc import Machine
 from repro.soc.memory import PAGE_SIZE, ZERO, PageAllocator, PhysicalMemory
 from repro.store.vault import Vault

@@ -11,7 +11,7 @@ from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recording import Recording, RecordingMeta
 from repro.core.replay import seeded_inputs
 from repro.core.replayer import LOAD_CACHE, Replayer, clear_load_cache
-from repro.gpu.mmu import PERM_R, PERM_W
+from repro.gpu import PERM_R, PERM_W
 from repro.soc.memory import PAGE_SIZE
 
 #: The ``replay_hot`` recordings, and per replay (first, second, third)

@@ -81,6 +81,19 @@ class TestMemoryChecks:
             verify_recording(recording([
                 act.UnmapGpuMem(addr=0x100000, num_pages=1)]), REGISTERS)
 
+    @pytest.mark.parametrize("num_pages", [1, 63, 65])
+    def test_unmap_must_name_the_mapped_size(self, num_pages):
+        """An unmap of part of a mapping is refused: the replay would
+        free all of it."""
+        with pytest.raises(VerificationError, match="which maps 64"):
+            verify_recording(recording([
+                act.MapGpuMem(addr=0x100000, num_pages=64, raw_pte_flags=7),
+                act.UnmapGpuMem(addr=0x100000, num_pages=num_pages)]),
+                REGISTERS)
+        verify_recording(recording([
+            act.MapGpuMem(addr=0x100000, num_pages=64, raw_pte_flags=7),
+            act.UnmapGpuMem(addr=0x100000, num_pages=64)]), REGISTERS)
+
     def test_unaligned_map_rejected(self):
         with pytest.raises(VerificationError):
             verify_recording(recording([
@@ -195,6 +208,23 @@ class TestPageTableRoot:
         ]), REGISTERS | {"AS0_TRANSTAB_LO"})
 
     def test_the_driver_and_the_verifier_share_one_declaration(self):
-        from repro.core.nano_driver import PGTABLE_ROOT_REGS
+        """The nano driver, the verifier and the attack suite read the
+        roots off the family table, and none of them spells one out."""
+        import inspect
 
-        assert PGTABLE_ROOT_REGS == ROOTS
+        from repro.analysis import security
+        from repro.core import nano_driver, verifier
+        from repro.gpu import FAMILIES
+        from repro.soc.machine import fresh_replay_machine
+
+        assert {name: family.root_regs
+                for name, family in FAMILIES.items()} == ROOTS
+        assert verifier._ROOTS == set(sum(ROOTS.values(), ()))
+        for family in ROOTS:
+            driver = nano_driver.NanoGpuDriver(
+                fresh_replay_machine(family, seed=3))
+            assert driver.table is FAMILIES[family]
+        for module in (nano_driver, verifier, security):
+            source = inspect.getsource(module)
+            assert "FAMILIES" in source
+            assert [reg for reg in verifier._ROOTS if reg in source] == []

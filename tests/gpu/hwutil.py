@@ -9,9 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpu import jobs as jobfmt
+from repro.gpu import PERM_R, PERM_W, PERM_X, PageTableBuilder
 from repro.gpu.isa import (Instruction, Op, Program, TensorRef,
                            encode_program)
-from repro.gpu.mmu import PERM_R, PERM_W, PERM_X, PageTableBuilder
 from repro.soc import firmware as fw
 from repro.soc.memory import PAGE_SIZE
 from repro.units import MS, US

@@ -41,7 +41,7 @@ def space(machine):
 
 
 def setup_ring(machine, space, packets=64):
-    from repro.gpu.mmu import PERM_R, PERM_X
+    from repro.gpu import PERM_R, PERM_X
     ring_va = space.alloc(packets * hw.RING_PKT.size, PERM_R | PERM_X)
     regs = machine.gpu.regs
     regs.write("CP_RB_BASE_LO", ring_va & 0xFFFFFFFF)
@@ -83,7 +83,7 @@ class TestRingExecution:
         """Packet N+1 must see packet N's memory effects."""
         from repro.gpu.isa import (Instruction, Op, Program, TensorRef,
                                    encode_program)
-        from repro.gpu.mmu import PERM_R, PERM_W, PERM_X
+        from repro.gpu import PERM_R, PERM_W, PERM_X
         ring_va = setup_ring(machine, space)
         buf = space.alloc(256)
         # pkt0: fill buf with 3.0 ; pkt1: buf = buf + buf (expects 6.0)

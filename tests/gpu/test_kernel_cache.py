@@ -8,10 +8,9 @@ import repro.gpu.device as device_mod
 from repro.bench.workloads import (fresh_replay_machine, get_recorded,
                                    model_input)
 from repro.core.replayer import Replayer
+from repro.gpu import JS_STATUS_DONE, JS_STATUS_FAULT, PERM_R, PERM_X
 from repro.gpu.isa import (Instruction, Op, Program, TensorRef,
                            decode_program, encode_program, kernel_cost)
-from repro.gpu.mali import JS_STATUS_DONE, JS_STATUS_FAULT
-from repro.gpu.mmu import PERM_R, PERM_X
 from repro.soc import Machine
 from tests.gpu import hwutil
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.gpu.mali import (FAULT_MEMATTR, JS_STATUS_DONE, JS_STATUS_FAULT,
-                            MALI_SKUS)
+from repro.gpu import (FAULT_MEMATTR, JS_STATUS_DONE, JS_STATUS_FAULT,
+                       MALI_SKUS)
 from repro.soc import Machine
 from tests.gpu import hwutil
 
@@ -94,7 +94,7 @@ class TestJobExecution:
         assert machine.gpu.regs.read("JOB_IRQ_RAWSTAT") & (1 << 16)
 
     def test_non_executable_shader_faults(self, machine, space):
-        from repro.gpu.mmu import PERM_R, PERM_W
+        from repro.gpu import PERM_R, PERM_W
         from repro.gpu.isa import (Instruction, Op, Program, TensorRef,
                                    encode_program)
         va = space.alloc(256)  # data-only pages
@@ -108,7 +108,7 @@ class TestJobExecution:
         assert regs.read("MMU_IRQ_RAWSTAT") & 1
 
     def test_garbage_shader_fails_job(self, machine, space):
-        from repro.gpu.mmu import PERM_R, PERM_X
+        from repro.gpu import PERM_R, PERM_X
         shader_va = space.alloc(64, PERM_R | PERM_X)
         space.write(shader_va, b"\xDE\xAD" * 32)
         hwutil.submit_mali_job(machine, space, shader_va, 64)

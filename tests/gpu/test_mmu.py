@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GpuPageFault, SocError
+from repro.gpu import (L1_SPAN, PERM_R, PERM_W, PERM_X, PTE_FORMATS,
+                       VA_SPACE_SIZE, MaliLpaePteFormat, MaliPteFormat,
+                       PageTableBuilder, V3dPteFormat, split_va)
 from repro.gpu.faults import walk_page_table
-from repro.gpu.mmu import (L1_SPAN, PERM_R, PERM_W, PERM_X, PTE_FORMATS,
-                           GpuMmu, MaliLpaePteFormat, MaliPteFormat,
-                           PageTableBuilder, V3dPteFormat, VA_SPACE_SIZE,
-                           split_va)
+from repro.gpu.mmu import GpuMmu
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
 from repro.units import MIB
 

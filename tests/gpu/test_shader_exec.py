@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.errors import ShaderDecodeError
+from repro.gpu import PERM_R, PERM_W, PERM_X, PTE_FORMATS, PageTableBuilder
 from repro.gpu.isa import Instruction, Op, Program, TensorRef
-from repro.gpu.mmu import (PERM_R, PERM_W, PERM_X, PTE_FORMATS, GpuMmu,
-                           PageTableBuilder)
+from repro.gpu.mmu import GpuMmu
 from repro.gpu.shader_exec import (compute_fill, compute_op,
                                    execute_program, output_arity, pad_hw)
 from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory

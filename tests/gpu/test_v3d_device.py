@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.gpu import (INT_CTERR, INT_FRDONE, INT_MMU_FAULT, L2T_FLUSH,
+                       V3D_GPU_IDENT)
 from repro.gpu import jobs as jobfmt
 from repro.gpu.isa import (Instruction, Op, Program, TensorRef,
                            encode_program)
-from repro.gpu.v3d import (INT_CTERR, INT_FRDONE, INT_MMU_FAULT,
-                           L2T_FLUSH, V3D_GPU_IDENT)
 from repro.soc import Machine
 from repro.units import MS, US
 from tests.gpu import hwutil

@@ -93,7 +93,7 @@ class TestMemoryIoctls:
         va = driver.ioctl(IoctlCode.MEM_ALLOC, size=8192,
                           flags=MemFlags.job_binary(), tag="bin")
         _pa, perms = driver.ctx.page_table.lookup(va)
-        from repro.gpu.mmu import PERM_R, PERM_X
+        from repro.gpu import PERM_R, PERM_X
         assert perms == PERM_R | PERM_X
         # GPU can translate through the live page tables.
         machine.gpu.mmu.translate(va, "x")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DriverError
-from repro.gpu.mmu import PERM_R, PERM_W, PERM_X, PTE_FORMATS
+from repro.gpu import PERM_R, PERM_W, PERM_X, PTE_FORMATS
 from repro.soc import Machine
 from repro.soc.memory import PAGE_SIZE
 from repro.stack.driver.memory import ContextMemory, MemFlags
