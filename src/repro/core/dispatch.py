@@ -7,7 +7,7 @@ links descriptors to shaders. :data:`DISPATCH` holds the binaries
 once per family for the surgery analyzer, slicer and composer, and
 :func:`first_kick_chain_va` / :func:`flip_dump_byte` (the replay
 doctor's and the serve engine's poisoned recordings); the kick, config
-and retire registers are :data:`repro.gpu.FAMILIES`'. The deployable
+and retire registers live in :data:`repro.gpu.FAMILIES`. The deployable
 never imports this module. A *submission* is the kick-time register
 state as a dict (``JobInfo.setup``).
 """
