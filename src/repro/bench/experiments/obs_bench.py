@@ -23,7 +23,7 @@ series and the GPU counter totals.
 from __future__ import annotations
 
 import time
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
                          ServerConfig, generate_requests)
@@ -33,8 +33,8 @@ from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
 OBS_BENCH_MIX = (("mali", "mnist"), ("mali", "kws"))
 
 
-def _serve_once(store: RecordingStore, config: ServerConfig,
-                requests) -> Dict[str, object]:
+def serve_once(store: RecordingStore, config: ServerConfig,
+               requests) -> Dict[str, object]:
     start = time.process_time()
     server = ReplayServer(store, config)
     report = server.serve(requests)
@@ -54,16 +54,11 @@ def _serve_once(store: RecordingStore, config: ServerConfig,
     }
 
 
-def measure_obs(requests: int = 48, seed: int = 11,
-                workers: int = 3, max_batch: int = 4,
-                repeats: int = 3) -> Dict[str, object]:
-    """Serve with observability on and off; returns a flat dict.
-
-    Each arm runs ``repeats`` times and keeps the *fastest* CPU time
-    (the standard noise-rejection estimator for short benchmarks).
-    Arms alternate so cache warm-up and CPU frequency drift hit both
-    equally.
-    """
+def obs_arms(requests: int = 48, seed: int = 11, workers: int = 3,
+             max_batch: int = 4
+             ) -> Tuple[RecordingStore, list, ServerConfig,
+                        ServerConfig]:
+    """``(store, stream, on_config, off_config)`` of the benchmark."""
     stream = generate_requests(LoadgenConfig(
         requests=requests, seed=seed, mix=OBS_BENCH_MIX,
         mean_interarrival_ns=0, deadline_ns=0, fault_rate=0.0))
@@ -76,12 +71,26 @@ def measure_obs(requests: int = 48, seed: int = 11,
                            queue_depth=requests, max_batch=max_batch,
                            trace=False, timeseries=False,
                            gpu_counters=False)
+    return store, stream, on_cfg, off_cfg
 
+
+def measure_obs(requests: int = 48, seed: int = 11,
+                workers: int = 3, max_batch: int = 4,
+                repeats: int = 3) -> Dict[str, object]:
+    """Serve with observability on and off; returns a flat dict.
+
+    Each arm runs ``repeats`` times and keeps the *fastest* CPU time
+    (the standard noise-rejection estimator for short benchmarks).
+    Arms alternate so cache warm-up and CPU frequency drift hit both
+    equally.
+    """
+    store, stream, on_cfg, off_cfg = obs_arms(requests, seed, workers,
+                                              max_batch)
     best_on: Dict[str, object] = {}
     best_off: Dict[str, object] = {}
     for _ in range(repeats):
-        on = _serve_once(store, on_cfg, stream)
-        off = _serve_once(store, off_cfg, stream)
+        on = serve_once(store, on_cfg, stream)
+        off = serve_once(store, off_cfg, stream)
         if not best_on or on["cpu_s"] < best_on["cpu_s"]:
             best_on = on
         if not best_off or off["cpu_s"] < best_off["cpu_s"]:

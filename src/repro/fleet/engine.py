@@ -130,7 +130,8 @@ class FleetReport:
     #: Shared request-scoped trace (router + node spans, one tree per
     #: request). NOT part of :meth:`summary`, same contract as
     #: :class:`ServeReport`.
-    trace_events: List[dict] = field(default_factory=list, repr=False)
+    trace_events: Sequence[dict] = field(default_factory=list,
+                                         repr=False)
 
     counts = ServeReport.counts
     latency_percentiles = ServeReport.latency_percentiles
@@ -342,4 +343,4 @@ class Fleet:
             makespan_ns=makespan,
             lost=lost,
             duplicates=sorted(set(duplicates)),
-            trace_events=list(self.rtrace.events))
+            trace_events=self.rtrace.events)

@@ -182,6 +182,10 @@ class MetricsRegistry:
     def names(self):
         return sorted(self._metrics)
 
+    def items(self):
+        """``(name, metric)`` pairs in name order."""
+        return sorted(self._metrics.items())
+
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """A JSON-serializable dump of every metric, keyed by kind."""
         out: Dict[str, Dict[str, object]] = {

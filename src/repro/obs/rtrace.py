@@ -14,9 +14,11 @@ request, on the deterministic virtual clock.
 Event-log schema v1
 -------------------
 
-The log is a flat list of dict events; exported JSONL carries one
-event per line, sorted by ``(t_ns, seq)`` with compact sorted-key
-encoding, so same-seed runs serialize byte-identically. Fields:
+The log reads as a flat sequence of dict events (the tracer holds
+it in columns and builds each dict on demand, see
+:class:`EventView`); exported JSONL carries one event per line,
+sorted by ``(t_ns, seq)`` with compact sorted-key encoding, so
+same-seed runs serialize byte-identically. Fields:
 
 - ``seq``   -- global emission order (tie-break within one instant);
 - ``t_ns``  -- virtual-time stamp (integer nanoseconds);
@@ -47,8 +49,11 @@ work onto its timeline before the server clock advances past it.
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Schema tag stamped on the run-level header meta event.
 SCHEMA = "rtrace.v1"
@@ -61,72 +66,108 @@ TERMINAL = "terminal"
 
 
 class RequestTracer:
-    """Collects request-scoped events against a virtual clock."""
+    """Collects request-scoped events against a virtual clock.
+
+    Events are held in columns, not dicts: ``array`` columns for
+    ``t_ns``, ``rid``, ``sid`` and ``psid``, one small-int code per
+    interned ``(ev, name)``, and ``args`` only for the events that
+    carry any, as a row of values behind an interned key tuple. An
+    event's ``seq`` is its position. :attr:`events` is a read-only
+    :class:`EventView` that builds the schema-v1 dict for an index on
+    demand, so a held trace costs bytes per event, not a dict.
+    """
 
     def __init__(self, clock):
         self._clock = clock
-        self.events: List[dict] = []
-        self._seq = 0
+        self._t_ns = array("q")
+        self._rid = array("q")
+        self._sid = array("i")
+        self._psid = array("i")
+        self._code = array("I")
+        #: code -> (ev, name), and its inverse.
+        self._kinds: List[Tuple[str, str]] = []
+        self._codes: Dict[Tuple[str, str], int] = {}
+        #: Ascending seqs of the events that carry args, and for each
+        #: a row ``(keys, *values)`` -- a shallow copy of the args
+        #: with the key tuple interned in ``_arg_keys``.
+        self._arg_seqs = array("I")
+        self._arg_rows: List[tuple] = []
+        self._arg_keys: Dict[tuple, tuple] = {}
         #: rid -> {sid: name} of spans currently open.
         self._open: Dict[int, Dict[int, str]] = {}
         #: rid -> next span ordinal.
         self._next_sid: Dict[int, int] = {}
-        self._finished: Dict[int, bool] = {}
+        self._finished: Set[int] = set()
 
     #: Distinguishes the live tracer from :data:`NULL_RTRACE`.
     enabled = True
 
+    @property
+    def events(self) -> "EventView":
+        """Every event emitted so far, as a fixed-length view."""
+        return EventView(self, len(self._t_ns))
+
     # -- emission -------------------------------------------------------------
 
-    def _stamp(self, t_ns: Optional[int]) -> int:
-        return self._clock.now() if t_ns is None else t_ns
-
-    def _emit(self, t_ns: int, rid: int, ev: str, name: str, sid: int,
-              psid: int, args: Optional[dict]) -> None:
-        self.events.append({
-            "seq": self._seq, "t_ns": t_ns, "rid": rid, "ev": ev,
-            "name": name, "sid": sid, "psid": psid,
-            "args": dict(args) if args else {},
-        })
-        self._seq += 1
+    def _emit(self, t_ns: Optional[int], rid: int, ev: str, name: str,
+              sid: int, psid: int, args: Optional[dict]) -> None:
+        """Append one event, stamped now unless ``t_ns`` is given."""
+        if t_ns is None:
+            t_ns = self._clock.now()
+        key = (ev, name)
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self._kinds)
+            self._kinds.append(key)
+        if args:
+            keys = tuple(args)
+            keys = self._arg_keys.setdefault(keys, keys)
+            self._arg_seqs.append(len(self._t_ns))
+            self._arg_rows.append((keys, *args.values()))
+        self._t_ns.append(t_ns)
+        self._rid.append(rid)
+        self._sid.append(sid)
+        self._psid.append(psid)
+        self._code.append(code)
 
     def meta(self, name: str, args: Optional[dict] = None,
              t_ns: Optional[int] = None) -> None:
         """A run-level event (config, store contents, loadgen seed)."""
-        self._emit(self._stamp(t_ns), -1, "meta", name, -1, -1, args)
+        self._emit(t_ns, -1, "meta", name, -1, -1, args)
 
     def submit(self, rid: int, t_ns: Optional[int] = None,
                args: Optional[dict] = None) -> int:
         """Open request ``rid``'s root span; returns its sid (0)."""
-        t = self._stamp(t_ns)
         self._open[rid] = {ROOT_SID: "request"}
         self._next_sid[rid] = ROOT_SID + 1
-        self._finished[rid] = False
-        self._emit(t, rid, "begin", "request", ROOT_SID, -1, args)
+        self._finished.discard(rid)
+        self._emit(t_ns, rid, "begin", "request", ROOT_SID, -1, args)
         return ROOT_SID
 
     def begin(self, rid: int, name: str, psid: int = ROOT_SID,
               t_ns: Optional[int] = None,
               args: Optional[dict] = None) -> int:
         """Open a child span under ``psid``; returns the new sid."""
-        t = self._stamp(t_ns)
         sid = self._next_sid.get(rid, ROOT_SID + 1)
         self._next_sid[rid] = sid + 1
-        self._open.setdefault(rid, {})[sid] = name
-        self._emit(t, rid, "begin", name, sid, psid, args)
+        open_spans = self._open.get(rid)
+        if open_spans is None:
+            open_spans = self._open[rid] = {}
+        open_spans[sid] = name
+        self._emit(t_ns, rid, "begin", name, sid, psid, args)
         return sid
 
     def end(self, rid: int, sid: int, t_ns: Optional[int] = None,
             args: Optional[dict] = None) -> None:
-        t = self._stamp(t_ns)
-        name = self._open.get(rid, {}).pop(sid, None)
-        self._emit(t, rid, "end", name or "?", sid, -1, args)
+        open_spans = self._open.get(rid)
+        name = open_spans.pop(sid, None) if open_spans else None
+        self._emit(t_ns, rid, "end", name or "?", sid, -1, args)
 
     def mark(self, rid: int, name: str, psid: int = ROOT_SID,
              t_ns: Optional[int] = None,
              args: Optional[dict] = None) -> None:
         """An instant event attached to span ``psid``."""
-        self._emit(self._stamp(t_ns), rid, "mark", name, -1, psid, args)
+        self._emit(t_ns, rid, "mark", name, -1, psid, args)
 
     def finish(self, rid: int, status: str, t_ns: Optional[int] = None,
                args: Optional[dict] = None) -> None:
@@ -138,12 +179,12 @@ class RequestTracer:
         is how the completeness tests catch double-completion bugs in
         the engine without masking them.
         """
-        t = self._stamp(t_ns)
-        open_spans = self._open.get(rid, {})
+        t = self._clock.now() if t_ns is None else t_ns
+        open_spans = self._open.pop(rid, {})
         for sid in sorted((s for s in open_spans if s != ROOT_SID),
                           reverse=True):
-            open_spans.pop(sid)
-            self._emit(t, rid, "end", "?", sid, -1, {"auto": True})
+            self._emit(t, rid, "end", open_spans.pop(sid), sid, -1,
+                       {"auto": True})
         if open_spans.pop(ROOT_SID, None) is not None:
             self._emit(t, rid, "end", "request", ROOT_SID, -1,
                        {"status": status})
@@ -151,17 +192,66 @@ class RequestTracer:
         if args:
             terminal_args.update(args)
         self._emit(t, rid, "mark", TERMINAL, -1, ROOT_SID, terminal_args)
-        self._finished[rid] = True
+        self._finished.add(rid)
 
     def finished(self, rid: int) -> bool:
-        return self._finished.get(rid, False)
+        return rid in self._finished
+
+
+class EventView(Sequence):
+    """Read-only schema-v1 view of the first ``n`` events of a tracer.
+
+    Indexing or iterating builds each event's dict on demand (a fresh
+    dict, with a fresh ``args`` copy, every time); ``len()`` builds
+    nothing. The length is fixed when the view is made, so a report's
+    view does not grow with events emitted after the report was built.
+    Compares equal to any list or view of the same event dicts.
+    """
+
+    __slots__ = ("_tracer", "_n")
+
+    def __init__(self, tracer: RequestTracer, n: int) -> None:
+        self._tracer = tracer
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _event(self, seq: int) -> dict:
+        tracer = self._tracer
+        ev, name = tracer._kinds[tracer._code[seq]]
+        args = {}
+        index = bisect_left(tracer._arg_seqs, seq)
+        if index < len(tracer._arg_seqs) \
+                and tracer._arg_seqs[index] == seq:
+            row = tracer._arg_rows[index]
+            args = dict(zip(row[0], row[1:]))
+        return {"seq": seq, "t_ns": tracer._t_ns[seq],
+                "rid": tracer._rid[seq], "ev": ev, "name": name,
+                "sid": tracer._sid[seq], "psid": tracer._psid[seq],
+                "args": args}
+
+    def __getitem__(self, index: int) -> dict:
+        seq = index + self._n if index < 0 else index
+        if not 0 <= seq < self._n:
+            raise IndexError("event index out of range")
+        return self._event(seq)
+
+    def __iter__(self):
+        return map(self._event, range(self._n))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (EventView, list, tuple)):
+            return NotImplemented
+        return len(other) == self._n and all(
+            a == b for a, b in zip(self, other))
 
 
 class NullRequestTracer:
     """No-op twin of :class:`RequestTracer` (tracing disabled)."""
 
     enabled = False
-    events: List[dict] = []
+    events = EventView(RequestTracer(None), 0)
 
     def meta(self, name, args=None, t_ns=None):
         pass

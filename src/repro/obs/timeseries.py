@@ -24,7 +24,10 @@ sample, sorted), plus sparkline-ready access for ``grr dash``.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.obs.metrics import Counter, Gauge, Histogram
 
 #: Default scrape cadence: 1 ms of virtual time.
 DEFAULT_INTERVAL_NS = 1_000_000
@@ -38,38 +41,61 @@ MAX_SERIES = 256
 
 
 class Series:
-    """One named metric over time, ring-bounded."""
+    """One named metric over time, ring-bounded.
 
-    __slots__ = ("name", "kind", "capacity", "samples", "dropped")
+    Samples are two columns: stamps in an ``array``, values in a list
+    so each keeps its Python type (JSONL writes ``1`` and ``1.0``
+    differently). Once full, an append overwrites the oldest slot and
+    moves the ring's head, so it costs O(1) at any fill.
+    """
+
+    __slots__ = ("name", "kind", "capacity", "dropped", "_t_ns",
+                 "_values", "_head")
 
     def __init__(self, name: str, kind: str,
                  capacity: int = DEFAULT_CAPACITY) -> None:
         self.name = name
         self.kind = kind  # "counter" | "gauge"
         self.capacity = capacity
-        self.samples: List[Tuple[int, float]] = []
         self.dropped = 0
+        self._t_ns = array("q")
+        self._values: List[float] = []
+        #: Slot of the oldest sample once the ring is full.
+        self._head = 0
 
     def append(self, t_ns: int, value: float) -> None:
-        if len(self.samples) >= self.capacity:
-            del self.samples[0]
-            self.dropped += 1
-        self.samples.append((t_ns, value))
+        if len(self._values) < self.capacity:
+            self._t_ns.append(t_ns)
+            self._values.append(value)
+            return
+        head = self._head
+        self._t_ns[head] = t_ns
+        self._values[head] = value
+        self._head = (head + 1) % self.capacity
+        self.dropped += 1
+
+    @property
+    def samples(self) -> List[Tuple[int, float]]:
+        """``(t_ns, value)`` pairs, oldest first."""
+        pairs = list(zip(self._t_ns, self._values))
+        return pairs[self._head:] + pairs[:self._head]
 
     def last(self) -> Optional[float]:
-        return self.samples[-1][1] if self.samples else None
+        return self._values[self._head - 1] if self._values else None
 
     def values(self) -> List[float]:
-        return [value for _, value in self.samples]
+        return self._values[self._head:] + self._values[:self._head]
 
 
 class TimeSeriesCollector:
     """Scrape a metrics registry into ring-buffered series.
 
-    ``derive`` is an optional hook mapping a registry snapshot to
-    extra gauge values (``{"serve.cache.hit_ratio": 0.93, ...}``) --
-    the serving engine uses it for ratios that only make sense as a
-    time series, without polluting the registry itself.
+    ``derive`` is an optional hook mapping the scraped counter and
+    gauge values (a snapshot's ``"counters"`` and ``"gauges"``; no
+    histograms) to extra gauge values
+    (``{"serve.cache.hit_ratio": 0.93, ...}``) -- the serving engine
+    uses it for ratios that only make sense as a time series, without
+    polluting the registry itself.
     """
 
     def __init__(self, registry, interval_ns: int = DEFAULT_INTERVAL_NS,
@@ -104,21 +130,34 @@ class TimeSeriesCollector:
             entry.append(t_ns, value)
 
     def scrape(self, t_ns: int) -> None:
-        """Sample every registry metric once, stamped at ``t_ns``."""
-        snapshot = self.registry.snapshot()
-        for name in sorted(snapshot["counters"]):
-            self.record(t_ns, name, snapshot["counters"][name],
+        """Sample every registry metric once, stamped at ``t_ns``.
+
+        Reads only what the series hold -- each counter and gauge
+        value, each histogram's count and p95 -- rather than a full
+        registry snapshot.
+        """
+        counters: Dict[str, float] = {}
+        gauges: Dict[str, float] = {}
+        histograms: List[Tuple[str, Histogram]] = []
+        for name, metric in self.registry.items():
+            if isinstance(metric, Counter):
+                counters[name] = metric.value
+            elif isinstance(metric, Gauge):
+                gauges[name] = metric.value
+            else:
+                histograms.append((name, metric))
+        for name, value in counters.items():
+            self.record(t_ns, name, value, kind="counter")
+        for name, value in gauges.items():
+            self.record(t_ns, name, value)
+        for name, hist in histograms:
+            self.record(t_ns, name + ".count", hist.count,
                         kind="counter")
-        for name in sorted(snapshot["gauges"]):
-            self.record(t_ns, name, snapshot["gauges"][name])
-        for name in sorted(snapshot["histograms"]):
-            hist = snapshot["histograms"][name]
-            self.record(t_ns, name + ".count", hist.get("count", 0),
-                        kind="counter")
-            if "p95" in hist:
-                self.record(t_ns, name + ".p95", hist["p95"])
+            self.record(t_ns, name + ".p95", hist.percentile(95))
         if self.derive is not None:
-            for name in sorted(derived := self.derive(snapshot)):
+            derived = self.derive({"counters": counters,
+                                   "gauges": gauges})
+            for name in sorted(derived):
                 self.record(t_ns, name, derived[name])
         self.scrapes += 1
 

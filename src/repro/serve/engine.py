@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -418,11 +418,14 @@ class ServeReport:
     snapshot: Dict[str, Dict[str, object]]
     makespan_ns: int
     lost: List[int] = field(default_factory=list)
-    #: Request-scoped trace events (repro.obs.rtrace schema v1);
-    #: empty when the server ran with tracing off. Deliberately NOT
-    #: part of :meth:`summary` -- the determinism tests compare
-    #: summaries, the trace-completeness tests compare these.
-    trace_events: List[dict] = field(default_factory=list, repr=False)
+    #: Request-scoped trace events (repro.obs.rtrace schema v1), a
+    #: read-only view over the tracer's columns fixed at the events
+    #: emitted when the report was built; empty when the server ran
+    #: with tracing off. Deliberately NOT part of :meth:`summary` --
+    #: the determinism tests compare summaries, the trace-completeness
+    #: tests compare these.
+    trace_events: Sequence[dict] = field(default_factory=list,
+                                         repr=False)
     #: Fleet-aggregate GPU counter tape (gpucounters.v1): the merged
     #: snapshot of every worker machine's tape. Like ``trace_events``,
     #: NOT part of :meth:`summary` -- tape contents legitimately
@@ -675,7 +678,7 @@ class ReplayServer:
                        ) -> Dict[str, float]:
         """Ratio gauges that only make sense as a time series (the
         ``grr dash`` sparklines): computed at scrape time from the
-        registry snapshot, never stored in the registry itself."""
+        scraped counters, never stored in the registry itself."""
         counters = snapshot["counters"]
         derived: Dict[str, float] = {}
         warm = counters.get("serve.cache.warm", 0)
@@ -773,7 +776,7 @@ class ReplayServer:
             snapshot=self.obs.snapshot(),
             makespan_ns=makespan,
             lost=lost,
-            trace_events=list(self.rtrace.events),
+            trace_events=self.rtrace.events,
             gpu_counters=aggregate_counters(
                 [w.machine.require_gpu().counters.snapshot()
                  for w in self.workers]),

@@ -58,6 +58,18 @@ class TestTracer:
         errors = validate_events(tracer.events)
         assert any("auto-closed" in e for e in errors)
 
+    def test_auto_closed_span_end_repeats_its_name(self):
+        # Schema v1: an ``end`` repeats its span's name, auto-closed
+        # or not.
+        tracer = _tracer()
+        tracer.submit(3, t_ns=0)
+        outer = tracer.begin(3, "attempt", t_ns=0)
+        tracer.begin(3, "replay", psid=outer, t_ns=10)
+        tracer.finish(3, "ok", t_ns=500)
+        auto = [(e["sid"], e["name"]) for e in tracer.events
+                if e["ev"] == "end" and e["args"].get("auto")]
+        assert auto == [(2, "replay"), (1, "attempt")]
+
     def test_double_finish_is_flagged_not_raised(self):
         tracer = _tracer()
         _one_request(tracer, rid=4)

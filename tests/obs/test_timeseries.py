@@ -42,6 +42,48 @@ class TestScraping:
         assert collector.maybe_scrape(99) == 0
         assert collector.maybe_scrape(100) == 1  # t = 100
 
+    def test_scrape_reads_no_snapshot_and_records_the_same(self):
+        # Scrapes read metric values directly; what they record is
+        # what a scrape of a full registry snapshot would.
+        def snapshot_scrape(collector, t_ns):
+            snapshot = collector.registry.snapshot()
+            for name in sorted(snapshot["counters"]):
+                collector.record(t_ns, name,
+                                 snapshot["counters"][name],
+                                 kind="counter")
+            for name in sorted(snapshot["gauges"]):
+                collector.record(t_ns, name, snapshot["gauges"][name])
+            for name in sorted(snapshot["histograms"]):
+                hist = snapshot["histograms"][name]
+                collector.record(t_ns, name + ".count", hist["count"],
+                                 kind="counter")
+                collector.record(t_ns, name + ".p95", hist["p95"])
+            collector.scrapes += 1
+
+        registries = [_registry(), _registry()]
+        fast = TimeSeriesCollector(registries[0], interval_ns=100,
+                                   capacity=5)
+        slow = TimeSeriesCollector(registries[1], interval_ns=100,
+                                   capacity=5)
+
+        def refuse():
+            raise AssertionError("scrape took a full snapshot")
+
+        registries[0].snapshot = refuse
+        for step in range(9):
+            for registry in registries:
+                registry.counter("serve.requests.submitted").inc(step)
+                registry.gauge("serve.queue.depth").set(step * 0.5)
+                registry.histogram("serve.latency_ns",
+                                   (10, 100)).observe(step * 13)
+                if step == 4:
+                    registry.counter("serve.late").inc()
+            fast.scrape(step * 100)
+            snapshot_scrape(slow, step * 100)
+        assert fast.to_jsonl() == slow.to_jsonl()
+        assert fast.to_openmetrics() == slow.to_openmetrics()
+        assert fast.snapshot() == slow.snapshot()
+
     def test_derive_hook_adds_series(self):
         def derive(snapshot):
             submitted = snapshot["counters"][
@@ -61,6 +103,32 @@ class TestBounds:
             series.append(t, t * 1.0)
         assert [t for t, _ in series.samples] == [2, 3, 4]
         assert series.dropped == 2
+
+    def test_full_ring_keeps_order_types_and_exports(self):
+        # A full series overwrites its oldest slot in place; readers
+        # still see the newest ``capacity`` samples oldest first, each
+        # value with its own type (JSONL writes 1 and 1.0 apart).
+        registry = MetricsRegistry()
+        collector = TimeSeriesCollector(registry, capacity=4)
+        appended = [(t, t if t % 2 else t + 0.5) for t in range(11)]
+        for t_ns, value in appended:
+            collector.record(t_ns, "s", value)
+        series = collector.series["s"]
+        kept = appended[-4:]
+        assert series.samples == kept
+        assert series.values() == [value for _, value in kept]
+        assert [type(v) for v in series.values()] == [int, float] * 2
+        assert series.last() == kept[-1][1]
+        assert series.dropped == 7
+        assert collector.to_jsonl() == "".join(
+            f'{{"series":"s","t_ns":{t},"value":{v}}}\n'
+            for t, v in kept)
+        assert collector.to_openmetrics().splitlines()[1:-1] == [
+            f"s {v if isinstance(v, int) else repr(v)} {t / 1e9:.9f}"
+            for t, v in kept]
+        snap = collector.snapshot()["series"]["s"]
+        assert snap == {"kind": "gauge", "dropped": 7,
+                        "samples": [[t, v] for t, v in kept]}
 
     def test_series_cap(self):
         registry = MetricsRegistry()
