@@ -134,6 +134,12 @@ def fmt_bytes(n: int) -> str:
     return f"{n} B"
 
 
+def _usage(message: str) -> int:
+    """Say what is wrong with the command line; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _describe_action(action: act.Action) -> str:
     name = type(action).__name__
     if isinstance(action, act.RegWrite):
@@ -395,9 +401,8 @@ def cmd_stats(args) -> int:
         _print_snapshot_diff(diff)
         return 0
     if args.file is None:
-        print("error: a recording file is required unless --diff is "
-              "given", file=sys.stderr)
-        return 2
+        return _usage("a recording file is required unless --diff is "
+                      "given")
     from repro.obs import enable_observability
 
     recording = Recording.load(args.file)
@@ -427,9 +432,8 @@ def _inspect_store(args) -> int:
     if os.path.exists(args.file):
         digest = Recording.load(args.file).digest()
         if digest not in vault:
-            print(f"error: {args.file} (digest {digest[:12]}) is not "
-                  f"packed in {args.store}", file=sys.stderr)
-            return 2
+            return _usage(f"{args.file} (digest {digest[:12]}) is not "
+                          f"packed in {args.store}")
     else:
         digest = vault.resolve(args.file)
     stats = vault.recording_stats(digest)
@@ -686,9 +690,7 @@ def cmd_surgery_compose(args) -> int:
     slices = [_load_slice(path) for path in args.slices]
     if args.op == "repeat":
         if len(slices) != 1:
-            print("error: --op repeat takes exactly one slice",
-                  file=sys.stderr)
-            return 2
+            return _usage("--op repeat takes exactly one slice")
         composed = repeat(slices[0], args.n)
     elif args.op == "reorder":
         composed = reorder(slices, args.order_seed)
@@ -746,9 +748,8 @@ def cmd_bench(args) -> int:
 
     suite = SUITES.get(args.suite)
     if suite is None:
-        print(f"error: unknown suite {args.suite!r}; known: "
-              f"{', '.join(SUITES)}", file=sys.stderr)
-        return 2
+        return _usage(f"unknown suite {args.suite!r}; known: "
+                      f"{', '.join(SUITES)}")
     measured = suite.measure()
     # --json keeps stdout the pin alone, so the table goes to stderr.
     print(suite.table(measured).render(),
@@ -831,14 +832,11 @@ def cmd_serve(args) -> int:
 
     if args.no_trace and (args.trace_out or args.trace_chrome
                           or args.profile_out):
-        print("error: --trace-out/--trace-chrome/--profile-out "
-              "require tracing (drop --no-trace)", file=sys.stderr)
-        return 2
+        return _usage("--trace-out/--trace-chrome/--profile-out "
+                      "require tracing (drop --no-trace)")
     if args.no_timeseries and (args.timeseries_out or args.openmetrics):
-        print("error: --timeseries-out/--openmetrics require the "
-              "time-series collector (drop --no-timeseries)",
-              file=sys.stderr)
-        return 2
+        return _usage("--timeseries-out/--openmetrics require the "
+                      "time-series collector (drop --no-timeseries)")
     served = _serving_store(args)
     if served is None:
         return 2
@@ -963,9 +961,7 @@ def cmd_fleet(args) -> int:
     from repro.serve import LoadgenConfig, generate_requests
 
     if args.no_trace and args.trace_out:
-        print("error: --trace-out requires tracing (drop --no-trace)",
-              file=sys.stderr)
-        return 2
+        return _usage("--trace-out requires tracing (drop --no-trace)")
     served = _serving_store(args)
     if served is None:
         return 2
@@ -974,9 +970,7 @@ def cmd_fleet(args) -> int:
     for spec in args.quota or ():
         tenant, _, cap = spec.partition("=")
         if not tenant or not cap.isdigit():
-            print(f"error: --quota wants TENANT=N, got {spec!r}",
-                  file=sys.stderr)
-            return 2
+            return _usage(f"--quota wants TENANT=N, got {spec!r}")
         quotas.append((tenant, int(cap)))
     load_cfg = LoadgenConfig(
         requests=args.requests, seed=args.seed, mix=tuple(store.mix()),
@@ -1131,6 +1125,9 @@ def cmd_attribute(args) -> int:
 
     from repro.obs.attribution import attribute
 
+    if not 0.0 <= args.p_lo <= args.p_hi <= 100.0:
+        return _usage(f"bad percentile band [{args.p_lo:g}, "
+                      f"{args.p_hi:g}]: want 0 <= --p-lo <= --p-hi <= 100")
     events = _read_events(args.file)
     if events is None:
         return 2
@@ -1156,6 +1153,9 @@ def cmd_slo(args) -> int:
                                slo_report)
     from repro.units import MS
 
+    # Exit 1 is a missed SLO under --strict; a bad flag is not one.
+    if args.target is not None and not 0.0 < args.target < 1.0:
+        return _usage(f"--target {args.target:g} is not in (0, 1)")
     events = _read_events(args.file)
     if events is None:
         return 2
@@ -1319,9 +1319,8 @@ def cmd_dash(args) -> int:
         with open(args.file) as handle:
             series = parse_jsonl(handle.read())
     except (ValueError, KeyError, TypeError) as error:
-        print(f"error: {args.file} is not a time-series JSONL log: "
-              f"{error}", file=sys.stderr)
-        return 2
+        return _usage(f"{args.file} is not a time-series JSONL log: "
+                      f"{error}")
     if not series:
         print("(no samples in log)")
         return 0
@@ -1329,10 +1328,8 @@ def cmd_dash(args) -> int:
         wanted = [s.strip() for s in args.series.split(",") if s.strip()]
         missing = [name for name in wanted if name not in series]
         if missing:
-            print(f"error: series not in log: {', '.join(missing)}; "
-                  f"available: {', '.join(sorted(series))}",
-                  file=sys.stderr)
-            return 2
+            return _usage(f"series not in log: {', '.join(missing)}; "
+                          f"available: {', '.join(sorted(series))}")
         names = wanted
     else:
         names = [name for name in _DASH_DEFAULT if name in series]

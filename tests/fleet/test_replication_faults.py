@@ -18,7 +18,7 @@ from repro.fleet.replication import ReplicatedVaultStore
 from repro.obs.session import Observability
 from repro.soc.clock import VirtualClock
 from repro.store import Vault
-from repro.store.smoke import flip_object_byte
+from repro.tools.smoke import flip_object_byte
 
 MIX = [("mali", "mnist")]
 

@@ -14,7 +14,7 @@ from repro.core.replayer import clear_load_cache
 from repro.serve import (FaultSpec, RecordingStore, ReplayServer,
                          ServeRequest, ServerConfig, VaultRecordingStore)
 from repro.store import Vault
-from repro.store.smoke import flip_object_byte
+from repro.tools.smoke import flip_object_byte
 
 
 def _walk(store, families, fault=None, family="mali", model="mnist"):

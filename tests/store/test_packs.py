@@ -23,8 +23,8 @@ from repro.obs.session import Observability
 from repro.soc.clock import VirtualClock
 from repro.store import Vault
 from repro.store import vault as vault_module
-from repro.store.smoke import flip_object_byte
 from repro.tools.grr import main
+from repro.tools.smoke import flip_object_byte
 
 #: Incompressible (stored raw) and compressible (stored deflated)
 #: dump payloads; SHARED turns up in several recordings.

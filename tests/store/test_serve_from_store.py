@@ -17,7 +17,7 @@ from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
                          ServerConfig, VaultRecordingStore,
                          generate_requests, verify_report)
 from repro.store import Vault
-from repro.store.smoke import flip_object_byte
+from repro.tools.smoke import flip_object_byte
 
 MIX = (("mali", "mnist"), ("mali", "kws"), ("v3d", "mnist"))
 

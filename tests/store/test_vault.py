@@ -13,7 +13,7 @@ from repro.errors import (StoreCorruptionError, StoreError,
 from repro.obs.session import Observability
 from repro.soc.clock import VirtualClock
 from repro.store import CompatEntry, CompatIndex, Vault, gpu_clock_hz
-from repro.store.smoke import flip_object_byte
+from repro.tools.smoke import flip_object_byte
 from tests.serve.test_recording_fuzz import synthetic_recording
 
 

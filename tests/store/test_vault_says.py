@@ -18,8 +18,8 @@ import pytest
 from repro.core.dumps import MemoryDump
 from repro.core.recording import IoBuffer, Recording, encode_skeleton
 from repro.store import Vault
-from repro.store.smoke import flip_object_byte
 from repro.store.vault import _PackWriter
+from repro.tools.smoke import flip_object_byte
 from tests.serve.test_recording_fuzz import synthetic_recording
 
 

@@ -311,9 +311,18 @@ class TestAttribute:
             == report["total_ns"]
 
     def test_bad_band_is_an_error(self, trace_log_path, capsys):
+        # A usage error (2), not a failed check (1).
         assert main(["attribute", trace_log_path, "--p-lo", "90",
-                     "--p-hi", "10"]) == 1
-        assert "error" in capsys.readouterr().err
+                     "--p-hi", "10"]) == 2
+        assert "bad percentile band" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("band", [("99", "50"), ("-1", "100"),
+                                      ("0", "101")])
+    def test_band_out_of_order_or_range_is_a_usage_error(
+            self, trace_log_path, band, capsys):
+        assert main(["attribute", trace_log_path, "--p-lo", band[0],
+                     "--p-hi", band[1]]) == 2
+        assert "bad percentile band" in capsys.readouterr().err
 
 
 class TestSlo:
@@ -339,6 +348,16 @@ class TestSlo:
         assert main(["slo", trace_log_path, "--latency-ms", "0.000001",
                      "--strict"]) == 1
         assert "missed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["1.0", "0", "-0.5", "nan"])
+    def test_bad_target_is_a_usage_error(self, trace_log_path, target,
+                                         capsys):
+        """Exit 1 under --strict means a missed SLO, so an out-of-range
+        --target must exit 2 and never read as one."""
+        assert main(["slo", trace_log_path, "--target", target,
+                     "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert "--target" in err and "missed" not in err
 
 
 class TestStatsDiff:

@@ -11,8 +11,8 @@ import pytest
 
 from repro.core.recording import Recording
 from repro.store import Vault
-from repro.store.smoke import flip_object_byte
 from repro.tools.grr import main
+from repro.tools.smoke import flip_object_byte
 
 
 @pytest.fixture(scope="module")
