@@ -226,11 +226,7 @@ class RecordingStore:
         recording = self.interface(family, model)
         inputs = request_inputs(recording, input_seed)
         x = next(iter(inputs.values()))
-        graph = _MODEL_CACHE.get(model)
-        if graph is None:
-            graph = build_model(model)
-            _MODEL_CACHE[model] = graph
-        reference = run_reference(graph, x, fuse=False)
+        reference = run_reference(build_model(model), x, fuse=False)
         outputs: Dict[str, np.ndarray] = {}
         for io in recording.meta.outputs:
             shaped = reference.reshape(io.shape) if io.shape \
@@ -340,9 +336,6 @@ class VaultRecordingStore(RecordingStore):
         drained = self._fetch_log
         self._fetch_log = []
         return drained
-
-
-_MODEL_CACHE: Dict[str, object] = {}
 
 
 @dataclass

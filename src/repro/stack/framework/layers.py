@@ -14,7 +14,7 @@ flow as ``(1, n)`` batch-of-one rows into dense layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -198,11 +198,33 @@ def weight_shapes(model: ModelSpec) -> Dict[str, Shape]:
     return out
 
 
+#: (seed, ordered weight shapes) -> the drawn arrays, read-only. No
+#: cap: the weights of the whole 14-model zoo are 6.3 MB.
+_WEIGHTS: Dict[tuple, Dict[str, np.ndarray]] = {}
+
+
 def init_weights(model: ModelSpec) -> Dict[str, np.ndarray]:
-    """Deterministic He-style initialization from the model seed."""
-    rng = np.random.default_rng(model.seed)
+    """Deterministic He-style initialization from the model seed.
+
+    Drawn once per process per (seed, weight shapes): each call returns
+    a new dict of the same read-only arrays, so a caller may replace an
+    entry but not write into one."""
+    shapes = tuple(weight_shapes(model).items())
+    key = (model.seed, shapes)
+    weights = _WEIGHTS.get(key)
+    if weights is None:
+        weights = _WEIGHTS[key] = draw_weights(model.seed, shapes)
+        for array in weights.values():
+            array.flags.writeable = False
+    return dict(weights)
+
+
+def draw_weights(seed: int, shapes: Iterable[Tuple[str, Shape]]
+                 ) -> Dict[str, np.ndarray]:
+    """The uncached draw behind :func:`init_weights` (writable arrays)."""
+    rng = np.random.default_rng(seed)
     out: Dict[str, np.ndarray] = {}
-    for name, shape in weight_shapes(model).items():
+    for name, shape in shapes:
         if name.endswith(".b"):
             out[name] = np.zeros(shape, dtype=np.float32)
         else:

@@ -1,11 +1,15 @@
-"""Layer specs, shape inference, the model zoo."""
+"""Layer specs, shape inference, weights, the model zoo."""
+
+import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from repro.errors import FrameworkError
+from repro.stack.framework import layers
 from repro.stack.framework.layers import (LayerSpec, ModelSpec,
-                                          gpu_memory_estimate,
+                                          draw_weights, gpu_memory_estimate,
                                           infer_shapes, init_weights,
                                           resolve_inputs, weight_shapes)
 from repro.stack.framework.models import MODEL_ZOO, build_model
@@ -132,19 +136,71 @@ class TestWeights:
 
     def test_init_deterministic_per_seed(self):
         model = build_model("mnist")
-        w1 = init_weights(model)
-        w2 = init_weights(model)
-        for name in w1:
-            assert np.array_equal(w1[name], w2[name])
+        memo = init_weights(model)
+        drawn = draw_weights(model.seed, weight_shapes(model).items())
+        assert list(memo) == list(drawn)
+        for name in memo:
+            assert np.array_equal(memo[name], drawn[name])
 
     def test_biases_start_zero(self):
         weights = init_weights(build_model("mnist"))
         assert not weights["conv1.b"].any()
 
+    def test_memo_arrays_are_read_only(self):
+        weights = init_weights(build_model("mnist"))
+        with pytest.raises(ValueError):
+            weights["conv1.w"][0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            weights["fc2.b"] += 1.0
+
+    def test_each_call_returns_a_new_dict(self):
+        model = build_model("mnist")
+        first = init_weights(model)
+        first["fc2.b"] = np.ones_like(first["fc2.b"])
+        second = init_weights(model)
+        assert second is not first
+        assert not second["fc2.b"].any()
+        assert second["conv1.w"] is first["conv1.w"]
+
+    def test_another_seed_gets_its_own_weights(self):
+        model = build_model("mnist")
+        reseeded = dataclasses.replace(model, seed=model.seed + 1)
+        base, other = init_weights(model), init_weights(reseeded)
+        assert not np.array_equal(base["conv1.w"], other["conv1.w"])
+        drawn = draw_weights(reseeded.seed, weight_shapes(reseeded).items())
+        assert np.array_equal(other["conv1.w"], drawn["conv1.w"])
+        assert np.array_equal(init_weights(model)["conv1.w"],
+                              base["conv1.w"])
+
     def test_gpu_memory_estimate_positive(self):
         small = gpu_memory_estimate(build_model("mnist"))
         big = gpu_memory_estimate(build_model("vgg16"))
         assert 0 < small < big
+
+
+def test_one_model_draws_its_weights_once(monkeypatch):
+    """Sixteen CPU ground-truth answers and one stack build of a model
+    draw its weights from the seed once, not once per call."""
+    from repro.bench.workloads import build_stack, get_recorded
+    from repro.serve import RecordingStore
+
+    workload, _stack = get_recorded("mali", "mnist")
+    store = RecordingStore()
+    store.add("mali", "mnist", workload.recording)
+    monkeypatch.setattr(layers, "_WEIGHTS", {})
+    draws = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == layers.__name__:
+            draws.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    for input_seed in range(16):
+        store.reference_outputs("mali", "mnist", input_seed)
+    build_stack("mali", "mnist")
+    assert len(draws) == 1
 
 
 class TestZoo:
