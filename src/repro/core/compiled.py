@@ -10,13 +10,12 @@ This module does not import it; they share the executor contract in
 
 ``compile_program`` lowers a *verified* recording once: each action
 becomes a spec tuple with its register name pre-resolved to an
-absolute MMIO address and its dump looked up (not hashed: residency
-goes by identity first); pacing becomes a flat array of minimum
-intervals. A :class:`CompiledProgram`
-is machine-independent data bound to a board configuration, so the
-replayer's load cache shares it between replayers;
-:meth:`CompiledProgram.bind` attaches it to one nano driver as one
-closure per action, run by the single loop in
+absolute MMIO address and its dump named by index; pacing becomes a
+flat array of minimum intervals. A :class:`CompiledProgram` holds no
+machine and no recording bytes, so the replayer's load cache shares
+it between replayers; :meth:`CompiledProgram.bind` attaches it to one
+nano driver and the staged recording's dumps as one closure per
+action, run by the single loop in
 :meth:`CompiledExecutor.execute`.
 
 That loop serves two batch widths. The replayer's *input* picks
@@ -41,6 +40,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from repro.core import actions as act
 from repro.core.actions import (ACTION_OVERHEAD_NS, IMPLICIT_IRQ_TIMEOUT_NS,
                                 InterpreterOptions, InterpreterStats)
+from repro.core.dumps import MemoryDump
 from repro.core.nano_driver import NanoGpuDriver
 from repro.core.recording import Recording
 from repro.errors import (ReplayAborted, ReplayDivergence, ReplayError,
@@ -53,16 +53,15 @@ if TYPE_CHECKING:
 class CompiledProgram:
     """A verified recording lowered for fast repeated replay.
 
-    Holds no reference to a specific machine; ``board_key`` records
-    the (family, mmio_base) the register addresses were resolved
-    against, and :meth:`bind` refuses a mismatched nano driver.
+    Holds no reference to a specific machine or recording;
+    ``board_key`` records the (family, mmio_base) the register
+    addresses were resolved against, and :meth:`bind` refuses a
+    mismatched nano driver.
     """
 
-    def __init__(self, recording: Recording,
-                 specs: List[Tuple], srcs: List[str], kicks: List[bool],
-                 intervals: List[int],
-                 board_key: Tuple[str, int]):
-        self.recording = recording
+    def __init__(self, specs: List[Tuple], srcs: List[str],
+                 kicks: List[bool], intervals: List[int],
+                 board_key: Tuple[str, int], prologue_len: int):
         self.specs = specs
         self.srcs = srcs
         #: Per action: is it a job-kick write? (The executor's one
@@ -71,6 +70,7 @@ class CompiledProgram:
         self.kicks = kicks
         self.intervals = intervals
         self.board_key = board_key
+        self.prologue_len = prologue_len
         #: The map / unmap actions in order: ``(va, pages or None)``.
         self.map_effects = [
             (spec[1], spec[2] if spec[0] == _MAP else None)
@@ -88,12 +88,13 @@ class CompiledProgram:
             self._superblocks = compile_superblocks(self)
         return self._superblocks
 
-    def bind(self, nano: NanoGpuDriver) -> "CompiledExecutor":
+    def bind(self, nano: NanoGpuDriver,
+             dumps: List[MemoryDump]) -> "CompiledExecutor":
         if (nano.family, nano.mmio_base) != self.board_key:
             raise ReplayError(
                 f"compiled program targets {self.board_key}, nano "
                 f"driver is ({nano.family!r}, {nano.mmio_base:#x})")
-        return CompiledExecutor(self, nano)
+        return CompiledExecutor(self, nano, dumps)
 
 
 # Spec kinds (first element of each spec tuple).
@@ -107,8 +108,7 @@ _UPLOAD = 6
 _WAIT_IRQ = 7
 _IRQ_ENTER = 8
 _IRQ_EXIT = 9
-_SYNTH_COPY = 10
-_UNKNOWN = 11
+_FAIL = 10
 
 #: Kinds that are one nano-driver call on the spec's operands.
 _PLAIN_CALLS = {_SET_PGTABLE: "set_gpu_pgtable", _MAP: "map_gpu_mem",
@@ -123,16 +123,9 @@ def compile_program(recording: Recording,
     verify_recording` accepted the recording: compilation resolves
     every register name eagerly and assumes dump indices are in range.
     """
+    actions = recording.actions
     specs: List[Tuple] = []
-    srcs: List[str] = []
-    kicks: List[bool] = []
-    intervals: List[int] = []
-
-    for action in recording.actions:
-        srcs.append(action.src)
-        intervals.append(action.min_interval_ns)
-        kicks.append(isinstance(action, act.RegWrite)
-                     and action.is_job_kick)
+    for action in actions:
         if isinstance(action, act.RegWrite):
             specs.append((_REG_WRITE, nano.resolve(action.reg),
                           action.val, action.mask))
@@ -151,8 +144,7 @@ def compile_program(recording: Recording,
         elif isinstance(action, act.UnmapGpuMem):
             specs.append((_UNMAP, action.addr, action.num_pages))
         elif isinstance(action, act.Upload):
-            specs.append((_UPLOAD, action.addr,
-                          recording.dumps[action.dump_index]))
+            specs.append((_UPLOAD, action.addr, action.dump_index))
         elif isinstance(action, act.WaitIrq):
             specs.append((_WAIT_IRQ, action.timeout_ns))
         elif isinstance(action, act.IrqEnter):
@@ -160,12 +152,17 @@ def compile_program(recording: Recording,
         elif isinstance(action, act.IrqExit):
             specs.append((_IRQ_EXIT,))
         elif isinstance(action, (act.CopyToGpu, act.CopyFromGpu)):
-            specs.append((_SYNTH_COPY, type(action).__name__))
+            specs.append((_FAIL, f"{type(action).__name__} actions are "
+                          "synthesized by the replayer"))
         else:
-            specs.append((_UNKNOWN, type(action).__name__))
+            specs.append((_FAIL, f"unknown action {type(action).__name__}"))
 
-    return CompiledProgram(recording, specs, srcs, kicks,
-                           intervals, (nano.family, nano.mmio_base))
+    return CompiledProgram(
+        specs, [action.src for action in actions],
+        [isinstance(action, act.RegWrite) and action.is_job_kick
+         for action in actions],
+        [action.min_interval_ns for action in actions],
+        (nano.family, nano.mmio_base), recording.meta.prologue_len)
 
 
 class CompiledExecutor:
@@ -180,9 +177,11 @@ class CompiledExecutor:
     and the replay doctor").
     """
 
-    def __init__(self, program: CompiledProgram, nano: NanoGpuDriver):
+    def __init__(self, program: CompiledProgram, nano: NanoGpuDriver,
+                 dumps: List[MemoryDump]):
         self.program = program
         self.nano = nano
+        self.dumps = dumps
         self.stats = InterpreterStats()
         #: ``(length, virtual ns)`` of each superblock the most recent
         #: ``execute`` ran (empty at width 1).
@@ -238,7 +237,8 @@ class CompiledExecutor:
             return step
 
         if kind == _UPLOAD:
-            _, addr, dump = spec
+            _, addr, dump_index = spec
+            dump = self.dumps[dump_index]
             size = dump.size
             upload = nano.upload
             clock = nano.clock
@@ -278,19 +278,10 @@ class CompiledExecutor:
                 enter()
             return step
 
-        if kind == _SYNTH_COPY:
-            _, type_name = spec
-
-            def step(i):
-                raise ReplayError(
-                    f"{type_name} actions are synthesized by the "
-                    "replayer", i, src)
-            return step
-
-        _, type_name = spec
+        _, message = spec       # _FAIL
 
         def step(i):
-            raise ReplayError(f"unknown action {type_name}", i, src)
+            raise ReplayError(message, i, src)
         return step
 
     def _timed_wait_irq(self, timeout_ns: int) -> bool:
@@ -333,7 +324,7 @@ class CompiledExecutor:
         srcs = self.program.srcs
         kicks = self.program.kicks
         intervals = self.program.intervals
-        prologue_len = self.program.recording.meta.prologue_len
+        prologue_len = self.program.prologue_len
         extra_delay = options.extra_delay_ns
         delay_range = options.extra_delay_range
 

@@ -104,8 +104,8 @@ def record_inference(runner: NetworkRunner,
 
         input_match_sets.append(scan_regions(
             recorder.first_kick_snapshot, magic.tobytes()))
-        output_match_sets.append(scan_regions(
-            recorder._snapshot_data_regions(), output.tobytes()))
+        output_match_sets.append(scan_regions(recorder.data_spans(),
+                                              output.tobytes()))
         try:
             input_addr = resolve_unique(input_match_sets, "input")
             output_addr = resolve_unique(output_match_sets, "output")
@@ -178,7 +178,7 @@ def record_kernel_workload(runtime, ir, name: str,
         recordings = recorder.end()
 
         snapshot = recorder.first_kick_snapshot
-        live = recorder._snapshot_data_regions()
+        live = list(recorder.data_spans())
         for slot in in_slots:
             in_sets[slot].append(scan_regions(snapshot,
                                               magics[slot].tobytes()))
@@ -254,7 +254,7 @@ def record_training_iteration(trainer: DeepClTrainer,
         y_sets.append(scan_regions(recorder.first_kick_snapshot,
                                    magic_y.tobytes()))
         loss_sets.append(scan_regions(
-            recorder._snapshot_data_regions(),
+            recorder.data_spans(),
             np.array([loss], dtype=np.float32).tobytes()))
         try:
             x_addr = resolve_unique(x_sets, "training input x")

@@ -62,7 +62,7 @@ def compile_superblocks(program: CompiledProgram) -> Dict[int, Superblock]:
     between that action and the next, exactly as in the unfused path.
     """
     blocks: Dict[int, Superblock] = {}
-    barrier = program.recording.meta.prologue_len - 1
+    barrier = program.prologue_len - 1
     specs = program.specs
     intervals = program.intervals
     i, n = 0, len(specs)

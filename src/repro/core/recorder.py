@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
@@ -30,7 +30,7 @@ from repro.errors import RecordingError
 from repro.gpu import FAMILIES
 from repro.gpu import jobs as jobfmt
 from repro.soc import firmware as fw
-from repro.soc.memory import PAGE_SIZE
+from repro.soc.memory import PAGE_SIZE, ZERO
 from repro.stack.driver import trace
 from repro.stack.driver.base import GpuDriver
 from repro.stack.driver.memory import MemFlags
@@ -43,9 +43,10 @@ DUMP_BW = int(1.5 * 1024 ** 3)
 def coalesce_pages(pages: Iterable[Tuple[int, bytes]]) -> List[MemoryDump]:
     """Merge per-page captures into contiguous dumps.
 
-    ``pages`` yields (va, page_bytes) for individual pages; adjacent
+    ``pages`` yields (va, page_buffer) for individual pages; adjacent
     VAs are merged so a 40-page shader blob becomes one Upload action
-    instead of 40.
+    instead of 40. A buffer may be a live page of physical memory:
+    the join is the one copy its bytes get.
     """
     ordered = sorted(pages, key=lambda p: p[0])
     out: List[MemoryDump] = []
@@ -340,29 +341,42 @@ class GpuRecorder(trace.DriverTracer):
 
     # -- memory dumping (Section 4.3) -----------------------------------------------------------
 
-    def _read_region_page(self, region: _Region, index: int) -> bytes:
-        """Read one page of a live region through the driver's tables."""
-        ctx = self.driver.require_ctx()
-        va = region.va + index * PAGE_SIZE
-        entry = ctx.page_table.lookup(va)
+    def _page_buffer(self, va: int):
+        """The live physical page behind GPU ``va`` (a zero page while
+        unmaterialized), through the driver's tables. Not a copy."""
+        entry = self.driver.require_ctx().page_table.lookup(va)
         if entry is None:
-            raise RecordingError(f"live region page {va:#x} unmapped")
-        pa, _perms = entry
-        return self.machine.memory.read(pa, PAGE_SIZE)
+            raise RecordingError(f"read of unmapped GPU VA {va:#x}")
+        page = self.machine.memory.page_buffer(entry[0])
+        return ZERO.data if page is None else page
 
-    def _snapshot_data_regions(self) -> List[Tuple[int, bytes]]:
-        """Contents of CPU-mapped data regions (for taint scanning)."""
-        out: List[Tuple[int, bytes]] = []
+    def _cpu_read(self, va: int, size: int) -> bytes:
+        """Read GPU memory CPU-side through the driver's page tables:
+        one copy, by the join."""
+        parts = []
+        for at in range(va - va % PAGE_SIZE, va + size, PAGE_SIZE):
+            page = memoryview(self._page_buffer(at))
+            parts.append(page[max(va - at, 0):va + size - at])
+        return b"".join(parts)
+
+    def data_spans(self) -> Iterator[Tuple[int, bytes]]:
+        """Contents of CPU-mapped data regions minus the by-value
+        ranges, one span at a time (for taint scanning): the dumps
+        capture the weights, and the app's input and output are never
+        among them."""
+        cuts = sorted(self._by_value)
         for region in sorted(self._live_regions.values(),
                              key=lambda r: r.va):
             if region.flags & MemFlags.GPU_EXEC:
                 continue
             if not region.flags & MemFlags.CPU_MAPPED:
                 continue
-            data = b"".join(self._read_region_page(region, i)
-                            for i in range(region.num_pages))
-            out.append((region.va, data))
-        return out
+            start = region.va
+            for va, size in cuts + [(region.end_va(), 0)]:
+                end = min(va, region.end_va())
+                if end > start:
+                    yield start, self._cpu_read(start, end - start)
+                start = max(start, va + size)
 
     def _capture_dumps(self, chain_va: int) -> None:
         obs = self.machine.obs
@@ -371,36 +385,41 @@ class GpuRecorder(trace.DriverTracer):
             # Taken before any GPU job has run: the only copy of the
             # app's input in GPU memory is the one the runtime wrote,
             # so the taint scan cannot confuse job-made duplicates.
-            self.first_kick_snapshot = self._snapshot_data_regions()
+            self.first_kick_snapshot = list(self.data_spans())
+        # Pages are hashed in place and the changed ones copied once,
+        # by the join in ``coalesce_pages``.
         pages: List[Tuple[int, bytes]] = []
         scanned_bytes = 0
+        whole = self._whole_region_dumps()
         for region in self._dump_eligible_regions(chain_va):
             changed: List[Tuple[int, bytes]] = []
             all_pages: List[Tuple[int, bytes]] = []
             for i in range(region.num_pages):
                 va = region.va + i * PAGE_SIZE
-                data = self._read_region_page(region, i)
+                data = self._page_buffer(va)
                 scanned_bytes += PAGE_SIZE
                 digest = zlib.crc32(data)
-                if self._whole_region_dumps():
+                if whole:
                     all_pages.append((va, data))
                 if self._page_hashes.get(va) != digest:
                     self._page_hashes[va] = digest
                     changed.append((va, data))
             if not changed:
                 continue
-            pages.extend(all_pages if self._whole_region_dumps()
-                         else changed)
+            pages.extend(all_pages if whole else changed)
         obs.counter("record.dump_bytes_scanned").inc(scanned_bytes)
         if not pages:
             return
+        # The copy comes before the clock moves: events fired by the
+        # advance may write GPU memory.
+        dumps = coalesce_pages(pages)
         # Record-time overhead of copying the pages out (an unintended
         # delay the idle heuristic later removes from replay).
         self.machine.clock.advance(
-            max(1, (scanned_bytes + sum(len(d) for _va, d in pages))
+            max(1, (scanned_bytes + len(pages) * PAGE_SIZE)
                 * SEC // DUMP_BW))
         dump_bytes = 0
-        for dump in coalesce_pages(pages):
+        for dump in dumps:
             index = len(self._dumps)
             self._dumps.append(dump)
             dump_bytes += dump.size
@@ -464,23 +483,6 @@ class V3dRecorder(GpuRecorder):
 
     def _whole_region_dumps(self) -> bool:
         return True
-
-    def _cpu_read(self, va: int, size: int) -> bytes:
-        """Read GPU memory CPU-side through the driver's page tables."""
-        ctx = self.driver.require_ctx()
-        out = bytearray()
-        cursor = va
-        while len(out) < size:
-            entry = ctx.page_table.lookup(cursor)
-            if entry is None:
-                raise RecordingError(
-                    f"control list walks into unmapped VA {cursor:#x}")
-            pa, _ = entry
-            in_page = cursor & (PAGE_SIZE - 1)
-            chunk = min(size - len(out), PAGE_SIZE - in_page)
-            out += self.machine.memory.read(pa + in_page, chunk)
-            cursor += chunk
-        return bytes(out)
 
     def _regions_containing(self, va: int, size: int) -> List[_Region]:
         out = []

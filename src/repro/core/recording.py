@@ -192,10 +192,14 @@ class Recording:
             raise SerializationError(f"unsupported version {version}")
         body = blob[10:]
         if flags & 1:
+            inflate = zlib.decompressobj()
             try:
-                body = zlib.decompress(body)
+                body = inflate.decompress(body)
             except zlib.error as exc:
                 raise SerializationError(f"corrupt recording: {exc}")
+            if not inflate.eof or inflate.unused_data:
+                raise SerializationError("corrupt recording: truncated "
+                                         "zlib stream or trailing bytes")
         # A truncated or garbage body must always surface as the
         # structured corrupt-recording error, never as whatever raw
         # exception the decoder tripped over (struct.error on a short
@@ -203,13 +207,16 @@ class Recording:
         # MemoryError on an absurd length field...). `grr` maps
         # SerializationError to exit code 2, like any unusable file.
         try:
-            return _decode_body(body)
+            recording = _decode_body(body)
         except SerializationError:
             raise
         except (struct.error, ValueError, EOFError, IndexError,
                 OverflowError, MemoryError) as exc:
             raise SerializationError(
                 f"corrupt recording body: {type(exc).__name__}: {exc}")
+        if not recording.actions:
+            raise SerializationError("recording has no actions")
+        return recording
 
     def save(self, path: str, compress: bool = True) -> int:
         data = self.to_bytes(compress)
@@ -234,7 +241,22 @@ class Recording:
 # --------------------------------------------------------------------------
 
 
+def _int_methods(codec: struct.Struct):
+    """``_Writer``'s and ``_Reader``'s method for one integer width."""
+    def write(self, v: int) -> None:
+        self.parts.append(codec.pack(v))
+
+    def read(self) -> int:
+        return self.unpack(codec)[0]
+    return write, read
+
+
+_INT_METHODS = [_int_methods(codec) for codec in (_U8, _U16, _U32, _U64)]
+
+
 class _Writer:
+    u8, u16, u32, u64 = (write for write, _read in _INT_METHODS)
+
     def __init__(self) -> None:
         self.parts: List[bytes] = []
         self._strings: Dict[str, int] = {}
@@ -247,18 +269,6 @@ class _Writer:
             self._strings[s] = index
             self.string_list.append(s)
         return index
-
-    def u8(self, v: int) -> None:
-        self.parts.append(_U8.pack(v))
-
-    def u16(self, v: int) -> None:
-        self.parts.append(_U16.pack(v))
-
-    def u32(self, v: int) -> None:
-        self.parts.append(_U32.pack(v))
-
-    def u64(self, v: int) -> None:
-        self.parts.append(_U64.pack(v))
 
     def raw(self, b: bytes) -> None:
         self.parts.append(b)
@@ -273,6 +283,8 @@ class _Writer:
 
 
 class _Reader:
+    u8, u16, u32, u64 = (read for _write, read in _INT_METHODS)
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
@@ -285,18 +297,6 @@ class _Reader:
         values = codec.unpack_from(self.data, self.pos)
         self.pos = end
         return values
-
-    def u8(self) -> int:
-        return self.unpack(_U8)[0]
-
-    def u16(self) -> int:
-        return self.unpack(_U16)[0]
-
-    def u32(self) -> int:
-        return self.unpack(_U32)[0]
-
-    def u64(self) -> int:
-        return self.unpack(_U64)[0]
 
     def raw(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -463,4 +463,7 @@ def _decode_body(data: bytes,
                     f"dump #{index}: skeleton declares {size} bytes, "
                     f"payload has {len(payload)}")
             dumps.append(MemoryDump(va, payload))
+    if r.pos != len(data):
+        raise SerializationError(
+            f"{len(data) - r.pos} bytes after the body")
     return Recording(meta, actions, dumps)

@@ -60,7 +60,8 @@ RETRY_BACKOFF_NS = 2_000_000
 LOAD_CACHE_CAPACITY = 64
 
 #: The content-addressed load cache. Values are (VerificationReport,
-#: CompiledProgram); keys bind the recording digest to everything the
+#: CompiledProgram), no recording bytes: an entry keeps no recording
+#: alive. Keys bind the recording digest to everything the
 #: verification depended on -- the board's register map, the GPU
 #: memory policy and the session's pre-existing mappings -- so a hit
 #: is exactly as trustworthy as re-running the verifier.
@@ -74,7 +75,8 @@ BOUND_EXECUTORS = 4
 
 
 def clear_load_cache() -> None:
-    """Drop the load cache (tests and long-lived daemons)."""
+    """Drop the load cache (tests and long-lived daemons); it holds
+    no recording bytes."""
     LOAD_CACHE.clear()
 
 
@@ -427,8 +429,8 @@ class Replayer:
         # The staged program may come from the load cache, compiled
         # against an earlier Recording object with the same digest --
         # byte-identical content, so it replays this recording exactly.
-        self._executor = self._executors.get_or_produce(
-            self.program, lambda: self.program.bind(self.nano))
+        self._executor = self._executors.get_or_produce(self.program, partial(
+            self.program.bind, self.nano, self.current.dumps))
         return self._executor
 
     # -- API: mega-batch replay ----------------------------------------------------------

@@ -33,7 +33,7 @@ def scan_regions(regions: Iterable[Tuple[int, bytes]],
     """Find every GPU VA where ``pattern`` occurs in the given regions.
 
     ``regions`` yields (base_va, contents). Matches are aligned to
-    4 bytes (tensors are float32)."""
+    4 bytes of absolute VA (tensors are float32)."""
     if not pattern:
         raise TaintError("cannot scan for an empty pattern")
     matches: List[int] = []
@@ -43,7 +43,7 @@ def scan_regions(regions: Iterable[Tuple[int, bytes]],
             index = contents.find(pattern, start)
             if index < 0:
                 break
-            if index % 4 == 0:
+            if (base_va + index) % 4 == 0:
                 matches.append(base_va + index)
             start = index + 4
     return matches

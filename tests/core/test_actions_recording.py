@@ -152,7 +152,7 @@ _action_strategy = st.one_of(
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(_action_strategy, max_size=20),
+@given(st.lists(_action_strategy, min_size=1, max_size=20),
        st.lists(st.binary(min_size=1, max_size=200), max_size=4))
 def test_recording_roundtrip_property(actions, blobs):
     dumps = [MemoryDump(i * PAGE_SIZE, blob)

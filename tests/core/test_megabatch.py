@@ -46,7 +46,7 @@ class TestSuperblockCompilation:
         _workload, _replayer, program = _compiled(family, model)
         blocks = compile_superblocks(program)
         kinds = [spec[0] for spec in program.specs]
-        barrier = program.recording.meta.prologue_len - 1
+        barrier = program.prologue_len - 1
         covered = set()
         for start, block in blocks.items():
             assert block.start == start

@@ -7,12 +7,14 @@ versions.
 """
 
 import struct
+import zlib
 
 import pytest
 
 from repro.core import actions as act
 from repro.core.recording import (MAGIC, VERSION, Recording,
-                                  RecordingMeta)
+                                  RecordingMeta, decode_skeleton,
+                                  encode_skeleton)
 from repro.errors import SerializationError
 
 
@@ -63,12 +65,44 @@ class TestFormatContract:
         assert loaded.actions == recording.actions
         assert loaded.meta.workload == "compat"
 
-    def test_empty_recording_roundtrip(self):
+    def test_empty_recording_is_rejected(self):
+        """A recording replays at least one action: an empty action
+        stream is what an all-zero body decodes to, not a recording."""
         empty = Recording(RecordingMeta(), [], [])
-        decoded = Recording.from_bytes(empty.to_bytes())
-        assert decoded.actions == []
-        assert decoded.dumps == []
-        assert decoded.peak_gpu_pages() == 0
+        for compress in (True, False):
+            with pytest.raises(SerializationError, match="no actions"):
+                Recording.from_bytes(empty.to_bytes(compress=compress))
+
+
+class TestStrictDecode:
+    """Every byte of a ``.grr`` file belongs to its one body: the
+    loader refuses an empty body and bytes after the body."""
+
+    def test_zlib_of_64_zero_bytes_is_rejected(self):
+        blob = MAGIC + struct.pack("<HI", VERSION, 1) + zlib.compress(
+            bytes(64))
+        with pytest.raises(SerializationError):
+            Recording.from_bytes(blob)
+
+    @pytest.mark.parametrize("compress", (True, False))
+    def test_trailing_bytes_after_a_valid_file_are_rejected(
+            self, compress):
+        blob = real_recording().to_bytes(compress=compress)
+        assert Recording.from_bytes(blob).digest() == \
+            real_recording().digest()
+        with pytest.raises(SerializationError):
+            Recording.from_bytes(blob + bytes(1000))
+        with pytest.raises(SerializationError):
+            Recording.from_bytes(blob + b"\x01")
+
+    def test_trailing_bytes_after_a_skeleton_are_rejected(self):
+        recording = real_recording()
+        skeleton = encode_skeleton(recording)
+        payloads = [dump.data for dump in recording.dumps]
+        assert decode_skeleton(skeleton, payloads).digest() == \
+            recording.digest()
+        with pytest.raises(SerializationError, match="after the body"):
+            decode_skeleton(skeleton + bytes(1000), payloads)
 
 
 def real_recording():

@@ -41,6 +41,14 @@ class TestScan:
         region = (0x1000, b"\x00" * 3 + magic)
         assert scan_regions([region], magic) == []
 
+    def test_alignment_is_on_the_absolute_va(self):
+        """A span that starts mid-word (the recorder cuts by-value
+        ranges out of a region) still finds an aligned tensor."""
+        magic = make_magic_input((4,), 0).tobytes()
+        assert scan_regions([(0x1002, b"\x00" * 2 + magic)], magic) \
+            == [0x1004]
+        assert scan_regions([(0x1002, magic)], magic) == []
+
     def test_no_match(self):
         assert scan_regions([(0, b"\x00" * 128)], b"\x01\x02\x03\x04") \
             == []

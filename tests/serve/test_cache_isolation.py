@@ -56,7 +56,7 @@ def test_compiled_program_refuses_foreign_board(mali_recording):
     try:
         hikey.load(mali_recording)
         with pytest.raises(ReplayError):
-            hikey.program.bind(odroid.nano)
+            hikey.program.bind(odroid.nano, mali_recording.dumps)
     finally:
         hikey.cleanup()
         odroid.cleanup()
@@ -104,6 +104,6 @@ def test_server_never_shares_programs_across_boards(mali_recording):
     # One compiled program per board for the one digest served.
     digest = mali_recording.digest()
     programs = {id(program)
-                for _report, program in LOAD_CACHE._entries.values()
-                if program.recording.digest() == digest}
+                for key, (_report, program) in LOAD_CACHE._entries.items()
+                if key[0] == digest}
     assert len(programs) == 2

@@ -11,6 +11,7 @@ from repro.bench.workloads import (fresh_replay_machine, get_recorded,
                                    model_input)
 from repro.core.actions import MapGpuMem
 from repro.core.compiled import CompiledProgram
+from repro.core.recording import Recording
 from repro.core.replayer import (BOUND_EXECUTORS, LOAD_CACHE, Replayer,
                                  clear_load_cache)
 from repro.obs import enable_observability
@@ -26,9 +27,9 @@ def binds(monkeypatch):
     calls = []
     real = CompiledProgram.bind
 
-    def bind(self, nano):
+    def bind(self, nano, dumps):
         calls.append((self, nano))
-        return real(self, nano)
+        return real(self, nano, dumps)
     monkeypatch.setattr(CompiledProgram, "bind", bind)
     return calls
 
@@ -106,3 +107,37 @@ def test_closed_server_leaves_no_reference_to_a_worker_machine(binds):
     # ...but nothing process-wide holds an executor, a nano driver or
     # anything else that leads to a machine.
     assert [ref() for ref in machines] == [None, None]
+
+
+def test_the_load_cache_keeps_no_recording_alive():
+    """A cache entry holds verification and compilation results only:
+    once the replayer that loaded a recording is gone, so are the
+    recording and its dump bytes, and a later load of equal content
+    still hits the entry and replays to the same bytes."""
+    clear_load_cache()
+    blob = get_recorded("mali", "mnist")[0].recording.to_bytes()
+    inputs = {"input": model_input("mnist", seed=3)}
+
+    def replay(recording, seed):
+        replayer = Replayer(fresh_replay_machine("mali", seed=seed))
+        replayer.init()
+        replayer.load(recording)
+        outputs = replayer.replay(inputs=inputs).outputs
+        hit = replayer.last_load_info["cache"]
+        replayer.cleanup()
+        return {name: out.tobytes() for name, out in outputs.items()}, hit
+
+    recording = Recording.from_bytes(blob)
+    dump = max(recording.dumps, key=lambda d: d.size)
+    refs = [weakref.ref(recording), weakref.ref(dump),
+            weakref.ref(dump.pages.data)]
+    first, hit = replay(recording, seed=51)
+    assert hit == "miss"
+    del recording, dump
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert len(LOAD_CACHE) == 1
+
+    second, hit = replay(Recording.from_bytes(blob), seed=52)
+    assert hit == "hit"
+    assert second == first

@@ -110,7 +110,7 @@ def test_pagetable_walk_matches_builder_state(ops, fmt_name):
     reg=st.sampled_from(["A", "B"]),
     val=st.integers(0, 2 ** 32 - 1),
     min_interval_ns=st.integers(0, 2 ** 30),
-    is_job_kick=st.booleans()), max_size=15),
+    is_job_kick=st.booleans()), min_size=1, max_size=15),
     st.binary(min_size=0, max_size=300))
 def test_serialization_normal_form(actions, blob):
     dumps = [MemoryDump(0x1000, blob)] if blob else []
