@@ -7,9 +7,12 @@ On-disk layout under one root directory::
                               chunks and recording skeletons -- back to
                               back, each behind a 4-byte record word
                               (stored length; top bit set when the bytes
-                              are stored raw because zlib would not
-                              shrink them by a tenth). Named by the
-                              SHA-256 of the file, so equal content
+                              are stored raw: ``stored_form`` keeps an
+                              object raw when zlib would not shrink it
+                              by a tenth, or -- with no deflate trial --
+                              when it is a chunk whose bytes look
+                              random and hold no long repeat). Named by
+                              the SHA-256 of the file, so equal content
                               gives equal vaults.
     packs/<digest>.idx        one per packed recording: where every
                               object *that recording* needs lives --
@@ -29,9 +32,8 @@ bytes; packs only change how many files hold them. A fetch reads the
 recording's own ``.idx`` (objects it shares with earlier recordings are
 listed there too, pointing into the earlier packs -- so the cost is
 O(objects of this recording), whatever else the vault holds), then one
-contiguous span per pack touched. A chunk stored raw (zlib would save
-under 10%) is handed on as a view into that span, with no inflate and
-no copy.
+contiguous span per pack touched. A chunk stored raw is handed on as
+a view into that span, with no inflate and no copy.
 
 Integrity is a chain with the recording digest at the root: the
 manifest names every chunk by content hash, ``fetch`` re-hashes each
@@ -61,6 +63,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.recording import (Recording, decode_skeleton,
                                   encode_skeleton)
 from repro.errors import (StoreCorruptionError, StoreError,
@@ -81,6 +85,21 @@ MANIFEST_SCHEMA = 1
 _RECORD = struct.Struct("<I")
 _RAW = 1 << 31
 _LENGTH = _RAW - 1
+
+#: Order-0 byte entropy, in bits per bit, above which a chunk with no
+#: long repeat is stored raw untried (``_cannot_shrink``). Over every
+#: chunk of the 14 zoo models on mali, v3d and adreno, none that zlib
+#: shrinks by a tenth scores above 0.700; the weight chunks it keeps
+#: raw score at least 0.800.
+RAW_ENTROPY = 0.75
+_PROBES = 8
+_PROBE = 16
+#: c * log2(c) for every byte count a gated chunk can hold, in units
+#: of 2**-16 bits, so the entropy test is exact integer arithmetic.
+_COUNT = np.arange(cdc.CHUNK_MAX + 1)
+_CLOGC = np.rint(_COUNT * np.log2(_COUNT.clip(1)) * (1 << 16)) \
+    .astype(np.int64)
+_ENTROPY_FLOOR = round(8 * RAW_ENTROPY * (1 << 16))
 
 _INDEX_MAGIC = b"GRIX"
 _INDEX_HEADER = struct.Struct("<4sI")       # magic, number of packs
@@ -145,6 +164,39 @@ def _scan_pack(path: str) -> Tuple[bytes, List[Tuple[int, int]]]:
     return blob, records
 
 
+def _cannot_shrink(payload: bytes) -> bool:
+    """Whether a chunk is random-looking enough to store raw without
+    a deflate trial: ``CHUNK_MIN`` to ``CHUNK_MAX`` bytes, none of
+    eight evenly spaced 16-byte probes found earlier in it, and an
+    order-0 entropy above ``RAW_ENTROPY``. The probes stand from
+    ``(n-16)/8`` to ``n-16`` no more than ``n/8`` apart, so any run of
+    ``n/8 + 16`` bytes that occurs twice covers one probe of its second
+    copy, and such a chunk always goes to the trial."""
+    n = len(payload)
+    if not cdc.CHUNK_MIN <= n <= cdc.CHUNK_MAX:
+        return False
+    payload = bytes(payload)  # a no-op on bytes; views have no find()
+    for k in range(1, _PROBES + 1):
+        at = k * (n - _PROBE) // _PROBES
+        if payload.find(payload[at:at + _PROBE], 0, at + _PROBE - 1) >= 0:
+            return False
+    counts = np.bincount(np.frombuffer(payload, np.uint8), minlength=256)
+    return int(_CLOGC[n] - _CLOGC[counts].sum()) > _ENTROPY_FLOOR * n
+
+
+def stored_form(payload: bytes) -> Tuple[int, bytes]:
+    """The vault's storage rule: (record word, stored bytes) of one
+    object. Deflated only when that saves a tenth -- a read inflates
+    every deflated object it touches, a raw one is a view of the span
+    -- and chunks that ``_cannot_shrink`` skip the trial. A pure
+    function of the bytes, so equal content gives equal packs."""
+    if not _cannot_shrink(payload):
+        packed = zlib.compress(payload, OBJECT_ZLIB_LEVEL)
+        if len(packed) * 10 <= len(payload) * 9:
+            return len(packed), packed
+    return len(payload) | _RAW, payload
+
+
 class _PackWriter:
     """Streams added objects into a fresh pack file, renamed to the
     SHA-256 of its bytes when the ``with`` block completes; no file
@@ -169,17 +221,8 @@ class _PackWriter:
         digest = hashlib.sha256(payload).hexdigest()
         new = digest not in present and digest not in self._added
         if new:
-            self.add(digest, payload)
+            self.add_stored(digest, *stored_form(payload))
         return digest, new
-
-    def add(self, digest: str, payload: bytes) -> None:
-        # Deflated only when that saves a tenth: a read inflates every
-        # deflated object it touches, a raw one is a view of the span.
-        packed = zlib.compress(payload, OBJECT_ZLIB_LEVEL)
-        if len(packed) * 10 <= len(payload) * 9:
-            self.add_stored(digest, len(packed), packed)
-        else:
-            self.add_stored(digest, len(payload) | _RAW, payload)
 
     def add_stored(self, key: Hashable, word: int, stored: bytes) -> None:
         if self._handle is None:
@@ -745,8 +788,9 @@ class Vault:
         damaged lands locally -- carrying the chunk and dump location
         for the doctor handoff. Objects already present locally are
         skipped (content addressing makes the copy idempotent and
-        dedup-aware); the rest land in one fresh pack. Returns the
-        replicated manifest.
+        dedup-aware); the rest land in one fresh pack, each as the
+        peer stored it (record word and bytes, verified, never
+        deflated again). Returns the replicated manifest.
         """
         obs = self.obs
         manifest = peer.load_manifest(digest)
@@ -791,7 +835,8 @@ class Vault:
                         self._heal_object(where[obj], payload)
                         healed += 1
                     else:
-                        writer.add(obj, payload)
+                        stored, word = remote.stored(obj)
+                        writer.add_stored(obj, word, stored)
                     copied += 1
                     copied_bytes += len(payload)
             where.update(writer.located)

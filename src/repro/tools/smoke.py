@@ -27,13 +27,14 @@ Every file a scenario writes lands in OUTDIR as it runs, so OUTDIR is
 also the failure-forensics bundle (doctor reports, flight ring,
 metrics snapshot, verify report, job analysis, plan, manifests).
 
-``--parent DIR`` reruns the scenario's parent-compared ``grr`` commands
-as ``python -m repro.tools.grr`` with ``DIR/src`` on ``PYTHONPATH``
-(outputs under ``OUTDIR/parent/``) and compares them with this tree's:
-file bytes, or the digest of a ``.grr`` recording. Both sides run in
-fresh processes. The comparison is skipped when ``git diff --name-only
-HEAD~1 HEAD`` names one of the scenario's re-pin files: the commit
-declares that the outputs change.
+``--parent DIR`` reruns the scenario's parent-compared commands --
+``grr`` ones as ``python -m repro.tools.grr``, and the vault
+scenario's ``VAULT_STATS`` program -- with ``DIR/src`` on
+``PYTHONPATH`` (outputs under ``OUTDIR/parent/``) and compares them
+with this tree's: file bytes, or the digest of a ``.grr`` recording.
+Both sides run in fresh processes. The comparison is skipped when
+``git diff --name-only HEAD~1 HEAD`` names one of the scenario's
+re-pin files: the commit declares that the outputs change.
 
 Exit code 0 when every check holds; 1 names the check that did not.
 """
@@ -67,6 +68,15 @@ VAULT_MIX = (("mali", "mnist"), ("mali", "kws"), ("v3d", "mnist"))
 
 SERVE_REPINS = ("BENCH_serve.json", "BENCH_fleet.json")
 
+#: ``python -c`` program: a vault's storage accounting as JSON. It
+#: reads only ``Vault.stats()``, so it runs on a parent tree as well.
+VAULT_STATS = """import json, sys
+from repro.store import Vault
+stats = Vault.open(sys.argv[1]).stats()
+print(json.dumps({key: getattr(stats, key) for key in (
+    "recordings", "chunk_refs", "unique_chunks", "disk_bytes",
+    "logical_bytes")}, indent=1))"""
+
 
 class SmokeFailure(Exception):
     """A smoke check that did not hold."""
@@ -77,16 +87,16 @@ def check(condition, message: str) -> None:
         raise SmokeFailure(message)
 
 
-def python(src: str, module: str, argv: Sequence[str], flags=(),
-           cwd=None, stdout=None, stderr=None) -> int:
-    """``python FLAGS -m MODULE ARGV`` in a fresh process on the tree
-    whose package is under ``src``; ``stdout`` / ``stderr`` name files
-    that catch those streams. Returns the exit code."""
+def python(src: str, argv: Sequence[str], cwd=None, stdout=None,
+           stderr=None) -> int:
+    """``python ARGV`` in a fresh process on the tree whose package
+    is under ``src``; ``stdout`` / ``stderr`` name files that catch
+    those streams. Returns the exit code."""
     with contextlib.ExitStack() as stack:
         streams = [stack.enter_context(open(path, "w")) if path else None
                    for path in (stdout, stderr)]
         return subprocess.run(
-            [sys.executable, *flags, "-m", module, *argv],
+            [sys.executable, *argv],
             env=dict(os.environ, PYTHONPATH=src), cwd=cwd,
             stdout=streams[0], stderr=streams[1]).returncode
 
@@ -94,7 +104,7 @@ def python(src: str, module: str, argv: Sequence[str], flags=(),
 @dataclass
 class Run:
     """One scenario's output directory and the commands it lists for
-    the parent comparison: ``(argv, outputs, stdout)``."""
+    the parent comparison: ``(python argv, outputs, stdout)``."""
 
     out: str
     compared: List[Tuple[Tuple[str, ...], Tuple[str, ...],
@@ -112,15 +122,21 @@ class Run:
 
     def compared_grr(self, argv: Sequence[str], outputs: Sequence[str],
                      stdout: Optional[str] = None) -> None:
-        """``grr ARGV`` in a fresh process; it must exit 0, and
+        """``grr ARGV`` in a fresh process; see :meth:`compared_python`."""
+        self.compared_python(("-m", "repro.tools.grr", *argv), outputs,
+                             stdout)
+
+    def compared_python(self, argv: Sequence[str],
+                        outputs: Sequence[str],
+                        stdout: Optional[str] = None) -> None:
+        """``python ARGV`` in a fresh process; it must exit 0, and
         ``--parent`` reruns it on the parent tree and compares
         ``outputs``. ``{dst}`` in ARGV is the directory the outputs go
         to; ``stdout`` names the output that catches standard out."""
         self.compared.append((tuple(argv), tuple(outputs), stdout))
         here = _at(argv, self.out)
-        code = python(SRC, "repro.tools.grr", here,
-                      stdout=stdout and self.path(stdout))
-        check(code == 0, f"grr {' '.join(here)} exited {code}")
+        code = python(SRC, here, stdout=stdout and self.path(stdout))
+        check(code == 0, f"python {' '.join(here)} exited {code}")
 
 
 def _at(argv: Sequence[str], dst: str) -> List[str]:
@@ -252,9 +268,8 @@ def replay(run: Run) -> str:
             "--out", run.path("flight-trace.json"))
 
     print("the deployable replays mnist.grr; import log ...")
-    code = python(SRC, "repro.core.replay", [rec_path],
-                  flags=("-X", "importtime"),
-                  stderr=run.path("replay-imports.log"))
+    code = python(SRC, ["-X", "importtime", "-m", "repro.core.replay",
+                        rec_path], stderr=run.path("replay-imports.log"))
     check(code == 0, f"python -m repro.core.replay exited {code}")
     return (f"{len(trace['traceEvents'])} trace events, doctor "
             f"localized action #{report.action_index}")
@@ -297,7 +312,7 @@ def vault(run: Run) -> str:
     patched.save(run.path("mali-mnist-g71.grr"))
     paths += [base_path, run.path("mali-mnist-g71.grr")]
     recordings += [base, patched]
-    run.grr("store", "pack", vault_dir, *paths)
+    run.compared_grr(["store", "pack", "{dst}/vault", *paths], ())
 
     print("dedup + pristine verify ...")
     vault = Vault(vault_dir)
@@ -305,12 +320,8 @@ def vault(run: Run) -> str:
     check(patched_stats["shared_chunks"],
           f"g71 patch shares no chunks with its base: {patched_stats}")
     run.grr("store", "verify", vault_dir)
-    stats = vault.stats()
-    _dump_json(run, "vault-stats.json", {
-        "recordings": stats.recordings, "chunk_refs": stats.chunk_refs,
-        "unique_chunks": stats.unique_chunks,
-        "disk_bytes": stats.disk_bytes,
-        "logical_bytes": stats.logical_bytes})
+    run.compared_python(("-c", VAULT_STATS, "{dst}/vault"),
+                        ["vault-stats.json"], stdout="vault-stats.json")
 
     print("corrupting a descriptor chunk on disk ...")
     victim = recordings[0]
@@ -513,10 +524,10 @@ def compare_with_parent(scenario: Scenario, run: Run, parent: str,
     os.makedirs(dst, exist_ok=True)
     differ = []
     for argv, outputs, stdout in run.compared:
-        code = python(os.path.join(parent, "src"), "repro.tools.grr",
-                      _at(argv, dst), cwd=parent,
+        code = python(os.path.join(parent, "src"), _at(argv, dst),
+                      cwd=parent,
                       stdout=stdout and os.path.join(dst, stdout))
-        check(code == 0, f"parent: grr {' '.join(_at(argv, dst))} "
+        check(code == 0, f"parent: python {' '.join(_at(argv, dst))} "
               f"exited {code}")
         differ += [name for name in outputs if not _same_output(
             run.path(name), os.path.join(dst, name))]

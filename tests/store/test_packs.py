@@ -6,17 +6,22 @@ tests pin what that layout must not change: damage is still caught
 and located, replication still repairs, gc still frees exactly the
 unreferenced objects, a crash still leaves garbage rather than a
 dangling manifest -- and what it adds: equal content gives equal
-vaults, and a fetch reads only its own recording's index.
+vaults, a fetch reads only its own recording's index, and the deflate
+trial is skipped only for chunks that look random and hold no long
+repeat.
 """
 
+import math
 import os
 import random
 import zlib
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.dumps import MemoryDump
-from repro.core.recording import Recording, RecordingMeta
+from repro.core.recording import Recording, RecordingMeta, encode_skeleton
 from repro.errors import (StoreCorruptionError, StoreError,
                           StoreLayoutError, StoreNotFoundError)
 from repro.obs.session import Observability
@@ -31,6 +36,9 @@ from repro.tools.smoke import flip_object_byte
 NOISE = random.Random(1).randbytes(3000)
 SHARED = random.Random(2).randbytes(2500)
 SOFT = b"weights " * 300
+#: Float32 weights, as a model's dumps mostly hold them.
+WEIGHTS = np.random.default_rng(6).standard_normal(6000) \
+    .astype(np.float32).tobytes()
 
 
 def _recording(name: str, *payloads: bytes) -> Recording:
@@ -43,6 +51,19 @@ def _recording(name: str, *payloads: bytes) -> Recording:
 @pytest.fixture
 def vault(tmp_path):
     return Vault(str(tmp_path / "vault"))
+
+
+@pytest.fixture
+def deflated(monkeypatch):
+    """Every payload handed to ``zlib.compress`` from here on."""
+    tried = []
+    compress = zlib.compress
+
+    def counting(data, *args):
+        tried.append(bytes(data))
+        return compress(data, *args)
+    monkeypatch.setattr(zlib, "compress", counting)
+    return tried
 
 
 def _tree(root: str):
@@ -59,6 +80,52 @@ def _tree(root: str):
 def _packs(vault: Vault, ext: str):
     return sorted(name for name in os.listdir(vault._packs_dir)
                   if name.endswith(ext))
+
+
+def _words(vault: Vault, digest: str):
+    """{object digest: record word} of one packed recording."""
+    return {obj: word for obj, (_pack, _offset, word)
+            in vault._source(digest).where.items()}
+
+
+def trial_word(payload: bytes) -> int:
+    """The record word of the plain rule: deflate, keep it if it
+    saves a tenth, else store raw."""
+    packed = len(zlib.compress(payload, vault_module.OBJECT_ZLIB_LEVEL))
+    return packed if packed * 10 <= len(payload) * 9 \
+        else len(payload) | vault_module._RAW
+
+
+def assert_trial_rule(vault: Vault, recordings) -> int:
+    """Pack ``recordings``; every object (skeleton and chunks) must be
+    stored with the length and raw flag the plain rule gives. Returns
+    the number of objects checked."""
+    checked = 0
+    for recording in recordings:
+        manifest = vault.pack(recording)
+        words = _words(vault, manifest.digest)
+        objects = [(manifest.skeleton_digest, encode_skeleton(recording))]
+        for dump, (_va, _size, chunk_list) in zip(recording.dumps,
+                                                  manifest.dumps):
+            offset = 0
+            for digest, size in chunk_list:
+                objects.append(
+                    (digest, bytes(dump.data[offset:offset + size])))
+                offset += size
+        for digest, payload in objects:
+            assert words[digest] == trial_word(payload), (
+                f"{recording.meta.family}/{recording.meta.workload} "
+                f"object {digest[:12]}: word {words[digest]:#x}, the "
+                f"trial gives {trial_word(payload):#x}")
+        checked += len(objects)
+    return checked
+
+
+def _entropy(payload: bytes) -> float:
+    """Order-0 byte entropy in bits per bit."""
+    n = len(payload)
+    return (n * math.log2(n) - sum(c * math.log2(c) for c
+                                   in Counter(payload).values())) / (8 * n)
 
 
 class TestLayout:
@@ -126,6 +193,88 @@ class TestLayout:
     def test_object_location_of_unknown_digest(self, vault):
         with pytest.raises(StoreNotFoundError):
             vault.object_location("0" * 64)
+
+
+class TestTrialGate:
+    """Chunks that look random and hold no long repeat are stored raw
+    without a deflate trial; everything else is tried as before."""
+
+    def test_float_weights_are_stored_raw_untried(self, vault,
+                                                  deflated):
+        recording = _recording("w", WEIGHTS)
+        manifest = vault.pack(recording)
+        chunk_list = manifest.dumps[0][2]
+        assert len(chunk_list) >= 4
+        words = _words(vault, manifest.digest)
+        assert all(words[digest] == size | vault_module._RAW
+                   for digest, size in chunk_list)
+        assert deflated == [encode_skeleton(recording)]
+        assert vault.fetch(manifest.digest).dumps[0].data == WEIGHTS
+
+    @pytest.mark.parametrize("payload", [
+        random.Random(5).randbytes(300) * 12, bytes(range(256)) * 16],
+        ids=["random-period-300", "byte-ramp"])
+    def test_high_entropy_repeats_are_still_deflated(self, payload):
+        # Entropy alone would keep these raw; the probes see the repeat.
+        assert _entropy(payload) > vault_module.RAW_ENTROPY
+        word, stored = vault_module.stored_form(payload)
+        assert word == len(stored) < len(payload) // 2
+        assert zlib.decompress(stored) == payload
+
+    @pytest.mark.parametrize("symbols", [16, 48], ids=["hex", "48-ary"])
+    def test_low_entropy_text_without_repeats_is_deflated(
+            self, symbols, monkeypatch):
+        rng = random.Random(symbols)
+        payload = bytes(rng.choice(range(33, 33 + symbols))
+                        for _ in range(4096))
+        assert _entropy(payload) < vault_module.RAW_ENTROPY
+        word, stored = vault_module.stored_form(payload)
+        assert word == trial_word(payload) == len(stored)
+        assert zlib.decompress(stored) == payload
+        # No probe repeats: entropy alone sends it to the trial.
+        monkeypatch.setattr(vault_module, "_ENTROPY_FLOOR", 0)
+        assert vault_module._cannot_shrink(payload)
+
+    def test_a_repeat_of_an_eighth_plus_a_probe_is_always_tried(self):
+        rng = random.Random(7)
+        for n in (256, 257, 1000, 2049, 4096):
+            run = math.ceil(n / 8 + 16)
+            for _ in range(40):
+                chunk = bytearray(rng.randbytes(n))
+                assert vault_module._cannot_shrink(bytes(chunk))
+                first = rng.randrange(n - run)
+                second = rng.randrange(first + 1, n - run + 1)
+                for i in range(run):  # forward, as LZ77 copies
+                    chunk[second + i] = chunk[first + i]
+                assert chunk[first:first + run] == \
+                    chunk[second:second + run]
+                assert not vault_module._cannot_shrink(bytes(chunk)), \
+                    (n, first, second)
+
+    def test_chunks_outside_the_chunker_bounds_are_tried(self):
+        noise = random.Random(8).randbytes(5000)
+        for size in (255, 4097):
+            assert not vault_module._cannot_shrink(noise[:size])
+        assert vault_module._cannot_shrink(noise[:256])
+        assert vault_module._cannot_shrink(memoryview(noise)[:4096])
+
+    def test_ledger_recordings_are_stored_as_the_trial_would(
+            self, tmp_path):
+        """cold_start's five recordings and record_pack's three (with
+        its two SKU patches): every object's stored length and raw
+        flag are what the plain deflate trial gives."""
+        from repro.bench.workloads import get_recorded
+        from repro.core.patching import patch_recording_for_sku
+
+        pairs = (("mali", "dense-serve"), ("mali", "alexnet"),
+                 ("mali", "mnist"), ("v3d", "mnist"), ("adreno", "mnist"))
+        recordings = [get_recorded(*pair)[0].recording for pair in pairs]
+        g31 = get_recorded("mali", "mnist",
+                           board="odroid-c4")[0].recording
+        recordings += [g31] + [patch_recording_for_sku(g31, sku)[0]
+                               for sku in ("g52", "g71")]
+        assert assert_trial_rule(Vault(str(tmp_path / "v")),
+                                 recordings) > 5000
 
 
 class TestDamage:
@@ -208,6 +357,42 @@ class TestReplication:
         assert "store.replicate.healed" not in counters
         assert local.fetch(b.digest).digest() == b.digest
         assert _tree(local.root) == _tree(peer.root)
+
+    def test_replica_records_equal_the_origins(self, tmp_path,
+                                               deflated):
+        """Verified records cross verbatim: no deflate on the way."""
+        peer = Vault(str(tmp_path / "peer"))
+        a = peer.pack(_recording("a", NOISE, SOFT, WEIGHTS))
+        deflated.clear()
+        local = Vault(str(tmp_path / "local"))
+        local.replicate_from(peer, a.digest)
+        assert deflated == []
+        mine, theirs = local._source(a.digest), peer._source(a.digest)
+        records = {obj: theirs.stored(obj) for obj in a.objects()}
+        assert {word & vault_module._RAW
+                for _stored, word in records.values()} == \
+            {0, vault_module._RAW}
+        for obj, (stored, word) in records.items():
+            assert mine.stored(obj)[1] == word
+            assert mine.stored(obj)[0] == stored
+        assert local.fetch(a.digest).digest() == a.digest
+
+    @pytest.mark.parametrize("dump", [0, 1], ids=["raw", "deflated"])
+    def test_a_corrupt_peer_record_is_refused_mid_fetch(self, tmp_path,
+                                                        dump):
+        peer = Vault(str(tmp_path / "peer"))
+        a = peer.pack(_recording("a", NOISE, SOFT))
+        victim = a.dumps[dump][2][-1][0]
+        raw = _words(peer, a.digest)[victim] & vault_module._RAW
+        assert bool(raw) == (dump == 0)
+        flip_object_byte(peer, victim)
+        local = Vault(str(tmp_path / "local"))
+        with pytest.raises(StoreCorruptionError) as info:
+            local.replicate_from(peer, a.digest)
+        assert info.value.chunk_digest == victim
+        assert (info.value.recording_digest, info.value.dump_index) == \
+            (a.digest, dump)
+        assert local.digests() == [] and _packs(local, ".pack") == []
 
     def test_healing_a_shared_chunk_heals_every_recording(
             self, tmp_path):

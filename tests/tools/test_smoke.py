@@ -91,6 +91,17 @@ def test_parent_check_names_the_output_that_differs(replay_run,
                             changed=[])
 
 
+def test_a_storage_change_fails_the_vault_parent_check(tmp_path):
+    (tmp_path / "run").mkdir()
+    run = Run(str(tmp_path / "run"))
+    SCENARIOS["vault"].run(run)
+    parent = _parent_tree(tmp_path / "tree", (
+        "store/vault.py", "OBJECT_ZLIB_LEVEL = 6", "OBJECT_ZLIB_LEVEL = 1"))
+    with pytest.raises(SmokeFailure,
+                       match="differs from the parent: vault-stats.json$"):
+        compare_with_parent(SCENARIOS["vault"], run, parent, changed=[])
+
+
 def test_a_declared_repin_skips_the_parent_check(replay_run, capsys):
     # The parent tree does not exist: a skipped check never runs it.
     compare_with_parent(SCENARIOS["replay"], replay_run,
