@@ -24,6 +24,8 @@ Layering, bottom-up; an import-time edge only points down (DESIGN.md
 """
 
 import importlib
+from functools import partial
+from weakref import proxy
 
 from repro.errors import (
     GpuFault,
@@ -60,3 +62,11 @@ def lazy_exports(package: str, homes: dict):
         module = importlib.import_module(f"{package}.{homes[name]}")
         return getattr(module, name)
     return __getattr__
+
+
+def weakly(callback):
+    """``callback``, but a bound method holds its object by weak proxy
+    (DESIGN.md "Ownership")."""
+    if hasattr(callback, "__func__"):
+        return partial(callback.__func__, proxy(callback.__self__))
+    return callback

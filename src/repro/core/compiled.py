@@ -183,6 +183,8 @@ class CompiledExecutor:
         self.nano = nano
         self.dumps = dumps
         self.stats = InterpreterStats()
+        #: ``stats``, boxed for the steps: none closes over the executor.
+        self._box = [self.stats]
         #: ``(length, virtual ns)`` of each superblock the most recent
         #: ``execute`` ran (empty at width 1).
         self.superblocks_run: List[Tuple[int, int]] = []
@@ -197,6 +199,7 @@ class CompiledExecutor:
         src = self.program.srcs[index]
         kind = spec[0]
         nano = self.nano
+        box = self._box
 
         if kind == _REG_WRITE:
             _, addr, val, mask = spec
@@ -246,7 +249,7 @@ class CompiledExecutor:
             def step(i):
                 t0 = clock.now_ns
                 uploaded = upload(addr, dump)
-                stats = self.stats
+                stats = box[0]
                 stats.upload_ns += clock.now_ns - t0
                 stats.upload_bytes += uploaded
                 skipped = size - uploaded
@@ -258,8 +261,8 @@ class CompiledExecutor:
             _, timeout_ns = spec
 
             def step(i):
-                self.stats.irqs_waited += 1
-                if not self._timed_wait_irq(timeout_ns):
+                box[0].irqs_waited += 1
+                if not _timed_wait_irq(nano, box[0], timeout_ns):
                     raise ReplayTimeout(
                         "no GPU interrupt arrived in time", i, src)
             return step
@@ -270,8 +273,8 @@ class CompiledExecutor:
             def step(i):
                 # Record-time interrupt preempted the CPU; replay
                 # synchronizes on its arrival here instead.
-                if nano.pending_irqs == 0 and \
-                        not self._timed_wait_irq(IMPLICIT_IRQ_TIMEOUT_NS):
+                if nano.pending_irqs == 0 and not _timed_wait_irq(
+                        nano, box[0], IMPLICIT_IRQ_TIMEOUT_NS):
                     raise ReplayTimeout(
                         "no GPU interrupt for asynchronous irq "
                         "context", i, src)
@@ -283,14 +286,6 @@ class CompiledExecutor:
         def step(i):
             raise ReplayError(message, i, src)
         return step
-
-    def _timed_wait_irq(self, timeout_ns: int) -> bool:
-        """Block on a GPU interrupt, charging the wait to the stats."""
-        clock = self.nano.clock
-        t0 = clock.now_ns
-        ok = self.nano.wait_irq(timeout_ns)
-        self.stats.irq_wait_ns += clock.now_ns - t0
-        return ok
 
     # -- execution ----------------------------------------------------------
 
@@ -314,9 +309,8 @@ class CompiledExecutor:
             raise ReplayError(
                 "compiled programs pace with minimum intervals; use "
                 "the reference interpreter for recorded intervals")
-        self.stats = InterpreterStats()
+        stats = self.stats = self._box[0] = InterpreterStats()
         self.superblocks_run = []
-        stats = self.stats
         nano = self.nano
         clock = nano.clock
         clock_advance = clock.advance
@@ -431,3 +425,12 @@ class CompiledExecutor:
             stats.first_kick_at_ns = now
         stats.jobs_kicked += 1
         self._flight.record(now, "JobKick", (stats.jobs_kicked - 1,))
+
+
+def _timed_wait_irq(nano: NanoGpuDriver, stats: InterpreterStats,
+                    timeout_ns: int) -> bool:
+    """Block on a GPU interrupt, charging the wait to ``stats``."""
+    t0 = nano.clock.now_ns
+    ok = nano.wait_irq(timeout_ns)
+    stats.irq_wait_ns += nano.clock.now_ns - t0
+    return ok

@@ -17,6 +17,7 @@ import bisect
 import hashlib
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import weakly
 from repro.core.dumps import MemoryDump
 from repro.errors import ReplayError, VerificationError
 from repro.gpu import FAMILIES, PageTableBuilder, Step
@@ -70,6 +71,7 @@ class NanoGpuDriver:
         #: is a bisect, not a scan.
         self._resident_bases: List[int] = []
         self._resident_max = 0
+        self._observer = weakly(self._drop_resident)
         self._irq_count = 0
         self._irq_connected = False
         self.in_irq_context = False
@@ -253,7 +255,7 @@ class NanoGpuDriver:
             self.release_memory()
         # Observe GPU-side writes so resident-dump tracking never
         # claims bytes the GPU itself has since overwritten.
-        self.machine.gpu.mmu.write_observer = self._drop_resident
+        self.machine.gpu.mmu.write_observer = self._observer
 
     def soft_reset(self) -> None:
         """Reset without touching replayer memory state (recovery path)."""
@@ -466,28 +468,24 @@ class NanoGpuDriver:
 
     # -- checkpoint support (§5.3) --------------------------------------------------------
 
-    def mapped_bytes(self) -> int:
-        return sum(pages * PAGE_SIZE for _pas, pages in
-                   self._regions.values())
-
     def snapshot_memory(self) -> Dict[int, bytes]:
         """Copy every mapped region (the expensive part of checkpoints)."""
-        out: Dict[int, bytes] = {}
-        total_pages = 0
-        for va, (_pas, pages) in self._regions.items():
-            out[va] = self._cpu_access(va, pages * PAGE_SIZE)
-            total_pages += pages
-        self.clock.advance(max(1, self.mapped_bytes() * SEC // UPLOAD_BW)
-                           + PAGE_SYNC_NS * total_pages)
+        out = {va: self._cpu_access(va, pages * PAGE_SIZE)
+               for va, (_pas, pages) in self._regions.items()}
+        self._sync_pages(out)
         return out
 
     def restore_memory(self, snapshot: Dict[int, bytes]) -> None:
-        total_pages = 0
         for va, data in snapshot.items():
             self._cpu_access(va, len(data), data)
-            total_pages += (len(data) + PAGE_SIZE - 1) // PAGE_SIZE
-        self.clock.advance(max(1, self.mapped_bytes() * SEC // UPLOAD_BW)
-                           + PAGE_SYNC_NS * total_pages)
+        self._sync_pages(snapshot)
+
+    def _sync_pages(self, snapshot: Dict[int, bytes]) -> None:
+        """Charge copying ``snapshot`` through uncached mappings."""
+        mapped = sum(pages for _pas, pages in self._regions.values())
+        synced = sum(-(-len(data) // PAGE_SIZE) for data in snapshot.values())
+        self.clock.advance(max(1, mapped * PAGE_SIZE * SEC // UPLOAD_BW)
+                           + PAGE_SYNC_NS * synced)
 
     # -- teardown ------------------------------------------------------------------------------
 
@@ -507,5 +505,5 @@ class NanoGpuDriver:
         self.release_memory()
         self.disconnect_irq()
         mmu = self.machine.gpu.mmu
-        if mmu.write_observer is self._drop_resident:
+        if mmu.write_observer is self._observer:
             mmu.write_observer = None

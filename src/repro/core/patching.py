@@ -19,7 +19,7 @@ proprietary knowledge (shader relocation, memory compaction).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 from repro.core import actions as act
@@ -62,30 +62,33 @@ def patch_recording_for_sku(recording: Recording, target_sku: str,
             "cannot replay on a smaller GPU: would require shader "
             "relocation and GPU memory compaction (Section 6.4)")
 
-    patched = copy.deepcopy(recording)
-    # The copy is about to be mutated; its content digest must be
-    # recomputed, not inherited from the source recording.
-    patched._digest = None
+    # Recordings are immutable once built: the patched one copies the
+    # metadata, replaces the actions it rewrites and shares the rest,
+    # dumps included.
+    patched = Recording(copy.deepcopy(recording.meta),
+                        list(recording.actions), recording.dumps)
     report = PatchReport(source_sku=source_name, target_sku=target_sku)
     source_fmt = PTE_FORMATS[source.pte_format]
     target_fmt = PTE_FORMATS[target.pte_format]
     target_mask = (1 << target.core_count) - 1
 
-    for action in patched.actions:
+    for i, action in enumerate(patched.actions):
         if isinstance(action, act.MapGpuMem):
             if source_fmt.name != target_fmt.name:
                 _valid, _pa, perms = source_fmt.decode_pte(
                     action.raw_pte_flags)
-                action.raw_pte_flags = target_fmt.encode_pte(0, perms)
+                patched.actions[i] = replace(
+                    action, raw_pte_flags=target_fmt.encode_pte(0, perms))
                 report.pte_entries_rewritten += 1
         elif isinstance(action, act.SetGpuPgtable):
             if action.memattr != target.required_memattr:
-                action.memattr = target.required_memattr
+                patched.actions[i] = replace(
+                    action, memattr=target.required_memattr)
                 report.memattr_patched = True
         elif (patch_affinity and isinstance(action, act.RegWrite)
               and action.reg.endswith("_AFFINITY")):
             if action.val != target_mask:
-                action.val = target_mask
+                patched.actions[i] = replace(action, val=target_mask)
                 report.affinity_writes_patched += 1
 
     if patched.meta.memattr != target.required_memattr:

@@ -171,12 +171,15 @@ class Replayer:
         self._initialized = True
 
     def cleanup(self) -> None:
-        """Release the GPU, scrubbing state with a final reset."""
+        """Release the GPU, scrubbing state with a final reset, and let
+        go of the staged recording and its executors."""
         if self._initialized:
             self.nano.soft_reset()
         self.nano.release()
-        self.current = None
         self._session_maps.clear()
+        self._executors.clear()
+        self.current = self.verification = self.program = None
+        self._executor = None
         self._initialized = False
 
     def reset_session(self) -> int:
@@ -199,9 +202,7 @@ class Replayer:
             self.nano.soft_reset()
             self.nano.release_memory()
         self._session_maps.clear()
-        self.current = None
-        self.verification = None
-        self.program = None
+        self.current = self.verification = self.program = None
         return self.machine.clock.now() - t0
 
     # -- API: Load -------------------------------------------------------------------
@@ -489,9 +490,8 @@ class Replayer:
             if name not in known:
                 raise ReplayError(f"recording has no input {name!r}")
         for io in recording.meta.inputs:
-            if io.optional or io.name in inputs:
-                continue
-            raise ReplayError(f"missing required input {io.name!r}")
+            if not (io.optional or io.name in inputs):
+                raise ReplayError(f"missing required input {io.name!r}")
 
     def _deposit(self, recording: Recording,
                  inputs: Dict[str, np.ndarray]) -> None:

@@ -61,10 +61,6 @@ class GpuPageFault(GpuFault):
         self.reason = reason
 
 
-class GpuStateError(GpuFault):
-    """The GPU was driven through an illegal state transition."""
-
-
 class ShaderDecodeError(GpuFault):
     """The GPU could not decode a shader binary."""
 

@@ -94,22 +94,17 @@ class AdrenoGpu(GpuDevice):
         regs.poke("RBBM_GPU_ID", ADRENO_GPU_ID)
         regs.set_write_handler("RBBM_SW_RESET_CMD", self._on_reset)
         regs.set_write_handler("RBBM_INT_CLEAR_CMD", self._on_int_clear)
-        regs.set_write_handler("RBBM_INT_0_MASK",
-                               lambda _o, _v: self.update_irq_line())
+        regs.set_write_handler("RBBM_INT_0_MASK", self._on_mask_change)
         regs.set_write_handler("GDSC_PWR_CTRL", self._on_gdsc)
         regs.set_write_handler("SPTP_PWR_CTRL", self._on_sptp)
         regs.set_write_handler("SMMU_CR0", self._on_smmu_cr0)
         regs.set_write_handler("SMMU_TLBIALL",
-                               lambda _o, _v: self.mmu.flush_tlb())
+                               lambda _o, _v, mmu=self.mmu: mmu.flush_tlb())
         regs.set_write_handler("CP_RB_WPTR", self._on_doorbell)
         regs.set_write_handler("CP_RB_BASE_LO", self._on_rb_base)
         regs.set_write_handler("UCHE_CACHE_FLUSH", self._on_uche_flush)
-        regs.set_read_handler("RBBM_STATUS",
-                              lambda _v: 1 if self.busy else 0)
-        regs.set_read_handler(
-            "RBBM_PERFCTR_CP",
-            lambda _v: (self.machine.clock.now() * self.clock_hz
-                        // 1_000_000_000) & 0xFFFFFFFF)
+        regs.set_read_handler("RBBM_STATUS", self._read_busy)
+        regs.set_read_handler("RBBM_PERFCTR_CP", self._read_cycles)
 
     # -- interrupts ------------------------------------------------------------------
 

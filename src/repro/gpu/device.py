@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
+from weakref import proxy
 
 from repro.errors import SocError
 from repro.gpu.counters import CounterTape
@@ -50,7 +51,7 @@ class GpuDevice:
                  regdefs: List[RegisterDef], core_count: int,
                  clock_hz: int, pte_format: PteFormat,
                  max_active_jobs: int):
-        self.machine = machine
+        self.machine = proxy(machine)  # which owns this GPU
         self.model_name = model_name
         self.core_count = core_count
         self.max_active_jobs = max_active_jobs
@@ -110,6 +111,18 @@ class GpuDevice:
             "clock_hz": self.clock_hz,
             "pte_format": self.mmu.fmt.name,
         }
+
+    # -- register handlers shared by the families --------------------------------
+
+    def _read_busy(self, _value: int) -> int:
+        return 1 if self.busy else 0
+
+    def _read_cycles(self, _value: int) -> int:
+        return (self.machine.clock.now_ns * self.clock_hz
+                // 1_000_000_000) & 0xFFFFFFFF
+
+    def _on_mask_change(self, _old: int, _value: int) -> None:
+        self.update_irq_line()
 
     # -- busy/idle tracking ----------------------------------------------------
 
@@ -243,11 +256,7 @@ class GpuDevice:
     def _schedule(self, delay_ns: int, callback: Callable[[], None],
                   tag: str = "") -> EventHandle:
         def fire() -> None:
-            nonlocal handle
             self._pending_ops.remove(handle)
-            # Unhook handle -> event -> fire -> handle, so a fired event
-            # is freed by reference count, not by the cycle collector.
-            handle = None
             callback()
         handle = self.machine.clock.schedule(delay_ns, fire, tag)
         self._pending_ops.append(handle)

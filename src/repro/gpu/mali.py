@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro import weakly
 from repro.errors import GpuPageFault, JobDecodeError, ShaderDecodeError
 from repro.gpu import (AS_CMD_FLUSH_PT, AS_CMD_UPDATE, CMD_CLEAN_CACHES,
                        CMD_HARD_RESET, CMD_INV_CACHES, CMD_SOFT_RESET,
@@ -152,17 +153,15 @@ class MaliGpu(GpuDevice):
             regs.set_write_handler(f"JS{slot}_COMMAND",
                                    self._make_js_command_handler(slot))
 
-        regs.set_read_handler("GPU_STATUS",
-                              lambda _v: 1 if self.busy else 0)
+        regs.set_read_handler("GPU_STATUS", self._read_busy)
         regs.set_read_handler("GPU_IRQ_STATUS", self._masked_reader("GPU"))
         regs.set_read_handler("JOB_IRQ_STATUS", self._masked_reader("JOB"))
         regs.set_read_handler("MMU_IRQ_STATUS", self._masked_reader("MMU"))
-        regs.set_read_handler(
-            "CYCLE_COUNT",
-            lambda _v: (self.machine.clock.now() * self.clock_hz
-                        // 1_000_000_000) & 0xFFFFFFFF)
-        regs.set_read_handler(
-            "GPU_TEMP", lambda _v: 55 + self.machine.rng.randrange(10))
+        regs.set_read_handler("CYCLE_COUNT", self._read_cycles)
+        regs.set_read_handler("GPU_TEMP", self._read_temp)
+
+    def _read_temp(self, _value: int) -> int:
+        return 55 + self.machine.rng.randrange(10)
 
     def _masked_reader(self, group: str):
         rawstat, mask = _IRQ_REGS[group]
@@ -190,14 +189,12 @@ class MaliGpu(GpuDevice):
     def _on_irq_clear(self, group: str):
         rawstat = _IRQ_REGS[group][0]
         values = self.regs.values
+        update = weakly(self.update_irq_line)
 
         def handler(_old: int, value: int) -> None:
             values[rawstat] &= ~value
-            self.update_irq_line()
+            update()
         return handler
-
-    def _on_mask_change(self, _old: int, _value: int) -> None:
-        self.update_irq_line()
 
     # -- GPU-level commands ------------------------------------------------------
 
@@ -292,11 +289,13 @@ class MaliGpu(GpuDevice):
     # -- job slots --------------------------------------------------------------------
 
     def _make_js_command_handler(self, slot: int):
+        start, stop = weakly(self._start_job), weakly(self._hard_stop)
+
         def handler(_old: int, value: int) -> None:
             if value == JS_CMD_START:
-                self._start_job(slot)
+                start(slot)
             elif value == JS_CMD_HARD_STOP:
-                self._hard_stop(slot)
+                stop(slot)
         return handler
 
     def _start_job(self, slot: int) -> None:

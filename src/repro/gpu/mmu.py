@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import struct
 from typing import Dict, Iterator, Optional, Tuple, Union
+from weakref import finalize
 
+from repro import weakly
 from repro.errors import GpuPageFault
 # PageTableBuilder is imported from here too (ledger/).
 from repro.gpu import (L0_BITS, L1_BITS, OFFSET_BITS, PERM_R, PERM_W,
@@ -88,15 +90,14 @@ class GpuMmu:
         self._subscribe(memory)
 
     def _subscribe(self, memory: PhysicalMemory) -> None:
-        prev = memory.write_hook
-        if prev is None:
-            memory.write_hook = self._on_phys_write
-        else:
-            def chained(pa: int, size: int,
-                        _prev=prev, _mine=self._on_phys_write) -> None:
+        prev, mine = memory.write_hook, weakly(self._on_phys_write)
+        if prev is not None:
+            def mine(pa: int, size: int, _prev=prev, _mine=mine) -> None:
                 _prev(pa, size)
                 _mine(pa, size)
-            memory.write_hook = chained
+        memory.write_hook = mine
+        # Memory may outlive this MMU's machine; the hook goes with it.
+        finalize(self, _unhook, memory, mine, prev)
 
     def _on_phys_write(self, pa: int, size: int) -> None:
         """Shootdown: a write landed in a page-table page we walked."""
@@ -332,3 +333,8 @@ class GpuMmu:
         for pa, chunk in self._walk(va + done, size - done, "w"):
             self.memory.write(pa, view[done:done + chunk])
             done += chunk
+
+
+def _unhook(memory: PhysicalMemory, hook, prev) -> None:
+    if memory.write_hook is hook:
+        memory.write_hook = prev

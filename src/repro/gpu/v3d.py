@@ -87,17 +87,13 @@ class V3dGpu(GpuDevice):
         regs.set_gate(self._powered)
 
         regs.set_write_handler("CTL_INT_CLR", self._on_int_clr)
-        regs.set_write_handler("CTL_INT_MSK", lambda _o, _v:
-                               self.update_irq_line())
+        regs.set_write_handler("CTL_INT_MSK", self._on_mask_change)
         regs.set_write_handler("CTL_RESET", self._on_reset)
         regs.set_write_handler("CT0QEA", self._on_kick)
         regs.set_write_handler("MMU_CTRL", self._on_mmu_ctrl)
         regs.set_write_handler("L2TCACTL", self._on_l2_flush)
 
-        regs.set_read_handler(
-            "PCTR_CYCLE",
-            lambda _v: (self.machine.clock.now() * self.clock_hz
-                        // 1_000_000_000) & 0xFFFFFFFF)
+        regs.set_read_handler("PCTR_CYCLE", self._read_cycles)
         regs.set_read_handler("CT0CA", self._read_current_addr)
 
     def _powered(self) -> bool:

@@ -12,6 +12,8 @@ metrics interface documented in DESIGN.md.
 
 from __future__ import annotations
 
+from weakref import proxy
+
 from repro.stack.driver import trace
 
 
@@ -19,7 +21,7 @@ class ObsDriverTracer(trace.DriverTracer):
     """Converts driver chokepoint events into metrics + timeline rows."""
 
     def __init__(self, obs):
-        self.obs = obs
+        self.obs = proxy(obs)  # the session owns its tracer
         self._cpu = obs.track("cpu", "driver")
         self._irq_track = obs.track("cpu", "irq")
         self._irq_span = None

@@ -47,6 +47,7 @@ class EventHandle:
 
     def cancel(self) -> None:
         self._event.cancelled = True
+        self._event.callback = None
 
 
 class VirtualClock:
@@ -140,7 +141,9 @@ class VirtualClock:
                 event = heapq.heappop(self._heap)
                 if event.due_ns > self.now_ns:
                     self.now_ns = event.due_ns
-                event.callback()
+                # A fired event lets go of what its callback holds.
+                callback, event.callback = event.callback, None
+                callback()
                 # Callbacks may push time forward; never move backwards.
                 if self.now_ns > target_ns:
                     target_ns = self.now_ns

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
+from repro import weakly
 from repro.errors import SocError
 
 IrqHandler = Callable[[int], None]
@@ -47,12 +48,13 @@ class InterruptController:
     # -- software side -------------------------------------------------------
 
     def connect(self, number: int, handler: Optional[IrqHandler]) -> None:
-        """Install (or remove, with None) the handler for a line."""
+        """Install (or remove, with None) the handler for a line
+        (a bound method's object is held weakly)."""
         self.line(number)
         if handler is None:
             self._handlers.pop(number, None)
         else:
-            self._handlers[number] = handler
+            self._handlers[number] = weakly(handler)
 
     def set_masked(self, number: int, masked: bool) -> None:
         self.line(number)

@@ -11,11 +11,6 @@ machines get different physical layouts, which forces the replayer's
 page-table relocation path (Section 5.2) to actually work rather than
 accidentally relying on identical addresses.
 
-The order is a seeded permutation of the region, drawn *lazily*: a
-machine pays for the pages a session allocates, not for the gigabytes
-the board advertises. Construction is O(1) and the allocator's state
-grows only with pages handed out (see :class:`PageAllocator`).
-
 A page may be tagged page ``k`` of a :class:`PageSource`, and then
 holds exactly those bytes (DESIGN.md, "Pages know what they hold").
 """
@@ -234,8 +229,9 @@ class PageAllocator:
     consumes slots in exactly that order, so drawing
     ``randrange(i + 1)`` at the moment slot ``i`` is needed yields the
     page the shuffled list would hold there. Only slots a swap moved
-    off their identity value are stored (``_displaced``); a fresh
-    allocator holds no per-page state at all.
+    off their identity value are stored (``_displaced``): a fresh
+    allocator holds no per-page state, and a machine pays for the pages
+    a session allocates, not for the region the board advertises.
 
     Freed pages go on a LIFO stack that is consulted before any fresh
     draw (a list popped and appended at the same end behaves so), which

@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import weakly
 from repro.errors import MmioError
 
 U32_MASK = 0xFFFFFFFF
@@ -66,7 +67,8 @@ class RegisterFile:
     """A device's register block: values and handlers.
 
     Devices attach per-register read/write handlers to implement
-    behaviour (starting jobs, acknowledging interrupts), and read and
+    behaviour (starting jobs, acknowledging interrupts; a bound method
+    is held by weak proxy, :func:`repro.weakly`), and read and
     write :attr:`values` directly on their own hot paths; everyone else
     goes through the bus (:meth:`read`/:meth:`write`) or
     :meth:`peek`/:meth:`poke`.
@@ -115,9 +117,6 @@ class RegisterFile:
             raise MmioError(f"no register at offset {offset:#x}")
         return d
 
-    def has(self, name: str) -> bool:
-        return name in self._by_name
-
     def name_to_offset(self, name: str) -> int:
         return self.lookup(name).offset
 
@@ -131,19 +130,19 @@ class RegisterFile:
                           handler: Callable[[int, int], None]) -> None:
         """Handler receives (old_value, new_value) after the store."""
         self.lookup(name)
-        self._write_handlers[name] = handler
+        self._write_handlers[name] = weakly(handler)
 
     def set_read_handler(self, name: str,
                          handler: Callable[[int], int]) -> None:
         """Handler receives the stored value, returns what the read sees."""
         self.lookup(name)
-        self._read_handlers[name] = handler
+        self._read_handlers[name] = weakly(handler)
 
     def set_gate(self, gate: Optional[Callable[[], bool]]) -> None:
         """Install a power gate: while it returns False the block is dead
         (reads yield 0xFFFFFFFF, writes are dropped), like real MMIO to
         an unpowered peripheral."""
-        self._gate = gate
+        self._gate = weakly(gate)
 
     # -- internal state (no handlers) ------------------------------------------
 

@@ -196,7 +196,8 @@ class GpuDriver:
 
     def _register_ioctls(self) -> None:
         self.ioctls.register(IoctlCode.VERSION_CHECK,
-                             lambda: {"driver": self.name, "version": 1})
+                             lambda name=self.name: {"driver": name,
+                                                     "version": 1})
         self.ioctls.register(IoctlCode.GET_GPU_PROPS, self.get_gpu_props)
 
     def ioctl(self, code: IoctlCode, **args):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Dict
 
+from repro import weakly
 from repro.errors import DriverError
 from repro.units import US
 
@@ -36,7 +37,7 @@ class IoctlDispatcher:
         self.call_count = 0
 
     def register(self, code: IoctlCode, handler: Callable[..., Any]) -> None:
-        self._handlers[code] = handler
+        self._handlers[code] = weakly(handler)
 
     def call(self, code: IoctlCode, **args: Any) -> Any:
         handler = self._handlers.get(code)

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 from collections import deque
+from weakref import proxy
 
 from repro.errors import DriverError
 from repro.units import SEC
@@ -48,7 +49,7 @@ class JobQueue:
         if depth < 1 or depth > num_slots:
             raise DriverError(
                 f"queue depth {depth} out of range 1..{num_slots}")
-        self.driver = driver
+        self.driver = proxy(driver)   # the driver owns its queue
         self.num_slots = num_slots
         self.depth = depth
         self._ids = itertools.count(1)

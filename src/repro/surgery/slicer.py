@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -153,14 +153,15 @@ def _scratch_replayer(recording: Recording, board: Optional[str],
 
 
 def _truncated(parent: Recording, end: int, n_jobs: int) -> Recording:
-    """Parent prefix ``actions[:end]`` as a loadable recording."""
-    actions = copy.deepcopy(parent.actions[:end])
-    used = sorted({a.dump_index for a in actions
+    """Parent prefix ``actions[:end]`` as a loadable recording. It
+    shares the parent's dumps and every action but the uploads it
+    renumbers: recordings are immutable once built."""
+    used = sorted({a.dump_index for a in parent.actions[:end]
                    if isinstance(a, act.Upload)})
     remap = {old: new for new, old in enumerate(used)}
-    for action in actions:
-        if isinstance(action, act.Upload):
-            action.dump_index = remap[action.dump_index]
+    actions = [replace(a, dump_index=remap[a.dump_index])
+               if isinstance(a, act.Upload) else a
+               for a in parent.actions[:end]]
     meta = copy.deepcopy(parent.meta)
     meta.n_jobs = n_jobs
     meta.outputs = []
@@ -205,6 +206,25 @@ def parent_write_bytes(parent: Recording, info: JobInfo,
     """
     post = _truncated(parent, info.completion_end, info.job_index + 1)
     return _replay_and_read(post, writes or info.writes, inputs, board)
+
+
+#: The most recent :func:`_parent_writes` answer, by its key.
+_PARENT_WRITES: Dict[tuple, Dict[Range, bytes]] = {}
+
+
+def _parent_writes(parent: Recording, info: JobInfo, input_seed: int,
+                   board: Optional[str],
+                   writes: List[Range]) -> Dict[Range, bytes]:
+    """:func:`parent_write_bytes` on seeded inputs, memoized for one
+    key: :func:`verify_slice` reads what :func:`slice_job` just
+    replayed the parent prefix for, and replays only the slice."""
+    key = (parent.digest(), info.job_index, input_seed, board,
+           tuple(map(tuple, writes)))
+    if key not in _PARENT_WRITES:
+        _PARENT_WRITES.clear()
+        _PARENT_WRITES[key] = parent_write_bytes(
+            parent, info, seeded_inputs(parent, input_seed), board, writes)
+    return _PARENT_WRITES[key]
 
 
 def slice_write_bytes(slice_: "Slice",
@@ -395,8 +415,7 @@ def slice_job(parent: Recording, job_index: int,
 
         expected: Dict[str, str] = {}
         if expect_outputs:
-            ref = parent_write_bytes(parent, info, inputs, board,
-                                    writes=writes)
+            ref = _parent_writes(parent, info, input_seed, board, writes)
             expected = _expected_from_write_bytes(outputs, ref)
 
         manifest = SliceManifest(
@@ -469,14 +488,14 @@ def verify_slice(parent: Recording, slice_: "Slice",
                  analysis: Optional[RecordingAnalysis] = None) -> bool:
     """Check the slice-equivalence contract end to end.
 
-    Replays both sides -- the micro-recording standalone, and the
-    parent truncated past the same job's completion window -- and
-    compares the write-set bytes. True iff they are byte-identical.
+    Replays both sides -- the micro-recording standalone on a fresh
+    machine, and the parent truncated past the same job's completion
+    window (unless :func:`slice_job` just did, for the same key) --
+    and compares the write-set bytes. True iff they are byte-identical.
     """
     analysis = analysis or analyze_recording(parent)
     info = analysis.job(slice_.manifest.job_index)
-    inputs = seeded_inputs(parent, slice_.manifest.input_seed)
     writes = [tuple(r) for r in slice_.manifest.writes]
-    ref = parent_write_bytes(parent, info, inputs, board, writes=writes)
-    got = slice_write_bytes(slice_, board)
-    return ref == got
+    ref = _parent_writes(parent, info, slice_.manifest.input_seed, board,
+                         writes)
+    return ref == slice_write_bytes(slice_, board)

@@ -15,9 +15,12 @@ import pytest
 
 from repro.bench.workloads import (board_for_family, get_recorded,
                                    record_math_kernel, vecadd_ir)
+from repro.core.dumps import MemoryDump
+from repro.core.recording import Recording
 from repro.errors import SurgeryError
 from repro.surgery import (analyze_recording, slice_job, verify_slice)
 from repro.surgery.analyze import ranges_bytes
+from repro.surgery.slicer import Slice
 
 FAMILIES = ("mali", "v3d", "adreno")
 
@@ -51,6 +54,23 @@ def test_random_job_slices_byte_identical(parent, analysis):
     assert verify_slice(parent, slice_, analysis=analysis), (
         f"slice of {parent.meta.family} job {job} diverges from its "
         f"parent session")
+
+
+def test_a_mutated_slice_fails_verification(parent, analysis):
+    """``verify_slice`` takes the parent's side from what ``slice_job``
+    just replayed, and still replays the slice itself: a slice with a
+    byte flipped in each data dump fails, the pristine one passes."""
+    slice_ = slice_job(parent, len(analysis.jobs) // 2, analysis=analysis)
+    dumps = [MemoryDump(dump.va, bytes([dump.data[0] ^ 0xFF])
+                        + bytes(dump.data[1:]))
+             if meta["kind"] == "data" else dump
+             for dump, meta in zip(slice_.recording.dumps,
+                                   slice_.manifest.dumps)]
+    mutated = Slice(Recording(slice_.recording.meta,
+                              slice_.recording.actions, dumps),
+                    slice_.manifest)
+    assert not verify_slice(parent, mutated, analysis=analysis)
+    assert verify_slice(parent, slice_, analysis=analysis)
 
 
 def test_slice_carries_only_the_closure(parent, analysis):
