@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.core.cache import LruCache
 from repro.obs.metrics import global_registry
@@ -194,70 +194,30 @@ SUITES = {suite.name: suite for suite in (
 )}
 
 
-#: Default bound on the recording cache: comfortably above the bench
-#: suite's distinct workload count, finite under a long-lived serve
-#: loop that cycles through arbitrarily many recordings.
-RECORDING_CACHE_CAPACITY = 32
-
-
-class RecordingCache:
-    """Bounded, thread-safe store of recorded workloads (LRU).
-
-    A thin veneer over :class:`repro.core.cache.LruCache` keeping the
-    historical bench API. Hits, misses and evictions are mirrored into
-    the global metrics registry (``bench.recording_cache.hits`` /
-    ``.misses`` / ``.evictions``) so bench JSON output shows how much
-    record work the cache saved.
-    """
-
-    def __init__(self, capacity: Optional[int] = RECORDING_CACHE_CAPACITY):
-        self._lru = LruCache(capacity=capacity)
-
-    def get_or_produce(self, key: tuple,
-                       produce: Callable[[], object]) -> object:
-        value, hit = self._lru.lookup(key)
-        if hit:
-            global_registry().counter("bench.recording_cache.hits").inc()
-            return value
-        global_registry().counter("bench.recording_cache.misses").inc()
-        value = produce()
-        evictions_before = self._lru.evictions
-        self._lru.put(key, value)
-        evicted = self._lru.evictions - evictions_before
-        if evicted:
-            global_registry().counter(
-                "bench.recording_cache.evictions").inc(evicted)
-        return value
-
-    def clear(self) -> None:
-        self._lru.clear()
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    @property
-    def capacity(self) -> Optional[int]:
-        return self._lru.capacity
-
-    @property
-    def hits(self) -> int:
-        return self._lru.hits
-
-    @property
-    def misses(self) -> int:
-        return self._lru.misses
-
-    @property
-    def evictions(self) -> int:
-        return self._lru.evictions
-
-
-#: (board, model, fuse, granularity) -> (RecordedWorkload, stack info)
-RECORDING_CACHE = RecordingCache()
+#: (board, model, fuse, granularity) -> (RecordedWorkload, stack info).
+#: The bound is comfortably above the bench suite's distinct workload
+#: count and finite under a long-lived serve loop that cycles through
+#: arbitrarily many recordings.
+RECORDING_CACHE = LruCache(capacity=32)
 
 
 def cached(key: tuple, produce: Callable[[], object]) -> object:
-    return RECORDING_CACHE.get_or_produce(key, produce)
+    """``RECORDING_CACHE``'s value for ``key``, produced on a miss.
+    Hits, misses and evictions are mirrored into the global metrics
+    registry (``bench.recording_cache.hits`` / ``.misses`` /
+    ``.evictions``) so bench JSON output shows how much record work
+    the cache saved."""
+    registry = global_registry()
+    value, hit = RECORDING_CACHE.lookup(key)
+    if hit:
+        registry.counter("bench.recording_cache.hits").inc()
+        return value
+    registry.counter("bench.recording_cache.misses").inc()
+    value = produce()
+    evicted = RECORDING_CACHE.put(key, value)
+    if evicted:
+        registry.counter("bench.recording_cache.evictions").inc(evicted)
+    return value
 
 
 def clear_recording_cache() -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List
 
-from repro.soc.memory import PageSource
+from repro.soc import PageSource
 
 
 @dataclass(frozen=True)

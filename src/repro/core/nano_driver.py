@@ -21,7 +21,7 @@ from repro import weakly
 from repro.core.dumps import MemoryDump
 from repro.errors import ReplayError, VerificationError
 from repro.gpu import FAMILIES, PageTableBuilder, Step
-from repro.soc.memory import PAGE_SIZE, PageSource
+from repro.soc import PAGE_SIZE, PageSource
 from repro.units import SEC, US
 
 if TYPE_CHECKING:

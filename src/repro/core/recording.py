@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
 from repro.errors import SerializationError
-from repro.soc.memory import PAGE_SIZE
+from repro.soc import PAGE_SIZE
 
 MAGIC = b"GRRC"
 VERSION = 1

@@ -81,13 +81,17 @@ def add_replay_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--seed", type=int, default=2026)
 
 
-def resolve_board(args, recording: Recording) -> Optional[str]:
-    """``--board`` or the recording's own; None (said why) if unknown."""
+class UsageError(Exception):
+    """A command line this tool cannot act on: exit 2, ``str(self)``
+    the whole line said on stderr."""
+
+
+def resolve_board(args, recording: Recording) -> str:
+    """``--board`` or the recording's own; a usage error if unknown."""
     board = getattr(args, "board", None) or recording.meta.board
     if board not in BOARDS:
-        print(f"unknown board {board!r}; "
-              f"known: {', '.join(sorted(BOARDS))}")
-        return None
+        raise UsageError(f"error: unknown board {board!r}; "
+                         f"known: {', '.join(sorted(BOARDS))}")
     return board
 
 
@@ -101,10 +105,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         recording = Recording.load(args.file)
-        board = resolve_board(args, recording)
-        if board is None:
-            return 2
-        machine, replayer = boot_replayer(recording, board, args.seed)
+        machine, replayer = boot_replayer(
+            recording, resolve_board(args, recording), args.seed)
         inputs = seeded_inputs(recording, args.seed)
         for round_ in range(1, args.repeat + 1):
             result = replayer.replay(inputs=inputs)
@@ -117,6 +119,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"  output {name} {tuple(value.shape)} "
                       f"sha256 {digest}")
         replayer.cleanup()
+    except UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
     except (SerializationError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

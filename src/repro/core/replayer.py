@@ -236,14 +236,12 @@ class Replayer:
                 report, program = entry
             else:
                 obs.counter("replay.cache.misses").inc()
-                evictions_before = LOAD_CACHE.evictions
                 report = verify_recording(
                     recording, self.nano.register_names(),
                     max_gpu_bytes=self.max_gpu_bytes,
                     preexisting_maps=dict(self._session_maps))
                 program = compile_program(recording, self.nano)
-                LOAD_CACHE.put(key, (report, program))
-                evicted = LOAD_CACHE.evictions - evictions_before
+                evicted = LOAD_CACHE.put(key, (report, program))
                 if evicted:
                     obs.counter("replay.cache.evictions").inc(evicted)
             if warm:

@@ -27,7 +27,7 @@ from repro.core import actions as act
 from repro.core.recording import Recording
 from repro.errors import VerificationError
 from repro.gpu import FAMILIES, VA_SPACE_SIZE
-from repro.soc.memory import PAGE_SIZE
+from repro.soc import PAGE_SIZE
 from repro.units import MIB
 
 _ROOTS = frozenset(reg for family in FAMILIES.values()

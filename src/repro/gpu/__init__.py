@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from repro.errors import GpuPageFault, SocError
-from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
+from repro.soc import PAGE_SIZE
 from repro.units import MS
+
+if TYPE_CHECKING:
+    from repro.soc.memory import PageAllocator, PhysicalMemory
 
 # Permission bits (logical, format-independent).
 PERM_R = 1

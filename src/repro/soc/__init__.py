@@ -1,15 +1,38 @@
 """The simulated SoC substrate.
 
-Provides the hardware environment the GPU stack and the replayer run on:
-a discrete-event virtual clock, physical DRAM with a page allocator, an
-MMIO bus with register files, an interrupt controller, clock domains,
-a firmware mailbox (which owns GPU power where a board has one), and
-board definitions composing them into a
-:class:`~repro.soc.machine.Machine`. ``import repro.soc`` loads no
-submodule; the names in ``__all__`` resolve on first access.
+The hardware the GPU stack and the replayer run on: a discrete-event
+virtual clock, physical DRAM with a page allocator, an MMIO bus with
+register files, an interrupt controller, clock domains, a firmware
+mailbox (owning GPU power where a board has one), and board
+definitions composing them into a :class:`~repro.soc.machine.Machine`.
+``import repro.soc`` loads no submodule; the names in ``__all__``
+resolve on first access, but for the page size and
+:class:`PageSource`, which the replayer shares.
 """
 
 from repro import lazy_exports
+
+PAGE_SIZE = 4096
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+class PageSource:
+    """A read-only buffer as tagged stores copy it: a page tagged page
+    ``k`` of it holds exactly its page ``k``; ``zero[k]`` says that page
+    is all zero, and ``version`` is bumped whenever a page tagged from
+    it is overwritten, scrubbed or re-tagged."""
+
+    __slots__ = ("data", "zero", "version")
+
+    def __init__(self, data) -> None:
+        self.data = view = memoryview(data).toreadonly().cast("B")
+        self.zero = [_ZERO_PAGE.startswith(view[at:at + PAGE_SIZE])
+                     for at in range(0, len(view), PAGE_SIZE)]
+        self.version = 0
+
+
+#: The source of an all-zero page's tag, ``(ZERO, 0)``.
+ZERO = PageSource(_ZERO_PAGE)
 
 _HOMES = {name: module for module, names in (
     ("boards", "BOARDS BoardSpec HIKEY960 ODROID_C4 ODROID_N2 RASPBERRY_PI4 "
@@ -17,9 +40,9 @@ _HOMES = {name: module for module, names in (
     ("clock", "ClockDomain VirtualClock"),
     ("irq", "InterruptController"),
     ("machine", "Machine"),
-    ("memory", "PAGE_SIZE PageAllocator PhysicalMemory"),
+    ("memory", "PageAllocator PhysicalMemory"),
     ("mmio", "MmioBus RegAttr RegisterDef RegisterFile"),
 ) for name in names.split()}
 
-__all__ = list(_HOMES)
+__all__ = ["PAGE_SIZE", *_HOMES]
 __getattr__ = lazy_exports(__name__, _HOMES)

@@ -10,9 +10,6 @@ a seed-dependent order. This is deliberate: record-time and replay-time
 machines get different physical layouts, which forces the replayer's
 page-table relocation path (Section 5.2) to actually work rather than
 accidentally relying on identical addresses.
-
-A page may be tagged page ``k`` of a :class:`PageSource`, and then
-holds exactly those bytes (DESIGN.md, "Pages know what they hold").
 """
 
 from __future__ import annotations
@@ -22,27 +19,7 @@ import struct
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import AllocationError, PhysicalMemoryError
-
-PAGE_SIZE = 4096
-_ZERO_PAGE = bytes(PAGE_SIZE)
-
-
-class PageSource:
-    """A read-only buffer as tagged stores copy it: ``zero[k]`` says its
-    page ``k`` is all zero, and ``version`` is bumped whenever a page
-    tagged from it is overwritten, scrubbed or re-tagged."""
-
-    __slots__ = ("data", "zero", "version")
-
-    def __init__(self, data) -> None:
-        self.data = view = memoryview(data).toreadonly().cast("B")
-        self.zero = [_ZERO_PAGE.startswith(view[at:at + PAGE_SIZE])
-                     for at in range(0, len(view), PAGE_SIZE)]
-        self.version = 0
-
-
-#: The source of an all-zero page's tag, ``(ZERO, 0)``.
-ZERO = PageSource(_ZERO_PAGE)
+from repro.soc import PAGE_SIZE, ZERO, PageSource
 
 
 class PhysicalMemory:
@@ -61,7 +38,7 @@ class PhysicalMemory:
         #: Optional observer of physical writes: ``fn(pa, length)``,
         #: called before the bytes land. The GPU MMU subscribes so it
         #: can shoot down TLB entries when page-table pages change
-        #: (see :attr:`repro.gpu.mmu.GpuMmu.coherent_tlb`).
+        #: (``GpuMmu.coherent_tlb``).
         self.write_hook = None
 
     # -- raw access --------------------------------------------------------
@@ -157,7 +134,7 @@ class PhysicalMemory:
             if page is None:
                 pages[page_index] = bytearray(PAGE_SIZE)
             else:
-                page[:] = _ZERO_PAGE
+                page[:] = ZERO.data
 
     def store_page(self, pa: int, source: PageSource, k: int) -> None:
         """The tagged store of page ``k`` of ``source`` to the page at

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.bench.harness import (RecordingCache, ResultTable, cached,
-                                 clear_recording_cache, geomean)
+from repro.bench import harness
+from repro.bench.harness import (ResultTable, cached, clear_recording_cache,
+                                 geomean)
 from repro.bench.workloads import (board_for_family, build_stack,
                                    model_input, saxpy_ir, vecadd_ir)
+from repro.core.cache import LruCache
 from repro.errors import ReproError
 from repro.obs.metrics import global_registry
 
@@ -83,39 +85,49 @@ class TestCache:
         cached(key, lambda: calls.append(1))
         assert len(calls) == 2
 
-    def test_hit_miss_accounting(self):
-        cache = RecordingCache()
-        hits0 = global_registry().counter("bench.recording_cache.hits").value
-        misses0 = global_registry().counter(
-            "bench.recording_cache.misses").value
-        cache.get_or_produce(("k",), lambda: "v")
-        cache.get_or_produce(("k",), lambda: "v")
-        cache.get_or_produce(("k2",), lambda: "v2")
-        assert (cache.hits, cache.misses) == (1, 2)
-        assert len(cache) == 2
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        """A fresh two-entry ``RECORDING_CACHE`` behind ``cached``."""
+        fresh = LruCache(capacity=2)
+        monkeypatch.setattr(harness, "RECORDING_CACHE", fresh)
+        return fresh
+
+    @staticmethod
+    def counts():
         registry = global_registry()
-        assert registry.counter(
-            "bench.recording_cache.hits").value - hits0 == 1
-        assert registry.counter(
-            "bench.recording_cache.misses").value - misses0 == 2
+        return tuple(registry.counter(f"bench.recording_cache.{name}").value
+                     for name in ("hits", "misses", "evictions"))
 
-    def test_clear_keeps_counters(self):
-        cache = RecordingCache()
-        cache.get_or_produce(("k",), lambda: "v")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.misses == 1
-
-    def test_capacity_evicts_least_recently_used(self):
-        cache = RecordingCache(capacity=2)
-        for key in ("a", "b", "a", "c"):
-            cache.get_or_produce((key,), lambda k=key: k)
+    def test_hit_miss_accounting(self, cache):
+        before = self.counts()
+        cached(("k",), lambda: "v")
+        cached(("k",), lambda: "v")
+        cached(("k2",), lambda: "v2")
         assert len(cache) == 2
-        assert cache.evictions == 1
-        assert (cache.hits, cache.misses) == (1, 3)
+        assert tuple(b - a for a, b in zip(before, self.counts())) \
+            == (1, 2, 0)
+
+    def test_clear_keeps_counters(self, cache):
+        cached(("k",), lambda: "v")
+        misses = self.counts()[1]
+        clear_recording_cache()
+        assert len(cache) == 0
+        assert self.counts()[1] == misses
+        cached(("k",), lambda: "v")
+        assert self.counts()[1] == misses + 1
+
+    def test_capacity_evicts_least_recently_used(self, cache):
+        before = self.counts()
+        for key in ("a", "b", "a", "c"):
+            cached((key,), lambda k=key: k)
+        assert len(cache) == 2
+        assert tuple(b - a for a, b in zip(before, self.counts())) \
+            == (1, 3, 1)
         # "b" was the least recently used: producing it again misses.
-        cache.get_or_produce(("b",), lambda: "b")
-        assert cache.misses == 4
+        produced = []
+        cached(("b",), lambda: produced.append("b") or "b")
+        assert produced == ["b"]
+        assert self.counts()[1] - before[1] == 4
 
 
 class TestGeomean:

@@ -130,7 +130,7 @@ def test_entry_exit_codes_and_repeat(tmp_path, mali_mnist_recorded):
     assert _entry(str(truncated)).returncode == 2
     assert _entry(str(tmp_path / "missing.grr")).returncode == 2
     unknown = _entry(good, "--board", "nope")
-    assert unknown.returncode == 2 and "nope" in unknown.stdout
+    assert unknown.returncode == 2 and "nope" in unknown.stderr
 
     flipped = str(tmp_path / "flipped.grr")
     flip_dump_byte(recording)[0].save(flipped)
