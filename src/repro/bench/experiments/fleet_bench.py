@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.bench.workloads import zoo_store
 from repro.fleet import Fleet, FleetConfig
-from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
-                         ServerConfig, generate_requests)
+from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
+                         generate_requests)
 from repro.units import MS, SEC, US
 
 #: The (family, model) pairs the fleet benchmark streams.
@@ -65,7 +66,7 @@ def measure_fleet(requests: int = 200, seed: int = 17,
                   nodes: int = 3,
                   differential_requests: int = 500) -> Dict[str, object]:
     """Measure scaling + differential; returns a flat dict."""
-    store = RecordingStore.from_zoo(FLEET_BENCH_MIX)
+    store = zoo_store(FLEET_BENCH_MIX)
 
     # -- scaling curve: single node vs N-node fleet -----------------
     stream = _skewed_stream(requests, seed)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Tuple
 
+from repro.bench.workloads import zoo_store
 from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
                          ServerConfig, generate_requests)
 
@@ -62,7 +63,7 @@ def obs_arms(requests: int = 48, seed: int = 11, workers: int = 3,
     stream = generate_requests(LoadgenConfig(
         requests=requests, seed=seed, mix=OBS_BENCH_MIX,
         mean_interarrival_ns=0, deadline_ns=0, fault_rate=0.0))
-    store = RecordingStore.from_zoo(OBS_BENCH_MIX)
+    store = zoo_store(OBS_BENCH_MIX)
 
     pool = ("mali",) * workers
     on_cfg = ServerConfig(families=pool, seed=seed,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.bench.workloads import zoo_store
 from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
                          ServerConfig, generate_requests)
 from repro.units import SEC
@@ -61,7 +62,7 @@ def measure_serve(requests: int = 64, seed: int = 7,
     stream = generate_requests(LoadgenConfig(
         requests=requests, seed=seed, mix=SERVE_BENCH_MIX,
         mean_interarrival_ns=0, deadline_ns=0, fault_rate=0.0))
-    store = RecordingStore.from_zoo(SERVE_BENCH_MIX)
+    store = zoo_store(SERVE_BENCH_MIX)
 
     pool = ("mali",) * workers
     plain = _makespan(store, ServerConfig(

@@ -98,6 +98,22 @@ def get_recorded(family: str, model_name: str, fuse: bool = False,
     return cached(key, produce)
 
 
+def zoo_store(mix, vault=None):
+    """A serving store of the zoo recording of each (family, model) in
+    ``mix``; given a ``vault``, packed into it and served from there."""
+    from repro.serve import RecordingStore, VaultRecordingStore
+
+    store = RecordingStore() if vault is None \
+        else VaultRecordingStore(vault, list(mix))
+    for family, model in mix:
+        recording = get_recorded(family, model)[0].recording
+        if vault is None:
+            store.add(family, model, recording)
+        else:
+            vault.pack(recording)
+    return store
+
+
 def model_input(model_name: str, seed: int = 42) -> np.ndarray:
     model = build_model(model_name)
     rng = np.random.default_rng(seed)

@@ -26,8 +26,10 @@ and merged fleet-wide via :func:`repro.obs.metrics.merge_snapshots`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import weakly
 from repro.errors import ReproError
 from repro.fleet.admission import AdmissionController
 from repro.fleet.autoscale import PoolAutoscaler
@@ -186,9 +188,10 @@ class Fleet:
                                   cfg.node_config(node_id),
                                   clock=self.clock,
                                   rtrace=self.rtrace)
-            server.on_complete = (
-                lambda response, n=node_id:
-                self._on_node_complete(n, response))
+            # The fleet owns its nodes; a node's hook holds the fleet
+            # weakly, so a dropped fleet is freed by reference count.
+            server.on_complete = partial(weakly(self._on_node_complete),
+                                         node_id)
             self.servers.append(server)
             self.autoscalers.append(PoolAutoscaler(
                 node_id, server, cfg.node_families, self.clock,

@@ -52,7 +52,8 @@ from repro.core.dispatch import flip_dump_byte
 from repro.core.recording import Recording
 from repro.core.replay import seeded_inputs as request_inputs
 from repro.core.replayer import Replayer
-from repro.errors import ReplayError, ReproError
+from repro.errors import (ReplayError, ReproError, StoreCorruptionError,
+                          StoreError, StoreNotFoundError)
 from repro.gpu.counters import aggregate as aggregate_counters
 from repro.gpu.faults import FaultInjector
 from repro.obs.metrics import LATENCY_BUCKETS_NS, percentile
@@ -156,31 +157,16 @@ class RecordingStore:
         self._recordings: Dict[Tuple[str, str], Recording] = {}
         self._poisoned: Dict[Tuple[str, str], Recording] = {}
 
-    @classmethod
-    def from_zoo(cls, mix) -> "RecordingStore":
-        """Record (or reuse the session-cached recording of) every
-        (family, model) pair in ``mix``."""
-        from repro.bench.workloads import get_recorded
-
-        store = cls()
-        for family, model in mix:
-            workload, _stack = get_recorded(family, model)
-            store.add(family, model, workload.recording)
-        return store
-
     def add(self, family: str, model: str,
             recording: Recording) -> None:
         self._recordings[(family, model)] = recording
-
-    def healthy(self, family: str, model: str) -> Recording:
-        return self._recordings[(family, model)]
 
     def interface(self, family: str, model: str) -> Recording:
         """A recording good for interface questions only (metadata,
         input/output buffers) -- never replayed. Vault-backed stores
         can answer this from the skeleton even when the recording's
         payload chunks are damaged."""
-        return self.healthy(family, model)
+        return self._recordings[(family, model)]
 
     def available(self, family: str, model: str) -> bool:
         """Whether replayable content exists for this key. The
@@ -259,17 +245,6 @@ class VaultRecordingStore(RecordingStore):
         self._missing: set = set()
         self._fetch_log: List[Dict[str, object]] = []
 
-    @classmethod
-    def pack_zoo(cls, vault, mix) -> "VaultRecordingStore":
-        """Pack every (family, model) zoo recording into ``vault`` and
-        serve from it -- the one-call path the benches use."""
-        from repro.bench.workloads import get_recorded
-
-        for family, model in mix:
-            workload, _stack = get_recorded(family, model)
-            vault.pack(workload.recording)
-        return cls(vault, list(mix))
-
     def _digest_for(self, family: str, model: str) -> Optional[str]:
         return self.vault.best_for(family, board=self._board,
                                    workload=model)
@@ -278,7 +253,6 @@ class VaultRecordingStore(RecordingStore):
         """Fetch-and-verify into the in-memory map; False on miss or
         corruption (remembered, so one bad recording is probed against
         the store once, not once per request)."""
-        from repro.errors import StoreCorruptionError, StoreError
         key = (family, model)
         if key in self._recordings:
             return True
@@ -307,10 +281,6 @@ class VaultRecordingStore(RecordingStore):
     def available(self, family: str, model: str) -> bool:
         return self._ensure(family, model)
 
-    def healthy(self, family: str, model: str) -> Recording:
-        self._ensure(family, model)
-        return self._recordings[(family, model)]
-
     def interface(self, family: str, model: str) -> Recording:
         """Interface from the fetched recording when healthy, else
         from the vault skeleton -- which survives chunk damage, so a
@@ -320,7 +290,6 @@ class VaultRecordingStore(RecordingStore):
         digest = self.corrupt.get((family, model)) \
             or self._digest_for(family, model)
         if digest is None:
-            from repro.errors import StoreNotFoundError
             raise StoreNotFoundError(
                 f"no recording for {family}/{model} in vault")
         return self.vault.fetch_interface(digest)
@@ -549,11 +518,38 @@ class Admitted:
     queue_sid: Optional[int] = None  # open ``queue`` span while pending
 
 
+def derive_series(snapshot: Dict[str, Dict[str, object]]
+                  ) -> Dict[str, float]:
+    """Ratio gauges that only make sense as a time series (the ``grr
+    dash`` sparklines): computed at scrape time from the scraped
+    counters, never stored in the registry itself."""
+    counters = snapshot["counters"]
+    derived: Dict[str, float] = {}
+    warm = counters.get("serve.cache.warm", 0)
+    cold = counters.get("serve.cache.cold", 0)
+    if warm + cold:
+        derived["serve.cache.hit_ratio"] = warm / (warm + cold)
+    submitted = counters.get("serve.requests.submitted", 0)
+    if submitted:
+        derived["serve.shed.rate"] = \
+            counters.get("serve.requests.shed", 0) / submitted
+    mega_batches = counters.get("serve.mega.batches", 0)
+    if mega_batches:
+        derived["serve.mega.fanout"] = \
+            counters.get("serve.mega.requests", 0) / mega_batches
+    return derived
+
+
 class ReplayServer:
     """One-shot serving engine: construct, ``serve(requests)``, read
     the report, ``close()``. All scheduling happens on ``self.clock``;
     ``self.obs`` carries the ``serve.*`` metrics and the batch
-    timeline."""
+    timeline.
+
+    One run protocol: :meth:`submit` admits a request at the clock's
+    *now*, the clock's owner drains it, and :meth:`finish` closes the
+    books. :meth:`serve` is that protocol on the server's own clock; a
+    fleet node is handed the fleet's clock and driven by the fleet."""
 
     def __init__(self, store: RecordingStore,
                  config: Optional[ServerConfig] = None,
@@ -561,13 +557,7 @@ class ReplayServer:
                  rtrace=None):
         self.store = store
         self.config = config or ServerConfig()
-        #: A caller-owned clock turns this server into one *node* of a
-        #: larger simulation (repro.fleet): arrivals are injected with
-        #: :meth:`submit`, the owner drives the shared event loop, and
-        #: :meth:`finish` closes the books. With no clock given the
-        #: server owns its timeline and :meth:`serve` drives it.
         self.clock = clock if clock is not None else VirtualClock()
-        self._external_clock = clock is not None
         self.obs = Observability(self.clock)
         boards = self.config.boards or tuple(
             board_for_family(f) for f in self.config.families)
@@ -598,7 +588,7 @@ class ReplayServer:
         self.timeseries = (
             TimeSeriesCollector(self.obs.metrics,
                                 interval_ns=SCRAPE_INTERVAL_NS,
-                                derive=self._derive_series)
+                                derive=derive_series)
             if self.config.timeseries else None)
         #: Admitted requests waiting for a worker, in dispatch order.
         self._pending: List[Admitted] = []
@@ -667,40 +657,15 @@ class ReplayServer:
     def workers_for(self, family: str) -> List[Worker]:
         return [w for w in self.workers if w.family == family]
 
-    def _derive_series(self, snapshot: Dict[str, Dict[str, object]]
-                       ) -> Dict[str, float]:
-        """Ratio gauges that only make sense as a time series (the
-        ``grr dash`` sparklines): computed at scrape time from the
-        scraped counters, never stored in the registry itself."""
-        counters = snapshot["counters"]
-        derived: Dict[str, float] = {}
-        warm = counters.get("serve.cache.warm", 0)
-        cold = counters.get("serve.cache.cold", 0)
-        if warm + cold:
-            derived["serve.cache.hit_ratio"] = warm / (warm + cold)
-        submitted = counters.get("serve.requests.submitted", 0)
-        if submitted:
-            derived["serve.shed.rate"] = \
-                counters.get("serve.requests.shed", 0) / submitted
-        mega_batches = counters.get("serve.mega.batches", 0)
-        if mega_batches:
-            derived["serve.mega.fanout"] = \
-                counters.get("serve.mega.requests", 0) / mega_batches
-        return derived
-
     # -- public API ---------------------------------------------------------
 
     def serve(self, requests: List[ServeRequest]) -> ServeReport:
-        """Run the whole stream to completion on the virtual timeline."""
+        """Run the whole stream to completion on the server's clock:
+        each request is submitted at its arrival, the clock drained,
+        and the books closed."""
         if self._served:
-            raise ReproError("ReplayServer.serve is one-shot; "
-                             "build a new server")
-        if self._external_clock:
-            raise ReproError("this server rides a caller-owned clock; "
-                             "use submit()/finish()")
-        self._served = True
+            raise ReproError("ReplayServer is one-shot; build a new one")
         ordered = sorted(requests, key=lambda r: (r.arrival_ns, r.rid))
-        self._submitted = ordered
         self.rtrace.meta("run", args={
             "schema": SCHEMA, "requests": len(ordered),
             "families": list(self.config.families),
@@ -709,40 +674,32 @@ class ReplayServer:
             "max_batch": self.config.max_batch})
         for request in ordered:
             self.clock.schedule(request.arrival_ns,
-                                lambda r=request: self._on_arrival(r))
+                                lambda r=request: self.submit(r))
+        # Scrapes piggyback on the event loop: a virtual clock has no
+        # timers of its own, and a self-rescheduling scrape event would
+        # keep the drain loop alive forever. Samples still land on
+        # exact interval boundaries.
         collector = self.timeseries
-        if collector is None:
-            while self.clock.advance_to_next_event():
-                pass
-        else:
-            # Scrapes piggyback on the event loop: a virtual clock has
-            # no timers of its own, and a self-rescheduling scrape
-            # event would keep the drain loop alive forever. Samples
-            # still land on exact interval boundaries.
-            while self.clock.advance_to_next_event():
+        while self.clock.advance_to_next_event():
+            if collector is not None:
                 collector.maybe_scrape(self.clock.now())
-        return self._finalize()
+        return self.finish()
 
     def submit(self, request: ServeRequest) -> None:
-        """Admit one request *now* (node mode: the caller owns the
-        clock and delivers arrivals as events on it). Pair with
-        :meth:`finish` once the caller's event loop has drained."""
+        """Admit one request at the clock's now."""
         if self._served:
-            raise ReproError("server already finished; build a new one")
+            raise ReproError("ReplayServer is one-shot; build a new one")
         self._submitted.append(request)
         self._on_arrival(request)
 
     def finish(self) -> ServeReport:
-        """Close the books in node mode: shed anything still pending,
-        set the end-of-run gauges and return this node's report. The
-        caller must have drained the shared event loop first."""
+        """Close the books once the clock has drained: shed anything
+        still pending, set the end-of-run gauges and return the
+        report."""
         if self._served:
-            raise ReproError("finish() is one-shot")
+            raise ReproError("ReplayServer is one-shot; build a new one")
         self._served = True
-        return self._finalize()
-
-    def _finalize(self) -> ServeReport:
-        ordered = self._submitted
+        submitted = self._submitted
         # Defensive: the ladder guarantees every request terminates,
         # but a lost request must surface as shed, never silently.
         for record in list(self._pending):
@@ -755,7 +712,7 @@ class ReplayServer:
         self.obs.gauge("serve.throughput_rps").set(
             served * SEC / makespan if makespan else 0.0)
         self.obs.gauge("serve.queue.depth").set(len(self._pending))
-        lost = sorted(r.rid for r in ordered
+        lost = sorted(r.rid for r in submitted
                       if r.rid not in self._responses)
         if self.timeseries is not None:
             # Close out the series with the end-of-run registry state
@@ -763,7 +720,7 @@ class ReplayServer:
             self.timeseries.maybe_scrape(makespan)
             self.timeseries.scrape(makespan)
         return ServeReport(
-            submitted=len(ordered),
+            submitted=len(submitted),
             responses=[self._responses[rid]
                        for rid in sorted(self._responses)],
             snapshot=self.obs.snapshot(),

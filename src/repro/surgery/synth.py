@@ -15,7 +15,7 @@ differential contract is as strong as the zoo path's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from repro.core.recording import Recording
 from repro.errors import SurgeryError
 from repro.obs.session import NULL_OBS
 from repro.serve.engine import RecordingStore
+from repro.surgery.analyze import analyze_recording
 from repro.surgery.composer import Composed
-from repro.surgery.plan import realize_plan
+from repro.surgery.plan import generate_plan, realize_plan
 
 
 class SyntheticRecordingStore(RecordingStore):
@@ -44,36 +45,18 @@ class SyntheticRecordingStore(RecordingStore):
         self._expected[(family, model)] = \
             composed.manifest.expected_output_arrays()
 
-    def populate_from_models(self, family: str, models: List[str],
-                             sessions: int, seed: int,
-                             input_seed: int = 0, obs=NULL_OBS) -> None:
-        """Record the zoo models, draw a plan, realize it into this
-        store under (family, ``syn0..synK-1``)."""
-        from repro.bench.workloads import get_recorded
-        from repro.surgery.analyze import analyze_recording
-        from repro.surgery.plan import generate_plan
-
-        recordings: Dict[str, Recording] = {}
-        corpus: Dict[str, int] = {}
-        for model in models:
-            workload, _stack = get_recorded(family, model)
-            recordings[model] = workload.recording
-            corpus[model] = len(
-                analyze_recording(workload.recording).jobs)
+    def populate(self, family: str, recordings: Dict[str, Recording],
+                 sessions: int, seed: int, input_seed: int = 0,
+                 obs=NULL_OBS) -> None:
+        """Draw a plan over ``recordings`` (model name -> its
+        recording on ``family``) and realize it into this store under
+        (family, ``syn0..synK-1``)."""
+        corpus = {model: len(analyze_recording(recording).jobs)
+                  for model, recording in recordings.items()}
         plan = generate_plan(family, corpus, sessions, seed,
                              input_seed=input_seed)
         for name, composed in realize_plan(plan, recordings, obs=obs):
             self.add_composed(family, name, composed)
-
-    @classmethod
-    def from_models(cls, family: str, models: List[str], sessions: int,
-                    seed: int, input_seed: int = 0,
-                    obs=NULL_OBS) -> "SyntheticRecordingStore":
-        """One-call path ``grr serve --synthetic`` uses."""
-        store = cls()
-        store.populate_from_models(family, models, sessions, seed,
-                                   input_seed=input_seed, obs=obs)
-        return store
 
     def reference_outputs(self, family: str, model: str,
                           input_seed: int) -> Dict[str, np.ndarray]:

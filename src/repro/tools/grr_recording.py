@@ -306,7 +306,13 @@ def cmd_stats(args) -> int:
         snapshots = []
         for path in args.diff:
             with open(path) as handle:
-                snapshots.append(json.load(handle))
+                try:
+                    snapshot = json.load(handle)
+                except ValueError:
+                    snapshot = None
+            if not isinstance(snapshot, dict):
+                raise usage(f"{path} is not a JSON metrics snapshot")
+            snapshots.append(snapshot)
         diff = snapshot_diff(*snapshots)
         if args.json:
             print_json(diff)

@@ -57,7 +57,7 @@ def add_shared(parser, **own) -> None:
 def serving_store(args):
     """``(families, store)`` from ``--families``, ``--models`` and
     ``--synthetic``."""
-    from repro.serve import RecordingStore
+    from repro.bench.workloads import get_recorded, zoo_store
     from repro.soc.boards import board_for_family
 
     families = comma_list(args.families)
@@ -68,7 +68,7 @@ def serving_store(args):
         except ReproError:
             raise UsageError(f"unknown family {family!r}") from None
     if not args.synthetic:
-        return families, RecordingStore.from_zoo(tuple(
+        return families, zoo_store(tuple(
             (family, model)
             for family in sorted(set(families)) for model in models))
     # The synthetic workload source: composed surgery sessions
@@ -77,9 +77,10 @@ def serving_store(args):
 
     store = SyntheticRecordingStore()
     for family in sorted(set(families)):
-        store.populate_from_models(
-            family, list(models), sessions=args.synthetic,
-            seed=args.synthetic_seed)
+        store.populate(
+            family, {model: get_recorded(family, model)[0].recording
+                     for model in models},
+            sessions=args.synthetic, seed=args.synthetic_seed)
     return families, store
 
 

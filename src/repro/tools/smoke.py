@@ -413,8 +413,8 @@ def surgery(run: Run) -> str:
     print("serving 50 requests of seeded synthetic sessions ...")
     generate_plan(family, {model: n_jobs}, sessions=3,
                   seed=plan_seed).save(run.path("plan.json"))
-    store = SyntheticRecordingStore.from_models(
-        family, [model], sessions=3, seed=plan_seed)
+    store = SyntheticRecordingStore()
+    store.populate(family, {model: parent}, sessions=3, seed=plan_seed)
     counts = _serve_and_verify(run, store, (family, family), store.mix())
 
     print("packing parent + slices; job-level sharing ...")

@@ -304,6 +304,77 @@ def test_import_time_edges_only_point_down_the_layers():
     assert upward == []
 
 
+def _call_time_targets(tree):
+    """``repro.*`` modules imported by statements inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Import):
+                    yield from (alias.name for alias in inner.names)
+                elif isinstance(inner, ast.ImportFrom) and inner.module:
+                    yield inner.module
+
+
+def _design_call_time_table():
+    """The edges of DESIGN.md's call-time table, as (source, target)
+    pairs: ``a, b -> c, d`` is four edges."""
+    with open(os.path.join(os.path.dirname(os.path.dirname(PACKAGE_ROOT)),
+                           "DESIGN.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    start = text.index("\n|", text.index("**Call-time edges"))
+    rows = text[start:text.index("\n\n", start)].strip().splitlines()
+    edges = set()
+    for row in rows[2:]:
+        sources, targets = row.split("|")[1].replace("`", "").split("->")
+        edges.update((source.strip(), target.strip())
+                     for source in sources.split(",")
+                     for target in targets.split(","))
+    return edges
+
+
+def test_call_time_edges_are_the_design_table():
+    """Every function-level ``repro.*`` import in a layer -- up,
+    sideways, down to a module heavy enough to defer, or to a sibling
+    loaded on demand -- is a row of DESIGN.md's call-time table, and
+    every row is one. A cross-package edge is named by its source
+    package, a sibling edge by its source module."""
+    edges = set()
+    for path in _source_files():
+        rel = os.path.relpath(path, PACKAGE_ROOT)[:-len(".py")]
+        module = rel.replace(os.sep, ".").replace(".__init__", "")
+        package = module.split(".")[0]
+        if package not in LAYERS:
+            continue
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for target in _call_time_targets(tree):
+            parts = target.split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                edges.add((module if parts[1] == package else package,
+                           ".".join(parts[1:])))
+    assert edges == _design_call_time_table()
+
+
+def test_only_bench_and_tools_import_bench():
+    """The experiment harness sits on top: nothing below it records the
+    zoo, at import time or at call time."""
+    importers = []
+    for path in _source_files():
+        rel = os.path.relpath(path, PACKAGE_ROOT)
+        if rel.split(os.sep)[0] in ("bench", "tools"):
+            continue
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            importers.extend(f"{rel} imports {name}" for name in names
+                             if name.split(".")[:2] == ["repro", "bench"])
+    assert importers == []
+
+
 #: Imports each module first in a process of its own: a fork (three
 #: at a time) of an interpreter that holds numpy and nothing of
 #: ``repro``, so as fresh as a new interpreter where it matters and

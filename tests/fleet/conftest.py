@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.workloads import zoo_store
 from repro.fleet import Fleet, FleetConfig
-from repro.serve.engine import (RecordingStore, ReplayServer,
-                                ServerConfig)
+from repro.serve.engine import ReplayServer, ServerConfig
 from repro.serve.loadgen import LoadgenConfig, generate_requests
 
 MIX = (("mali", "mnist"), ("mali", "kws"), ("v3d", "mnist"))
@@ -40,7 +40,7 @@ def build_fleet(store, **overrides):
 
 @pytest.fixture(scope="package")
 def fleet_store():
-    return RecordingStore.from_zoo(MIX)
+    return zoo_store(MIX)
 
 
 @pytest.fixture(scope="package")

@@ -51,7 +51,7 @@ class TestPeerFetch:
         store = ReplicatedVaultStore(local, MIX, peers=[peer],
                                      obs=obs)
         assert store.available("mali", "mnist")
-        fetched = store.healthy("mali", "mnist")
+        fetched = store.interface("mali", "mnist")
         assert fetched.to_bytes() == recording.to_bytes()
         assert [e["outcome"] for e in store.replication_log] == \
             ["replicated"]
@@ -81,7 +81,7 @@ class TestPeerFetch:
         counters = obs.snapshot()["counters"]
         assert counters["fleet.replication.corrupt_chunks"] == 1
         assert counters["fleet.replication.peer_fetches"] == 1
-        fetched = store.healthy("mali", "mnist")
+        fetched = store.interface("mali", "mnist")
         assert fetched.to_bytes() == recording.to_bytes()
 
     def test_all_peers_corrupt_is_exhausted_once(self, tmp_path,
@@ -114,7 +114,7 @@ class TestPeerFetch:
         store = ReplicatedVaultStore(local, MIX, peers=[peer],
                                      obs=obs)
         assert store.available("mali", "mnist")
-        fetched = store.healthy("mali", "mnist")
+        fetched = store.interface("mali", "mnist")
         assert fetched.to_bytes() == recording.to_bytes()
         counters = vault_obs.snapshot()["counters"]
         assert counters["store.replicate.healed"] == 1

@@ -37,14 +37,14 @@ def registered_names():
                                       get_recorded, model_input)
     from repro.core.replayer import Replayer
     from repro.obs import enable_observability
-    from repro.serve import (LoadgenConfig, RecordingStore,
-                             ReplayServer, ServerConfig,
+    from repro.bench.workloads import zoo_store
+    from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
                              generate_requests)
 
     mix = (("mali", "mnist"), ("v3d", "kws"))
     requests = generate_requests(LoadgenConfig(
         requests=32, seed=5, mix=mix, fault_rate=0.15))
-    store = RecordingStore.from_zoo(mix)
+    store = zoo_store(mix)
     server = ReplayServer(store, ServerConfig(
         families=("mali", "v3d"), seed=5, mega_batch=True,
         max_batch=4, queue_depth=8))

@@ -18,8 +18,9 @@ from repro.obs.rtrace import (NULL_RTRACE, ROOT_SID, TERMINAL,
                               EventView, RequestTracer,
                               events_to_chrome, events_to_jsonl,
                               span_trees, validate_events)
-from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
-                         ServerConfig, generate_requests)
+from repro.bench.workloads import zoo_store
+from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
+                         generate_requests)
 from repro.soc.clock import VirtualClock
 
 
@@ -232,7 +233,7 @@ def _fixed_serve():
     stream = generate_requests(LoadgenConfig(
         requests=REQUESTS, seed=11, mix=MIX, mean_interarrival_ns=0,
         deadline_ns=0, fault_rate=0.1))
-    server = ReplayServer(RecordingStore.from_zoo(MIX), ServerConfig(
+    server = ReplayServer(zoo_store(MIX), ServerConfig(
         families=("mali",) * 3, seed=11, queue_depth=REQUESTS,
         max_batch=4))
     report = server.serve(stream)

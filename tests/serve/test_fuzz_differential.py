@@ -16,7 +16,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.bench.workloads import board_for_family, fresh_replay_machine
+from repro.bench.workloads import (board_for_family, fresh_replay_machine,
+                                   zoo_store)
 from repro.core.replayer import Replayer
 from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
                          ServerConfig, generate_requests,
@@ -33,7 +34,7 @@ _STORE = None
 def _store() -> RecordingStore:
     global _STORE
     if _STORE is None:
-        _STORE = RecordingStore.from_zoo(
+        _STORE = zoo_store(
             tuple((f, m) for f in FAMILIES for m in MODELS))
     return _STORE
 
@@ -68,7 +69,7 @@ class _ReferenceRig:
         self._rigs = {}
 
     def output(self, family, model, input_seed):
-        recording = _store().healthy(family, model)
+        recording = _store().interface(family, model)
         rig = self._rigs.get(family)
         if rig is None:
             machine = fresh_replay_machine(

@@ -10,9 +10,10 @@ dispatch spends all three, a reference-path dispatch one).
 
 import pytest
 
+from repro.bench.workloads import zoo_store
 from repro.core.replayer import clear_load_cache
-from repro.serve import (FaultSpec, RecordingStore, ReplayServer,
-                         ServeRequest, ServerConfig, VaultRecordingStore)
+from repro.serve import (FaultSpec, ReplayServer, ServeRequest,
+                         ServerConfig, VaultRecordingStore)
 from repro.store import Vault
 from repro.tools.smoke import flip_object_byte
 
@@ -33,8 +34,8 @@ def _walk(store, families, fault=None, family="mali", model="mnist"):
 
 
 @pytest.fixture(scope="module")
-def zoo_store():
-    return RecordingStore.from_zoo((("mali", "mnist"),))
+def loose_store():
+    return zoo_store((("mali", "mnist"),))
 
 
 TWO_WORKERS = ("mali", "mali")
@@ -57,8 +58,8 @@ ONE_WORKER = ("mali",)
      (["reference", "cpu"], "cpu", "degraded", 4, 0,
       "replay-rejected")),
 ])
-def test_fault_walks_its_rungs(zoo_store, families, fault, expected):
-    assert _walk(zoo_store, families, fault) == expected
+def test_fault_walks_its_rungs(loose_store, families, fault, expected):
+    assert _walk(loose_store, families, fault) == expected
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,7 @@ def damaged_vault(tmp_path_factory):
     skeleton survives) and no mali/kws at all."""
     root = str(tmp_path_factory.mktemp("ladder") / "vault")
     vault = Vault(root)
-    VaultRecordingStore.pack_zoo(vault, [("mali", "mnist")])
+    zoo_store([("mali", "mnist")], vault)
     digest = vault.digests()[0]
     for chunk_digest in set(vault.load_manifest(digest).chunk_refs()):
         flip_object_byte(vault, chunk_digest)

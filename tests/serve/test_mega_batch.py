@@ -12,6 +12,7 @@ stay complete with exactly-summing attribution.
 import numpy as np
 import pytest
 
+from repro.bench.workloads import zoo_store
 from repro.core.replayer import Replayer, clear_load_cache
 from repro.errors import MegaBatchDivergence
 from repro.obs.attribution import attribute
@@ -27,7 +28,7 @@ _STORE = None
 def _store() -> RecordingStore:
     global _STORE
     if _STORE is None:
-        _STORE = RecordingStore.from_zoo(MIX)
+        _STORE = zoo_store(MIX)
     return _STORE
 
 
@@ -188,7 +189,7 @@ class TestMultiFamilyFaultedMega:
 
     @pytest.fixture(scope="class")
     def multi_store(self):
-        return RecordingStore.from_zoo(MULTI_MIX)
+        return zoo_store(MULTI_MIX)
 
     @staticmethod
     def _serve_multi(store, load, mega):

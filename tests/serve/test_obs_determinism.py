@@ -14,8 +14,9 @@ import pytest
 
 from repro.obs.prof import (folded_stacks, request_total_ns,
                             to_folded_text, total_ns, validate_folded)
-from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
-                         ServerConfig, generate_requests)
+from repro.bench.workloads import zoo_store
+from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
+                         generate_requests)
 
 MIX = (("mali", "mnist"), ("mali", "kws"))
 
@@ -23,7 +24,7 @@ MIX = (("mali", "mnist"), ("mali", "kws"))
 def _serve(seed=9, requests=24, **config):
     stream = generate_requests(LoadgenConfig(
         requests=requests, seed=seed, mix=MIX, fault_rate=0.0))
-    store = RecordingStore.from_zoo(MIX)
+    store = zoo_store(MIX)
     server = ReplayServer(store, ServerConfig(
         families=("mali", "mali"), seed=seed, max_batch=4,
         queue_depth=requests, **config))
@@ -114,7 +115,7 @@ class TestFleetZeroInterference:
         stream = generate_requests(LoadgenConfig(
             requests=24, seed=9, mix=MIX, fault_rate=0.1,
             deadline_ns=0))
-        store = RecordingStore.from_zoo(MIX)
+        store = zoo_store(MIX)
         knobs = dict(nodes=2, node_families=("mali",), seed=9,
                      queue_depth=64)
         knobs.update(overrides)

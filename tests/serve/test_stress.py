@@ -11,8 +11,9 @@ byte-identical metric snapshots and response summaries.
 import json
 
 from repro.soc.flight import DEFAULT_RING_SIZE
-from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
-                         ServerConfig, generate_requests)
+from repro.bench.workloads import zoo_store
+from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
+                         generate_requests)
 from repro.units import MS, US
 
 REQUESTS = 120
@@ -27,7 +28,7 @@ POOL = ServerConfig(families=("mali", "mali", "v3d"), seed=99,
 
 
 def _run():
-    store = RecordingStore.from_zoo(LOAD.mix)
+    store = zoo_store(LOAD.mix)
     server = ReplayServer(store, POOL)
     report = server.serve(generate_requests(LOAD))
     return server, report

@@ -22,8 +22,9 @@ from repro.obs.chrome_trace import validate_chrome_trace
 from repro.obs.rtrace import (events_to_chrome, events_to_jsonl,
                               load_events, span_trees, validate_events)
 from repro.obs.slo import slo_report
-from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
-                         ServerConfig, generate_requests)
+from repro.bench.workloads import zoo_store
+from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
+                         generate_requests)
 from repro.units import MS, US
 
 REQUESTS = 200
@@ -39,7 +40,7 @@ POOL = ServerConfig(families=("mali", "mali", "v3d"), seed=99,
 
 def _run(trace=True):
     clear_load_cache()
-    store = RecordingStore.from_zoo(LOAD.mix)
+    store = zoo_store(LOAD.mix)
     config = POOL if trace else ServerConfig(
         families=POOL.families, seed=POOL.seed,
         queue_depth=POOL.queue_depth, max_batch=POOL.max_batch,

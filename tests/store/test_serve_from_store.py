@@ -13,8 +13,9 @@ import json
 
 import pytest
 
-from repro.serve import (LoadgenConfig, RecordingStore, ReplayServer,
-                         ServerConfig, VaultRecordingStore,
+from repro.bench.workloads import zoo_store
+from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
+                         VaultRecordingStore,
                          generate_requests, verify_report)
 from repro.store import Vault
 from repro.tools.smoke import flip_object_byte
@@ -39,13 +40,13 @@ def _summary(report) -> str:
 @pytest.fixture(scope="module")
 def packed_vault(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("serve") / "vault")
-    VaultRecordingStore.pack_zoo(Vault(root), list(MIX))
+    zoo_store(list(MIX), Vault(root))
     return root
 
 
 class TestDifferential:
     def test_vault_serve_matches_loose_serve(self, packed_vault):
-        loose = _serve(RecordingStore.from_zoo(list(MIX)))
+        loose = _serve(zoo_store(list(MIX)))
         vaulted = _serve(VaultRecordingStore(Vault(packed_vault),
                                              list(MIX)))
         assert _summary(vaulted) == _summary(loose)
@@ -77,7 +78,7 @@ class TestStoreFailureRungs:
         root = str(tmp_path / "vault")
         vault = Vault(root)
         mix = [("mali", "mnist")]
-        VaultRecordingStore.pack_zoo(vault, mix)
+        zoo_store(mix, vault)
         digest = vault.digests()[0]
         manifest = vault.load_manifest(digest)
         for chunk_digest in set(manifest.chunk_refs()):
@@ -103,5 +104,5 @@ class TestStoreFailureRungs:
         manifest = vault.pack(recording)
         store = VaultRecordingStore(Vault(root), [("mali", "mnist")])
         assert store.available("mali", "mnist")
-        assert store.healthy("mali", "mnist").digest() == \
+        assert store.interface("mali", "mnist").digest() == \
             manifest.digest

@@ -6,6 +6,7 @@ truth their manifests captured.
 import numpy as np
 import pytest
 
+from repro.bench.workloads import get_recorded
 from repro.errors import SurgeryError
 from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
                          generate_requests, verify_report)
@@ -14,8 +15,10 @@ from repro.surgery import SyntheticRecordingStore
 
 @pytest.fixture(scope="module")
 def store():
-    return SyntheticRecordingStore.from_models(
-        "mali", ["mnist"], sessions=2, seed=42)
+    store = SyntheticRecordingStore()
+    store.populate("mali", {"mnist": get_recorded("mali", "mnist")[0]
+                            .recording}, sessions=2, seed=42)
+    return store
 
 
 def test_sessions_appear_as_models(store):

@@ -59,3 +59,18 @@ def test_an_unknown_board_is_a_usage_error_on_stderr(entry,
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: unknown board 'ps5'; known: ")
+
+
+@pytest.mark.parametrize("bad_position", (0, 1))
+def test_stats_diff_of_a_non_json_file_is_a_usage_error(bad_position,
+                                                        tmp_path, capsys):
+    bad = tmp_path / "notalog.txt"
+    bad.write_text("not json\n")
+    good = tmp_path / "snap.json"
+    good.write_text('{"counters": {"replay.actions": 3}}')
+    files = [str(good), str(good)]
+    files[bad_position] = str(bad)
+    assert main(["stats", "--diff", *files]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad} is not a JSON metrics snapshot\n"
