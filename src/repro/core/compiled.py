@@ -349,10 +349,9 @@ class CompiledExecutor:
 
                 if index in superblocks:
                     block = superblocks[index]
-                    # One dispatch + one pacing computation for the
-                    # whole RegWrite run: the block occupies
-                    # max(sum of member intervals, overhead + length *
-                    # MMIO cost) of virtual time from its start.
+                    # One dispatch and pacing for the RegWrite run: it
+                    # takes max(sum of member intervals, overhead +
+                    # length * MMIO cost) from its start.
                     sb_t0 = clock.now_ns
                     target_end = last_end + block.pacing_ns
                     clock_advance(ACTION_OVERHEAD_NS)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import weakly
@@ -77,14 +78,11 @@ class NanoGpuDriver:
         self.in_irq_context = False
         self.reg_io_count = 0
         self._reg_fingerprint: Optional[str] = None
-        # The machine's always-on flight recorder. The nano driver is
-        # the chokepoint both the interpreter and the compiled fast
-        # path funnel through, so recording here keeps the two paths'
-        # event streams identical by construction.
+        # The always-on flight recorder: both executors funnel through
+        # here, so their event streams are identical by construction.
         self.flight = machine.flight
-        # The GPU's emulated performance-counter tape: register writes
-        # and skipped resident uploads are session-level costs, and
-        # this driver is likewise the chokepoint they all cross.
+        # The GPU's counter tape: register writes and skipped uploads
+        # are session-level costs that all cross this driver.
         self.counters = gpu.counters
         self._in_poll = False
         #: Set by an environment that wants the GPU back: the replay
@@ -92,7 +90,7 @@ class NanoGpuDriver:
         #: read this flag once per action).
         self.preempt_requested = False
 
-    # -- register map (the §5.1 name->address resolution) -----------------------
+    # -- register map (the §5.1 name->address resolution) ---------------------
 
     def register_names(self) -> Set[str]:
         return set(self._reg_offsets)
@@ -129,10 +127,8 @@ class NanoGpuDriver:
         return self.reg_poll_at(self.resolve(reg), mask, value,
                                 timeout_ns)
 
-    # Pre-resolved variants: compiled action programs resolve register
-    # names once at compile time and hit MMIO by absolute address on
-    # the hot loop. Timing and accounting are identical to the named
-    # variants -- the name lookup itself costs no virtual time.
+    # Pre-resolved variants, for compiled programs that resolve names
+    # once: timing and accounting equal the named ones'.
 
     def reg_read_at(self, addr: int) -> int:
         clock = self.clock
@@ -185,7 +181,7 @@ class NanoGpuDriver:
                            (addr, mask, value, polls, ok, last))
         return ok
 
-    # -- interrupts ------------------------------------------------------------------
+    # -- interrupts -----------------------------------------------------------
 
     def connect_irq(self) -> None:
         if not self._irq_connected:
@@ -237,7 +233,7 @@ class NanoGpuDriver:
         self._irq_count = 0
         self.in_irq_context = False
 
-    # -- GPU bring-up / reset (per-family Table 1 knowledge) --------------------------
+    # -- GPU bring-up / reset (per-family Table 1 knowledge) ------------------
 
     def init_gpu(self) -> None:
         """Acquire the GPU: reset, unmask interrupts, power the cores.
@@ -289,7 +285,7 @@ class NanoGpuDriver:
                 if last == step.value:
                     raise ReplayError(step.what)
 
-    # -- GPU memory (MapGPUMem / Upload / CopyTo / CopyFrom) -----------------------------
+    # -- GPU memory (MapGPUMem / Upload / CopyTo / CopyFrom) ------------------
 
     def _require_pt(self) -> PageTableBuilder:
         if self._pt is None:
@@ -302,11 +298,10 @@ class NanoGpuDriver:
                     raw_pte_flags: int) -> None:
         """Allocate fresh physical pages for ``va`` and map them.
 
-        The PTE permission bits come from the recording in the *source
-        SKU's* raw encoding and are decoded with this SKU's format --
-        the relocation-with-patching of Section 5.2. Re-mapping an
-        identical region is a no-op so that replay sessions persist
-        GPU memory across recordings (per-layer chaining).
+        The PTE permission bits come in the *source SKU's* encoding and
+        are decoded with this SKU's format (Section 5.2's relocation
+        with patching). Re-mapping an identical region is a no-op, so
+        sessions keep GPU memory across recordings (layer chaining).
         """
         existing = self._regions.get(va)
         if existing is not None:
@@ -349,37 +344,34 @@ class NanoGpuDriver:
 
     def _cpu_access(self, va: int, size: int, data: Optional[bytes] = None,
                     source: Optional[PageSource] = None) -> bytes:
-        """Read ``size`` bytes at ``va``, or store ``data`` there (the
-        one page-store loop): with its ``source``, page ``k`` of
-        whole-page ``data`` is a tagged store, copying only if needed."""
-        pt = self._require_pt()
-        memory = self.machine.memory
+        """Read ``size`` bytes at ``va`` or store ``data`` there (one
+        tagged store, with its ``source``) up to an unmapped page."""
         if data is not None:
             self._drop_resident(va, size)
+        first = va & ~(PAGE_SIZE - 1)
+        entries = self._require_pt().lookup_pages(
+            first, -(-(va + size - first) // PAGE_SIZE) if size else 0)
+        mapped = entries.index(None) if None in entries else len(entries)
+        memory = self.machine.memory
         out = bytearray()
-        cursor = va
-        remaining = size
-        offset = 0
-        while remaining > 0:
-            entry = pt.lookup(cursor)
-            if entry is None:
-                raise ReplayError(
-                    f"replay touches unmapped GPU VA {cursor:#x}")
-            pa, _perms = entry
-            in_page = cursor & (PAGE_SIZE - 1)
-            chunk = min(remaining, PAGE_SIZE - in_page)
+        pages = entries[:mapped]
+        if source is not None:
+            memory.store_pages(list(map(itemgetter(0), pages)), source, 0)
+            pages = []
+        for offset, (pa, _perms) in zip(range(first - va, size, PAGE_SIZE),
+                                        pages):
+            at = max(offset, 0)
+            chunk = min(size, offset + PAGE_SIZE) - at
             if data is None:
-                out += memory.read(pa + in_page, chunk)
-            elif source is not None:
-                memory.store_page(pa, source, offset // PAGE_SIZE)
+                out += memory.read(pa + at - offset, chunk)
             else:
-                memory.write(pa + in_page, data[offset:offset + chunk])
-            cursor += chunk
-            offset += chunk
-            remaining -= chunk
+                memory.write(pa + at - offset, data[at:at + chunk])
+        if mapped < len(entries):
+            raise ReplayError(f"replay touches unmapped GPU VA "
+                              f"{max(va, first + mapped * PAGE_SIZE):#x}")
         return bytes(out)
 
-    # -- resident-dump tracking (the replay fast path) ------------------------------------
+    # -- resident-dump tracking (the replay fast path) ------------------------
 
     def _drop_resident(self, va: int, size: int) -> None:
         """Forget resident dumps overlapping [va, va+size).
@@ -423,14 +415,11 @@ class NanoGpuDriver:
     def upload(self, va: int, data: bytes) -> int:
         """Load a dump at ``va``; returns the bytes the model moves.
 
-        ``data`` is a :class:`MemoryDump` (what replay passes) or raw
-        bytes -- any C-contiguous read-only buffer, written page by
-        page with no intermediate copy. When the dump a previous upload
-        left here is this one, or one of equal size and digest, and
-        nothing dirtied the range since, the upload is skipped
-        (repeated replays, §5.4 delay-injection retries). The digest is
-        a residency key, not an integrity check: it is computed only
-        when two different dump objects meet at one address. Any other
+        ``data`` is a :class:`MemoryDump` (what replay passes) or any
+        C-contiguous read-only buffer. Skipped when the dump a previous
+        upload left here is this one, or one of equal size and digest
+        (a residency key, computed only when two dump objects meet at
+        one address), and nothing dirtied the range since. Any other
         upload costs its size in virtual time; the host copies only the
         pages of a page-aligned dump that do not hold them already.
         """
@@ -466,7 +455,7 @@ class NanoGpuDriver:
                            (gaddr, size))
         return out
 
-    # -- checkpoint support (§5.3) --------------------------------------------------------
+    # -- checkpoint support (§5.3) --------------------------------------------
 
     def snapshot_memory(self) -> Dict[int, bytes]:
         """Copy every mapped region (the expensive part of checkpoints)."""
@@ -487,7 +476,7 @@ class NanoGpuDriver:
         self.clock.advance(max(1, mapped * PAGE_SIZE * SEC // UPLOAD_BW)
                            + PAGE_SYNC_NS * synced)
 
-    # -- teardown ------------------------------------------------------------------------------
+    # -- teardown -------------------------------------------------------------
 
     def release_memory(self) -> None:
         """Free every mapped region and the page tables themselves."""

@@ -259,16 +259,8 @@ class _Writer:
 
     def __init__(self) -> None:
         self.parts: List[bytes] = []
-        self._strings: Dict[str, int] = {}
-        self.string_list: List[str] = []
-
-    def intern(self, s: str) -> int:
-        index = self._strings.get(s)
-        if index is None:
-            index = len(self.string_list)
-            self._strings[s] = index
-            self.string_list.append(s)
-        return index
+        #: String table: string -> index, in index order.
+        self.strings: Dict[str, int] = {}
 
     def raw(self, b: bytes) -> None:
         self.parts.append(b)
@@ -392,6 +384,7 @@ def _encode_body(rec: Recording, with_dump_data: bool = True) -> bytes:
     # Actions (string table written afterwards, referenced by index).
     aw = _Writer()
     aw.u32(len(rec.actions))
+    strings, intern, raw = aw.strings, aw.strings.setdefault, aw.parts.append
     for action in rec.actions:
         tag = act.ACTION_TAGS.get(type(action))
         if tag is None:
@@ -400,11 +393,11 @@ def _encode_body(rec: Recording, with_dump_data: bool = True) -> bytes:
         _cls, codec, wire_fields, refs = _ACTION_CODECS[tag]
         values = list(wire_fields(action))
         for position in refs:
-            values[position] = aw.intern(values[position])
-        aw.raw(codec.pack(tag, *values))
+            values[position] = intern(values[position], len(strings))
+        raw(codec.pack(tag, *values))
 
-    w.u32(len(aw.string_list))
-    for s in aw.string_list:
+    w.u32(len(strings))
+    for s in strings:
         w.string(s)
     w.raw(aw.getvalue())
 
@@ -433,17 +426,19 @@ def _decode_body(data: bytes,
     meta.power_sequence = [
         (r.u32(), r.u32(), r.u64()) for _ in range(r.u16())]
 
-    r.strings = [r.string() for _ in range(r.u32())]
+    strings = r.strings = [r.string() for _ in range(r.u32())]
     actions: List[act.Action] = []
     for _ in range(r.u32()):
-        tag = r.u8()
+        # u8() and ref() only where they raise; the codec covers the tag.
+        tag = data[r.pos] if r.pos < len(data) else r.u8()
         if tag >= len(_ACTION_CODECS):
             raise SerializationError(f"unknown action tag {tag}")
         cls, codec, _wire_fields, refs = _ACTION_CODECS[tag]
-        r.pos -= 1  # the codec covers the tag byte too
         values = list(r.unpack(codec)[1:])
         for position in refs:
-            values[position] = r.ref(values[position])
+            index = values[position]
+            values[position] = strings[index] if index < len(strings) \
+                else r.ref(index)
         actions.append(cls(*values))
 
     dumps = []

@@ -68,9 +68,8 @@ LOAD_CACHE_CAPACITY = 64
 LOAD_CACHE = LruCache(capacity=LOAD_CACHE_CAPACITY)
 
 #: Bound executors one replayer keeps (least recently used out first):
-#: a serving worker alternating between a few contents re-binds none
-#: of them (a bind is one closure per action, and the host's cyclic GC
-#: pays for each).
+#: a worker alternating between a few contents re-binds none (a bind
+#: is a closure per action, each a cost to the cyclic GC).
 BOUND_EXECUTORS = 4
 
 
@@ -135,10 +134,9 @@ class Replayer:
         self.program: Optional[CompiledProgram] = None
         self.init_ns = 0
         self.load_ns = 0
-        #: What the most recent :meth:`load` did -- ``cache`` is
-        #: ``"hit"``/``"miss"``, ``warm`` says whether this replayer
-        #: paid only :data:`WARM_LOAD_NS`. Read by the serving engine's
-        #: request tracer; purely informational.
+        #: What the last :meth:`load` did: ``cache`` ``"hit"``/``"miss"``,
+        #: ``warm`` if it paid only :data:`WARM_LOAD_NS` (informational,
+        #: for the serving engine's request tracer).
         self.last_load_info: Dict[str, object] = {}
         #: Delay window of the most recent §5.4 injected-delay retry.
         self.last_delay_range: Optional[Tuple[int, int]] = None
@@ -263,11 +261,9 @@ class Replayer:
         return report
 
     def _load_key(self, recording: Recording) -> tuple:
-        # The GPU family rides along explicitly even though the
-        # register-map fingerprint already covers it: the fingerprint
-        # is a hash, and two machines sharing the process-wide cache
-        # (a multi-board serving pool) must never alias entries even
-        # if the hash ever lost a distinguishing input.
+        # The family rides along though the register-map fingerprint
+        # covers it: boards sharing the process-wide cache must never
+        # alias entries, even if the hash lost an input.
         return (recording.digest(),
                 self.nano.family,
                 self.nano.register_map_fingerprint(),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
@@ -53,6 +54,8 @@ class PteFormat:
     name = "abstract"
     pte_size = 8
     has_permissions = True
+    frame_shift = 12  # a PTE holds pa >> 12 shifted left this far
+    _low: Optional[tuple] = None
 
     def encode_pte(self, pa: int, perms: int) -> int:
         raise NotImplementedError
@@ -66,6 +69,23 @@ class PteFormat:
 
     def decode_table_ptr(self, value: int) -> Tuple[bool, int]:
         raise NotImplementedError
+
+    def encode_ptes(self, pas: Sequence[int], perms: int) -> List[int]:
+        """:meth:`encode_pte` of each page-aligned PA."""
+        flags, shift = self.encode_pte(0, perms), self.frame_shift
+        return [flags | pa >> 12 << shift for pa in pas]
+
+    def decode_ptes(self, values: Sequence[int]) -> List[tuple]:
+        """:meth:`decode_pte` of each value."""
+        low = self._low
+        if low is None:
+            seen = {}   # interned
+            low = self._low = tuple(seen.setdefault(e, e) for e in map(
+                self.decode_pte, range(4096)))
+        shift = self.frame_shift
+        return [(True, value >> shift << 12, entry[2]) if entry[0]
+                else entry for value in values
+                for entry in (low[value & 0xFFF],)]
 
 
 class MaliPteFormat(PteFormat):
@@ -151,6 +171,7 @@ class V3dPteFormat(PteFormat):
     name = "v3d"
     pte_size = 4
     has_permissions = False
+    frame_shift = 4
 
     _VALID = 1 << 0
     _TABLE = 1 << 1
@@ -220,9 +241,8 @@ class PageTableBuilder:
     def map_range(self, va: int, pas: Sequence[int], perms: int) -> None:
         """Map ``pas`` at consecutive pages from ``va``: one packed
         write of PTEs per leaf table the range crosses."""
-        for pa in pas:
-            if pa % PAGE_SIZE:
-                raise SocError("mappings must be page-aligned")
+        if any(map(PAGE_SIZE.__rmod__, pas)):
+            raise SocError("mappings must be page-aligned")
         fmt = self.fmt
         entry = "Q" if fmt.pte_size == 8 else "I"
         for l0, l1, first, count in self._leaf_runs(va, len(pas)):
@@ -237,11 +257,11 @@ class PageTableBuilder:
             self.memory.write(
                 l1_pa + l1 * fmt.pte_size,
                 struct.pack(f"<{count}{entry}",
-                            *[fmt.encode_pte(pa, perms) for pa in run]))
+                            *fmt.encode_ptes(run, perms)))
             page_va = va + first * PAGE_SIZE
-            for pa in run:
-                self._mappings[page_va] = (pa, perms)
-                page_va += PAGE_SIZE
+            self._mappings.update(zip(
+                range(page_va, page_va + count * PAGE_SIZE, PAGE_SIZE),
+                zip(run, repeat(perms))))
 
     def unmap_range(self, va: int, num_pages: int) -> None:
         """Clear the PTEs of ``num_pages`` mapped pages from ``va``."""
@@ -265,6 +285,11 @@ class PageTableBuilder:
     def lookup(self, va: int) -> Optional[Tuple[int, int]]:
         """(pa, perms) of a mapped page VA, or None."""
         return self._mappings.get(va & ~(PAGE_SIZE - 1))
+
+    def lookup_pages(self, va: int, count: int) -> list:
+        """:meth:`lookup` of ``count`` pages from page-aligned ``va``."""
+        return [*map(self._mappings.get, range(va, va + count * PAGE_SIZE,
+                                               PAGE_SIZE))]
 
     def mappings(self) -> Iterator[Tuple[int, int, int]]:
         """Yield (va, pa, perms) for every mapped page, VA-sorted."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
-from weakref import proxy
+from weakref import proxy, ref
 
 from repro.errors import SocError
 from repro.gpu.counters import CounterTape
@@ -31,6 +31,18 @@ MAX_KERNELS = 256
 BUSY_HISTORY = 1024
 
 
+class Pending(ref):
+    """A scheduled event, held weakly: its callback holds the device."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__   # by identity
+
+    def cancel(self) -> None:
+        event = self()
+        if event is not None:
+            EventHandle(event).cancel()
+
+
 @dataclass
 class RunningJob:
     """Book-keeping for one job in flight (or hardware-queued)."""
@@ -38,7 +50,7 @@ class RunningJob:
     slot: int
     chain_va: int
     programs: List[object]
-    completion: Optional[EventHandle]
+    completion: Optional[Pending]
     active_cores: int
 
 
@@ -60,13 +72,12 @@ class GpuDevice:
         self.irq_number = machine.board.gpu_irq
         machine.irq.register_line(self.irq_number, f"{model_name}-irq")
         self.clock_domain = ClockDomain(
-            f"{model_name}-core", clock_hz, machine.clock,
+            f"{model_name}-core", clock_hz, proxy(machine.clock),
             stabilize_ns=100 * US)
         self.mmu = GpuMmu(machine.memory, pte_format)
         self.perf = GpuPerfModel()
-        #: Emulated performance-counter tape (always on, like the
-        #: flight recorder); replayers open sessions on it, job
-        #: completion records per-kernel rows into it.
+        #: Performance-counter tape, always on: replayers open sessions
+        #: on it, job completion records per-kernel rows.
         self.counters = CounterTape()
 
         # Busy/idle tracking: transitions feed the recorder's
@@ -80,24 +91,22 @@ class GpuDevice:
         self.offline_core_mask = 0
         self._busy_span = None
 
-        #: Scheduled hardware events that have neither fired nor been
-        #: cancelled; a reset cancels them all.
-        self._pending_ops: List[EventHandle] = []
+        #: Scheduled events not yet fired or cancelled (a reset cancels
+        #: them all).
+        self._pending_ops: List[Pending] = []
         self._irq_level = False
 
-        #: Kernel cache: shader blob bytes -> decoded program with its
-        #: cost filled in. Keyed by content, and the blob is still read
-        #: through the MMU on every kick, so an entry cannot go stale.
+        #: Shader blob bytes -> decoded program, cost filled in: keyed by
+        #: content read through the MMU on every kick, never stale.
         self._kernels: Dict[bytes, Program] = {}
 
-        # Mega-batch arming: when set to a shader_batch.BatchEnv, job
-        # completion runs shader programs through it (one pass for N
-        # fused requests) instead of unbatched. Owned by the replayer's
-        # ``replay_mega``, which clears it when the fused replay ends;
+        # Mega-batch arming: set to a shader_batch.BatchEnv, job
+        # completion runs shaders through it (one pass for N fused
+        # requests). The replayer's ``replay_mega`` sets and clears it;
         # the device never imports the overlay's module.
         self.mega_batch = None
 
-    # -- identity ------------------------------------------------------------
+    # -- identity -------------------------------------------------------------
 
     @property
     def clock_hz(self) -> int:
@@ -112,7 +121,7 @@ class GpuDevice:
             "pte_format": self.mmu.fmt.name,
         }
 
-    # -- register handlers shared by the families --------------------------------
+    # -- register handlers shared by the families -----------------------------
 
     def _read_busy(self, _value: int) -> int:
         return 1 if self.busy else 0
@@ -124,7 +133,7 @@ class GpuDevice:
     def _on_mask_change(self, _old: int, _value: int) -> None:
         self.update_irq_line()
 
-    # -- busy/idle tracking ----------------------------------------------------
+    # -- busy/idle tracking ---------------------------------------------------
 
     @property
     def busy(self) -> bool:
@@ -184,7 +193,7 @@ class GpuDevice:
         self.busy_transitions.clear()
         self.busy_transitions.append((self.machine.clock.now(), self.busy))
 
-    # -- job execution marks (flight events) -------------------------------------
+    # -- job execution marks (flight events) ----------------------------------
 
     def note_job_executing(self, job: RunningJob) -> None:
         """Mark the job's start on the flight tape; family device
@@ -202,7 +211,7 @@ class GpuDevice:
                                        "GpuJobRetire",
                                        (job.slot, job.chain_va))
 
-    # -- shader fetch and execution (shared by the family paths) -----------------
+    # -- shader fetch and execution (shared by the family paths) --------------
 
     def _fetch_kernel(self, va: int, size: int, access: str) -> Program:
         """The shader program at ``va``: its bytes are fetched through
@@ -251,18 +260,19 @@ class GpuDevice:
                                mmu.tlb_hits - hits0,
                                mmu.tlb_misses - misses0, fanout)
 
-    # -- scheduling helpers -----------------------------------------------------
+    # -- scheduling helpers ---------------------------------------------------
 
     def _schedule(self, delay_ns: int, callback: Callable[[], None],
-                  tag: str = "") -> EventHandle:
+                  tag: str = "") -> Pending:
         def fire() -> None:
             self._pending_ops.remove(handle)
             callback()
-        handle = self.machine.clock.schedule(delay_ns, fire, tag)
+        handle = Pending(self.machine.clock.schedule(delay_ns, fire,
+                                                     tag)._event)
         self._pending_ops.append(handle)
         return handle
 
-    def _cancel(self, handle: EventHandle) -> None:
+    def _cancel(self, handle: Pending) -> None:
         """Cancel one scheduled event and stop tracking it."""
         handle.cancel()
         if handle in self._pending_ops:
@@ -278,7 +288,7 @@ class GpuDevice:
         factor = 1.0 + self.machine.rng.random() * spread
         return max(1, int(base_ns * factor))
 
-    # -- interrupt line -----------------------------------------------------------
+    # -- interrupt line -------------------------------------------------------
 
     def _irq_pending_level(self) -> bool:
         """Subclass: is any unmasked interrupt source asserted?"""

@@ -128,7 +128,7 @@ class MaliGpu(GpuDevice):
         self._resetting = False
         self._wire_registers()
 
-    # -- register wiring -----------------------------------------------------
+    # -- register wiring ------------------------------------------------------
 
     def _wire_registers(self) -> None:
         regs = self.regs
@@ -171,7 +171,7 @@ class MaliGpu(GpuDevice):
             return values[rawstat] & values[mask]
         return read
 
-    # -- interrupt plumbing ----------------------------------------------------
+    # -- interrupt plumbing ---------------------------------------------------
 
     def _irq_pending_level(self) -> bool:
         values = self.regs.values
@@ -196,7 +196,7 @@ class MaliGpu(GpuDevice):
             update()
         return handler
 
-    # -- GPU-level commands ------------------------------------------------------
+    # -- GPU-level commands ---------------------------------------------------
 
     def _on_gpu_command(self, _old: int, value: int) -> None:
         if value in (CMD_SOFT_RESET, CMD_HARD_RESET):
@@ -243,7 +243,7 @@ class MaliGpu(GpuDevice):
 
         self._schedule(self._jitter(FLUSH_DELAY_NS), complete, "mali-flush")
 
-    # -- power control ------------------------------------------------------------
+    # -- power control --------------------------------------------------------
 
     def _on_shader_pwron(self, _old: int, mask: int) -> None:
         present = self.regs.peek("SHADER_PRESENT")
@@ -270,7 +270,7 @@ class MaliGpu(GpuDevice):
     def _on_l2_pwroff(self, _old: int, _mask: int) -> None:
         self.regs.poke("L2_READY", 0)
 
-    # -- address space ---------------------------------------------------------------
+    # -- address space --------------------------------------------------------
 
     def _on_as_command(self, _old: int, value: int) -> None:
         if value == AS_CMD_UPDATE:
@@ -286,7 +286,7 @@ class MaliGpu(GpuDevice):
         self.regs.poke("AS0_FAULTADDRESS_HI", (va >> 32) & 0xFFFFFFFF)
         self._assert_irq("MMU", 1)
 
-    # -- job slots --------------------------------------------------------------------
+    # -- job slots ------------------------------------------------------------
 
     def _make_js_command_handler(self, slot: int):
         start, stop = weakly(self._start_job), weakly(self._hard_stop)
@@ -409,7 +409,7 @@ class MaliGpu(GpuDevice):
         self.regs.poke(f"JS{slot}_STATUS", JS_STATUS_IDLE)
         self._assert_irq("JOB", 1 << (16 + slot))
 
-    # -- fault injection (hardware events; used by repro.gpu.faults) -------------
+    # -- fault injection (hardware events; used by repro.gpu.faults) ----------
 
     def offline_cores(self, mask: int) -> None:
         """Forcibly power off shader cores, failing affected jobs."""

@@ -1,47 +1,40 @@
 """The GPU MMU: walks the page tables :mod:`repro.gpu` encodes.
 
 The paper's GPU model (Section 3.2) requires GPU virtual memory: the
-replayer may load memory dumps to physical pages *of its choice* and
-patch the page tables for relocation. To make that real, both record
-and replay machines allocate physical pages in different orders, and
-every GPU access goes through the MMU modelled here.
+replayer loads dumps to physical pages *of its choice* and patches the
+page tables for relocation. Record and replay machines allocate pages
+in different orders, and every GPU access goes through this MMU.
 
-Host cost. The MMU caches two things, both derived from page-table
-memory and both dropped by :meth:`GpuMmu._drop_translations` wherever
-that memory may have changed: translations (the TLB, kept coherent by a
-write hook on physical memory) and *page runs* -- per
-``(va, size, access)`` range, the physical pages the TLB already
-resolved it to. A warm bulk access then costs one C-level gather (or
-one physical write per page) instead of a Python iteration per page;
-first touches, faults and partial writes go through the one
-page-at-a-time loop, :meth:`GpuMmu._walk`, and count the same hits and
-misses either way. That loop walks the root once per leaf table it
-crosses, not once per page: misses decode their PTEs in place in the
-table's page buffer (never stale) and look the table up again only
-after a write to the root table's page. A run holds the live page
-buffers, so it reads whatever the CPU or GPU last wrote. Bytes are
-remembered once: a gather whose pages are tagged as one dump's returns
-a view of the dump, until a page tagged from it changes.
+Host cost. Two caches derive from page-table memory, both dropped by
+:meth:`GpuMmu._drop_translations` wherever it may have changed:
+translations (the TLB, coherent through write hooks on physical
+memory) and *page runs* -- per ``(va, size, access)`` range, the
+physical pages the TLB resolved it to, live buffers for a read. A warm
+bulk access costs one C-level gather (or one write per page); first
+touches, faults and partial writes go page by page (:meth:`GpuMmu._walk`,
+:meth:`GpuMmu._pages`) and count the same hits and misses, decoding a
+leaf table's PTEs once per range. A gather of one dump's pages returns
+a view of the dump, until one of them changes.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 from weakref import finalize
 
 from repro import weakly
 from repro.errors import GpuPageFault
 # PageTableBuilder is imported from here too (ledger/).
-from repro.gpu import (L0_BITS, L1_BITS, OFFSET_BITS, PERM_R, PERM_W,
-                       PERM_X, PageTableBuilder, PteFormat, split_va)
+from repro.gpu import (L0_BITS, L1_BITS, L1_SPAN, OFFSET_BITS, PERM_R,
+                       PERM_W, PERM_X, PageTableBuilder, PteFormat, split_va)
 from repro.soc.memory import PAGE_SIZE, PhysicalMemory
 
 _NEEDED = {"r": PERM_R, "w": PERM_W, "x": PERM_X}
 
-#: Pages all remembered page runs of one MMU may span together (128 MiB
-#: of touched ranges). A range that would not fit alone is never
-#: remembered; one that no longer fits starts the memo over.
+#: Pages one MMU's remembered runs may span together (128 MiB). A range
+#: that would not fit alone is never remembered; one that no longer
+#: fits starts the memo over.
 MAX_RUN_PAGES = 1 << 15
 
 
@@ -56,11 +49,10 @@ class GpuMmu:
         self._entry = struct.Struct("<Q" if fmt.pte_size == 8 else "<I")
         self._tlb: Dict[Tuple[int, str], int] = {}
         #: Page runs: ``(va, size, access)`` -> what the TLB said about
-        #: every page of that range when it was last probed -- the live
-        #: page buffers for a read, ``(pa, length)`` pieces for a write.
-        #: A memo of TLB entries, so it is dropped exactly where the TLB
-        #: is (:meth:`_drop_translations`); translations are remembered,
-        #: bytes only as ``_views`` (the same ranges, :meth:`gather_va`).
+        #: each page of the range when last probed: live page buffers
+        #: for a read, ``(pa, length)`` pieces for a write. A memo of the
+        #: TLB, dropped with it; bytes are remembered only as ``_views``
+        #: (the same ranges, :meth:`gather_va`).
         self._runs: Dict[Tuple[int, int, str], list] = {}
         self._run_pages = 0
         self._views: Dict[Tuple[int, int, str], object] = {}
@@ -69,38 +61,33 @@ class GpuMmu:
         #: path; the device's CounterTape samples deltas per kernel).
         self.tlb_hits = 0
         self.tlb_misses = 0
-        #: Optional observer of GPU-side VA writes: ``fn(va, size)``.
-        #: The replayer's nano driver subscribes so its GPU-resident
-        #: dump tracking sees buffers the GPU itself overwrites.
+        #: Optional observer of GPU-side VA writes, ``fn(va, size)``: the
+        #: nano driver's resident-dump tracking sees the GPU's stores.
         self.write_observer = None
-        #: Coherent-TLB mode. The simulated TLB is an implementation
-        #: cache, not architectural state: with shootdown, any physical
-        #: write to a page this MMU has walked tables from clears the
-        #: cache (and the page runs built from it), so translations can
-        #: never go stale and architectural flush commands have nothing
-        #: left to invalidate. Cached translations then survive across
-        #: replays, removing a full page-table walk per touched page
-        #: per replay -- and, through the runs, the per-page work of a
-        #: warm access altogether. Set False to get the historical
-        #: behaviour (flush commands discard the TLB and the runs) --
-        #: the replay fast-path benchmark does, to measure the
-        #: pre-optimization baseline.
+        #: Coherent-TLB mode: the TLB is a host cache, not architectural
+        #: state. Any physical write to a table page this MMU walked
+        #: clears it (and the runs), so it never goes stale, flush
+        #: commands have nothing to invalidate and translations survive
+        #: across replays. False gives the historical behaviour (flushes
+        #: drop the TLB and runs): the fast-path benchmark's baseline.
         self.coherent_tlb = True
         self._table_pages: set = set()
         self._subscribe(memory)
 
     def _subscribe(self, memory: PhysicalMemory) -> None:
-        prev, mine = memory.write_hook, weakly(self._on_phys_write)
-        if prev is not None:
-            def mine(pa: int, size: int, _prev=prev, _mine=mine) -> None:
-                _prev(pa, size)
-                _mine(pa, size)
-        memory.write_hook = mine
-        # Memory may outlive this MMU's machine; the hook goes with it.
-        finalize(self, _unhook, memory, mine, prev)
+        for name, mine in (("write_hook", weakly(self._on_phys_write)),
+                           ("pages_hook", weakly(self._on_pages_write))):
+            prev = getattr(memory, name)
+            if prev is not None:
+                def mine(*args, _prev=prev, _mine=mine) -> None:
+                    _prev(*args)
+                    _mine(*args)
+            setattr(memory, name, mine)
+            # Memory may outlive this MMU's machine; the hooks go too.
+            finalize(self, _unhook, memory, name, mine, prev)
 
     def _on_phys_write(self, pa: int, size: int) -> None:
-        """Shootdown: a write landed in a page-table page we walked."""
+        """Shootdown: a write lands in a table page we walked."""
         tables = self._table_pages
         if not tables or not self.coherent_tlb:
             return
@@ -110,9 +97,14 @@ class GpuMmu:
                 page in tables for page in range(first + 1, last + 1))):
             self._drop_translations()
 
+    def _on_pages_write(self, indices: List[int]) -> None:
+        tables = self._table_pages
+        if tables and self.coherent_tlb and not tables.isdisjoint(indices):
+            self._drop_translations()
+
     def _drop_translations(self) -> None:
-        """Forget every cached translation: the TLB, the table pages it
-        was walked from and the page runs probed out of it."""
+        """Forget the TLB, the table pages it was walked from and the
+        page runs probed out of it."""
         self._tlb.clear()
         self._table_pages.clear()
         self._runs.clear()
@@ -134,8 +126,7 @@ class GpuMmu:
         self._drop_translations()
 
     def translate(self, va: int, access: str) -> int:
-        """Translate one VA; raises :class:`GpuPageFault` on failure.
-        The one-page case of :meth:`_walk`."""
+        """Translate one VA; raises :class:`GpuPageFault` on failure."""
         offset = va & (PAGE_SIZE - 1)
         pa = self._tlb.get((va - offset, access))
         if pa is None:
@@ -146,9 +137,9 @@ class GpuMmu:
     def _miss(self, va: int, access: str, leaf: Optional[tuple] = None
               ) -> Tuple[int, tuple]:
         """Walk the tables for ``va``'s page; remember the translation
-        and the table pages it came from. Returns the page's PA and the
-        leaf table (number, PA, live page buffer, both table pages),
-        which a walk hands back so its next miss there skips the root."""
+        and the table pages it came from. Returns the PA and the leaf
+        table (number, PA, live buffer, both table pages) that a walk
+        hands back to skip the root."""
         if not self.enabled or self.base_pa is None:
             raise GpuPageFault(va, access, "MMU disabled")
         self.tlb_misses += 1
@@ -187,40 +178,66 @@ class GpuMmu:
     def _walk(self, va: int, size: int, access: str
               ) -> Iterator[Tuple[int, int]]:
         """``(pa, length)`` of each page ``[va, va + size)`` touches,
-        translated one page at a time as the caller consumes them.
+        translated only once the caller is done with the previous one,
+        whose write may have been to a table: then the walk goes back
+        to the root."""
+        cursor, end, leaf = va, va + size, None
+        while cursor < end:
+            chunk = min(end - cursor, PAGE_SIZE - (cursor & (PAGE_SIZE - 1)))
+            (piece,), leaf = self._pages(cursor, chunk, access, leaf)
+            yield piece
+            cursor += chunk
+            if leaf is not None and piece[0] >> 12 in leaf[3]:
+                leaf = None
 
-        The one page loop behind every first touch, fault and partial
-        write: a fault leaves the pages before it accessed, and a page
-        is translated only after the caller is done with the previous
-        one, whose write may have been to the root table.
-        """
+    def _pages(self, va: int, size: int, access: str,
+               leaf: Optional[tuple] = None) -> Tuple[list, tuple]:
+        """:meth:`_walk`'s pages in one pass, as a read takes them, and
+        the leaf table last walked. A walking miss decodes the range's
+        PTEs in its leaf table for the misses after it; the pass stops
+        at a fault, or after a page outside memory."""
         tlb = self._tlb
+        needed = _NEEDED[access] if self.fmt.has_permissions else 0
+        limit = self.memory.size
+        pieces = []
         cursor = va
         end = va + size
-        leaf = None
+        first = stop = 0
         while cursor < end:
             offset = cursor & (PAGE_SIZE - 1)
-            pa = tlb.get((cursor - offset, access))
-            if pa is None:
-                pa, leaf = self._miss(cursor, access, leaf)
-            else:
+            page_va = cursor - offset
+            pa = tlb.get((page_va, access))
+            entry = decoded[(page_va - first) >> OFFSET_BITS] \
+                if pa is None and first <= page_va < stop else (False,)
+            if pa is not None:
                 self.tlb_hits += 1
+            elif entry[0] and (not needed or entry[2] & needed):
+                self.tlb_misses += 1
+                pa = tlb[(page_va, access)] = entry[1]
+                self._table_pages.update(leaf[3])
+            else:   # a walk, or a decoded entry's fault
+                pa, leaf = self._miss(cursor, access, leaf)
+                first = page_va
+                stop = min(end, (page_va | (L1_SPAN - 1)) + 1) \
+                    if leaf[2] is not None else 0
+                count = -(-(stop - first) // PAGE_SIZE)
+                decoded = self.fmt.decode_ptes(struct.unpack_from(
+                    f"<{count}{self._entry.format[1]}", leaf[2],
+                    (first >> OFFSET_BITS & (1 << L1_BITS) - 1)
+                    * self.fmt.pte_size)) if count > 1 else ()
             chunk = min(end - cursor, PAGE_SIZE - offset)
-            yield pa | offset, chunk
+            pieces.append((pa | offset, chunk))
             cursor += chunk
-            if leaf is not None and pa >> 12 == leaf[3][0]:
-                leaf = None
+            if (pa | offset) + chunk > limit:
+                break
+        return pieces, leaf
 
     def _run(self, va: int, size: int, access: str) -> Optional[list]:
         """The page run of ``[va, va + size)``: remembered, or probed
-        now out of TLB entries that are *already present*.
-
-        None unless every page of the range hits the TLB (and, for a
-        read, has a buffer in physical memory), so a run never counts
-        a miss, walks a table or faults -- whatever it cannot answer
-        goes through :meth:`_walk`. Using a run is worth
-        ``tlb_hits += len(run)``.
-        """
+        now out of TLB entries *already present*. None unless every
+        page hits (and, for a read, has a buffer), so a run never
+        misses, walks or faults; using one is worth ``tlb_hits +=
+        len(run)``."""
         key = (va, size, access)
         run = self._runs.get(key)
         if run is not None or \
@@ -260,10 +277,10 @@ class GpuMmu:
         if run is not None:
             self.tlb_hits += len(run)
             return run
-        page_buffer = self.memory.page_buffer
+        buffers = self.memory.buffers
         parts = []
-        for pa, chunk in self._walk(va, size, access):
-            buffer = page_buffer(pa)
+        for pa, chunk in self._pages(va, size, access)[0]:
+            buffer = buffers.get(pa >> 12)
             # No buffer (yet): a read's zeros, or its error.
             parts.append(self.memory.read(pa, chunk) if buffer is None
                          else buffer if chunk == PAGE_SIZE else
@@ -275,16 +292,13 @@ class GpuMmu:
 
     def gather_va(self, va: int, size: int,
                   access: str = "r") -> Union[bytearray, memoryview]:
-        """:meth:`read_va`'s bytes as the shader cores wrap them, with
-        no second copy: a fresh ``bytearray``, or from a range's second
-        gather on, while its pages hold consecutive pages of one dump, a
-        read-only view of the dump. TLB counts are :meth:`_parts`'."""
+        """:meth:`read_va`'s bytes as the shader cores wrap them: while
+        the pages hold consecutive pages of one dump, a read-only view
+        of it (from the first gather on), else a fresh ``bytearray``."""
         parts = self._parts(va, size, access)
         key = (va, size, access)
-        seen = self._views.get(key)
-        if seen is None:
-            self._views[key] = True
-        elif seen is True or seen and seen[0].version != seen[1]:
+        seen = self._views.get(key, True)
+        if seen is True or seen and seen[0].version != seen[1]:
             found = self._source(va, size, access)
             # A range that held a dump may again: look next time too.
             self._views[key] = found or seen is not True
@@ -295,8 +309,8 @@ class GpuMmu:
         return bytearray().join(parts)
 
     def _source(self, va: int, size: int, access: str):
-        """``(source, version, view)`` if the translated range holds
-        pages ``k, k + 1, ...`` of one ``PageSource``, else False."""
+        """``(source, version, view)`` if the range holds pages ``k,
+        k + 1, ...`` of one ``PageSource``, else False."""
         tags, tag_pages = self.memory.tags, self.memory.tag_pages
         tlb = self._tlb
         first = va & ~(PAGE_SIZE - 1)
@@ -335,6 +349,6 @@ class GpuMmu:
             done += chunk
 
 
-def _unhook(memory: PhysicalMemory, hook, prev) -> None:
-    if memory.write_hook is hook:
-        memory.write_hook = prev
+def _unhook(memory: PhysicalMemory, name: str, hook, prev) -> None:
+    if getattr(memory, name) is hook:
+        setattr(memory, name, prev)

@@ -6,17 +6,17 @@ sparse: only touched pages are materialized, so a board can advertise
 gigabytes of DRAM while tests stay cheap.
 
 The :class:`PageAllocator` hands out *non-contiguous* physical pages in
-a seed-dependent order. This is deliberate: record-time and replay-time
-machines get different physical layouts, which forces the replayer's
-page-table relocation path (Section 5.2) to actually work rather than
-accidentally relying on identical addresses.
+a seed-dependent order, so record and replay machines get different
+physical layouts and the replayer's page-table relocation path
+(Section 5.2) must work rather than rely on identical addresses.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from typing import Dict, Iterable, List, Optional
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import AllocationError, PhysicalMemoryError
 from repro.soc import PAGE_SIZE, ZERO, PageSource
@@ -30,16 +30,17 @@ class PhysicalMemory:
             raise PhysicalMemoryError(
                 f"memory size must be a positive multiple of {PAGE_SIZE}")
         self.size = size_bytes
-        self._pages: Dict[int, bytearray] = {}
+        #: Page index -> live buffer (:meth:`page_buffer`'s table).
+        self.buffers = self._pages = {}
         #: Page ``n`` holds page ``tag_pages[n]`` of ``tags[n]`` (plain
         #: values: no load on the collector). Set only by this class.
         self.tags: Dict[int, PageSource] = {}
         self.tag_pages: Dict[int, int] = {}
-        #: Optional observer of physical writes: ``fn(pa, length)``,
-        #: called before the bytes land. The GPU MMU subscribes so it
-        #: can shoot down TLB entries when page-table pages change
-        #: (``GpuMmu.coherent_tlb``).
+        #: Optional observers (the GPU MMU's TLB shootdown): of writes,
+        #: ``fn(pa, length)``, before the bytes land; of page stores,
+        #: ``fn(indices)`` once per batch, else ``write_hook`` per page.
         self.write_hook = None
+        self.pages_hook = None
 
     # -- raw access --------------------------------------------------------
 
@@ -47,8 +48,7 @@ class PhysicalMemory:
         """Read ``length`` bytes at physical address ``pa``."""
         page_index, page_offset = divmod(pa, PAGE_SIZE)
         if page_offset + length <= PAGE_SIZE:
-            # Single-page read: the unit every MMU-mediated bulk access
-            # decomposes into, worth keeping allocation-free and loopless.
+            # Single-page read: the unit MMU bulk accesses come in.
             if pa < 0 or length < 0 or pa + length > self.size:
                 self._check_range(pa, length)
             page = self._pages.get(page_index)
@@ -56,16 +56,10 @@ class PhysicalMemory:
                 return bytes(length)
             return bytes(page[page_offset:page_offset + length])
         self._check_range(pa, length)
-        out = bytearray(length)
-        offset = 0
-        while offset < length:
-            page_index, page_offset = divmod(pa + offset, PAGE_SIZE)
-            chunk = min(length - offset, PAGE_SIZE - page_offset)
-            page = self._pages.get(page_index)
-            if page is not None:
-                out[offset:offset + chunk] = page[page_offset:page_offset + chunk]
-            offset += chunk
-        return bytes(out)
+        cuts = [pa, *range(pa - page_offset + PAGE_SIZE, pa + length,
+                           PAGE_SIZE), pa + length]
+        return b"".join([self.read(at, end - at)
+                         for at, end in zip(cuts, cuts[1:])])
 
     def write(self, pa: int, data: bytes) -> None:
         """Write ``data`` at physical address ``pa``."""
@@ -77,8 +71,7 @@ class PhysicalMemory:
         page_index, page_offset = divmod(pa, PAGE_SIZE)
         tags = self.tags
         if 0 < length <= PAGE_SIZE - page_offset:
-            # Single-page write: the unit MMU-mediated stores and dump
-            # uploads decompose into (as in read).
+            # Single-page write: the unit MMU stores come in.
             held = tags.pop(page_index, None)
             if held is not None:
                 held.version += 1
@@ -96,8 +89,7 @@ class PhysicalMemory:
                 held.version += 1
             page = self._pages.get(page_index)
             if page is None:
-                page = bytearray(PAGE_SIZE)
-                self._pages[page_index] = page
+                page = self._pages[page_index] = bytearray(PAGE_SIZE)
             page[page_offset:page_offset + chunk] = data[offset:offset + chunk]
             offset += chunk
 
@@ -105,53 +97,48 @@ class PhysicalMemory:
         """Fill a range with a byte value."""
         self.write(pa, bytes([value]) * length)
 
-    def scrub_pages(self, pas: Iterable[int]) -> None:
-        """Zero whole pages and tag them ``ZERO``: what ``write(pa,
-        bytes(PAGE_SIZE))`` does to each, without the 4-KiB operand,
-        and nothing to a page tagged ``ZERO``. The ``write_hook`` still
-        sees every page scrubbed."""
-        pages = self._pages
-        tags = self.tags
-        hook = self.write_hook
-        size = self.size
-        for pa in pas:
-            page_index, page_offset = divmod(pa, PAGE_SIZE)
-            if page_offset:
-                raise PhysicalMemoryError(
-                    f"scrub of unaligned page {pa:#x}")
-            if pa < 0 or pa >= size:
-                self._check_range(pa, PAGE_SIZE)
-            held = tags.get(page_index)
-            if held is ZERO:
+    def scrub_pages(self, pas: Sequence[int]) -> None:
+        """Zero whole pages: a tagged store of ``ZERO``'s page to each,
+        so nothing to a page tagged ``ZERO``."""
+        self.store_pages(pas, ZERO, 0)
+
+    def store_pages(self, pas: Sequence[int], source: PageSource,
+                    k: int) -> int:
+        """Store pages ``k, k + 1, ...`` of ``source`` (of a one-page
+        source, page ``k`` each time) at ``pas``, copying a page only if
+        it does not hold them (by tag, or both all zero). Returns the
+        copies; ``pages_hook`` hears of them when done."""
+        tags, tag_pages, zero = self.tags, self.tag_pages, source.zero
+        pages, data, last = self._pages, source.data, self.size - PAGE_SIZE
+        hook = self.write_hook if self.pages_hook is None else None
+        copied: List[int] = []
+        for pa, n in zip(pas, range(k, k + len(pas)) if len(zero) > 1
+                         else repeat(k)):
+            index = pa // PAGE_SIZE
+            held = tags.get(index)
+            if held is source and tag_pages[index] == n:
                 continue
+            if pa % PAGE_SIZE or not 0 <= pa <= last:
+                self._check_range(pa, PAGE_SIZE)
+                raise PhysicalMemoryError(f"page store to {pa:#x}")
             if held is not None:
                 held.version += 1
-            tags[page_index] = ZERO
-            self.tag_pages[page_index] = 0
+                if zero[n] and held.zero[tag_pages[index]]:
+                    tags[index], tag_pages[index] = source, n
+                    continue
             if hook is not None:
                 hook(pa, PAGE_SIZE)
-            page = pages.get(page_index)
-            if page is None:
-                pages[page_index] = bytearray(PAGE_SIZE)
+            page = pages.get(index)
+            if page is None:   # zeros need no copy
+                pages[index] = bytearray(PAGE_SIZE if zero[n] else
+                                         data[n * PAGE_SIZE:][:PAGE_SIZE])
             else:
-                page[:] = ZERO.data
-
-    def store_page(self, pa: int, source: PageSource, k: int) -> None:
-        """The tagged store of page ``k`` of ``source`` to the page at
-        ``pa``: a copy through :meth:`write`, unless the page holds the
-        bytes already (that is its tag, or both pages are all zero)."""
-        page_index = pa // PAGE_SIZE
-        tag_pages = self.tag_pages
-        held = self.tags.get(page_index)
-        if held is source and tag_pages[page_index] == k:
-            return
-        if held is not None and source.zero[k] \
-                and held.zero[tag_pages[page_index]]:
-            held.version += 1
-        else:
-            self.write(pa, source.data[k * PAGE_SIZE:(k + 1) * PAGE_SIZE])
-        self.tags[page_index] = source
-        tag_pages[page_index] = k
+                page[:] = data[n * PAGE_SIZE:(n + 1) * PAGE_SIZE]
+            tags[index], tag_pages[index] = source, n
+            copied.append(index)
+        if copied and self.pages_hook is not None:
+            self.pages_hook(copied)
+        return len(copied)
 
     # -- word access -------------------------------------------------------
 
@@ -196,23 +183,20 @@ class PageAllocator:
     """Allocates physical pages from a region of :class:`PhysicalMemory`.
 
     Pages come out in a permutation of the region fixed by ``seed``, so
-    two machines (record vs replay) produce different physical layouts
-    for the same allocation sequence. The contract: page ``k`` handed
-    out is what ``random.Random(seed).shuffle`` of the full page list,
-    popped from the end, would hand out -- without ever building that
-    list. ``shuffle`` is a Fisher-Yates pass that settles slot ``n-1``
-    first, then ``n-2``, ...; each step swaps slot ``i`` with a slot
-    ``j <= i`` and never looks above ``i`` again. Popping from the end
-    consumes slots in exactly that order, so drawing
-    ``randrange(i + 1)`` at the moment slot ``i`` is needed yields the
-    page the shuffled list would hold there. Only slots a swap moved
-    off their identity value are stored (``_displaced``): a fresh
-    allocator holds no per-page state, and a machine pays for the pages
-    a session allocates, not for the region the board advertises.
+    record and replay machines get different physical layouts for the
+    same allocation sequence. The contract: page ``k`` handed out is
+    what ``random.Random(seed).shuffle`` of the full page list, popped
+    from the end, would hand out -- without building that list.
+    ``shuffle``'s Fisher-Yates pass settles slot ``n-1`` first, then
+    ``n-2``, ...; each step swaps slot ``i`` with a slot ``j <= i`` and
+    never looks above ``i`` again. Popping from the end consumes slots
+    in that order, so drawing ``randrange(i + 1)`` when slot ``i`` is
+    needed yields the page the shuffled list would hold there. Only
+    slots a swap moved off identity are stored (``_displaced``): a
+    machine pays for the pages it allocates, not for the region.
 
-    Freed pages go on a LIFO stack that is consulted before any fresh
-    draw (a list popped and appended at the same end behaves so), which
-    makes recycling order part of the layout contract too.
+    Freed pages go on a LIFO stack consulted before any fresh draw, so
+    recycling order is part of the layout contract too.
     ``tests/soc/test_memory.py`` keeps the shuffled-list allocator as a
     reference model and checks every step against it.
     """
@@ -250,7 +234,7 @@ class PageAllocator:
                 f"{self.pages_free} free)")
         recycled = self._recycled
         displaced = self._displaced
-        randrange = self._rng.randrange
+        getrandbits = self._rng.getrandbits
         base_pa = self.base_pa
         pas: List[int] = []
         for _ in range(count):
@@ -259,9 +243,14 @@ class PageAllocator:
                 continue
             i = self._fresh = self._fresh - 1
             # One Fisher-Yates step: slot i takes slot j's page, slot j
-            # keeps slot i's. Slot 0 is what is left; shuffle draws
-            # nothing for it.
-            j = randrange(i + 1) if i else 0
+            # keeps slot i's; j is ``randrange(i + 1)`` as ``Random``
+            # draws it, inline. Slot 0 is what is left: no draw.
+            j = 0
+            if i:
+                bits = (i + 1).bit_length()
+                j = getrandbits(bits)
+                while j > i:
+                    j = getrandbits(bits)
             index = displaced.get(j, j)
             mine = displaced.pop(i, i)
             if j != i:

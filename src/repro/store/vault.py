@@ -36,15 +36,19 @@ contiguous span per pack touched. A chunk stored raw is handed on as
 a view into that span, with no inflate and no copy.
 
 Integrity is a chain with the recording digest at the root: the
-manifest names every chunk by content hash, ``fetch`` re-hashes each
-chunk as it takes it out of the pack and the reassembled recording
-must hash back to the manifest's ``digest`` -- the same value
-``Recording.digest()`` computes and the replay load cache keys on. A
-mismatch anywhere raises :class:`StoreCorruptionError` carrying the
-chunk and the dump location, so the damaged recording can be handed
-straight to the replay doctor (:meth:`Vault.diagnose`). Nothing is
-trusted for being in the index: a wrong offset only ever yields bytes
-that fail their address.
+manifest names every chunk by content hash, and the recording a fetch
+reassembles must hash back to the manifest's ``digest`` -- the same
+value ``Recording.digest()`` computes and the replay load cache keys
+on. A verified fetch checks it there, at the root: it takes each chunk
+as it finds it (located, whole, inflated, of its manifest size) and
+hashes the dump bytes once, for the recording digest. A chunk is
+hashed only to name damage: on any failure the fetch walks the chunks
+through the per-object check in manifest order, so a mismatch raises
+:class:`StoreCorruptionError` carrying the chunk and the dump location,
+and the damaged recording can be handed straight to the replay doctor
+(:meth:`Vault.diagnose`). Nothing is trusted for being in the index: a
+wrong offset only ever yields bytes that fail the root, then their
+address.
 
 Garbage collection is refcount-shaped: a chunk is live while any
 manifest references it, and ``gc()`` deletes packs no index reaches
@@ -61,14 +65,16 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.recording import (Recording, decode_skeleton,
                                   encode_skeleton)
-from repro.errors import (StoreCorruptionError, StoreError,
-                          StoreLayoutError, StoreNotFoundError)
+from repro.errors import (SerializationError, StoreCorruptionError,
+                          StoreError, StoreLayoutError, StoreNotFoundError)
 from repro.gpu import gpu_clock_hz
 from repro.obs.session import NULL_OBS
 from repro.store import chunks as cdc
@@ -122,7 +128,77 @@ def _encode_index(where: Dict[str, Location]) -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
-def _load_index(path: str) -> Dict[str, Location]:
+#: One index entry as numpy reads it: ``_INDEX_ENTRY``'s layout, and
+#: the digest's first 8 bytes again as a big-endian ``prefix``, which
+#: sorts as the digests do.
+_INDEX_ROW = np.dtype({
+    "names": ["digest", "prefix", "pack", "offset", "word"],
+    "formats": ["S32", ">u8", "<u2", "<u8", "<u4"],
+    "offsets": [0, 0, 32, 34, 42], "itemsize": _INDEX_ENTRY.size})
+#: A digest as the manifest names it, with its ``prefix``.
+_DIGEST = np.dtype({"names": ["digest", "prefix"],
+                    "formats": ["S32", ">u8"], "offsets": [0, 0],
+                    "itemsize": _SEAL})
+
+
+class _Index:
+    """One recording's object index: its packs and its entries, sorted
+    by digest, as one structured array (no dict or hex string per
+    object until :meth:`where` asks for them)."""
+
+    def __init__(self, packs: List[str], rows: np.ndarray):
+        self.packs = packs
+        self.rows = rows
+
+    def where(self) -> Dict[str, Location]:
+        """object digest -> Location of every entry."""
+        packs = self.packs
+        return {digest.hex(): (packs[no], offset, word)
+                for digest, no, offset, word in _INDEX_ENTRY.iter_unpack(
+                    self.rows.tobytes())}
+
+    def find(self, digests: List[str]) -> np.ndarray:
+        """The row of each hex digest, -1 where the index has none."""
+        joined = "".join(digests)
+        try:   # 64 lowercase hex digits each: no space, no A-F
+            wanted = np.frombuffer(bytes.fromhex(joined), _DIGEST)
+            exact = len(wanted) == len(digests) and \
+                set(map(len, digests)) <= {2 * _SEAL} and \
+                not any(map(joined.__contains__, "ABCDEF"))
+        except ValueError:
+            exact = False
+        del joined
+        if not exact:
+            if len(digests) == 1:
+                return np.array([-1])
+            return np.concatenate([self.find([digest])
+                                   for digest in digests])
+        keys, names = self.rows["digest"], wanted["digest"]
+        if not len(keys):
+            return np.full(len(names), -1, np.int64)
+        # Searched by prefix, confirmed whole; a digest that shares its
+        # prefix with another may land on that one, and is searched
+        # whole.
+        rows = np.searchsorted(self.rows["prefix"], wanted["prefix"]) \
+            .clip(0, len(keys) - 1)
+        hit = keys[rows] == names
+        if not hit.all():
+            rows[~hit] = np.searchsorted(keys, names[~hit]) \
+                .clip(0, len(keys) - 1)
+            hit = keys[rows] == names
+        return np.where(hit, rows, -1)
+
+    def source(self, packs_dir: str, digests: List[str]) -> "_Source":
+        """A :class:`_Source` of the named objects the index has."""
+        rows = self.find(digests)
+        return _Source(packs_dir, {
+            digest: (self.packs[self.rows["pack"][row]],
+                     int(self.rows["offset"][row]),
+                     int(self.rows["word"][row]))
+            for digest, row in zip(digests, rows.tolist()) if row >= 0})
+
+
+def _load_index(path: str) -> _Index:
     """Parse one recording's object index, whole (it is as long as
     the recording has objects, not as the vault has)."""
     try:
@@ -141,9 +217,7 @@ def _load_index(path: str) -> Dict[str, Location]:
     entries = _INDEX_HEADER.size + n_packs * _SEAL
     packs = [body[at:at + _SEAL].hex()
              for at in range(_INDEX_HEADER.size, entries, _SEAL)]
-    return {digest.hex(): (packs[no], offset, word)
-            for digest, no, offset, word
-            in _INDEX_ENTRY.iter_unpack(body[entries:])}
+    return _Index(packs, np.frombuffer(body, _INDEX_ROW, offset=entries))
 
 
 def _scan_pack(path: str) -> Tuple[bytes, List[Tuple[int, int]]]:
@@ -195,6 +269,19 @@ def stored_form(payload: bytes) -> Tuple[int, bytes]:
         if len(packed) * 10 <= len(payload) * 9:
             return len(packed), packed
     return len(payload) | _RAW, payload
+
+
+class _Unsound(Exception):
+    """A chunk a verified fetch cannot take as found: the fetch walks
+    the chunks to name the damage (``Vault._name_damage``)."""
+
+
+def _dump_size_error(manifest: "Manifest", dump_index: int, va: int,
+                     got: int, size: int) -> StoreCorruptionError:
+    return StoreCorruptionError(
+        f"dump reassembled to {got} bytes, manifest says {size}",
+        recording_digest=manifest.digest, dump_index=dump_index,
+        dump_va=va)
 
 
 class _PackWriter:
@@ -428,10 +515,10 @@ class Vault:
                 only: Optional[str] = None) -> _Source:
         """The objects of one packed recording -- or just ``only`` --
         via the recording's own index."""
-        where = _load_index(self._packs_file(recording_digest, ".idx"))
+        index = _load_index(self._packs_file(recording_digest, ".idx"))
         if only is not None:
-            where = {only: where[only]} if only in where else {}
-        return _Source(self._packs_dir, where)
+            return index.source(self._packs_dir, [only])
+        return _Source(self._packs_dir, index.where())
 
     def _all_locations(self) -> Dict[str, Location]:
         """Every indexed object of the vault: what a write dedups
@@ -440,7 +527,7 @@ class Vault:
         for name in sorted(os.listdir(self._packs_dir)):
             if name.endswith(".idx"):
                 where.update(
-                    _load_index(os.path.join(self._packs_dir, name)))
+                    _load_index(os.path.join(self._packs_dir, name)).where())
         return where
 
     @staticmethod
@@ -626,11 +713,10 @@ class Vault:
     def fetch(self, digest: str, verify: bool = True) -> Recording:
         """Reassemble one recording, verifying the integrity chain.
 
-        Every distinct chunk is re-hashed on the way in (once per
-        fetch, however many dumps reference it) and the reassembled
-        recording must hash back to the manifest digest; with
-        ``verify=False`` only structural checks run (sizes must still
-        line up for decoding to succeed).
+        The reassembled recording must hash back to the manifest
+        digest; a chunk is hashed only to name the damage when it does
+        not. With ``verify=False`` only structural checks run (sizes
+        must still line up for decoding to succeed).
         """
         obs = self.obs
         with obs.span("store:fetch", obs.track("store", "vault"),
@@ -686,95 +772,147 @@ class Vault:
         buffer -- for a chunk stored raw, into the span read from its
         pack; a multi-chunk dump is one ``join`` of its chunks, viewed.
         Downstream -- the body digest, the compiled program, the nano
-        driver's per-page writes -- operates on the views without
+        driver's page stores -- operates on the views without
         materializing ``bytes``, so the chunk buffer is the *only*
         copy of the payload in memory. Views are read-only: the vault
         owns the underlying buffers and nothing downstream may mutate
         them.
 
-        With ``verify``, every distinct chunk is checked once, inline
-        when it is fine and by :meth:`_get_object` -- which raises,
-        naming the chunk and where it lands -- when it is anything
-        else, so a damaged vault says exactly what that method says.
+        With ``verify`` the check is at the root: the chunks are taken
+        as they are found (located, whole, inflated, of the manifest's
+        size) and the recording they make must hash back to the
+        manifest digest. Any failure walks the chunks through
+        :meth:`_get_object` in manifest order (:meth:`_name_damage`),
+        so a damaged vault says what a check of every chunk says.
         """
-        source = self._source(manifest.digest)
+        index = _load_index(self._packs_file(manifest.digest, ".idx"))
         skeleton = bytes(self._get_object(
-            manifest.skeleton_digest, source, manifest.skeleton_size,
+            manifest.skeleton_digest,
+            index.source(self._packs_dir, [manifest.skeleton_digest]),
+            manifest.skeleton_size,
             context={"recording_digest": manifest.digest}))
-        where, spans = source.where, source.spans()
-        sha256, inflate = hashlib.sha256, zlib.decompress
+        failure = None
+        try:
+            recording = decode_skeleton(
+                skeleton, self._payloads(manifest, index, strict=verify))
+            if not verify or recording.digest() == manifest.digest:
+                return recording
+        except _Unsound:
+            pass
+        except SerializationError as error:
+            if not verify:
+                raise
+            failure = error
+        self._name_damage(manifest, _Source(self._packs_dir, index.where()))
+        raise failure or StoreCorruptionError(
+            "reassembled recording does not hash back to the manifest "
+            "digest", recording_digest=manifest.digest)
+
+    def _payloads(self, manifest: Manifest, index: _Index,
+                  strict: bool) -> List[memoryview]:
+        """Every dump's bytes, from one read per pack touched: each
+        chunk reference a view of its span, each deflated chunk
+        inflated once. ``strict`` raises :class:`_Unsound` at anything that is not
+        located, whole, valid zlib and of its manifest size; otherwise
+        a chunk is taken as it is found -- zeros when it is gone, its
+        stored bytes when they do not inflate -- cut or padded to its
+        manifest size, the forensics path: the doctor wants to replay
+        the damage, not be stopped by it."""
+        refs = list(chain.from_iterable(
+            chunk_list for _va, _size, chunk_list in manifest.dumps))
+        found = index.find(list(map(itemgetter(0), refs)))
+        at = np.flatnonzero(found >= 0)     # the refs the index locates
+        if strict and len(at) < len(refs):
+            raise _Unsound
+        packs, offsets, words = (index.rows[field][found[at]]
+                                 for field in ("pack", "offset", "word"))
+        lengths = (words & _LENGTH).astype(np.int64)
+        parts: List[Optional[bytes]] = [None] * len(refs)
+        for no in sorted(set(packs.tolist())):
+            mine = np.flatnonzero(packs == no)
+            starts = offsets[mine].astype(np.int64)
+            ends = starts + lengths[mine]
+            low = int(starts.min())
+            try:
+                with open(self._packs_file(index.packs[no], ".pack"),
+                          "rb") as handle:
+                    handle.seek(low)
+                    span = memoryview(handle.read(int(ends.max()) - low))
+            except FileNotFoundError:
+                if strict:
+                    raise _Unsound
+                continue
+            if strict and int(ends.max()) - low > len(span):
+                raise _Unsound   # a truncated pack
+            pieces = map(span.__getitem__, map(
+                slice, (starts - low).tolist(), (ends - low).tolist()))
+            if len(mine) == len(refs):
+                parts[:] = pieces
+            else:
+                for ref, piece in zip(at[mine].tolist(), pieces):
+                    parts[ref] = piece
+        sizes = np.zeros(len(refs), np.int64)
+        sizes[at] = lengths
+        inflated: Dict[int, bytes] = {}     # each deflated chunk once
+        rows = found.tolist()
+        for ref in at[(words & _RAW) == 0].tolist():
+            if parts[ref] is None:
+                continue
+            if rows[ref] not in inflated:
+                try:
+                    inflated[rows[ref]] = zlib.decompress(parts[ref])
+                except zlib.error:
+                    if strict:
+                        raise _Unsound
+                    inflated[rows[ref]] = parts[ref]
+            parts[ref] = inflated[rows[ref]]
+            sizes[ref] = len(parts[ref])
+        if not strict:
+            parts = [b"" if part is None else part for part in parts]
+            sizes[:] = list(map(len, parts))
+        want = list(map(itemgetter(1), refs))
+        wrong = np.flatnonzero(sizes != np.array(want, np.int64))
+        if strict and len(wrong):
+            raise _Unsound
+        for ref in wrong.tolist():
+            parts[ref] = bytes(parts[ref][:want[ref]]).ljust(want[ref],
+                                                             b"\x00")
         payloads: List[memoryview] = []
-        # (chunk digest, manifest size) -> bytes already read this
-        # fetch. Tensor dumps repeat chunks; each distinct ref is taken
-        # out of its pack, hashed and size-checked once, by its first
-        # use. A ref that names a known digest with another size is a
-        # distinct key and goes through the checks on its own.
-        fetched: Dict[Tuple[str, int], bytes] = {}
+        start = 0
         for dump_index, (va, size, chunk_list) in \
                 enumerate(manifest.dumps):
-            parts: List[bytes] = []
-            for ref in chunk_list:
-                part = fetched.get(ref)
-                if part is None and not verify:
-                    part = fetched[ref] = self._read_object_best_effort(
-                        ref[0], source, ref[1])
-                elif part is None:
-                    # _get_object's checks on the chunk that passes
-                    # them -- located, whole, inflated if deflated, of
-                    # the manifest's size, hashing to its address --
-                    # without its call, context or copy per chunk.
-                    chunk_digest, chunk_size = ref
-                    try:
-                        pack, offset, word = where[chunk_digest]
-                        low, span = spans[pack]
-                        part = span[offset - low:
-                                    offset - low + (word & _LENGTH)]
-                        fine = len(part) == word & _LENGTH
-                        if fine and not word & _RAW:
-                            part = inflate(part)
-                        fine = (fine and len(part) == chunk_size and
-                                sha256(part).hexdigest() == chunk_digest)
-                    except (KeyError, zlib.error):
-                        fine = False
-                    if not fine:
-                        first_use = chunk_list.index(ref)
-                        part = self._get_object(
-                            chunk_digest, source, chunk_size,
-                            context={"recording_digest": manifest.digest,
-                                     "dump_index": dump_index,
-                                     "dump_va": va,
-                                     "dump_offset": sum(
-                                         csize for _digest, csize
-                                         in chunk_list[:first_use])})
-                    fetched[ref] = part
-                parts.append(part)
-            payload = memoryview(parts[0] if len(parts) == 1
-                                 else b"".join(parts))
+            mine = parts[start:start + len(chunk_list)]
+            start += len(chunk_list)
+            payload = memoryview(mine[0] if len(mine) == 1
+                                 else b"".join(mine))
             if len(payload) != size:
-                raise StoreCorruptionError(
-                    f"dump reassembled to {len(payload)} bytes, "
-                    f"manifest says {size}",
-                    recording_digest=manifest.digest,
-                    dump_index=dump_index, dump_va=va)
+                if strict:
+                    raise _Unsound
+                raise _dump_size_error(manifest, dump_index, va,
+                                       len(payload), size)
             payloads.append(payload)
-        return decode_skeleton(skeleton, payloads)
+        return payloads
 
-    @staticmethod
-    def _read_object_best_effort(digest: str, source: _Source,
-                                 size: int) -> bytes:
-        """The object's bytes, corrupt or not, padded/clipped to
-        ``size`` -- the forensics path: the doctor wants to replay the
-        damage, not be stopped by it."""
-        found = source.stored(digest)
-        if found is None:
-            return b"\x00" * size
-        payload, word = found
-        if not word & _RAW:
-            try:
-                payload = zlib.decompress(payload)
-            except zlib.error:
-                pass
-        return bytes(payload[:size]).ljust(size, b"\x00")
+    def _name_damage(self, manifest: Manifest, source: _Source) -> None:
+        """Raise what a check of every chunk finds first, in manifest
+        order: :meth:`_get_object` on each distinct (chunk, size)
+        reference at its first use, and after each dump, its size."""
+        checked = set()
+        for dump_index, (va, size, chunk_list) in \
+                enumerate(manifest.dumps):
+            offset = 0
+            for ref in chunk_list:
+                if ref not in checked:
+                    checked.add(ref)
+                    self._get_object(
+                        ref[0], source, ref[1],
+                        context={"recording_digest": manifest.digest,
+                                 "dump_index": dump_index, "dump_va": va,
+                                 "dump_offset": offset})
+                offset += ref[1]
+            if offset != size:
+                raise _dump_size_error(manifest, dump_index, va, offset,
+                                       size)
 
     # -- replication ---------------------------------------------------------
 
@@ -968,7 +1106,7 @@ class Vault:
                       cat="store"):
             before = self._packs_bytes()
             indexes = {digest: _load_index(
-                self._packs_file(digest, ".idx"))
+                self._packs_file(digest, ".idx")).where()
                 for digest in self.digests()}
             live = {(pack, offset) for where in indexes.values()
                     for pack, offset, _word in where.values()}

@@ -52,19 +52,37 @@ def rng():
     return np.random.default_rng(1234)
 
 
+class HashedLengths(list):
+    """The lengths of the buffers handed to ``hashlib.sha256(...)``;
+    ``streamed`` holds those handed to the ``update`` calls of the
+    objects it made."""
+
+    def __init__(self):
+        super().__init__()
+        self.streamed = []
+
+
 @pytest.fixture
 def hashed_lengths(monkeypatch):
-    """Spy on ``hashlib.sha256(...)``: the list this returns grows by
-    the length of every buffer handed to the constructor (streamed
-    ``update`` calls are not constructor calls)."""
+    """Spy on SHA-256: the list this returns grows by the length of
+    every buffer handed to the constructor, its ``streamed`` list by
+    that of every buffer a streamed ``update`` takes."""
     import hashlib
-    lengths = []
+    lengths = HashedLengths()
     real = hashlib.sha256
 
-    def counting(data=b"", **kwargs):
-        lengths.append(len(data))
-        return real(data, **kwargs)
-    monkeypatch.setattr(hashlib, "sha256", counting)
+    class Counting:
+        def __init__(self, data=b"", **kwargs):
+            lengths.append(memoryview(data).nbytes)
+            self._hash = real(data, **kwargs)
+
+        def update(self, data):
+            lengths.streamed.append(memoryview(data).nbytes)
+            self._hash.update(data)
+
+        def __getattr__(self, name):
+            return getattr(self._hash, name)
+    monkeypatch.setattr(hashlib, "sha256", Counting)
     return lengths
 
 

@@ -25,6 +25,7 @@ from repro.bench.workloads import build_stack, get_recorded, zoo_store
 from repro.core.harness import record_inference
 from repro.core.replay import seeded_inputs
 from repro.core.replayer import Replayer
+from repro.errors import ReplayAborted
 from repro.fleet import Fleet, FleetConfig, ReplicatedVaultStore
 from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
                          generate_requests)
@@ -91,6 +92,28 @@ def test_a_dropped_replay_machine_is_freed(family, no_collector):
     replayer = replay_once(machine, recording)
     refs = weakref.ref(machine), weakref.ref(machine.memory)
     del machine, replayer
+    assert [ref() for ref in refs] == [None, None]
+    assert cyclic_repro_garbage() == []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_machine_dropped_with_a_job_in_flight_is_freed(family,
+                                                         no_collector):
+    """A replay aborted while the GPU still owes events (a shed
+    request's worker, a retired one): the events' callbacks hold the
+    device, and the device holds its pending events only weakly."""
+    recording = get_recorded(family, "mnist")[0].recording
+    machine = fresh_replay_machine(family)
+    replayer = Replayer(machine)
+    replayer.init()
+    replayer.load(recording)
+    pending = machine.gpu._pending_ops
+    with pytest.raises(ReplayAborted):
+        replayer.replay(seeded_inputs(recording, 2026),
+                        should_yield=lambda: bool(pending))
+    assert pending
+    refs = weakref.ref(machine), weakref.ref(machine.gpu)
+    del machine, replayer, pending
     assert [ref() for ref in refs] == [None, None]
     assert cyclic_repro_garbage() == []
 

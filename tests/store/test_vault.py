@@ -157,8 +157,9 @@ class TestIntegrityChain:
 
 
 class TestRepeatedChunks:
-    """A fetch reads, inflates and hashes each distinct chunk once,
-    whatever the number of dumps that reference it."""
+    """A fetch reads and inflates each distinct chunk once, whatever
+    the number of dumps that reference it, and hashes the bytes it
+    hands out once."""
 
     SHARED = bytes(range(200))
 
@@ -177,14 +178,36 @@ class TestRepeatedChunks:
 
     def test_each_unique_object_read_once(self, vault, packed,
                                           hashed_lengths):
+        """Pins a cost, not a check: the root digest is the check, so a
+        healthy verified fetch hashes the skeleton object and each dump
+        byte once, as the recording digest streams them (a dump-table
+        entry, then the dump), and no chunk on its own."""
         recording, manifest = packed
         del hashed_lengths[:]   # what packing hashed
+        del hashed_lengths.streamed[:]
         fetched = vault.fetch(manifest.digest, verify=True)
-        # Four references, two distinct payloads: two chunk hashes.
-        assert hashed_lengths.count(len(self.SHARED)) == 2
+        assert hashed_lengths.count(len(self.SHARED)) == 0
         assert hashed_lengths.count(manifest.skeleton_size) == 1
+        assert hashed_lengths.streamed == [12, len(self.SHARED)] * 4
         assert fetched.to_bytes() == recording.to_bytes()
         assert vault.last_fetch_info["chunks"] == 4
+
+    def test_a_damaged_fetch_hashes_each_chunk_at_most_once(
+            self, vault, packed, hashed_lengths):
+        """Pins a cost: dumps that swapped chunk lists make a recording
+        that does not hash back, and naming the damage hashes the two
+        distinct chunks once each, not once per reference."""
+        _recording, manifest = packed
+        path = vault._manifest_path(manifest.digest)
+        data = json.load(open(path))
+        dumps = data["dumps"]
+        dumps[0]["chunks"], dumps[1]["chunks"] = \
+            dumps[1]["chunks"], dumps[0]["chunks"]
+        json.dump(data, open(path, "w"))
+        del hashed_lengths[:]
+        with pytest.raises(StoreCorruptionError, match="hash back"):
+            vault.fetch(manifest.digest)
+        assert hashed_lengths.count(len(self.SHARED)) == 2
 
     def test_shared_chunk_damage_names_first_referencing_dump(
             self, vault, packed):

@@ -1,6 +1,8 @@
 """The vault says the same things: for each kind of damage, what a
 verified fetch raises and what an unverified one returns, pinned from
-the commit before the fetch loop took its happy path inline.
+the commit before the fetch loop took its happy path inline, and three
+kinds only a content check sees from the commit before a verified
+fetch checked the recording digest alone.
 
 ``observe`` is the whole protocol; ``PARENT`` holds what it returned
 there (``python tests/store/test_vault_says.py`` prints the table for
@@ -11,6 +13,7 @@ import hashlib
 import json
 import os
 import random
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -153,10 +156,62 @@ def non_canonical_skeleton_and_its_own_digest(vault, manifest):
     return _install_skeleton(vault, manifest, skeleton, body.hexdigest())
 
 
+def _twins(vault):
+    """Pack, beside the damaged recording, one whose last two dumps are
+    single raw chunks of equal length; returns its manifest and their
+    two chunk digests. Damage only a content check sees."""
+    rng = random.Random(29)
+    base = synthetic_recording(3)
+    twins = vault.pack(Recording(base.meta, base.actions, [
+        MemoryDump(0x10000, rng.randbytes(9000)),
+        MemoryDump(0x20000, rng.randbytes(200)),
+        MemoryDump(0x30000, rng.randbytes(200))]))
+    return twins, _chunk(twins, 1, 0), _chunk(twins, 2, 0)
+
+
+def swapped_records_of_equal_length(vault, manifest):
+    twins, one, other = _twins(vault)
+    path, at_one, length = vault.object_location(one)
+    _path, at_other, _length = vault.object_location(other)
+    with open(path, "r+b") as handle:
+        handle.seek(at_one)
+        first = handle.read(length)
+        handle.seek(at_other)
+        second = handle.read(length)
+        handle.seek(at_one)
+        handle.write(second)
+        handle.seek(at_other)
+        handle.write(first)
+    return twins.digest
+
+
+def index_entry_on_another_record(vault, manifest):
+    twins, one, other = _twins(vault)
+    where = vault._source(twins.digest).where
+    where[one] = where[other]
+    vault._write_index(twins.digest, where)
+    return twins.digest
+
+
+def deflated_chunk_of_other_bytes(vault, manifest):
+    """Dump 1's first chunk, a 4096-byte ramp, replaced by the zlib of
+    the ramp turned by one byte: valid, as long, and as long inflated."""
+    path, offset, length = vault.object_location(
+        _stored_as(vault, manifest, deflated=True))
+    ramp = bytes(range(1, 256)) + bytes(1)
+    other = zlib.compress(ramp * 16, 6)
+    assert len(other) == length
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        handle.write(other)
+
+
 DAMAGE = (absent_from_index, pack_deleted, pack_truncated, zlib_garbage,
           flipped_byte, lying_size_on_a_later_reference,
           swapped_chunk_lists, non_canonical_skeleton,
-          non_canonical_skeleton_and_its_own_digest)
+          non_canonical_skeleton_and_its_own_digest,
+          swapped_records_of_equal_length, index_entry_on_another_record,
+          deflated_chunk_of_other_bytes)
 
 
 def observe(root, damage):
@@ -181,7 +236,8 @@ def observe(root, damage):
     return seen
 
 
-#: ``observe`` of every damage at the parent commit (26aa112).
+#: ``observe`` of every damage at the parent commit: 26aa112, and for
+#: the last three kinds b1a4f34, before fetch checked at the root.
 PARENT = {'absent_from_index': {False: ('ok',
                                '49fa3edc364c3f3bfac03ad5a36b6ce4e5583cf71e014f4a616791fadf03189e',
                                '60b73e8f8f1caf8e00d142635165e71cbf7aef2f7634b560055ecd7d548e879b'),
@@ -190,6 +246,19 @@ PARENT = {'absent_from_index': {False: ('ok',
                               'index, or its pack is gone from '
                               '<root>/vault/packs)',
                               (None, None, None, None, None))},
+ 'deflated_chunk_of_other_bytes': {False: ('ok',
+                                           'e7e15bdff206c07e40b09eae6fd2796bf535602b4811506f8266e4040bed5aa2',
+                                           'b8594d2adb4723d762733c01e568dc66a62506685bad4e68bdbc353363f4b79b'),
+                                   True: ('StoreCorruptionError',
+                                          'object content does not match its '
+                                          'address [recording 0a67c833d1c5] '
+                                          '[chunk c8f5d0341d54] [dump #1 va '
+                                          '0x20000 offset 0]',
+                                          ('c8f5d0341d54d951a71b136e6e2afcb14d11ed8489a7ae126a8fee0df6ecf193',
+                                           1,
+                                           131072,
+                                           0,
+                                           '0a67c833d1c5db9baf3da4e8353deff7912268c4abf56a36f1e3fcd86d8dec2f'))},
  'flipped_byte': {False: ('ok',
                           '46c3c6871f4354a63405b8d7f337f66302c919e17e475979580a73866dd7c81d',
                           'c8435e315702b0bbc9d959f036e14b692717aece843c16b4cc75fcc3b41bba8c'),
@@ -202,6 +271,19 @@ PARENT = {'absent_from_index': {False: ('ok',
                           65536,
                           0,
                           '0a67c833d1c5db9baf3da4e8353deff7912268c4abf56a36f1e3fcd86d8dec2f'))},
+ 'index_entry_on_another_record': {False: ('ok',
+                                           'e09828e6df6b5890c33bc49711119e60c1bb06d2d765b6f8225d7d5c0ec407d1',
+                                           '747ae53914a2d3a85053f85113a89cf13383dbee61079f6f1142b98166e8e4e8'),
+                                   True: ('StoreCorruptionError',
+                                          'object content does not match its '
+                                          'address [recording 96ddbe72b5b6] '
+                                          '[chunk c2db7b80f0cf] [dump #1 va '
+                                          '0x20000 offset 0]',
+                                          ('c2db7b80f0cf56d401742939950cedd2e889d543439349bcc51fa6a5decc0186',
+                                           1,
+                                           131072,
+                                           0,
+                                           '96ddbe72b5b66352e03be1cd28908eff4ab2ff4e602be99682facc30819f669f'))},
  'lying_size_on_a_later_reference': {False: ('StoreCorruptionError',
                                              'dump reassembled to 8999 '
                                              'bytes, manifest says 9000 '
@@ -275,6 +357,20 @@ PARENT = {'absent_from_index': {False: ('ok',
                                  -1,
                                  -1,
                                  '0a67c833d1c5db9baf3da4e8353deff7912268c4abf56a36f1e3fcd86d8dec2f'))},
+ 'swapped_records_of_equal_length': {False: ('ok',
+                                             'a4bc9f6ce777933f5ef00d65477a8f4cdb124513232bb0350858e80e49f081c5',
+                                             '632c5f49bbb5fb0c7574c44e8057d4191249f9e0bba9f48369b094caec6440d5'),
+                                     True: ('StoreCorruptionError',
+                                            'object content does not match '
+                                            'its address [recording '
+                                            '96ddbe72b5b6] [chunk '
+                                            'c2db7b80f0cf] [dump #1 va '
+                                            '0x20000 offset 0]',
+                                            ('c2db7b80f0cf56d401742939950cedd2e889d543439349bcc51fa6a5decc0186',
+                                             1,
+                                             131072,
+                                             0,
+                                             '96ddbe72b5b66352e03be1cd28908eff4ab2ff4e602be99682facc30819f669f'))},
  'zlib_garbage': {False: ('ok',
                           '7f1d594d05353453a5e12ee63448146e47e5c54c55ebbe0a6793d49fef1066f2',
                           '1d229a350233862e08d3c14c9c99be9b8e36b2711cce8d73972f163d27c66f02'),
