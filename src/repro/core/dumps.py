@@ -20,10 +20,10 @@ from repro.soc import PageSource
 class MemoryDump:
     """One contiguous region of captured GPU memory.
 
-    ``data`` is any C-contiguous read-only buffer: ``bytes`` from the
-    recorder/file loader, or a read-only ``memoryview`` into a
-    vault-fetched chunk buffer (the zero-copy fetch path). Everything
-    downstream must treat it as an opaque buffer and never assume
+    ``data`` is any C-contiguous read-only buffer: ``bytes`` (a file
+    load, a recorder's join), or a ``memoryview`` of a vault-fetched
+    chunk (the zero-copy fetch path) or of a model's weight array
+    (pages that referenced it, dumped). Treat it as opaque: no
     ``bytes`` methods beyond len / slicing / hashing. Equality
     compares content either way.
     """

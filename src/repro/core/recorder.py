@@ -40,32 +40,40 @@ from repro.units import SEC, SIZE_BUCKETS_BYTES
 DUMP_BW = int(1.5 * 1024 ** 3)
 
 
-def coalesce_pages(pages: Iterable[Tuple[int, bytes]]) -> List[MemoryDump]:
+def coalesce_pages(pages: Iterable[Tuple[int, bytes]],
+                   held: Optional[Dict[int, tuple]] = None
+                   ) -> List[MemoryDump]:
     """Merge per-page captures into contiguous dumps.
 
     ``pages`` yields (va, page_buffer) for individual pages; adjacent
     VAs are merged so a 40-page shader blob becomes one Upload action
     instead of 40. A buffer may be a live page of physical memory:
-    the join is the one copy its bytes get.
+    the join is the one copy its bytes get -- unless ``held`` (va ->
+    ``(source, k)``, the page's memory tag) says a run holds pages
+    ``k, k + 1, ...`` of one :class:`~repro.soc.PageSource`; then the
+    dump is a view of that source, found by tag, not by address.
     """
     ordered = sorted(pages, key=lambda p: p[0])
-    out: List[MemoryDump] = []
-    run_va = None
-    run_parts: List[bytes] = []
-    cursor = 0
+    runs: List[Tuple[int, List[bytes]]] = []
+    cursor = None
     for va, data in ordered:
-        if run_va is not None and va == cursor:
-            run_parts.append(data)
-            cursor += len(data)
-            continue
-        if run_va is not None:
-            out.append(MemoryDump(run_va, b"".join(run_parts)))
-        run_va = va
-        run_parts = [data]
+        if va != cursor:
+            runs.append((va, []))
+        runs[-1][1].append(data)
         cursor = va + len(data)
-    if run_va is not None:
-        out.append(MemoryDump(run_va, b"".join(run_parts)))
-    return out
+    return [MemoryDump(va, _held_view(va, parts, held or {})
+                       or b"".join(parts)) for va, parts in runs]
+
+
+def _held_view(va: int, parts: List[bytes], held: Dict[int, tuple]):
+    """The source view a run of whole pages holds by tag, or None."""
+    source, k = held.get(va) or (None, 0)
+    end = (k + len(parts)) * PAGE_SIZE
+    if source is None or end > len(source.data) or any(
+            len(part) != PAGE_SIZE or held.get(va + i * PAGE_SIZE) !=
+            (source, k + i) for i, part in enumerate(parts)):
+        return None
+    return source.data[k * PAGE_SIZE:end]
 
 
 @dataclass
@@ -343,12 +351,21 @@ class GpuRecorder(trace.DriverTracer):
 
     def _page_buffer(self, va: int):
         """The live physical page behind GPU ``va`` (a zero page while
-        unmaterialized), through the driver's tables. Not a copy."""
+        it has no buffer), through the driver's tables. Not a copy."""
         entry = self.driver.require_ctx().page_table.lookup(va)
         if entry is None:
             raise RecordingError(f"read of unmapped GPU VA {va:#x}")
-        page = self.machine.memory.page_buffer(entry[0])
+        page = self.machine.memory.buffers.get(entry[0] // PAGE_SIZE)
         return ZERO.data if page is None else page
+
+    def _held(self, va: int) -> Optional[tuple]:
+        """``(source, k)`` if GPU ``va``'s page holds page ``k`` of a
+        :class:`~repro.soc.PageSource` (its memory tag), else None."""
+        memory = self.machine.memory
+        index = self.driver.require_ctx().page_table.lookup(va)[0] \
+            // PAGE_SIZE
+        source = memory.tags.get(index)
+        return None if source is None else (source, memory.tag_pages[index])
 
     def _cpu_read(self, va: int, size: int) -> bytes:
         """Read GPU memory CPU-side through the driver's page tables:
@@ -387,7 +404,8 @@ class GpuRecorder(trace.DriverTracer):
             # so the taint scan cannot confuse job-made duplicates.
             self.first_kick_snapshot = list(self.data_spans())
         # Pages are hashed in place and the changed ones copied once,
-        # by the join in ``coalesce_pages``.
+        # by the join in ``coalesce_pages`` -- or not at all, where
+        # they reference consecutive pages of one source.
         pages: List[Tuple[int, bytes]] = []
         scanned_bytes = 0
         whole = self._whole_region_dumps()
@@ -412,7 +430,8 @@ class GpuRecorder(trace.DriverTracer):
             return
         # The copy comes before the clock moves: events fired by the
         # advance may write GPU memory.
-        dumps = coalesce_pages(pages)
+        dumps = coalesce_pages(pages, {va: self._held(va)
+                                       for va, _data in pages})
         # Record-time overhead of copying the pages out (an unintended
         # delay the idle heuristic later removes from replay).
         self.machine.clock.advance(

@@ -6,15 +6,12 @@ page tables for relocation. Record and replay machines allocate pages
 in different orders, and every GPU access goes through this MMU.
 
 Host cost. Two caches derive from page-table memory, both dropped by
-:meth:`GpuMmu._drop_translations` wherever it may have changed:
-translations (the TLB, coherent through write hooks on physical
-memory) and *page runs* -- per ``(va, size, access)`` range, the
-physical pages the TLB resolved it to, live buffers for a read. A warm
-bulk access costs one C-level gather (or one write per page); first
-touches, faults and partial writes go page by page (:meth:`GpuMmu._walk`,
-:meth:`GpuMmu._pages`) and count the same hits and misses, decoding a
-leaf table's PTEs once per range. A gather of one dump's pages returns
-a view of the dump, until one of them changes.
+:meth:`GpuMmu._drop_translations` wherever it may have changed: the
+TLB (coherent through write hooks on physical memory) and *page runs*,
+per ``(va, size, access)`` the pages the TLB resolved it to (for a
+read, their buffers; a run goes when one is replaced). A warm bulk
+access is one C-level gather (or one write per page); a gather of one
+source's pages returns a view of it, until one of them changes.
 """
 
 from __future__ import annotations
@@ -49,10 +46,9 @@ class GpuMmu:
         self._entry = struct.Struct("<Q" if fmt.pte_size == 8 else "<I")
         self._tlb: Dict[Tuple[int, str], int] = {}
         #: Page runs: ``(va, size, access)`` -> what the TLB said about
-        #: each page of the range when last probed: live page buffers
-        #: for a read, ``(pa, length)`` pieces for a write. A memo of the
-        #: TLB, dropped with it; bytes are remembered only as ``_views``
-        #: (the same ranges, :meth:`gather_va`).
+        #: each page when last probed: buffers for a read, ``(pa,
+        #: length)`` for a write; a memo of the TLB, dropped with it.
+        #: Bytes are remembered only as ``_views`` (:meth:`gather_va`).
         self._runs: Dict[Tuple[int, int, str], list] = {}
         self._run_pages = 0
         self._views: Dict[Tuple[int, int, str], object] = {}
@@ -64,19 +60,17 @@ class GpuMmu:
         #: Optional observer of GPU-side VA writes, ``fn(va, size)``: the
         #: nano driver's resident-dump tracking sees the GPU's stores.
         self.write_observer = None
-        #: Coherent-TLB mode: the TLB is a host cache, not architectural
-        #: state. Any physical write to a table page this MMU walked
-        #: clears it (and the runs), so it never goes stale, flush
-        #: commands have nothing to invalidate and translations survive
-        #: across replays. False gives the historical behaviour (flushes
-        #: drop the TLB and runs): the fast-path benchmark's baseline.
+        #: Coherent TLB: a host cache that a write to a table page this
+        #: MMU walked clears (with the runs), so flushes invalidate
+        #: nothing. False (flushes drop both): the fast path's baseline.
         self.coherent_tlb = True
         self._table_pages: set = set()
         self._subscribe(memory)
 
     def _subscribe(self, memory: PhysicalMemory) -> None:
         for name, mine in (("write_hook", weakly(self._on_phys_write)),
-                           ("pages_hook", weakly(self._on_pages_write))):
+                           ("pages_hook", weakly(self._on_pages_write)),
+                           ("buffers_hook", weakly(self._on_new_buffers))):
             prev = getattr(memory, name)
             if prev is not None:
                 def mine(*args, _prev=prev, _mine=mine) -> None:
@@ -102,11 +96,18 @@ class GpuMmu:
         if tables and self.coherent_tlb and not tables.isdisjoint(indices):
             self._drop_translations()
 
+    def _on_new_buffers(self, keys: set) -> None:
+        for key in keys:
+            self._run_pages -= len(self._runs.pop(key, ()))
+
     def _drop_translations(self) -> None:
         """Forget the TLB, the table pages it was walked from and the
         page runs probed out of it."""
         self._tlb.clear()
         self._table_pages.clear()
+        self._forget_runs()
+
+    def _forget_runs(self) -> None:
         self._runs.clear()
         self._views.clear()
         self._run_pages = 0
@@ -119,11 +120,8 @@ class GpuMmu:
             self._drop_translations()
 
     def flush_tlb(self) -> None:
-        if self.coherent_tlb:
-            # Shootdown keeps the cache coherent with table memory;
-            # the architectural flush has nothing to invalidate.
-            return
-        self._drop_translations()
+        if not self.coherent_tlb:
+            self._drop_translations()
 
     def translate(self, va: int, access: str) -> int:
         """Translate one VA; raises :class:`GpuPageFault` on failure."""
@@ -138,7 +136,7 @@ class GpuMmu:
               ) -> Tuple[int, tuple]:
         """Walk the tables for ``va``'s page; remember the translation
         and the table pages it came from. Returns the PA and the leaf
-        table (number, PA, live buffer, both table pages) that a walk
+        table (number, PA, buffer, both table pages) that a walk
         hands back to skip the root."""
         if not self.enabled or self.base_pa is None:
             raise GpuPageFault(va, access, "MMU disabled")
@@ -243,11 +241,8 @@ class GpuMmu:
         if run is not None or \
                 not 0 < size <= (MAX_RUN_PAGES - 1) * PAGE_SIZE:
             return run
-        tlb = self._tlb
-        page_buffer = self.memory.page_buffer
-        run = []
-        cursor = va
-        end = va + size
+        tlb, page_buffer = self._tlb, self.memory.page_buffer
+        run, cursor, end = [], va, va + size
         while cursor < end:
             offset = cursor & (PAGE_SIZE - 1)
             base = tlb.get((cursor - offset, access))
@@ -260,13 +255,13 @@ class GpuMmu:
                 buffer = page_buffer(base)
                 if buffer is None:
                     return None
+                if buffer.__class__ is not bytearray:   # may be replaced
+                    self.memory.lent.setdefault(base >> 12, set()).add(key)
                 run.append(buffer if chunk == PAGE_SIZE else
                            memoryview(buffer)[offset:offset + chunk])
             cursor += chunk
         if self._run_pages + len(run) > MAX_RUN_PAGES:
-            self._runs.clear()
-            self._views.clear()
-            self._run_pages = 0
+            self._forget_runs()
         self._runs[key] = run
         self._run_pages += len(run)
         return run
@@ -281,7 +276,6 @@ class GpuMmu:
         parts = []
         for pa, chunk in self._pages(va, size, access)[0]:
             buffer = buffers.get(pa >> 12)
-            # No buffer (yet): a read's zeros, or its error.
             parts.append(self.memory.read(pa, chunk) if buffer is None
                          else buffer if chunk == PAGE_SIZE else
                          memoryview(buffer)[pa % PAGE_SIZE:][:chunk])
@@ -293,7 +287,7 @@ class GpuMmu:
     def gather_va(self, va: int, size: int,
                   access: str = "r") -> Union[bytearray, memoryview]:
         """:meth:`read_va`'s bytes as the shader cores wrap them: while
-        the pages hold consecutive pages of one dump, a read-only view
+        the pages hold consecutive pages of one source, a read-only view
         of it (from the first gather on), else a fresh ``bytearray``."""
         parts = self._parts(va, size, access)
         key = (va, size, access)

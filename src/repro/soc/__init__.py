@@ -17,15 +17,17 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class PageSource:
-    """A read-only buffer as tagged stores copy it: a page tagged page
+    """A read-only buffer as tagged stores hold it: a page tagged page
     ``k`` of it holds exactly its page ``k``; ``zero[k]`` says that page
     is all zero, and ``version`` is bumped whenever a page tagged from
-    it is overwritten, scrubbed or re-tagged."""
+    it is overwritten, scrubbed, freed or re-tagged."""
 
     __slots__ = ("data", "zero", "version")
 
     def __init__(self, data) -> None:
-        self.data = view = memoryview(data).toreadonly().cast("B")
+        self.data = view = memoryview(data).cast("B")
+        if not view.readonly:
+            raise TypeError("writable page source")
         self.zero = [_ZERO_PAGE.startswith(view[at:at + PAGE_SIZE])
                      for at in range(0, len(view), PAGE_SIZE)]
         self.version = 0

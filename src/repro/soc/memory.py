@@ -1,14 +1,12 @@
 """Simulated physical DRAM and a page allocator.
 
-The DRAM is shared between CPU and the integrated GPU exactly as on the
+The DRAM is shared by the CPU and the integrated GPU as on the
 paper's SoCs ("GPU memory" is a region of shared DRAM). Storage is
-sparse: only touched pages are materialized, so a board can advertise
-gigabytes of DRAM while tests stay cheap.
-
-The :class:`PageAllocator` hands out *non-contiguous* physical pages in
-a seed-dependent order, so record and replay machines get different
-physical layouts and the replayer's page-table relocation path
-(Section 5.2) must work rather than rely on identical addresses.
+sparse, and a tagged store's page references its source until
+written, so a board can advertise gigabytes of DRAM and a model's
+weights exist once. :class:`PageAllocator` hands out pages in a
+seed-dependent order, so the replayer's page-table relocation path
+(Section 5.2) must work.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ class PhysicalMemory:
             raise PhysicalMemoryError(
                 f"memory size must be a positive multiple of {PAGE_SIZE}")
         self.size = size_bytes
-        #: Page index -> live buffer (:meth:`page_buffer`'s table).
+        #: Page index -> buffer (:meth:`page_buffer`'s table).
         self.buffers = self._pages = {}
         #: Page ``n`` holds page ``tag_pages[n]`` of ``tags[n]`` (plain
         #: values: no load on the collector). Set only by this class.
@@ -38,24 +36,26 @@ class PhysicalMemory:
         self.tag_pages: Dict[int, int] = {}
         #: Optional observers (the GPU MMU's TLB shootdown): of writes,
         #: ``fn(pa, length)``, before the bytes land; of page stores,
-        #: ``fn(indices)`` once per batch, else ``write_hook`` per page.
+        #: ``fn(indices)`` once per batch, else ``write_hook`` per page;
+        #: of new buffers, ``fn(lent keys)``.
         self.write_hook = None
         self.pages_hook = None
+        self.buffers_hook = None
+        #: Page index -> keys of holders of a buffer it does not own.
+        self.lent: Dict[int, set] = {}
 
     # -- raw access --------------------------------------------------------
 
     def read(self, pa: int, length: int) -> bytes:
         """Read ``length`` bytes at physical address ``pa``."""
+        if pa < 0 or length < 0 or pa + length > self.size:
+            self._check_range(pa, length)
         page_index, page_offset = divmod(pa, PAGE_SIZE)
         if page_offset + length <= PAGE_SIZE:
             # Single-page read: the unit MMU bulk accesses come in.
-            if pa < 0 or length < 0 or pa + length > self.size:
-                self._check_range(pa, length)
             page = self._pages.get(page_index)
-            if page is None:
-                return bytes(length)
-            return bytes(page[page_offset:page_offset + length])
-        self._check_range(pa, length)
+            return bytes(length) if page is None else \
+                bytes(page[page_offset:page_offset + length])
         cuts = [pa, *range(pa - page_offset + PAGE_SIZE, pa + length,
                            PAGE_SIZE), pa + length]
         return b"".join([self.read(at, end - at)
@@ -73,11 +73,9 @@ class PhysicalMemory:
         if 0 < length <= PAGE_SIZE - page_offset:
             # Single-page write: the unit MMU stores come in.
             held = tags.pop(page_index, None)
-            if held is not None:
-                held.version += 1
             page = self._pages.get(page_index)
-            if page is None:
-                page = self._pages[page_index] = bytearray(PAGE_SIZE)
+            if held is not None or page is None:
+                page = self._own(page_index, page, held)
             page[page_offset:page_offset + length] = data
             return
         offset = 0
@@ -85,33 +83,38 @@ class PhysicalMemory:
             page_index, page_offset = divmod(pa + offset, PAGE_SIZE)
             chunk = min(length - offset, PAGE_SIZE - page_offset)
             held = tags.pop(page_index, None)
-            if held is not None:
-                held.version += 1
             page = self._pages.get(page_index)
-            if page is None:
-                page = self._pages[page_index] = bytearray(PAGE_SIZE)
+            if held is not None or page is None:
+                page = self._own(page_index, page, held)
             page[page_offset:page_offset + chunk] = data[offset:offset + chunk]
             offset += chunk
 
-    def fill(self, pa: int, length: int, value: int = 0) -> None:
-        """Fill a range with a byte value."""
-        self.write(pa, bytes([value]) * length)
+    def _own(self, index: int, page, held):
+        if held is not None:
+            held.version += 1
+        if page.__class__ is not bytearray:
+            keys = self.lent.pop(index, None)
+            if keys and self.buffers_hook:
+                self.buffers_hook(keys)
+            page = self._pages[index] = bytearray(page or PAGE_SIZE)
+        return page
 
     def scrub_pages(self, pas: Sequence[int]) -> None:
-        """Zero whole pages: a tagged store of ``ZERO``'s page to each,
-        so nothing to a page tagged ``ZERO``."""
+        """Zero whole pages: a tagged store of ``ZERO``'s page."""
         self.store_pages(pas, ZERO, 0)
 
     def store_pages(self, pas: Sequence[int], source: PageSource,
                     k: int) -> int:
         """Store pages ``k, k + 1, ...`` of ``source`` (of a one-page
-        source, page ``k`` each time) at ``pas``, copying a page only if
-        it does not hold them (by tag, or both all zero). Returns the
-        copies; ``pages_hook`` hears of them when done."""
+        source, page ``k`` each time) at ``pas``, skipping a page that
+        holds them (by tag, or both all zero). A page without a buffer
+        references them; any other gets a copy. Returns how many;
+        ``pages_hook`` hears of them when done."""
         tags, tag_pages, zero = self.tags, self.tag_pages, source.zero
         pages, data, last = self._pages, source.data, self.size - PAGE_SIZE
         hook = self.write_hook if self.pages_hook is None else None
         copied: List[int] = []
+        replaced = set()
         for pa, n in zip(pas, range(k, k + len(pas)) if len(zero) > 1
                          else repeat(k)):
             index = pa // PAGE_SIZE
@@ -129,48 +132,58 @@ class PhysicalMemory:
             if hook is not None:
                 hook(pa, PAGE_SIZE)
             page = pages.get(index)
-            if page is None:   # zeros need no copy
-                pages[index] = bytearray(PAGE_SIZE if zero[n] else
-                                         data[n * PAGE_SIZE:][:PAGE_SIZE])
-            else:
+            if page.__class__ is bytearray:
                 page[:] = data[n * PAGE_SIZE:(n + 1) * PAGE_SIZE]
+            else:
+                if index in self.lent:
+                    replaced |= self.lent.pop(index)
+                if zero[n]:
+                    pages.pop(index, None)
+                else:
+                    view = data[n * PAGE_SIZE:(n + 1) * PAGE_SIZE]
+                    pages[index] = view if page is None else bytearray(view)
             tags[index], tag_pages[index] = source, n
             copied.append(index)
         if copied and self.pages_hook is not None:
             self.pages_hook(copied)
+        if replaced and self.buffers_hook:
+            self.buffers_hook(replaced)
         return len(copied)
 
-    # -- word access -------------------------------------------------------
+    def drop_pages(self, pas: Iterable[int]) -> None:
+        """Freed pages drop tags (but ``ZERO``) and buffers not their own."""
+        tags, dropped = self.tags, set()
+        for index in map(PAGE_SIZE.__rfloordiv__, pas):
+            held = tags.get(index, ZERO)
+            if held is not ZERO:
+                del tags[index]
+                held.version += 1
+                if self._pages.get(index).__class__ is not bytearray:
+                    self._pages.pop(index, None)
+                    dropped |= self.lent.pop(index, set())
+        if dropped and self.buffers_hook:
+            self.buffers_hook(dropped)
 
     def read_u32(self, pa: int) -> int:
         return struct.unpack("<I", self.read(pa, 4))[0]
 
-    def write_u32(self, pa: int, value: int) -> None:
-        self.write(pa, struct.pack("<I", value & 0xFFFFFFFF))
-
     def read_u64(self, pa: int) -> int:
         return struct.unpack("<Q", self.read(pa, 8))[0]
-
-    def write_u64(self, pa: int, value: int) -> None:
-        self.write(pa, struct.pack("<Q", value & 0xFFFFFFFFFFFFFFFF))
 
     # -- introspection -----------------------------------------------------
 
     def touched_pages(self) -> int:
-        """Number of pages actually materialized."""
+        """Pages with a buffer."""
         return len(self._pages)
 
-    def page_buffer(self, pa: int) -> Optional[bytearray]:
-        """The live buffer behind the page containing ``pa``, or None
-        while the page is unmaterialized. A page's buffer is created
-        once and only ever written in place, so a holder (the GPU MMU's
-        page runs) sees every later write; holders read, never write."""
-        return self._pages.get(pa // PAGE_SIZE)
-
-    def page_is_zero(self, pa: int) -> bool:
-        """True if the page containing ``pa`` holds only zero bytes."""
-        page = self._pages.get(pa // PAGE_SIZE)
-        return page is None or not any(page)
+    def page_buffer(self, pa: int):
+        """The buffer behind the page containing ``pa``: its own
+        ``bytearray``, written in place; or a read-only view a tagged
+        store put there (``ZERO``'s page if zero), until replaced
+        (``lent``); or None."""
+        index = pa // PAGE_SIZE
+        page = self._pages.get(index)
+        return ZERO.data if page is None and index in self.tags else page
 
     def _check_range(self, pa: int, length: int) -> None:
         if pa < 0 or length < 0 or pa + length > self.size:
@@ -184,9 +197,9 @@ class PageAllocator:
 
     Pages come out in a permutation of the region fixed by ``seed``, so
     record and replay machines get different physical layouts for the
-    same allocation sequence. The contract: page ``k`` handed out is
-    what ``random.Random(seed).shuffle`` of the full page list, popped
-    from the end, would hand out -- without building that list.
+    same allocation sequence: page ``k`` handed out is what
+    ``random.Random(seed).shuffle`` of the full page list, popped from
+    the end, would hand out -- without building that list.
     ``shuffle``'s Fisher-Yates pass settles slot ``n-1`` first, then
     ``n-2``, ...; each step swaps slot ``i`` with a slot ``j <= i`` and
     never looks above ``i`` again. Popping from the end consumes slots
@@ -194,11 +207,9 @@ class PageAllocator:
     needed yields the page the shuffled list would hold there. Only
     slots a swap moved off identity are stored (``_displaced``): a
     machine pays for the pages it allocates, not for the region.
-
-    Freed pages go on a LIFO stack consulted before any fresh draw, so
-    recycling order is part of the layout contract too.
-    ``tests/soc/test_memory.py`` keeps the shuffled-list allocator as a
-    reference model and checks every step against it.
+    Freed pages go on a LIFO stack consulted before any fresh draw
+    (part of the layout contract too); ``tests/soc/test_memory.py``
+    checks every step against the list.
     """
 
     def __init__(self, memory: PhysicalMemory, base_pa: int,
@@ -260,15 +271,14 @@ class PageAllocator:
         self.memory.scrub_pages(pas)
         return pas
 
-    def free_page(self, pa: int) -> None:
-        if pa not in self._used:
-            raise AllocationError(f"double free of page {pa:#x}")
-        del self._used[pa]
-        self._recycled.append(pa)
-
     def free_pages(self, pas: Iterable[int]) -> None:
-        for pa in list(pas):
-            self.free_page(pa)
+        pas = list(pas)
+        for pa in pas:
+            if pa not in self._used:
+                raise AllocationError(f"double free of page {pa:#x}")
+            del self._used[pa]
+            self._recycled.append(pa)
+        self.memory.drop_pages(pas)
 
     # -- accounting --------------------------------------------------------
 
@@ -279,13 +289,6 @@ class PageAllocator:
     @property
     def pages_free(self) -> int:
         return self._fresh + len(self._recycled)
-
-    def usage_by_tag(self) -> Dict[str, int]:
-        """Pages in use, grouped by allocation tag."""
-        out: Dict[str, int] = {}
-        for tag in self._used.values():
-            out[tag] = out.get(tag, 0) + 1
-        return out
 
     def owner_of(self, pa: int) -> Optional[str]:
         return self._used.get(pa)

@@ -24,7 +24,8 @@ from typing import Dict, List, Optional
 
 from repro.errors import DriverError
 from repro.gpu import PERM_R, PERM_W, PERM_X, VA_SPACE_SIZE, PageTableBuilder
-from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
+from repro.soc.memory import (PAGE_SIZE, PageAllocator, PageSource,
+                              PhysicalMemory)
 from repro.units import align_up
 
 
@@ -151,11 +152,19 @@ class ContextMemory:
         """Store through the CPU mapping. Invisible to the driver/recorder."""
         self._cpu_access(va, len(data), write_data=data)
 
+    def cpu_store(self, va: int, source: PageSource) -> None:
+        """:meth:`cpu_write` of a read-only buffer: at a page-aligned
+        ``va``, its whole pages are one tagged store (the pages
+        reference its bytes until written) and only the tail is
+        copied."""
+        self._cpu_access(va, len(source.data), source.data, source)
+
     def cpu_read(self, va: int, size: int) -> bytes:
         return self._cpu_access(va, size)
 
     def _cpu_access(self, va: int, size: int,
-                    write_data: Optional[bytes] = None) -> bytes:
+                    write_data: Optional[bytes] = None,
+                    source: Optional[PageSource] = None) -> bytes:
         region = self.region_at(va)
         if not region.flags & MemFlags.CPU_MAPPED:
             raise DriverError(
@@ -163,8 +172,14 @@ class ContextMemory:
         if va + size > region.end_va():
             raise DriverError("CPU access crosses region end")
         out = bytearray()
-        cursor = va
         offset = 0
+        if source is not None and va % PAGE_SIZE == 0:
+            first = (va - region.va) // PAGE_SIZE
+            pages = range(first, first + size // PAGE_SIZE)
+            self.memory.store_pages(region.pas[first:pages.stop], source, 0)
+            region.cpu_touched.update(pages)
+            offset = len(pages) * PAGE_SIZE
+        cursor = va + offset
         while offset < size:
             page_index = (cursor - region.va) // PAGE_SIZE
             pa = region.pas[page_index]

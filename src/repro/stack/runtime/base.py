@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import RuntimeApiError
 from repro.gpu.isa import (Instruction, Program, TensorRef, encode_program)
+from repro.soc import PageSource
 from repro.stack.driver.base import GpuDriver
 from repro.stack.driver.ioctl import IoctlCode
 from repro.stack.driver.memory import MemFlags
@@ -153,7 +154,13 @@ class ComputeRuntime:
             raise RuntimeApiError(
                 f"buffer {buffer.tag or hex(buffer.va)}: size mismatch")
         self.clock.advance(max(1, buffer.nbytes * SEC // self.COPY_BW))
-        self.driver.require_ctx().cpu_write(buffer.va, data.tobytes())
+        ctx = self.driver.require_ctx()
+        if data.flags.writeable:
+            ctx.cpu_write(buffer.va, data.tobytes())
+        else:
+            # A shared read-only array (``init_weights``): its pages
+            # reference it rather than hold a copy.
+            ctx.cpu_store(buffer.va, PageSource(data))
 
     def read_buffer(self, buffer: Buffer) -> np.ndarray:
         self._require_init()

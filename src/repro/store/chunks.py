@@ -94,16 +94,40 @@ def _candidate_blocks(data, avg_bits: int
     scratch = np.empty(_BLOCK + window, dtype=gear.dtype)
     for base in range(0, len(octets), _BLOCK):
         lead = min(base, window)
-        terms = gear[octets[base - lead:base + _BLOCK]]
-        fingerprint = terms.copy()
-        for k in range(1, min(avg_bits, len(terms))):
-            shifted = scratch[:len(terms) - k]
-            np.left_shift(terms[:-k], k, out=shifted)
-            fingerprint[k:] += shifted
+        fingerprint = _window_sum(
+            np.take(gear, octets[base - lead:base + _BLOCK]),
+            max(avg_bits, 1), scratch)
         fingerprint &= mask
         ends = np.flatnonzero(fingerprint[lead:] == mask)
         ends += base + 1
         yield ends.tolist(), min(base + _BLOCK, len(octets))
+
+
+def _window_sum(terms, width: int, scratch):
+    """``out[i]``: the sum of ``terms[i - k] << k`` over ``0 <= k <
+    width`` and ``k <= i``, in log steps: ``terms`` is doubled in place
+    to the sum over ``span`` = 1, 2, 4, ... terms, and ``out`` takes a
+    doubled sum, shifted past what it covers, for each bit of
+    ``width`` (4 shift-adds, not 9, at ``width`` 10)."""
+    size = len(terms)
+
+    def shift_add(into, by):
+        shifted = scratch[:max(size - by, 0)]
+        np.left_shift(terms[:len(shifted)], by, out=shifted)
+        into[by:] += shifted
+
+    out, covered, span = None, 0, 1
+    while True:
+        if width & span:
+            if out is None:
+                out = terms.copy()
+            else:
+                shift_add(out, covered)
+            covered += span
+        span <<= 1
+        if span > width:
+            return out
+        shift_add(terms, span >> 1)
 
 
 def _early_boundary(data, start: int, stop: int, min_size: int,

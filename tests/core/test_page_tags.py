@@ -8,6 +8,8 @@ memory, gathers, counters, flight tapes, stats and answers must be
 exactly what a memory without tags gives.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,12 +106,12 @@ class World:
             memory.write(self.pas[slot] + b % PAGE_SIZE,
                          bytes([c]) * (c % 96 + 1))
         elif op == "u32":
-            memory.write_u32(self.pas[slot] + b % (PAGE_SIZE // 4) * 4,
-                             c * 0x01010101)
+            memory.write(self.pas[slot] + b % (PAGE_SIZE // 4) * 4,
+                         struct.pack("<I", c * 0x01010101))
         elif op == "scrub":
             memory.scrub_pages([self.pas[slot]])
         elif op == "realloc":   # free a page, map a fresh allocation
-            self.allocator.free_page(self.pas[slot])
+            self.allocator.free_pages([self.pas[slot]])
             self.pt.unmap_page(va)
             self.pas[slot] = self.allocator.alloc_pages(2, "data")[b % 2]
             self.pt.map_page(va, self.pas[slot], PERM_R | PERM_W)
@@ -130,8 +132,10 @@ class World:
         return None
 
     def contents(self):
+        """Logical contents: a page without a buffer reads zero, so
+        only nonzero pages are listed."""
         return {index: bytes(page)
-                for index, page in self.memory._pages.items()}
+                for index, page in self.memory.buffers.items() if any(page)}
 
     def counters(self):
         return self.mmu.tlb_hits, self.mmu.tlb_misses, self.mmu.fault_count
@@ -141,7 +145,7 @@ def assert_tags_hold(memory):
     """Every tagged page holds exactly the bytes its tag names."""
     for index, source in memory.tags.items():
         k = memory.tag_pages[index]
-        assert bytes(memory._pages[index]) == bytes(
+        assert memory.read(index * PAGE_SIZE, PAGE_SIZE) == bytes(
             source.data[k * PAGE_SIZE:(k + 1) * PAGE_SIZE]), index
 
 
@@ -170,6 +174,51 @@ def test_tagged_memory_matches_a_memory_that_always_copies(ops):
     assert world.views and not model.memory.tags
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("store", "store", "write",
+                                           "scrub")),
+                          st.integers(0, 3), st.integers(0, 7),
+                          st.integers(0, PAGE_SIZE - 1)), max_size=40))
+def test_writes_into_referenced_pages_and_restores(ops):
+    """Stores into pages without a buffer keep views of the source;
+    a page's first write or re-store gives it a private copy that it
+    keeps; the sources' bytes never change."""
+    memory = PhysicalMemory(4 * PAGE_SIZE)
+    sources = [dump.pages for dump in DUMPS]
+    originals = [bytes(source.data) for source in sources]
+    model = [bytes(PAGE_SIZE)] * 4
+    own = {}
+    for op, slot, b, c in ops:
+        pa = slot * PAGE_SIZE
+        if op == "store":
+            source = sources[b % len(sources)]
+            k = c % len(source.zero)
+            memory.store_pages([pa], source, k)
+            model[slot] = bytes(source.data[k * PAGE_SIZE:][:PAGE_SIZE])
+        elif op == "write":
+            data = bytes([b + 1]) * min(8, PAGE_SIZE - c)
+            memory.write(pa + c, data)
+            model[slot] = model[slot][:c] + data + model[slot][c + len(data):]
+        else:
+            memory.scrub_pages([pa])
+            model[slot] = bytes(PAGE_SIZE)
+        page = memory.buffers.get(slot)
+        if op == "write":
+            assert isinstance(page, bytearray)
+        if isinstance(page, bytearray):
+            assert own.setdefault(slot, page) is page   # one, kept
+        else:
+            assert slot not in own
+        for index, buffer in memory.buffers.items():
+            if not isinstance(buffer, bytearray):       # a reference
+                source = memory.tags[index]
+                assert buffer.readonly and buffer.obj is source.data.obj
+        assert [memory.read(at * PAGE_SIZE, PAGE_SIZE)
+                for at in range(4)] == model
+        assert_tags_hold(memory)
+    assert [bytes(source.data) for source in sources] == originals
+
+
 def test_a_first_gather_of_one_dump_is_a_read_only_view():
     world = World(PhysicalMemory)
     world.step("store", 0, 0, 0)
@@ -184,6 +233,35 @@ def test_a_first_gather_of_one_dump_is_a_read_only_view():
     for _ in range(2):
         assert isinstance(world.mmu.gather_va(BASE_VA + 2 * PAGE_SIZE,
                                               2 * PAGE_SIZE), bytearray)
+
+
+@pytest.mark.parametrize("change", ["write", "scrub", "restore", "free"])
+def test_a_run_is_dropped_when_one_of_its_pages_gets_a_new_buffer(change):
+    """A read run holds the views of referenced pages (and ``ZERO``'s
+    page); when one of them gets a new buffer the MMU drops the runs
+    that hold it, and no TLB entry, so every count stays the same."""
+    world = World(PhysicalMemory)
+    world.mmu.coherent_tlb = False      # no shootdown to hide behind
+    world.step("store", 0, 0, 0)        # slots 0-2, the middle one zero
+    mmu, memory, pa = world.mmu, world.memory, world.pas[2]
+    key = (BASE_VA, 3 * PAGE_SIZE, "r")
+    for _ in range(2):
+        mmu.read_va(*key)
+    assert key in mmu._runs and not isinstance(
+        memory.page_buffer(pa), bytearray)
+    counts = mmu.tlb_hits, mmu.tlb_misses, len(mmu._tlb)
+    if change == "write":
+        memory.write(pa + 5, b"x")
+    elif change == "scrub":
+        memory.scrub_pages([pa])
+    elif change == "restore":
+        memory.store_pages([pa], DUMPS[2].pages, 0)
+    else:
+        world.allocator.free_pages([pa])
+    assert key not in mmu._runs
+    assert (mmu.tlb_hits, mmu.tlb_misses, len(mmu._tlb)) == counts
+    assert mmu.read_va(*key)[2 * PAGE_SIZE:] == memory.read(pa, PAGE_SIZE)
+    assert mmu.tlb_hits == counts[0] + 3
 
 
 def test_stores_skip_pages_that_hold_their_bytes():
@@ -228,17 +306,25 @@ def booted():
     return machine, nano, raw
 
 
+def copied_pages(memory, indices):
+    """Of the pages a store (or a first write) names to the pages hook,
+    those it copied: the ones left with a buffer of their own. The
+    rest reference their bytes, or read zero."""
+    return [index for index in indices
+            if isinstance(memory.buffers.get(index), bytearray)]
+
+
 def counting_writes(memory):
     """(pa, length) of every copy into ``memory``: plain writes, and
-    the pages a tagged store of a range copies, which it names to the
-    pages hook."""
+    the pages a tagged store copies (:func:`copied_pages`)."""
     writes = []
     real, hook = memory.write, memory.pages_hook
     memory.write = lambda pa, data: writes.append((pa, len(data))) \
         or real(pa, data)
 
     def pages(indices):
-        writes.extend((index * PAGE_SIZE, PAGE_SIZE) for index in indices)
+        writes.extend((index * PAGE_SIZE, PAGE_SIZE)
+                      for index in copied_pages(memory, indices))
         hook(indices)
     memory.pages_hook = pages
     return writes
@@ -351,11 +437,20 @@ def upload_copies(monkeypatch):
         return real_write(self, pa, data)
 
     def store_pages(self, pas, source, k):
-        # A tagged store of a range copies its pages itself.
-        copied = real_store_pages(self, pas, source, k)
+        # A tagged store of a range copies the pages it leaves with a
+        # buffer of their own; the others reference their bytes.
+        hook, stored = self.pages_hook, []
+        if hook is not None:
+            self.pages_hook = lambda indices: \
+                stored.extend(indices) or hook(indices)
+        try:
+            count = real_store_pages(self, pas, source, k)
+        finally:
+            self.pages_hook = hook
         if inside and inside[-1] is self:
-            copies[id(self)] = copies.get(id(self), 0) + copied * PAGE_SIZE
-        return copied
+            copies[id(self)] = copies.get(id(self), 0) + PAGE_SIZE * len(
+                copied_pages(self, stored))
+        return count
 
     real_store_pages = PhysicalMemory.store_pages
     monkeypatch.setattr(NanoGpuDriver, "upload", upload)

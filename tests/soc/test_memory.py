@@ -1,12 +1,15 @@
 """Physical memory and the page allocator."""
 
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AllocationError, PhysicalMemoryError
-from repro.soc.memory import PAGE_SIZE, PageAllocator, PhysicalMemory
+from repro.soc.memory import (PAGE_SIZE, ZERO, PageAllocator, PageSource,
+                              PhysicalMemory)
 from repro.units import MIB
 
 
@@ -29,14 +32,10 @@ class TestPhysicalMemory:
         assert memory.read(PAGE_SIZE - 100, len(data)) == data
 
     def test_word_accessors(self, memory):
-        memory.write_u32(0x100, 0xDEADBEEF)
+        memory.write(0x100, struct.pack("<I", 0xDEADBEEF))
         assert memory.read_u32(0x100) == 0xDEADBEEF
-        memory.write_u64(0x200, 0x0123456789ABCDEF)
+        memory.write(0x200, struct.pack("<Q", 0x0123456789ABCDEF))
         assert memory.read_u64(0x200) == 0x0123456789ABCDEF
-
-    def test_u32_truncates_to_32_bits(self, memory):
-        memory.write_u32(0, 0x1_FFFF_FFFF)
-        assert memory.read_u32(0) == 0xFFFFFFFF
 
     def test_out_of_bounds_read_rejected(self, memory):
         with pytest.raises(PhysicalMemoryError):
@@ -50,19 +49,83 @@ class TestPhysicalMemory:
         with pytest.raises(PhysicalMemoryError):
             memory.read(-4, 4)
 
-    def test_fill(self, memory):
-        memory.fill(0x3000, 100, 0xAB)
-        assert memory.read(0x3000, 100) == b"\xAB" * 100
-
-    def test_scrub_pages_zeroes_and_materializes(self, memory):
+    def test_a_scrubbed_page_without_a_buffer_gets_none(self, memory):
+        """A scrub zeroes a page's own buffer in place; a page without
+        one reads zero, shares ``ZERO``'s page and gets no buffer."""
         memory.write(0x3000, b"\xAB" * PAGE_SIZE)
+        buffer = memory.page_buffer(0x3000)
         seen = []
         memory.write_hook = lambda pa, size: seen.append((pa, size))
         before = memory.touched_pages()
         memory.scrub_pages([0x3000, 0x7000])
-        assert memory.read(0x3000, PAGE_SIZE) == b"\x00" * PAGE_SIZE
-        assert memory.touched_pages() == before + 1
+        for pa in (0x3000, 0x7000):
+            assert memory.read(pa, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert memory.touched_pages() == before
+        assert memory.page_buffer(0x3000) is buffer and not any(buffer)
+        assert 7 not in memory.buffers
+        assert memory.page_buffer(0x7000) is ZERO.data
+        assert memory.page_buffer(0x8000) is None   # nothing stored there
         assert seen == [(0x3000, PAGE_SIZE), (0x7000, PAGE_SIZE)]
+
+    def test_a_stored_page_references_its_source_until_written(
+            self, memory):
+        """A tagged store into a page without a buffer keeps a view of
+        the source's page; the page gets a private copy at its first
+        write or re-store, keeps it, and the source never changes. A
+        holder that built on the view hears when it is replaced."""
+        data = bytes(range(256)) * 32                   # two pages
+        other = PageSource(b"\x05" * PAGE_SIZE)
+        source = PageSource(data)
+        replaced = []
+        memory.buffers_hook = replaced.append
+        memory.scrub_pages([0x1000, 0x2000, 0x3000])
+        memory.store_pages([0x1000, 0x2000], source, 0)
+        for pa, k in ((0x1000, 0), (0x2000, 1)):
+            view = memory.page_buffer(pa)
+            assert view.readonly and view.obj is data
+            assert bytes(view) == data[k * PAGE_SIZE:][:PAGE_SIZE]
+        assert replaced == []
+        for index in (1, 2):                    # holders of the views
+            memory.lent[index] = {f"holder-{index}"}
+        memory.write(0x1005, b"x")                      # first write
+        own = memory.page_buffer(0x1000)
+        assert isinstance(own, bytearray) and own[5:6] == b"x"
+        assert replaced == [{"holder-1"}] and 1 not in memory.tags
+        memory.store_pages([0x2000], other, 0)          # re-store
+        again = memory.page_buffer(0x2000)
+        assert isinstance(again, bytearray)
+        assert replaced[1:] == [{"holder-2"}] and not memory.lent
+        assert bytes(again) == bytes(other.data)
+        memory.store_pages([0x2000], source, 1)         # in place
+        memory.write(0x2000, b"y")
+        assert memory.page_buffer(0x2000) is again
+        assert again[:1] == b"y" and again[1:] == data[PAGE_SIZE + 1:]
+        memory.store_pages([0x3000], source, 1)
+        memory.scrub_pages([0x3000])                    # drops the view
+        assert 3 not in memory.buffers
+        assert memory.read(0x3000, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert bytes(source.data) == data == bytes(range(256)) * 32
+        assert bytes(other.data) == b"\x05" * PAGE_SIZE
+
+    def test_a_freed_page_lets_go_of_its_source(self, memory):
+        allocator = PageAllocator(memory, 0, 64, seed=1)
+        own, referenced = allocator.alloc_pages(2)
+        source = PageSource(b"\x01" * PAGE_SIZE)
+        memory.store_pages([own, referenced], source, 0)
+        memory.write(own, b"\x02")
+        memory.store_pages([own], source, 0)
+        allocator.free_pages([own, referenced])
+        assert not memory.tags and source.version
+        assert memory.page_buffer(referenced) is None
+        assert memory.read(own, 2) == b"\x01\x01"     # its own buffer
+
+    def test_a_page_source_must_be_read_only(self):
+        for writable in (bytearray(PAGE_SIZE), np.zeros(1024, np.float32)):
+            with pytest.raises(TypeError):
+                PageSource(writable)
+        weights = np.ones((2, 1024), np.float32)
+        weights.flags.writeable = False
+        assert PageSource(weights).zero == [False, False]
 
     def test_scrub_pages_rejects_bad_addresses(self, memory):
         with pytest.raises(PhysicalMemoryError):
@@ -79,11 +142,6 @@ class TestPhysicalMemory:
         memory.write(0, b"x")
         memory.write(10 * PAGE_SIZE, b"y")
         assert memory.touched_pages() == before + 2
-
-    def test_page_is_zero(self, memory):
-        assert memory.page_is_zero(0x5000)
-        memory.write(0x5000, b"\x01")
-        assert not memory.page_is_zero(0x5000)
 
     def test_page_buffer_is_created_once_and_written_in_place(
             self, memory):
@@ -146,7 +204,7 @@ class TestPageAllocator:
         alloc = self.make(memory)
         pa = alloc.alloc_page()
         memory.write(pa, b"\xFF" * PAGE_SIZE)
-        alloc.free_page(pa)
+        alloc.free_pages([pa])
         # LIFO recycling is part of the layout contract: the page just
         # freed is the next one out, and it comes back zeroed.
         pa2 = alloc.alloc_page()
@@ -193,7 +251,7 @@ class TestPageAllocator:
         held = alloc.alloc_pages(6)
         assert held == [model.alloc() for _ in range(6)]
         for pa in held[:3]:
-            alloc.free_page(pa)
+            alloc.free_pages([pa])
             model.free(pa)
         assert alloc.pages_free == 5
         with pytest.raises(AllocationError, match="6 requested, 5 free"):
@@ -204,9 +262,9 @@ class TestPageAllocator:
     def test_double_free_rejected(self, memory):
         alloc = self.make(memory)
         pa = alloc.alloc_page()
-        alloc.free_page(pa)
+        alloc.free_pages([pa])
         with pytest.raises(AllocationError):
-            alloc.free_page(pa)
+            alloc.free_pages([pa])
 
     def test_free_recycles(self, memory):
         alloc = self.make(memory, pages=2)
@@ -214,13 +272,6 @@ class TestPageAllocator:
         alloc.free_pages(pages)
         assert alloc.pages_free == 2
         alloc.alloc_pages(2)
-
-    def test_usage_by_tag(self, memory):
-        alloc = self.make(memory)
-        alloc.alloc_pages(3, "pgtable")
-        alloc.alloc_pages(2, "buffer")
-        usage = alloc.usage_by_tag()
-        assert usage == {"pgtable": 3, "buffer": 2}
 
     def test_owner_of(self, memory):
         alloc = self.make(memory)
@@ -262,12 +313,6 @@ class EagerAllocator:
         del self.used[pa]
         self.free_list.append(pa)
 
-    def usage_by_tag(self):
-        out = {}
-        for tag in self.used.values():
-            out[tag] = out.get(tag, 0) + 1
-        return out
-
 
 SIZES = (1, 2, 64, 4096)
 BASE_PA = 3 * PAGE_SIZE
@@ -282,7 +327,7 @@ def _pair(size, seed):
 def _assert_accounts_agree(alloc, model):
     assert alloc.pages_free == len(model.free_list)
     assert alloc.pages_in_use == len(model.used)
-    assert alloc.usage_by_tag() == model.usage_by_tag()
+    assert alloc._used == model.used      # every page's allocation tag
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -303,7 +348,7 @@ def test_lazy_permutation_to_exhaustion_and_back(size, seed):
             alloc.alloc_page()
         order.shuffle(held)
         for pa in held:
-            alloc.free_page(pa)
+            alloc.free_pages([pa])
             model.free(pa)
         _assert_accounts_agree(alloc, model)
     assert alloc.pages_free == size
@@ -332,10 +377,9 @@ def test_lazy_allocator_matches_eager_reference(size, seed, ops):
             held.extend(pages)
         elif op == "free" and held:
             pa = held.pop(arg % len(held))
-            alloc.free_page(pa)
+            alloc.free_pages([pa])
             model.free(pa)
         _assert_accounts_agree(alloc, model)
         # State grows with pages drawn, never with the region.
         assert len(alloc._displaced) <= size - alloc._fresh
     assert sorted(held) == sorted(model.used)
-    assert all(alloc.owner_of(pa) == model.used[pa] for pa in held)

@@ -16,6 +16,7 @@ collection finds no ``repro`` object left for it to free.
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.errors import ReplayAborted
 from repro.fleet import Fleet, FleetConfig, ReplicatedVaultStore
 from repro.serve import (LoadgenConfig, ReplayServer, ServerConfig,
                          generate_requests)
+from repro.soc import ZERO
 from repro.soc.machine import fresh_replay_machine
 from repro.store.vault import Vault
 
@@ -133,17 +135,58 @@ def test_a_cleaned_replayer_pins_no_recording(tmp_path):
     assert len(replayer._executors) == 0
 
 
-def requests(fault_rate=0.0):
-    return generate_requests(LoadgenConfig(requests=40, seed=3, mix=MIX,
+def test_freed_pages_hold_no_fetched_bytes(tmp_path):
+    """A page that only referenced a fetched recording's bytes (a view
+    of its pack span) lets go of them when freed: after
+    ``reset_session``, ``cleanup`` and dropping the recording, the
+    machine tags nothing but ``ZERO`` and references nothing, and
+    traced memory is back at its baseline but for the machine's own
+    page buffers and tables, a small fraction of the recording's
+    bytes."""
+    vault = Vault(str(tmp_path / "vault"))
+    digest = vault.pack(
+        get_recorded("mali", "dense-serve")[0].recording).digest
+    replayer = Replayer(fresh_replay_machine("mali"))
+
+    def cycle():
+        recording = vault.fetch(digest)
+        replayer.init()
+        replayer.load(recording)
+        for seed in (1, 2):
+            replayer.replay(seeded_inputs(recording, seed))
+        replayer.reset_session()
+        replayer.cleanup()
+        return recording.dump_bytes()
+
+    cycle()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        dump_bytes = cycle()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    memory = replayer.machine.memory
+    assert set(memory.tags.values()) <= {ZERO}
+    assert all(isinstance(page, bytearray)
+               for page in memory.buffers.values())
+    assert dump_bytes > 5 * 1024 * 1024
+    assert held < dump_bytes // 16, held
+
+
+def requests(fault_rate=0.0, mix=MIX):
+    return generate_requests(LoadgenConfig(requests=40, seed=3, mix=mix,
                                            fault_rate=fault_rate))
 
 
-def serve_and_close(store, fault_rate, config):
+def serve_and_close(store, fault_rate, config, mix=MIX):
     """Serve 40 requests on a closed 2-worker server; weakrefs to its
     workers' machines and how many requests carried a fault."""
-    server = ReplayServer(store, ServerConfig(families=("mali", "v3d"),
-                                              **config))
-    report = server.serve(requests(fault_rate))
+    server = ReplayServer(store, ServerConfig(
+        **{"families": ("mali", "v3d"), **config}))
+    report = server.serve(requests(fault_rate, mix))
     server.close()
     assert not report.lost
     return ([weakref.ref(worker.machine) for worker in server.workers],
@@ -161,6 +204,14 @@ def test_a_closed_server_is_freed(fault_rate, config, no_collector):
     assert [ref() for ref in machines] == [None, None]
     assert cyclic_repro_garbage() == []
     assert bool(faulted) == bool(fault_rate)
+
+
+def test_a_closed_adreno_server_is_freed(no_collector):
+    mix = (("adreno", "mnist"), ("adreno", "kws"))
+    machines, _ = serve_and_close(
+        zoo_store(mix), 0.0, {"families": ("adreno", "adreno")}, mix)
+    assert machines and not any(ref() for ref in machines)
+    assert cyclic_repro_garbage() == []
 
 
 def test_a_closed_server_on_a_vault_is_freed(tmp_path, no_collector):

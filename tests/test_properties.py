@@ -93,7 +93,7 @@ def test_pagetable_walk_matches_builder_state(ops, fmt_name):
                         else PERM_R | PERM_W | PERM_X)
         elif op == "unmap" and va in live:
             pt.unmap_page(va)
-            allocator.free_page(live.pop(va)[0])
+            allocator.free_pages([live.pop(va)[0]])
     walked = walk_page_table(memory, pt.root_pa, fmt)
     assert walked == sorted((va, pa, perms)
                             for va, (pa, perms) in live.items())
@@ -137,7 +137,7 @@ def test_allocator_conservation(ops, seed):
             held.append(allocator.alloc_page())
         elif op == "free" and held:
             # Any held page, not only the newest one.
-            allocator.free_page(held.pop(pick % len(held)))
+            allocator.free_pages([held.pop(pick % len(held))])
     assert allocator.pages_in_use == len(held)
     assert allocator.pages_in_use + allocator.pages_free == 64
     assert len(set(held)) == len(held)  # no page handed out twice
