@@ -36,8 +36,8 @@ COMPONENT_PATHS: Dict[str, List[str]] = {
     "runtimes": ["stack/runtime"],
     "drivers": ["stack/driver"],
     "recorder": ["core/recorder.py", "core/taint.py", "core/harness.py"],
-    "recording-format": ["core/recording.py", "core/actions.py",
-                         "core/dumps.py"],
+    "recording-format": ["core/recording.py", "core/encoder.py",
+                         "core/actions.py", "core/dumps.py"],
     "gpu-hardware-model": ["gpu"],
     "soc-substrate": ["soc"],
     "environments": ["environments"],

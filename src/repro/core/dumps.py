@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List
 
 from repro.soc import PageSource
 
@@ -57,9 +56,3 @@ class MemoryDump:
     def __getstate__(self) -> dict:
         # A copy tags pages of its own: these tags name this object.
         return {k: v for k, v in self.__dict__.items() if k != "pages"}
-
-
-def zero_page_ratio(dumps: List[MemoryDump]) -> float:
-    """Fraction of dumped pages that are all-zero (compressibility)."""
-    zero = [z for dump in dumps for z in dump.pages.zero]
-    return sum(zero) / len(zero) if zero else 0.0

@@ -417,17 +417,18 @@ class NanoGpuDriver:
 
         ``data`` is a :class:`MemoryDump` (what replay passes) or any
         C-contiguous read-only buffer. Skipped when the dump a previous
-        upload left here is this one, or one of equal size and digest
-        (a residency key, computed only when two dump objects meet at
-        one address), and nothing dirtied the range since. Any other
-        upload costs its size in virtual time; the host copies only the
-        pages of a page-aligned dump that do not hold them already.
+        upload left here is this one, or one of equal size and payload
+        object or digest (a residency key, computed only when two
+        payloads meet at one address), and nothing dirtied the range
+        since. Any other upload costs its size in virtual time; the host
+        copies only the pages of a page-aligned dump that do not hold
+        them already.
         """
         dump = data if isinstance(data, MemoryDump) else MemoryDump(va, data)
         size = dump.size
         held = self._resident.get(va)
-        if held is dump or (held is not None and held.size == size
-                            and held.digest == dump.digest):
+        if held is dump or (held is not None and held.size == size and (
+                held.data is dump.data or held.digest == dump.digest)):
             self.clock.advance(RESIDENT_CHECK_NS)
             if self.counters.enabled:
                 self.counters.note_upload_skipped(size)

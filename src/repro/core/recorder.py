@@ -20,6 +20,7 @@ change of Table 1) and restores the original depth afterwards.
 from __future__ import annotations
 
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -86,6 +87,10 @@ class RecorderOptions:
     skip_idle_intervals: bool = True
     #: Use allocation-flag hints to exclude scratch on v3d (Section 6.2).
     use_flag_hints: bool = True
+    #: Hash every eligible page at every kick, not only the pages
+    #: written since their region's last scan (the reference the
+    #: dirty-page capture is checked against).
+    full_rescan: bool = False
 
 
 @dataclass
@@ -96,6 +101,20 @@ class _Region:
 
     def end_va(self) -> int:
         return self.va + self.num_pages * PAGE_SIZE
+
+
+class _Scan:
+    """A region as the recorder last scanned it: its pages' physical
+    addresses, their CRCs (-1: never hashed), the physical indices of
+    those written since, and (once one is) index -> page number."""
+
+    __slots__ = ("pas", "crcs", "written", "at")
+
+    def __init__(self, pas: List[int], crcs: array) -> None:
+        self.pas = pas
+        self.crcs = crcs
+        self.written: set = set()
+        self.at: Optional[Dict[int, int]] = None
 
 
 @dataclass
@@ -120,6 +139,9 @@ class GpuRecorder(trace.DriverTracer):
         self._table = FAMILIES[self.family]
         self._by_value: List[Tuple[int, int]] = []
         self._recordings: List[Recording] = []
+        #: What ``_dump_eligible_regions`` found, where it depends on
+        #: the live regions and by-value ranges only; None: stale.
+        self._eligible: Optional[List[_Region]] = None
         self._active = False
         self.interval_samples: List[IntervalSample] = []
         self._reset_stream_state()
@@ -155,6 +177,7 @@ class GpuRecorder(trace.DriverTracer):
     def annotate_by_value(self, ranges: List[Tuple[int, int]]) -> None:
         """Mark (va, size) ranges whose *values* must be captured."""
         self._by_value.extend(ranges)
+        self._eligible = None
 
     def _overlaps_by_value(self, region: _Region) -> bool:
         for va, size in self._by_value:
@@ -179,8 +202,17 @@ class GpuRecorder(trace.DriverTracer):
         for region in ctx.regions.values():
             self._live_regions[region.va] = _Region(
                 region.va, region.num_pages, region.flags)
+        self._eligible = None
         self.first_kick_snapshot: List[Tuple[int, bytes]] = []
+        #: Region VA -> its pages as last scanned.
+        self._scans: Dict[int, _Scan] = {}
+        #: The last CRC of each page VA no scanned region holds now.
         self._page_hashes: Dict[int, int] = {}
+        #: Physical address -> VA of the scanned region whose page it is
+        #: (keyed by the region's own ints: a driver maps a page into
+        #: one region).
+        self._owners: Dict[int, int] = {}
+        self.machine.memory.dirty = set()
         obs = self.machine.obs
         self._obs_track = obs.track("recorder", self.family)
         self._session_span = obs.begin(f"record:{workload}",
@@ -194,6 +226,7 @@ class GpuRecorder(trace.DriverTracer):
         if not self._active:
             raise RecordingError("recorder not active")
         self.driver.detach_tracer(self)
+        self.machine.memory.dirty = None
         self._finalize_recording()
         self.machine.obs.end(self._session_span)
         self.driver.queue.set_depth(self._saved_depth)
@@ -338,10 +371,14 @@ class GpuRecorder(trace.DriverTracer):
         elif isinstance(event, trace.MemMapEvent):
             region = _Region(event.va, event.num_pages,
                              MemFlags(event.flags))
+            self._forget_scan(event.va)
             self._live_regions[event.va] = region
+            self._eligible = None
             self._append(self._map_action(region), t_ns=event.t_ns)
         elif isinstance(event, trace.MemUnmapEvent):
             self._live_regions.pop(event.va, None)
+            self._forget_scan(event.va)
+            self._eligible = None
             self._append(act.UnmapGpuMem(addr=event.va,
                                          num_pages=event.num_pages,
                                          src=event.src), t_ns=event.t_ns)
@@ -357,15 +394,6 @@ class GpuRecorder(trace.DriverTracer):
             raise RecordingError(f"read of unmapped GPU VA {va:#x}")
         page = self.machine.memory.buffers.get(entry[0] // PAGE_SIZE)
         return ZERO.data if page is None else page
-
-    def _held(self, va: int) -> Optional[tuple]:
-        """``(source, k)`` if GPU ``va``'s page holds page ``k`` of a
-        :class:`~repro.soc.PageSource` (its memory tag), else None."""
-        memory = self.machine.memory
-        index = self.driver.require_ctx().page_table.lookup(va)[0] \
-            // PAGE_SIZE
-        source = memory.tags.get(index)
-        return None if source is None else (source, memory.tag_pages[index])
 
     def _cpu_read(self, va: int, size: int) -> bytes:
         """Read GPU memory CPU-side through the driver's page tables:
@@ -395,6 +423,38 @@ class GpuRecorder(trace.DriverTracer):
                     yield start, self._cpu_read(start, end - start)
                 start = max(start, va + size)
 
+    def _forget_scan(self, va: int) -> None:
+        """A region (un)mapped at ``va``: its next scan is a full one,
+        against the CRCs its pages' VAs last had."""
+        scan = self._scans.pop(va, None)
+        if scan is None:
+            return
+        for i, (pa, crc) in enumerate(zip(scan.pas, scan.crcs)):
+            del self._owners[pa]
+            if crc >= 0:
+                self._page_hashes[va + i * PAGE_SIZE] = crc
+
+    def _scan(self, region: _Region) -> Tuple[_Scan, Iterable[int]]:
+        """``region``'s scan record, and the numbers of its pages that
+        may have changed since its last scan: all of them the first
+        time (or always, with ``full_rescan``), else those memory saw
+        written, stored or dropped."""
+        va = region.va
+        scan = self._scans.get(va)
+        if scan is not None and not self.options.full_rescan:
+            written, scan.written = scan.written, set()
+            if written and scan.at is None:
+                scan.at = {pa // PAGE_SIZE: i
+                           for i, pa in enumerate(scan.pas)}
+            return scan, [scan.at[index] for index in written]
+        self._forget_scan(va)
+        pas = self.driver.require_ctx().regions[va].pas
+        scan = self._scans[va] = _Scan(pas, array("q", [
+            self._page_hashes.pop(va + i * PAGE_SIZE, -1)
+            for i in range(len(pas))]))
+        self._owners.update(dict.fromkeys(pas, va))
+        return scan, range(len(pas))
+
     def _capture_dumps(self, chain_va: int) -> None:
         obs = self.machine.obs
         t0 = self.machine.clock.now()
@@ -403,35 +463,45 @@ class GpuRecorder(trace.DriverTracer):
             # app's input in GPU memory is the one the runtime wrote,
             # so the taint scan cannot confuse job-made duplicates.
             self.first_kick_snapshot = list(self.data_spans())
+        # File what memory saw written under the regions scanned so far.
+        memory = self.machine.memory
+        for index in memory.dirty:
+            va = self._owners.get(index * PAGE_SIZE)
+            if va is not None:
+                self._scans[va].written.add(index)
+        memory.dirty.clear()
         # Pages are hashed in place and the changed ones copied once,
         # by the join in ``coalesce_pages`` -- or not at all, where
-        # they reference consecutive pages of one source.
+        # they reference consecutive pages of one source. Only pages
+        # written since their region's last scan are hashed, but the
+        # model charges the scan of every eligible page.
+        buffers, tags, tag_pages = memory.buffers, memory.tags, \
+            memory.tag_pages
         pages: List[Tuple[int, bytes]] = []
+        held: Dict[int, tuple] = {}
         scanned_bytes = 0
         whole = self._whole_region_dumps()
         for region in self._dump_eligible_regions(chain_va):
-            changed: List[Tuple[int, bytes]] = []
-            all_pages: List[Tuple[int, bytes]] = []
-            for i in range(region.num_pages):
-                va = region.va + i * PAGE_SIZE
-                data = self._page_buffer(va)
-                scanned_bytes += PAGE_SIZE
-                digest = zlib.crc32(data)
-                if whole:
-                    all_pages.append((va, data))
-                if self._page_hashes.get(va) != digest:
-                    self._page_hashes[va] = digest
-                    changed.append((va, data))
-            if not changed:
-                continue
-            pages.extend(all_pages if whole else changed)
+            scanned_bytes += region.num_pages * PAGE_SIZE
+            scan, numbers = self._scan(region)
+            changed: List[int] = []
+            for i in numbers:
+                crc = zlib.crc32(buffers.get(scan.pas[i] // PAGE_SIZE,
+                                             ZERO.data))
+                if scan.crcs[i] != crc:
+                    scan.crcs[i] = crc
+                    changed.append(i)
+            for i in range(len(scan.pas)) if changed and whole else changed:
+                index, va = scan.pas[i] // PAGE_SIZE, region.va + i * PAGE_SIZE
+                pages.append((va, buffers.get(index, ZERO.data)))
+                if index in tags:
+                    held[va] = (tags[index], tag_pages[index])
         obs.counter("record.dump_bytes_scanned").inc(scanned_bytes)
         if not pages:
             return
         # The copy comes before the clock moves: events fired by the
         # advance may write GPU memory.
-        dumps = coalesce_pages(pages, {va: self._held(va)
-                                       for va, _data in pages})
+        dumps = coalesce_pages(pages, held)
         # Record-time overhead of copying the pages out (an unintended
         # delay the idle heuristic later removes from replay).
         self.machine.clock.advance(
@@ -465,13 +535,12 @@ class MaliRecorder(GpuRecorder):
 
     def _dump_eligible_regions(self, chain_va: int) -> List[_Region]:
         del chain_va  # exec permissions suffice on Mali
-        out = []
-        for region in self._live_regions.values():
-            if region.flags & MemFlags.GPU_EXEC:
-                out.append(region)
-            elif self._overlaps_by_value(region):
-                out.append(region)
-        return out
+        if self._eligible is None:
+            self._eligible = [
+                region for region in self._live_regions.values()
+                if region.flags & MemFlags.GPU_EXEC
+                or self._overlaps_by_value(region)]
+        return self._eligible
 
 
 class AdrenoRecorder(MaliRecorder):

@@ -1,15 +1,17 @@
-"""The recording container and its compressed binary file format.
+"""The recording container and its binary file format (read half).
 
 A recording encodes a fixed sequence of GPU jobs: replay actions plus
-the memory dumps they upload, and metadata describing the GPU it was
-captured on and the workload's input/output interface. Files are
-zlib-compressed (Section 6.2), giving the few-hundred-KB sizes of
-Table 6.
+the memory dumps they upload, and metadata on the GPU it was captured
+on and the workload's inputs and outputs. Files are zlib-compressed
+(Section 6.2; Table 6); :mod:`repro.core.encoder` writes them.
 
-Format (little-endian): a 10-byte plain header (magic, version,
-flags), then the zlib-compressed body: metadata, string table,
-actions, dumps. The format is deliberately self-contained -- the
-replayer needs nothing else.
+The logical body (what ``digest()`` hashes) is metadata, string table,
+actions, then the dump table with each dump's bytes after its entry.
+A file is magic, version and flags (10 bytes), then in version 1 that
+body, zlib'd if flags bit 0. Version 2 adds the logical and stored
+lengths (u64s) and stores the skeleton (the body without dump bytes)
+and per dump a bitmap of its all-zero pages and its other pages, as
+one zlib stream if flags bit 0. Decoding is strict and bounded.
 """
 
 from __future__ import annotations
@@ -17,26 +19,30 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
 from repro.errors import SerializationError
+from repro.gpu import FAMILIES
 from repro.soc import PAGE_SIZE
 
 MAGIC = b"GRRC"
-VERSION = 1
+VERSION = 2
 
+_HEADER = struct.Struct("<4sHI")
+_LENGTHS = struct.Struct("<QQ")
 _U8, _U16, _U32, _U64 = (struct.Struct("<" + code) for code in "BHIQ")
 _DUMP_ENTRY = struct.Struct("<QI")
 
-#: Wire layout of an action: tag, then the dataclass fields in
-#: declaration order -- min/recorded interval, ``src`` (string-table
-#: ref), job index, then the per-type codes below. ``I`` at a position
-#: listed as a ref is an index into the string table; ``?`` is a bool
-#: stored as one byte.
+#: GPU memory a recording may need unless the caller says otherwise.
+MAX_GPU_BYTES = 256 << 20
+
+#: Wire layout of an action: tag, then the dataclass fields in order
+#: -- min/recorded interval, ``src`` (a string-table ref), job index,
+#: then the codes below (an ``I`` listed as a ref is one; ``?`` a bool,
+#: one byte).
 _ACTION_HEADER = "<BQQII"
 _ACTION_WIRE = {
     act.RegReadOnce: ("IQ?", (4,)),
@@ -55,12 +61,12 @@ _ACTION_WIRE = {
 
 
 def _action_codec(cls: type):
-    """(class, one Struct for the whole action, getter of its fields
-    in wire order, positions of string refs among them)."""
+    """(class, one Struct for the whole action, with bools as ``B``s a
+    decoder sees are 0 or 1, positions of string refs and of bools)."""
     codes, refs = _ACTION_WIRE[cls]
-    names = [f.name for f in fields(cls)]
-    return (cls, struct.Struct(_ACTION_HEADER + codes),
-            attrgetter(*names), (2,) + refs)
+    return (cls, struct.Struct(_ACTION_HEADER + codes.replace("?", "B")),
+            (2,) + refs,
+            tuple(4 + i for i, code in enumerate(codes) if code == "?"))
 
 
 #: Indexed by action tag: an action encodes and decodes in one struct
@@ -68,15 +74,17 @@ def _action_codec(cls: type):
 _ACTION_CODECS = tuple(_action_codec(cls) for cls in act.ACTION_TYPES)
 
 
+def body_cap(max_gpu_bytes: int = MAX_GPU_BYTES) -> int:
+    """The longest body a decoder takes: dumps may re-upload four
+    times the GPU memory, plus a MiB of skeleton."""
+    return 4 * max_gpu_bytes + (1 << 20)
+
+
 @dataclass(frozen=True)
 class IoBuffer:
     """An input or output interface of a recording (Section 4.4).
-
-    ``optional`` marks inputs the app *may* supply (the "record by
-    address + optional value override" pattern): e.g. training weights
-    are deposited before the first iteration and then live in GPU
-    memory across replays.
-    """
+    ``optional`` marks inputs the app *may* supply, e.g. training
+    weights deposited once that then live in GPU memory."""
 
     name: str
     gaddr: int
@@ -118,24 +126,25 @@ class Recording:
         self.actions = actions
         self.dumps = dumps
         self._digest: Optional[str] = None
+        #: The body up to the dump table, once decoded or encoded.
+        self._head: Optional[bytes] = None
 
     # -- content addressing --------------------------------------------------
 
     def digest(self) -> str:
-        """Stable content hash (hex SHA-256 of the uncompressed body).
-
-        Two recordings with identical metadata, actions and dumps have
-        the same digest regardless of compression, which file they
-        came from, or which process decoded them. The replay fast path
-        keys its load cache on it. Memoized: recordings are treated as
-        immutable once they reach the replayer (mutating passes such
-        as cross-SKU patching build new Recording objects).
+        """Hex SHA-256 of the logical body: equal for equal metadata,
+        actions and dumps, whatever the file's version or compression.
+        The replay fast path keys its load cache on it. Memoized:
+        recordings are immutable once they reach the replayer (cross-SKU
+        patching builds a new one).
         """
         if self._digest is None:
-            # Hashed as the body lies, dump by dump: never joined.
-            skeleton = encode_skeleton(self)
-            table = len(skeleton) - _DUMP_ENTRY.size * len(self.dumps)
-            h = hashlib.sha256(skeleton[:table])
+            # Hashed dump by dump, never joined; a decoded head as read.
+            head = self._head
+            if head is None:
+                from repro.core.encoder import encode_head
+                head = encode_head(self)
+            h = hashlib.sha256(head)
             for dump in self.dumps:
                 h.update(_DUMP_ENTRY.pack(dump.va, dump.size))
                 h.update(dump.data)
@@ -177,46 +186,48 @@ class Recording:
     # -- serialization ---------------------------------------------------------
 
     def to_bytes(self, compress: bool = True) -> bytes:
-        body = _encode_body(self)
-        flags = 1 if compress else 0
-        if compress:
-            body = zlib.compress(body, level=6)
-        return MAGIC + struct.pack("<HI", VERSION, flags) + body
+        from repro.core.encoder import to_bytes
+        return to_bytes(self, compress)
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "Recording":
+    def from_bytes(cls, blob: bytes,
+                   max_gpu_bytes: int = MAX_GPU_BYTES) -> "Recording":
+        """Anything but a whole recording of a known family, no longer
+        than ``body_cap``, is a :class:`SerializationError`."""
         if len(blob) < 10 or blob[:4] != MAGIC:
             raise SerializationError("not a GPUReplay recording")
-        version, flags = struct.unpack_from("<HI", blob, 4)
-        if version != VERSION:
-            raise SerializationError(f"unsupported version {version}")
-        body = blob[10:]
-        if flags & 1:
-            inflate = zlib.decompressobj()
-            try:
-                body = inflate.decompress(body)
-            except zlib.error as exc:
-                raise SerializationError(f"corrupt recording: {exc}")
-            if not inflate.eof or inflate.unused_data:
-                raise SerializationError("corrupt recording: truncated "
-                                         "zlib stream or trailing bytes")
-        # A truncated or garbage body must always surface as the
-        # structured corrupt-recording error, never as whatever raw
-        # exception the decoder tripped over (struct.error on a short
-        # buffer, UnicodeDecodeError inside a mangled string table,
-        # MemoryError on an absurd length field...). `grr` maps
-        # SerializationError to exit code 2, like any unusable file.
+        _magic, version, flags = _HEADER.unpack_from(blob)
+        cap = body_cap(max_gpu_bytes)
+        view = memoryview(blob).toreadonly()
+        # Whatever a bad body trips over surfaces as the structured
+        # error (`grr` exits 2 on it), never as a raw exception.
         try:
-            recording = _decode_body(body)
-        except SerializationError:
-            raise
+            if version == 1:
+                rec = _decode(_inflate(view[10:], cap) if flags & 1
+                              else view[10:], _v1_dumps)
+            elif version == VERSION:
+                logical, length = _LENGTHS.unpack_from(blob, 10)
+                if not (0 < length <= cap and logical <= cap):
+                    raise SerializationError(f"declared length over {cap}")
+                body = memoryview(_inflate(view[26:], length)) \
+                    if flags & 1 else view[26:]
+                if len(body) != length:
+                    raise SerializationError("stream length is not "
+                                             "the declared one")
+                rec = _decode(body, lambda r, n: _v2_dumps(r, n, logical))
+            else:
+                raise SerializationError(f"unsupported version {version}")
         except (struct.error, ValueError, EOFError, IndexError,
                 OverflowError, MemoryError) as exc:
             raise SerializationError(
                 f"corrupt recording body: {type(exc).__name__}: {exc}")
-        if not recording.actions:
+        if not rec.actions:
             raise SerializationError("recording has no actions")
-        return recording
+        if rec.meta.family not in FAMILIES or not (rec.meta.gpu_model
+                                                   and rec.meta.board):
+            raise SerializationError("unknown GPU family, or no model "
+                                     "or board")
+        return rec
 
     def save(self, path: str, compress: bool = True) -> int:
         data = self.to_bytes(compress)
@@ -225,62 +236,55 @@ class Recording:
         return len(data)
 
     @classmethod
-    def load(cls, path: str) -> "Recording":
+    def load(cls, path: str,
+             max_gpu_bytes: int = MAX_GPU_BYTES) -> "Recording":
         with open(path, "rb") as f:
-            return cls.from_bytes(f.read())
+            return cls.from_bytes(f.read(), max_gpu_bytes)
 
     def size_unzipped(self) -> int:
-        return len(self.to_bytes(compress=False))
+        """Bytes of an uncompressed file: header and logical body."""
+        from repro.core.encoder import encode_skeleton
+        return 10 + len(encode_skeleton(self)) + self.dump_bytes()
 
     def size_zipped(self) -> int:
         return len(self.to_bytes(compress=True))
 
 
 # --------------------------------------------------------------------------
-# Binary body encoding.
+# Binary body decoding.
 # --------------------------------------------------------------------------
 
 
-def _int_methods(codec: struct.Struct):
-    """``_Writer``'s and ``_Reader``'s method for one integer width."""
-    def write(self, v: int) -> None:
-        self.parts.append(codec.pack(v))
+def _inflate(body, limit: int) -> bytes:
+    """``body`` inflated; refused past ``limit`` bytes, cut short, or
+    followed by bytes."""
+    inflate = zlib.decompressobj()
+    try:
+        out = inflate.decompress(body, limit)
+        if not inflate.eof:     # the end may wait behind a full buffer
+            out += inflate.decompress(inflate.unconsumed_tail, 1)
+    except zlib.error as exc:
+        raise SerializationError(f"corrupt recording: {exc}")
+    if not inflate.eof or inflate.unused_data or len(out) > limit:
+        raise SerializationError("corrupt recording: zlib stream cut "
+                                 "short, too long or followed by bytes")
+    return out
 
-    def read(self) -> int:
-        return self.unpack(codec)[0]
-    return write, read
 
-
-_INT_METHODS = [_int_methods(codec) for codec in (_U8, _U16, _U32, _U64)]
-
-
-class _Writer:
-    u8, u16, u32, u64 = (write for write, _read in _INT_METHODS)
-
-    def __init__(self) -> None:
-        self.parts: List[bytes] = []
-        #: String table: string -> index, in index order.
-        self.strings: Dict[str, int] = {}
-
-    def raw(self, b: bytes) -> None:
-        self.parts.append(b)
-
-    def string(self, s: str) -> None:
-        encoded = s.encode("utf-8")
-        self.u16(len(encoded))
-        self.raw(encoded)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
+def _int_read(codec: struct.Struct):
+    return lambda self: self.unpack(codec)[0]
 
 
 class _Reader:
-    u8, u16, u32, u64 = (read for _write, read in _INT_METHODS)
+    u8, u16, u32, u64 = map(_int_read, (_U8, _U16, _U32, _U64))
 
-    def __init__(self, data: bytes):
+    def __init__(self, data):
         self.data = data
         self.pos = 0
         self.strings: List[str] = []
+        #: Whether the bytes are what the encoder writes for what they
+        #: decode to (then ``digest`` may hash them as they are).
+        self.canonical = True
 
     def unpack(self, codec: struct.Struct) -> tuple:
         end = self.pos + codec.size
@@ -290,32 +294,19 @@ class _Reader:
         self.pos = end
         return values
 
-    def raw(self, n: int) -> bytes:
+    def raw(self, n: int):
         if self.pos + n > len(self.data):
             raise SerializationError("truncated recording body")
-        out = self.data[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.data[self.pos - n:self.pos]
 
     def string(self) -> str:
-        return self.raw(self.u16()).decode("utf-8")
+        return str(self.raw(self.u16()), "utf-8")
 
     def ref(self, index: int) -> str:
         if index >= len(self.strings):
             raise SerializationError(f"bad string ref {index}")
         return self.strings[index]
-
-
-def _encode_io(w: _Writer, buffers: List[IoBuffer]) -> None:
-    w.u16(len(buffers))
-    for b in buffers:
-        w.string(b.name)
-        w.u64(b.gaddr)
-        w.u64(b.size)
-        w.u8(len(b.shape))
-        for dim in b.shape:
-            w.u32(dim)
-        w.u8(1 if b.optional else 0)
 
 
 def _decode_io(r: _Reader) -> List[IoBuffer]:
@@ -325,93 +316,71 @@ def _decode_io(r: _Reader) -> List[IoBuffer]:
         gaddr = r.u64()
         size = r.u64()
         shape = tuple(r.u32() for _ in range(r.u8()))
-        optional = bool(r.u8())
-        out.append(IoBuffer(name, gaddr, size, shape, optional))
+        optional = r.u8()
+        r.canonical &= optional < 2
+        out.append(IoBuffer(name, gaddr, size, shape, bool(optional)))
     return out
-
-
-def encode_skeleton(rec: Recording) -> bytes:
-    """The recording body *without* dump payloads.
-
-    The chunked store keeps a recording as this skeleton (metadata,
-    string table, actions, and the dump table of VAs and sizes) plus a
-    content-defined chunk list per dump; the payload bytes live in the
-    shared chunk objects. ``decode_skeleton`` reassembles the exact
-    Recording, so ``digest()`` survives a store round-trip unchanged.
-    """
-    return _encode_body(rec, with_dump_data=False)
 
 
 def decode_skeleton(skeleton: bytes,
                     payloads: List[bytes]) -> Recording:
-    """Rebuild a recording from its skeleton and dump payloads.
+    """Rebuild a recording from its skeleton (``encode_skeleton``) and
+    dump payloads: ``payloads[i]`` is exactly dump ``i``'s bytes as the
+    dump table declares them (else a :class:`SerializationError`), as
+    ``bytes`` or read-only ``memoryview``s (the vault's zero-copy
+    fetch), which land in :class:`MemoryDump` uncopied."""
+    def dumps(r: _Reader, n_dumps: int) -> List[MemoryDump]:
+        if len(payloads) != n_dumps:
+            raise SerializationError(
+                f"skeleton declares {n_dumps} dumps, "
+                f"{len(payloads)} payloads supplied")
+        out = []
+        for index, payload in enumerate(payloads):
+            va, size = r.unpack(_DUMP_ENTRY)
+            if len(payload) != size:
+                raise SerializationError(
+                    f"dump #{index}: skeleton declares {size} bytes, "
+                    f"payload has {len(payload)}")
+            out.append(MemoryDump(va, payload))
+        return out
 
-    ``payloads[i]`` must be exactly the bytes of dump ``i`` as the
-    skeleton's dump table declares them; a count or size mismatch is a
-    :class:`SerializationError` (the store's integrity chain should
-    have caught it earlier). Payloads may be ``bytes`` or read-only
-    ``memoryview``s (the vault's zero-copy fetch path); they land in
-    :class:`MemoryDump` untouched, with no intermediate copy.
-    """
     try:
-        return _decode_body(skeleton, dump_payloads=payloads)
-    except SerializationError:
-        raise
+        return _decode(skeleton, dumps)
     except (struct.error, ValueError, EOFError, IndexError,
             OverflowError, MemoryError) as exc:
         raise SerializationError(
             f"corrupt recording skeleton: {type(exc).__name__}: {exc}")
 
 
-def _encode_body(rec: Recording, with_dump_data: bool = True) -> bytes:
-    meta = rec.meta
-    w = _Writer()
-    for s in (meta.gpu_model, meta.family, meta.pte_format, meta.board,
-              meta.workload, meta.api, meta.framework):
-        w.string(s)
-    w.u32(meta.memattr)
-    w.u32(meta.n_jobs)
-    w.u32(meta.reg_io)
-    w.u32(meta.prologue_len)
-    _encode_io(w, meta.inputs)
-    _encode_io(w, meta.outputs)
-    w.u16(len(meta.power_sequence))
-    for tag, dev, val in meta.power_sequence:
-        w.u32(tag)
-        w.u32(dev)
-        w.u64(val)
-
-    # Actions (string table written afterwards, referenced by index).
-    aw = _Writer()
-    aw.u32(len(rec.actions))
-    strings, intern, raw = aw.strings, aw.strings.setdefault, aw.parts.append
-    for action in rec.actions:
-        tag = act.ACTION_TAGS.get(type(action))
-        if tag is None:
-            raise SerializationError(
-                f"unserializable action {type(action).__name__}")
-        _cls, codec, wire_fields, refs = _ACTION_CODECS[tag]
-        values = list(wire_fields(action))
-        for position in refs:
-            values[position] = intern(values[position], len(strings))
-        raw(codec.pack(tag, *values))
-
-    w.u32(len(strings))
-    for s in strings:
-        w.string(s)
-    w.raw(aw.getvalue())
-
-    w.u32(len(rec.dumps))
-    for dump in rec.dumps:
-        w.raw(_DUMP_ENTRY.pack(dump.va, len(dump.data)))
-        if with_dump_data:
-            w.raw(dump.data)
-    return w.getvalue()
+def _v1_dumps(r: _Reader, n_dumps: int) -> List[MemoryDump]:
+    """Version 1: each dump's bytes follow its table entry."""
+    return [MemoryDump(va, bytes(r.raw(size))) for va, size in
+            (r.unpack(_DUMP_ENTRY) for _ in range(n_dumps))]
 
 
-def _decode_body(data: bytes,
-                 dump_payloads: Optional[List[bytes]] = None
-                 ) -> Recording:
+def _v2_dumps(r: _Reader, n_dumps: int, logical: int) -> List[MemoryDump]:
+    """Version 2: the dump table, which must add up to the declared
+    ``logical`` length, then per dump a bitmap of its zero pages (bit
+    ``i`` of byte ``i // 8``, low bit first) and its other pages: a
+    view of the stream, or joined with zeros."""
+    table = [r.unpack(_DUMP_ENTRY) for _ in range(n_dumps)]
+    if r.pos + sum(size for _va, size in table) != logical:
+        raise SerializationError("body length is not the declared one")
+    dumps = []
+    for va, size in table:
+        pages = -(-size // PAGE_SIZE)
+        bitmap = int.from_bytes(r.raw((pages + 7) // 8), "little")
+        if bitmap >> pages:
+            raise SerializationError(f"bitmap past dump {va:#x}")
+        dumps.append(MemoryDump(va, b"".join([
+            (bytes if bitmap >> page & 1 else r.raw)(
+                min(PAGE_SIZE, size - at))
+            for page, at in enumerate(range(0, size, PAGE_SIZE))])
+            if bitmap else r.raw(size)))
+    return dumps
+
+
+def _decode(data, read_dumps) -> Recording:
     r = _Reader(data)
     meta = RecordingMeta()
     (meta.gpu_model, meta.family, meta.pte_format, meta.board,
@@ -427,38 +396,33 @@ def _decode_body(data: bytes,
         (r.u32(), r.u32(), r.u64()) for _ in range(r.u16())]
 
     strings = r.strings = [r.string() for _ in range(r.u32())]
+    used = 0    # the encoder numbers strings by first use
     actions: List[act.Action] = []
     for _ in range(r.u32()):
         # u8() and ref() only where they raise; the codec covers the tag.
         tag = data[r.pos] if r.pos < len(data) else r.u8()
         if tag >= len(_ACTION_CODECS):
             raise SerializationError(f"unknown action tag {tag}")
-        cls, codec, _wire_fields, refs = _ACTION_CODECS[tag]
+        cls, codec, refs, bools = _ACTION_CODECS[tag]
         values = list(r.unpack(codec)[1:])
         for position in refs:
             index = values[position]
+            r.canonical &= index <= used
+            used += index == used
             values[position] = strings[index] if index < len(strings) \
                 else r.ref(index)
+        for position in bools:
+            r.canonical &= values[position] < 2
+            values[position] = bool(values[position])
         actions.append(cls(*values))
 
-    dumps = []
     n_dumps = r.u32()
-    if dump_payloads is not None and len(dump_payloads) != n_dumps:
-        raise SerializationError(
-            f"skeleton declares {n_dumps} dumps, "
-            f"{len(dump_payloads)} payloads supplied")
-    for index in range(n_dumps):
-        va, size = r.unpack(_DUMP_ENTRY)
-        if dump_payloads is None:
-            dumps.append(MemoryDump(va, r.raw(size)))
-        else:
-            payload = dump_payloads[index]
-            if len(payload) != size:
-                raise SerializationError(
-                    f"dump #{index}: skeleton declares {size} bytes, "
-                    f"payload has {len(payload)}")
-            dumps.append(MemoryDump(va, payload))
+    head = bytes(data[:r.pos])
+    dumps = read_dumps(r, n_dumps)
     if r.pos != len(data):
         raise SerializationError(
             f"{len(data) - r.pos} bytes after the body")
-    return Recording(meta, actions, dumps)
+    recording = Recording(meta, actions, dumps)
+    if r.canonical and used == len(set(strings)) == len(strings):
+        recording._head = head
+    return recording

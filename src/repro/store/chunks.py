@@ -42,10 +42,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from bisect import bisect_left
 from typing import Iterator, List, Tuple
 
 import numpy as np
+
+from repro.soc import PAGE_SIZE
 
 #: Chunk-size bounds. Dumps are page-granular (often one 4-KiB page),
 #: so the window is small: boundaries every ~1 KiB on average keep
@@ -86,21 +89,62 @@ def _candidate_blocks(data, avg_bits: int
                       ) -> Iterator[Tuple[List[int], int]]:
     """Per block of ``data``, the ascending end offsets at which the
     low ``avg_bits`` fingerprint bits of the last ``avg_bits`` bytes
-    are all ones, and the offset the block ends at."""
+    are all ones, and the offset the block ends at.
+
+    Blocks are ``_BLOCK`` bytes, but for a run of whole zero pages:
+    there the window holds nothing but zeros once it is ``avg_bits``
+    bytes in, so the fingerprint is one constant -- a candidate at
+    every such offset or at none -- and only the run's first window
+    is hashed."""
     gear = _GEAR_LOW[next(b for b in (16, 32, 64) if avg_bits <= b)]
     mask = gear.dtype.type((1 << avg_bits) - 1)
-    window = max(avg_bits - 1, 0)
+    width = max(avg_bits, 1)
+    window = width - 1
     octets = np.frombuffer(data, dtype=np.uint8)
-    scratch = np.empty(_BLOCK + window, dtype=gear.dtype)
-    for base in range(0, len(octets), _BLOCK):
+    scratch = np.empty(min(len(octets), _BLOCK) + window, dtype=gear.dtype)
+
+    def ends(base: int, stop: int) -> List[int]:
         lead = min(base, window)
-        fingerprint = _window_sum(
-            np.take(gear, octets[base - lead:base + _BLOCK]),
-            max(avg_bits, 1), scratch)
+        fingerprint = _window_sum(np.take(gear, octets[base - lead:stop]),
+                                  width, scratch)
         fingerprint &= mask
-        ends = np.flatnonzero(fingerprint[lead:] == mask)
-        ends += base + 1
-        yield ends.tolist(), min(base + _BLOCK, len(octets))
+        found = np.flatnonzero(fingerprint[lead:] == mask)
+        found += base + 1
+        return found.tolist()
+
+    zero_run = GEAR[0] * ((1 << width) - 1) & int(mask) == mask
+    base = 0
+    for zero_start, zero_stop in _zero_runs(octets) + [(len(octets),) * 2]:
+        for base in range(base, zero_start, _BLOCK):
+            stop = min(base + _BLOCK, zero_start)
+            yield ends(base, stop), stop
+        if zero_start < zero_stop:
+            # Zeros before the run (but not the buffer's start) make
+            # its first window constant too.
+            head = zero_start if window <= zero_start and not \
+                octets[zero_start - window:zero_start].any() else \
+                min(zero_start + window, zero_stop)
+            found = ends(zero_start, head) if head > zero_start else []
+            if zero_run:
+                found += range(head + 1, zero_stop + 1)
+            yield found, zero_stop
+        base = zero_stop
+
+
+def _zero_runs(octets) -> List[Tuple[int, int]]:
+    """``[start, stop)`` of each maximal run of whole all-zero pages."""
+    pages = len(octets) // PAGE_SIZE
+    words = octets[:pages * PAGE_SIZE].view(np.uint64).reshape(
+        pages, PAGE_SIZE // 8)
+    maybe = np.flatnonzero(words[:, 0] == 0)
+    runs: List[Tuple[int, int]] = []
+    for page in maybe[~words[maybe].any(axis=1)].tolist() if len(maybe) \
+            else ():
+        start = page * PAGE_SIZE
+        if runs and runs[-1][1] == start:
+            start = runs.pop()[0]
+        runs.append((start, (page + 1) * PAGE_SIZE))
+    return runs
 
 
 def _window_sum(terms, width: int, scratch):
@@ -204,3 +248,16 @@ def split(data: bytes,
 def chunk_digest(piece: bytes) -> str:
     """Content address of one chunk (hex SHA-256 of its raw bytes)."""
     return hashlib.sha256(piece).hexdigest()
+
+
+def chunk_ends(dump) -> array:
+    """The end offset of each chunk of a
+    :class:`~repro.core.dumps.MemoryDump`'s bytes: split once per dump
+    object and memoized on it, as its ``digest`` and ``pages`` are (a
+    cross-SKU patch shares its parent's dumps). Four bytes a chunk: a
+    recording keeps it as long as it lives."""
+    ends = dump.__dict__.get("chunk_ends")
+    if ends is None:
+        ends = dump.__dict__["chunk_ends"] = array(
+            "I", iter_boundaries(memoryview(dump.data).cast("B")))
+    return ends

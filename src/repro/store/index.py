@@ -26,9 +26,12 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.recording import VERSION as RECORDING_SCHEMA
 from repro.errors import StoreError
 from repro.store.chunks import CHUNK_SCHEME
+
+#: Layout of the logical body a vault keeps (skeleton and dump bytes),
+#: which ``.grr`` versions 1 and 2 share.
+RECORDING_SCHEMA = 1
 
 
 @dataclass

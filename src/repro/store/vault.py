@@ -71,8 +71,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.recording import (Recording, decode_skeleton,
-                                  encode_skeleton)
+from repro.core.recording import Recording, decode_skeleton
 from repro.errors import (SerializationError, StoreCorruptionError,
                           StoreError, StoreLayoutError, StoreNotFoundError)
 from repro.gpu import gpu_clock_hz
@@ -609,6 +608,7 @@ class Vault:
             if existing is not None:
                 obs.counter("store.pack.duplicate_recordings").inc()
                 return existing
+            from repro.core.encoder import encode_skeleton
             where = self._all_locations()
             skeleton = encode_skeleton(recording)
             new_chunks = shared_chunks = stored_bytes = 0
@@ -619,14 +619,17 @@ class Vault:
                 shared_chunks += not new
                 for dump in recording.dumps:
                     chunk_list: List[Tuple[str, int]] = []
-                    for piece in cdc.split(dump.data):
-                        piece_digest, new = writer.put(piece, where)
+                    view, start = memoryview(dump.data).cast("B"), 0
+                    for end in cdc.chunk_ends(dump):
+                        piece_digest, new = writer.put(view[start:end],
+                                                       where)
                         if new:
                             new_chunks += 1
-                            stored_bytes += len(piece)
+                            stored_bytes += end - start
                         else:
                             shared_chunks += 1
-                        chunk_list.append((piece_digest, len(piece)))
+                        chunk_list.append((piece_digest, end - start))
+                        start = end
                     dumps.append((dump.va, dump.size, chunk_list))
             where.update(writer.located)
             manifest = Manifest(
@@ -878,13 +881,21 @@ class Vault:
             parts[ref] = bytes(parts[ref][:want[ref]]).ljust(want[ref],
                                                              b"\x00")
         payloads: List[memoryview] = []
+        #: Dumps with equal chunk lists get one payload object, so an
+        #: upload knows them equal without hashing them (looked up by
+        #: size, length and end chunks; the lists compared on a hit).
+        joined: Dict[tuple, Tuple[list, memoryview]] = {}
         start = 0
         for dump_index, (va, size, chunk_list) in \
                 enumerate(manifest.dumps):
             mine = parts[start:start + len(chunk_list)]
             start += len(chunk_list)
-            payload = memoryview(mine[0] if len(mine) == 1
-                                 else b"".join(mine))
+            key = (size, len(chunk_list), *chunk_list[:1], *chunk_list[-1:])
+            refs, payload = joined.get(key, (None, None))
+            if refs != chunk_list:
+                payload = memoryview(mine[0] if len(mine) == 1
+                                     else b"".join(mine))
+                joined.setdefault(key, (chunk_list, payload))
             if len(payload) != size:
                 if strict:
                     raise _Unsound

@@ -24,9 +24,11 @@ capture replay in :mod:`repro.surgery.slicer`.
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.core import actions as act
 from repro.core.dispatch import DISPATCH
@@ -65,35 +67,40 @@ class SparseImage:
     """
 
     def __init__(self) -> None:
-        self._segments: List[Tuple[int, bytearray]] = []  # sorted by va
+        #: Sorted, non-overlapping, non-adjacent: segment starts and
+        #: their bytes.
+        self._vas: List[int] = []
+        self._segments: List[bytearray] = []
 
     def write(self, va: int, data: bytes) -> None:
+        """Store ``data`` at ``va``, merged with every segment it
+        overlaps or touches: written into the first one's buffer where
+        that starts no later (in place, or extending it), and the last
+        one's tail appended; each byte is copied once."""
         if not len(data):
             return
         start, end = va, va + len(data)
-        pieces: List[Tuple[int, bytearray]] = []
-        merged = bytearray(data)
-        for seg_va, seg in self._segments:
-            seg_end = seg_va + len(seg)
-            if seg_end < start or seg_va > end:
-                pieces.append((seg_va, seg))
-                continue
-            # Overlapping or adjacent: splice into the new bytes.
-            if seg_va < start:
-                merged = seg[:start - seg_va] + merged
-                start = seg_va
-            if seg_end > end:
-                merged = merged + seg[end - seg_va:]
-                end = seg_end
-        pieces.append((start, merged))
-        pieces.sort(key=lambda p: p[0])
-        self._segments = pieces
+        vas, segments = self._vas, self._segments
+        first = bisect_right(vas, start) - 1
+        if first < 0 or vas[first] + len(segments[first]) < start:
+            first += 1
+        last = bisect_right(vas, end, first)  # [first, last) touch it
+        if first < last and vas[first] <= start:
+            base, merged = vas[first], segments[first]
+            merged[start - base:end - base] = data
+        else:
+            base, merged = start, bytearray(data)
+        if first < last and segments[last - 1] is not merged:
+            tail_va, tail = vas[last - 1], segments[last - 1]
+            merged += memoryview(tail)[max(end - tail_va, 0):]
+        vas[first:last] = [base]
+        segments[first:last] = [merged]
 
     def read(self, va: int, size: int) -> bytes:
-        for seg_va, seg in self._segments:
-            if seg_va <= va and va + size <= seg_va + len(seg):
-                off = va - seg_va
-                return bytes(seg[off:off + size])
+        at = bisect_right(self._vas, va) - 1
+        if at >= 0 and va + size <= self._vas[at] + len(self._segments[at]):
+            off = va - self._vas[at]
+            return bytes(self._segments[at][off:off + size])
         raise SurgeryError(
             f"range {va:#x}+{size} is not covered by any dump the "
             f"recording uploads before this point")
@@ -102,7 +109,7 @@ class SparseImage:
         """How many bytes of ``ranges`` the image covers."""
         total = 0
         for va, size in merge_ranges(list(ranges)):
-            for seg_va, seg in self._segments:
+            for seg_va, seg in zip(self._vas, self._segments):
                 lo = max(va, seg_va)
                 hi = min(va + size, seg_va + len(seg))
                 if hi > lo:

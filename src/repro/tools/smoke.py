@@ -30,8 +30,9 @@ metrics snapshot, verify report, job analysis, plan, manifests).
 ``--parent DIR`` reruns the scenario's parent-compared commands --
 ``grr`` ones as ``python -m repro.tools.grr``, and the vault
 scenario's ``VAULT_STATS`` program -- with ``DIR/src`` on
-``PYTHONPATH`` (outputs under ``OUTDIR/parent/``) and compares them
-with this tree's: file bytes, or the digest of a ``.grr`` recording.
+``PYTHONPATH`` (outputs under ``OUTDIR/parent/``; recordings they read
+as version 1 copies, which every tree reads) and compares them with
+this tree's: file bytes, or the digest of a ``.grr`` recording.
 Both sides run in fresh processes. The comparison is skipped when
 ``git diff --name-only HEAD~1 HEAD`` names one of the scenario's
 re-pin files: the commit declares that the outputs change.
@@ -141,6 +142,24 @@ class Run:
 
 def _at(argv: Sequence[str], dst: str) -> List[str]:
     return [arg.replace("{dst}", dst) for arg in argv]
+
+
+def _for_parent(argv: Sequence[str], dst: str) -> List[str]:
+    """``argv`` on the parent tree, each recording this tree wrote and
+    the command reads handed over as a version 1 copy under
+    ``dst/inputs``: the logical body, uncompressed, which every tree
+    reads (a tree from before a format change cannot read the new
+    one)."""
+    from repro.core.recording import Recording
+
+    out = _at(argv, dst)
+    for i, arg in enumerate(out):
+        if arg.endswith(".grr") and os.path.isfile(arg) and \
+                not arg.startswith(dst):
+            out[i] = os.path.join(dst, "inputs", os.path.basename(arg))
+            os.makedirs(os.path.dirname(out[i]), exist_ok=True)
+            Recording.load(arg).save(out[i], compress=False)
+    return out
 
 
 def _same_output(mine: str, theirs: str) -> bool:
@@ -524,10 +543,10 @@ def compare_with_parent(scenario: Scenario, run: Run, parent: str,
     os.makedirs(dst, exist_ok=True)
     differ = []
     for argv, outputs, stdout in run.compared:
-        code = python(os.path.join(parent, "src"), _at(argv, dst),
-                      cwd=parent,
+        theirs = _for_parent(argv, dst)
+        code = python(os.path.join(parent, "src"), theirs, cwd=parent,
                       stdout=stdout and os.path.join(dst, stdout))
-        check(code == 0, f"parent: python {' '.join(_at(argv, dst))} "
+        check(code == 0, f"parent: python {' '.join(theirs)} "
               f"exited {code}")
         differ += [name for name in outputs if not _same_output(
             run.path(name), os.path.join(dst, name))]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import actions as act
-from repro.core.dumps import MemoryDump, zero_page_ratio
+from repro.core.dumps import MemoryDump
+from repro.core.encoder import zero_page_ratio
 from repro.core.recorder import coalesce_pages
 from repro.core.recording import IoBuffer, Recording, RecordingMeta
 from repro.errors import SerializationError
@@ -157,7 +158,10 @@ _action_strategy = st.one_of(
 def test_recording_roundtrip_property(actions, blobs):
     dumps = [MemoryDump(i * PAGE_SIZE, blob)
              for i, blob in enumerate(blobs)]
-    recording = Recording(RecordingMeta(workload="prop"), actions, dumps)
+    recording = Recording(RecordingMeta(workload="prop", family="mali",
+                                        gpu_model="mali-g31",
+                                        board="odroid-c4"),
+                          actions, dumps)
     decoded = Recording.from_bytes(recording.to_bytes())
     assert decoded.actions == actions
     assert decoded.dumps == dumps

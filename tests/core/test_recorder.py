@@ -9,10 +9,11 @@ from repro.core.recorder import (MaliRecorder, RecorderOptions,
 from repro.errors import RecordingError
 from repro.soc import Machine
 from repro.stack.driver import MaliDriver, V3dDriver
-from repro.stack.framework import AclNetwork, build_model
+from repro.stack.framework import MODEL_ZOO, AclNetwork, build_model
 from repro.stack.runtime import OpenClRuntime
 from tests.stack.test_driver_mali import submit_vecadd
 from repro.stack.driver.ioctl import IoctlCode
+from repro.stack.driver.memory import MemFlags
 
 
 @pytest.fixture
@@ -268,13 +269,14 @@ class TestCaptureFootprint:
     snapshots leave out the by-value ranges the dumps already hold."""
 
     #: Traced peak of ``record_inference`` over the dump bytes it
-    #: produces, on mali: alexnet measures 3.51 with pages hashed in
-    #: place, weight-free taint spans and weight pages that reference
+    #: produces, on mali: alexnet measures 3.35-3.55 with pages hashed
+    #: in place, weight-free taint spans and weight pages that reference
     #: the model's read-only arrays (3.74 while they held copies, 5.73
     #: when every page was read into a copy and the snapshots held the
     #: weights as well); dense-serve, whose weight dumps are views of
-    #: those arrays, measures 0.12 (1.84 with copies).
-    PEAK_OVER_DUMP = {"alexnet": 3.6, "dense-serve": 0.15}
+    #: those arrays, measures 0.13 with a CRC array per scanned region
+    #: (0.15 with a dict entry per page; 1.84 with copies).
+    PEAK_OVER_DUMP = {"alexnet": 3.6, "dense-serve": 0.14}
 
     def peak_over_dump(self, model):
         import tracemalloc
@@ -320,3 +322,94 @@ class TestCaptureFootprint:
         from repro.bench.workloads import get_recorded
         recording = get_recorded(family, model)[0].recording
         assert recording.digest() == self.DIGESTS[family, model]
+
+
+def record_zoo(family, model, granularity="monolithic", **options):
+    """A zoo model recorded on a fresh stack with these recorder
+    options, and how many pages its capture hashed."""
+    import zlib
+    from unittest import mock
+    from repro.bench.workloads import build_stack
+    from repro.core.harness import record_inference
+    stack = build_stack(family, model)
+    stack.net.run(np.zeros(stack.net.model.input_shape, np.float32))
+    with mock.patch("repro.core.recorder.zlib.crc32",
+                    side_effect=zlib.crc32) as crc32:
+        workload = record_inference(stack.net, granularity,
+                                    options=RecorderOptions(**options))
+    assert stack.machine.memory.dirty is None   # kept while recording
+    return workload.recordings, crc32.call_count
+
+
+class TestDirtyCapture:
+    """Capture hashes only the pages memory saw written, stored, scrubbed
+    or freed since their region's last scan; a full rescan of every
+    eligible page at every kick must give the same recordings, on every
+    zoo model and family (and cut per layer, where later recordings
+    carry only what changed since the earlier ones)."""
+
+    @pytest.mark.parametrize("family", ("mali", "v3d", "adreno"))
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_same_recording_as_a_full_rescan(self, family, model):
+        dirty, hashed = record_zoo(family, model)
+        full, rescanned = record_zoo(family, model, full_rescan=True)
+        assert [r.to_bytes() for r in dirty] == [r.to_bytes() for r in full]
+        assert hashed < rescanned
+
+    @pytest.mark.parametrize("family", ("mali", "v3d", "adreno"))
+    def test_same_recordings_when_cut_per_layer(self, family):
+        dirty, _hashed = record_zoo(family, "mnist", "layer")
+        full, _rescanned = record_zoo(family, "mnist", "layer",
+                                      full_rescan=True)
+        assert len(dirty) > 1
+        assert [r.digest() for r in dirty] == [r.digest() for r in full]
+
+    @staticmethod
+    def rewrite_between_kicks(full_rescan):
+        """Three jobs; between them an executable region dumped at the
+        first kick is changed by each write path of memory: a CPU
+        write, a tagged store and a scrub, then a free."""
+        from repro.soc import PageSource
+        machine = Machine.create("hikey960", seed=121)
+        driver = MaliDriver(machine)
+        driver.open()
+        ctx = driver.create_context()
+        recorder = make_recorder(driver, RecorderOptions(
+            full_rescan=full_rescan))
+        recorder.begin("w")
+        va = driver.ioctl(IoctlCode.MEM_ALLOC, size=4 * 4096,
+                          flags=MemFlags.job_binary(), tag="extra")
+        ctx.cpu_write(va, bytes(range(256)) * 32)   # pages 2, 3 unheld
+        binary = ctx.regions[va]
+        job_id, _e, _v = submit_vecadd(driver)
+        driver.ioctl(IoctlCode.JOB_WAIT, job_id=job_id)
+        ctx.cpu_write(binary.va + 4096 + 8, b"written")
+        ctx.cpu_store(binary.va + 2 * 4096,
+                      PageSource(b"\x5a" * 4096 + bytes(4096)))
+        machine.memory.scrub_pages([binary.pas[0]])
+        job_id, _e, _v = submit_vecadd(driver, seed=1)
+        driver.ioctl(IoctlCode.JOB_WAIT, job_id=job_id)
+        machine.memory.drop_pages([binary.pas[2]])
+        job_id, _e, _v = submit_vecadd(driver, seed=2)
+        driver.ioctl(IoctlCode.JOB_WAIT, job_id=job_id)
+        return recorder.end()[0], va
+
+    def test_every_write_path_between_kicks(self):
+        dirty, va = self.rewrite_between_kicks(False)
+        full, _va = self.rewrite_between_kicks(True)
+        assert dirty.to_bytes() == full.to_bytes()
+        # All four pages at first sight; then the three the write, the
+        # scrub and the store changed (the fourth is stored zero, as it
+        # was); then the one whose reference the free dropped.
+        assert [(dump.va - va, dump.size) for dump in dirty.dumps
+                if va <= dump.va < va + 4 * 4096] == \
+            [(0, 4 * 4096), (0, 3 * 4096), (2 * 4096, 4096)]
+
+    def test_the_set_is_kept_only_while_recording(self, driver, recorder):
+        assert driver.machine.memory.dirty is None
+        recorder.begin("w")
+        assert driver.machine.memory.dirty == set()
+        job_id, _e, _v = submit_vecadd(driver)
+        driver.ioctl(IoctlCode.JOB_WAIT, job_id=job_id)
+        recorder.end()
+        assert driver.machine.memory.dirty is None

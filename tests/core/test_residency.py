@@ -208,3 +208,31 @@ def test_a_store_after_a_large_dump_left_visits_its_neighbours_only():
     assert nano.resident_digest(store) is None
     assert nano.resident_digest(store - PAGE_SIZE) is not None
     assert nano.resident_digest(store + PAGE_SIZE) is not None
+
+
+def test_two_dumps_with_one_payload_are_not_hashed(tmp_path):
+    """A vault fetch gives dumps with equal chunk lists one payload
+    object; an upload of one where the other is resident skips without
+    hashing either, and a dump with other bytes is still uploaded."""
+    from repro.store import Vault
+    page = bytes(range(256)) * 16
+    recording = Recording(
+        RecordingMeta(workload="twins", family="mali",
+                      gpu_model="mali-g52", board="hikey960"),
+        [act.SetGpuPgtable(memattr=0)],
+        [MemoryDump(0x1000000, page * 2), MemoryDump(0x1000000, page * 2),
+         MemoryDump(0x1000000, page[::-1] * 2)])
+    vault = Vault(str(tmp_path / "vault"))
+    fetched = vault.fetch(vault.pack(recording).digest, verify=True)
+    first, twin, other = fetched.dumps
+    assert first.data is twin.data and other.data is not first.data
+    machine = fresh_replay_machine("mali", seed=9)
+    nano = NanoGpuDriver(machine)
+    nano.init_gpu()
+    nano.map_gpu_mem(0x1000000, 2,
+                     machine.gpu.mmu.fmt.encode_pte(0, PERM_R | PERM_W))
+    nano.set_gpu_pgtable(machine.gpu.spec.required_memattr)
+    assert nano.upload(first.va, first) == 2 * PAGE_SIZE
+    assert nano.upload(twin.va, twin) == 0
+    assert "digest" not in first.__dict__ and "digest" not in twin.__dict__
+    assert nano.upload(other.va, other) == 2 * PAGE_SIZE

@@ -120,6 +120,11 @@ def synthetic_recording(seed: int) -> Recording:
 @pytest.mark.parametrize("seed", range(20))
 def test_synthetic_round_trip(seed):
     recording = synthetic_recording(seed)
+    if not recording.meta.family:
+        # A file must name a known GPU family: refused, then given one.
+        with pytest.raises(SerializationError):
+            Recording.from_bytes(synthetic_recording(seed).to_bytes())
+        recording.meta.family = "mali"
     for compress in (True, False):
         blob = recording.to_bytes(compress=compress)
         decoded = Recording.from_bytes(blob)

@@ -189,6 +189,69 @@ class TestPhysicalMemory:
         assert memory.touched_pages() == len(touched)
 
 
+class TestDirtyPages:
+    """``PhysicalMemory.dirty``: the pages each write path changed, kept
+    only while a recorder asks (a set), for its dirty-page capture."""
+
+    def test_not_kept_unless_asked(self, memory):
+        memory.write(0, b"x")
+        memory.scrub_pages([PAGE_SIZE])
+        assert memory.dirty is None
+
+    def test_each_write_path_marks_the_pages_it_changes(self, memory):
+        memory.dirty = set()
+        memory.write(5 * PAGE_SIZE + 10, b"x")              # one page
+        assert memory.dirty == {5}
+        memory.write(7 * PAGE_SIZE - 2, b"abcd")            # two pages
+        assert memory.dirty == {5, 6, 7}
+        memory.dirty.clear()
+        source = PageSource(bytes(PAGE_SIZE) + b"\x01" * PAGE_SIZE)
+        memory.store_pages([8 * PAGE_SIZE, 9 * PAGE_SIZE], source, 0)
+        assert memory.dirty >= {9}                           # a reference
+        memory.store_pages([5 * PAGE_SIZE], source, 1)      # a copy
+        assert memory.dirty >= {5, 9}
+        memory.dirty.clear()
+        memory.store_pages([8 * PAGE_SIZE, 9 * PAGE_SIZE], source, 0)
+        assert memory.dirty == set()        # already holds them: no change
+        memory.scrub_pages([9 * PAGE_SIZE])                 # a scrub
+        assert memory.dirty == {9}
+        memory.dirty.clear()
+        memory.store_pages([9 * PAGE_SIZE], source, 1)
+        memory.dirty.clear()
+        memory.drop_pages([9 * PAGE_SIZE])                  # a free
+        assert memory.dirty == {9}
+        assert memory.read(9 * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+
+    def test_a_page_left_unmarked_did_not_change(self, memory):
+        """Over random writes, stores, scrubs and frees, a page outside
+        ``dirty`` reads what it read before the operation."""
+        rng = random.Random(3)
+        sources = [PageSource(b"".join(
+            rng.choice((bytes(PAGE_SIZE), rng.randbytes(PAGE_SIZE)))
+            for _ in range(6))) for _ in range(3)]
+        pages = range(12)
+        for _ in range(300):
+            before = {n: memory.read(n * PAGE_SIZE, PAGE_SIZE)
+                      for n in pages}
+            memory.dirty = set()
+            pick = rng.sample(pages, rng.randrange(1, 4))
+            kind = rng.randrange(4)
+            if kind == 0:
+                at = pick[0] * PAGE_SIZE + rng.randrange(PAGE_SIZE)
+                memory.write(at, rng.randbytes(rng.randrange(1, 6000)))
+            elif kind == 1:
+                memory.store_pages([n * PAGE_SIZE for n in pick],
+                                   rng.choice(sources), rng.randrange(3))
+            elif kind == 2:
+                memory.scrub_pages([n * PAGE_SIZE for n in pick])
+            else:
+                memory.drop_pages([n * PAGE_SIZE for n in pick])
+            for n in pages:
+                if n not in memory.dirty:
+                    assert memory.read(n * PAGE_SIZE, PAGE_SIZE) == \
+                        before[n]
+
+
 class TestPageAllocator:
     def make(self, memory, pages=64, seed=0):
         return PageAllocator(memory, base_pa=0, page_count=pages,

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.encoder import encode_skeleton
 from repro.core.recording import (MemoryDump, Recording, RecordingMeta,
-                                  decode_skeleton, encode_skeleton)
+                                  decode_skeleton)
 from repro.store import (CHUNK_AVG_BITS, CHUNK_MAX, CHUNK_MIN, Vault,
                          chunk_digest, split)
 from repro.store.chunks import _BLOCK, GEAR, iter_boundaries
@@ -115,10 +116,31 @@ def reference_boundaries(data, min_size=CHUNK_MIN,
     return out
 
 
+def _sparse(rng: random.Random, size: int) -> bytes:
+    """Whole pages, each zero, random, or zero but for a few bytes at
+    its start or end (the bytes before a run of zero pages decide its
+    first window)."""
+    out = bytearray(size)
+    for at in range(0, size, 4096):
+        page = min(4096, size - at)
+        cut = rng.randrange(1, 12)
+        kind = rng.randrange(5)
+        if kind == 1:
+            out[at:at + page] = rng.randbytes(page)
+        elif kind == 2:
+            out[at + page - min(cut, page):at + page] = \
+                rng.randbytes(min(cut, page))
+        elif kind == 3:
+            out[at:at + min(cut, page)] = rng.randbytes(min(cut, page))
+    return bytes(out)
+
+
 def _payload(kind: str, size: int, seed: int) -> bytes:
     rng = random.Random(seed)
     if kind == "zero":
         return bytes(size)
+    if kind == "sparse":
+        return _sparse(rng, size)
     if kind == "constant":
         return bytes([rng.randrange(256)]) * size
     if kind == "random":
@@ -127,7 +149,7 @@ def _payload(kind: str, size: int, seed: int) -> bytes:
     return (page * (size // 4096 + 1))[:size]
 
 
-KINDS = ("zero", "constant", "random", "paged")
+KINDS = ("zero", "constant", "random", "paged", "sparse")
 
 
 def _edge_sizes(min_size, avg_bits, max_size):
@@ -177,6 +199,41 @@ class TestEqualsPerByteReference:
             payload = _payload(kind, size, size)
             assert list(iter_boundaries(payload)) == \
                 reference_boundaries(payload), (kind, size)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_zero_heavy_buffers(self, seed):
+        """The zero-page path (a constant fingerprint inside a run of
+        zero pages) on 50 buffers per seed, at the default and at
+        random parameters."""
+        rng = random.Random(seed)
+        for _ in range(50):
+            params = (CHUNK_MIN, CHUNK_AVG_BITS, CHUNK_MAX) \
+                if rng.random() < 0.5 else (
+                    rng.randrange(1, 600), rng.choice((0, 1, 3, 10, 17)),
+                    None)
+            if params[2] is None:
+                params = params[:2] + (params[0] + rng.randrange(5000),)
+            payload = _sparse(rng, rng.randrange(1, 6 * 4096 + 100))
+            assert list(iter_boundaries(payload, *params)) == \
+                reference_boundaries(payload, *params), params
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_boundary_in_a_zero_runs_first_window(self, seed):
+        """A zero run's first window still holds the bytes before it: a
+        random page whose last nine bytes and the run's first zero are
+        a boundary (with this gear table, the only offset into a run
+        where one can be), then zero pages."""
+        rng = random.Random(seed)
+        mask = (1 << CHUNK_AVG_BITS) - 1
+        while True:
+            payload = rng.randbytes(4096) + bytes(3 * 4096)
+            window = payload[4097 - CHUNK_AVG_BITS:4097]
+            if sum(GEAR[byte] << k for k, byte in
+                   enumerate(reversed(window))) & mask == mask:
+                want = reference_boundaries(payload)
+                if 4097 in want:    # not too near the boundary before
+                    break
+        assert list(iter_boundaries(payload)) == want
 
     def test_fingerprint_wider_than_64_bits_is_refused(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from repro.core.dumps import MemoryDump
-from repro.core.recording import Recording, RecordingMeta, encode_skeleton
+from repro.core.encoder import encode_skeleton
+from repro.core.recording import Recording, RecordingMeta
 from repro.errors import (StoreCorruptionError, StoreError,
                           StoreLayoutError, StoreNotFoundError)
 from repro.obs.session import Observability

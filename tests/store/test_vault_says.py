@@ -19,7 +19,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core.dumps import MemoryDump
-from repro.core.recording import IoBuffer, Recording, encode_skeleton
+from repro.core.encoder import encode_skeleton
+from repro.core.recording import IoBuffer, Recording
 from repro.store import Vault
 from repro.store.vault import _PackWriter
 from repro.tools.smoke import flip_object_byte
@@ -108,9 +109,10 @@ def _non_canonical_skeleton(recording) -> bytes:
     """The skeleton with the input's ``optional`` byte 2, not 1:
     decodes to the same recording, re-encodes differently."""
     skeleton = bytearray(encode_skeleton(recording))
-    recording.meta.inputs[0] = replace(recording.meta.inputs[0],
-                                       optional=False)
-    other = encode_skeleton(recording)
+    variant = Recording(replace(recording.meta, inputs=[replace(
+        recording.meta.inputs[0], optional=False)]), recording.actions,
+        recording.dumps)    # a recording is not changed once encoded
+    other = encode_skeleton(variant)
     at, = [i for i, (a, b) in enumerate(zip(skeleton, other)) if a != b]
     skeleton[at] = 2
     return bytes(skeleton)

@@ -114,7 +114,10 @@ def test_pagetable_walk_matches_builder_state(ops, fmt_name):
     st.binary(min_size=0, max_size=300))
 def test_serialization_normal_form(actions, blob):
     dumps = [MemoryDump(0x1000, blob)] if blob else []
-    recording = Recording(RecordingMeta(workload="nf"), actions, dumps)
+    recording = Recording(RecordingMeta(workload="nf", family="v3d",
+                                        gpu_model="v3d-4.2",
+                                        board="raspberrypi4"),
+                          actions, dumps)
     once = recording.to_bytes(compress=False)
     twice = Recording.from_bytes(once).to_bytes(compress=False)
     assert once == twice
