@@ -27,28 +27,7 @@ import importlib
 from functools import partial
 from weakref import proxy
 
-from repro.errors import (
-    GpuFault,
-    RecordingError,
-    ReplayDivergence,
-    ReplayError,
-    ReplayTimeout,
-    ReproError,
-    VerificationError,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "GpuFault",
-    "RecordingError",
-    "ReplayDivergence",
-    "ReplayError",
-    "ReplayTimeout",
-    "ReproError",
-    "VerificationError",
-    "__version__",
-]
 
 
 def lazy_exports(package: str, homes: dict):

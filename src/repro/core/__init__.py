@@ -2,7 +2,8 @@
 
 - :mod:`repro.core.actions` -- the replay actions of Table 2;
 - :mod:`repro.core.recording` -- the recording container and its
-  compressed on-disk format;
+  compressed on-disk format; :mod:`repro.core.encoder` writes it (and
+  the vault's skeleton form), loaded when a caller asks for it;
 - :mod:`repro.core.recorder` -- the in-driver recorder (Section 4);
 - :mod:`repro.core.taint` -- magic-value input/output discovery;
 - :mod:`repro.core.harness` -- the developer-facing record harness;

@@ -328,9 +328,6 @@ def flip_dump_byte(recording: Recording
             data[offset] ^= 0xFF
             dumps = list(recording.dumps)
             dumps[index] = MemoryDump(dump.va, bytes(data))
-            corrupted = Recording(recording.meta, recording.actions, dumps)
-            # Same metadata, actions and dump table: the same head.
-            corrupted._head = recording._head
-            return corrupted, index, offset
+            return recording.with_dumps(dumps), index, offset
     raise ObsError(
         f"no dump covers the first job chain at {chain_va:#x}")

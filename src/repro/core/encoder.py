@@ -1,8 +1,10 @@
-"""The writer half of the ``.grr`` format (:mod:`repro.core.recording`).
+"""The writer half of the ``.grr`` format (:mod:`repro.core.recording`),
+and the vault's skeleton form.
 
-A replayer reads recordings and never writes one, so this loads at
-call time: :meth:`Recording.to_bytes`, the digest of a recording that
-was built rather than decoded, and the vault's packing import it.
+A replayer reads recordings and never writes one, nor reads a vault's
+skeleton, so this loads at call time: :meth:`Recording.to_bytes`, the
+digest of a recording that was built rather than decoded, and the
+vault's packing and fetching import it.
 
 Version 2 stores each dump as a bitmap of its all-zero pages plus its
 other pages, after the skeleton, in one zlib stream: a v3d dump is
@@ -26,7 +28,8 @@ from repro.core import actions as act
 from repro.core.dumps import MemoryDump
 from repro.core.recording import (_ACTION_CODECS, _DUMP_ENTRY, _HEADER,
                                   _LENGTHS, _U8, _U16, _U32, _U64, MAGIC,
-                                  VERSION, IoBuffer, Recording)
+                                  VERSION, IoBuffer, Recording, _decode,
+                                  _Reader)
 from repro.errors import SerializationError
 from repro.soc import PAGE_SIZE
 
@@ -80,10 +83,7 @@ def _encode_io(w: _Writer, buffers: List[IoBuffer]) -> None:
 
 def encode_head(rec: Recording) -> bytes:
     """The body up to the dump table: metadata, string table, actions
-    and the dump count. Memoized on the recording, as its digest is:
-    a recording is not changed once encoded."""
-    if rec._head is not None:
-        return rec._head
+    and the dump count, as the recording holds them now."""
     meta = rec.meta
     w = _Writer()
     for s in (meta.gpu_model, meta.family, meta.pte_format, meta.board,
@@ -121,8 +121,7 @@ def encode_head(rec: Recording) -> bytes:
         w.string(s)
     w.raw(aw.getvalue())
     w.u32(len(rec.dumps))
-    rec._head = head = w.getvalue()
-    return head
+    return w.getvalue()
 
 
 def encode_skeleton(rec: Recording) -> bytes:
@@ -136,6 +135,40 @@ def encode_skeleton(rec: Recording) -> bytes:
     """
     return encode_head(rec) + b"".join(
         _DUMP_ENTRY.pack(dump.va, dump.size) for dump in rec.dumps)
+
+
+def decode_skeleton(skeleton: bytes,
+                    payloads: List[bytes]) -> Recording:
+    """Rebuild a recording from its skeleton and dump payloads.
+
+    ``payloads[i]`` must be exactly the bytes of dump ``i`` as the
+    skeleton's dump table declares them; a count or size mismatch is a
+    :class:`SerializationError` (the store's integrity chain should
+    have caught it earlier). Payloads may be ``bytes`` or read-only
+    ``memoryview``s (the vault's zero-copy fetch path); they land in
+    :class:`MemoryDump` untouched, with no intermediate copy.
+    """
+    def dumps(r: _Reader, n_dumps: int) -> List[MemoryDump]:
+        if len(payloads) != n_dumps:
+            raise SerializationError(
+                f"skeleton declares {n_dumps} dumps, "
+                f"{len(payloads)} payloads supplied")
+        out = []
+        for index, payload in enumerate(payloads):
+            va, size = r.unpack(_DUMP_ENTRY)
+            if len(payload) != size:
+                raise SerializationError(
+                    f"dump #{index}: skeleton declares {size} bytes, "
+                    f"payload has {len(payload)}")
+            out.append(MemoryDump(va, payload))
+        return out
+
+    try:
+        return _decode(skeleton, dumps)
+    except (struct.error, ValueError, EOFError, IndexError,
+            OverflowError, MemoryError) as exc:
+        raise SerializationError(
+            f"corrupt recording skeleton: {type(exc).__name__}: {exc}")
 
 
 def encode_body(rec: Recording) -> bytes:

@@ -11,7 +11,9 @@ A file is magic, version and flags (10 bytes), then in version 1 that
 body, zlib'd if flags bit 0. Version 2 adds the logical and stored
 lengths (u64s) and stores the skeleton (the body without dump bytes)
 and per dump a bitmap of its all-zero pages and its other pages, as
-one zlib stream if flags bit 0. Decoding is strict and bounded.
+one zlib stream if flags bit 0. Decoding is strict and bounded. The
+format is deliberately self-contained -- the replayer needs nothing
+else.
 """
 
 from __future__ import annotations
@@ -36,13 +38,18 @@ _LENGTHS = struct.Struct("<QQ")
 _U8, _U16, _U32, _U64 = (struct.Struct("<" + code) for code in "BHIQ")
 _DUMP_ENTRY = struct.Struct("<QI")
 
-#: GPU memory a recording may need unless the caller says otherwise.
-MAX_GPU_BYTES = 256 << 20
+#: The longest logical body a decoder takes, which bounds what a small
+#: file can make it allocate. Over the zoo a body is at most 6.4 times
+#: the GPU memory its recording maps (v3d/mobilenet: whole regions are
+#: dumped at each job) and 6.5 MB (adreno/dense-serve): 1 GiB admits a
+#: model that maps 160 MiB.
+MAX_BODY = 1 << 30
 
-#: Wire layout of an action: tag, then the dataclass fields in order
-#: -- min/recorded interval, ``src`` (a string-table ref), job index,
-#: then the codes below (an ``I`` listed as a ref is one; ``?`` a bool,
-#: one byte).
+#: Wire layout of an action: tag, then the dataclass fields in
+#: declaration order -- min/recorded interval, ``src`` (string-table
+#: ref), job index, then the per-type codes below. ``I`` at a position
+#: listed as a ref is an index into the string table; ``?`` is a bool
+#: stored as one byte.
 _ACTION_HEADER = "<BQQII"
 _ACTION_WIRE = {
     act.RegReadOnce: ("IQ?", (4,)),
@@ -74,17 +81,15 @@ def _action_codec(cls: type):
 _ACTION_CODECS = tuple(_action_codec(cls) for cls in act.ACTION_TYPES)
 
 
-def body_cap(max_gpu_bytes: int = MAX_GPU_BYTES) -> int:
-    """The longest body a decoder takes: dumps may re-upload four
-    times the GPU memory, plus a MiB of skeleton."""
-    return 4 * max_gpu_bytes + (1 << 20)
-
-
 @dataclass(frozen=True)
 class IoBuffer:
     """An input or output interface of a recording (Section 4.4).
-    ``optional`` marks inputs the app *may* supply, e.g. training
-    weights deposited once that then live in GPU memory."""
+
+    ``optional`` marks inputs the app *may* supply (the "record by
+    address + optional value override" pattern): e.g. training weights
+    are deposited before the first iteration and then live in GPU
+    memory across replays.
+    """
 
     name: str
     gaddr: int
@@ -126,17 +131,22 @@ class Recording:
         self.actions = actions
         self.dumps = dumps
         self._digest: Optional[str] = None
-        #: The body up to the dump table, once decoded or encoded.
+        #: The body up to the dump table, as a canonical decode read it
+        #: (hashed as it is: a replayer never loads the encoder).
         self._head: Optional[bytes] = None
 
     # -- content addressing --------------------------------------------------
 
     def digest(self) -> str:
-        """Hex SHA-256 of the logical body: equal for equal metadata,
-        actions and dumps, whatever the file's version or compression.
-        The replay fast path keys its load cache on it. Memoized:
-        recordings are immutable once they reach the replayer (cross-SKU
-        patching builds a new one).
+        """Stable content hash (hex SHA-256 of the logical body).
+
+        Two recordings with identical metadata, actions and dumps have
+        the same digest regardless of the file's version, compression,
+        which file they came from, or which process decoded them. The
+        replay fast path keys its load cache on it. Memoized:
+        recordings are treated as immutable once they reach the
+        replayer (mutating passes such as cross-SKU patching build new
+        Recording objects).
         """
         if self._digest is None:
             # Hashed dump by dump, never joined; a decoded head as read.
@@ -150,6 +160,15 @@ class Recording:
                 h.update(dump.data)
             self._digest = h.hexdigest()
         return self._digest
+
+    def with_dumps(self, dumps: List[MemoryDump]) -> "Recording":
+        """This recording's metadata and actions with as many other
+        dumps: the same head, so a decoded one is shared, not encoded."""
+        if len(dumps) != len(self.dumps):
+            raise ValueError("a recording's head counts its dumps")
+        other = Recording(self.meta, self.actions, dumps)
+        other._head = self._head
+        return other
 
     # -- accounting ---------------------------------------------------------
 
@@ -190,25 +209,28 @@ class Recording:
         return to_bytes(self, compress)
 
     @classmethod
-    def from_bytes(cls, blob: bytes,
-                   max_gpu_bytes: int = MAX_GPU_BYTES) -> "Recording":
+    def from_bytes(cls, blob: bytes) -> "Recording":
         """Anything but a whole recording of a known family, no longer
-        than ``body_cap``, is a :class:`SerializationError`."""
+        than ``MAX_BODY``, is a :class:`SerializationError`."""
         if len(blob) < 10 or blob[:4] != MAGIC:
             raise SerializationError("not a GPUReplay recording")
         _magic, version, flags = _HEADER.unpack_from(blob)
-        cap = body_cap(max_gpu_bytes)
         view = memoryview(blob).toreadonly()
-        # Whatever a bad body trips over surfaces as the structured
-        # error (`grr` exits 2 on it), never as a raw exception.
+        # A truncated or garbage body must always surface as the
+        # structured corrupt-recording error, never as whatever raw
+        # exception the decoder tripped over (struct.error on a short
+        # buffer, UnicodeDecodeError inside a mangled string table,
+        # MemoryError on an absurd length field...). `grr` maps
+        # SerializationError to exit code 2, like any unusable file.
         try:
             if version == 1:
-                rec = _decode(_inflate(view[10:], cap) if flags & 1
+                rec = _decode(_inflate(view[10:], MAX_BODY) if flags & 1
                               else view[10:], _v1_dumps)
             elif version == VERSION:
                 logical, length = _LENGTHS.unpack_from(blob, 10)
-                if not (0 < length <= cap and logical <= cap):
-                    raise SerializationError(f"declared length over {cap}")
+                if not (0 < length <= MAX_BODY and logical <= MAX_BODY):
+                    raise SerializationError(
+                        f"declared length over {MAX_BODY}")
                 body = memoryview(_inflate(view[26:], length)) \
                     if flags & 1 else view[26:]
                 if len(body) != length:
@@ -236,10 +258,9 @@ class Recording:
         return len(data)
 
     @classmethod
-    def load(cls, path: str,
-             max_gpu_bytes: int = MAX_GPU_BYTES) -> "Recording":
+    def load(cls, path: str) -> "Recording":
         with open(path, "rb") as f:
-            return cls.from_bytes(f.read(), max_gpu_bytes)
+            return cls.from_bytes(f.read())
 
     def size_unzipped(self) -> int:
         """Bytes of an uncompressed file: header and logical body."""
@@ -322,36 +343,6 @@ def _decode_io(r: _Reader) -> List[IoBuffer]:
     return out
 
 
-def decode_skeleton(skeleton: bytes,
-                    payloads: List[bytes]) -> Recording:
-    """Rebuild a recording from its skeleton (``encode_skeleton``) and
-    dump payloads: ``payloads[i]`` is exactly dump ``i``'s bytes as the
-    dump table declares them (else a :class:`SerializationError`), as
-    ``bytes`` or read-only ``memoryview``s (the vault's zero-copy
-    fetch), which land in :class:`MemoryDump` uncopied."""
-    def dumps(r: _Reader, n_dumps: int) -> List[MemoryDump]:
-        if len(payloads) != n_dumps:
-            raise SerializationError(
-                f"skeleton declares {n_dumps} dumps, "
-                f"{len(payloads)} payloads supplied")
-        out = []
-        for index, payload in enumerate(payloads):
-            va, size = r.unpack(_DUMP_ENTRY)
-            if len(payload) != size:
-                raise SerializationError(
-                    f"dump #{index}: skeleton declares {size} bytes, "
-                    f"payload has {len(payload)}")
-            out.append(MemoryDump(va, payload))
-        return out
-
-    try:
-        return _decode(skeleton, dumps)
-    except (struct.error, ValueError, EOFError, IndexError,
-            OverflowError, MemoryError) as exc:
-        raise SerializationError(
-            f"corrupt recording skeleton: {type(exc).__name__}: {exc}")
-
-
 def _v1_dumps(r: _Reader, n_dumps: int) -> List[MemoryDump]:
     """Version 1: each dump's bytes follow its table entry."""
     return [MemoryDump(va, bytes(r.raw(size))) for va, size in
@@ -362,21 +353,25 @@ def _v2_dumps(r: _Reader, n_dumps: int, logical: int) -> List[MemoryDump]:
     """Version 2: the dump table, which must add up to the declared
     ``logical`` length, then per dump a bitmap of its zero pages (bit
     ``i`` of byte ``i // 8``, low bit first) and its other pages: a
-    view of the stream, or joined with zeros."""
+    view of the stream, or copied into one zeroed buffer, so a decode
+    holds a dump's bytes once however few the file stores."""
     table = [r.unpack(_DUMP_ENTRY) for _ in range(n_dumps)]
     if r.pos + sum(size for _va, size in table) != logical:
         raise SerializationError("body length is not the declared one")
     dumps = []
     for va, size in table:
         pages = -(-size // PAGE_SIZE)
-        bitmap = int.from_bytes(r.raw((pages + 7) // 8), "little")
-        if bitmap >> pages:
+        bitmap = r.raw((pages + 7) // 8)
+        if pages % 8 and bitmap[-1] >> pages % 8:
             raise SerializationError(f"bitmap past dump {va:#x}")
-        dumps.append(MemoryDump(va, b"".join([
-            (bytes if bitmap >> page & 1 else r.raw)(
-                min(PAGE_SIZE, size - at))
-            for page, at in enumerate(range(0, size, PAGE_SIZE))])
-            if bitmap else r.raw(size)))
+        if not any(bitmap):
+            dumps.append(MemoryDump(va, r.raw(size)))
+            continue
+        data = bytearray(size)
+        for page, at in enumerate(range(0, size, PAGE_SIZE)):
+            if not bitmap[page >> 3] >> (page & 7) & 1:
+                data[at:at + PAGE_SIZE] = r.raw(min(PAGE_SIZE, size - at))
+        dumps.append(MemoryDump(va, memoryview(data).toreadonly()))
     return dumps
 
 

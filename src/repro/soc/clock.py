@@ -38,10 +38,6 @@ class EventHandle:
         self._event = event
 
     @property
-    def due_ns(self) -> int:
-        return self._event.due_ns
-
-    @property
     def cancelled(self) -> bool:
         return self._event.cancelled
 

@@ -43,8 +43,7 @@ class PhysicalMemory:
         self.buffers_hook = None
         #: Page index -> keys of holders of a buffer it does not own.
         self.lent: Dict[int, set] = {}
-        #: Pages written, stored or dropped: a set while a recorder
-        #: wants it.
+        #: Pages written, stored or dropped, while a recorder keeps a set.
         self.dirty = None
 
     # -- raw access --------------------------------------------------------
@@ -73,8 +72,7 @@ class PhysicalMemory:
             self.write_hook(pa, length)
         page_index, page_offset = divmod(pa, PAGE_SIZE)
         if self.dirty is not None:
-            self.dirty.update(range(page_index,
-                                    (pa + length - 1) // PAGE_SIZE + 1))
+            self.dirty.update(range(page_index, -(-(pa + length) // PAGE_SIZE)))
         tags = self.tags
         if 0 < length <= PAGE_SIZE - page_offset:
             # Single-page write: the unit MMU stores come in.
@@ -209,9 +207,16 @@ class PageAllocator:
     record and replay machines get different physical layouts for the
     same allocation sequence: page ``k`` handed out is what
     ``random.Random(seed).shuffle`` of the full page list, popped from
-    the end, would hand out, drawn lazily: a Fisher-Yates step per
-    page. Freed pages go on a LIFO stack consulted before any fresh
-    draw (part of the layout contract too); ``tests/soc/test_memory.py``
+    the end, would hand out -- without building that list.
+    ``shuffle``'s Fisher-Yates pass settles slot ``n-1`` first, then
+    ``n-2``, ...; each step swaps slot ``i`` with a slot ``j <= i`` and
+    never looks above ``i`` again. Popping from the end consumes slots
+    in that order, so drawing ``randrange(i + 1)`` when slot ``i`` is
+    needed yields the page the shuffled list would hold there. Only
+    slots a swap moved off identity are stored (``_displaced``): a
+    machine pays for the pages it allocates, not for the region.
+    Freed pages go on a LIFO stack consulted before any fresh draw
+    (part of the layout contract too); ``tests/soc/test_memory.py``
     checks every step against the list.
     """
 

@@ -71,7 +71,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.recording import Recording, decode_skeleton
+from repro.core.recording import Recording
 from repro.errors import (SerializationError, StoreCorruptionError,
                           StoreError, StoreLayoutError, StoreNotFoundError)
 from repro.gpu import gpu_clock_hz
@@ -763,6 +763,7 @@ class Vault:
             self._source(digest, only=manifest.skeleton_digest),
             manifest.skeleton_size, context={"recording_digest": digest})
         payloads = [b"\x00" * size for _va, size, _c in manifest.dumps]
+        from repro.core.encoder import decode_skeleton
         return decode_skeleton(bytes(skeleton), payloads)
 
     def _reassemble(self, manifest: Manifest,
@@ -794,6 +795,7 @@ class Vault:
             index.source(self._packs_dir, [manifest.skeleton_digest]),
             manifest.skeleton_size,
             context={"recording_digest": manifest.digest}))
+        from repro.core.encoder import decode_skeleton
         failure = None
         try:
             recording = decode_skeleton(

@@ -14,9 +14,9 @@ import zlib
 import pytest
 
 from repro.core import actions as act
-from repro.core.encoder import encode_skeleton
-from repro.core.recording import (MAGIC, VERSION, Recording,
-                                  RecordingMeta, decode_skeleton)
+from repro.core.dumps import MemoryDump
+from repro.core.encoder import decode_skeleton, encode_skeleton
+from repro.core.recording import MAGIC, VERSION, Recording, RecordingMeta
 from repro.errors import SerializationError
 
 
@@ -244,6 +244,30 @@ class TestVersions:
         assert decoded.digest() == recording.digest()
         assert decoded.to_bytes() == blob
 
+    def test_a_changed_recording_encodes_as_it_is_now(self):
+        """An encode keeps nothing on the recording: a change made
+        after it shows in the next file and skeleton."""
+        recording = real_recording()
+        recording.to_bytes()
+        encode_skeleton(recording)
+        recording.meta.workload = "changed"
+        recording.dumps = recording.dumps[:1]
+        decoded = Recording.from_bytes(recording.to_bytes())
+        assert (decoded.meta.workload, len(decoded.dumps)) == ("changed", 1)
+        skeleton = encode_skeleton(recording)
+        assert decode_skeleton(skeleton, [recording.dumps[0].data]
+                               ).meta.workload == "changed"
+
+    def test_other_dumps_share_the_decoded_head(self):
+        decoded = Recording.from_bytes(real_recording().to_bytes())
+        dumps = [MemoryDump(d.va, bytes(d.size)) for d in decoded.dumps]
+        other = decoded.with_dumps(dumps)
+        assert other._head is decoded._head is not None
+        assert other.digest() == Recording(decoded.meta, decoded.actions,
+                                           dumps).digest()
+        with pytest.raises(ValueError):
+            decoded.with_dumps(dumps[1:])
+
 
 class TestRequiredMetadata:
     @pytest.mark.parametrize("field,value", [
@@ -296,10 +320,10 @@ def mutants(blob: bytes, seed: int):
         yield f"tail+{len(tail)}", blob + tail
 
 
-#: Inflating a file may hold its bytes, the stored stream and the dumps
-#: it joins with zero pages: a decode's traced peak stays under this
-#: many times the file's size plus its declared lengths.
-PEAK_OVER_FILE_AND_DECLARED = 3
+#: Decoding a file holds its bytes, the stored stream and the dumps,
+#: each once: a decode's traced peak stays under this many times the
+#: file's size plus its declared lengths.
+PEAK_OVER_FILE_AND_DECLARED = 2
 
 
 def traced_outcome(blob: bytes, register_names, want_digest: str):
@@ -365,10 +389,36 @@ class TestMutatedZooFiles:
         if declared > 16 << 20:     # over the cap: nothing inflated
             assert peak < 4 * len(blob) + (1 << 20)
 
-    def test_a_version_1_bomb_stops_at_the_cap(self):
-        from repro.core.recording import body_cap
+    def test_a_version_1_bomb_stops_at_the_cap(self, monkeypatch):
         body = zlib.compress(bytes(16 << 20), 9)
         blob = MAGIC + struct.pack("<HI", 1, 1) + body
+        monkeypatch.setattr("repro.core.recording.MAX_BODY", 4 << 20)
         with pytest.raises(SerializationError, match="too long"):
-            Recording.from_bytes(blob, max_gpu_bytes=1 << 20)
-        assert body_cap(1 << 20) < 16 << 20
+            Recording.from_bytes(blob)
+
+    def test_zero_pages_are_decoded_into_one_buffer(self):
+        """A few hundred bytes whose bitmap says every page of a 16-MiB
+        dump is zero: the decode holds that dump once, not its pages
+        and then their join."""
+        declared = 16 << 20
+        rec = tiny_recording()
+        rec.dumps = [MemoryDump(0x1000, bytes(declared))]
+        blob = rec.to_bytes()
+        assert len(blob) < 1000
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            decoded = Recording.from_bytes(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decoded.dumps[0].data == bytes(declared)
+        assert declared <= peak < declared * 5 // 4
+
+    def test_a_declared_length_over_the_cap_is_refused(self, monkeypatch):
+        rec = tiny_recording()
+        rec.dumps = [MemoryDump(0x1000, bytes(8 << 20))]
+        blob = rec.to_bytes()
+        monkeypatch.setattr("repro.core.recording.MAX_BODY", 4 << 20)
+        with pytest.raises(SerializationError, match="over"):
+            Recording.from_bytes(blob)

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.encoder import encode_skeleton
-from repro.core.recording import (MemoryDump, Recording, RecordingMeta,
-                                  decode_skeleton)
+from repro.core.encoder import decode_skeleton, encode_skeleton
+from repro.core.recording import MemoryDump, Recording, RecordingMeta
 from repro.store import (CHUNK_AVG_BITS, CHUNK_MAX, CHUNK_MIN, Vault,
                          chunk_digest, split)
 from repro.store.chunks import _BLOCK, GEAR, iter_boundaries

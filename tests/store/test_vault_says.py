@@ -109,10 +109,9 @@ def _non_canonical_skeleton(recording) -> bytes:
     """The skeleton with the input's ``optional`` byte 2, not 1:
     decodes to the same recording, re-encodes differently."""
     skeleton = bytearray(encode_skeleton(recording))
-    variant = Recording(replace(recording.meta, inputs=[replace(
-        recording.meta.inputs[0], optional=False)]), recording.actions,
-        recording.dumps)    # a recording is not changed once encoded
-    other = encode_skeleton(variant)
+    recording.meta.inputs[0] = replace(recording.meta.inputs[0],
+                                       optional=False)
+    other = encode_skeleton(recording)
     at, = [i for i, (a, b) in enumerate(zip(skeleton, other)) if a != b]
     skeleton[at] = 2
     return bytes(skeleton)
