@@ -22,7 +22,7 @@ import zlib
 from dataclasses import fields
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core import actions as act
 from repro.core.dumps import MemoryDump
@@ -31,12 +31,10 @@ from repro.core.recording import (_ACTION_CODECS, _DUMP_ENTRY, _HEADER,
                                   VERSION, IoBuffer, Recording, _decode,
                                   _Reader)
 from repro.errors import SerializationError
-from repro.soc import PAGE_SIZE
+from repro.soc import PAGE_SIZE, zero_pages
 
 #: zlib level of a whole file (Section 6.2's compressed dumps).
 ZLIB_LEVEL = 6
-
-_ZERO_PAGE = bytes(PAGE_SIZE)
 
 #: Indexed by action tag: the getter of its fields in wire order.
 _WIRE_FIELDS = tuple(attrgetter(*[f.name for f in fields(cls)])
@@ -124,7 +122,7 @@ def encode_head(rec: Recording) -> bytes:
     return w.getvalue()
 
 
-def encode_skeleton(rec: Recording) -> bytes:
+def encode_skeleton(rec: Recording, head: Optional[bytes] = None) -> bytes:
     """The body *without* dump payloads.
 
     The chunked store keeps a recording as this skeleton (metadata,
@@ -132,8 +130,9 @@ def encode_skeleton(rec: Recording) -> bytes:
     content-defined chunk list per dump; the payload bytes live in the
     shared chunk objects. ``decode_skeleton`` reassembles the exact
     Recording, so ``digest()`` survives a store round-trip unchanged.
+    ``head``: the recording's :func:`encode_head`, if the caller has it.
     """
-    return encode_head(rec) + b"".join(
+    return (head or encode_head(rec)) + b"".join(
         _DUMP_ENTRY.pack(dump.va, dump.size) for dump in rec.dumps)
 
 
@@ -177,13 +176,6 @@ def encode_body(rec: Recording) -> bytes:
     for dump in rec.dumps:
         parts += (_DUMP_ENTRY.pack(dump.va, dump.size), dump.data)
     return b"".join(parts)
-
-
-def zero_pages(data) -> List[bool]:
-    """Per page of ``data`` (the last may be short): all zero?"""
-    view = memoryview(data).cast("B")
-    return [_ZERO_PAGE.startswith(view[at:at + PAGE_SIZE])
-            for at in range(0, len(view), PAGE_SIZE)]
 
 
 def zero_page_ratio(dumps: List[MemoryDump]) -> float:

@@ -137,7 +137,7 @@ class Recording:
 
     # -- content addressing --------------------------------------------------
 
-    def digest(self) -> str:
+    def digest(self, head: Optional[bytes] = None) -> str:
         """Stable content hash (hex SHA-256 of the logical body).
 
         Two recordings with identical metadata, actions and dumps have
@@ -146,11 +146,11 @@ class Recording:
         replay fast path keys its load cache on it. Memoized:
         recordings are treated as immutable once they reach the
         replayer (mutating passes such as cross-SKU patching build new
-        Recording objects).
+        Recording objects). ``head``: its encoding, if the caller has it.
         """
         if self._digest is None:
             # Hashed dump by dump, never joined; a decoded head as read.
-            head = self._head
+            head = self._head or head
             if head is None:
                 from repro.core.encoder import encode_head
                 head = encode_head(self)

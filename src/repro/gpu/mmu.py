@@ -9,7 +9,8 @@ Host cost. Two caches derive from page-table memory, both dropped by
 :meth:`GpuMmu._drop_translations` wherever it may have changed: the
 TLB (coherent through write hooks on physical memory) and *page runs*,
 per ``(va, size, access)`` the pages the TLB resolved it to (for a
-read, their buffers; a run goes when one is replaced). A warm bulk
+read, their buffers; all runs go once memory counts a replaced
+buffer, ``PhysicalMemory.replaced``). A warm bulk
 access is one C-level gather (or one write per page); a gather of one
 source's pages returns a view of it, until one of them changes.
 """
@@ -47,10 +48,12 @@ class GpuMmu:
         self._tlb: Dict[Tuple[int, str], int] = {}
         #: Page runs: ``(va, size, access)`` -> what the TLB said about
         #: each page when last probed: buffers for a read, ``(pa,
-        #: length)`` for a write; a memo of the TLB, dropped with it.
+        #: length)`` for a write; a memo of the TLB, dropped with it,
+        #: and when ``memory.replaced`` moves off ``_replaced``.
         #: Bytes are remembered only as ``_views`` (:meth:`gather_va`).
         self._runs: Dict[Tuple[int, int, str], list] = {}
         self._run_pages = 0
+        self._replaced = memory.replaced
         self._views: Dict[Tuple[int, int, str], object] = {}
         self.fault_count = 0
         #: Emulated TLB performance counters (plain ints on the hot
@@ -69,8 +72,7 @@ class GpuMmu:
 
     def _subscribe(self, memory: PhysicalMemory) -> None:
         for name, mine in (("write_hook", weakly(self._on_phys_write)),
-                           ("pages_hook", weakly(self._on_pages_write)),
-                           ("buffers_hook", weakly(self._on_new_buffers))):
+                           ("pages_hook", weakly(self._on_pages_write))):
             prev = getattr(memory, name)
             if prev is not None:
                 def mine(*args, _prev=prev, _mine=mine) -> None:
@@ -95,10 +97,6 @@ class GpuMmu:
         tables = self._table_pages
         if tables and self.coherent_tlb and not tables.isdisjoint(indices):
             self._drop_translations()
-
-    def _on_new_buffers(self, keys: set) -> None:
-        for key in keys:
-            self._run_pages -= len(self._runs.pop(key, ()))
 
     def _drop_translations(self) -> None:
         """Forget the TLB, the table pages it was walked from and the
@@ -236,6 +234,11 @@ class GpuMmu:
         page hits (and, for a read, has a buffer), so a run never
         misses, walks or faults; using one is worth ``tlb_hits +=
         len(run)``."""
+        if self._replaced != self.memory.replaced:
+            # A page lost a buffer a read run may hold.
+            self._replaced = self.memory.replaced
+            self._runs.clear()
+            self._run_pages = 0
         key = (va, size, access)
         run = self._runs.get(key)
         if run is not None or \
@@ -255,8 +258,6 @@ class GpuMmu:
                 buffer = page_buffer(base)
                 if buffer is None:
                     return None
-                if buffer.__class__ is not bytearray:   # may be replaced
-                    self.memory.lent.setdefault(base >> 12, set()).add(key)
                 run.append(buffer if chunk == PAGE_SIZE else
                            memoryview(buffer)[offset:offset + chunk])
             cursor += chunk

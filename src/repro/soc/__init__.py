@@ -16,6 +16,13 @@ PAGE_SIZE = 4096
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
+def zero_pages(data) -> list:
+    """Per page of ``data`` (the last may be short): all zero?"""
+    view = memoryview(data).cast("B")
+    return [_ZERO_PAGE.startswith(view[at:at + PAGE_SIZE])
+            for at in range(0, len(view), PAGE_SIZE)]
+
+
 class PageSource:
     """A read-only buffer as tagged stores hold it: a page tagged page
     ``k`` of it holds exactly its page ``k``; ``zero[k]`` says that page
@@ -28,8 +35,7 @@ class PageSource:
         self.data = view = memoryview(data).cast("B")
         if not view.readonly:
             raise TypeError("writable page source")
-        self.zero = [_ZERO_PAGE.startswith(view[at:at + PAGE_SIZE])
-                     for at in range(0, len(view), PAGE_SIZE)]
+        self.zero = zero_pages(view)
         self.version = 0
 
 

@@ -36,13 +36,12 @@ class PhysicalMemory:
         self.tag_pages: Dict[int, int] = {}
         #: Optional observers (the GPU MMU's TLB shootdown): of writes,
         #: ``fn(pa, length)``, before the bytes land; of page stores,
-        #: ``fn(indices)`` once per batch, else ``write_hook`` per page;
-        #: of new buffers, ``fn(lent keys)``.
+        #: ``fn(indices)`` once per batch.
         self.write_hook = None
         self.pages_hook = None
-        self.buffers_hook = None
-        #: Page index -> keys of holders of a buffer it does not own.
-        self.lent: Dict[int, set] = {}
+        #: Times a page lost a buffer it did not own (a read-only view,
+        #: or ``ZERO``'s page): a holder of such buffers compares it.
+        self.replaced = 0
         #: Pages written, stored or dropped, while a recorder keeps a set.
         self.dirty = None
 
@@ -97,9 +96,8 @@ class PhysicalMemory:
         if held is not None:
             held.version += 1
         if page.__class__ is not bytearray:
-            keys = self.lent.pop(index, None)
-            if keys and self.buffers_hook:
-                self.buffers_hook(keys)
+            if page is not None or held is not None:
+                self.replaced += 1
             page = self._pages[index] = bytearray(page or PAGE_SIZE)
         return page
 
@@ -116,9 +114,7 @@ class PhysicalMemory:
         ``pages_hook`` hears of them when done."""
         tags, tag_pages, zero = self.tags, self.tag_pages, source.zero
         pages, data, last = self._pages, source.data, self.size - PAGE_SIZE
-        hook = self.write_hook if self.pages_hook is None else None
         copied: List[int] = []
-        replaced = set()
         for pa, n in zip(pas, range(k, k + len(pas)) if len(zero) > 1
                          else repeat(k)):
             index = pa // PAGE_SIZE
@@ -133,14 +129,12 @@ class PhysicalMemory:
                 if zero[n] and held.zero[tag_pages[index]]:
                     tags[index], tag_pages[index] = source, n
                     continue
-            if hook is not None:
-                hook(pa, PAGE_SIZE)
             page = pages.get(index)
             if page.__class__ is bytearray:
                 page[:] = data[n * PAGE_SIZE:(n + 1) * PAGE_SIZE]
             else:
-                if index in self.lent:
-                    replaced |= self.lent.pop(index)
+                if page is not None or held is not None:
+                    self.replaced += 1
                 if zero[n]:
                     pages.pop(index, None)
                 else:
@@ -152,13 +146,11 @@ class PhysicalMemory:
             self.pages_hook(copied)
         if self.dirty is not None:
             self.dirty.update(copied)
-        if replaced and self.buffers_hook:
-            self.buffers_hook(replaced)
         return len(copied)
 
     def drop_pages(self, pas: Iterable[int]) -> None:
         """Freed pages drop tags (but ``ZERO``) and buffers not their own."""
-        tags, dropped = self.tags, set()
+        tags = self.tags
         for index in map(PAGE_SIZE.__rfloordiv__, pas):
             held = tags.get(index, ZERO)
             if held is not ZERO:
@@ -166,11 +158,9 @@ class PhysicalMemory:
                 held.version += 1
                 if self._pages.get(index).__class__ is not bytearray:
                     self._pages.pop(index, None)
-                    dropped |= self.lent.pop(index, set())
+                    self.replaced += 1
                     if self.dirty is not None:
                         self.dirty.add(index)
-        if dropped and self.buffers_hook:
-            self.buffers_hook(dropped)
 
     def read_u32(self, pa: int) -> int:
         return struct.unpack("<I", self.read(pa, 4))[0]
@@ -188,7 +178,7 @@ class PhysicalMemory:
         """The buffer behind the page containing ``pa``: its own
         ``bytearray``, written in place; or a read-only view a tagged
         store put there (``ZERO``'s page if zero), until replaced
-        (``lent``); or None."""
+        (``replaced`` counts it); or None."""
         index = pa // PAGE_SIZE
         page = self._pages.get(index)
         return ZERO.data if page is None and index in self.tags else page

@@ -598,8 +598,11 @@ class Vault:
         recording in the compatibility index. Returns the manifest (the existing one when the same
         content was already packed).
         """
+        from repro.core.encoder import encode_head, encode_skeleton
         obs = self.obs
-        digest = recording.digest()
+        head = encode_head(recording)
+        skeleton = encode_skeleton(recording, head)
+        digest = recording.digest(head)
         with obs.span("store:pack", obs.track("store", "vault"),
                       cat="store",
                       args={"digest": digest[:12],
@@ -608,9 +611,7 @@ class Vault:
             if existing is not None:
                 obs.counter("store.pack.duplicate_recordings").inc()
                 return existing
-            from repro.core.encoder import encode_skeleton
             where = self._all_locations()
-            skeleton = encode_skeleton(recording)
             new_chunks = shared_chunks = stored_bytes = 0
             dumps: List[Tuple[int, int, List[Tuple[str, int]]]] = []
             with _PackWriter(self._packs_dir) as writer:

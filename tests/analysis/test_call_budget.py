@@ -41,17 +41,17 @@ BUDGET = {
 
 #: Each ``replay_hot`` recording -> the calls of its cold start on a
 #: seed-7 machine: boot, ``init``, a verified ``Vault.fetch``, ``load``
-#: and the first replay (``cold_start``'s op). Measured 7,815 / 17,492
-#: / 7,304 / 5,982 / 6,645 with about half a percent of slack; while a
+#: and the first replay (``cold_start``'s op). Measured 5,351 / 14,313
+#: / 5,942 / 5,039 / 5,576 with about half a percent of slack; while a
 #: fetch hashed every chunk and the first replay stored, scrubbed,
 #: mapped and walked page by page, the same count read 22,016 /
 #: 18,315 / 7,481 / 6,699 / 8,373.
 COLD_BUDGET = {
-    ("mali", "dense-serve"): 7854,
-    ("mali", "alexnet"): 17579,
-    ("mali", "mnist"): 7341,
-    ("v3d", "mnist"): 6012,
-    ("adreno", "mnist"): 6678,
+    ("mali", "dense-serve"): 5378,
+    ("mali", "alexnet"): 14385,
+    ("mali", "mnist"): 5972,
+    ("v3d", "mnist"): 5064,
+    ("adreno", "mnist"): 5604,
 }
 
 _NUMPY = os.sep + "numpy" + os.sep

@@ -77,3 +77,12 @@ def test_references_name_a_section_or_label():
     assert len(references) > 5
     assert sorted((path, label) for path, label in references
                   if label not in labels) == []
+
+
+#: DESIGN.md's length in lines; it may only ever be lowered (ROADMAP.md
+#: aims at 800).
+MAX_LINES = 969
+
+
+def test_design_doc_does_not_grow():
+    assert len(_design().splitlines()) <= MAX_LINES

@@ -238,8 +238,9 @@ def test_a_first_gather_of_one_dump_is_a_read_only_view():
 @pytest.mark.parametrize("change", ["write", "scrub", "restore", "free"])
 def test_a_run_is_dropped_when_one_of_its_pages_gets_a_new_buffer(change):
     """A read run holds the views of referenced pages (and ``ZERO``'s
-    page); when one of them gets a new buffer the MMU drops the runs
-    that hold it, and no TLB entry, so every count stays the same."""
+    page); when one of them gets a new buffer, memory counts it, the
+    MMU drops its runs, and no TLB entry, so every count stays the
+    same and the next read sees the new bytes."""
     world = World(PhysicalMemory)
     world.mmu.coherent_tlb = False      # no shootdown to hide behind
     world.step("store", 0, 0, 0)        # slots 0-2, the middle one zero
@@ -247,9 +248,9 @@ def test_a_run_is_dropped_when_one_of_its_pages_gets_a_new_buffer(change):
     key = (BASE_VA, 3 * PAGE_SIZE, "r")
     for _ in range(2):
         mmu.read_va(*key)
-    assert key in mmu._runs and not isinstance(
-        memory.page_buffer(pa), bytearray)
+    assert not isinstance(memory.page_buffer(pa), bytearray)
     counts = mmu.tlb_hits, mmu.tlb_misses, len(mmu._tlb)
+    replaced = memory.replaced
     if change == "write":
         memory.write(pa + 5, b"x")
     elif change == "scrub":
@@ -258,33 +259,60 @@ def test_a_run_is_dropped_when_one_of_its_pages_gets_a_new_buffer(change):
         memory.store_pages([pa], DUMPS[2].pages, 0)
     else:
         world.allocator.free_pages([pa])
-    assert key not in mmu._runs
+    assert memory.replaced == replaced + 1
     assert (mmu.tlb_hits, mmu.tlb_misses, len(mmu._tlb)) == counts
     assert mmu.read_va(*key)[2 * PAGE_SIZE:] == memory.read(pa, PAGE_SIZE)
     assert mmu.tlb_hits == counts[0] + 3
 
 
+def test_runs_outlive_writes_into_owned_pages_and_warm_replays():
+    """Only a lost view or ``ZERO`` page moves ``replaced``: a write
+    into a page with a buffer of its own, or a warm replay, leaves it
+    and every remembered run as they were."""
+    world = World(PhysicalMemory)
+    mmu, memory = world.mmu, world.memory
+    world.step("write", 1, 0, 9)        # slot 1 owns its buffer now
+    for _ in range(2):
+        mmu.read_va(BASE_VA + PAGE_SIZE, PAGE_SIZE)
+    runs, replaced = dict(mmu._runs), memory.replaced
+    memory.write(world.pas[1] + 7, b"owned")
+    assert mmu.read_va(BASE_VA + PAGE_SIZE + 7, 5) == b"owned"
+    assert memory.replaced == replaced and runs
+    assert all(mmu._runs[key] is run for key, run in runs.items())
+
+    recording = get_recorded("mali", "mnist")[0].recording
+    replayer = boot(recording, "mali")
+    mmu, memory = replayer.machine.gpu.mmu, replayer.machine.memory
+    for seed in range(2):
+        replayer.replay(inputs=seeded_inputs(recording, seed))
+    runs, replaced = dict(mmu._runs), memory.replaced
+    replayer.replay(inputs=seeded_inputs(recording, 2))
+    assert memory.replaced == replaced and runs
+    assert all(mmu._runs[key] is run for key, run in runs.items())
+    replayer.cleanup()
+
+
 def test_stores_skip_pages_that_hold_their_bytes():
     memory = PhysicalMemory(4 * MIB)
     writes = []
-    memory.write_hook = lambda pa, n: writes.append(pa)
+    memory.pages_hook = writes.extend
     memory.scrub_pages([0x1000, 0x2000, 0x3000])
     dump = DUMPS[0]
     for k in range(3):
         memory.store_pages([0x1000 * (k + 1)], dump.pages, k)
     # The zero page landed on a zero page: re-tagged, not copied.
-    assert writes == [0x1000, 0x2000, 0x3000, 0x1000, 0x3000]
+    assert writes == [1, 2, 3, 1, 3]
     assert (memory.tags[2], memory.tag_pages[2]) == (dump.pages, 1)
     del writes[:]
     for k in range(3):
         memory.store_pages([0x1000 * (k + 1)], dump.pages, k)
     memory.scrub_pages([0x4000])
     memory.scrub_pages([0x4000])
-    assert writes == [0x4000]
+    assert writes == [4]
     assert memory.tags[4] is ZERO
     # Equal bytes under another dump's tag are still copied.
     memory.store_pages([0x1000], DUMPS[3].pages, 0)
-    assert writes == [0x4000, 0x1000]
+    assert writes == [4, 1]
 
 
 # ---------------------------------------------------------------------------

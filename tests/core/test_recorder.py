@@ -274,9 +274,10 @@ class TestCaptureFootprint:
     #: the model's read-only arrays (3.74 while they held copies, 5.73
     #: when every page was read into a copy and the snapshots held the
     #: weights as well); dense-serve, whose weight dumps are views of
-    #: those arrays, measures 0.13 with a CRC array per scanned region
-    #: (0.15 with a dict entry per page; 1.84 with copies).
-    PEAK_OVER_DUMP = {"alexnet": 3.6, "dense-serve": 0.14}
+    #: those arrays, measures 0.067-0.069 with a CRC array per scanned
+    #: region and no per-page record of the MMU's runs (0.12-0.13 with
+    #: one; 0.15 with a dict entry per page; 1.84 with copies).
+    PEAK_OVER_DUMP = {"alexnet": 3.6, "dense-serve": 0.075}
 
     def peak_over_dump(self, model):
         import tracemalloc

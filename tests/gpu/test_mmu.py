@@ -186,11 +186,12 @@ class TestRangeOps:
         pt.unmap_range(va, 1)
         seen = []
         memory.write_hook = lambda pa, size: seen.append((pa, size))
+        memory.pages_hook = lambda indices: seen.append(indices)
         pt.map_range(va, pas, PERM_R)
         low, high = pt._l1_tables[0], pt._l1_tables[1]
         # 3 PTEs at the end of the first leaf, then: scrub of the new
-        # leaf, its root pointer, 7 PTEs at its start.
-        assert seen == [(low + 509 * 8, 3 * 8), (high, PAGE_SIZE),
+        # leaf (a page store), its root pointer, 7 PTEs at its start.
+        assert seen == [(low + 509 * 8, 3 * 8), [high // PAGE_SIZE],
                         (pt.root_pa + 8, 8), (high, 7 * 8)]
 
     def test_remap_overwrites_like_per_page(self):

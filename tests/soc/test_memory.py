@@ -55,7 +55,7 @@ class TestPhysicalMemory:
         memory.write(0x3000, b"\xAB" * PAGE_SIZE)
         buffer = memory.page_buffer(0x3000)
         seen = []
-        memory.write_hook = lambda pa, size: seen.append((pa, size))
+        memory.pages_hook = seen.append
         before = memory.touched_pages()
         memory.scrub_pages([0x3000, 0x7000])
         for pa in (0x3000, 0x7000):
@@ -65,44 +65,43 @@ class TestPhysicalMemory:
         assert 7 not in memory.buffers
         assert memory.page_buffer(0x7000) is ZERO.data
         assert memory.page_buffer(0x8000) is None   # nothing stored there
-        assert seen == [(0x3000, PAGE_SIZE), (0x7000, PAGE_SIZE)]
+        assert seen == [[3, 7]]
 
     def test_a_stored_page_references_its_source_until_written(
             self, memory):
         """A tagged store into a page without a buffer keeps a view of
         the source's page; the page gets a private copy at its first
-        write or re-store, keeps it, and the source never changes. A
-        holder that built on the view hears when it is replaced."""
+        write or re-store, keeps it, and the source never changes.
+        ``replaced`` counts each buffer a page loses that it did not
+        own, so a holder of one can tell."""
         data = bytes(range(256)) * 32                   # two pages
         other = PageSource(b"\x05" * PAGE_SIZE)
         source = PageSource(data)
-        replaced = []
-        memory.buffers_hook = replaced.append
         memory.scrub_pages([0x1000, 0x2000, 0x3000])
+        assert memory.replaced == 0                     # had no buffer
         memory.store_pages([0x1000, 0x2000], source, 0)
         for pa, k in ((0x1000, 0), (0x2000, 1)):
             view = memory.page_buffer(pa)
             assert view.readonly and view.obj is data
             assert bytes(view) == data[k * PAGE_SIZE:][:PAGE_SIZE]
-        assert replaced == []
-        for index in (1, 2):                    # holders of the views
-            memory.lent[index] = {f"holder-{index}"}
+        assert memory.replaced == 2                     # ZERO's pages
         memory.write(0x1005, b"x")                      # first write
         own = memory.page_buffer(0x1000)
         assert isinstance(own, bytearray) and own[5:6] == b"x"
-        assert replaced == [{"holder-1"}] and 1 not in memory.tags
+        assert memory.replaced == 3 and 1 not in memory.tags
         memory.store_pages([0x2000], other, 0)          # re-store
         again = memory.page_buffer(0x2000)
         assert isinstance(again, bytearray)
-        assert replaced[1:] == [{"holder-2"}] and not memory.lent
+        assert memory.replaced == 4
         assert bytes(again) == bytes(other.data)
         memory.store_pages([0x2000], source, 1)         # in place
         memory.write(0x2000, b"y")
         assert memory.page_buffer(0x2000) is again
         assert again[:1] == b"y" and again[1:] == data[PAGE_SIZE + 1:]
+        assert memory.replaced == 4                     # its own buffer
         memory.store_pages([0x3000], source, 1)
         memory.scrub_pages([0x3000])                    # drops the view
-        assert 3 not in memory.buffers
+        assert 3 not in memory.buffers and memory.replaced == 6
         assert memory.read(0x3000, PAGE_SIZE) == bytes(PAGE_SIZE)
         assert bytes(source.data) == data == bytes(range(256)) * 32
         assert bytes(other.data) == b"\x05" * PAGE_SIZE
@@ -282,12 +281,12 @@ class TestPageAllocator:
             memory.write(pa, b"\xFF" * PAGE_SIZE)
         alloc.free_pages(dirty)
         hooked = []
-        memory.write_hook = lambda pa, size: hooked.append((pa, size))
+        memory.pages_hook = hooked.append
         pages = alloc.alloc_pages(8)  # 5 recycled + 3 fresh
         assert pages[:5] == dirty[::-1]
         assert all(memory.read(pa, PAGE_SIZE) == b"\x00" * PAGE_SIZE
                    for pa in pages)
-        assert hooked == [(pa, PAGE_SIZE) for pa in pages]
+        assert hooked == [[pa // PAGE_SIZE for pa in pages]]
 
     def test_seed_changes_allocation_order(self, memory):
         a = self.make(memory, seed=1).alloc_pages(8)

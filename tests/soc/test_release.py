@@ -206,6 +206,23 @@ def test_a_closed_server_is_freed(fault_rate, config, no_collector):
     assert bool(faulted) == bool(fault_rate)
 
 
+def test_a_retired_worker_is_freed(no_collector):
+    """Scale-down: the pool lets go of a retired worker, so its machine
+    dies with the last reference to it, while the server lives on."""
+    server = ReplayServer(zoo_store(MIX), ServerConfig(
+        families=("mali", "v3d", "mali")))
+    report = server.serve(requests())
+    assert not report.lost
+    worker = server.workers[-1]
+    assert not worker.busy and server.retire_worker(worker)
+    machine = weakref.ref(worker.machine)
+    del worker
+    assert machine() is None
+    assert cyclic_repro_garbage() == []
+    assert len(server.workers) == 2
+    server.close()
+
+
 def test_a_closed_adreno_server_is_freed(no_collector):
     mix = (("adreno", "mnist"), ("adreno", "kws"))
     machines, _ = serve_and_close(

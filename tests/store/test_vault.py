@@ -43,6 +43,21 @@ class TestPackFetch:
         assert second.digest == first.digest
         assert vault.stats().disk_bytes == stats_before.disk_bytes
 
+    def test_pack_encodes_the_head_once(self, vault, mnist_recording,
+                                        monkeypatch):
+        """The digest is hashed from the skeleton pack writes."""
+        from repro.core import encoder
+        built = Recording(mnist_recording.meta, mnist_recording.actions,
+                          mnist_recording.dumps)
+        calls = []
+        real = encoder.encode_head
+        monkeypatch.setattr(encoder, "encode_head",
+                            lambda rec: calls.append(rec) or real(rec))
+        manifest = vault.pack(built)
+        assert calls == [built]
+        assert manifest.digest == built.digest() == \
+            Recording.from_bytes(built.to_bytes()).digest()
+
     def test_fetch_unknown_digest_is_not_found(self, vault):
         with pytest.raises(StoreNotFoundError):
             vault.fetch("f" * 64)
