@@ -243,6 +243,9 @@ class VaultRecordingStore(RecordingStore):
         #: (family, model) -> digest the vault could not deliver.
         self.corrupt: Dict[Tuple[str, str], str] = {}
         self._missing: set = set()
+        #: (family, model) -> the vault skeleton's interface recording,
+        #: for a key with no delivered fetch: fetched once per key.
+        self._interfaces: Dict[Tuple[str, str], Recording] = {}
         self._fetch_log: List[Dict[str, object]] = []
 
     def _digest_for(self, family: str, model: str) -> Optional[str]:
@@ -285,14 +288,17 @@ class VaultRecordingStore(RecordingStore):
         """Interface from the fetched recording when healthy, else
         from the vault skeleton -- which survives chunk damage, so a
         corrupt recording can still be answered on the CPU path."""
+        key = (family, model)
         if self._ensure(family, model):
-            return self._recordings[(family, model)]
-        digest = self.corrupt.get((family, model)) \
-            or self._digest_for(family, model)
-        if digest is None:
-            raise StoreNotFoundError(
-                f"no recording for {family}/{model} in vault")
-        return self.vault.fetch_interface(digest)
+            return self._recordings[key]
+        if key not in self._interfaces:
+            digest = self.corrupt.get(key) \
+                or self._digest_for(family, model)
+            if digest is None:
+                raise StoreNotFoundError(
+                    f"no recording for {family}/{model} in vault")
+            self._interfaces[key] = self.vault.fetch_interface(digest)
+        return self._interfaces[key]
 
     def recording_for(self, request: ServeRequest) -> Recording:
         self._ensure(request.family, request.model)

@@ -28,12 +28,14 @@ On-disk layout under one root directory::
     index.json                the compatibility index (repro.store.index)
 
 Objects are still addressed by the SHA-256 of their *uncompressed*
-bytes; packs only change how many files hold them. A fetch reads the
-recording's own ``.idx`` (objects it shares with earlier recordings are
-listed there too, pointing into the earlier packs -- so the cost is
-O(objects of this recording), whatever else the vault holds), then one
-contiguous span per pack touched. A chunk stored raw is handed on as
-a view into that span, with no inflate and no copy.
+bytes; packs only change how many files hold them. Every read goes
+through one reader, :meth:`_Index.read`: a fetch reads the recording's
+own ``.idx`` (objects it shares with earlier recordings are listed
+there too, pointing into the earlier packs -- so the cost is
+O(objects of this recording), whatever else the vault holds), then
+one contiguous span per pack touched, skeleton and chunks together.
+A chunk stored raw is handed on as a view into that span, with no
+inflate and no copy.
 
 Integrity is a chain with the recording digest at the root: the
 manifest names every chunk by content hash, and the recording a fetch
@@ -42,8 +44,9 @@ value ``Recording.digest()`` computes and the replay load cache keys
 on. A verified fetch checks it there, at the root: it takes each chunk
 as it finds it (located, whole, inflated, of its manifest size) and
 hashes the dump bytes once, for the recording digest. A chunk is
-hashed only to name damage: on any failure the fetch walks the chunks
-through the per-object check in manifest order, so a mismatch raises
+hashed only to name damage: on any failure the fetch walks the bytes
+it already read through the one per-object check,
+:meth:`Vault._check_object`, in manifest order, so a mismatch raises
 :class:`StoreCorruptionError` carrying the chunk and the dump location,
 and the damaged recording can be handed straight to the replay doctor
 (:meth:`Vault.diagnose`). Nothing is trusted for being in the index: a
@@ -65,8 +68,8 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import is_, itemgetter
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -187,14 +190,40 @@ class _Index:
             hit = keys[rows] == names
         return np.where(hit, rows, -1)
 
-    def source(self, packs_dir: str, digests: List[str]) -> "_Source":
-        """A :class:`_Source` of the named objects the index has."""
-        rows = self.find(digests)
-        return _Source(packs_dir, {
-            digest: (self.packs[self.rows["pack"][row]],
-                     int(self.rows["offset"][row]),
-                     int(self.rows["word"][row]))
-            for digest, row in zip(digests, rows.tolist()) if row >= 0})
+    def read(self, packs_dir: str, found: np.ndarray
+             ) -> Tuple[List[Optional[memoryview]], np.ndarray]:
+        """The stored bytes and record word of each of ``found``'s rows,
+        at one read per pack touched: the span from the first to the
+        last of *these* rows. The bytes are None where the row is -1 or
+        its pack is gone, and come up short where the pack is
+        truncated; the word is 0 where the row is -1."""
+        at = np.flatnonzero(found >= 0)     # the rows the index locates
+        packs, offsets, words = (self.rows[field][found[at]]
+                                 for field in ("pack", "offset", "word"))
+        lengths = (words & _LENGTH).astype(np.int64)
+        parts: List[Optional[memoryview]] = [None] * len(found)
+        for no in sorted(set(packs.tolist())):
+            mine = np.flatnonzero(packs == no)
+            starts = offsets[mine].astype(np.int64)
+            ends = starts + lengths[mine]
+            low = int(starts.min())
+            try:
+                with open(os.path.join(packs_dir, self.packs[no] + ".pack"),
+                          "rb") as handle:
+                    handle.seek(low)
+                    span = memoryview(handle.read(int(ends.max()) - low))
+            except FileNotFoundError:
+                continue
+            pieces = map(span.__getitem__, map(
+                slice, (starts - low).tolist(), (ends - low).tolist()))
+            if len(mine) == len(found):
+                parts[:] = pieces
+            else:
+                for ref, piece in zip(at[mine].tolist(), pieces):
+                    parts[ref] = piece
+        every = np.zeros(len(found), words.dtype)
+        every[at] = words
+        return parts, every
 
 
 def _load_index(path: str) -> _Index:
@@ -212,6 +241,12 @@ def _load_index(path: str) -> _Index:
             or body[:4] != _INDEX_MAGIC):
         raise StoreError(f"corrupt object index {path} "
                          f"(`grr store reindex` rebuilds it)")
+    return _parse_index(body)
+
+
+def _parse_index(body: bytes) -> _Index:
+    """An index from its unsealed bytes (``_encode_index`` less the
+    seal)."""
     _magic, n_packs = _INDEX_HEADER.unpack_from(body)
     entries = _INDEX_HEADER.size + n_packs * _SEAL
     packs = [body[at:at + _SEAL].hex()
@@ -331,58 +366,6 @@ class _PackWriter:
                    os.path.join(self._packs_dir, pack + ".pack"))
         self.located = {key: (pack, offset, word)
                         for key, (offset, word) in self._added.items()}
-
-
-class _Source:
-    """Stored bytes of a set of located objects, at one read per pack
-    touched: the span from the first to the last of *these* objects."""
-
-    def __init__(self, packs_dir: str, where: Dict[str, Location]):
-        self._packs_dir = packs_dir
-        self.where = where
-        self._spans: Optional[Dict[str, Tuple[int, memoryview]]] = None
-
-    def stored(self, digest: str) -> Optional[Tuple[memoryview, int]]:
-        """(stored bytes, record word), or None when the object is not
-        located or its pack is gone; the bytes come up short when the
-        pack is truncated."""
-        location = self.where.get(digest)
-        if location is None:
-            return None
-        pack, offset, word = location
-        span = self.spans().get(pack)
-        if span is None:
-            return None
-        start = offset - span[0]
-        return span[1][start:start + (word & _LENGTH)], word
-
-    def spans(self) -> Dict[str, Tuple[int, memoryview]]:
-        """pack -> (offset of the first byte read, the bytes), read on
-        first use; a pack that is gone has no entry."""
-        if self._spans is not None:
-            return self._spans
-        # Records never overlap, so one that starts below the span
-        # cannot also end above it: one comparison settles most.
-        bounds: Dict[str, List[int]] = {}
-        for pack, offset, word in self.where.values():
-            bound = bounds.get(pack)
-            if bound is None:
-                bounds[pack] = [offset, offset + (word & _LENGTH)]
-            elif offset < bound[0]:
-                bound[0] = offset
-            elif offset + (word & _LENGTH) > bound[1]:
-                bound[1] = offset + (word & _LENGTH)
-        self._spans = {}
-        for pack, (low, high) in bounds.items():
-            try:
-                with open(os.path.join(self._packs_dir, pack + ".pack"),
-                          "rb") as handle:
-                    handle.seek(low)
-                    self._spans[pack] = (
-                        low, memoryview(handle.read(high - low)))
-            except FileNotFoundError:
-                pass
-        return self._spans
 
 
 @dataclass
@@ -510,14 +493,15 @@ class Vault:
     def _manifest_path(self, digest: str) -> str:
         return os.path.join(self._manifests_dir, digest + ".json")
 
-    def _source(self, recording_digest: str,
-                only: Optional[str] = None) -> _Source:
-        """The objects of one packed recording -- or just ``only`` --
-        via the recording's own index."""
+    def _read(self, recording_digest: str, objects: List[str]
+              ) -> Tuple[np.ndarray, List[Optional[memoryview]],
+                         np.ndarray]:
+        """``objects`` of one packed recording, found in its own index
+        and read: (index rows, stored bytes, record words), as
+        :meth:`_Index.read` gives them."""
         index = _load_index(self._packs_file(recording_digest, ".idx"))
-        if only is not None:
-            return index.source(self._packs_dir, [only])
-        return _Source(self._packs_dir, index.where())
+        found = index.find(objects)
+        return (found, *index.read(self._packs_dir, found))
 
     def _all_locations(self) -> Dict[str, Location]:
         """Every indexed object of the vault: what a write dedups
@@ -550,21 +534,19 @@ class Vault:
         pack, offset, word = location
         return self._packs_file(pack, ".pack"), offset, word & _LENGTH
 
-    def _get_object(self, digest: str, source: _Source,
-                    expect_size: int = -1,
-                    context: Optional[dict] = None) -> bytes:
-        """Take one object out of ``source`` and integrity-check it.
+    def _check_object(self, digest: str, payload: Optional[memoryview],
+                      word: int, expect_size: int, ctx: dict) -> bytes:
+        """Integrity-check one object as :meth:`_Index.read` found it
+        (``payload`` None: not located, or its pack is gone): located,
+        whole, inflated, hashing to its address, of its manifest size.
 
-        ``context`` (recording digest / dump location) flows into the
+        ``ctx`` (recording digest / dump location) flows into the
         corruption error so the caller can hand off to the doctor.
         """
-        ctx = context or {}
-        found = source.stored(digest)
-        if found is None:
+        if payload is None:
             raise StoreNotFoundError(
                 f"missing object {digest[:12]} (not in the index, or "
                 f"its pack is gone from {self._packs_dir})")
-        payload, word = found
         if len(payload) != word & _LENGTH:
             raise StoreCorruptionError(
                 f"object {digest[:12]} is cut short: truncated pack",
@@ -580,7 +562,7 @@ class Vault:
             raise StoreCorruptionError(
                 "object content does not match its address",
                 chunk_digest=digest, **ctx)
-        if expect_size >= 0 and len(payload) != expect_size:
+        if len(payload) != expect_size:
             raise StoreCorruptionError(
                 f"object {digest[:12]} has {len(payload)} bytes, "
                 f"manifest says {expect_size}",
@@ -742,12 +724,7 @@ class Vault:
         (``verify()`` scrubs through here without looking like
         traffic)."""
         manifest = self.load_manifest(digest)
-        recording = self._reassemble(manifest, verify=verify)
-        if verify and recording.digest() != manifest.digest:
-            raise StoreCorruptionError(
-                "reassembled recording does not hash back to the "
-                "manifest digest", recording_digest=digest)
-        return manifest, recording
+        return manifest, self._reassemble(manifest, verify=verify)
 
     def fetch_interface(self, digest: str) -> Recording:
         """The recording's skeleton with zero-filled dumps.
@@ -759,19 +736,28 @@ class Vault:
         of losing the request.
         """
         manifest = self.load_manifest(digest)
-        skeleton = self._get_object(
-            manifest.skeleton_digest,
-            self._source(digest, only=manifest.skeleton_digest),
-            manifest.skeleton_size, context={"recording_digest": digest})
+        _found, stored, words = self._read(digest,
+                                           [manifest.skeleton_digest])
         payloads = [b"\x00" * size for _va, size, _c in manifest.dumps]
         from repro.core.encoder import decode_skeleton
-        return decode_skeleton(bytes(skeleton), payloads)
+        return decode_skeleton(self._skeleton(manifest, stored, words),
+                               payloads)
+
+    def _skeleton(self, manifest: Manifest,
+                  stored: List[Optional[memoryview]],
+                  words: np.ndarray) -> bytes:
+        """The checked skeleton, from a read whose first object it is."""
+        return bytes(self._check_object(
+            manifest.skeleton_digest, stored[0], int(words[0]),
+            manifest.skeleton_size, {"recording_digest": manifest.digest}))
 
     def _reassemble(self, manifest: Manifest,
                     verify: bool) -> Recording:
         """Rebuild a Recording, handing dump payloads out as read-only
         ``memoryview``s instead of reassembled ``bytes``.
 
+        The skeleton and every chunk reference are found in one
+        ``_Index.find`` and read together, one span per pack touched.
         A single-chunk dump (the common case under content-defined
         chunking) is a zero-copy view straight into the fetched chunk
         buffer -- for a chunk stored raw, into the span read from its
@@ -786,21 +772,19 @@ class Vault:
         With ``verify`` the check is at the root: the chunks are taken
         as they are found (located, whole, inflated, of the manifest's
         size) and the recording they make must hash back to the
-        manifest digest. Any failure walks the chunks through
-        :meth:`_get_object` in manifest order (:meth:`_name_damage`),
-        so a damaged vault says what a check of every chunk says.
+        manifest digest. Any failure walks the bytes already read
+        through :meth:`_check_object` in manifest order
+        (:meth:`_name_damage`), so a damaged vault says what a check of
+        every chunk says.
         """
-        index = _load_index(self._packs_file(manifest.digest, ".idx"))
-        skeleton = bytes(self._get_object(
-            manifest.skeleton_digest,
-            index.source(self._packs_dir, [manifest.skeleton_digest]),
-            manifest.skeleton_size,
-            context={"recording_digest": manifest.digest}))
+        found, stored, words = self._read(manifest.digest,
+                                          manifest.objects())
+        skeleton = self._skeleton(manifest, stored, words)
         from repro.core.encoder import decode_skeleton
         failure = None
         try:
-            recording = decode_skeleton(
-                skeleton, self._payloads(manifest, index, strict=verify))
+            recording = decode_skeleton(skeleton, self._payloads(
+                manifest, found, stored, words, strict=verify))
             if not verify or recording.digest() == manifest.digest:
                 return recording
         except _Unsound:
@@ -809,14 +793,16 @@ class Vault:
             if not verify:
                 raise
             failure = error
-        self._name_damage(manifest, _Source(self._packs_dir, index.where()))
+        self._name_damage(manifest, stored, words)
         raise failure or StoreCorruptionError(
             "reassembled recording does not hash back to the manifest "
             "digest", recording_digest=manifest.digest)
 
-    def _payloads(self, manifest: Manifest, index: _Index,
+    def _payloads(self, manifest: Manifest, found: np.ndarray,
+                  stored: List[Optional[memoryview]], words: np.ndarray,
                   strict: bool) -> List[memoryview]:
-        """Every dump's bytes, from one read per pack touched: each
+        """Every dump's bytes, from what the read of
+        ``manifest.objects()`` returned (the skeleton first): each
         chunk reference a view of its span, each deflated chunk
         inflated once. ``strict`` raises :class:`_Unsound` at anything that is not
         located, whole, valid zlib and of its manifest size; otherwise
@@ -826,42 +812,14 @@ class Vault:
         the damage, not be stopped by it."""
         refs = list(chain.from_iterable(
             chunk_list for _va, _size, chunk_list in manifest.dumps))
-        found = index.find(list(map(itemgetter(0), refs)))
-        at = np.flatnonzero(found >= 0)     # the refs the index locates
-        if strict and len(at) < len(refs):
+        parts = stored[1:]      # a copy: the read stays as it was found
+        if strict and any(map(is_, parts, repeat(None))):
             raise _Unsound
-        packs, offsets, words = (index.rows[field][found[at]]
-                                 for field in ("pack", "offset", "word"))
-        lengths = (words & _LENGTH).astype(np.int64)
-        parts: List[Optional[bytes]] = [None] * len(refs)
-        for no in sorted(set(packs.tolist())):
-            mine = np.flatnonzero(packs == no)
-            starts = offsets[mine].astype(np.int64)
-            ends = starts + lengths[mine]
-            low = int(starts.min())
-            try:
-                with open(self._packs_file(index.packs[no], ".pack"),
-                          "rb") as handle:
-                    handle.seek(low)
-                    span = memoryview(handle.read(int(ends.max()) - low))
-            except FileNotFoundError:
-                if strict:
-                    raise _Unsound
-                continue
-            if strict and int(ends.max()) - low > len(span):
-                raise _Unsound   # a truncated pack
-            pieces = map(span.__getitem__, map(
-                slice, (starts - low).tolist(), (ends - low).tolist()))
-            if len(mine) == len(refs):
-                parts[:] = pieces
-            else:
-                for ref, piece in zip(at[mine].tolist(), pieces):
-                    parts[ref] = piece
-        sizes = np.zeros(len(refs), np.int64)
-        sizes[at] = lengths
+        # A cut span shows once its dump is joined: it comes up short.
+        sizes = (words[1:] & _LENGTH).astype(np.int64)
         inflated: Dict[int, bytes] = {}     # each deflated chunk once
-        rows = found.tolist()
-        for ref in at[(words & _RAW) == 0].tolist():
+        rows = found[1:].tolist()
+        for ref in np.flatnonzero((words[1:] & _RAW) == 0).tolist():
             if parts[ref] is None:
                 continue
             if rows[ref] not in inflated:
@@ -907,22 +865,27 @@ class Vault:
             payloads.append(payload)
         return payloads
 
-    def _name_damage(self, manifest: Manifest, source: _Source) -> None:
+    def _name_damage(self, manifest: Manifest,
+                     stored: List[Optional[memoryview]],
+                     words: np.ndarray) -> None:
         """Raise what a check of every chunk finds first, in manifest
-        order: :meth:`_get_object` on each distinct (chunk, size)
-        reference at its first use, and after each dump, its size."""
+        order, in what the read of ``manifest.objects()`` returned:
+        :meth:`_check_object` on each distinct (chunk, size) reference
+        at its first use, and after each dump, its size."""
         checked = set()
+        at = 0      # the skeleton's; each reference is one on
         for dump_index, (va, size, chunk_list) in \
                 enumerate(manifest.dumps):
             offset = 0
             for ref in chunk_list:
+                at += 1
                 if ref not in checked:
                     checked.add(ref)
-                    self._get_object(
-                        ref[0], source, ref[1],
-                        context={"recording_digest": manifest.digest,
-                                 "dump_index": dump_index, "dump_va": va,
-                                 "dump_offset": offset})
+                    self._check_object(
+                        ref[0], stored[at], int(words[at]), ref[1],
+                        {"recording_digest": manifest.digest,
+                         "dump_index": dump_index, "dump_va": va,
+                         "dump_offset": offset})
                 offset += ref[1]
             if offset != size:
                 raise _dump_size_error(manifest, dump_index, va, offset,
@@ -966,29 +929,34 @@ class Vault:
             copied = 0
             copied_bytes = 0
             healed = 0
-            remote = peer._source(digest)
+            objects = list(sizes)
+            _found, remote, remote_words = peer._read(digest, objects)
             where = self._all_locations()
-            local = _Source(self._packs_dir, {
-                obj: where[obj] for obj in sizes if obj in where})
+            mine = _parse_index(_encode_index({
+                obj: where[obj] for obj in objects if obj in where
+            })[:-_SEAL])
+            local, local_words = mine.read(self._packs_dir,
+                                           mine.find(objects))
             with _PackWriter(self._packs_dir) as writer:
-                for obj, size in sizes.items():
+                for at, (obj, size) in enumerate(sizes.items()):
                     if obj in where:
                         try:
-                            self._get_object(obj, local, size,
-                                             context=contexts[obj])
+                            self._check_object(obj, local[at],
+                                               int(local_words[at]), size,
+                                               contexts[obj])
                             continue
                         except StoreError:
                             pass  # damaged here: repaired below
-                    payload = peer._get_object(obj, remote, size,
-                                               context=contexts[obj])
+                    word = int(remote_words[at])
+                    payload = peer._check_object(obj, remote[at], word,
+                                                 size, contexts[obj])
                     if obj in where:
                         # Replication doubles as repair: put the good
                         # bytes back where every index expects them.
                         self._heal_object(where[obj], payload)
                         healed += 1
                     else:
-                        stored, word = remote.stored(obj)
-                        writer.add_stored(obj, word, stored)
+                        writer.add_stored(obj, word, remote[at])
                     copied += 1
                     copied_bytes += len(payload)
             where.update(writer.located)

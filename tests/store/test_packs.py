@@ -83,10 +83,23 @@ def _packs(vault: Vault, ext: str):
                   if name.endswith(ext))
 
 
+def _index(vault: Vault, digest: str):
+    """One packed recording's object index."""
+    return vault_module._load_index(vault._packs_file(digest, ".idx"))
+
+
 def _words(vault: Vault, digest: str):
     """{object digest: record word} of one packed recording."""
     return {obj: word for obj, (_pack, _offset, word)
-            in vault._source(digest).where.items()}
+            in _index(vault, digest).where().items()}
+
+
+def _stored(vault: Vault, digest: str, objects):
+    """{object digest: (stored bytes, record word)} of ``objects`` of
+    one packed recording, as a fetch reads them."""
+    index = _index(vault, digest)
+    stored, words = index.read(vault._packs_dir, index.find(objects))
+    return dict(zip(objects, zip(stored, words.tolist())))
 
 
 def trial_word(payload: bytes) -> int:
@@ -368,14 +381,14 @@ class TestReplication:
         local = Vault(str(tmp_path / "local"))
         local.replicate_from(peer, a.digest)
         assert deflated == []
-        mine, theirs = local._source(a.digest), peer._source(a.digest)
-        records = {obj: theirs.stored(obj) for obj in a.objects()}
+        mine = _stored(local, a.digest, a.objects())
+        records = _stored(peer, a.digest, a.objects())
         assert {word & vault_module._RAW
                 for _stored, word in records.values()} == \
             {0, vault_module._RAW}
         for obj, (stored, word) in records.items():
-            assert mine.stored(obj)[1] == word
-            assert mine.stored(obj)[0] == stored
+            assert mine[obj][1] == word
+            assert mine[obj][0] == stored
         assert local.fetch(a.digest).digest() == a.digest
 
     @pytest.mark.parametrize("dump", [0, 1], ids=["raw", "deflated"])
@@ -497,6 +510,53 @@ class TestLookupCost:
         assert index_bytes == []  # opening a vault loads no index
         assert reopened.fetch(small.digest).digest() == small.digest
         assert index_bytes == [idx[small.digest]]
+
+    @pytest.fixture
+    def two_packs(self, vault):
+        """A recording whose skeleton and SOFT chunks sit in its own
+        pack and whose SHARED chunks sit in an earlier one."""
+        vault.pack(_recording("a", NOISE, SHARED))
+        b = vault.pack(_recording("b", SHARED, SOFT))
+        packs = {vault.object_location(obj)[0] for obj in b.objects()}
+        assert len(packs) == 2
+        return b, packs
+
+    @pytest.fixture
+    def pack_opens(self, monkeypatch):
+        """Every ``.pack`` path the vault opens from here on."""
+        opened = []
+
+        def counting(path, *args, **kwargs):
+            if str(path).endswith(".pack"):
+                opened.append(path)
+            return open(path, *args, **kwargs)
+        monkeypatch.setattr(vault_module, "open", counting, raising=False)
+        return opened
+
+    def test_a_fetch_reads_each_pack_once(self, vault, two_packs,
+                                          pack_opens):
+        b, packs = two_packs
+        assert vault.fetch(b.digest).digest() == b.digest
+        assert sorted(pack_opens) == sorted(packs)
+
+    def test_a_damaged_fetch_reads_each_pack_once(self, vault, two_packs,
+                                                  pack_opens):
+        """Naming the damage walks the bytes the fetch already read."""
+        b, packs = two_packs
+        victim = b.dumps[1][2][0][0]
+        flip_object_byte(vault, victim)
+        with pytest.raises(StoreCorruptionError) as info:
+            vault.fetch(b.digest)
+        assert (info.value.chunk_digest, info.value.dump_index,
+                info.value.dump_offset) == (victim, 1, 0)
+        assert sorted(pack_opens) == sorted(packs)
+
+    def test_an_interface_fetch_reads_one_pack(self, vault, two_packs,
+                                               pack_opens):
+        b, _packs = two_packs
+        interface = vault.fetch_interface(b.digest)
+        assert [d.size for d in interface.dumps] == [2500, 2400]
+        assert pack_opens == [vault.object_location(b.skeleton_digest)[0]]
 
 
 class TestRetiredLayout:

@@ -95,6 +95,31 @@ class TestStoreFailureRungs:
         assert store.corrupt[("mali", "mnist")] == digest
         assert vault.verify(digest)
 
+    def test_an_undeliverable_key_fetches_its_interface_once(
+            self, tmp_path, monkeypatch):
+        """Admission and the CPU reference both ask for the interface
+        of a key the vault cannot deliver: the skeleton is read once
+        per key, not once per request and asker."""
+        root = str(tmp_path / "vault")
+        mix = [("mali", "mnist")]
+        zoo_store(mix, Vault(root))
+        vault = Vault(root)
+        digest = vault.digests()[0]
+        flip_object_byte(vault, vault.load_manifest(digest).chunk_refs()[0])
+        calls = []
+        real = vault.fetch_interface
+
+        def counting(asked):
+            calls.append(asked)
+            return real(asked)
+        monkeypatch.setattr(vault, "fetch_interface", counting)
+        store = VaultRecordingStore(vault, mix)
+        report = _serve(store, requests=20, mix=mix)
+        assert len(report.responses) == 20
+        assert all(r.status == "degraded" and r.path == "cpu"
+                   for r in report.responses)
+        assert calls == [digest]
+
     def test_vault_store_verifies_on_fetch(self, tmp_path,
                                             mali_mnist_recorded):
         """recording_for never returns silently-corrupt content."""

@@ -22,7 +22,7 @@ from repro.core.dumps import MemoryDump
 from repro.core.encoder import encode_skeleton
 from repro.core.recording import IoBuffer, Recording
 from repro.store import Vault
-from repro.store.vault import _PackWriter
+from repro.store.vault import _PackWriter, _load_index
 from repro.tools.smoke import flip_object_byte
 from tests.serve.test_recording_fuzz import synthetic_recording
 
@@ -65,7 +65,7 @@ def _stored_as(vault, manifest, deflated):
 
 
 def absent_from_index(vault, manifest):
-    where = vault._source(manifest.digest).where
+    where = _load_index(vault._packs_file(manifest.digest, ".idx")).where()
     del where[_chunk(manifest, 3, 1)]
     vault._write_index(manifest.digest, where)
 
@@ -122,7 +122,7 @@ def _install_skeleton(vault, manifest, skeleton, as_digest):
     its index) at it."""
     with _PackWriter(vault._packs_dir) as writer:
         address, _new = writer.put(skeleton, ())
-    where = vault._source(manifest.digest).where
+    where = _load_index(vault._packs_file(manifest.digest, ".idx")).where()
     where.pop(manifest.skeleton_digest)
     where.update(writer.located)
 
@@ -188,7 +188,7 @@ def swapped_records_of_equal_length(vault, manifest):
 
 def index_entry_on_another_record(vault, manifest):
     twins, one, other = _twins(vault)
-    where = vault._source(twins.digest).where
+    where = _load_index(vault._packs_file(twins.digest, ".idx")).where()
     where[one] = where[other]
     vault._write_index(twins.digest, where)
     return twins.digest
